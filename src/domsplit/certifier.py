@@ -27,12 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobi import cocycle_map, dist_to_spectrum, spectrum
+from .jacobi import (
+    IllConditioned,
+    _solve_columns,
+    cocycle_map,
+    dist_to_spectrum,
+    greens_column,
+    spectrum,
+)
 from .mat2 import (
     MatSequence,
     cocycle_product,
     det2,
     norm_floor,
+    norm_floor_curve,
     op_norm,
     singular_values,
     sv_direction_vectors,
@@ -209,6 +217,48 @@ def _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs):
                 u_vecs[i] = _range_direction(P)
 
 
+def _site_directions(seq, js, bu, bs):
+    """Unit u and s rows at sites js from products of bu/bs factors.
+
+    Each site's rows depend only on its own burns, so any subset of
+    sites reproduces the rows a larger call computes for them, bit for
+    bit, as long as the largest burn on each side is the same.
+    """
+    U, S = _field_products(seq.values, js, bu, bs, seq.j_lo)
+    u_vecs, _ = sv_direction_vectors(U)
+    _, s_top_in = sv_direction_vectors(S)
+    s_vecs = _perp_rows(s_top_in)
+    _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs)
+    if not (np.all(np.isfinite(u_vecs)) and np.all(np.isfinite(s_vecs))):
+        raise InternalInconsistency("non-finite direction estimate")
+    return unit_rows(u_vecs), unit_rows(s_vecs)
+
+
+def _extend_field(seq, burn, core):
+    """The extended field of power_directions, spliced around `core`.
+
+    Core sites carry the full burn on both sides in either mode, so
+    their rows are copied from the core field (None when the window is
+    too short for one); only the sites within one burn of either end
+    need new products.
+    """
+    lo, hi = seq.window
+    js = np.arange(lo + 1, hi + 1)
+    bu = np.minimum(burn, js - lo)
+    bs = np.minimum(burn, hi + 1 - js)
+    u = np.empty((len(js), 2), dtype=complex)
+    s = np.empty_like(u)
+    new = np.ones(len(js), dtype=bool)
+    if core is not None:
+        new[core.j_first - lo - 1 : core.j_last - lo] = False
+        u[~new], s[~new] = core.u, core.s
+    if np.any(new):
+        u[new], s[new] = _site_directions(seq, js[new], bu[new], bs[new])
+    return SplittingField(
+        j_first=lo + 1, u=u, s=s, method="power", burn=burn, burn_u=bu, burn_s=bs
+    )
+
+
 def power_directions(seq, burn, extend=False):
     """Direction fields from singular vectors of burn-long products.
 
@@ -223,32 +273,20 @@ def power_directions(seq, burn, extend=False):
     burn = int(burn)
     if burn < 1:
         raise ValueError("burn must be >= 1")
-    if extend:
-        js = np.arange(lo + 1, hi + 1)
-        bu = np.minimum(burn, js - lo)
-        bs = np.minimum(burn, hi + 1 - js)
-    else:
-        if lo + burn > hi + 1 - burn:
-            raise ValueError(f"window too short for burn {burn}")
+    core = None
+    if lo + burn <= hi + 1 - burn:
         js = np.arange(lo + burn, hi + 2 - burn)
-        bu = np.full(len(js), burn)
-        bs = np.full(len(js), burn)
-    U, S = _field_products(seq.values, js, bu, bs, lo)
-    u_vecs, _ = sv_direction_vectors(U)
-    _, s_top_in = sv_direction_vectors(S)
-    s_vecs = _perp_rows(s_top_in)
-    _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs)
-    if not (np.all(np.isfinite(u_vecs)) and np.all(np.isfinite(s_vecs))):
-        raise InternalInconsistency("non-finite direction estimate")
-    return SplittingField(
-        j_first=int(js[0]),
-        u=unit_rows(u_vecs),
-        s=unit_rows(s_vecs),
-        method="power",
-        burn=burn,
-        burn_u=bu,
-        burn_s=bs,
-    )
+        full = np.full(len(js), burn)
+        u, s = _site_directions(seq, js, full, full)
+        core = SplittingField(
+            j_first=int(js[0]), u=u, s=s, method="power", burn=burn,
+            burn_u=full, burn_s=full,
+        )
+    if extend:
+        return _extend_field(seq, burn, core)
+    if core is None:
+        raise ValueError(f"window too short for burn {burn}")
+    return core
 
 
 def greens_directions(op, E, spectrum_approx=None, margin=None, delta_min=DELTA_MIN):
@@ -262,8 +300,6 @@ def greens_directions(op, E, spectrum_approx=None, margin=None, delta_min=DELTA_
     than twice longer, or is forced to the adjacent column when a zero
     coupling cuts the fallback off.
     """
-    from .jacobi import IllConditioned, _solve_columns, greens_column
-
     sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
     delta = dist_to_spectrum(sp, E)
     if delta < delta_min:
@@ -521,9 +557,8 @@ def stability_radius(cone, sup_bound, n_steps=None):
     return eps if eps > 0.0 and math.isfinite(eps) else None
 
 
-def _field_gap(seq, b1, b2):
-    f1 = power_directions(seq, b1)
-    f2 = power_directions(seq, b2)
+def _field_gap(f1, f2):
+    """Largest chordal movement of either field from f1 to f2 (f2 inside f1)."""
     off = f2.j_first - f1.j_first
     n = len(f2)
     gu = chordal_rows(f1.u[off : off + n], f2.u)
@@ -549,42 +584,52 @@ def _ratio_estimate(seq):
 
 
 def _resolve_burn(seq, burn_hint):
-    """Pick a burn-in: (burn, gap, failure_detail or None).
+    """Pick a burn-in: (burn, gap, failure_detail or None, core field).
 
     The gap is the largest chordal movement of either field under the
     last doubling of the burn-in.  A gap that refuses to decay flags
     rotation-like behavior; a gap still above 1e-3 at the window cap
-    means the window cannot resolve the directions.
+    means the window cannot resolve the directions.  Each burn's core
+    field is built once and shared by the doublings that compare it;
+    the one returned is power_directions(seq, burn) for the chosen burn.
     """
     lo, hi = seq.window
     b_cap = (hi - lo) // 2
     if b_cap < 2:
         raise ValueError("window too short to resolve direction fields")
+    fields = {}
+
+    def gap(b1, b2):
+        for b in (b1, b2):
+            if b not in fields:
+                fields[b] = power_directions(seq, b)
+        return _field_gap(fields[b1], fields[b2])
+
     if burn_hint is not None:
         b = max(1, min(int(burn_hint), b_cap))
-        return b, _field_gap(seq, max(b // 2, 1), b), None
+        return b, gap(max(b // 2, 1), b), None, fields[b]
     r = _ratio_estimate(seq)
     if r is None or not math.isfinite(r) or r <= 1.0 + 1e-9:
         b0 = 40
     else:
         b0 = max(40, 8 * math.ceil(1.0 / max(math.log2(r), 1e-6)))
     b = min(b0, b_cap)
-    g_prev = _field_gap(seq, max(b // 2, 1), b)
+    g_prev = gap(max(b // 2, 1), b)
     while g_prev > 1e-8 and b < b_cap:
         b_next = min(2 * b, b_cap)
-        g = _field_gap(seq, b, b_next)
+        g = gap(b, b_next)
         if g > 0.6 * g_prev and g > 1e-7:
             return b_next, g, (
                 "direction fields oscillate as the burn-in doubles; "
                 "the window behaves like a rotation and pins no splitting"
-            )
+            ), fields[b_next]
         b, g_prev = b_next, g
     if g_prev > 1e-3:
         return b, g_prev, (
             f"direction fields still moved by {g_prev:.2e} at the largest "
             "burn-in this window allows"
-        )
-    return b, g_prev, None
+        ), fields[b]
+    return b, g_prev, None, fields[b]
 
 
 @dataclass
@@ -696,12 +741,14 @@ def certify(
     (all conditions hold but the domination margin is thin), or
     "failed" with the first broken condition recorded.  A failed
     verdict still carries every measured quantity that was reachable.
+    Each burn's direction field is built once, and the extended field
+    reuses the core field's rows.
     """
     if not isinstance(seq, MatSequence):
         seq = MatSequence(0, np.asarray(seq, dtype=complex))
     lo, hi = seq.window
     notes = {}
-    b, gap, no_field = _resolve_burn(seq, burn)
+    b, gap, no_field, core = _resolve_burn(seq, burn)
     notes["burn"] = b
     notes["convergence_gap"] = gap
     if no_field is not None:
@@ -716,23 +763,25 @@ def certify(
             notes=notes,
         )
     res_eff = max(res_max, 8.0 * gap)
-    core = power_directions(seq, b)
-    ext = power_directions(seq, b, extend=True)
+    ext = _extend_field(seq, b, core)
 
     inv_ok, inv_res = verify_invariance(seq, core, res_eff)
     dom = verify_domination(seq, core, n_max=n_max, factor=factor)
     sep_ok, delta_ext = verify_separation(ext, delta_min)
     _, delta_core = verify_separation(core, delta_min)
 
+    floors = norm_floor_curve(seq, min(20, hi - lo + 1))
+    curve = [
+        (n, v, floor_rel * seq.sup_bound**n) for n, v in enumerate(floors, 1)
+    ]
     floor_val = floor_thr = None
     floor_ok = None
     if dom.N >= 1:
-        floor_val = norm_floor(seq, dom.N)
+        floor_val = (
+            floors[dom.N - 1] if dom.N <= len(floors) else norm_floor(seq, dom.N)
+        )
         floor_thr = floor_rel * seq.sup_bound**dom.N
         floor_ok = floor_val > floor_thr
-    curve = []
-    for n in range(1, min(20, hi - lo + 1) + 1):
-        curve.append((n, norm_floor(seq, n), floor_rel * seq.sup_bound**n))
     notes["floor_curve"] = curve
     notes["floor_curve_ok"] = all(v > t for _, v, t in curve)
     notes["invariance_threshold"] = res_eff

@@ -494,10 +494,11 @@ def greens_column(op, E, j, margin=None, spectrum_approx=None, delta_min=1e-4):
     values at the noise floor are excluded), capped so that
     (2/delta) * exp(-gamma_fit * |n - j|) bounds every solved value;
     the reported envelope is therefore a certificate.  The column is
-    accepted
-    only when the fitted boundary influence exp(-gamma * margin) is
-    below 1e-8; with margin=None the padding grows automatically until
-    that holds.
+    accepted only when the fitted boundary influence exp(-gamma * margin)
+    is below 1e-8, or when an exactly zero coupling lies between j and
+    each end of the padded solve, which leaves the boundary no influence
+    at all; with margin=None the padding grows automatically until one
+    of these holds.
     """
     sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
     delta = dist_to_spectrum(sp, E)
@@ -536,7 +537,14 @@ def greens_column(op, E, j, margin=None, spectrum_approx=None, delta_min=1e-4):
                 (math.log(2.0 / delta) - np.log(np.abs(g[signal]))) / dist[signal]
             ))
             gamma = min(gamma, cap)
-        ok = np.isfinite(gamma) and gamma > 0 and math.exp(-gamma * m) < 1e-8
+        # an exactly zero coupling between j and each end of the solve
+        # cuts the boundary off: the padded column is then exact
+        cut = np.any(op.a_range(lo - 1, j - 1) == 0.0) and np.any(
+            op.a_range(j, hi) == 0.0
+        )
+        ok = np.isfinite(gamma) and gamma > 0 and (
+            cut or math.exp(-gamma * m) < 1e-8
+        )
         if ok or not adaptive:
             break
         if np.isfinite(gamma) and gamma > 0:

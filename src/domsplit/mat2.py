@@ -33,6 +33,7 @@ __all__ = [
     "cocycle_product",
     "backward_product",
     "norm_floor",
+    "norm_floor_curve",
 ]
 
 
@@ -260,3 +261,26 @@ def norm_floor(seq, n):
         prod = vals[k:k + m] @ prod
     s1, _ = singular_values(prod.astype(np.complex128))
     return float(np.min(s1))
+
+
+def norm_floor_curve(seq, n_max):
+    """[norm_floor(seq, n) for n = 1..n_max] in one incremental pass.
+
+    Each step left-multiplies the running products by the next factor,
+    the same arithmetic norm_floor does for n <= EXTENDED_CUTOFF, so
+    the values agree bit for bit.
+    """
+    if not 1 <= n_max <= min(len(seq), EXTENDED_CUTOFF):
+        raise ValueError(
+            f"n_max must lie in [1, {min(len(seq), EXTENDED_CUTOFF)}]"
+        )
+    vals = seq.values
+    prod = vals
+    floors = []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            m = len(seq) - n + 1
+            prod = vals[n - 1:n - 1 + m] @ prod[:m]
+        s1, _ = singular_values(prod)
+        floors.append(float(np.min(s1)))
+    return floors

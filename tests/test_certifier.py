@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_matseq, random_operator
 
@@ -22,6 +24,7 @@ from domsplit import (
     periodic_operator,
     power_directions,
 )
+from domsplit import certifier, mat2
 from domsplit.certifier import (
     DegenerateCocycle,
     stability_radius,
@@ -31,7 +34,7 @@ from domsplit.certifier import (
     verify_separation,
 )
 from domsplit.harness import perturb_sequence
-from domsplit.mat2 import MatSequence
+from domsplit.mat2 import MatSequence, norm_floor
 from domsplit.sphere import ProjPoint, act, chordal_dist, chordal_rows
 
 PHI_BIG = 0.5 * (3.0 + np.sqrt(5.0))
@@ -317,3 +320,79 @@ def test_failed_certificate_roundtrips():
     doc = certify(example_two()).to_json()
     assert doc["failed_condition"] == 3
     json.dumps(doc)  # everything is plain
+
+
+# ------------------------------------------------------ one product sweep
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    burn=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+    singular=st.booleans(),
+)
+def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singular):
+    rng = np.random.default_rng(seed)
+    seq = random_matseq(rng, n=n, j_lo=int(rng.integers(-50, 50)))
+    if singular:
+        # second column exactly twice the first: det is exactly zero
+        k = int(rng.integers(n))
+        seq.values[k, :, 1] = 2.0 * seq.values[k, :, 0]
+    ext = power_directions(seq, burn, extend=True)
+    lo, hi = seq.window
+    js = np.arange(lo + 1, hi + 1)
+    bu = np.minimum(burn, js - lo)
+    bs = np.minimum(burn, hi + 1 - js)
+    u, s = certifier._site_directions(seq, js, bu, bs)
+    assert ext.j_first == lo + 1
+    assert np.array_equal(ext.u, u) and np.array_equal(ext.s, s)
+    assert np.array_equal(ext.burn_u, bu) and np.array_equal(ext.burn_s, bs)
+
+
+@pytest.mark.parametrize("which", ["free", "random", "example_one"])
+def test_floor_curve_equals_norm_floor(free_seq, which):
+    seq = {
+        "free": free_seq,
+        "random": cocycle_map(
+            random_operator(np.random.default_rng(79), n=60, j_lo=0), 0.2 + 1.5j
+        ),
+        "example_one": example_one(),
+    }[which]
+    cert = certify(seq)
+    curve = cert.notes["floor_curve"]
+    assert [n for n, _, _ in curve] == list(range(1, 21))
+    for n, v, _ in curve:
+        assert v == norm_floor(seq, n)
+    if cert.N is not None:
+        assert cert.norm_floor_value == norm_floor(seq, cert.N)
+
+
+def test_certify_builds_each_field_once(free_op, monkeypatch):
+    burns, floors, rows = [], [], []
+    orig_pd = certifier.power_directions
+    orig_site = certifier._site_directions
+
+    def counting_pd(seq, burn, extend=False):
+        burns.append((burn, extend))
+        return orig_pd(seq, burn, extend)
+
+    def counting_site(seq, js, bu, bs):
+        rows.append(len(js))
+        return orig_site(seq, js, bu, bs)
+
+    def counting_floor(seq, n):
+        floors.append(n)
+        return mat2.norm_floor(seq, n)
+
+    monkeypatch.setattr(certifier, "power_directions", counting_pd)
+    monkeypatch.setattr(certifier, "_site_directions", counting_site)
+    monkeypatch.setattr(certifier, "norm_floor", counting_floor)
+    cert = certify_operator(free_op, 3.0)
+    assert cert.N == 1 and len(burns) >= 2
+    assert len(set(burns)) == len(burns)
+    assert all(not extend for _, extend in burns)
+    assert floors == []
+    # one core sweep per distinct burn, then only the 2 (burn - 1) end sites
+    core_rows = [len(free_op) + 1 - 2 * b for b, _ in burns]
+    assert rows == core_rows + [2 * (cert.burn - 1)]

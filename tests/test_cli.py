@@ -102,6 +102,17 @@ def test_green(free_config, tmp_path):
     assert abs(center[0] + 1.0 / np.sqrt(5.0)) < 1e-10
 
 
+def test_green_exact_column_at_fixed_margin(tmp_path):
+    op = JacobiOperator(j_lo=-300, a=np.ones(600, complex), b=np.zeros(600))
+    path = tmp_path / "free600.json"
+    save_operator(op, path)
+    out = tmp_path / "g.json"
+    code = main(["green", "--config", str(path), "--energy", "0.319,0.390",
+                 "--site", "94", "--margin", "64", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["margin"] == 64
+
+
 def test_green_rejects_in_band_energy(free_config, capsys):
     code = main(["green", "--config", free_config, "--energy", "1.0",
                  "--site", "0"])

@@ -327,6 +327,20 @@ def test_greens_rejects_spectral_energy(free_op):
         greens_column(free_op, 1.0, 0)  # inside the band
 
 
+def test_greens_exact_column_accepted_at_fixed_margin():
+    # every padding site past the first on the right, and all on the left,
+    # are cut off by exactly zero couplings, so margin 64 is already exact
+    op = JacobiOperator(j_lo=-300, a=np.ones(600, complex), b=np.zeros(600))
+    E = 0.319 + 0.390j
+    g = greens_column(op, E, 94, margin=64)
+    wide = greens_column(op, E, 94, margin=111)
+    adaptive = greens_column(op, E, 94)
+    assert np.exp(-g.gamma_fit * 64) > 1e-8  # the decay fit alone would refuse
+    for other in (wide, adaptive):
+        k = other.margin
+        assert np.array_equal(g.values[64:664], other.values[k:k + 600])
+
+
 def test_value_at_outside_window(free_op):
     g = greens_column(free_op, 3.0, 0)
     with pytest.raises(IndexError):
