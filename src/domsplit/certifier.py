@@ -118,7 +118,10 @@ class SplittingField:
 
 
 def _renorm(P):
-    m = np.max(np.abs(P).reshape(len(P), 4), axis=1)
+    # elementwise maxima: the same values as a max-reduce over the four
+    # entries, at half the cost of a reduction along a length-4 axis
+    A = np.abs(P)
+    m = np.maximum(np.maximum(A[:, 0, 0], A[:, 0, 1]), np.maximum(A[:, 1, 0], A[:, 1, 1]))
     return P / np.where(m > 0.0, m, 1.0)[:, None, None]
 
 
@@ -140,15 +143,43 @@ def _block_products(vals, starts, length):
     return P, logs
 
 
-def _field_products(vals, js, bu, bs, lo):
-    # per-site window products, u side right-multiplied into the past,
-    # s side left-multiplied into the future; burns may differ by site
+def _field_products(vals, js, bu, bs, lo, start=None):
+    """Per-site window products behind the direction fields.
+
+    The u side is right-multiplied into the past and the s side
+    left-multiplied into the future, renormalized after every step;
+    burns may differ by site.  start=(U, S, t0) holds products that are
+    already t0 factors long at the same sites, and only steps t0 on are
+    computed.  Each row's arithmetic is its own, so resuming reproduces
+    the products of one longer sweep bit for bit.  When every site has
+    the same burns and every factor lies inside the window (always so
+    for core fields), the factors are contiguous slices; otherwise a
+    masked loop with clipped indices runs.
+    """
     n = len(js)
-    U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-    S = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+    if start is None:
+        U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+        S = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+        t0 = 0
+    else:
+        U, S, t0 = start
+    a = int(js[0]) - lo
+    if (
+        js[-1] - js[0] == n - 1
+        and np.all(bu == bu[0])
+        and np.all(bs == bs[0])
+        and a - bu[0] >= 0
+        and a + n - 1 + bs[0] <= len(vals)
+    ):
+        b = a + n
+        for t in range(t0, int(bu[0])):
+            U = _renorm(U @ vals[a - 1 - t : b - 1 - t])
+        for t in range(t0, int(bs[0])):
+            S = _renorm(vals[a + t : b + t] @ S)
+        return U, S
     top = int(max(bu.max(), bs.max()))
     last = len(vals) - 1
-    for t in range(top):
+    for t in range(t0, top):
         au = t < bu
         if np.any(au):
             idx = np.clip(js - 1 - t - lo, 0, last)
@@ -217,14 +248,12 @@ def _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs):
                 u_vecs[i] = _range_direction(P)
 
 
-def _site_directions(seq, js, bu, bs):
-    """Unit u and s rows at sites js from products of bu/bs factors.
+def _site_directions(seq, js, bu, bs, U, S):
+    """Unit u and s rows at sites js from their bu/bs-factor products U, S.
 
-    Each site's rows depend only on its own burns, so any subset of
-    sites reproduces the rows a larger call computes for them, bit for
-    bit, as long as the largest burn on each side is the same.
+    Each site's rows depend only on its own products and burns, so any
+    subset of sites reproduces the rows a larger call computes for them.
     """
-    U, S = _field_products(seq.values, js, bu, bs, seq.j_lo)
     u_vecs, _ = sv_direction_vectors(U)
     _, s_top_in = sv_direction_vectors(S)
     s_vecs = _perp_rows(s_top_in)
@@ -232,6 +261,30 @@ def _site_directions(seq, js, bu, bs):
     if not (np.all(np.isfinite(u_vecs)) and np.all(np.isfinite(s_vecs))):
         raise InternalInconsistency("non-finite direction estimate")
     return unit_rows(u_vecs), unit_rows(s_vecs)
+
+
+def _core_field(seq, burn, prev=None):
+    """Core field at `burn` with the raw products behind it.
+
+    Returns (field, (burn, U, S)).  prev is such a triple for a smaller
+    burn on the same window: its products are sliced to the core(burn)
+    sites and continued, so no factor step is computed twice.
+    """
+    lo, hi = seq.window
+    js = np.arange(lo + burn, hi + 2 - burn)
+    full = np.full(len(js), burn)
+    start = None
+    if prev is not None:
+        b0, U0, S0 = prev
+        rows = slice(burn - b0, burn - b0 + len(js))
+        start = (U0[rows], S0[rows], b0)
+    U, S = _field_products(seq.values, js, full, full, lo, start)
+    u, s = _site_directions(seq, js, full, full, U, S)
+    fld = SplittingField(
+        j_first=int(js[0]), u=u, s=s, method="power", burn=burn,
+        burn_u=full, burn_s=full,
+    )
+    return fld, (burn, U, S)
 
 
 def _extend_field(seq, burn, core):
@@ -253,7 +306,8 @@ def _extend_field(seq, burn, core):
         new[core.j_first - lo - 1 : core.j_last - lo] = False
         u[~new], s[~new] = core.u, core.s
     if np.any(new):
-        u[new], s[new] = _site_directions(seq, js[new], bu[new], bs[new])
+        U, S = _field_products(seq.values, js[new], bu[new], bs[new], lo)
+        u[new], s[new] = _site_directions(seq, js[new], bu[new], bs[new], U, S)
     return SplittingField(
         j_first=lo + 1, u=u, s=s, method="power", burn=burn, burn_u=bu, burn_s=bs
     )
@@ -275,13 +329,7 @@ def power_directions(seq, burn, extend=False):
         raise ValueError("burn must be >= 1")
     core = None
     if lo + burn <= hi + 1 - burn:
-        js = np.arange(lo + burn, hi + 2 - burn)
-        full = np.full(len(js), burn)
-        u, s = _site_directions(seq, js, full, full)
-        core = SplittingField(
-            j_first=int(js[0]), u=u, s=s, method="power", burn=burn,
-            burn_u=full, burn_s=full,
-        )
+        core, _ = _core_field(seq, burn)
     if extend:
         return _extend_field(seq, burn, core)
     if core is None:
@@ -592,17 +640,21 @@ def _resolve_burn(seq, burn_hint):
     means the window cannot resolve the directions.  Each burn's core
     field is built once and shared by the doublings that compare it;
     the one returned is power_directions(seq, burn) for the chosen burn.
+    The ladder only grows, so each new burn resumes the products of the
+    previous one and every factor step is computed once per side.
     """
     lo, hi = seq.window
     b_cap = (hi - lo) // 2
     if b_cap < 2:
         raise ValueError("window too short to resolve direction fields")
     fields = {}
+    last = None
 
     def gap(b1, b2):
+        nonlocal last
         for b in (b1, b2):
             if b not in fields:
-                fields[b] = power_directions(seq, b)
+                fields[b], last = _core_field(seq, b, last)
         return _field_gap(fields[b1], fields[b2])
 
     if burn_hint is not None:
@@ -634,7 +686,11 @@ def _resolve_burn(seq, burn_hint):
 
 @dataclass
 class DSCertificate:
-    """Outcome of the four-condition pipeline plus cone data on success."""
+    """Outcome of the four-condition pipeline plus cone data on success.
+
+    core_field is the power field at the chosen burn, the one the checks
+    read; it is not part of the JSON form.
+    """
 
     verdict: str
     window: tuple
@@ -654,6 +710,7 @@ class DSCertificate:
     cone: ConeCertificate | None = None
     epsilon: float | None = None
     notes: dict = field(default_factory=dict)
+    core_field: SplittingField | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -761,6 +818,7 @@ def certify(
             failed_condition=2,
             failure_detail=no_field,
             notes=notes,
+            core_field=core,
         )
     res_eff = max(res_max, 8.0 * gap)
     ext = _extend_field(seq, b, core)
@@ -818,6 +876,7 @@ def certify(
         norm_floor_value=floor_val,
         norm_floor_threshold=floor_thr,
         notes=notes,
+        core_field=core,
     )
     if failed is not None:
         return cert

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certifier import DegenerateCocycle, certify, certify_operator
-from .jacobi import SpectrumApprox, dist_to_spectrum, operator_from_json, operator_to_json, spectrum
+from .jacobi import dist_to_spectrum, spectrum
 from .mat2 import MatSequence, op_norm
 
 __all__ = [
@@ -65,9 +65,9 @@ def _edge_distance(E, segments):
     return best
 
 
-def _scan_one(op, sp, E, kw):
-    row = {"E_re": float(E.real), "E_im": float(E.imag)}
-    row["delta_spec"] = dist_to_spectrum(sp, E)
+def _scan_one(op, E, kw):
+    # delta_spec is filled in by johnson_scan once the spectrum cover exists
+    row = {"E_re": float(E.real), "E_im": float(E.imag), "delta_spec": None}
     try:
         cert = certify_operator(op, E, **kw)
     except DegenerateCocycle:
@@ -91,18 +91,8 @@ def _scan_one(op, sp, E, kw):
     return row
 
 
-def _scan_chunk(payload):
-    op_data, segments, resolution, energies, kw = payload
-    op = operator_from_json(op_data)
-    sp = SpectrumApprox(
-        sizes=[],
-        per_size={},
-        merged=np.array([]),
-        segments=[tuple(s) for s in segments],
-        resolution=resolution,
-        intervals=[],
-    )
-    return [_scan_one(op, sp, complex(re, im), kw) for re, im in energies]
+def _scan_chunk(op, energies, kw):
+    return [_scan_one(op, E, kw) for E in energies]
 
 
 @dataclass
@@ -176,28 +166,33 @@ def johnson_scan(
     band-edge distance is within twice the grid step (or twice the
     cover resolution, whichever is larger), when the domination margin
     is under marginal_margin, or when the verdict is itself marginal.
-    jobs > 1 distributes energies across processes.
+    jobs > 1 distributes energies across processes; the operator is sent
+    to them by pickle, and the spectrum cover is computed in this process
+    while the workers certify.
     """
-    sp = spectrum(op, sizes=spectrum_sizes)
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
-    pairs = [(e.real, e.imag) for e in Es]
     re_parts = np.unique([e.real for e in Es])
     h_grid = float(np.min(np.diff(re_parts))) if len(re_parts) > 1 else 0.0
     if jobs <= 1:
-        rows = [_scan_one(op, sp, e, certify_kw) for e in Es]
+        sp = spectrum(op, sizes=spectrum_sizes)
+        rows = _scan_chunk(op, Es, certify_kw)
     else:
-        data = operator_to_json(op)
-        n_chunks = max(1, min(len(pairs), jobs * 3))
-        bounds = np.linspace(0, len(pairs), n_chunks + 1, dtype=int)
-        payloads = [
-            (data, sp.segments, sp.resolution, pairs[a:b], certify_kw)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        rows = []
+        n_chunks = max(1, min(len(Es), jobs * 3))
+        bounds = np.linspace(0, len(Es), n_chunks + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for chunk in ex.map(_scan_chunk, payloads):
-                rows.extend(chunk)
+            futures = [
+                ex.submit(_scan_chunk, op, Es[a:b], certify_kw)
+                for a, b in zip(bounds[:-1], bounds[1:])
+                if b > a
+            ]
+            try:
+                sp = spectrum(op, sizes=spectrum_sizes)
+            except BaseException:
+                ex.shutdown(cancel_futures=True)
+                raise
+            rows = [row for f in futures for row in f.result()]
+    for row, E in zip(rows, Es):
+        row["delta_spec"] = dist_to_spectrum(sp, E)
     report = ScanReport(
         rows=rows, resolution=sp.resolution, marginal_margin=marginal_margin
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import certify_operator, power_directions
-from .jacobi import JacobiOperator, cocycle_map, dist_to_spectrum, spectrum
+from .certifier import certify_operator
+from .jacobi import JacobiOperator, dist_to_spectrum, spectrum
 from .sphere import chordal_rows
 
 __all__ = [
@@ -317,8 +317,7 @@ def dynamical_ds_check(
         cert = certify_operator(op, energy, **certify_kw)
         certs.append(cert)
         if cert.burn is not None and cert.verdict != "failed":
-            seq = cocycle_map(op, energy)
-            fld = power_directions(seq, cert.burn)
+            fld = cert.core_field
             i = j_mid - fld.j_first
             dirs.append((fld.u[i], fld.s[i]))
         else:

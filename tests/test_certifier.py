@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matseq, random_operator
@@ -325,6 +325,95 @@ def test_failed_certificate_roundtrips():
 # ------------------------------------------------------ one product sweep
 
 
+def _renorm_oracle(P):
+    m = np.max(np.abs(P).reshape(len(P), 4), axis=1)
+    return P / np.where(m > 0.0, m, 1.0)[:, None, None]
+
+
+def masked_field_products(vals, js, bu, bs, lo):
+    """Reference per-site products: every site from the identity, through
+    a masked loop over clipped factor indices.  certifier._field_products
+    must match it bit for bit, resumed or sliced."""
+    n = len(js)
+    U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+    S = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+    top = int(max(bu.max(), bs.max()))
+    last = len(vals) - 1
+    for t in range(top):
+        au = t < bu
+        if np.any(au):
+            idx = np.clip(js - 1 - t - lo, 0, last)
+            U = np.where(au[:, None, None], U @ vals[idx], U)
+            U = _renorm_oracle(U)
+        asel = t < bs
+        if np.any(asel):
+            idx = np.clip(js + t - lo, 0, last)
+            S = np.where(asel[:, None, None], vals[idx] @ S, S)
+            S = _renorm_oracle(S)
+    return U, S
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.integers(-3, 43),
+    m=st.integers(1, 42),
+    bu0=st.integers(1, 41),
+    bs0=st.integers(1, 41),
+    uniform=st.booleans(),
+)
+@example(n=5, seed=0, offset=0, m=3, bu0=1, bs0=1, uniform=True)
+def test_field_products_match_the_masked_sweep(n, seed, offset, m, bu0, bs0, uniform):
+    # sites may sit near or past the window ends, where indices clip
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    lo = int(rng.integers(-50, 50))
+    js = np.arange(lo + offset, lo + offset + m)
+    if uniform:
+        bu, bs = np.full(m, bu0), np.full(m, bs0)
+    else:
+        bu, bs = rng.integers(1, bu0 + 1, m), rng.integers(1, bs0 + 1, m)
+    U, S = certifier._field_products(vals, js, bu, bs, lo)
+    U_ref, S_ref = masked_field_products(vals, js, bu, bs, lo)
+    assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+    complex_vals=st.booleans(),
+    singular=st.booleans(),
+    data=st.data(),
+)
+def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
+    n, seed, complex_vals, singular, data
+):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, 2, 2)).astype(complex)
+    if complex_vals:
+        vals += 1j * rng.standard_normal((n, 2, 2))
+    if singular:
+        k = int(rng.integers(n))
+        vals[k, :, 1] = 2.0 * vals[k, :, 0]
+    seq = MatSequence(int(rng.integers(-50, 50)), vals)
+    lo, hi = seq.window
+    ladder = sorted(
+        data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=6))
+    )
+    last = None
+    for b in ladder:
+        fld, last = certifier._core_field(seq, b, last)
+        js = np.arange(lo + b, hi + 2 - b)
+        full = np.full(len(js), b)
+        U, S = masked_field_products(seq.values, js, full, full, lo)
+        assert np.array_equal(last[1], U) and np.array_equal(last[2], S)
+        u, s = certifier._site_directions(seq, js, full, full, U, S)
+        assert fld.j_first == js[0]
+        assert np.array_equal(fld.u, u) and np.array_equal(fld.s, s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 60),
@@ -344,7 +433,8 @@ def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singula
     js = np.arange(lo + 1, hi + 1)
     bu = np.minimum(burn, js - lo)
     bs = np.minimum(burn, hi + 1 - js)
-    u, s = certifier._site_directions(seq, js, bu, bs)
+    U, S = masked_field_products(seq.values, js, bu, bs, lo)
+    u, s = certifier._site_directions(seq, js, bu, bs, U, S)
     assert ext.j_first == lo + 1
     assert np.array_equal(ext.u, u) and np.array_equal(ext.s, s)
     assert np.array_equal(ext.burn_u, bu) and np.array_equal(ext.burn_s, bs)
@@ -369,30 +459,30 @@ def test_floor_curve_equals_norm_floor(free_seq, which):
 
 
 def test_certify_builds_each_field_once(free_op, monkeypatch):
-    burns, floors, rows = [], [], []
-    orig_pd = certifier.power_directions
-    orig_site = certifier._site_directions
+    calls, floors = [], []
+    orig_products = certifier._field_products
 
-    def counting_pd(seq, burn, extend=False):
-        burns.append((burn, extend))
-        return orig_pd(seq, burn, extend)
-
-    def counting_site(seq, js, bu, bs):
-        rows.append(len(js))
-        return orig_site(seq, js, bu, bs)
+    def counting_products(vals, js, bu, bs, lo, start=None):
+        t0 = 0 if start is None else start[2]
+        calls.append((len(js), t0, int(bu.max()), int(bs.max())))
+        return orig_products(vals, js, bu, bs, lo, start)
 
     def counting_floor(seq, n):
         floors.append(n)
         return mat2.norm_floor(seq, n)
 
-    monkeypatch.setattr(certifier, "power_directions", counting_pd)
-    monkeypatch.setattr(certifier, "_site_directions", counting_site)
+    monkeypatch.setattr(certifier, "_field_products", counting_products)
     monkeypatch.setattr(certifier, "norm_floor", counting_floor)
     cert = certify_operator(free_op, 3.0)
-    assert cert.N == 1 and len(burns) >= 2
-    assert len(set(burns)) == len(burns)
-    assert all(not extend for _, extend in burns)
+    assert cert.N == 1 and len(calls) >= 3
+    *core, ends = calls
+    # each burn on the ladder resumes the previous one's products, so the
+    # factor steps on either side add up to the chosen burn
+    burns = [bu for _, _, bu, _ in core]
+    assert [t0 for _, t0, _, _ in core] == [0] + burns[:-1]
+    assert all(bu == bs for _, _, bu, bs in core)
+    assert sum(bu - t0 for _, t0, bu, _ in core) == cert.burn
+    assert [rows for rows, _, _, _ in core] == [len(free_op) + 1 - 2 * b for b in burns]
+    # then only the 2 (burn - 1) end sites of the extended field, from scratch
+    assert ends == (2 * (cert.burn - 1), 0, cert.burn, cert.burn)
     assert floors == []
-    # one core sweep per distinct burn, then only the 2 (burn - 1) end sites
-    core_rows = [len(free_op) + 1 - 2 * b for b, _ in burns]
-    assert rows == core_rows + [2 * (cert.burn - 1)]

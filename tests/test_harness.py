@@ -171,3 +171,19 @@ def test_golden_scan_fixture(free_op, tmp_path):
     out = tmp_path / "fresh.csv"
     rep.to_csv(out)
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_golden_scan_fixture_parallel(free_op, tmp_path):
+    rep = johnson_scan(
+        free_op, np.linspace(-4, 4, 41), jobs=2, spectrum_sizes=SCAN_SIZES
+    )
+    out = tmp_path / "fresh.csv"
+    rep.to_csv(out)
+    assert out.read_bytes() == GOLDEN.read_bytes()
+    assert list(rep.rows[0])[:3] == ["E_re", "E_im", "delta_spec"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_spectrum_error_propagates(free_op, jobs):
+    with pytest.raises(ValueError, match="truncation sizes"):
+        johnson_scan(free_op, [3.0], jobs=jobs, spectrum_sizes=())

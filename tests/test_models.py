@@ -7,6 +7,8 @@ from domsplit import (
     JacobiOperator,
     RationalRotation,
     almost_mathieu,
+    certify_operator,
+    cocycle_map,
     constant_pair,
     cosine_coupling,
     dist_to_spectrum,
@@ -15,9 +17,12 @@ from domsplit import (
     orbit_spectrum_inclusion,
     pair_lipschitz,
     periodic_operator,
+    power_directions,
     realize,
     spectrum,
 )
+from domsplit import certifier, models
+from domsplit.sphere import chordal_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -252,6 +257,51 @@ def test_dyncheck_explicit_grid():
     rep = dynamical_ds_check(constant_pair(), rot, 3.0, omega_grid=grid, periods=10)
     assert np.array_equal(rep.omegas, np.array([0.1, 0.5, 0.9]))
     assert abs(rep.grid_step - 0.4) < 1e-15  # widest gap, 0.1 -> 0.5
+
+
+@pytest.mark.parametrize(
+    "coupling, energy, n_phases",
+    [(0.5, 4.0, 12), (1.0, 2.5, 8)],  # all phases certify; some fail
+)
+def test_dyncheck_reads_the_certified_fields(monkeypatch, coupling, energy, n_phases):
+    # the window-centre directions come from each certificate's own field;
+    # the report equals the one built from fresh power_directions calls
+    rot = RationalRotation(8, 21, omega0=0.15)
+    pair = almost_mathieu(coupling)
+    calls = []
+
+    def counting_power_directions(*args, **kwargs):
+        calls.append(args)
+        return power_directions(*args, **kwargs)
+
+    monkeypatch.setattr(certifier, "power_directions", counting_power_directions)
+    monkeypatch.setattr(models, "power_directions", counting_power_directions, raising=False)
+    rep = dynamical_ds_check(pair, rot, energy, n_phases=n_phases, periods=4)
+    monkeypatch.undo()
+    assert calls == []
+
+    j_mid = (0 + 4 * 21 - 1) // 2
+    dirs = []
+    for w, cert in zip(rep.omegas, rep.certs):
+        op = realize(pair, rot.with_phase(float(w)), (0, 4 * 21 - 1))
+        fresh = certify_operator(op, energy)
+        assert fresh.verdict == cert.verdict and fresh.N == cert.N
+        if cert.verdict == "failed":
+            dirs.append(None)
+            continue
+        fld = power_directions(cocycle_map(op, energy), cert.burn)
+        dirs.append((fld.u[j_mid - fld.j_first], fld.s[j_mid - fld.j_first]))
+    jump = 0.0
+    for d0, d1 in zip(dirs, dirs[1:] + dirs[:1]):
+        if d0 is not None and d1 is not None:
+            jump = max(
+                jump,
+                float(chordal_rows(d0[0], d1[0])),
+                float(chordal_rows(d0[1], d1[1])),
+            )
+    assert rep.max_adjacent_jump == jump
+    ns = [c.N for c in rep.certs if c.N is not None]
+    assert rep.uniform_N == (max(ns) if ns else None)
 
 
 # ----------------------------------------------------------- cross checks
