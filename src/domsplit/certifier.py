@@ -118,11 +118,23 @@ class SplittingField:
 
 
 def _renorm(P):
-    # elementwise maxima: the same values as a max-reduce over the four
-    # entries, at half the cost of a reduction along a length-4 axis
+    """Scale each 2x2 of a stack to unit max entry (zero rows stay zero).
+
+    The row maxima are elementwise np.maximum calls: the same values as
+    a max-reduce over the four entries, at half the cost of a reduction
+    along a length-4 axis.  numpy divides a complex stack by a real
+    scale m as (x + 0 * y) * (1 / m), Smith's formula with a zero
+    imaginary part, so a real stack is scaled by P * (1 / m): the real
+    part of the complex result by value, and bit for bit where y is
+    -0.0 (where y is +0.0, a -0.0 entry stays -0.0 here).  P / m rounds
+    differently.
+    """
     A = np.abs(P)
     m = np.maximum(np.maximum(A[:, 0, 0], A[:, 0, 1]), np.maximum(A[:, 1, 0], A[:, 1, 1]))
-    return P / np.where(m > 0.0, m, 1.0)[:, None, None]
+    m = np.where(m > 0.0, m, 1.0)[:, None, None]
+    if np.iscomplexobj(P):
+        return P / m
+    return P * (1.0 / m)
 
 
 def _block_products(vals, starts, length):
@@ -143,6 +155,16 @@ def _block_products(vals, starts, length):
     return P, logs
 
 
+def _sweep_values(seq):
+    """The window's factors in the dtype of its product sweep: float64
+    when no factor has a nonzero imaginary part (real energies with real
+    couplings), the complex values otherwise."""
+    v = seq.values
+    if np.any(v.imag != 0.0):
+        return v
+    return np.ascontiguousarray(v.real)
+
+
 def _field_products(vals, js, bu, bs, lo, start=None):
     """Per-site window products behind the direction fields.
 
@@ -155,11 +177,18 @@ def _field_products(vals, js, bu, bs, lo, start=None):
     the same burns and every factor lies inside the window (always so
     for core fields), the factors are contiguous slices; otherwise a
     masked loop with clipped indices runs.
+
+    The products come out in the dtype of vals.  Callers pass the real
+    parts (_sweep_values) when every factor is real: numpy's matmul on
+    float64 2x2 stacks matches the real part of the complex128 one
+    except for the sign of zeros, and _renorm scales both alike, so the
+    real sweep equals the complex sweep by value at a fraction of its
+    cost.
     """
     n = len(js)
     if start is None:
-        U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-        S = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+        U = np.tile(np.eye(2, dtype=vals.dtype), (n, 1, 1))
+        S = U.copy()
         t0 = 0
     else:
         U, S, t0 = start
@@ -253,7 +282,9 @@ def _site_directions(seq, js, bu, bs, U, S):
 
     Each site's rows depend only on its own products and burns, so any
     subset of sites reproduces the rows a larger call computes for them.
+    Real products from a real sweep are cast to complex here, once.
     """
+    U, S = U.astype(complex, copy=False), S.astype(complex, copy=False)
     u_vecs, _ = sv_direction_vectors(U)
     _, s_top_in = sv_direction_vectors(S)
     s_vecs = _perp_rows(s_top_in)
@@ -268,7 +299,8 @@ def _core_field(seq, burn, prev=None):
 
     Returns (field, (burn, U, S)).  prev is such a triple for a smaller
     burn on the same window: its products are sliced to the core(burn)
-    sites and continued, so no factor step is computed twice.
+    sites and continued, so no factor step is computed twice.  U and S
+    stay in the dtype of the sweep, so resuming casts nothing.
     """
     lo, hi = seq.window
     js = np.arange(lo + burn, hi + 2 - burn)
@@ -278,7 +310,7 @@ def _core_field(seq, burn, prev=None):
         b0, U0, S0 = prev
         rows = slice(burn - b0, burn - b0 + len(js))
         start = (U0[rows], S0[rows], b0)
-    U, S = _field_products(seq.values, js, full, full, lo, start)
+    U, S = _field_products(_sweep_values(seq), js, full, full, lo, start)
     u, s = _site_directions(seq, js, full, full, U, S)
     fld = SplittingField(
         j_first=int(js[0]), u=u, s=s, method="power", burn=burn,
@@ -306,7 +338,7 @@ def _extend_field(seq, burn, core):
         new[core.j_first - lo - 1 : core.j_last - lo] = False
         u[~new], s[~new] = core.u, core.s
     if np.any(new):
-        U, S = _field_products(seq.values, js[new], bu[new], bs[new], lo)
+        U, S = _field_products(_sweep_values(seq), js[new], bu[new], bs[new], lo)
         u[new], s[new] = _site_directions(seq, js[new], bu[new], bs[new], U, S)
     return SplittingField(
         j_first=lo + 1, u=u, s=s, method="power", burn=burn, burn_u=bu, burn_s=bs

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,14 +54,6 @@ def trial_rng(seed, k):
     """Generator for trial k: counter-based stream splitting, so any
     subset of trials reproduces identically in any order or process."""
     return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(k)))
-
-
-def _edge_distance(E, segments):
-    E = complex(E)
-    best = math.inf
-    for lo, hi in segments:
-        best = min(best, math.hypot(E.real - lo, E.imag), math.hypot(E.real - hi, E.imag))
-    return best
 
 
 def _scan_one(op, E, kw):
@@ -197,12 +188,14 @@ def johnson_scan(
         rows=rows, resolution=sp.resolution, marginal_margin=marginal_margin
     )
     band = max(2.0 * h_grid, 2.0 * sp.resolution)
-    for row in rows:
+    # distance from each energy to the nearest segment endpoint
+    Ev = np.asarray(Es, dtype=complex)[:, None]
+    edges = np.hypot(Ev.real - np.ravel(sp.segments), Ev.imag).min(axis=1)
+    for row, edge in zip(rows, edges.tolist()):
         E = complex(row["E_re"], row["E_im"])
         predicted = row["delta_spec"] > 0.0
         certified = row["ds_status"] in ("verified", "marginal")
         agree = predicted == certified
-        edge = _edge_distance(E, sp.segments)
         margin = row["domination_margin"]
         excused = (
             edge < band

@@ -14,7 +14,11 @@ band computation for periodic data.
 Eigenvalues of Hermitian truncations are computed after a diagonal
 phase gauge that replaces each coupling by its modulus; the gauge is
 unitary, so the spectrum is untouched and the real symmetric
-tridiagonal solver (Sturm bisection) applies.
+tridiagonal solver (Sturm bisection) applies.  Whole-period truncations
+of periodic operators are closed into rings instead; a ring of r
+periods of length q commutes with the shift by one period, so its
+spectrum is that of r Hermitian q x q Bloch blocks, whose wrap coupling
+carries the phase e^{2 pi i k / r}, solved in one batched call.
 """
 
 from __future__ import annotations
@@ -68,7 +72,9 @@ class JacobiOperator:
     zero_tol controls which couplings count as exact zeros when the
     chain is split into decoupled blocks: 0.0 (the default for
     model-built data) means literal zeros, while loaded data uses a
-    small multiple of the bound.
+    small multiple of the bound.  With the periodic extension, a given
+    period must divide the window length and the window data must repeat
+    with it.
     """
 
     j_lo: int
@@ -88,6 +94,13 @@ class JacobiOperator:
             raise ValueError("coefficients must be finite")
         if self.extension not in ("periodic", "constant", "zero"):
             raise ValueError(f"unknown extension {self.extension!r}")
+        if self.extension == "periodic" and self.period is not None:
+            # the ring spectrum solves one period per Bloch block
+            q = self.period
+            if q < 1 or len(a) % q:
+                raise ValueError(f"window length {len(a)} is not a multiple of the period {q}")
+            if np.any(a.reshape(-1, q) != a[:q]) or np.any(b.reshape(-1, q) != b[:q]):
+                raise ValueError(f"window data is not {q}-periodic")
         self.a, self.b = a, b
         top = float(max(np.max(np.abs(a)), np.max(np.abs(b))))
         if self.bound is None:
@@ -332,17 +345,21 @@ class SpectrumApprox:
 def _ring_eigenvalues(op, j1, j2):
     # Whole-period truncation closed into a ring: the wrap bond continues
     # the periodic pattern, so no artificial boundary states appear and
-    # translates of the same operator give identical spectra.
-    m = j2 - j1
+    # translates of the same operator give identical spectra.  The ring
+    # is solved as r Bloch blocks of one period each (module docstring).
+    q = op.period
+    r = (j2 - j1) // q
     b = op.b_range(j1 + 1, j2)
     a = op.a_range(j1 + 1, j2)
-    H = np.diag(b.astype(complex))
-    idx = np.arange(m - 1)
-    H[idx, idx + 1] = a[:-1]
-    H[idx + 1, idx] = np.conj(a[:-1])
-    H[m - 1, 0] += a[-1]
-    H[0, m - 1] += np.conj(a[-1])
-    return np.sort(np.linalg.eigvalsh(H))
+    H = np.zeros((r, q, q), dtype=complex)
+    idx = np.arange(q)
+    H[:, idx, idx] = b[:q]
+    H[:, idx[:-1], idx[1:]] = a[: q - 1]
+    H[:, idx[1:], idx[:-1]] = np.conj(a[: q - 1])
+    wrap = a[q - 1] * np.exp(2j * np.pi * np.arange(r) / r)
+    H[:, q - 1, 0] += wrap
+    H[:, 0, q - 1] += np.conj(wrap)
+    return np.sort(np.linalg.eigvalsh(H).ravel())
 
 
 def _snap_to_zeros(op, j1, j2):

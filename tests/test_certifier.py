@@ -440,6 +440,111 @@ def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singula
     assert np.array_equal(ext.burn_u, bu) and np.array_equal(ext.burn_s, bs)
 
 
+# ------------------------------------------------------ real product sweep
+
+
+def _real_window(rng, kind, n):
+    """A window whose factors are all real: a Jacobi cocycle at a real
+    energy (some couplings exactly zero, some with imaginary part -0.0,
+    which -conj(a) carries into the factors), or raw real factors with
+    an exactly singular factor or an exactly zero row."""
+    if kind == "jacobi":
+        a = ((0.5 + rng.random(n)) * rng.choice([-1.0, 1.0], n)).astype(complex)
+        a[rng.random(n) < 0.1] = 0.0
+        a.imag[rng.random(n) < 0.5] = -0.0
+        op = JacobiOperator(j_lo=int(rng.integers(-50, 50)), a=a, b=rng.uniform(-1, 1, n))
+        return cocycle_map(op, float(rng.uniform(-3.5, 3.5)))
+    vals = rng.standard_normal((n, 2, 2))
+    k = int(rng.integers(n))
+    if kind == "singular":
+        vals[k, :, 1] = 2.0 * vals[k, :, 0]
+    else:
+        vals[k, int(rng.integers(2)), :] = 0.0
+    return MatSequence(int(rng.integers(-50, 50)), vals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["jacobi", "singular", "zero_row"]),
+    burn=st.integers(1, 30),
+    extend=st.booleans(),
+)
+def test_real_sweep_equals_the_complex_sweep(n, seed, kind, burn, extend):
+    rng = np.random.default_rng(seed)
+    seq = _real_window(rng, kind, n)
+    lo, hi = seq.window
+    if extend:
+        js = np.arange(lo + 1, hi + 1)
+        bu, bs = np.minimum(burn, js - lo), np.minimum(burn, hi + 1 - js)
+    else:
+        burn = min(burn, n // 2)
+        js = np.arange(lo + burn, hi + 2 - burn)
+        bu = bs = np.full(len(js), burn)
+    vals = certifier._sweep_values(seq)
+    assert vals.dtype == np.float64
+    U, S = certifier._field_products(vals, js, bu, bs, lo)
+    U_ref, S_ref = masked_field_products(seq.values, js, bu, bs, lo)
+    assert U.dtype == np.float64
+    assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
+    u, s = certifier._site_directions(seq, js, bu, bs, U, S)
+    u_ref, s_ref = certifier._site_directions(seq, js, bu, bs, U_ref, S_ref)
+    assert u.tobytes() == u_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        cocycle_map(JacobiOperator(j_lo=-100, a=np.ones(200), b=np.zeros(200)), E)
+        for E in (3.0, 2.1, 1.0)
+    ]
+    + [
+        cocycle_map(
+            periodic_operator(
+                [0.0, 1.0, 1.0, 1.0, 1.0], [0.3, -0.2, 0.5, 0.0, 0.1], (-100, 99)
+            ),
+            2.5,
+        ),
+        _real_window(np.random.default_rng(5), "singular", 80),
+        _real_window(np.random.default_rng(6), "jacobi", 120),
+    ],
+    ids=["free3", "free2.1", "free1", "dead", "singular", "jacobi"],
+)
+def test_certify_is_the_same_without_the_real_sweep(seq, monkeypatch):
+    assert certifier._sweep_values(seq).dtype == np.float64
+    real = certify(seq)
+    monkeypatch.setattr(certifier, "_sweep_values", lambda seq: seq.values)
+    cplx = certify(seq)
+    assert json.dumps(real.to_json()) == json.dumps(cplx.to_json())
+    assert real.core_field.u.tobytes() == cplx.core_field.u.tobytes()
+    assert real.core_field.s.tobytes() == cplx.core_field.s.tobytes()
+
+
+def test_complex_windows_sweep_in_complex(free_op):
+    assert certifier._sweep_values(cocycle_map(free_op, 3.0 + 1e-9j)).dtype == complex
+
+
+def test_real_renorm_is_the_complex_division():
+    rng = np.random.default_rng(11)
+    P = rng.standard_normal((4000, 2, 2)) * np.exp(rng.uniform(-700.0, 700.0, (4000, 2, 2)))
+    zero = rng.random(P.shape) < 0.3
+    P[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    P[::17] = 0.0
+    P[5::19] = -0.0
+    P[7::23, 0] = -0.0  # zero rows under a nonzero one
+    out = certifier._renorm(P)
+    assert out.dtype == np.float64
+    # the real part of the complex division, zeros' signs included when
+    # the imaginary parts are -0.0 as cocycle_map makes them
+    Pc = P.astype(complex)
+    Pc.imag = -0.0
+    ref = np.ascontiguousarray(certifier._renorm(Pc).real)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    # and by value when they are +0.0
+    assert np.array_equal(out, certifier._renorm(P.astype(complex)).real)
+
+
 @pytest.mark.parametrize("which", ["free", "random", "example_one"])
 def test_floor_curve_equals_norm_floor(free_seq, which):
     seq = {

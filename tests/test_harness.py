@@ -1,12 +1,13 @@
 """Scan and perturbation drivers: determinism, bookkeeping, reports."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from domsplit import JacobiOperator, certify, cocycle_map
+from domsplit import JacobiOperator, certify, cocycle_map, periodic_operator, spectrum
 from domsplit.harness import (
     SCAN_COLUMNS,
     johnson_scan,
@@ -163,6 +164,45 @@ def test_scan_json_payload(free_op):
     assert doc["summary"] == rep.summary()
     assert doc["rows"][0]["ds_status"] == "verified"
     json.dumps(doc)
+
+
+def loop_tallies(rep, segments, h_grid):
+    # the tally with each row's band-edge distance taken segment by segment
+    band = max(2.0 * h_grid, 2.0 * rep.resolution)
+    agree, marginal, hard = [], [], []
+    for row in rep.rows:
+        E = complex(row["E_re"], row["E_im"])
+        edge = min(
+            min(math.hypot(E.real - lo, E.imag), math.hypot(E.real - hi, E.imag))
+            for lo, hi in segments
+        )
+        ok = (row["delta_spec"] > 0.0) == (row["ds_status"] in ("verified", "marginal"))
+        margin = row["domination_margin"]
+        excused = (
+            edge < band
+            or (margin is not None and margin < rep.marginal_margin)
+            or row["ds_status"] in ("marginal", "degenerate")
+        )
+        agree.append(ok)
+        marginal.append(not ok and excused)
+        if not ok and not excused:
+            hard.append(E)
+    return agree, marginal, hard
+
+
+@pytest.mark.parametrize("which", ["golden", "two_site"])
+def test_scan_tallies_match_the_per_segment_edges(free_op, which):
+    if which == "golden":
+        op, Es, sizes = free_op, np.linspace(-4, 4, 41), SCAN_SIZES
+    else:
+        op = periodic_operator([1.0, 1.0], [0.0, 1.5], (-150, 149))
+        Es, sizes = np.linspace(-3.0, 3.5, 66), (200, 400, 800)
+    rep = johnson_scan(op, Es, spectrum_sizes=sizes)
+    want = loop_tallies(rep, spectrum(op, sizes=sizes).segments, float(np.min(np.diff(Es))))
+    assert (rep.agree, rep.marginal, rep.hard_disagreements) == want
+    assert any(rep.marginal)
+    assert all(type(x) is bool for x in rep.agree + rep.marginal)
+    json.dumps(rep.to_json())
 
 
 def test_golden_scan_fixture(free_op, tmp_path):

@@ -20,12 +20,15 @@ from domsplit import (
     spectrum,
 )
 from domsplit.jacobi import (
+    _ring_eigenvalues,
     apply,
     char_poly,
     cocycle_via_charpoly,
     floquet_bands,
     greens_row_residual,
     normalization_identity_check,
+    operator_from_json,
+    operator_to_json,
     truncation,
 )
 from domsplit.mat2 import cocycle_product
@@ -226,6 +229,47 @@ def test_ring_truncation_translation_invariance():
     op2 = periodic_operator([0.6, 0.9, 1.0], [-0.4, 0.7, 0.2], (-60, 59))
     sp2 = spectrum(op2, sizes=(60, 90))
     assert np.max(np.abs(np.asarray(sp1.merged) - np.asarray(sp2.merged))) < 1e-12
+
+
+def dense_ring_eigenvalues(op, j1, j2):
+    # the whole (j1, j2] ring as one dense Hermitian matrix
+    m = j2 - j1
+    b = op.b_range(j1 + 1, j2)
+    a = op.a_range(j1 + 1, j2)
+    H = np.diag(b.astype(complex))
+    idx = np.arange(m - 1)
+    H[idx, idx + 1] = a[:-1]
+    H[idx + 1, idx] = np.conj(a[:-1])
+    H[m - 1, 0] += a[-1]
+    H[0, m - 1] += np.conj(a[-1])
+    return np.sort(np.linalg.eigvalsh(H))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 21])
+def test_bloch_ring_matches_the_dense_ring(q):
+    rng = np.random.default_rng(q)
+    a_cyc = (0.5 + rng.random(q)) * np.exp(2j * np.pi * rng.random(q))
+    a_cyc[rng.random(q) < 0.2] = 0.0
+    b_cyc = rng.uniform(-1.0, 1.0, q)
+    op = periodic_operator(a_cyc, b_cyc, (-3 * q, 60 * q - 1))
+    for r in (1, 2, 7, 30):
+        for cut in (-3 * q - 1, 0, q // 2, 5 * q + 1):
+            j1, j2 = cut, cut + r * q
+            ring = _ring_eigenvalues(op, j1, j2)
+            assert ring.shape == (r * q,)
+            assert np.max(np.abs(ring - dense_ring_eigenvalues(op, j1, j2))) < 1e-12
+
+
+def test_ring_needs_periodic_data():
+    with pytest.raises(ValueError, match="2-periodic"):
+        JacobiOperator(j_lo=0, a=np.array([1.0, 1.0, 1.0, 0.5]), b=np.zeros(4),
+                       extension="periodic", period=2)
+    with pytest.raises(ValueError, match="multiple of the period 2"):
+        JacobiOperator(j_lo=0, a=np.ones(3), b=np.zeros(3), extension="periodic", period=2)
+    d = operator_to_json(periodic_operator([1.0, 0.5], [0.0, 0.0], (0, 5)))
+    d["b"][3] = 0.25
+    with pytest.raises(ValueError, match="2-periodic"):
+        operator_from_json(d)
 
 
 def test_dist_to_spectrum_arrays(free_op):
