@@ -36,14 +36,17 @@ from .jacobi import (
     spectrum,
 )
 from .mat2 import (
+    EXTENDED_CUTOFF,
     MatSequence,
+    _sweep_values,
     cocycle_product,
     det2,
     norm_floor,
     norm_floor_curve,
     op_norm,
     singular_values,
-    sv_direction_vectors,
+    sv_left_vectors,
+    sv_right_vectors,
 )
 from .sphere import ProjPoint, chordal_rows, disk_image_margins, unit_rows
 
@@ -117,24 +120,38 @@ class SplittingField:
         return ProjPoint(self.s[j - self.j_first])
 
 
-def _renorm(P):
+def _row_max(P):
+    """Largest entry modulus of each 2x2 in a stack (NaN propagates).
+
+    Elementwise np.maximum calls over an (n, 4) view: the same values as
+    a max-reduce over the four entries, at half the cost of a reduction
+    along a length-4 axis.
+    """
+    A = np.abs(P.reshape(len(P), 4))
+    m = np.maximum(A[:, 0], A[:, 1])
+    np.maximum(m, A[:, 2], out=m)
+    return np.maximum(m, A[:, 3], out=m)
+
+
+def _renorm(P, m=None):
     """Scale each 2x2 of a stack to unit max entry (zero rows stay zero).
 
-    The row maxima are elementwise np.maximum calls: the same values as
-    a max-reduce over the four entries, at half the cost of a reduction
-    along a length-4 axis.  numpy divides a complex stack by a real
-    scale m as (x + 0 * y) * (1 / m), Smith's formula with a zero
-    imaginary part, so a real stack is scaled by P * (1 / m): the real
-    part of the complex result by value, and bit for bit where y is
-    -0.0 (where y is +0.0, a -0.0 entry stays -0.0 here).  P / m rounds
-    differently.
+    m holds the row maxima (_row_max(P)) when the caller has them; its
+    zero and NaN entries are set to 1.0 in place.  numpy divides a
+    complex stack by a real scale m as (x + 0 * y) * (1 / m), Smith's
+    formula with a zero imaginary part, so a real stack is scaled by
+    P * (1 / m): the real part of the complex result by value, and bit
+    for bit where y is -0.0 (where y is +0.0, a -0.0 entry stays -0.0
+    here).  P / m rounds differently.  The scaling is not idempotent: a
+    second pass moves some rows by an ulp.
     """
-    A = np.abs(P)
-    m = np.maximum(np.maximum(A[:, 0, 0], A[:, 0, 1]), np.maximum(A[:, 1, 0], A[:, 1, 1]))
-    m = np.where(m > 0.0, m, 1.0)[:, None, None]
+    if m is None:
+        m = _row_max(P)
+    m[~(m > 0.0)] = 1.0
+    P4 = P.reshape(len(P), 4)
     if np.iscomplexobj(P):
-        return P / m
-    return P * (1.0 / m)
+        return (P4 / m[:, None]).reshape(P.shape)
+    return (P4 * (1.0 / m)[:, None]).reshape(P.shape)
 
 
 def _block_products(vals, starts, length):
@@ -142,27 +159,20 @@ def _block_products(vals, starts, length):
 
     Row i holds vals[starts[i]+length-1] @ ... @ vals[starts[i]] scaled
     to unit max entry; the log of the removed scale is returned so the
-    true product is P * exp(logs)."""
+    true product is P * exp(logs).  The products come out in the dtype
+    of vals: float64 for real factors (_sweep_values), equal by value
+    to the complex run.
+    """
     n = len(starts)
-    P = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+    P = np.tile(np.eye(2, dtype=vals.dtype), (n, 1, 1))
     logs = np.zeros(n)
     for t in range(length):
         P = vals[starts + t] @ P
-        m = np.max(np.abs(P).reshape(n, 4), axis=1)
-        P = P / np.where(m > 0.0, m, 1.0)[:, None, None]
+        m = _row_max(P)
         with np.errstate(divide="ignore"):
             logs += np.log(m)
+        P = _renorm(P, m)
     return P, logs
-
-
-def _sweep_values(seq):
-    """The window's factors in the dtype of its product sweep: float64
-    when no factor has a nonzero imaginary part (real energies with real
-    couplings), the complex values otherwise."""
-    v = seq.values
-    if np.any(v.imag != 0.0):
-        return v
-    return np.ascontiguousarray(v.real)
 
 
 def _field_products(vals, js, bu, bs, lo, start=None):
@@ -173,10 +183,10 @@ def _field_products(vals, js, bu, bs, lo, start=None):
     burns may differ by site.  start=(U, S, t0) holds products that are
     already t0 factors long at the same sites, and only steps t0 on are
     computed.  Each row's arithmetic is its own, so resuming reproduces
-    the products of one longer sweep bit for bit.  When every site has
-    the same burns and every factor lies inside the window (always so
-    for core fields), the factors are contiguous slices; otherwise a
-    masked loop with clipped indices runs.
+    the products of one longer sweep bit for bit.  A product that runs
+    past the window repeats the end factor there.  When every site has
+    the same burns (always so for core fields), the factors are
+    contiguous slices; otherwise each side runs _prefix_sweep.
 
     The products come out in the dtype of vals.  Callers pass the real
     parts (_sweep_values) when every factor is real: numpy's matmul on
@@ -192,34 +202,59 @@ def _field_products(vals, js, bu, bs, lo, start=None):
         t0 = 0
     else:
         U, S, t0 = start
-    a = int(js[0]) - lo
-    if (
-        js[-1] - js[0] == n - 1
-        and np.all(bu == bu[0])
-        and np.all(bs == bs[0])
-        and a - bu[0] >= 0
-        and a + n - 1 + bs[0] <= len(vals)
-    ):
+    # pad with copies of the end factors so that every step indexes in range
+    below = max(0, lo - int(np.min(js - bu)))
+    above = max(0, int(np.max(js + bs)) - lo - len(vals))
+    if below or above:
+        vals = np.concatenate(
+            (np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0))
+        )
+        lo -= below
+    if js[-1] - js[0] == n - 1 and np.all(bu == bu[0]) and np.all(bs == bs[0]):
+        a = int(js[0]) - lo
         b = a + n
         for t in range(t0, int(bu[0])):
             U = _renorm(U @ vals[a - 1 - t : b - 1 - t])
         for t in range(t0, int(bs[0])):
             S = _renorm(vals[a + t : b + t] @ S)
         return U, S
-    top = int(max(bu.max(), bs.max()))
-    last = len(vals) - 1
-    for t in range(t0, top):
-        au = t < bu
-        if np.any(au):
-            idx = np.clip(js - 1 - t - lo, 0, last)
-            U = np.where(au[:, None, None], U @ vals[idx], U)
-            U = _renorm(U)
-        asel = t < bs
-        if np.any(asel):
-            idx = np.clip(js + t - lo, 0, last)
-            S = np.where(asel[:, None, None], vals[idx] @ S, S)
-            S = _renorm(S)
-    return U, S
+    return (
+        _prefix_sweep(U, vals, js - 1 - lo, bu, t0, left=False),
+        _prefix_sweep(S, vals, js - lo, bs, t0, left=True),
+    )
+
+
+def _live_rows(lengths, t0=0):
+    """For lengths sorted longest first, how many rows still multiply at
+    each step t0, t0 + 1, ..., lengths[0] - 1: always a prefix."""
+    return np.searchsorted(-lengths, -np.arange(t0, int(lengths[0])), side="left")
+
+
+def _prefix_sweep(P, vals, base, burns, t0, left):
+    """One side of a mixed-burn sweep: row i takes burns[i] steps, step t
+    multiplying vals[base[i] + t] in from the left or vals[base[i] - t]
+    from the right.
+
+    Rows are sorted by burn, longest first, so the rows still
+    multiplying at step t are a prefix, and only it is gathered and
+    multiplied.  Every row is renormalized at every step while any row
+    multiplies, as in a masked loop over all rows: _renorm is not
+    idempotent, and the finished rows must come out of the same number
+    of passes.
+    """
+    if len(burns) == 0 or int(burns.max()) <= t0:
+        return P
+    order = np.argsort(-burns, kind="stable")
+    P, base = P[order], base[order]
+    for t, r in zip(range(t0, int(burns.max())), _live_rows(burns[order], t0)):
+        if left:
+            P[:r] = vals[base[:r] + t] @ P[:r]
+        else:
+            P[:r] = P[:r] @ vals[base[:r] - t]
+        P = _renorm(P)
+    out = np.empty_like(P)
+    out[order] = P
+    return out
 
 
 def _perp_rows(v):
@@ -248,6 +283,52 @@ def _range_direction(P):
     return col / n
 
 
+def _products_from(seq, k, m_max):
+    """cocycle_product(seq, k, m) for m = 1..m_max, bit for bit.
+
+    They are prefixes of one left-multiplied chain from k: complex128
+    up to EXTENDED_CUTOFF factors, then the clongdouble chain that
+    cocycle_product starts over for longer products.
+    """
+    block = seq.values[k - seq.j_lo : k - seq.j_lo + m_max]
+    out = np.empty((m_max, 2, 2), dtype=complex)
+    acc = np.eye(2, dtype=complex)
+    for t, f in enumerate(block[:EXTENDED_CUTOFF]):
+        acc = out[t] = f @ acc
+    if m_max > EXTENDED_CUTOFF:
+        acc = np.eye(2, dtype=np.clongdouble)
+        for t, f in enumerate(block.astype(np.clongdouble)):
+            acc = f @ acc
+            if t >= EXTENDED_CUTOFF:
+                out[t] = acc
+    return out
+
+
+def _products_through(seq, starts, k):
+    """cocycle_product(seq, j, k - j + 1) for each j in starts, bit for bit.
+
+    One batched loop per precision (complex128 up to EXTENDED_CUTOFF
+    factors, clongdouble beyond), over rows sorted longest first so
+    that the rows still multiplying form a prefix.
+    """
+    order = np.argsort(starts, kind="stable")
+    js = starts[order]
+    lens = k + 1 - js
+    out = np.empty((len(js), 2, 2), dtype=complex)
+    n_ext = int(np.count_nonzero(lens > EXTENDED_CUTOFF))
+    for rows, dtype in ((slice(0, n_ext), np.clongdouble), (slice(n_ext, None), complex)):
+        if len(lens[rows]) == 0:
+            continue
+        j0 = int(js[rows][0])
+        vals = seq.values[j0 - seq.j_lo : k + 1 - seq.j_lo].astype(dtype, copy=False)
+        off = js[rows] - j0
+        P = np.tile(np.eye(2, dtype=dtype), (len(off), 1, 1))
+        for t, r in enumerate(_live_rows(lens[rows])):
+            P[:r] = vals[off[:r] + t] @ P[:r]
+        out[order[rows]] = P
+    return out
+
+
 def _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs):
     """Replace estimates with exact directions where factors are singular.
 
@@ -255,26 +336,33 @@ def _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs):
     pins the direction there: the contracting one is the kernel of the
     shortest forward product through the first such factor, the
     expanding one is the range of the product from the nearest such
-    factor in the past.
+    factor in the past.  Array masks pick the sites, each singular
+    factor's products are built in one batch, and the directions are
+    read off site by site in site order.
     """
     dets = det2(seq.values)
     zpos = np.nonzero(dets == 0.0)[0] + seq.j_lo
     if len(zpos) == 0:
         return
     nxt = np.searchsorted(zpos, js, side="left")
-    prv = nxt - 1
-    for i in range(len(js)):
-        if nxt[i] < len(zpos):
-            k = int(zpos[nxt[i]])
-            if k <= js[i] + bs[i] - 1:
-                P = cocycle_product(seq, int(js[i]), k - int(js[i]) + 1)
-                s_vecs[i] = _kernel_direction(P)
-        if prv[i] >= 0:
-            k = int(zpos[prv[i]])
-            if k >= js[i] - bu[i]:
-                m = int(js[i]) - k
-                P = cocycle_product(seq, k, m)
-                u_vecs[i] = _range_direction(P)
+    kernels, ranges = {}, {}
+    k_s = zpos[np.minimum(nxt, len(zpos) - 1)]
+    hit = (nxt < len(zpos)) & (k_s <= js + bs - 1)
+    for k in np.unique(k_s[hit]).tolist():
+        rows = np.nonzero(hit & (k_s == k))[0]
+        kernels.update(zip(rows.tolist(), _products_through(seq, js[rows], k)))
+    k_u = zpos[np.maximum(nxt - 1, 0)]
+    hit = (nxt > 0) & (k_u >= js - bu)
+    for k in np.unique(k_u[hit]).tolist():
+        rows = np.nonzero(hit & (k_u == k))[0]
+        lengths = js[rows] - k
+        chain = _products_from(seq, k, int(lengths.max()))
+        ranges.update(zip(rows.tolist(), chain[lengths - 1]))
+    for i in sorted(kernels.keys() | ranges.keys()):
+        if i in kernels:
+            s_vecs[i] = _kernel_direction(kernels[i])
+        if i in ranges:
+            u_vecs[i] = _range_direction(ranges[i])
 
 
 def _site_directions(seq, js, bu, bs, U, S):
@@ -285,9 +373,8 @@ def _site_directions(seq, js, bu, bs, U, S):
     Real products from a real sweep are cast to complex here, once.
     """
     U, S = U.astype(complex, copy=False), S.astype(complex, copy=False)
-    u_vecs, _ = sv_direction_vectors(U)
-    _, s_top_in = sv_direction_vectors(S)
-    s_vecs = _perp_rows(s_top_in)
+    u_vecs = sv_left_vectors(U)
+    s_vecs = _perp_rows(sv_right_vectors(S))
     _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs)
     if not (np.all(np.isfinite(u_vecs)) and np.all(np.isfinite(s_vecs))):
         raise InternalInconsistency("non-finite direction estimate")
@@ -470,7 +557,8 @@ def verify_domination(seq, fld, n_max=64, factor=2.0):
     still inside the window and asks for |B_N u| / |B_N s| strictly
     above `factor`; norms are tracked in log scale, so a contracting
     image hitting exact zero counts as an infinite ratio while a dead u
-    image fails the site outright.
+    image fails the site outright.  A NaN ratio ends the search with a
+    NaN margin, which certify refuses.
     """
     vals, lo, hi = seq.values, seq.j_lo, seq.j_hi
     sites = fld.sites()
@@ -499,6 +587,11 @@ def verify_domination(seq, fld, n_max=64, factor=2.0):
         with np.errstate(invalid="ignore"):
             logratio = np.where(np.isneginf(logU), -math.inf, logU - logS)
         worst = float(np.min(logratio[active]))
+        if math.isnan(worst):
+            return DominationCheck(
+                ok=False, N=N, margin=math.nan, tried=N,
+                detail=f"nan growth ratio at block length {N}",
+            )
         with np.errstate(over="ignore"):
             margin = math.exp(worst) - factor if worst < 700 else math.inf
         if margin > best_margin:
@@ -571,11 +664,17 @@ def cone_certificate(
     """Search a small (alpha, alpha_prime) grid for an invariant cone.
 
     Block lengths N, 2N, 4N are tried in turn; among admissible pairs
-    the one with the largest perturbation budget wins.  Returns None
-    when no tried pair certifies.
+    the one with the largest perturbation budget wins, the first in
+    grid order on a tie.  Each block length scores every pair in one
+    broadcast disk_image_margins call, which finds each alpha's disk
+    images once for all its ratios.  Returns None when no tried pair
+    certifies.
     """
     lo, hi = seq.window
     D, Dinv = _frame_matrices(fld)
+    pairs = [(a, a * r) for a in alphas for r in ratios]
+    a_grid = np.array(alphas)[:, None, None]
+    ap_grid = a_grid * np.array(ratios)[:, None]
     best = None
     for mult in (1, 2, 4):
         n_blk = N * mult
@@ -584,7 +683,7 @@ def cone_certificate(
             continue
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
-        P, logs = _block_products(seq.values, js - lo, n_blk)
+        P, logs = _block_products(_sweep_values(seq), js - lo, n_blk)
         if not np.all(np.isfinite(P)):
             raise InternalInconsistency("non-finite block product")
         Lam = Dinv[k + n_blk] @ P @ D[k]
@@ -594,24 +693,21 @@ def cone_certificate(
         cond = float(
             np.max(op_norm(Dinv[k + n_blk]) * op_norm(D[k]))
         )
-        for a in alphas:
-            for r in ratios:
-                ap = a * r
-                margins = disk_image_margins(Lam, a, ap)
-                clearance = float(np.min(margins))
-                if clearance <= 0.0 or not math.isfinite(clearance):
-                    continue
-                cand = ConeCertificate(
-                    N=n_blk,
-                    alpha=a,
-                    alpha_prime=ap,
-                    clearance=clearance,
-                    gamma=gamma,
-                    cond=cond,
-                    n_sites=len(js),
-                )
-                if best is None or cand.budget() > best.budget():
-                    best = cand
+        clearances = np.min(disk_image_margins(Lam, a_grid, ap_grid), axis=-1)
+        for (a, ap), clearance in zip(pairs, clearances.ravel().tolist()):
+            if clearance <= 0.0 or not math.isfinite(clearance):
+                continue
+            cand = ConeCertificate(
+                N=n_blk,
+                alpha=a,
+                alpha_prime=ap,
+                clearance=clearance,
+                gamma=gamma,
+                cond=cond,
+                n_sites=len(js),
+            )
+            if best is None or cand.budget() > best.budget():
+                best = cand
         if best is not None:
             return best
     return best
@@ -653,7 +749,7 @@ def _ratio_estimate(seq):
     if m < 4:
         return None
     starts = np.unique(np.linspace(0, winlen - m, min(5, winlen - m + 1), dtype=int))
-    P, _ = _block_products(seq.values, starts, m)
+    P, _ = _block_products(_sweep_values(seq), starts, m)
     s1, s2 = singular_values(P)
     with np.errstate(divide="ignore"):
         r = np.where(s2 > 0.0, s1 / np.where(s2 > 0.0, s2, 1.0), np.inf)
@@ -830,6 +926,9 @@ def certify(
     (all conditions hold but the domination margin is thin), or
     "failed" with the first broken condition recorded.  A failed
     verdict still carries every measured quantity that was reachable.
+    A NaN invariance residual, domination margin, extended separation
+    or norm floor at N raises InternalInconsistency instead of reaching
+    a threshold (an infinite margin is a legal value).
     Each burn's direction field is built once, and the extended field
     reuses the core field's rows.
     """
@@ -872,6 +971,14 @@ def certify(
         )
         floor_thr = floor_rel * seq.sup_bound**dom.N
         floor_ok = floor_val > floor_thr
+    for name, value in (
+        ("invariance residual", inv_res),
+        ("domination margin", dom.margin),
+        ("extended field separation", delta_ext),
+        (f"norm floor at N={dom.N}", floor_val),
+    ):
+        if value is not None and math.isnan(value):
+            raise InternalInconsistency(f"{name} is nan")
     notes["floor_curve"] = curve
     notes["floor_curve_ok"] = all(v > t for _, v, t in curve)
     notes["invariance_threshold"] = res_eff

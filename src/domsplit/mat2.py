@@ -28,6 +28,8 @@ __all__ = [
     "op_norm",
     "singular_values",
     "sv_direction_vectors",
+    "sv_left_vectors",
+    "sv_right_vectors",
     "inv2",
     "is_singular",
     "cocycle_product",
@@ -100,6 +102,34 @@ def _herm_top_eigvec(g11, g12, g22, lam):
     return v / n[..., None]
 
 
+def sv_left_vectors(m):
+    """Top left (output, range-side) singular direction as unit vectors."""
+    m = np.asarray(m)
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    s1, _ = singular_values(m)
+    return _herm_top_eigvec(
+        (np.abs(a) ** 2 + np.abs(b) ** 2).real,
+        a * np.conj(c) + b * np.conj(d),
+        (np.abs(c) ** 2 + np.abs(d) ** 2).real,
+        s1 * s1,
+    )
+
+
+def sv_right_vectors(m):
+    """Top right (input) singular direction as unit vectors."""
+    m = np.asarray(m)
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    s1, _ = singular_values(m)
+    return _herm_top_eigvec(
+        (np.abs(a) ** 2 + np.abs(c) ** 2).real,
+        np.conj(a) * b + np.conj(c) * d,
+        (np.abs(b) ** 2 + np.abs(d) ** 2).real,
+        s1 * s1,
+    )
+
+
 def sv_direction_vectors(m):
     """Top left and right singular directions as unit vectors.
 
@@ -107,26 +137,10 @@ def sv_direction_vectors(m):
     left vector is the range direction and the right vector spans the
     orthogonal complement of the kernel, both exact when a full row or
     column of m vanishes.  Degenerate (conformal) matrices fall back to
-    the first coordinate axis.
+    the first coordinate axis.  Callers that need one side only call
+    sv_left_vectors or sv_right_vectors, which give the same bits.
     """
-    m = np.asarray(m)
-    a, b = m[..., 0, 0], m[..., 0, 1]
-    c, d = m[..., 1, 0], m[..., 1, 1]
-    s1, _ = singular_values(m)
-    lam = s1 * s1
-    left = _herm_top_eigvec(
-        (np.abs(a) ** 2 + np.abs(b) ** 2).real,
-        a * np.conj(c) + b * np.conj(d),
-        (np.abs(c) ** 2 + np.abs(d) ** 2).real,
-        lam,
-    )
-    right = _herm_top_eigvec(
-        (np.abs(a) ** 2 + np.abs(c) ** 2).real,
-        np.conj(a) * b + np.conj(c) * d,
-        (np.abs(b) ** 2 + np.abs(d) ** 2).real,
-        lam,
-    )
-    return left, right
+    return sv_left_vectors(m), sv_right_vectors(m)
 
 
 def is_singular(m, rtol=SINGULAR_RTOL):
@@ -249,13 +263,27 @@ def backward_product(seq, j, n):
     return acc.astype(complex)
 
 
+def _sweep_values(seq):
+    """The window's factors in the dtype of a product sweep: float64
+    when no factor has a nonzero imaginary part (real energies with real
+    couplings), the complex values otherwise.  numpy's matmul on float64
+    2x2 stacks gives the real part of the complex128 products except for
+    the sign of zeros, so sweeps that only read magnitudes come out the
+    same by value."""
+    v = seq.values
+    if np.any(v.imag != 0.0):
+        return v
+    return np.ascontiguousarray(v.real)
+
+
 def norm_floor(seq, n):
     """min over admissible j of the operator norm of the length-n product."""
     if not 1 <= n <= len(seq):
         raise ValueError(f"n must lie in [1, {len(seq)}]")
+    if n <= EXTENDED_CUTOFF:
+        return norm_floor_curve(seq, n)[-1]
     m = len(seq) - n + 1
-    dtype = np.clongdouble if n > EXTENDED_CUTOFF else np.complex128
-    vals = seq.values.astype(dtype)
+    vals = seq.values.astype(np.clongdouble)
     prod = vals[0:m].copy()
     for k in range(1, n):
         prod = vals[k:k + m] @ prod
@@ -267,14 +295,14 @@ def norm_floor_curve(seq, n_max):
     """[norm_floor(seq, n) for n = 1..n_max] in one incremental pass.
 
     Each step left-multiplies the running products by the next factor,
-    the same arithmetic norm_floor does for n <= EXTENDED_CUTOFF, so
-    the values agree bit for bit.
+    in float64 when every factor is real (_sweep_values): singular
+    values read only magnitudes, so both dtypes give the same floors.
     """
     if not 1 <= n_max <= min(len(seq), EXTENDED_CUTOFF):
         raise ValueError(
             f"n_max must lie in [1, {min(len(seq), EXTENDED_CUTOFF)}]"
         )
-    vals = seq.values
+    vals = _sweep_values(seq)
     prod = vals
     floors = []
     for n in range(1, n_max + 1):

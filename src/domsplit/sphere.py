@@ -282,12 +282,15 @@ def disk_image_margins(mats, alpha, alpha_prime):
     mats has shape (..., 2, 2).  Entries map to the margin of
     contained_in_disk(mobius_disk_image(m, alpha), alpha_prime); images
     that are not bounded disks (half planes, exteriors, points at
-    infinity) get -inf.
+    infinity) get -inf.  alpha and alpha_prime may be arrays that
+    broadcast against the stack shape, each margin bit for bit that of
+    its own pair: over an (n, 2, 2) stack, alpha of shape (k, 1, 1) and
+    alpha_prime of shape (k, r, 1) give (k, r, n) margins, and the disk
+    images are found once per alpha.
     """
     m = np.asarray(mats, dtype=complex)
     a, b = m[..., 0, 0], m[..., 0, 1]
     c, d = m[..., 1, 0], m[..., 1, 1]
-    out = np.full(a.shape, -np.inf)
 
     s1, _ = singular_values(m)
     sing = np.abs(a * d - b * c) < 1e-13 * np.maximum(1.0, s1 * s1)
@@ -300,7 +303,7 @@ def disk_image_margins(mats, alpha, alpha_prime):
     Asafe = np.where(disk, A, 1.0)
     center = np.conj(B) / Asafe
     r = np.sqrt(np.maximum(np.abs(center) ** 2 - C / Asafe, 0.0))
-    out = np.where(disk, alpha_prime - (np.abs(center) + r), out)
+    out = np.where(disk, alpha_prime - (np.abs(center) + r), -np.inf)
 
     # Rank-1 stacks: the point image of the larger column, if not vertical.
     if np.any(sing):

@@ -7,6 +7,7 @@ four conditions by construction.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from domsplit import (
 from domsplit import certifier, mat2
 from domsplit.certifier import (
     DegenerateCocycle,
+    InternalInconsistency,
     stability_radius,
     subsample_equivalence_check,
     verify_domination,
@@ -35,7 +37,7 @@ from domsplit.certifier import (
 )
 from domsplit.harness import perturb_sequence
 from domsplit.mat2 import MatSequence, norm_floor
-from domsplit.sphere import ProjPoint, act, chordal_dist, chordal_rows
+from domsplit.sphere import ProjPoint, act, chordal_dist, chordal_rows, disk_image_margins
 
 PHI_BIG = 0.5 * (3.0 + np.sqrt(5.0))
 
@@ -515,6 +517,7 @@ def test_certify_is_the_same_without_the_real_sweep(seq, monkeypatch):
     assert certifier._sweep_values(seq).dtype == np.float64
     real = certify(seq)
     monkeypatch.setattr(certifier, "_sweep_values", lambda seq: seq.values)
+    monkeypatch.setattr(mat2, "_sweep_values", lambda seq: seq.values)
     cplx = certify(seq)
     assert json.dumps(real.to_json()) == json.dumps(cplx.to_json())
     assert real.core_field.u.tobytes() == cplx.core_field.u.tobytes()
@@ -591,3 +594,271 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
     # then only the 2 (burn - 1) end sites of the extended field, from scratch
     assert ends == (2 * (cert.burn - 1), 0, cert.burn, cert.burn)
     assert floors == []
+
+
+# ----------------------------------------- bit-exact cuts after the ladder
+
+
+def test_nan_norm_floor_raises_instead_of_failing():
+    # the squared entries overflow, so every singular value is nan
+    with np.errstate(all="ignore"):
+        seq = MatSequence(0, np.repeat((1e150 * np.diag([3.0, 0.5]))[None], 200, axis=0))
+        with pytest.raises(InternalInconsistency, match="norm floor at N=1 is nan"):
+            certify(seq)
+
+
+def test_infinite_domination_margin_is_legal():
+    # s is annihilated at once, so the growth ratio is infinite
+    vals = np.repeat(np.array([[[2.0, 0.0], [0.0, 0.0]]]), 30, axis=0)
+    dom = verify_domination(MatSequence(0, vals), power_directions(MatSequence(0, vals), 4))
+    assert dom.ok and dom.margin == np.inf
+
+
+def per_site_overrides(seq, js, bu, bs, u_vecs, s_vecs):
+    """The singular overrides as one cocycle_product per site and side,
+    kept verbatim as the oracle of the batched version."""
+    dets = mat2.det2(seq.values)
+    zpos = np.nonzero(dets == 0.0)[0] + seq.j_lo
+    if len(zpos) == 0:
+        return
+    nxt = np.searchsorted(zpos, js, side="left")
+    prv = nxt - 1
+    for i in range(len(js)):
+        if nxt[i] < len(zpos):
+            k = int(zpos[nxt[i]])
+            if k <= js[i] + bs[i] - 1:
+                P = mat2.cocycle_product(seq, int(js[i]), k - int(js[i]) + 1)
+                s_vecs[i] = certifier._kernel_direction(P)
+        if prv[i] >= 0:
+            k = int(zpos[prv[i]])
+            if k >= js[i] - bu[i]:
+                m = int(js[i]) - k
+                P = mat2.cocycle_product(seq, k, m)
+                u_vecs[i] = certifier._range_direction(P)
+
+
+def _overrides(fn, seq, js, bu, bs, U, S):
+    u = mat2.sv_left_vectors(U.astype(complex))
+    s = certifier._perp_rows(mat2.sv_right_vectors(S.astype(complex)))
+    try:
+        fn(seq, js, bu, bs, u, s)
+    except DegenerateCocycle as exc:
+        return str(exc)
+    return u.tobytes(), s.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 110),
+    seed=st.integers(0, 2**32 - 1),
+    complex_vals=st.booleans(),
+    ends=st.sampled_from(["none", "left", "right", "both"]),
+    inside=st.integers(0, 4),
+    burn=st.integers(1, 50),
+    extend=st.booleans(),
+)
+def test_batched_overrides_are_bitwise_the_per_site_loop(
+    n, seed, complex_vals, ends, inside, burn, extend
+):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, 2, 2)).astype(complex)
+    if complex_vals:
+        vals += 1j * rng.standard_normal((n, 2, 2))
+    sing = list(rng.integers(0, n, inside))
+    sing += {"none": [], "left": [0], "right": [n - 1], "both": [0, n - 1]}[ends]
+    for k in sing:
+        if rng.random() < 0.5:
+            vals[k, :, 1] = 2.0 * vals[k, :, 0]  # det exactly zero
+        else:
+            vals[k, int(rng.integers(2)), :] = 0.0
+    seq = MatSequence(int(rng.integers(-50, 50)), vals)
+    lo, hi = seq.window
+    if extend:
+        js = np.arange(lo + 1, hi + 1)
+        bu, bs = np.minimum(burn, js - lo), np.minimum(burn, hi + 1 - js)
+    else:
+        burn = max(1, min(burn, n // 2))
+        js = np.arange(lo + burn, hi + 2 - burn)
+        bu = bs = np.full(len(js), burn)
+    if len(js) == 0:
+        return
+    U, S = masked_field_products(seq.values, js, bu, bs, lo)
+    got = _overrides(certifier._apply_singular_overrides, seq, js, bu, bs, U, S)
+    assert got == _overrides(per_site_overrides, seq, js, bu, bs, U, S)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    complex_vals=st.booleans(),
+    pattern=st.sampled_from(["ends", "random", "steps", "gappy"]),
+    burn=st.integers(1, 40),
+    resume=st.booleans(),
+)
+def test_prefix_sweep_is_bitwise_the_masked_sweep(
+    n, seed, complex_vals, pattern, burn, resume
+):
+    # rows finish at different steps, on both sides, in any site order
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, 2, 2))
+    if complex_vals:
+        vals = vals + 1j * rng.standard_normal((n, 2, 2))
+    lo = int(rng.integers(-50, 50))
+    if pattern == "gappy":
+        # non-contiguous sites with one burn still take the prefix sweep
+        js = np.sort(rng.choice(np.arange(lo - 2, lo + n + 3), size=min(n, 5), replace=False))
+        bu = bs = np.full(len(js), burn)
+    else:
+        js = np.arange(lo + 1, lo + n + 1)
+        if pattern == "ends":
+            bu, bs = np.minimum(burn, js - lo), np.minimum(burn, lo + n + 1 - js)
+        elif pattern == "random":
+            bu, bs = rng.integers(1, burn + 1, n), rng.integers(1, burn + 1, n)
+        else:
+            bu = np.repeat(rng.integers(1, burn + 1, 3), n)[:n]
+            bs = bu[::-1].copy()
+    start = None
+    if resume:
+        t0 = int(rng.integers(0, min(bu.max(), bs.max()) + 1))
+        start = certifier._field_products(
+            vals, js, np.minimum(bu, t0), np.minimum(bs, t0), lo
+        ) + (t0,)
+    U, S = certifier._field_products(vals, js, bu, bs, lo, start)
+    U_ref, S_ref = masked_field_products(vals, js, bu, bs, lo)
+    assert U.dtype == vals.dtype
+    if complex_vals:
+        assert U.tobytes() == U_ref.tobytes() and S.tobytes() == S_ref.tobytes()
+    else:  # the real sweep equals the complex one by value
+        assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
+
+
+def test_renorm_is_not_idempotent():
+    # 49 * (1 / 49) rounds to 1 - 2**-53, so a second pass rescales the row
+    P = np.array([[[49.0, 3.0], [-5.0, 7.0]]])
+    once = certifier._renorm(P)
+    assert once[0, 0, 0] == 1.0 - 2.0**-53
+    twice = certifier._renorm(once)
+    assert twice[0, 0, 0] == 1.0
+    assert not np.array_equal(once, twice)
+    # so a row that finishes first is renormalized again while others multiply
+    U, _ = certifier._field_products(
+        np.repeat(P, 3, axis=0), np.array([1, 2]), np.array([1, 2]), np.array([0, 0]), 0
+    )
+    assert U[0].tobytes() == twice[0].tobytes()
+
+
+def test_renorm_keeps_zero_and_nan_rows_at_scale_one():
+    P = np.array([
+        [[0.0, -0.0], [0.0, 0.0]],
+        [[np.nan, 2.0], [3.0, -4.0]],
+        [[1.0, 2.0], [4.0, -8.0]],
+    ])
+    m = certifier._row_max(P)
+    assert m[0] == 0.0 and np.isnan(m[1]) and m[2] == 8.0
+    out = certifier._renorm(P, m)
+    assert list(m) == [1.0, 1.0, 8.0]  # the guard works on m in place
+    assert out[0].tobytes() == P[0].tobytes()
+    assert out[1].tobytes() == P[1].tobytes()
+    assert np.array_equal(out[2], P[2] / 8.0)
+    assert certifier._renorm(P).tobytes() == out.tobytes()
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(certifier._renorm(P.astype(complex)), out, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["jacobi", "singular", "zero_row"]),
+    length=st.integers(1, 20),
+)
+def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, length):
+    rng = np.random.default_rng(seed)
+    seq = _real_window(rng, kind, n)
+    n_max = min(n, 20)
+    floors = mat2.norm_floor_curve(seq, n_max)
+    with mock.patch.object(mat2, "_sweep_values", lambda seq: seq.values):
+        assert floors == mat2.norm_floor_curve(seq, n_max)
+    length = min(length, n)
+    starts = np.arange(0, n - length + 1)
+    P, logs = certifier._block_products(certifier._sweep_values(seq), starts, length)
+    Pc, logs_c = certifier._block_products(seq.values, starts, length)
+    assert P.dtype == np.float64
+    assert np.array_equal(P, Pc) and logs.tobytes() == logs_c.tobytes()
+
+
+def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
+                  ratios=(0.5, 0.25, 0.75)):
+    """cone_certificate with one disk_image_margins call per pair and
+    complex block products, kept verbatim as the oracle of the batched
+    search."""
+    lo, hi = seq.window
+    D, Dinv = certifier._frame_matrices(fld)
+    best = None
+    for mult in (1, 2, 4):
+        n_blk = N * mult
+        last = min(fld.j_last - n_blk, hi + 1 - n_blk)
+        if last < fld.j_first:
+            continue
+        js = np.arange(fld.j_first, last + 1)
+        k = js - fld.j_first
+        P, logs = certifier._block_products(seq.values, js - lo, n_blk)
+        Lam = Dinv[k + n_blk] @ P @ D[k]
+        with np.errstate(divide="ignore"):
+            gam_log = np.log(np.abs(Lam[:, 0, 0])) + logs
+        gamma = float(np.exp(np.min(gam_log)))
+        cond = float(np.max(mat2.op_norm(Dinv[k + n_blk]) * mat2.op_norm(D[k])))
+        for a in alphas:
+            for r in ratios:
+                ap = a * r
+                clearance = float(np.min(disk_image_margins(Lam, a, ap)))
+                if clearance <= 0.0 or not np.isfinite(clearance):
+                    continue
+                cand = certifier.ConeCertificate(
+                    N=n_blk, alpha=a, alpha_prime=ap, clearance=clearance,
+                    gamma=gamma, cond=cond, n_sites=len(js),
+                )
+                if best is None or cand.budget() > best.budget():
+                    best = cand
+        if best is not None:
+            return best
+    return best
+
+
+def test_batched_cone_margins_are_bitwise_the_per_pair_calls():
+    rng = np.random.default_rng(83)
+    Lam = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
+    Lam[::7] *= np.array([[0.05, 1.0], [0.05, 1.0]])
+    Lam[3::11, :, 1] = 3.0 * Lam[3::11, :, 0]  # rank 1
+    Lam[5::13, 0, :] = 0.0  # rank 1 with a vertical range
+    alphas, ratios = (1.0, 0.75, 1.25, 0.5, 1.5, 2.0), (0.5, 0.25, 0.75)
+    pairs = [(a, a * r) for a in alphas for r in ratios]
+    a_grid = np.array(alphas)[:, None, None]
+    grid = disk_image_margins(Lam, a_grid, a_grid * np.array(ratios)[:, None])
+    assert grid.shape == (len(alphas), len(ratios), len(Lam))
+    flat = disk_image_margins(
+        Lam, np.array([a for a, _ in pairs])[:, None], np.array([p for _, p in pairs])[:, None]
+    )
+    for batched in (grid.reshape(len(pairs), len(Lam)), flat):
+        for row, (a, ap) in zip(batched, pairs):
+            assert row.tobytes() == disk_image_margins(Lam, a, ap).tobytes()
+
+
+@pytest.mark.parametrize("which", ["free", "random", "mod5", "real_random"])
+def test_cone_certificate_picks_the_per_pair_winner(which, free_op, mod5_op):
+    rng = np.random.default_rng(89)
+    seq = {
+        "free": lambda: cocycle_map(free_op, 3.0),
+        "random": lambda: cocycle_map(random_operator(rng, n=90, j_lo=-40), 0.3 + 1.1j),
+        "mod5": lambda: cocycle_map(mod5_op, 2.6),
+        "real_random": lambda: cocycle_map(
+            random_operator(rng, n=150, complex_a=False, j_lo=0), 2.9
+        ),
+    }[which]()
+    cert = certify(seq, want_cone=False)
+    assert cert.ok
+    for N in (cert.N, cert.N + 1, 3 * cert.N):
+        got = certifier.cone_certificate(seq, cert.core_field, N)
+        assert got is not None
+        assert got == cone_per_pair(seq, cert.core_field, N)

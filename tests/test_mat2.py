@@ -1,17 +1,23 @@
 """Batched 2x2 helpers against dense linear-algebra oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from domsplit import MatSequence, cocycle_product, norm_floor, op_norm
 from domsplit.mat2 import (
     SingularFactor,
+    _herm_top_eigvec,
     backward_product,
     det2,
     inv2,
     is_singular,
+    norm_floor_curve,
     singular_values,
     sv_direction_vectors,
+    sv_left_vectors,
+    sv_right_vectors,
 )
 
 from conftest import random_matseq
@@ -83,6 +89,45 @@ def test_sv_direction_vectors_align_with_svd():
             assert np.linalg.norm(mine) == pytest.approx(1.0, rel=1e-12)
 
 
+def sv_direction_vectors_oracle(m):
+    """Both singular directions from one singular_values call, kept
+    verbatim as the oracle of the two halves."""
+    m = np.asarray(m)
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    s1, _ = singular_values(m)
+    lam = s1 * s1
+    left = _herm_top_eigvec(
+        (np.abs(a) ** 2 + np.abs(b) ** 2).real,
+        a * np.conj(c) + b * np.conj(d),
+        (np.abs(c) ** 2 + np.abs(d) ** 2).real,
+        lam,
+    )
+    right = _herm_top_eigvec(
+        (np.abs(a) ** 2 + np.abs(c) ** 2).real,
+        np.conj(a) * b + np.conj(c) * d,
+        (np.abs(b) ** 2 + np.abs(d) ** 2).real,
+        lam,
+    )
+    return left, right
+
+
+def test_sv_halves_are_bitwise_the_joint_call():
+    rng = np.random.default_rng(21)
+    m = rng.standard_normal((600, 2, 2)) + 1j * rng.standard_normal((600, 2, 2))
+    m[::5] = m[::5].real  # real stacks, as a real sweep casts them
+    m[1::7, :, 1] = 2.0 * m[1::7, :, 0]  # rank 1
+    m[2::11, 1, :] = 0.0  # a zero row
+    m[3::13, :, 0] = 0.0  # a zero column
+    m[4::17] = 2.5 * np.eye(2)  # conformal
+    m[6::19] = 0.0
+    left, right = sv_direction_vectors_oracle(m)
+    assert sv_left_vectors(m).tobytes() == left.tobytes()
+    assert sv_right_vectors(m).tobytes() == right.tobytes()
+    both = sv_direction_vectors(m)
+    assert both[0].tobytes() == left.tobytes() and both[1].tobytes() == right.tobytes()
+
+
 def test_is_singular_flags():
     sing = np.array([[1.0, 2.0], [0.5, 1.0]], complex)
     well = np.array([[2.0, 0.0], [0.0, 1.0]], complex)
@@ -146,6 +191,19 @@ def test_norm_floor_matches_bruteforce():
             for j in range(0, 24 - n + 1)
         )
         assert norm_floor(seq, n) == pytest.approx(ref, rel=1e-10)
+
+
+def test_norm_floor_is_the_curve_and_real_windows_match():
+    rng = np.random.default_rng(22)
+    seq = random_matseq(rng, n=50, j_lo=0)
+    real = MatSequence(0, seq.values.real.copy())
+    for s in (seq, real):
+        curve = norm_floor_curve(s, 32)
+        assert [norm_floor(s, n) for n in range(1, 33)] == curve
+    # a real window gives the floors of the same window stored as complex
+    # with +0.0 imaginary parts, which the complex product loop runs
+    with mock.patch("domsplit.mat2._sweep_values", lambda s: s.values):
+        assert norm_floor_curve(real, 32) == curve
 
 
 def test_norm_floor_zero_on_dead_factor():
