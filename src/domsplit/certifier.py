@@ -23,7 +23,7 @@ given finite data, not about any infinite extension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,17 +36,18 @@ from .jacobi import (
     spectrum,
 )
 from .mat2 import (
-    EXTENDED_CUTOFF,
     MatSequence,
+    _live_rows,
     _sweep_values,
-    cocycle_product,
     det2,
     norm_floor,
     norm_floor_curve,
     op_norm,
     singular_values,
+    span_products,
     sv_left_vectors,
     sv_right_vectors,
+    sweep,
 )
 from .sphere import ProjPoint, chordal_rows, disk_image_margins, unit_rows
 
@@ -120,40 +121,6 @@ class SplittingField:
         return ProjPoint(self.s[j - self.j_first])
 
 
-def _row_max(P):
-    """Largest entry modulus of each 2x2 in a stack (NaN propagates).
-
-    Elementwise np.maximum calls over an (n, 4) view: the same values as
-    a max-reduce over the four entries, at half the cost of a reduction
-    along a length-4 axis.
-    """
-    A = np.abs(P.reshape(len(P), 4))
-    m = np.maximum(A[:, 0], A[:, 1])
-    np.maximum(m, A[:, 2], out=m)
-    return np.maximum(m, A[:, 3], out=m)
-
-
-def _renorm(P, m=None):
-    """Scale each 2x2 of a stack to unit max entry (zero rows stay zero).
-
-    m holds the row maxima (_row_max(P)) when the caller has them; its
-    zero and NaN entries are set to 1.0 in place.  numpy divides a
-    complex stack by a real scale m as (x + 0 * y) * (1 / m), Smith's
-    formula with a zero imaginary part, so a real stack is scaled by
-    P * (1 / m): the real part of the complex result by value, and bit
-    for bit where y is -0.0 (where y is +0.0, a -0.0 entry stays -0.0
-    here).  P / m rounds differently.  The scaling is not idempotent: a
-    second pass moves some rows by an ulp.
-    """
-    if m is None:
-        m = _row_max(P)
-    m[~(m > 0.0)] = 1.0
-    P4 = P.reshape(len(P), 4)
-    if np.iscomplexobj(P):
-        return (P4 / m[:, None]).reshape(P.shape)
-    return (P4 * (1.0 / m)[:, None]).reshape(P.shape)
-
-
 def _block_products(vals, starts, length):
     """Normalized ordered products of `length` factors from each start.
 
@@ -163,16 +130,9 @@ def _block_products(vals, starts, length):
     of vals: float64 for real factors (_sweep_values), equal by value
     to the complex run.
     """
-    n = len(starts)
-    P = np.tile(np.eye(2, dtype=vals.dtype), (n, 1, 1))
-    logs = np.zeros(n)
-    for t in range(length):
-        P = vals[starts + t] @ P
-        m = _row_max(P)
-        with np.errstate(divide="ignore"):
-            logs += np.log(m)
-        P = _renorm(P, m)
-    return P, logs
+    P = np.tile(np.eye(2, dtype=vals.dtype), (len(starts), 1, 1))
+    steps = (vals.take(starts + t, axis=0) for t in range(length))
+    return sweep(P, steps, renorm=True, logs=True)
 
 
 def _field_products(vals, js, bu, bs, lo, start=None):
@@ -213,21 +173,16 @@ def _field_products(vals, js, bu, bs, lo, start=None):
     if js[-1] - js[0] == n - 1 and np.all(bu == bu[0]) and np.all(bs == bs[0]):
         a = int(js[0]) - lo
         b = a + n
-        for t in range(t0, int(bu[0])):
-            U = _renorm(U @ vals[a - 1 - t : b - 1 - t])
-        for t in range(t0, int(bs[0])):
-            S = _renorm(vals[a + t : b + t] @ S)
+        U = sweep(
+            U, (vals[a - 1 - t : b - 1 - t] for t in range(t0, int(bu[0]))),
+            left=False, renorm=True,
+        )
+        S = sweep(S, (vals[a + t : b + t] for t in range(t0, int(bs[0]))), renorm=True)
         return U, S
     return (
         _prefix_sweep(U, vals, js - 1 - lo, bu, t0, left=False),
         _prefix_sweep(S, vals, js - lo, bs, t0, left=True),
     )
-
-
-def _live_rows(lengths, t0=0):
-    """For lengths sorted longest first, how many rows still multiply at
-    each step t0, t0 + 1, ..., lengths[0] - 1: always a prefix."""
-    return np.searchsorted(-lengths, -np.arange(t0, int(lengths[0])), side="left")
 
 
 def _prefix_sweep(P, vals, base, burns, t0, left):
@@ -245,13 +200,10 @@ def _prefix_sweep(P, vals, base, burns, t0, left):
     if len(burns) == 0 or int(burns.max()) <= t0:
         return P
     order = np.argsort(-burns, kind="stable")
-    P, base = P[order], base[order]
-    for t, r in zip(range(t0, int(burns.max())), _live_rows(burns[order], t0)):
-        if left:
-            P[:r] = vals[base[:r] + t] @ P[:r]
-        else:
-            P[:r] = P[:r] @ vals[base[:r] - t]
-        P = _renorm(P)
+    base, sign = base[order], 1 if left else -1
+    live = zip(range(t0, int(burns.max())), _live_rows(burns[order], t0))
+    steps = (vals.take(base[:r] + sign * t, axis=0) for t, r in live)
+    P = sweep(P[order], steps, left, renorm=True)
     out = np.empty_like(P)
     out[order] = P
     return out
@@ -283,52 +235,6 @@ def _range_direction(P):
     return col / n
 
 
-def _products_from(seq, k, m_max):
-    """cocycle_product(seq, k, m) for m = 1..m_max, bit for bit.
-
-    They are prefixes of one left-multiplied chain from k: complex128
-    up to EXTENDED_CUTOFF factors, then the clongdouble chain that
-    cocycle_product starts over for longer products.
-    """
-    block = seq.values[k - seq.j_lo : k - seq.j_lo + m_max]
-    out = np.empty((m_max, 2, 2), dtype=complex)
-    acc = np.eye(2, dtype=complex)
-    for t, f in enumerate(block[:EXTENDED_CUTOFF]):
-        acc = out[t] = f @ acc
-    if m_max > EXTENDED_CUTOFF:
-        acc = np.eye(2, dtype=np.clongdouble)
-        for t, f in enumerate(block.astype(np.clongdouble)):
-            acc = f @ acc
-            if t >= EXTENDED_CUTOFF:
-                out[t] = acc
-    return out
-
-
-def _products_through(seq, starts, k):
-    """cocycle_product(seq, j, k - j + 1) for each j in starts, bit for bit.
-
-    One batched loop per precision (complex128 up to EXTENDED_CUTOFF
-    factors, clongdouble beyond), over rows sorted longest first so
-    that the rows still multiplying form a prefix.
-    """
-    order = np.argsort(starts, kind="stable")
-    js = starts[order]
-    lens = k + 1 - js
-    out = np.empty((len(js), 2, 2), dtype=complex)
-    n_ext = int(np.count_nonzero(lens > EXTENDED_CUTOFF))
-    for rows, dtype in ((slice(0, n_ext), np.clongdouble), (slice(n_ext, None), complex)):
-        if len(lens[rows]) == 0:
-            continue
-        j0 = int(js[rows][0])
-        vals = seq.values[j0 - seq.j_lo : k + 1 - seq.j_lo].astype(dtype, copy=False)
-        off = js[rows] - j0
-        P = np.tile(np.eye(2, dtype=dtype), (len(off), 1, 1))
-        for t, r in enumerate(_live_rows(lens[rows])):
-            P[:r] = vals[off[:r] + t] @ P[:r]
-        out[order[rows]] = P
-    return out
-
-
 def _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs):
     """Replace estimates with exact directions where factors are singular.
 
@@ -336,28 +242,26 @@ def _apply_singular_overrides(seq, js, bu, bs, u_vecs, s_vecs):
     pins the direction there: the contracting one is the kernel of the
     shortest forward product through the first such factor, the
     expanding one is the range of the product from the nearest such
-    factor in the past.  Array masks pick the sites, each singular
-    factor's products are built in one batch, and the directions are
-    read off site by site in site order.
+    factor in the past.  Array masks pick the sites, one span_products
+    call builds the products of both sides, and the directions are read
+    off site by site in site order.
     """
     dets = det2(seq.values)
     zpos = np.nonzero(dets == 0.0)[0] + seq.j_lo
     if len(zpos) == 0:
         return
     nxt = np.searchsorted(zpos, js, side="left")
-    kernels, ranges = {}, {}
     k_s = zpos[np.minimum(nxt, len(zpos) - 1)]
-    hit = (nxt < len(zpos)) & (k_s <= js + bs - 1)
-    for k in np.unique(k_s[hit]).tolist():
-        rows = np.nonzero(hit & (k_s == k))[0]
-        kernels.update(zip(rows.tolist(), _products_through(seq, js[rows], k)))
+    s_rows = np.nonzero((nxt < len(zpos)) & (k_s <= js + bs - 1))[0]
     k_u = zpos[np.maximum(nxt - 1, 0)]
-    hit = (nxt > 0) & (k_u >= js - bu)
-    for k in np.unique(k_u[hit]).tolist():
-        rows = np.nonzero(hit & (k_u == k))[0]
-        lengths = js[rows] - k
-        chain = _products_from(seq, k, int(lengths.max()))
-        ranges.update(zip(rows.tolist(), chain[lengths - 1]))
+    u_rows = np.nonzero((nxt > 0) & (k_u >= js - bu))[0]
+    P = span_products(
+        seq,
+        np.concatenate((js[s_rows], k_u[u_rows])),
+        np.concatenate((k_s[s_rows] + 1 - js[s_rows], js[u_rows] - k_u[u_rows])),
+    )
+    kernels = dict(zip(s_rows.tolist(), P[: len(s_rows)]))
+    ranges = dict(zip(u_rows.tolist(), P[len(s_rows) :]))
     for i in sorted(kernels.keys() | ranges.keys()):
         if i in kernels:
             s_vecs[i] = _kernel_direction(kernels[i])
@@ -835,9 +739,9 @@ class DSCertificate:
     delta_sep_core: float | None = None
     norm_floor_value: float | None = None
     norm_floor_threshold: float | None = None
-    cone: ConeCertificate | None = None
     epsilon: float | None = None
     notes: dict = field(default_factory=dict)
+    cone: ConeCertificate | None = None
     core_field: SplittingField | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -845,38 +749,12 @@ class DSCertificate:
         return self.verdict != "failed"
 
     def to_json(self):
-        out = {
-            "verdict": self.verdict,
-            "window": list(self.window),
-            "burn": self.burn,
-            "convergence_gap": _plain(self.convergence_gap),
-            "conditions": {str(k): v for k, v in self.conditions.items()},
-            "failed_condition": self.failed_condition,
-            "failure_detail": self.failure_detail,
-            "invariance_residual": _plain(self.invariance_residual),
-            "invariance_threshold": _plain(self.invariance_threshold),
-            "N": self.N,
-            "domination_margin": _plain(self.domination_margin),
-            "delta_sep": _plain(self.delta_sep),
-            "delta_sep_core": _plain(self.delta_sep_core),
-            "norm_floor_value": _plain(self.norm_floor_value),
-            "norm_floor_threshold": _plain(self.norm_floor_threshold),
-            "epsilon": _plain(self.epsilon),
-            "notes": _plain(self.notes),
+        """Every field but core_field, in field order, as plain JSON values."""
+        return {
+            f.name: _plain(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "core_field"
         }
-        if self.cone is not None:
-            out["cone"] = {
-                "N": self.cone.N,
-                "alpha": self.cone.alpha,
-                "alpha_prime": self.cone.alpha_prime,
-                "clearance": _plain(self.cone.clearance),
-                "gamma": _plain(self.cone.gamma),
-                "cond": _plain(self.cone.cond),
-                "n_sites": self.cone.n_sites,
-            }
-        else:
-            out["cone"] = None
-        return out
 
     def summary_line(self):
         if self.verdict == "failed":
@@ -895,8 +773,10 @@ class DSCertificate:
 
 
 def _plain(x):
+    if isinstance(x, ConeCertificate):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
+        return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
     if isinstance(x, (np.floating, np.integer)):
@@ -935,10 +815,7 @@ def certify(
     if not isinstance(seq, MatSequence):
         seq = MatSequence(0, np.asarray(seq, dtype=complex))
     lo, hi = seq.window
-    notes = {}
     b, gap, no_field, core = _resolve_burn(seq, burn)
-    notes["burn"] = b
-    notes["convergence_gap"] = gap
     if no_field is not None:
         return DSCertificate(
             verdict="failed",
@@ -948,7 +825,6 @@ def certify(
             conditions={1: None, 2: False, 3: None, 4: None},
             failed_condition=2,
             failure_detail=no_field,
-            notes=notes,
             core_field=core,
         )
     res_eff = max(res_max, 8.0 * gap)
@@ -979,10 +855,11 @@ def certify(
     ):
         if value is not None and math.isnan(value):
             raise InternalInconsistency(f"{name} is nan")
-    notes["floor_curve"] = curve
-    notes["floor_curve_ok"] = all(v > t for _, v, t in curve)
-    notes["invariance_threshold"] = res_eff
-    notes["n_core_sites"] = len(core)
+    notes = {
+        "floor_curve": curve,
+        "floor_curve_ok": all(v > t for _, v, t in curve),
+        "n_core_sites": len(core),
+    }
 
     conditions = {1: bool(inv_ok), 2: bool(dom.ok), 3: bool(sep_ok), 4: floor_ok}
     failed = next((k for k in (1, 2, 3, 4) if conditions[k] is False), None)
@@ -1052,8 +929,7 @@ def subsample_equivalence_check(seq, N, **certify_kwargs):
     """
     base = certify(seq, **certify_kwargs)
     starts = np.arange(seq.j_lo, seq.j_hi + 2 - N, N)
-    vals = np.array([cocycle_product(seq, int(j), N) for j in starts])
-    block = certify(MatSequence(0, vals), **certify_kwargs)
+    block = certify(MatSequence(0, span_products(seq, starts, N)), **certify_kwargs)
     return {
         "consistent": (base.verdict != "failed") == (block.verdict != "failed"),
         "base": base,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .mat2 import MatSequence
+from .mat2 import MatSequence, sweep
 
 __all__ = [
     "IllConditioned",
@@ -640,21 +640,16 @@ def floquet_bands(op, period=None, grid=None, refine_tol=1e-10):
 
     def log_disc(E):
         E = np.atleast_1d(np.asarray(E, dtype=float))
-        P = np.zeros((len(E), 2, 2))
-        P[:, 0, 0] = 1.0
-        P[:, 1, 1] = 1.0
-        logs = np.zeros(len(E))
-        step = np.zeros((len(E), 2, 2))
-        for k in range(q):
-            step[:, 0, 0] = (E - beta[k]) / alpha[k]
-            step[:, 0, 1] = -alpha_prev[k] / alpha[k]
-            step[:, 1, 0] = 1.0
-            step[:, 1, 1] = 0.0
-            P = step @ P
-            m = np.max(np.abs(P), axis=(1, 2))
-            m = np.where(m > 0, m, 1.0)
-            P /= m[:, None, None]
-            logs += np.log(m)
+
+        def step(k):
+            F = np.zeros((len(E), 2, 2))
+            F[:, 0, 0] = (E - beta[k]) / alpha[k]
+            F[:, 0, 1] = -alpha_prev[k] / alpha[k]
+            F[:, 1, 0] = 1.0
+            return F
+
+        P = np.tile(np.eye(2), (len(E), 1, 1))
+        P, logs = sweep(P, map(step, range(q)), renorm=True, logs=True)
         tr = P[:, 0, 0] + P[:, 1, 1]
         mag = np.where(np.abs(tr) > 0, np.abs(tr), 1e-300)
         return np.log(mag) + logs  # log |discriminant|

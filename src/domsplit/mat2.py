@@ -1,17 +1,24 @@
-"""2x2 complex matrices and finite matrix sequences.
+"""2x2 matrices and finite matrix sequences.
 
 Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
-floors.  Products longer than EXTENDED_CUTOFF factors accumulate in
-80-bit extended precision before rounding back to complex128, so slowly
-growing or decaying singular values stay trustworthy.
+floors.  Every ordered product in the package runs through sweep(),
+which multiplies a stack of 2x2 products by one factor stack per step,
+optionally renormalizing every row after each step; span_products()
+gives cocycle_product for many (start, length) pairs at once.
 
-All matrix arguments are (2, 2) complex ndarrays; the batched helpers
-accept stacks of shape (..., 2, 2).
+Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
+A MatSequence stores complex128 factors.  Sweeps over a window whose
+factors are all real run in float64 (_sweep_values), and products
+longer than EXTENDED_CUTOFF factors accumulate in clongdouble (80-bit
+extended on x86) before rounding back to complex128, so slowly growing
+or decaying singular values stay trustworthy.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,8 @@ __all__ = [
     "sv_right_vectors",
     "inv2",
     "is_singular",
+    "sweep",
+    "span_products",
     "cocycle_product",
     "backward_product",
     "norm_floor",
@@ -182,6 +191,8 @@ class MatSequence:
         top = float(np.max(op_norm(v)))
         if self.sup_bound is None:
             self.sup_bound = top
+        elif not math.isfinite(self.sup_bound):
+            raise ValueError(f"sup_bound must be finite, got {self.sup_bound}")
         elif self.sup_bound < top:
             raise ValueError(
                 f"sup_bound {self.sup_bound} is below the largest norm {top}"
@@ -221,48 +232,6 @@ def _check_span(seq, j, n):
         )
 
 
-def cocycle_product(seq, j, n):
-    """Ordered product of the factors at j, j+1, ..., j+n-1 (later on the left).
-
-    n = 0 returns the identity.  Products with more than EXTENDED_CUTOFF
-    factors run in extended precision.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative; use backward_product for inverses")
-    if n == 0:
-        return np.eye(2, dtype=complex)
-    _check_span(seq, j, n)
-    i = seq.index_of(j)
-    block = seq.values[i:i + n]
-    if n > EXTENDED_CUTOFF:
-        acc = np.eye(2, dtype=np.clongdouble)
-        for f in block.astype(np.clongdouble):
-            acc = f @ acc
-        return acc.astype(complex)
-    acc = np.eye(2, dtype=complex)
-    for f in block:
-        acc = f @ acc
-    return acc
-
-
-def backward_product(seq, j, n):
-    """Inverse of the length-n product ending just below j.
-
-    Equals the inverse of cocycle_product(seq, j - n, n); every factor in
-    [j - n, j - 1] must be invertible at the shared tolerance, otherwise
-    SingularFactor names the offending index.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_span(seq, j - n, n)
-    use_ext = n > EXTENDED_CUTOFF
-    acc = np.eye(2, dtype=np.clongdouble if use_ext else complex)
-    for k in range(j - n, j):
-        f = inv2(seq.at(k), index=k)
-        acc = acc @ (f.astype(np.clongdouble) if use_ext else f)
-    return acc.astype(complex)
-
-
 def _sweep_values(seq):
     """The window's factors in the dtype of a product sweep: float64
     when no factor has a nonzero imaginary part (real energies with real
@@ -276,6 +245,155 @@ def _sweep_values(seq):
     return np.ascontiguousarray(v.real)
 
 
+def _row_max(P):
+    """Largest entry modulus of each 2x2 in a stack (NaN propagates).
+
+    Elementwise np.maximum calls over an (n, 4) view: the same values as
+    a max-reduce over the four entries, at half the cost of a reduction
+    along a length-4 axis.
+    """
+    A = np.abs(P.reshape(len(P), 4))
+    m = np.maximum(A[:, 0], A[:, 1])
+    np.maximum(m, A[:, 2], out=m)
+    return np.maximum(m, A[:, 3], out=m)
+
+
+def _renorm(P, m=None):
+    """Scale each 2x2 of a stack to unit max entry (zero rows stay zero).
+
+    m holds the row maxima (_row_max(P)) when the caller has them; its
+    zero and NaN entries are set to 1.0 in place.  numpy divides a
+    complex stack by a real scale m as (x + 0 * y) * (1 / m), Smith's
+    formula with a zero imaginary part, so a real stack is scaled by
+    P * (1 / m): the real part of the complex result by value, and bit
+    for bit where y is -0.0 (where y is +0.0, a -0.0 entry stays -0.0
+    here).  P / m rounds differently.  The scaling is not idempotent: a
+    second pass moves some rows by an ulp.
+    """
+    if m is None:
+        m = _row_max(P)
+    m[~(m > 0.0)] = 1.0
+    P4 = P.reshape(len(P), 4)
+    if P.dtype.kind == "c":
+        return (P4 / m[:, None]).reshape(P.shape)
+    return (P4 * (1.0 / m)[:, None]).reshape(P.shape)
+
+
+def _live_rows(lengths, t0=0):
+    """For lengths sorted longest first, how many rows still multiply at
+    each step t0, t0 + 1, ..., lengths[0] - 1: always a prefix."""
+    return np.searchsorted(-lengths, -np.arange(t0, int(lengths[0])), side="left")
+
+
+def sweep(P, steps, left=True, renorm=False, logs=False):
+    """Multiply a stack of 2x2 products P by one factor stack per step.
+
+    Each F in steps multiplies the first k = len(F) rows of P, from the
+    left (F @ P[:k]) or the right (P[:k] @ F).  With renorm, every row is
+    then scaled to unit max entry (_renorm), multiplied or not; logs adds
+    up the log of each row's removed scale and returns (P, logs), the
+    true product being P * exp(logs).  P itself is never written into.
+    numpy's matmul gives a row of a stack the bits it gives that row
+    alone, so each row comes out as a loop over it alone would make it.
+    """
+    total = np.zeros(len(P)) if logs else None
+    for P in _sweep_steps(P, steps, left, renorm, total):
+        pass
+    return (P, total) if logs else P
+
+
+def _sweep_steps(P, steps, left, renorm, total):
+    """The loop of sweep, yielding the stack after every step; total,
+    when not None, accumulates the logs.  A later step may write into a
+    stack already yielded, so a caller copies the rows it keeps."""
+    P0, n = P, len(P)
+    for F in steps:
+        if len(F) == n:
+            P = F @ P if left else P @ F
+        else:
+            if P is P0:
+                P = P.copy()
+            k = len(F)
+            P[:k] = F @ P[:k] if left else P[:k] @ F
+        if renorm:
+            m = _row_max(P)
+            if total is not None:
+                with np.errstate(divide="ignore"):
+                    total += np.log(m)
+            P = _renorm(P, m)
+        yield P
+
+
+def span_products(seq, starts, lengths):
+    """cocycle_product(seq, j, n) for each pair of starts and lengths, bit
+    for bit, as one (len, 2, 2) complex stack.
+
+    starts and lengths broadcast to one dimension.  Rows longer than
+    EXTENDED_CUTOFF factors run in clongdouble, the others in complex128,
+    each from the identity as cocycle_product runs it.  Rows that share a
+    start share one chain and are read off it as it reaches their
+    lengths.  The chains run longest first, so those still multiplying
+    form a prefix, and each step's factors are a slice of one gather
+    made up front (a gather per step made the single-chain calls of
+    certify's singular overrides half again as slow).
+    """
+    js, ns = (np.ravel(a).tolist() for a in np.broadcast_arrays(starts, lengths))
+    out = np.tile(np.eye(2, dtype=complex), (len(js), 1, 1))
+    for extended, dtype in ((True, np.clongdouble), (False, complex)):
+        rows = [i for i, n in enumerate(ns) if n > 0 and (n > EXTENDED_CUTOFF) == extended]
+        if not rows:
+            continue
+        rows.sort(key=ns.__getitem__)  # shortest first
+        top = {js[i]: ns[i] for i in rows}  # each start's longest row comes last
+        heads = sorted(top, key=top.get, reverse=True)  # the chains, longest first
+        j0 = min(heads)
+        span = max(j + n for j, n in top.items()) - j0
+        _check_span(seq, j0, span)
+        vals = seq.values[j0 - seq.j_lo : j0 - seq.j_lo + span].astype(dtype, copy=False)
+        t = np.arange(top[heads[0]])[:, None]
+        live = t < np.array([top[j] for j in heads])  # (step, chain), a prefix per step
+        G = vals.take((np.array(heads) - j0 + t)[live], axis=0)
+        ends = np.cumsum(live.sum(axis=1)).tolist()
+        steps = (G[a:b] for a, b in zip([0] + ends, ends))
+        chain = {j: c for c, j in enumerate(heads)}
+        lens, at = [ns[i] for i in rows], [chain[js[i]] for i in rows]
+        kept = np.empty((len(rows), 2, 2), dtype=dtype)
+        k = 0
+        P = np.tile(np.eye(2, dtype=dtype), (len(heads), 1, 1))
+        for s, P in enumerate(_sweep_steps(P, steps, True, False, None), 1):
+            while k < len(rows) and lens[k] == s:
+                kept[k] = P[at[k]]
+                k += 1
+        out[rows] = kept
+    return out
+
+
+def cocycle_product(seq, j, n):
+    """Ordered product of the factors at j, j+1, ..., j+n-1 (later on the left).
+
+    n = 0 returns the identity.  Products with more than EXTENDED_CUTOFF
+    factors run in extended precision.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative; use backward_product for inverses")
+    return span_products(seq, j, n)[0]
+
+
+def backward_product(seq, j, n):
+    """Inverse of the length-n product ending just below j.
+
+    Equals the inverse of cocycle_product(seq, j - n, n); every factor in
+    [j - n, j - 1] must be invertible at the shared tolerance, otherwise
+    SingularFactor names the offending index.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_span(seq, j - n, n)
+    dtype = np.clongdouble if n > EXTENDED_CUTOFF else complex
+    inverses = (inv2(seq.at(k), index=k).astype(dtype, copy=False)[None] for k in range(j - n, j))
+    return sweep(np.eye(2, dtype=dtype)[None], inverses, left=False)[0].astype(complex)
+
+
 def norm_floor(seq, n):
     """min over admissible j of the operator norm of the length-n product."""
     if not 1 <= n <= len(seq):
@@ -284,9 +402,7 @@ def norm_floor(seq, n):
         return norm_floor_curve(seq, n)[-1]
     m = len(seq) - n + 1
     vals = seq.values.astype(np.clongdouble)
-    prod = vals[0:m].copy()
-    for k in range(1, n):
-        prod = vals[k:k + m] @ prod
+    prod = sweep(vals[:m], (vals[k : k + m] for k in range(1, n)))
     s1, _ = singular_values(prod.astype(np.complex128))
     return float(np.min(s1))
 
@@ -303,12 +419,9 @@ def norm_floor_curve(seq, n_max):
             f"n_max must lie in [1, {min(len(seq), EXTENDED_CUTOFF)}]"
         )
     vals = _sweep_values(seq)
-    prod = vals
-    floors = []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            m = len(seq) - n + 1
-            prod = vals[n - 1:n - 1 + m] @ prod[:m]
-        s1, _ = singular_values(prod)
-        floors.append(float(np.min(s1)))
-    return floors
+    # after step n the first len(seq) - n rows are the (n + 1)-factor products
+    prods = _sweep_steps(vals, (vals[n:] for n in range(1, n_max)), True, False, None)
+    return [
+        float(np.min(singular_values(P[: len(seq) - n])[0]))
+        for n, P in enumerate(itertools.chain([vals], prods))
+    ]

@@ -237,13 +237,9 @@ def mobius_disk_image(m, alpha):
     m = np.asarray(m, dtype=complex)
     if is_singular(m):
         return _rank1_image(m)
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    A = abs(a) ** 2 - alpha ** 2 * abs(b) ** 2
-    B = np.conj(c) * a - alpha ** 2 * np.conj(d) * b
-    C = abs(c) ** 2 - alpha ** 2 * abs(d) ** 2
-    scale = abs(a) ** 2 + alpha ** 2 * abs(b) ** 2
-    if abs(A) <= 1e-12 * scale:
+    # a one-row stack, so the arithmetic is that of disk_image_margins
+    A, B, C, half, center, radius = (x[0] for x in _apollonius(m[None], alpha))
+    if half:
         # Pole on the boundary: the image is an open half plane.
         # Line 2 Re(B w) = C; the probe is the image of the disk center.
         anchor = complex(np.conj(B) * C / (2.0 * abs(B) ** 2))
@@ -253,11 +249,29 @@ def mobius_disk_image(m, alpha):
         if (np.conj(normal) * (probe - anchor)).real < 0.0:
             normal = -normal
         return GenCircle("halfplane", anchor=anchor, normal=normal)
-    center = complex(np.conj(B) / A)
-    r2 = abs(center) ** 2 - C / A
-    radius = math.sqrt(max(r2, 0.0))
     kind = "disk" if A > 0 else "exterior"
-    return GenCircle(kind, center=center, radius=radius)
+    return GenCircle(kind, center=complex(center), radius=float(radius))
+
+
+def _apollonius(m, alpha):
+    """The boundary image of |z| = alpha under a stack m, in closed form.
+
+    Returns A, B, C of the Apollonius equation, whether the image is a
+    half plane (|A| within 1e-12 of scale = |a|^2 + alpha^2 |b|^2: the
+    pole lies on the source circle), and the circle's center and radius
+    (computed with A = 1 where the image is a half plane).
+    """
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    A = np.abs(a) ** 2 - alpha ** 2 * np.abs(b) ** 2
+    B = np.conj(c) * a - alpha ** 2 * np.conj(d) * b
+    C = np.abs(c) ** 2 - alpha ** 2 * np.abs(d) ** 2
+    scale = np.abs(a) ** 2 + alpha ** 2 * np.abs(b) ** 2
+    half = np.abs(A) <= 1e-12 * scale
+    Asafe = np.where(half, 1.0, A)
+    center = np.conj(B) / Asafe
+    radius = np.sqrt(np.maximum(np.abs(center) ** 2 - C / Asafe, 0.0))
+    return A, B, C, half, center, radius
 
 
 def contained_in_disk(g, alpha_prime):
@@ -272,7 +286,7 @@ def contained_in_disk(g, alpha_prime):
         raise ValueError("alpha_prime must be positive")
     if g.kind != "disk":
         return False, -math.inf
-    margin = alpha_prime - (abs(g.center) + g.radius)
+    margin = alpha_prime - (float(np.abs(g.center)) + g.radius)
     return margin > 0.0, margin
 
 
@@ -289,24 +303,15 @@ def disk_image_margins(mats, alpha, alpha_prime):
     images are found once per alpha.
     """
     m = np.asarray(mats, dtype=complex)
-    a, b = m[..., 0, 0], m[..., 0, 1]
-    c, d = m[..., 1, 0], m[..., 1, 1]
-
-    s1, _ = singular_values(m)
-    sing = np.abs(a * d - b * c) < 1e-13 * np.maximum(1.0, s1 * s1)
-
-    A = np.abs(a) ** 2 - alpha ** 2 * np.abs(b) ** 2
-    B = np.conj(c) * a - alpha ** 2 * np.conj(d) * b
-    C = np.abs(c) ** 2 - alpha ** 2 * np.abs(d) ** 2
-    scale = np.abs(a) ** 2 + alpha ** 2 * np.abs(b) ** 2
-    disk = (~sing) & (A > 1e-12 * scale)
-    Asafe = np.where(disk, A, 1.0)
-    center = np.conj(B) / Asafe
-    r = np.sqrt(np.maximum(np.abs(center) ** 2 - C / Asafe, 0.0))
+    sing = is_singular(m)
+    A, _, _, half, center, r = _apollonius(m, alpha)
+    disk = (~sing) & (~half) & (A > 0.0)
     out = np.where(disk, alpha_prime - (np.abs(center) + r), -np.inf)
 
     # Rank-1 stacks: the point image of the larger column, if not vertical.
     if np.any(sing):
+        a, b = m[..., 0, 0], m[..., 0, 1]
+        c, d = m[..., 1, 0], m[..., 1, 1]
         n0 = np.abs(a) ** 2 + np.abs(c) ** 2
         n1 = np.abs(b) ** 2 + np.abs(d) ** 2
         top = np.where(n0 >= n1, a, b)

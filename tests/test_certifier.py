@@ -305,6 +305,30 @@ def test_certificate_json(free_op):
     assert back["notes"]["energy"] == [3.0, 0.0]
 
 
+def test_certificate_json_keys_follow_the_fields(free_op):
+    # the key order of the JSON form is part of the CLI's output
+    cert = certify_operator(free_op, 3.0)
+    doc = cert.to_json()
+    assert list(doc) == [
+        "verdict", "window", "burn", "convergence_gap", "conditions",
+        "failed_condition", "failure_detail", "invariance_residual",
+        "invariance_threshold", "N", "domination_margin", "delta_sep",
+        "delta_sep_core", "norm_floor_value", "norm_floor_threshold",
+        "epsilon", "notes", "cone",
+    ]
+    assert list(doc["cone"]) == [
+        "N", "alpha", "alpha_prime", "clearance", "gamma", "cond", "n_sites"
+    ]
+    assert doc["cone"]["gamma"] == cert.cone.gamma
+    assert doc["conditions"] == {"1": True, "2": True, "3": True, "4": True}
+    # the notes do not repeat fields
+    assert sorted(doc["notes"]) == [
+        "energy", "floor_curve", "floor_curve_ok", "n_core_sites"
+    ]
+    failed = certify(example_two()).to_json()
+    assert list(failed) == list(doc) and failed["cone"] is None
+
+
 def test_certify_is_deterministic(free_op):
     a = json.dumps(certify_operator(free_op, 3.0).to_json(), sort_keys=True)
     b = json.dumps(certify_operator(free_op, 3.0).to_json(), sort_keys=True)
@@ -536,16 +560,16 @@ def test_real_renorm_is_the_complex_division():
     P[::17] = 0.0
     P[5::19] = -0.0
     P[7::23, 0] = -0.0  # zero rows under a nonzero one
-    out = certifier._renorm(P)
+    out = mat2._renorm(P)
     assert out.dtype == np.float64
     # the real part of the complex division, zeros' signs included when
     # the imaginary parts are -0.0 as cocycle_map makes them
     Pc = P.astype(complex)
     Pc.imag = -0.0
-    ref = np.ascontiguousarray(certifier._renorm(Pc).real)
+    ref = np.ascontiguousarray(mat2._renorm(Pc).real)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     # and by value when they are +0.0
-    assert np.array_equal(out, certifier._renorm(P.astype(complex)).real)
+    assert np.array_equal(out, mat2._renorm(P.astype(complex)).real)
 
 
 @pytest.mark.parametrize("which", ["free", "random", "example_one"])
@@ -736,9 +760,9 @@ def test_prefix_sweep_is_bitwise_the_masked_sweep(
 def test_renorm_is_not_idempotent():
     # 49 * (1 / 49) rounds to 1 - 2**-53, so a second pass rescales the row
     P = np.array([[[49.0, 3.0], [-5.0, 7.0]]])
-    once = certifier._renorm(P)
+    once = mat2._renorm(P)
     assert once[0, 0, 0] == 1.0 - 2.0**-53
-    twice = certifier._renorm(once)
+    twice = mat2._renorm(once)
     assert twice[0, 0, 0] == 1.0
     assert not np.array_equal(once, twice)
     # so a row that finishes first is renormalized again while others multiply
@@ -754,16 +778,16 @@ def test_renorm_keeps_zero_and_nan_rows_at_scale_one():
         [[np.nan, 2.0], [3.0, -4.0]],
         [[1.0, 2.0], [4.0, -8.0]],
     ])
-    m = certifier._row_max(P)
+    m = mat2._row_max(P)
     assert m[0] == 0.0 and np.isnan(m[1]) and m[2] == 8.0
-    out = certifier._renorm(P, m)
+    out = mat2._renorm(P, m)
     assert list(m) == [1.0, 1.0, 8.0]  # the guard works on m in place
     assert out[0].tobytes() == P[0].tobytes()
     assert out[1].tobytes() == P[1].tobytes()
     assert np.array_equal(out[2], P[2] / 8.0)
-    assert certifier._renorm(P).tobytes() == out.tobytes()
+    assert mat2._renorm(P).tobytes() == out.tobytes()
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(certifier._renorm(P.astype(complex)), out, equal_nan=True)
+        assert np.array_equal(mat2._renorm(P.astype(complex)), out, equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)

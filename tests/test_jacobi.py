@@ -11,6 +11,8 @@ import pytest
 
 from conftest import random_operator
 
+from domsplit import jacobi
+
 from domsplit import (
     JacobiOperator,
     cocycle_map,
@@ -303,6 +305,31 @@ def test_floquet_period2_frozen_edges(period2_op):
     for (lo, hi), (elo, ehi) in zip(bands, expect):
         assert abs(lo - elo) < 1e-8
         assert abs(hi - ehi) < 1e-8
+
+
+def _division_sweep(P, steps, renorm, logs):
+    """floquet_bands' discriminant sweep with each row divided by its
+    scale (P /= m) where mat2.sweep multiplies it by 1 / m."""
+    P, total = P.copy(), np.zeros(len(P))
+    for F in steps:
+        P = F @ P
+        m = np.max(np.abs(P), axis=(1, 2))
+        m = np.where(m > 0, m, 1.0)
+        P /= m[:, None, None]
+        total += np.log(m)
+    return P, total
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 13, 21, 34, 55])
+def test_floquet_edges_do_not_depend_on_the_scaling(q, monkeypatch):
+    # The two scalings round log |discriminant| differently in the last
+    # bits (and by up to ~1e-12 near |discriminant| = 2 at long periods);
+    # no inside/outside test they feed may flip.
+    rng = np.random.default_rng(q)
+    op = periodic_operator(0.5 + rng.random(q), rng.uniform(-1.0, 1.0, q), (0, 2 * q - 1))
+    bands = floquet_bands(op)
+    monkeypatch.setattr(jacobi, "sweep", _division_sweep)
+    assert floquet_bands(op) == bands
 
 
 def test_floquet_requires_period():

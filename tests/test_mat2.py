@@ -1,12 +1,14 @@
 """Batched 2x2 helpers against dense linear-algebra oracles."""
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from domsplit import MatSequence, cocycle_product, norm_floor, op_norm
+from domsplit import MatSequence, cocycle_map, cocycle_product, norm_floor, op_norm
 from domsplit.mat2 import (
+    EXTENDED_CUTOFF,
     SingularFactor,
     _herm_top_eigvec,
     backward_product,
@@ -15,9 +17,11 @@ from domsplit.mat2 import (
     is_singular,
     norm_floor_curve,
     singular_values,
+    span_products,
     sv_direction_vectors,
     sv_left_vectors,
     sv_right_vectors,
+    sweep,
 )
 
 from conftest import random_matseq
@@ -216,3 +220,136 @@ def test_sup_bound_covers_factors():
     rng = np.random.default_rng(20)
     seq = random_matseq(rng, n=15, scale=2.5)
     assert seq.sup_bound >= op_norm(seq.values).max()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sup_bound_must_be_finite(free_op, bad):
+    # a NaN or infinite bound compares False with every norm, and the
+    # verified free chain at E = 3 used to fail condition (4) against it
+    seq = cocycle_map(free_op, 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        MatSequence(seq.j_lo, seq.values, sup_bound=bad)
+    assert MatSequence(seq.j_lo, seq.values, sup_bound=10.0).sup_bound == 10.0
+
+
+# ------------------------------------------------------------ product sweep
+
+
+def sweep_rows_oracle(P, steps, left, renorm):
+    """sweep as a loop over each row by itself, one 2x2 at a time; the
+    logs are summed per step over all rows, as sweep sums them."""
+    rows = [P[i] for i in range(len(P))]
+    logs = np.zeros(len(P))
+    for F in steps:
+        for i in range(len(F)):
+            rows[i] = F[i] @ rows[i] if left else rows[i] @ F[i]
+        if renorm:
+            m = np.array([np.abs(r).max() for r in rows])
+            with np.errstate(divide="ignore"):
+                logs += np.log(m)
+            for i, r in enumerate(rows):
+                scale = m[i] if m[i] > 0.0 else 1.0
+                rows[i] = r / scale if np.iscomplexobj(r) else r * (1.0 / scale)
+    return np.array(rows), logs
+
+
+def _prefix_steps(rng, n, dtype):
+    """Factor stacks of random non-increasing lengths, some rows zero."""
+    lengths = np.sort(rng.integers(0, n + 1, int(rng.integers(1, 12))))[::-1]
+    steps = []
+    for k in lengths:
+        F = rng.standard_normal((k, 2, 2))
+        if np.dtype(dtype).kind == "c":
+            F = F + 1j * rng.standard_normal((k, 2, 2))
+        F[rng.random(k) < 0.1] = 0.0
+        steps.append(F.astype(dtype))
+    return steps
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.clongdouble])
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("renorm", [False, True])
+def test_sweep_rows_are_the_per_row_loops(dtype, left, renorm):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        P = rng.standard_normal((n, 2, 2)).astype(dtype)
+        P = P[rng.permutation(n)]  # shuffled rows
+        steps = _prefix_steps(rng, n, dtype)
+        got = sweep(P, iter(steps), left=left, renorm=renorm)
+        ref, _ = sweep_rows_oracle(P, steps, left, renorm)
+        assert got.dtype == ref.dtype
+        if dtype is np.clongdouble:  # tobytes would include the padding
+            assert np.array_equal(got, ref)
+        else:
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_sweep_logs_carry_the_removed_scale(dtype):
+    rng = np.random.default_rng(32)
+    P = np.tile(np.eye(2, dtype=dtype), (30, 1, 1))
+    steps = _prefix_steps(rng, 30, dtype)
+    got, logs = sweep(P, steps, renorm=True, logs=True)
+    ref, ref_logs = sweep_rows_oracle(P, steps, True, True)
+    assert got.tobytes() == ref.tobytes() and logs.tobytes() == ref_logs.tobytes()
+    raw = sweep(P, steps)
+    live = np.isfinite(logs)
+    assert np.allclose(got[live] * np.exp(logs[live])[:, None, None], raw[live], rtol=1e-12)
+    assert np.all(raw[~live] == 0.0)
+
+
+@pytest.mark.parametrize("renorm", [False, True])
+def test_sweep_does_not_write_into_its_input(renorm):
+    rng = np.random.default_rng(33)
+    U = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
+    keep = U.copy()
+    # a resumed ladder passes a view of the previous rung's products, and
+    # a first step over part of the rows must not land in it
+    steps = [rng.standard_normal((k, 2, 2)) for k in (10, 16, 16, 3)]
+    out = sweep(U[2:-2], steps, left=False, renorm=renorm)
+    assert U.tobytes() == keep.tobytes()
+    assert not np.shares_memory(out, U)
+    assert sweep(U, []) is U
+
+
+def cocycle_product_oracle(seq, j, n):
+    """The loop cocycle_product ran before span_products, kept verbatim."""
+    if n == 0:
+        return np.eye(2, dtype=complex)
+    i = seq.index_of(j)
+    block = seq.values[i:i + n]
+    if n > EXTENDED_CUTOFF:
+        acc = np.eye(2, dtype=np.clongdouble)
+        for f in block.astype(np.clongdouble):
+            acc = f @ acc
+        return acc.astype(complex)
+    acc = np.eye(2, dtype=complex)
+    for f in block:
+        acc = f @ acc
+    return acc
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_span_products_are_bitwise_the_per_pair_products(real):
+    rng = np.random.default_rng(34)
+    seq = random_matseq(rng, n=70, j_lo=-20)
+    if real:
+        seq = MatSequence(-20, seq.values.real.copy())
+    seq.values[5, :, 1] = 2.0 * seq.values[5, :, 0]  # an exactly singular factor
+    lo, hi = seq.window
+    full = len(seq)
+    edges = [(j, n) for n in (0, 1, 32, 33) for j in (lo, lo + 3, hi + 1 - max(n, 1))]
+    edges += [(lo, full), (lo, 0), (hi + 5, 0)]
+    shared = [(lo + 2, n) for n in range(1, 50, 3)]  # read off one chain
+    spaced = [(lo + 4 * k, 12 + 22 * (k % 2)) for k in range(8)]  # evenly spaced, two lengths
+    scattered = list(zip(rng.integers(lo, hi - 40, 30).tolist(), rng.integers(0, 40, 30).tolist()))
+    for pairs in (edges, shared, spaced, scattered, edges + shared + spaced + scattered):
+        starts, lengths = np.array(pairs).T
+        got = span_products(seq, starts, lengths)
+        for (j, n), row in zip(pairs, got):
+            ref = cocycle_product_oracle(seq, j, n)
+            assert row.tobytes() == ref.tobytes()
+            assert cocycle_product(seq, j, n).tobytes() == ref.tobytes()
+    with pytest.raises(IndexError):
+        span_products(seq, starts, lengths + 1)
