@@ -38,7 +38,10 @@ from .jacobi import (
 from .mat2 import (
     MatSequence,
     _live_rows,
+    _mul,
+    _plane_major,
     _sweep_values,
+    _take,
     det2,
     norm_floor,
     norm_floor_curve,
@@ -126,12 +129,13 @@ def _block_products(vals, starts, length):
 
     Row i holds vals[starts[i]+length-1] @ ... @ vals[starts[i]] scaled
     to unit max entry; the log of the removed scale is returned so the
-    true product is P * exp(logs).  The products come out in the dtype
-    of vals: float64 for real factors (_sweep_values), equal by value
-    to the complex run.
+    true product is P * exp(logs).  Each step gathers one plane-major
+    factor stack (_take) for mat2's kernel.  The products come out in the
+    dtype of vals: float64 for real factors (_sweep_values), equal by
+    value to the complex run, as the two forms of the kernel make them.
     """
     P = np.tile(np.eye(2, dtype=vals.dtype), (len(starts), 1, 1))
-    steps = (vals.take(starts + t, axis=0) for t in range(length))
+    steps = (_take(vals, starts + t) for t in range(length))
     return sweep(P, steps, renorm=True, logs=True)
 
 
@@ -145,15 +149,16 @@ def _field_products(vals, js, bu, bs, lo, start=None):
     computed.  Each row's arithmetic is its own, so resuming reproduces
     the products of one longer sweep bit for bit.  A product that runs
     past the window repeats the end factor there.  When every site has
-    the same burns (always so for core fields), the factors are
-    contiguous slices; otherwise each side runs _prefix_sweep.
+    the same burn on both sides (always so for core fields), both sides
+    run as one sweep whose factors are two slices of the plane-major
+    window (_plane_major) per step; otherwise each side runs
+    _prefix_sweep.
 
     The products come out in the dtype of vals.  Callers pass the real
-    parts (_sweep_values) when every factor is real: numpy's matmul on
-    float64 2x2 stacks matches the real part of the complex128 one
-    except for the sign of zeros, and _renorm scales both alike, so the
-    real sweep equals the complex sweep by value at a fraction of its
-    cost.
+    parts (_sweep_values) when every factor is real: the kernel's
+    float64 form, a*e + b*g, gives the real part of its complex128
+    split-accumulator form, and _renorm scales both alike, so the real
+    sweep equals the complex sweep by value at a fraction of its cost.
     """
     n = len(js)
     if start is None:
@@ -170,15 +175,22 @@ def _field_products(vals, js, bu, bs, lo, start=None):
             (np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0))
         )
         lo -= below
-    if js[-1] - js[0] == n - 1 and np.all(bu == bu[0]) and np.all(bs == bs[0]):
+    vals = _plane_major(vals)
+    if js[-1] - js[0] == n - 1 and np.all(bu == bu[0]) and np.all(bs == bu[0]):
+        # Both sides in one left sweep of 2n rows: U @ F is the transpose of
+        # F^T @ U^T, whose entries sum the same products in the same order.
+        # A transpose of a plane-major stack is a view (two planes swap).
         a = int(js[0]) - lo
-        b = a + n
-        U = sweep(
-            U, (vals[a - 1 - t : b - 1 - t] for t in range(t0, int(bu[0]))),
-            left=False, renorm=True,
+        fwd = vals.transpose(1, 2, 0)
+        back = fwd.transpose(1, 0, 2)
+        steps = (
+            np.concatenate(
+                (back[..., a - 1 - t : a - 1 - t + n], fwd[..., a + t : a + t + n]), axis=-1
+            ).transpose(2, 0, 1)
+            for t in range(t0, int(bu[0]))
         )
-        S = sweep(S, (vals[a + t : b + t] for t in range(t0, int(bs[0]))), renorm=True)
-        return U, S
+        P = sweep(np.concatenate((U.transpose(0, 2, 1), S)), steps, renorm=True)
+        return P[:n].transpose(0, 2, 1), P[n:]
     return (
         _prefix_sweep(U, vals, js - 1 - lo, bu, t0, left=False),
         _prefix_sweep(S, vals, js - lo, bs, t0, left=True),
@@ -191,8 +203,8 @@ def _prefix_sweep(P, vals, base, burns, t0, left):
     from the right.
 
     Rows are sorted by burn, longest first, so the rows still
-    multiplying at step t are a prefix, and only it is gathered and
-    multiplied.  Every row is renormalized at every step while any row
+    multiplying at step t are a prefix, and only it is gathered (_take)
+    and multiplied.  Every row is renormalized at every step while any row
     multiplies, as in a masked loop over all rows: _renorm is not
     idempotent, and the finished rows must come out of the same number
     of passes.
@@ -202,8 +214,8 @@ def _prefix_sweep(P, vals, base, burns, t0, left):
     order = np.argsort(-burns, kind="stable")
     base, sign = base[order], 1 if left else -1
     live = zip(range(t0, int(burns.max())), _live_rows(burns[order], t0))
-    steps = (vals.take(base[:r] + sign * t, axis=0) for t, r in live)
-    P = sweep(P[order], steps, left, renorm=True)
+    steps = (_take(vals, base[:r] + sign * t) for t, r in live)
+    P = sweep(_take(P, order), steps, left, renorm=True)
     out = np.empty_like(P)
     out[order] = P
     return out
@@ -590,7 +602,7 @@ def cone_certificate(
         P, logs = _block_products(_sweep_values(seq), js - lo, n_blk)
         if not np.all(np.isfinite(P)):
             raise InternalInconsistency("non-finite block product")
-        Lam = Dinv[k + n_blk] @ P @ D[k]
+        Lam = _mul(_mul(Dinv[k + n_blk], P), D[k])
         with np.errstate(divide="ignore"):
             gam_log = np.log(np.abs(Lam[:, 0, 0])) + logs
         gamma = float(np.exp(np.min(gam_log)))

@@ -641,12 +641,12 @@ def floquet_bands(op, period=None, grid=None, refine_tol=1e-10):
     def log_disc(E):
         E = np.atleast_1d(np.asarray(E, dtype=float))
 
-        def step(k):
-            F = np.zeros((len(E), 2, 2))
-            F[:, 0, 0] = (E - beta[k]) / alpha[k]
-            F[:, 0, 1] = -alpha_prev[k] / alpha[k]
-            F[:, 1, 0] = 1.0
-            return F
+        def step(k):  # a plane-major factor stack, as mat2's kernel reads it
+            F = np.zeros((2, 2, len(E)))
+            F[0, 0] = (E - beta[k]) / alpha[k]
+            F[0, 1] = -alpha_prev[k] / alpha[k]
+            F[1, 0] = 1.0
+            return F.transpose(2, 0, 1)
 
         P = np.tile(np.eye(2), (len(E), 1, 1))
         P, logs = sweep(P, map(step, range(q)), renorm=True, logs=True)

@@ -13,6 +13,13 @@ factors are all real run in float64 (_sweep_values), and products
 longer than EXTENDED_CUTOFF factors accumulate in clongdouble (80-bit
 extended on x86) before rounding back to complex128, so slowly growing
 or decaying singular values stay trustworthy.
+
+float64 and complex128 products go through one kernel, _mul, which
+makes no BLAS call: it works on plane-major stacks, where entry (i, k)
+of every 2x2 is one contiguous array, and writes each entry in one of
+two fixed forms, a*e + b*g for float64 and a split-accumulator form on
+the real and imaginary planes for complex128.  Their bits are those of
+a non-FMA BLAS, whichever kernel the BLAS library picks at run time.
 """
 
 from __future__ import annotations
@@ -233,50 +240,105 @@ def _check_span(seq, j, n):
 
 
 def _sweep_values(seq):
-    """The window's factors in the dtype of a product sweep: float64
-    when no factor has a nonzero imaginary part (real energies with real
-    couplings), the complex values otherwise.  numpy's matmul on float64
-    2x2 stacks gives the real part of the complex128 products except for
-    the sign of zeros, so sweeps that only read magnitudes come out the
-    same by value."""
+    """The window's factors in the dtype of a product sweep, as a
+    plane-major stack (_plane_major): float64 when no factor has a
+    nonzero imaginary part (real energies with real couplings), complex128
+    otherwise.  On factors whose imaginary parts are zeros, the float64
+    form of _mul gives the real part of the complex128 form bit for bit,
+    and +0.0 imaginary parts: no sum of either form ends at -0.0.  So a
+    real sweep equals the complex sweep by value, at a fraction of its
+    cost."""
     v = seq.values
-    if np.any(v.imag != 0.0):
-        return v
-    return np.ascontiguousarray(v.real)
+    return _plane_major(v if np.any(v.imag != 0.0) else v.real)
+
+
+def _plane_major(X, copy=False):
+    """X as an (n, 2, 2) stack whose entry planes X[:, i, k] are
+    contiguous, copied only when they are not (always with copy)."""
+    Q = X.transpose(1, 2, 0)
+    Q = Q.copy() if copy else np.ascontiguousarray(Q)
+    return Q.transpose(2, 0, 1)
+
+
+def _take(X, idx):
+    """X[idx] along the stack axis, as a plane-major stack."""
+    return X.transpose(1, 2, 0).take(idx, axis=-1).transpose(2, 0, 1)
+
+
+def _mul(A, B, out=None):
+    """A @ B for two stacks of 2x2 matrices, row by row, without BLAS.
+
+    Each entry is written in one fixed form, over whole planes: float64
+    as a*e + b*g (two broadcast multiplies and one add, into C-ordered
+    planes); complex128 in the split-accumulator form, the float64 form
+    run once on contiguous copies of the real and imaginary planes,
+        re = (ar0*br0 + ar1*br1) - (ai0*bi0 + ai1*bi1)
+        im = (ar0*bi0 + ar1*bi1) + (ai0*br0 + ai1*br1).
+    A -0.0 result becomes +0.0, as in a BLAS sum, which starts from
+    +0.0; with that, both forms are the bits of a non-FMA dgemm and
+    zgemm, under any OpenBLAS kernel.  A row's bits depend on that row
+    alone, whatever the stack's size or layout, and a real operand meets
+    a complex one as numpy's promotion gives it, with +0.0 imaginary
+    parts.  Plane-major operands (_plane_major) are read without a copy,
+    and a new result is plane-major; out may be one of the operands.
+    clongdouble stacks keep numpy's matmul, which runs its own loop in
+    extended precision.
+    """
+    if A.dtype != B.dtype:
+        dtype = np.result_type(A, B)
+        A, B = A.astype(dtype), B.astype(dtype)
+    if A.dtype.char == "G":  # clongdouble
+        return np.matmul(A, B, out=out)
+    a, b = A.transpose(1, 2, 0), B.transpose(1, 2, 0)
+    parts = A.dtype.kind == "c"
+    if parts:
+        # rows (p, i) and columns (q, k), p and q the real and imaginary
+        # parts: the float64 form below then gives T[p, i, q, k], the sum
+        # a[p, i, 0] * b[q, 0, k] + a[p, i, 1] * b[q, 1, k]
+        a = np.concatenate((a.real, a.imag))
+        b = np.concatenate((b.real, b.imag), axis=1)
+    C = np.multiply(a[:, 0, None], b[None, 0], order="C")
+    C += np.multiply(a[:, 1, None], b[None, 1], order="C")
+    if parts:
+        T = C.reshape(2, 2, 2, 2, -1)  # [p, i, q, k]
+        C = np.empty(T.shape[2:], A.dtype)
+        np.subtract(T[0, :, 0], T[1, :, 1], out=C.real)
+        np.add(T[0, :, 1], T[1, :, 0], out=C.imag)
+    if out is None:
+        C += 0.0
+        return C.transpose(2, 0, 1)
+    np.add(C, 0.0, out=out.transpose(1, 2, 0))
+    return out
 
 
 def _row_max(P):
     """Largest entry modulus of each 2x2 in a stack (NaN propagates).
 
-    Elementwise np.maximum calls over an (n, 4) view: the same values as
-    a max-reduce over the four entries, at half the cost of a reduction
-    along a length-4 axis.
+    One max-reduce over the four entry planes, which reshape without a
+    copy when P is plane-major.
     """
-    A = np.abs(P.reshape(len(P), 4))
-    m = np.maximum(A[:, 0], A[:, 1])
-    np.maximum(m, A[:, 2], out=m)
-    return np.maximum(m, A[:, 3], out=m)
+    return np.maximum.reduce(np.abs(P).transpose(1, 2, 0).reshape(4, len(P)))
 
 
-def _renorm(P, m=None):
+def _renorm(P, m=None, out=None):
     """Scale each 2x2 of a stack to unit max entry (zero rows stay zero).
 
     m holds the row maxima (_row_max(P)) when the caller has them; its
-    zero and NaN entries are set to 1.0 in place.  numpy divides a
-    complex stack by a real scale m as (x + 0 * y) * (1 / m), Smith's
-    formula with a zero imaginary part, so a real stack is scaled by
-    P * (1 / m): the real part of the complex result by value, and bit
-    for bit where y is -0.0 (where y is +0.0, a -0.0 entry stays -0.0
-    here).  P / m rounds differently.  The scaling is not idempotent: a
-    second pass moves some rows by an ulp.
+    zero and NaN entries are set to 1.0 in place.  out=P scales P in
+    place, as sweep does.  numpy divides a complex stack by a real scale
+    m as (x + 0 * y) * (1 / m), Smith's formula with a zero imaginary
+    part, so a real stack is scaled by P * (1 / m): the real part of the
+    complex result by value, and bit for bit where y is -0.0 (where y is
+    +0.0, a -0.0 entry stays -0.0 here).  P / m rounds differently.  The
+    scaling is not idempotent: a second pass moves some rows by an ulp.
     """
     if m is None:
         m = _row_max(P)
-    m[~(m > 0.0)] = 1.0
-    P4 = P.reshape(len(P), 4)
+    if not np.minimum.reduce(m) > 0.0:
+        m[~(m > 0.0)] = 1.0
     if P.dtype.kind == "c":
-        return (P4 / m[:, None]).reshape(P.shape)
-    return (P4 * (1.0 / m)[:, None]).reshape(P.shape)
+        return np.divide(P, m[:, None, None], out=out)
+    return np.multiply(P, (1.0 / m)[:, None, None], out=out)
 
 
 def _live_rows(lengths, t0=0):
@@ -289,12 +351,15 @@ def sweep(P, steps, left=True, renorm=False, logs=False):
     """Multiply a stack of 2x2 products P by one factor stack per step.
 
     Each F in steps multiplies the first k = len(F) rows of P, from the
-    left (F @ P[:k]) or the right (P[:k] @ F).  With renorm, every row is
-    then scaled to unit max entry (_renorm), multiplied or not; logs adds
-    up the log of each row's removed scale and returns (P, logs), the
-    true product being P * exp(logs).  P itself is never written into.
-    numpy's matmul gives a row of a stack the bits it gives that row
-    alone, so each row comes out as a loop over it alone would make it.
+    left (F @ P[:k]) or the right (P[:k] @ F), through _mul.  With
+    renorm, every row is then scaled to unit max entry (_renorm, in
+    place), multiplied or not; logs adds up the log of each row's removed
+    scale and returns (P, logs), the true product being P * exp(logs).
+    P itself is never written into.  _mul gives a row of a stack the bits
+    it gives that row alone, so each row comes out as a loop over it
+    alone would make it.  The products come out plane-major; plane-major
+    factor stacks (slices of _sweep_values, or _take) are read as they
+    are, others through strided views.
     """
     total = np.zeros(len(P)) if logs else None
     for P in _sweep_steps(P, steps, left, renorm, total):
@@ -309,18 +374,19 @@ def _sweep_steps(P, steps, left, renorm, total):
     P0, n = P, len(P)
     for F in steps:
         if len(F) == n:
-            P = F @ P if left else P @ F
+            P = _mul(F, P) if left else _mul(P, F)
         else:
             if P is P0:
-                P = P.copy()
+                P = _plane_major(P, copy=True)
             k = len(F)
-            P[:k] = F @ P[:k] if left else P[:k] @ F
+            A, B = (F, P[:k]) if left else (P[:k], F)
+            _mul(A, B, out=P[:k])
         if renorm:
             m = _row_max(P)
             if total is not None:
                 with np.errstate(divide="ignore"):
                     total += np.log(m)
-            P = _renorm(P, m)
+            _renorm(P, m, out=P)
         yield P
 
 
@@ -329,7 +395,9 @@ def span_products(seq, starts, lengths):
     for bit, as one (len, 2, 2) complex stack.
 
     starts and lengths broadcast to one dimension.  Rows longer than
-    EXTENDED_CUTOFF factors run in clongdouble, the others in complex128,
+    EXTENDED_CUTOFF factors run in clongdouble, the others in the dtype of
+    _sweep_values (on a real window, float64 gives the real parts of the
+    complex128 products bit for bit, and their imaginary parts are +0.0),
     each from the identity as cocycle_product runs it.  Rows that share a
     start share one chain and are read off it as it reaches their
     lengths.  The chains run longest first, so those still multiplying
@@ -339,7 +407,7 @@ def span_products(seq, starts, lengths):
     """
     js, ns = (np.ravel(a).tolist() for a in np.broadcast_arrays(starts, lengths))
     out = np.tile(np.eye(2, dtype=complex), (len(js), 1, 1))
-    for extended, dtype in ((True, np.clongdouble), (False, complex)):
+    for extended in (True, False):
         rows = [i for i, n in enumerate(ns) if n > 0 and (n > EXTENDED_CUTOFF) == extended]
         if not rows:
             continue
@@ -349,17 +417,21 @@ def span_products(seq, starts, lengths):
         j0 = min(heads)
         span = max(j + n for j, n in top.items()) - j0
         _check_span(seq, j0, span)
-        vals = seq.values[j0 - seq.j_lo : j0 - seq.j_lo + span].astype(dtype, copy=False)
+        i0 = j0 - seq.j_lo
+        if extended:
+            vals = seq.values[i0 : i0 + span].astype(np.clongdouble)
+        else:
+            vals = _sweep_values(seq)[i0 : i0 + span]
         t = np.arange(top[heads[0]])[:, None]
         live = t < np.array([top[j] for j in heads])  # (step, chain), a prefix per step
-        G = vals.take((np.array(heads) - j0 + t)[live], axis=0)
+        G = _take(vals, (np.array(heads) - j0 + t)[live])
         ends = np.cumsum(live.sum(axis=1)).tolist()
         steps = (G[a:b] for a, b in zip([0] + ends, ends))
         chain = {j: c for c, j in enumerate(heads)}
         lens, at = [ns[i] for i in rows], [chain[js[i]] for i in rows]
-        kept = np.empty((len(rows), 2, 2), dtype=dtype)
+        kept = np.empty((len(rows), 2, 2), dtype=vals.dtype)
         k = 0
-        P = np.tile(np.eye(2, dtype=dtype), (len(heads), 1, 1))
+        P = np.tile(np.eye(2, dtype=vals.dtype), (len(heads), 1, 1))
         for s, P in enumerate(_sweep_steps(P, steps, True, False, None), 1):
             while k < len(rows) and lens[k] == s:
                 kept[k] = P[at[k]]

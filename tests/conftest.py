@@ -61,6 +61,36 @@ def random_operator(rng, n=120, complex_a=True, j_lo=None):
     return JacobiOperator(j_lo=j_lo, a=a, b=b)
 
 
+def ref_matmul(A, B):
+    """A @ B for two 2x2 matrices or stacks of them, entry by entry, in
+    the two forms of mat2's kernel: a*e + b*g for float64, and for
+    complex128 the split-accumulator form
+        re = (ar0*br0 + ar1*br1) - (ai0*bi0 + ai1*bi1)
+        im = (ar0*bi0 + ar1*bi1) + (ai0*br0 + ai1*br1),
+    every sum starting from +0.0 as a BLAS accumulator does.  A real
+    operand is promoted to complex as numpy promotes it.  The bitwise
+    oracles multiply through this; clongdouble keeps numpy's matmul, as
+    the kernel does."""
+    dtype = np.result_type(A, B)
+    if dtype == np.clongdouble:
+        return A @ B
+    A, B = np.asarray(A, dtype), np.asarray(B, dtype)
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype)
+    for i in range(2):
+        for k in range(2):
+            a0, a1, b0, b1 = A[..., i, 0], A[..., i, 1], B[..., 0, k], B[..., 1, k]
+            if dtype.kind != "c":
+                out[..., i, k] = 0.0 + a0 * b0 + a1 * b1
+                continue
+            rr = 0.0 + a0.real * b0.real + a1.real * b1.real
+            ii = 0.0 + a0.imag * b0.imag + a1.imag * b1.imag
+            ri = 0.0 + a0.real * b0.imag + a1.real * b1.imag
+            ir = 0.0 + a0.imag * b0.real + a1.imag * b1.real
+            out[..., i, k].real = rr - ii
+            out[..., i, k].imag = ri + ir
+    return out
+
+
 def random_matseq(rng, n=40, j_lo=0, scale=1.0):
     from domsplit import MatSequence
 

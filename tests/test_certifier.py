@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matseq, random_operator
+from conftest import random_matseq, random_operator, ref_matmul
 
 from domsplit import (
     JacobiOperator,
@@ -369,12 +369,12 @@ def masked_field_products(vals, js, bu, bs, lo):
         au = t < bu
         if np.any(au):
             idx = np.clip(js - 1 - t - lo, 0, last)
-            U = np.where(au[:, None, None], U @ vals[idx], U)
+            U = np.where(au[:, None, None], ref_matmul(U, vals[idx]), U)
             U = _renorm_oracle(U)
         asel = t < bs
         if np.any(asel):
             idx = np.clip(js + t - lo, 0, last)
-            S = np.where(asel[:, None, None], vals[idx] @ S, S)
+            S = np.where(asel[:, None, None], ref_matmul(vals[idx], S), S)
             S = _renorm_oracle(S)
     return U, S
 
@@ -828,7 +828,7 @@ def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
         P, logs = certifier._block_products(seq.values, js - lo, n_blk)
-        Lam = Dinv[k + n_blk] @ P @ D[k]
+        Lam = ref_matmul(ref_matmul(Dinv[k + n_blk], P), D[k])
         with np.errstate(divide="ignore"):
             gam_log = np.log(np.abs(Lam[:, 0, 0])) + logs
         gamma = float(np.exp(np.min(gam_log)))

@@ -5,12 +5,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domsplit import MatSequence, cocycle_map, cocycle_product, norm_floor, op_norm
 from domsplit.mat2 import (
     EXTENDED_CUTOFF,
     SingularFactor,
     _herm_top_eigvec,
+    _mul,
+    _plane_major,
     backward_product,
     det2,
     inv2,
@@ -24,7 +28,7 @@ from domsplit.mat2 import (
     sweep,
 )
 
-from conftest import random_matseq
+from conftest import random_matseq, ref_matmul
 
 
 def test_matsequence_indexing():
@@ -150,7 +154,7 @@ def test_inv2_matches_numpy_and_rejects_singular():
 def brute_product(seq, j, n):
     out = np.eye(2, dtype=complex)
     for k in range(j, j + n):
-        out = seq.at(k) @ out
+        out = ref_matmul(seq.at(k), out)
     return out
 
 
@@ -242,7 +246,7 @@ def sweep_rows_oracle(P, steps, left, renorm):
     logs = np.zeros(len(P))
     for F in steps:
         for i in range(len(F)):
-            rows[i] = F[i] @ rows[i] if left else rows[i] @ F[i]
+            rows[i] = ref_matmul(F[i], rows[i]) if left else ref_matmul(rows[i], F[i])
         if renorm:
             m = np.array([np.abs(r).max() for r in rows])
             with np.errstate(divide="ignore"):
@@ -299,6 +303,59 @@ def test_sweep_logs_carry_the_removed_scale(dtype):
     assert np.all(raw[~live] == 0.0)
 
 
+def _special_stack(rng, n, dtype):
+    """A random (n, 2, 2) stack with +0.0 and -0.0 entries, exactly zero
+    rows and rows holding a NaN."""
+    X = rng.standard_normal((n, 2, 2))
+    if np.dtype(dtype).kind == "c":
+        X = X + 1j * rng.standard_normal((n, 2, 2))
+    parts = X.view(np.float64)
+    zero = rng.random(parts.shape) < 0.2
+    parts[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    X[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+    X[rng.random(n) < 0.1, int(rng.integers(2)), int(rng.integers(2))] = np.nan
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    dtypes=st.sampled_from(
+        [(np.float64, np.float64), (np.complex128, np.complex128),
+         (np.float64, np.complex128), (np.complex128, np.float64)]
+    ),
+    plane_major=st.booleans(),
+    left=st.booleans(),
+    renorm=st.booleans(),
+)
+def test_kernel_and_sweep_are_bitwise_the_reference(
+    seed, n, dtypes, plane_major, left, renorm
+):
+    # the bits of a row do not depend on its stack's layout, on the other
+    # rows, or on whether the kernel writes into one of its operands
+    rng = np.random.default_rng(seed)
+    layout = _plane_major if plane_major else np.ascontiguousarray
+    A, B = (_special_stack(rng, n, dt) for dt in dtypes)
+    with np.errstate(invalid="ignore"):
+        ref = ref_matmul(A, B)
+        assert _mul(layout(A), layout(B)).tobytes() == ref.tobytes()
+        if dtypes[0] == dtypes[1]:
+            B2 = layout(B.copy())
+            assert _mul(layout(A), B2, out=B2) is B2
+            assert B2.tobytes() == ref.tobytes()
+        # a sweep whose steps shorten, so later steps multiply a prefix
+        dtype = dtypes[1]
+        P = layout(_special_stack(rng, n, dtype))
+        lengths = np.sort(rng.integers(1, n + 1, int(rng.integers(1, 10))))[::-1]
+        steps = [layout(_special_stack(rng, int(k), dtype)) for k in lengths]
+        got, logs = sweep(P, steps, left=left, renorm=renorm, logs=True)
+        want, want_logs = sweep_rows_oracle(P, steps, left, renorm)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert logs.tobytes() == want_logs.tobytes()
+
+
 @pytest.mark.parametrize("renorm", [False, True])
 def test_sweep_does_not_write_into_its_input(renorm):
     rng = np.random.default_rng(33)
@@ -322,11 +379,11 @@ def cocycle_product_oracle(seq, j, n):
     if n > EXTENDED_CUTOFF:
         acc = np.eye(2, dtype=np.clongdouble)
         for f in block.astype(np.clongdouble):
-            acc = f @ acc
+            acc = ref_matmul(f, acc)
         return acc.astype(complex)
     acc = np.eye(2, dtype=complex)
     for f in block:
-        acc = f @ acc
+        acc = ref_matmul(f, acc)
     return acc
 
 
