@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certifier import DegenerateCocycle, certify, certify_operator
-from .jacobi import dist_to_spectrum, spectrum
+from .certifier import DegenerateCocycle, _certify_each, certify_many
+from .jacobi import cocycle_map, dist_to_spectrum, spectrum
 from .mat2 import MatSequence, op_norm
 
 __all__ = [
@@ -56,12 +56,11 @@ def trial_rng(seed, k):
     return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(k)))
 
 
-def _scan_one(op, E, kw):
+def _scan_row(E, cert):
+    # cert is E's certificate or the exception certify raised on it;
     # delta_spec is filled in by johnson_scan once the spectrum cover exists
     row = {"E_re": float(E.real), "E_im": float(E.imag), "delta_spec": None}
-    try:
-        cert = certify_operator(op, E, **kw)
-    except DegenerateCocycle:
+    if isinstance(cert, DegenerateCocycle):
         row.update(
             ds_status="degenerate",
             condition_failed=None,
@@ -72,6 +71,8 @@ def _scan_one(op, E, kw):
             epsilon=None,
         )
         return row
+    if isinstance(cert, Exception):
+        raise cert
     row["ds_status"] = cert.verdict
     row["condition_failed"] = cert.failed_condition
     row["N"] = cert.N
@@ -83,7 +84,10 @@ def _scan_one(op, E, kw):
 
 
 def _scan_chunk(op, energies, kw):
-    return [_scan_one(op, E, kw) for E in energies]
+    # one certify_many batch per chunk; a degenerate energy gets its row
+    # and leaves the others' certificates as they are
+    certs = _certify_each([cocycle_map(op, E) for E in energies], **kw)
+    return [_scan_row(E, cert) for E, cert in zip(energies, certs)]
 
 
 @dataclass
@@ -159,7 +163,8 @@ def johnson_scan(
     is under marginal_margin, or when the verdict is itself marginal.
     jobs > 1 distributes energies across processes; the operator is sent
     to them by pickle, and the spectrum cover is computed in this process
-    while the workers certify.
+    while the workers certify.  Each chunk of energies (the whole grid at
+    jobs=1) is certified as one certify_many batch.
     """
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
     re_parts = np.unique([e.real for e in Es])
@@ -243,13 +248,13 @@ def perturbation_experiment(seq, size, trials=100, seed=0, **certify_kw):
 
     Each factor of each copy moves by exactly `size` in operator norm,
     the worst case the stability radius speaks about.  Failed trial
-    indices are recorded with their broken condition.
+    indices are recorded with their broken condition.  The trials are
+    certified as one certify_many batch.
     """
+    pert = [perturb_sequence(seq, size, trial_rng(seed, t)) for t in range(int(trials))]
     n_ok = 0
     failed = []
-    for t in range(int(trials)):
-        pert = perturb_sequence(seq, size, trial_rng(seed, t))
-        cert = certify(pert, **certify_kw)
+    for t, cert in enumerate(certify_many(pert, **certify_kw)):
         if cert.verdict != "failed":
             n_ok += 1
         else:

@@ -4,8 +4,9 @@ Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
 floors.  Every ordered product in the package runs through sweep(),
 which multiplies a stack of 2x2 products by one factor stack per step,
-optionally renormalizing every row after each step; span_products()
-gives cocycle_product for many (start, length) pairs at once.
+optionally renormalizing every row, or only the live leading rows,
+after each step; span_products() gives cocycle_product for many
+(start, length) pairs at once.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
 A MatSequence stores complex128 factors.  Sweeps over a window whose
@@ -232,10 +233,10 @@ class MatSequence:
         return MatSequence(j_lo, vals, sup_bound)
 
 
-def _check_span(seq, j, n):
-    if j < seq.j_lo or j + n - 1 > seq.j_hi:
+def _check_span(window, j, n):
+    if j < window[0] or j + n - 1 > window[1]:
         raise IndexError(
-            f"product over [{j}, {j + n - 1}] leaves window {seq.window}"
+            f"product over [{j}, {j + n - 1}] leaves window {window}"
         )
 
 
@@ -341,12 +342,6 @@ def _renorm(P, m=None, out=None):
     return np.multiply(P, (1.0 / m)[:, None, None], out=out)
 
 
-def _live_rows(lengths, t0=0):
-    """For lengths sorted longest first, how many rows still multiply at
-    each step t0, t0 + 1, ..., lengths[0] - 1: always a prefix."""
-    return np.searchsorted(-lengths, -np.arange(t0, int(lengths[0])), side="left")
-
-
 def sweep(P, steps, left=True, renorm=False, logs=False):
     """Multiply a stack of 2x2 products P by one factor stack per step.
 
@@ -355,11 +350,14 @@ def sweep(P, steps, left=True, renorm=False, logs=False):
     renorm, every row is then scaled to unit max entry (_renorm, in
     place), multiplied or not; logs adds up the log of each row's removed
     scale and returns (P, logs), the true product being P * exp(logs).
-    P itself is never written into.  _mul gives a row of a stack the bits
-    it gives that row alone, so each row comes out as a loop over it
-    alone would make it.  The products come out plane-major; plane-major
-    factor stacks (slices of _sweep_values, or _take) are read as they
-    are, others through strided views.
+    A step may instead be a triple (F, rows, live): F multiplies the rows
+    indexed by rows (None: the first len(F)), and only the first live
+    rows are renormalized (see _sweep_steps).  P itself is never written
+    into.  _mul gives a row of a stack the bits it gives that row alone,
+    so each row comes out as a loop over it alone would make it.  The
+    products come out plane-major; plane-major factor stacks (slices of
+    _sweep_values, or _take) are read as they are, others through
+    strided views.
     """
     total = np.zeros(len(P)) if logs else None
     for P in _sweep_steps(P, steps, left, renorm, total):
@@ -370,23 +368,42 @@ def sweep(P, steps, left=True, renorm=False, logs=False):
 def _sweep_steps(P, steps, left, renorm, total):
     """The loop of sweep, yielding the stack after every step; total,
     when not None, accumulates the logs.  A later step may write into a
-    stack already yielded, so a caller copies the rows it keeps."""
+    stack already yielded, so a caller copies the rows it keeps.
+
+    A step (F, rows, live) renormalizes only the live leading rows, so
+    rows that stack several windows keep each window's own passes:
+    _renorm is not idempotent, and a row must be scaled on exactly the
+    steps of its own window, those on which any row of that window
+    multiplies (_row_sweep in certifier orders the rows so that such
+    rows lead).  Its multiplied rows are the first len(F) when rows is
+    None, otherwise an index array into the live rows, gathered and
+    written back.
+    """
     P0, n = P, len(P)
     for F in steps:
-        if len(F) == n:
+        rows, live = None, n
+        if isinstance(F, tuple):
+            F, rows, live = F
+        if rows is None and len(F) == n:
             P = _mul(F, P) if left else _mul(P, F)
         else:
             if P is P0:
                 P = _plane_major(P, copy=True)
-            k = len(F)
-            A, B = (F, P[:k]) if left else (P[:k], F)
-            _mul(A, B, out=P[:k])
-        if renorm:
-            m = _row_max(P)
+            if rows is None:
+                k = len(F)
+                A, B = (F, P[:k]) if left else (P[:k], F)
+                _mul(A, B, out=P[:k])
+            else:
+                Q = _take(P, rows)
+                Q = _mul(F, Q) if left else _mul(Q, F)
+                P.transpose(1, 2, 0)[..., rows] = Q.transpose(1, 2, 0)
+        if renorm and live:
+            R = P if live == n else P[:live]
+            m = _row_max(R)
             if total is not None:
                 with np.errstate(divide="ignore"):
-                    total += np.log(m)
-            _renorm(P, m, out=P)
+                    total[:live] += np.log(m)
+            _renorm(R, m, out=R)
         yield P
 
 
@@ -398,15 +415,26 @@ def span_products(seq, starts, lengths):
     EXTENDED_CUTOFF factors run in clongdouble, the others in the dtype of
     _sweep_values (on a real window, float64 gives the real parts of the
     complex128 products bit for bit, and their imaginary parts are +0.0),
-    each from the identity as cocycle_product runs it.  Rows that share a
-    start share one chain and are read off it as it reaches their
-    lengths.  The chains run longest first, so those still multiplying
-    form a prefix, and each step's factors are a slice of one gather
-    made up front (a gather per step made the single-chain calls of
-    certify's singular overrides half again as slow).
+    each from the identity as cocycle_product runs it.
+    """
+    return _span_products(seq.values, _sweep_values(seq), seq.j_lo, starts, lengths)
+
+
+def _span_products(values, vals, j_lo, starts, lengths):
+    """span_products over factors given as arrays: values, complex128,
+    and vals, the same factors in the sweep dtype, both indexed from
+    j_lo.  Several windows laid end to end may share one call, each
+    product lying inside its own window.
+
+    Rows that share a start share one chain and are read off it as it
+    reaches their lengths.  The chains run longest first, so those still
+    multiplying form a prefix, and each step's factors are a slice of one
+    gather made up front (a gather per step made the single-chain calls
+    of certify's singular overrides half again as slow).
     """
     js, ns = (np.ravel(a).tolist() for a in np.broadcast_arrays(starts, lengths))
     out = np.tile(np.eye(2, dtype=complex), (len(js), 1, 1))
+    window = (j_lo, j_lo + len(values) - 1)
     for extended in (True, False):
         rows = [i for i, n in enumerate(ns) if n > 0 and (n > EXTENDED_CUTOFF) == extended]
         if not rows:
@@ -416,22 +444,22 @@ def span_products(seq, starts, lengths):
         heads = sorted(top, key=top.get, reverse=True)  # the chains, longest first
         j0 = min(heads)
         span = max(j + n for j, n in top.items()) - j0
-        _check_span(seq, j0, span)
-        i0 = j0 - seq.j_lo
+        _check_span(window, j0, span)
+        i0 = j0 - j_lo
         if extended:
-            vals = seq.values[i0 : i0 + span].astype(np.clongdouble)
+            part = values[i0 : i0 + span].astype(np.clongdouble)
         else:
-            vals = _sweep_values(seq)[i0 : i0 + span]
+            part = vals[i0 : i0 + span]
         t = np.arange(top[heads[0]])[:, None]
         live = t < np.array([top[j] for j in heads])  # (step, chain), a prefix per step
-        G = _take(vals, (np.array(heads) - j0 + t)[live])
+        G = _take(part, (np.array(heads) - j0 + t)[live])
         ends = np.cumsum(live.sum(axis=1)).tolist()
         steps = (G[a:b] for a, b in zip([0] + ends, ends))
         chain = {j: c for c, j in enumerate(heads)}
         lens, at = [ns[i] for i in rows], [chain[js[i]] for i in rows]
-        kept = np.empty((len(rows), 2, 2), dtype=vals.dtype)
+        kept = np.empty((len(rows), 2, 2), dtype=part.dtype)
         k = 0
-        P = np.tile(np.eye(2, dtype=vals.dtype), (len(heads), 1, 1))
+        P = np.tile(np.eye(2, dtype=part.dtype), (len(heads), 1, 1))
         for s, P in enumerate(_sweep_steps(P, steps, True, False, None), 1):
             while k < len(rows) and lens[k] == s:
                 kept[k] = P[at[k]]
@@ -460,7 +488,7 @@ def backward_product(seq, j, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_span(seq, j - n, n)
+    _check_span(seq.window, j - n, n)
     dtype = np.clongdouble if n > EXTENDED_CUTOFF else complex
     inverses = (inv2(seq.at(k), index=k).astype(dtype, copy=False)[None] for k in range(j - n, j))
     return sweep(np.eye(2, dtype=dtype)[None], inverses, left=False)[0].astype(complex)
@@ -490,10 +518,32 @@ def norm_floor_curve(seq, n_max):
         raise ValueError(
             f"n_max must lie in [1, {min(len(seq), EXTENDED_CUTOFF)}]"
         )
-    vals = _sweep_values(seq)
-    # after step n the first len(seq) - n rows are the (n + 1)-factor products
-    prods = _sweep_steps(vals, (vals[n:] for n in range(1, n_max)), True, False, None)
-    return [
-        float(np.min(singular_values(P[: len(seq) - n])[0]))
-        for n, P in enumerate(itertools.chain([vals], prods))
-    ]
+    return _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
+
+
+def _floor_curves(vals, offsets, lengths, n_maxes):
+    """norm_floor_curve for windows laid end to end in one stack vals,
+    window w being vals[offsets[w] : offsets[w] + lengths[w]], each to its
+    own n_max, as one sweep.
+
+    Row i of a window starts at its factor i, and step n multiplies
+    factor i + n in from the left, clipped to the window's last factor:
+    rows that run past the end only pad the stack, and the floor at n is
+    the least top singular value over the rows that did not.  No row is
+    renormalized, so each row has the bits a window of its own gives it.
+    """
+    offsets, lengths = np.asarray(offsets), np.asarray(lengths)
+    heads = np.cumsum(lengths) - lengths  # each window's first row
+    local = np.arange(int(lengths.sum())) - np.repeat(heads, lengths)
+    first = np.repeat(offsets, lengths) + local
+    last = np.repeat(offsets + lengths - 1, lengths)
+    room = np.repeat(lengths, lengths) - local  # factors from the row's start on
+    steps = (_take(vals, np.minimum(first + n, last)) for n in range(1, max(n_maxes)))
+    curves = [[] for _ in n_maxes]
+    P = _take(vals, first)
+    for n, P in enumerate(itertools.chain([P], _sweep_steps(P, steps, True, False, None))):
+        s1 = np.where(room > n, singular_values(P)[0], np.inf)
+        for curve, floor, top in zip(curves, np.minimum.reduceat(s1, heads).tolist(), n_maxes):
+            if n < top:
+                curve.append(floor)
+    return curves

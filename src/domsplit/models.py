@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import certify_operator
-from .jacobi import JacobiOperator, dist_to_spectrum, spectrum
+from .certifier import certify_many
+from .jacobi import JacobiOperator, cocycle_map, dist_to_spectrum, spectrum
 from .sphere import chordal_rows
 
 __all__ = [
@@ -309,13 +309,12 @@ def dynamical_ds_check(
     else:
         omegas = np.sort(np.asarray(omega_grid, dtype=float) % 1.0)
     steps = np.diff(np.concatenate([omegas, omegas[:1] + 1.0]))
-    certs = []
     dirs = []
     j_mid = (int(window[0]) + int(window[1])) // 2
-    for w in omegas:
-        op = realize(pair, rotation.with_phase(float(w)), window)
-        cert = certify_operator(op, energy, **certify_kw)
-        certs.append(cert)
+    ops = [realize(pair, rotation.with_phase(float(w)), window) for w in omegas]
+    certs = certify_many([cocycle_map(op, energy) for op in ops], **certify_kw)
+    for cert in certs:
+        cert.notes["energy"] = complex(energy)
         if cert.burn is not None and cert.verdict != "failed":
             fld = cert.core_field
             i = j_mid - fld.j_first

@@ -37,7 +37,14 @@ from domsplit.certifier import (
 )
 from domsplit.harness import perturb_sequence
 from domsplit.mat2 import MatSequence, norm_floor
-from domsplit.sphere import ProjPoint, act, chordal_dist, chordal_rows, disk_image_margins
+from domsplit.sphere import (
+    ProjPoint,
+    act,
+    chordal_dist,
+    chordal_rows,
+    disk_image_margins,
+    unit_rows,
+)
 
 PHI_BIG = 0.5 * (3.0 + np.sqrt(5.0))
 
@@ -592,18 +599,19 @@ def test_floor_curve_equals_norm_floor(free_seq, which):
 
 def test_certify_builds_each_field_once(free_op, monkeypatch):
     calls, floors = [], []
-    orig_products = certifier._field_products
+    orig_products = certifier._window_products
 
-    def counting_products(vals, js, bu, bs, lo, start=None):
-        t0 = 0 if start is None else start[2]
-        calls.append((len(js), t0, int(bu.max()), int(bs.max())))
-        return orig_products(vals, js, bu, bs, lo, start)
+    def counting_products(slab, jobs):
+        for _, sites, bu, bs, start in jobs:
+            t0 = 0 if start is None else start[2]
+            calls.append((len(sites), t0, int(bu.max()), int(bs.max())))
+        return orig_products(slab, jobs)
 
     def counting_floor(seq, n):
         floors.append(n)
         return mat2.norm_floor(seq, n)
 
-    monkeypatch.setattr(certifier, "_field_products", counting_products)
+    monkeypatch.setattr(certifier, "_window_products", counting_products)
     monkeypatch.setattr(certifier, "norm_floor", counting_floor)
     cert = certify_operator(free_op, 3.0)
     assert cert.N == 1 and len(calls) >= 3
@@ -661,13 +669,20 @@ def per_site_overrides(seq, js, bu, bs, u_vecs, s_vecs):
                 u_vecs[i] = certifier._range_direction(P)
 
 
-def _overrides(fn, seq, js, bu, bs, U, S):
+def per_site_directions(seq, js, bu, bs, U, S):
     u = mat2.sv_left_vectors(U.astype(complex))
     s = certifier._perp_rows(mat2.sv_right_vectors(S.astype(complex)))
+    per_site_overrides(seq, js, bu, bs, u, s)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
+        raise InternalInconsistency("non-finite direction estimate")
+    return unit_rows(u), unit_rows(s)
+
+
+def _directions_outcome(fn, seq, js, bu, bs, U, S):
     try:
-        fn(seq, js, bu, bs, u, s)
-    except DegenerateCocycle as exc:
-        return str(exc)
+        u, s = fn(seq, js, bu, bs, U, S)
+    except (DegenerateCocycle, InternalInconsistency) as exc:
+        return type(exc), str(exc)
     return u.tobytes(), s.tobytes()
 
 
@@ -707,8 +722,8 @@ def test_batched_overrides_are_bitwise_the_per_site_loop(
     if len(js) == 0:
         return
     U, S = masked_field_products(seq.values, js, bu, bs, lo)
-    got = _overrides(certifier._apply_singular_overrides, seq, js, bu, bs, U, S)
-    assert got == _overrides(per_site_overrides, seq, js, bu, bs, U, S)
+    got = _directions_outcome(certifier._site_directions, seq, js, bu, bs, U, S)
+    assert got == _directions_outcome(per_site_directions, seq, js, bu, bs, U, S)
 
 
 @settings(max_examples=80, deadline=None)
@@ -886,3 +901,152 @@ def test_cone_certificate_picks_the_per_pair_winner(which, free_op, mod5_op):
         got = certifier.cone_certificate(seq, cert.core_field, N)
         assert got is not None
         assert got == cone_per_pair(seq, cert.core_field, N)
+
+
+# ---------------------------------------------- many windows in one sweep
+
+
+def _batch_window(rng, kind, n):
+    """One window of a certify_many batch: a Jacobi cocycle at a real or
+    complex energy (some couplings exactly zero), raw real or complex
+    factors with exactly singular ones, or a window that raises."""
+    if kind == "degenerate":
+        vals = np.repeat(np.diag([2.0, 0.5])[None], max(n, 12), axis=0).astype(complex)
+        vals[len(vals) // 2] = 0.0
+        return MatSequence(int(rng.integers(-9, 9)), vals)
+    if kind == "nan":
+        # the squared entries overflow, so the norm floor is nan
+        with np.errstate(all="ignore"):
+            return MatSequence(0, np.repeat((1e150 * np.diag([3.0, 0.5]))[None], 200, axis=0))
+    if kind in ("real_jacobi", "complex_jacobi"):
+        a = (0.5 + rng.random(n)) * rng.choice([-1.0, 1.0], n)
+        if kind == "complex_jacobi":
+            a = a * np.exp(2j * np.pi * rng.random(n))
+        a = a.astype(complex)
+        a[rng.random(n) < 0.08] = 0.0
+        op = JacobiOperator(j_lo=int(rng.integers(-50, 50)), a=a, b=rng.uniform(-1, 1, n))
+        E = complex(rng.uniform(-3.5, 3.5), 0.0 if kind == "real_jacobi" else rng.uniform(-1, 1))
+        return cocycle_map(op, E)
+    vals = rng.standard_normal((n, 2, 2)).astype(complex)
+    if kind == "complex_raw":
+        vals += 1j * rng.standard_normal((n, 2, 2))
+    for k in rng.integers(0, n, int(rng.integers(0, 3))):
+        if rng.random() < 0.5:
+            vals[k, :, 1] = 2.0 * vals[k, :, 0]  # det exactly zero
+        else:
+            vals[k, int(rng.integers(2)), :] = 0.0
+    return MatSequence(int(rng.integers(-50, 50)), vals)
+
+
+def _outcome(res):
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    f = res.core_field
+    return json.dumps(res.to_json()), f.u.tobytes(), f.s.tobytes()
+
+
+def _alone(seq, kw):
+    try:
+        with np.errstate(all="ignore"):
+            return _outcome(certify(seq, **kw))
+    except (DegenerateCocycle, InternalInconsistency) as exc:
+        return _outcome(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(
+        st.sampled_from(["real_jacobi", "complex_jacobi", "real_raw", "complex_raw"]),
+        min_size=2,
+        max_size=6,
+    ),
+    bad=st.sampled_from([None, "degenerate", "nan"]),
+    burn=st.sampled_from([None, None, 1, 7, 30]),
+)
+@example(seed=3, kinds=["real_jacobi", "complex_jacobi"], bad="degenerate", burn=None)
+@example(seed=4, kinds=["real_raw", "complex_raw", "real_jacobi"], bad="nan", burn=7)
+def test_certify_many_is_certify_window_by_window(seed, kinds, bad, burn):
+    # mixed dtypes and lengths, exactly singular factors, burn hints, and
+    # a window in the middle of the batch that raises
+    rng = np.random.default_rng(seed)
+    seqs = [_batch_window(rng, kind, int(rng.integers(5, 140))) for kind in kinds]
+    if bad is not None:
+        seqs.insert(len(seqs) // 2, _batch_window(rng, bad, 30))
+    kw = {} if burn is None else {"burn": burn}
+    alone = [_alone(seq, kw) for seq in seqs]
+    with np.errstate(all="ignore"):
+        slots = certifier._certify_each(seqs, **kw)
+    assert [_outcome(res) for res in slots] == alone
+    errors = [res for res in alone if isinstance(res[0], type)]
+    if errors:
+        kind, message = errors[0]
+        with np.errstate(all="ignore"), pytest.raises(kind) as info:
+            certifier.certify_many(seqs, **kw)
+        assert str(info.value) == message
+    else:
+        certs = certifier.certify_many(seqs, **kw)
+        assert [_outcome(c) for c in certs] == alone
+
+
+def _field_arrays(cert):
+    f = cert.core_field
+    return [f.u, f.s, f.burn_u, f.burn_s]
+
+
+def test_batched_core_fields_own_their_arrays(free_op, mod5_op):
+    # a certificate kept after its batch pins no slab of the batch
+    seqs = [cocycle_map(free_op, E) for E in (3.0, 2.5, 1.0, 2.1 + 0.2j, -3.5)]
+    seqs.append(cocycle_map(mod5_op, 2.6))
+    sub = subsample_equivalence_check(cocycle_map(free_op, 3.0), 3)
+    for certs in (certifier.certify_many(seqs), [sub["base"], sub["block"]]):
+        for i, ci in enumerate(certs):
+            for x in _field_arrays(ci):
+                assert x.base is None and x.flags.owndata
+            for cj in certs[i + 1 :]:
+                for x in _field_arrays(ci):
+                    for y in _field_arrays(cj):
+                        assert not np.shares_memory(x, y)
+
+
+def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
+    # K windows with equal burns make as many ladder sweep steps as one
+    # window does, and one _block_products call for all growth ratios; a
+    # silent fallback to a loop over windows would multiply both by K
+    seq = MatSequence(0, np.repeat(np.array([[[3.0, -1.0], [1.0, 0.0]]]), 200, axis=0))
+    counts = {}
+    where = []
+    orig_steps, orig_blocks = mat2._sweep_steps, certifier._block_products
+
+    def counting_steps(*args):
+        for P in orig_steps(*args):
+            counts[tuple(where)] = counts.get(tuple(where), 0) + 1
+            yield P
+
+    def counting_blocks(*args):
+        counts["blocks", tuple(where)] = counts.get(("blocks", tuple(where)), 0) + 1
+        return orig_blocks(*args)
+
+    def inside(name):
+        orig = getattr(certifier, name)
+
+        def run(*args):
+            where.append(name)
+            try:
+                return orig(*args)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(certifier, name, run)
+
+    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
+    monkeypatch.setattr(certifier, "_block_products", counting_blocks)
+    inside("_core_fields")
+    inside("_ratio_estimates")
+    one = certify(seq)
+    alone = dict(counts)
+    counts.clear()
+    many = certifier.certify_many([seq] * 5)
+    assert all(json.dumps(c.to_json()) == json.dumps(one.to_json()) for c in many)
+    assert one.burn >= 40 and counts[("_core_fields",)] == alone[("_core_fields",)] == one.burn
+    assert counts["blocks", ("_ratio_estimates",)] == alone["blocks", ("_ratio_estimates",)] == 1

@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domsplit import JacobiOperator, certify, cocycle_map, periodic_operator, spectrum
+from domsplit import (
+    JacobiOperator,
+    RationalRotation,
+    almost_mathieu,
+    certify,
+    cocycle_map,
+    periodic_operator,
+    realize,
+    spectrum,
+)
 from domsplit.harness import (
     SCAN_COLUMNS,
     johnson_scan,
@@ -120,12 +129,32 @@ def test_scan_free_chain(free_op):
 
 
 def test_scan_parallel_matches_serial(free_op):
-    Es = np.linspace(-3, 3, 13)
-    serial = johnson_scan(free_op, Es, jobs=1, spectrum_sizes=SCAN_SIZES)
-    parallel = johnson_scan(free_op, Es, jobs=3, spectrum_sizes=SCAN_SIZES)
-    assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
-        parallel.to_json(), sort_keys=True
-    )
+    # each chunk of a scan is one certify_many batch, so rows must not
+    # depend on how the grid is cut: real and complex energies share
+    # chunks (a batch of each dtype), and a degenerate energy, whose
+    # factor at the isolated site 0 vanishes, sits among certified ones
+    a = np.ones(200, dtype=complex)
+    a[[99, 100]] = 0.0
+    b = np.zeros(200)
+    b[100] = 2.5
+    isolated = JacobiOperator(j_lo=-100, a=a, b=b)
+    approx = realize(almost_mathieu(0.5), RationalRotation(8, 21, 0.3), (-105, 104))
+    mixed = np.linspace(-3, 3, 13).astype(complex)
+    mixed[1::3] += 0.25j
+    cases = [
+        (free_op, np.linspace(-3, 3, 13)),
+        (free_op, mixed),
+        (approx, np.linspace(-3.5, 3.5, 15)),
+        (isolated, [-3.0, 2.5, 3.0, 2.2 + 0.3j, 2.5, 1.0, 3.5, -2.5, 2.5]),
+    ]
+    for op, Es in cases:
+        rows = [
+            json.dumps(johnson_scan(op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES).to_json(),
+                       sort_keys=True)
+            for jobs in (1, 2, 3)
+        ]
+        assert rows[0] == rows[1] == rows[2]
+    assert json.loads(rows[0])["rows"][1]["ds_status"] == "degenerate"
 
 
 def test_scan_complex_energies(free_op):
