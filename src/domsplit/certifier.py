@@ -148,18 +148,66 @@ def _slab(vals):
     return np.concatenate((F, F.transpose(1, 0, 2)[..., ::-1]), axis=-1).transpose(2, 0, 1)
 
 
+def _bits(X):
+    """The bit patterns of a stack's rows, one int64 row each: equal rows
+    of bits are bitwise equal matrices, so +0.0 and -0.0 differ and a NaN
+    equals only its own pattern."""
+    return np.ascontiguousarray(X).reshape(len(X), 4).view(np.int64)
+
+
+def _repeat_map(slab, lengths):
+    """The exact repeats of a _slab of windows of the given lengths, as
+    (q, gaps) for _row_sweep, or None when no window repeats.
+
+    q[p] is the shift of the window that slab position p belongs to: the
+    smallest d at which at least half of its factors are bitwise the
+    factor d earlier, tried among the shifts to the repeats of its middle
+    factor (0 when there are none; the choice decides only how much
+    _row_sweep shares).  gaps counts, up to each position, the positions
+    p whose factor is not bitwise the one q[p] earlier in the same window
+    half (every position of a window with q = 0), so the factors over
+    [b, b + n) are those over [b - q[b], b - q[b] + n) bit for bit
+    whenever gaps[b + n] == gaps[b] and n > 0.
+    """
+    bits = _bits(slab)
+    offsets = np.cumsum([0] + list(lengths[:-1]))
+    shifts = []
+    for o, n in zip(offsets.tolist(), lengths):
+        B = bits[o : o + n]
+        hits = np.flatnonzero((B == B[n // 2]).all(axis=1)) - n // 2
+        q = 0
+        for d in np.unique(np.abs(hits[hits != 0])).tolist():
+            if 2 * np.count_nonzero((B[d:] == B[:-d]).all(axis=1)) >= n:
+                q = d
+                break
+        shifts.append(q)
+    if not any(shifts):
+        return None
+    # the second half holds the windows in reverse order, each reversed
+    q = np.repeat(shifts, lengths)
+    q = np.concatenate((q, q[::-1]))
+    half = np.repeat(np.arange(2 * len(lengths)), np.concatenate((lengths, lengths[::-1])))
+    prev = np.arange(len(q)) - q
+    same = (q > 0) & (prev >= 0)
+    same[same] = half[prev[same]] == half[same]
+    same[same] = (bits[same] == bits[prev[same]]).all(axis=1)
+    return q, np.concatenate(([0], np.cumsum(~same)))
+
+
 class _Batch:
     """Windows of one sweep dtype, certified together.
 
     slab (_slab) holds their sweep values end to end, window w from
-    offsets[w] on, and values their complex128 factors at the same
-    offsets, which the clongdouble override chains read; zeros[w] lists
-    the sites of w's exactly singular factors.
+    offsets[w] on, and repeats its _repeat_map; values holds their
+    complex128 factors at the same offsets, which the clongdouble
+    override chains read; zeros[w] lists the sites of w's exactly
+    singular factors.
     """
 
     def __init__(self, seqs, vals=None):
         self.seqs = seqs
         self.slab = _slab([_sweep_values(s) for s in seqs] if vals is None else vals)
+        self.repeats = _repeat_map(self.slab, [len(s) for s in seqs])
         self.values = np.concatenate([s.values for s in seqs])
         self.offsets = np.cumsum([0] + [len(s) for s in seqs[:-1]])
         self.zeros = [np.flatnonzero(det2(s.values) == 0.0) + s.j_lo for s in seqs]
@@ -172,7 +220,43 @@ def _one(outcomes):
     return outcomes[0]
 
 
-def _row_sweep(P, slab, base, steps, group_steps, logs=False):
+def _row_classes(P, base, steps, group_steps, repeats):
+    """For each row of a _row_sweep, the row whose products it copies,
+    or None when every row is its own.
+
+    Row i copies row j when base[j] = base[i] - q (repeats, _repeat_map),
+    their steps, group steps and start rows are bitwise equal, and no
+    factor of [base[i], base[i] + steps[i]) breaks the repeat: then both
+    rows run the same arithmetic on the same bits.  Row j may copy an
+    earlier row in turn; each row points to the first of its chain.
+    """
+    if repeats is None:
+        return None
+    q, gaps = repeats
+    R, L = len(base), len(q)
+    inside = np.flatnonzero((base >= 0) & (base < L))
+    b = base[inside]
+    end = np.minimum(b + steps[inside], L)
+    fit = (q[b] > 0) & (b >= q[b]) & (gaps[end] == gaps[b])
+    rows, target = inside[fit], b[fit] - q[b[fit]]
+    at = np.full(L, -1)
+    at[b] = inside
+    j = at[target]
+    rows, j = rows[j >= 0], j[j >= 0]
+    ok = (steps[j] == steps[rows]) & (group_steps[j] == group_steps[rows])
+    ok &= (_bits(P[j]) == _bits(P[rows])).all(axis=1)
+    if not ok.any():
+        return None
+    copy = np.arange(R)
+    copy[rows[ok]] = j[ok]
+    while True:  # point every row at the head of its chain
+        nxt = copy[copy]
+        if np.array_equal(nxt, copy):
+            return copy
+        copy = nxt
+
+
+def _row_sweep(P, slab, base, steps, group_steps, logs=False, repeats=None):
     """Left-multiply row i of P by slab[base[i] + t] at t = 0, 1, ...,
     steps[i] - 1, renormalizing after every step, as one mat2 sweep.
 
@@ -186,7 +270,25 @@ def _row_sweep(P, slab, base, steps, group_steps, logs=False):
     multiplied ones wherever every live row still multiplies; elsewhere
     they go to the sweep as an index array.  The products (and with logs
     the logs of the removed scales) come back in the row order of P.
+
+    A row's bits depend on its start row, its factors and its group step
+    count alone (_mul and _renorm work row by row), so rows that agree
+    bitwise on all three are one computation.  With the slab's repeats
+    (_repeat_map), only one row of each such class is swept, and the
+    others copy it (_row_classes): in a periodic window, the row at base
+    b reads the factors of the row at b - q.  The start rows and group
+    step counts belong to the key because the same factors from another
+    start, or under another count of renormalizations, give other bits;
+    the factors and starts are compared as bit patterns because a float
+    == would merge +0.0 with -0.0, whose products differ in sign bits,
+    and would part a NaN from itself.
     """
+    copy = _row_classes(P, base, steps, group_steps, repeats)
+    if copy is not None:
+        heads = np.flatnonzero(copy == np.arange(len(copy)))
+        out = _row_sweep(_take(P, heads), slab, base[heads], steps[heads], group_steps[heads], logs)
+        at = np.searchsorted(heads, copy)
+        return (_take(out[0], at), out[1][at]) if logs else _take(out, at)
     R = len(steps)
     T = int(group_steps.max(initial=0))
     order = None
@@ -235,7 +337,7 @@ def _row_sweep(P, slab, base, steps, group_steps, logs=False):
     return (_take(out[0], back), out[1][back]) if logs else _take(out, back)
 
 
-def _block_products(vals, starts, lengths):
+def _block_products(vals, starts, lengths, repeats=None):
     """Normalized ordered products of lengths[i] factors from each start.
 
     Row i holds vals[starts[i]+lengths[i]-1] @ ... @ vals[starts[i]]
@@ -249,14 +351,14 @@ def _block_products(vals, starts, lengths):
     """
     starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
     P = np.tile(np.eye(2, dtype=vals.dtype), (len(starts), 1, 1))
-    return _row_sweep(P, vals, starts, lengths, lengths, logs=True)
+    return _row_sweep(P, vals, starts, lengths, lengths, True, repeats)
 
 
-def _window_products(slab, jobs):
+def _window_products(batch, jobs):
     """Per-site window products behind the direction fields, for many
     windows in one sweep.
 
-    slab is a _slab of the windows, and each job (off, sites, bu, bs,
+    batch is a _Batch of the windows, and each job (off, sites, bu, bs,
     start) asks for one window's products: off is the window's offset in
     the slab, sites are window indices (0 for its first factor), and
     bu/bs the burns, which may differ by site.  The u side is
@@ -278,6 +380,7 @@ def _window_products(slab, jobs):
     """
     if not jobs:
         return []
+    slab = batch.slab
     N = len(slab) // 2
     parts, base, steps, groups = [], [], [], []
     for off, sites, bu, bs, start in jobs:
@@ -293,7 +396,10 @@ def _window_products(slab, jobs):
         base += [(2 * N - off - sites + t0)[::-1], off + sites + t0]
         steps += [su[::-1], ss]
         groups += [np.full(n, su.max(initial=0)), np.full(n, ss.max(initial=0))]
-    P = _row_sweep(np.concatenate(parts), slab, *map(np.concatenate, (base, steps, groups)))
+    P = _row_sweep(
+        np.concatenate(parts), slab, *map(np.concatenate, (base, steps, groups)),
+        repeats=batch.repeats,
+    )
     out, a = [], 0
     for _, sites, *_ in jobs:
         n = len(sites)
@@ -313,7 +419,8 @@ def _field_products(vals, js, bu, bs, lo, start=None):
             (np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0))
         )
         lo -= below
-    return _window_products(_slab([vals]), [(0, js - lo, bu, bs, start)])[0]
+    batch = _Batch([MatSequence(lo, vals)], [vals])
+    return _window_products(batch, [(0, js - lo, bu, bs, start)])[0]
 
 
 def _perp_rows(v):
@@ -445,7 +552,7 @@ def _core_fields(batch, jobs):
             rows = slice(burn - b0, burn - b0 + len(js))
             start = (U0[rows], S0[rows], b0)
         specs.append((w, burn, js, full, (batch.offsets[w], js - lo, full, full, start)))
-    prods = _window_products(batch.slab, [spec[-1] for spec in specs])
+    prods = _window_products(batch, [spec[-1] for spec in specs])
     dirs = _directions(
         batch, [(w, js, full, full, U, S) for (w, _, js, full, _), (U, S) in zip(specs, prods)]
     )
@@ -488,7 +595,7 @@ def _extend_fields(batch, jobs):
             new[core.j_first - lo - 1 : core.j_last - lo] = False
         specs.append((w, burn, core, lo, js, bu, bs, new))
     todo = [spec for spec in specs if np.any(spec[-1])]
-    prods = _window_products(batch.slab, [
+    prods = _window_products(batch, [
         (batch.offsets[w], js[new] - lo, bu[new], bs[new], None)
         for w, _, _, lo, js, bu, bs, new in todo
     ])
@@ -786,6 +893,7 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
             np.concatenate([batch.offsets[jobs[i][0]] - batch.seqs[jobs[i][0]].j_lo + js
                             for i, _, js in rows]),
             np.concatenate([np.full(len(js), n_blk) for _, n_blk, js in rows]),
+            batch.repeats,
         )
         end = 0
         for i, n_blk, js in rows:
@@ -871,6 +979,7 @@ def _ratio_estimates(batch, ws):
         batch.slab,
         np.concatenate([starts for _, starts in plans]),
         np.concatenate([np.full(len(starts), m) for m, starts in plans]),
+        batch.repeats,
     )
     s1, s2 = singular_values(P)
     with np.errstate(divide="ignore"):

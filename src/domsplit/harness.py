@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,9 +162,13 @@ def johnson_scan(
     cover resolution, whichever is larger), when the domination margin
     is under marginal_margin, or when the verdict is itself marginal.
     jobs > 1 distributes energies across processes; the operator is sent
-    to them by pickle, and the spectrum cover is computed in this process
-    while the workers certify.  Each chunk of energies (the whole grid at
-    jobs=1) is certified as one certify_many batch.
+    to them by pickle, and the spectrum cover is the pool's first task,
+    so that it runs in a worker while the others certify (scipy's
+    eigenvalue call holds the GIL, and in this process it would stall
+    the pool's feeder thread).  The first task to raise ends the scan
+    with its error; the chunks not yet started are cancelled.  Each
+    chunk of energies (the whole grid at jobs=1) is certified as one
+    certify_many batch.
     """
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
     re_parts = np.unique([e.real for e in Es])
@@ -176,16 +180,19 @@ def johnson_scan(
         n_chunks = max(1, min(len(Es), jobs * 3))
         bounds = np.linspace(0, len(Es), n_chunks + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
+            cover = ex.submit(spectrum, op, sizes=spectrum_sizes)
             futures = [
                 ex.submit(_scan_chunk, op, Es[a:b], certify_kw)
                 for a, b in zip(bounds[:-1], bounds[1:])
                 if b > a
             ]
             try:
-                sp = spectrum(op, sizes=spectrum_sizes)
+                for f in as_completed([cover, *futures]):
+                    f.result()
             except BaseException:
                 ex.shutdown(cancel_futures=True)
                 raise
+            sp = cover.result()
             rows = [row for f in futures for row in f.result()]
     for row, E in zip(rows, Es):
         row["delta_spec"] = dist_to_spectrum(sp, E)

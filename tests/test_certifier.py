@@ -412,21 +412,47 @@ def test_field_products_match_the_masked_sweep(n, seed, offset, m, bu0, bs0, uni
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
 
 
+def _repeating(rng, vals, factors):
+    """vals made to repeat exactly, or not: "random" keeps them,
+    "periodic" repeats their first p factors (p from 1 to 7), "defect"
+    then redraws one factor, and "signed_zero" zeroes one entry of one
+    residue's factors, with -0.0 at one of them.  _row_sweep shares the
+    rows of factors that repeat bit for bit; the two zeros compare equal
+    as floats but must not share a row."""
+    if factors == "random":
+        return vals
+    n = len(vals)
+    p = int(rng.integers(1, 8))
+    out = vals[np.arange(n) % p]
+    if factors == "defect":
+        out[rng.integers(n)] = rng.standard_normal((2, 2))
+    elif factors == "signed_zero":
+        r, i, k = int(rng.integers(min(p, n))), int(rng.integers(2)), int(rng.integers(2))
+        out[r::p, i, k] = 0.0
+        out[rng.choice(np.arange(r, n, p)), i, k] = -0.0
+    return out
+
+
+FACTORS = st.sampled_from(["random", "periodic", "defect", "signed_zero"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 80),
     seed=st.integers(0, 2**32 - 1),
     complex_vals=st.booleans(),
     singular=st.booleans(),
+    factors=FACTORS,
     data=st.data(),
 )
 def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
-    n, seed, complex_vals, singular, data
+    n, seed, complex_vals, singular, factors, data
 ):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((n, 2, 2)).astype(complex)
     if complex_vals:
         vals += 1j * rng.standard_normal((n, 2, 2))
+    vals = _repeating(rng, vals, factors)
     if singular:
         k = int(rng.integers(n))
         vals[k, :, 1] = 2.0 * vals[k, :, 0]
@@ -453,10 +479,12 @@ def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
     burn=st.integers(1, 32),
     seed=st.integers(0, 2**32 - 1),
     singular=st.booleans(),
+    factors=FACTORS,
 )
-def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singular):
+def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singular, factors):
     rng = np.random.default_rng(seed)
     seq = random_matseq(rng, n=n, j_lo=int(rng.integers(-50, 50)))
+    seq = MatSequence(seq.j_lo, _repeating(rng, seq.values, factors))
     if singular:
         # second column exactly twice the first: det is exactly zero
         k = int(rng.integers(n))
@@ -906,10 +934,11 @@ def test_cone_certificate_picks_the_per_pair_winner(which, free_op, mod5_op):
 # ---------------------------------------------- many windows in one sweep
 
 
-def _batch_window(rng, kind, n):
+def _batch_window(rng, kind, n, factors="random"):
     """One window of a certify_many batch: a Jacobi cocycle at a real or
     complex energy (some couplings exactly zero), raw real or complex
-    factors with exactly singular ones, or a window that raises."""
+    factors (repeating as factors says, _repeating) with exactly singular
+    ones, or a window that raises."""
     if kind == "degenerate":
         vals = np.repeat(np.diag([2.0, 0.5])[None], max(n, 12), axis=0).astype(complex)
         vals[len(vals) // 2] = 0.0
@@ -930,6 +959,7 @@ def _batch_window(rng, kind, n):
     vals = rng.standard_normal((n, 2, 2)).astype(complex)
     if kind == "complex_raw":
         vals += 1j * rng.standard_normal((n, 2, 2))
+    vals = _repeating(rng, vals, factors)
     for k in rng.integers(0, n, int(rng.integers(0, 3))):
         if rng.random() < 0.5:
             vals[k, :, 1] = 2.0 * vals[k, :, 0]  # det exactly zero
@@ -963,14 +993,18 @@ def _alone(seq, kw):
     ),
     bad=st.sampled_from([None, "degenerate", "nan"]),
     burn=st.sampled_from([None, None, 1, 7, 30]),
+    factors=FACTORS,
 )
-@example(seed=3, kinds=["real_jacobi", "complex_jacobi"], bad="degenerate", burn=None)
-@example(seed=4, kinds=["real_raw", "complex_raw", "real_jacobi"], bad="nan", burn=7)
-def test_certify_many_is_certify_window_by_window(seed, kinds, bad, burn):
-    # mixed dtypes and lengths, exactly singular factors, burn hints, and
-    # a window in the middle of the batch that raises
+@example(seed=3, kinds=["real_jacobi", "complex_jacobi"], bad="degenerate", burn=None,
+         factors="random")
+@example(seed=4, kinds=["real_raw", "complex_raw", "real_jacobi"], bad="nan", burn=7,
+         factors="signed_zero")
+def test_certify_many_is_certify_window_by_window(seed, kinds, bad, burn, factors):
+    # mixed dtypes and lengths, exactly singular factors, burn hints,
+    # repeating raw factors, and a window in the middle of the batch that
+    # raises
     rng = np.random.default_rng(seed)
-    seqs = [_batch_window(rng, kind, int(rng.integers(5, 140))) for kind in kinds]
+    seqs = [_batch_window(rng, kind, int(rng.integers(5, 140)), factors) for kind in kinds]
     if bad is not None:
         seqs.insert(len(seqs) // 2, _batch_window(rng, bad, 30))
     kw = {} if burn is None else {"burn": burn}
@@ -1050,3 +1084,101 @@ def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
     assert all(json.dumps(c.to_json()) == json.dumps(one.to_json()) for c in many)
     assert one.burn >= 40 and counts[("_core_fields",)] == alone[("_core_fields",)] == one.burn
     assert counts["blocks", ("_ratio_estimates",)] == alone["blocks", ("_ratio_estimates",)] == 1
+
+
+def _core_sweep_rows(seqs, monkeypatch):
+    """For each window of seqs, (burn, rows passed to mat2._sweep_steps)
+    for each core field product sweep of certify on it."""
+    seen, burns = [], []
+    orig_steps = mat2._sweep_steps
+    orig_core, orig_products = certifier._core_fields, certifier._window_products
+
+    def counting_steps(P, *args):
+        if burns and burns[-1] is not None:
+            seen.append((burns[-1], len(P)))
+        return orig_steps(P, *args)
+
+    def core(batch, jobs):
+        burns.append(None)
+        try:
+            return orig_core(batch, jobs)
+        finally:
+            burns.pop()
+
+    def products(batch, jobs):
+        # the core field sweep itself, not the singular override chains
+        (_, _, bu, _, _), = jobs
+        burns.append(int(bu.max()) if burns else None)
+        try:
+            return orig_products(batch, jobs)
+        finally:
+            burns.pop()
+
+    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
+    monkeypatch.setattr(certifier, "_core_fields", core)
+    monkeypatch.setattr(certifier, "_window_products", products)
+    out = []
+    for seq in seqs:
+        certify(seq)
+        out.append(seen[:])
+        seen.clear()
+    return out
+
+
+def test_periodic_windows_share_their_core_rows(monkeypatch):
+    free = JacobiOperator(j_lo=-300, a=np.ones(600, dtype=complex), b=np.zeros(600))
+    op = random_operator(np.random.default_rng(7), n=120)
+    periodic, plain = _core_sweep_rows(
+        [cocycle_map(free, 3.0), cocycle_map(op, 0.4 + 0.3j)], monkeypatch
+    )
+    # every interior factor of the free chain is the same, so each side of
+    # a core field sweeps a few rows and copies the rest
+    assert len(periodic) >= 2 and all(rows <= 2 * 4 for _, rows in periodic)
+    # factors that do not repeat are swept row by row, both sides of
+    # every core site
+    assert len(plain) >= 2
+    assert all(rows == 2 * (len(op) + 1 - 2 * burn) for burn, rows in plain)
+
+
+def test_a_signed_zero_breaks_a_repeat():
+    # +0.0 == -0.0 as floats, but the repeat map compares bit patterns:
+    # factor 17 differs from factor 16 and factor 18 from factor 17, in
+    # either half of the slab (the second half holds factor i at 79 - i)
+    vals = np.tile(np.array([[2.0, 0.0], [1.0, 0.5]]), (40, 1, 1))
+    vals[17, 0, 1] = -0.0
+    q, gaps = certifier._repeat_map(certifier._slab([vals]), [40])
+    assert set(q.tolist()) == {1}
+    assert np.flatnonzero(np.diff(gaps)).tolist() == [0, 17, 18, 40, 62, 63]
+    # a window without repeats has no map, and its rows are their own
+    rng = np.random.default_rng(3)
+    assert certifier._repeat_map(certifier._slab([rng.standard_normal((40, 2, 2))]), [40]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complex_vals=st.booleans(),
+    factors=FACTORS,
+)
+def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factors):
+    # rows on both halves of a slab, a few steps long, from one of two
+    # starts and renormalized for up to two steps past their last factor:
+    # a row that copies another must match every one of these, since the
+    # same factors from another start, or renormalized once more (_renorm
+    # is not idempotent), give other bits
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 50))
+    vals = rng.standard_normal((n, 2, 2))
+    if complex_vals:
+        vals = vals + 1j * rng.standard_normal((n, 2, 2))
+    vals = _repeating(rng, vals, factors)
+    batch = certifier._Batch([MatSequence(0, vals)], [vals])
+    base = rng.permutation(2 * n)[: int(rng.integers(n, 2 * n + 1))]
+    steps = rng.choice(rng.choice([0, 1, 2, 5, 9], 2), len(base))
+    steps = np.minimum(steps, 2 * n - base)
+    group_steps = steps + rng.choice([0, 0, 0, 0, 1, 2], len(base))
+    starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
+    P = starts[(rng.random(len(base)) < 0.2).astype(int)]
+    got = certifier._row_sweep(P, batch.slab, base, steps, group_steps, True, batch.repeats)
+    alone = certifier._row_sweep(P, batch.slab, base, steps, group_steps, True)
+    assert got[0].tobytes() == alone[0].tobytes() and got[1].tobytes() == alone[1].tobytes()

@@ -24,6 +24,7 @@ from domsplit.harness import (
     perturbation_experiment,
     trial_rng,
 )
+from domsplit.certifier import InternalInconsistency
 from domsplit.mat2 import op_norm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_free_chain.csv"
@@ -256,3 +257,12 @@ def test_golden_scan_fixture_parallel(free_op, tmp_path):
 def test_scan_spectrum_error_propagates(free_op, jobs):
     with pytest.raises(ValueError, match="truncation sizes"):
         johnson_scan(free_op, [3.0], jobs=jobs, spectrum_sizes=())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_chunk_error_propagates(free_op, jobs):
+    # the transfer products at E = 1e8 overflow to a non-finite direction
+    # estimate; the scan raises it whether or not its chunk runs first
+    Es = [3.0, 2.5, 1e8, -3.0, 3.5]
+    with np.errstate(all="ignore"), pytest.raises(InternalInconsistency, match="non-finite"):
+        johnson_scan(free_op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)
