@@ -27,6 +27,18 @@ renormalized on its own window's steps only, on each step on which any
 row of that window (or of that side of it) multiplies, and on no other
 (_renorm is not idempotent).  The checks run window by window.
 
+A row's bits depend on nothing but its start row, its factors and the
+number of steps on which it is renormalized, so two rows that agree
+bitwise on all three are one computation, and _row_sweep sweeps one
+row of each such class.  In a window whose factors repeat with a shift
+q (a periodic orbit, or the free chain's constant interior), the row
+that starts at site j + q copies the one at j wherever the factors it
+reads repeat bit for bit (_repeat_map).  The start row and the step
+count belong to the key because the same factors from another start, or
+under one more renormalization, give other bits; factors and starts are
+compared as bit patterns, not as floats.  A window without repeats runs
+the same code, each row its own class.
+
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
 """
@@ -149,10 +161,14 @@ def _slab(vals):
 
 
 def _bits(X):
-    """The bit patterns of a stack's rows, one int64 row each: equal rows
-    of bits are bitwise equal matrices, so +0.0 and -0.0 differ and a NaN
-    equals only its own pattern."""
-    return np.ascontiguousarray(X).reshape(len(X), 4).view(np.int64)
+    """The bit patterns of a stack's entries as int64 planes, one column
+    per row (the real and imaginary planes of a complex stack apart).
+    Equal columns are bitwise equal matrices, so +0.0 and -0.0 differ and
+    a NaN equals only its own pattern."""
+    planes = np.ascontiguousarray(X.transpose(1, 2, 0)).reshape(4, len(X))
+    if planes.dtype.kind == "c":
+        planes = np.concatenate((planes.real, planes.imag))
+    return planes.view(np.int64)
 
 
 def _repeat_map(slab, lengths):
@@ -161,23 +177,22 @@ def _repeat_map(slab, lengths):
 
     q[p] is the shift of the window that slab position p belongs to: the
     smallest d at which at least half of its factors are bitwise the
-    factor d earlier, tried among the shifts to the repeats of its middle
-    factor (0 when there are none; the choice decides only how much
-    _row_sweep shares).  gaps counts, up to each position, the positions
-    p whose factor is not bitwise the one q[p] earlier in the same window
-    half (every position of a window with q = 0), so the factors over
-    [b, b + n) are those over [b - q[b], b - q[b] + n) bit for bit
-    whenever gaps[b + n] == gaps[b] and n > 0.
+    factor d earlier, tried among the shifts from its middle factor to
+    the later repeats of it (0 when there are none; the choice decides
+    only how much _row_sweep shares).  gaps counts, up to each position,
+    the positions p whose factor is not bitwise the one q[p] earlier in
+    the same window half (every position of a window with q = 0), so the
+    factors over [b, b + n) are those over [b - q[b], b - q[b] + n) bit
+    for bit whenever gaps[b + n] == gaps[b] and n > 0.
     """
     bits = _bits(slab)
     offsets = np.cumsum([0] + list(lengths[:-1]))
     shifts = []
     for o, n in zip(offsets.tolist(), lengths):
-        B = bits[o : o + n]
-        hits = np.flatnonzero((B == B[n // 2]).all(axis=1)) - n // 2
+        B, m = bits[:, o : o + n], n // 2
         q = 0
-        for d in np.unique(np.abs(hits[hits != 0])).tolist():
-            if 2 * np.count_nonzero((B[d:] == B[:-d]).all(axis=1)) >= n:
+        for d in (np.flatnonzero((B[:, m + 1 :] == B[:, m, None]).all(axis=0)) + 1).tolist():
+            if 2 * np.count_nonzero((B[:, d:] == B[:, :-d]).all(axis=0)) >= n:
                 q = d
                 break
         shifts.append(q)
@@ -187,10 +202,9 @@ def _repeat_map(slab, lengths):
     q = np.repeat(shifts, lengths)
     q = np.concatenate((q, q[::-1]))
     half = np.repeat(np.arange(2 * len(lengths)), np.concatenate((lengths, lengths[::-1])))
-    prev = np.arange(len(q)) - q
-    same = (q > 0) & (prev >= 0)
-    same[same] = half[prev[same]] == half[same]
-    same[same] = (bits[same] == bits[prev[same]]).all(axis=1)
+    p = np.arange(len(q))
+    prev = np.maximum(p - q, 0)
+    same = (q > 0) & (p >= q) & (half[prev] == half) & (bits[:, prev] == bits).all(axis=0)
     return q, np.concatenate(([0], np.cumsum(~same)))
 
 
@@ -244,7 +258,8 @@ def _row_classes(P, base, steps, group_steps, repeats):
     j = at[target]
     rows, j = rows[j >= 0], j[j >= 0]
     ok = (steps[j] == steps[rows]) & (group_steps[j] == group_steps[rows])
-    ok &= (_bits(P[j]) == _bits(P[rows])).all(axis=1)
+    bits = _bits(P)
+    ok &= (bits[:, j] == bits[:, rows]).all(axis=0)
     if not ok.any():
         return None
     copy = np.arange(R)
@@ -274,14 +289,13 @@ def _row_sweep(P, slab, base, steps, group_steps, logs=False, repeats=None):
     A row's bits depend on its start row, its factors and its group step
     count alone (_mul and _renorm work row by row), so rows that agree
     bitwise on all three are one computation.  With the slab's repeats
-    (_repeat_map), only one row of each such class is swept, and the
-    others copy it (_row_classes): in a periodic window, the row at base
-    b reads the factors of the row at b - q.  The start rows and group
-    step counts belong to the key because the same factors from another
-    start, or under another count of renormalizations, give other bits;
-    the factors and starts are compared as bit patterns because a float
-    == would merge +0.0 with -0.0, whose products differ in sign bits,
-    and would part a NaN from itself.
+    (_repeat_map), one row of each such class is swept and the others
+    copy it (_row_classes): in a periodic window, the row at base b reads
+    the factors of the row at b - q.  The start row and the group step
+    count belong to the key because the same factors from another start,
+    or under one more renormalization, give other bits.  Factors and
+    starts are compared as bit patterns, the inputs the arithmetic reads;
+    a float == would take -0.0 for +0.0 and part a NaN from itself.
     """
     copy = _row_classes(P, base, steps, group_steps, repeats)
     if copy is not None:
