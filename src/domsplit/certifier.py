@@ -20,24 +20,24 @@ certify_many() runs that pipeline over many windows at once, and
 certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
 form a batch, and every product stage of the batch (the growth-ratio
 blocks, the burn ladders, climbed in lockstep, the extended fields, the
-singular-override chains, the floor curves and the cone blocks) runs as
-one mat2 sweep over the rows of all its live windows.  The rule that
-keeps every certificate bit for bit that of its window alone: a row is
-renormalized on its own window's steps only, on each step on which any
-row of that window (or of that side of it) multiplies, and on no other
-(_renorm is not idempotent).  The checks run window by window.
+floor curves and the cone blocks) runs as one mat2 sweep over the rows
+of all its live windows; the products of the singular overrides are
+rows of the field sweeps.  Every row is renormalized after each of its
+own steps by an exact power of two (mat2._renorm), so a row is its
+unnormalized product times a power of two whichever rows share its
+sweep, and every certificate is bit for bit that of its window alone.
+The checks run window by window.
 
-A row's bits depend on nothing but its start row, its factors and the
-number of steps on which it is renormalized, so two rows that agree
-bitwise on all three are one computation, and _row_sweep sweeps one
-row of each such class.  In a window whose factors repeat with a shift
-q (a periodic orbit, or the free chain's constant interior), the row
-that starts at site j + q copies the one at j wherever the factors it
-reads repeat bit for bit (_repeat_map).  The start row and the step
-count belong to the key because the same factors from another start, or
-under one more renormalization, give other bits; factors and starts are
-compared as bit patterns, not as floats.  A window without repeats runs
-the same code, each row its own class.
+A row's bits depend on nothing but its start row and its factors, so
+two rows that agree bitwise on both are one computation, and _row_sweep
+sweeps one row of each such class.  In a window whose factors repeat
+with a shift q (a periodic orbit, or the free chain's constant
+interior), the row that starts at site j + q copies the one at j
+wherever the factors it reads repeat bit for bit (_repeat_map).  The
+start row and the step count belong to the key because the same
+factors from another start, or one factor more, give other bits;
+factors and starts are compared as bit patterns, not as floats.  A
+window without repeats runs the same code, each row its own class.
 
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
@@ -62,7 +62,7 @@ from .mat2 import (
     MatSequence,
     _floor_curves,
     _mul,
-    _span_products,
+    _sweep_steps,
     _sweep_values,
     _take,
     det2,
@@ -72,7 +72,6 @@ from .mat2 import (
     span_products,
     sv_left_vectors,
     sv_right_vectors,
-    sweep,
 )
 from .sphere import ProjPoint, chordal_rows, disk_image_margins, unit_rows
 
@@ -212,17 +211,14 @@ class _Batch:
     """Windows of one sweep dtype, certified together.
 
     slab (_slab) holds their sweep values end to end, window w from
-    offsets[w] on, and repeats its _repeat_map; values holds their
-    complex128 factors at the same offsets, which the clongdouble
-    override chains read; zeros[w] lists the sites of w's exactly
-    singular factors.
+    offsets[w] on, and repeats its _repeat_map; zeros[w] lists the sites
+    of w's exactly singular factors.
     """
 
     def __init__(self, seqs, vals=None):
         self.seqs = seqs
         self.slab = _slab([_sweep_values(s) for s in seqs] if vals is None else vals)
         self.repeats = _repeat_map(self.slab, [len(s) for s in seqs])
-        self.values = np.concatenate([s.values for s in seqs])
         self.offsets = np.cumsum([0] + [len(s) for s in seqs[:-1]])
         self.zeros = [np.flatnonzero(det2(s.values) == 0.0) + s.j_lo for s in seqs]
 
@@ -234,12 +230,12 @@ def _one(outcomes):
     return outcomes[0]
 
 
-def _row_classes(P, base, steps, group_steps, repeats):
+def _row_classes(P, base, steps, repeats):
     """For each row of a _row_sweep, the row whose products it copies,
     or None when every row is its own.
 
     Row i copies row j when base[j] = base[i] - q (repeats, _repeat_map),
-    their steps, group steps and start rows are bitwise equal, and no
+    their steps are equal, their start rows bitwise equal, and no
     factor of [base[i], base[i] + steps[i]) breaks the repeat: then both
     rows run the same arithmetic on the same bits.  Row j may copy an
     earlier row in turn; each row points to the first of its chain.
@@ -257,7 +253,7 @@ def _row_classes(P, base, steps, group_steps, repeats):
     at[b] = inside
     j = at[target]
     rows, j = rows[j >= 0], j[j >= 0]
-    ok = (steps[j] == steps[rows]) & (group_steps[j] == group_steps[rows])
+    ok = steps[j] == steps[rows]
     bits = _bits(P)
     ok &= (bits[:, j] == bits[:, rows]).all(axis=0)
     if not ok.any():
@@ -271,53 +267,40 @@ def _row_classes(P, base, steps, group_steps, repeats):
         copy = nxt
 
 
-def _row_sweep(P, slab, base, steps, group_steps, logs=False, repeats=None):
+def _row_sweep(P, slab, base, steps, exps=False, repeats=None):
     """Left-multiply row i of P by slab[base[i] + t] at t = 0, 1, ...,
-    steps[i] - 1, renormalizing after every step, as one mat2 sweep.
+    steps[i] - 1, renormalizing it after each of these steps, as one mat2
+    sweep.
 
-    Rows come in groups, one per window (or per side of one): a row is
-    renormalized at every step its group runs, group_steps[i] being the
-    step count of the group's longest row, whether it multiplies or not,
-    as a sweep over that group alone renormalizes it; _renorm is not
-    idempotent, so a row must not be scaled on any other step.  Rows are
-    sorted by group steps, then by steps, longest first: the live rows
-    (those of running groups) are then a prefix, and so are the
-    multiplied ones wherever every live row still multiplies; elsewhere
-    they go to the sweep as an index array.  The products (and with logs
-    the logs of the removed scales) come back in the row order of P.
+    Rows are sorted by steps, longest first, so the rows each step
+    multiplies are a prefix.  The renormalization is exact (_renorm),
+    so a row's bits do not depend on the rows that share its sweep.  The
+    products (and with exps the binary exponents e of the removed scales,
+    the unnormalized product being ldexp of the row by e) come back in
+    the row order of P.
 
-    A row's bits depend on its start row, its factors and its group step
-    count alone (_mul and _renorm work row by row), so rows that agree
-    bitwise on all three are one computation.  With the slab's repeats
-    (_repeat_map), one row of each such class is swept and the others
-    copy it (_row_classes): in a periodic window, the row at base b reads
-    the factors of the row at b - q.  The start row and the group step
-    count belong to the key because the same factors from another start,
-    or under one more renormalization, give other bits.  Factors and
-    starts are compared as bit patterns, the inputs the arithmetic reads;
-    a float == would take -0.0 for +0.0 and part a NaN from itself.
+    A row's bits depend on its start row and its factors alone (_mul and
+    _renorm work row by row), so rows that agree bitwise on both are one
+    computation.  With the slab's repeats (_repeat_map), one row of each
+    such class is swept and the others copy it (_row_classes): in a
+    periodic window, the row at base b reads the factors of the row at
+    b - q.  Factors and starts are compared as bit patterns, the inputs
+    the arithmetic reads; a float == would take -0.0 for +0.0 and part a
+    NaN from itself.
     """
-    copy = _row_classes(P, base, steps, group_steps, repeats)
+    copy = _row_classes(P, base, steps, repeats)
     if copy is not None:
         heads = np.flatnonzero(copy == np.arange(len(copy)))
-        out = _row_sweep(_take(P, heads), slab, base[heads], steps[heads], group_steps[heads], logs)
+        out = _row_sweep(_take(P, heads), slab, base[heads], steps[heads], exps)
         at = np.searchsorted(heads, copy)
-        return (_take(out[0], at), out[1][at]) if logs else _take(out, at)
-    R = len(steps)
-    T = int(group_steps.max(initial=0))
+        return (_take(out[0], at), out[1][at]) if exps else _take(out, at)
     order = None
-    if steps.min(initial=T) == T:  # every row takes every step
-        live = n_mul = [R] * T
-        lead = [True] * T
-    else:
-        order = np.lexsort((-steps, -group_steps))
+    if np.any(steps[1:] > steps[:-1]):
+        order = np.argsort(-steps, kind="stable")
         P = _take(P, order)
-        steps, group_steps, base = steps[order], group_steps[order], base[order]
-        t = np.arange(T)
-        live = (R - np.searchsorted(group_steps[::-1], t, side="right")).tolist()
-        n_mul = R - np.cumsum(np.bincount(steps, minlength=T))[:T]
-        lead = (np.minimum.accumulate(steps)[n_mul - 1] > t).tolist()
-        n_mul = n_mul.tolist()
+        steps, base = steps[order], base[order]
+    T = int(steps.max(initial=0))
+    n_mul = (len(steps) - np.cumsum(np.bincount(steps, minlength=T))[:T]).tolist()
     # where the bases stop counting up by one, and how many such runs each
     # step's multiplied prefix spans: one or two runs are sliced from the
     # slab, which copies less than a gather (a single window's core field
@@ -329,43 +312,43 @@ def _row_sweep(P, slab, base, steps, group_steps, logs=False, repeats=None):
 
     def factors():
         spans = {}  # (first base, run length) per multiplied prefix
-        for t, r, k, prefix, m in zip(range(T), live, n_mul, lead, runs):
-            if not prefix:
-                rows = np.flatnonzero(steps[:r] > t)
-                yield _take(slab, base[rows] + t), rows, r
-            elif m > 2:
-                yield _take(slab, base[:k] + t), None, r
-            else:
-                if k not in spans:
-                    cuts = heads[:m] + [k]
-                    spans[k] = [(firsts[j], cuts[j + 1] - cuts[j]) for j in range(m)]
-                F = [planes[..., f + t : f + t + n] for f, n in spans[k]]
-                F = F[0] if m == 1 else np.concatenate(F, axis=-1)
-                yield F.transpose(2, 0, 1), None, r
+        for t, k, m in zip(range(T), n_mul, runs):
+            if m > 2:
+                yield _take(slab, base[:k] + t)
+                continue
+            if k not in spans:
+                cuts = heads[:m] + [k]
+                spans[k] = [(firsts[j], cuts[j + 1] - cuts[j]) for j in range(m)]
+            F = [planes[..., f + t : f + t + n] for f, n in spans[k]]
+            F = F[0] if m == 1 else np.concatenate(F, axis=-1)
+            yield F.transpose(2, 0, 1)
 
-    out = sweep(P, factors(), renorm=True, logs=logs)
-    if order is None:
-        return out
-    back = np.empty_like(order)
-    back[order] = np.arange(len(order))
-    return (_take(out[0], back), out[1][back]) if logs else _take(out, back)
+    total = np.zeros(len(P), dtype=np.int64) if exps else None
+    for P in _sweep_steps(P, factors(), True, True, total):
+        pass
+    if order is not None:
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+        P = _take(P, back)
+        total = total[back] if exps else None
+    return (P, total) if exps else P
 
 
 def _block_products(vals, starts, lengths, repeats=None):
     """Normalized ordered products of lengths[i] factors from each start.
 
     Row i holds vals[starts[i]+lengths[i]-1] @ ... @ vals[starts[i]]
-    scaled to unit max entry (lengths broadcast against starts); the log
-    of the removed scale is returned so the true product is
-    P * exp(logs).  Each row is renormalized on its own steps alone
-    (_row_sweep), so the blocks of windows laid end to end in one _slab
-    come from one sweep.  The products come out in the dtype of vals:
+    scaled by a power of two (lengths broadcast against starts), and the
+    binary exponents e of the removed scales are returned with them, so
+    the true product is ldexp of row i by e[i].  The blocks of windows
+    laid end to end in one _slab come from one sweep (_row_sweep).  The
+    products come out in the dtype of vals:
     float64 for real factors (_sweep_values), equal by value to the
     complex run, as the two forms of the kernel make them.
     """
     starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
     P = np.tile(np.eye(2, dtype=vals.dtype), (len(starts), 1, 1))
-    return _row_sweep(P, vals, starts, lengths, lengths, True, repeats)
+    return _row_sweep(P, vals, starts, lengths, True, repeats)
 
 
 def _window_products(batch, jobs):
@@ -375,28 +358,29 @@ def _window_products(batch, jobs):
     batch is a _Batch of the windows, and each job (off, sites, bu, bs,
     start) asks for one window's products: off is the window's offset in
     the slab, sites are window indices (0 for its first factor), and
-    bu/bs the burns, which may differ by site.  The u side is
-    right-multiplied into the past and the s side left-multiplied into
-    the future, each side renormalized after every step while any of its
-    rows multiplies.  Both run as left products: U @ F is the transpose
-    of F^T @ U^T, whose entries sum the same products in the same order,
+    bu/bs the burns, which may differ by site (bu None: the s side
+    alone).  The u side is right-multiplied into the past and the s side
+    left-multiplied into the future, each row renormalized after each of
+    its steps.  Both run as left products: U @ F is the transpose of
+    F^T @ U^T, whose entries sum the same products in the same order,
     and a transpose of a plane-major stack is a view (two planes swap).
     start=(U, S, t0) holds products that are already t0 factors long at
     the same sites, and only steps t0 on are computed.  Each row's
     arithmetic is its own, so resuming reproduces the products of one
     longer sweep bit for bit, and a batch those of one window alone.
 
-    Returns (U, S) per job in the dtype of the slab.  Callers pass the
-    real parts (_sweep_values) when every factor is real: the kernel's
-    float64 form, a*e + b*g, gives the real part of its complex128
-    split-accumulator form, and _renorm scales both alike, so the real
-    sweep equals the complex sweep by value at a fraction of its cost.
+    Returns (U, S) per job in the dtype of the slab, U None where bu is.
+    Callers pass the real parts (_sweep_values) when every factor is
+    real: the kernel's float64 form, a*e + b*g, gives the real part of
+    its complex128 split-accumulator form, and _renorm scales both
+    alike, so the real sweep equals the complex sweep by value at a
+    fraction of its cost.
     """
     if not jobs:
         return []
     slab = batch.slab
     N = len(slab) // 2
-    parts, base, steps, groups = [], [], [], []
+    parts, base, steps = [], [], []
     for off, sites, bu, bs, start in jobs:
         n = len(sites)
         if start is None:
@@ -404,37 +388,26 @@ def _window_products(batch, jobs):
             t0 = 0
         else:
             U, S, t0 = start
-        su, ss = np.maximum(bu - t0, 0), np.maximum(bs - t0, 0)
-        # u rows in reverse site order, so that their bases count up
-        parts += [U[::-1].transpose(0, 2, 1), S]
-        base += [(2 * N - off - sites + t0)[::-1], off + sites + t0]
-        steps += [su[::-1], ss]
-        groups += [np.full(n, su.max(initial=0)), np.full(n, ss.max(initial=0))]
+        if bu is not None:
+            # u rows in reverse site order, so that their bases count up
+            parts.append(U[::-1].transpose(0, 2, 1))
+            base.append((2 * N - off - sites + t0)[::-1])
+            steps.append(np.maximum(bu - t0, 0)[::-1])
+        parts.append(S)
+        base.append(off + sites + t0)
+        steps.append(np.maximum(bs - t0, 0))
     P = _row_sweep(
-        np.concatenate(parts), slab, *map(np.concatenate, (base, steps, groups)),
-        repeats=batch.repeats,
+        np.concatenate(parts), slab, *map(np.concatenate, (base, steps)), repeats=batch.repeats
     )
     out, a = [], 0
-    for _, sites, *_ in jobs:
+    for _, sites, bu, *_ in jobs:
         n = len(sites)
-        out.append((P[a : a + n][::-1].transpose(0, 2, 1), P[a + n : a + 2 * n]))
-        a += 2 * n
+        U = None
+        if bu is not None:
+            U, a = P[a : a + n][::-1].transpose(0, 2, 1), a + n
+        out.append((U, P[a : a + n]))
+        a += n
     return out
-
-
-def _field_products(vals, js, bu, bs, lo, start=None):
-    """_window_products for one window whose factor vals[0] sits at lo,
-    at sites js (absolute indices).  A product that runs past the window
-    repeats the end factor there."""
-    below = max(0, lo - int(np.min(js - bu)))
-    above = max(0, int(np.max(js + bs)) - lo - len(vals))
-    if below or above:
-        vals = np.concatenate(
-            (np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0))
-        )
-        lo -= below
-    batch = _Batch([MatSequence(lo, vals)], [vals])
-    return _window_products(batch, [(0, js - lo, bu, bs, start)])[0]
 
 
 def _perp_rows(v):
@@ -500,49 +473,50 @@ def _override_directions(s_rows, u_rows, P, u_vecs, s_vecs):
 
 
 def _directions(batch, jobs):
-    """Unit u and s rows for each job (w, js, bu, bs, U, S): window w's
-    sites js with their bu/bs-factor products U, S.
+    """Products and unit u and s rows for each job (w, js, bu, bs,
+    start): window w's sites js (absolute indices) with burns bu/bs,
+    whose products resume start as in _window_products.  Returns per job
+    (U, S, d), d being (u, s), arrays of its own, or the exception that
+    ends window w.
 
     Each site's rows depend only on its own products and burns, so any
     subset of sites, in any batch, reproduces the rows a larger call
-    computes for them.  The singular vectors of all jobs come from one
-    call per side, and the products of every job's singular overrides
-    from one _span_products call over the batch.  Real products from a
-    real sweep are cast to complex here, once.  Returns per job its
-    (u, s), arrays of its own, or the exception that ends window w.
+    computes for them.  All products come from one _window_products
+    sweep, those of the singular overrides (_override_plan) too: n
+    factors from site k are the s-side product of site k at burn n.
+    These stay renormalized, as _kernel_direction and _range_direction
+    divide by a norm that scales with the product: the directions are
+    those of the unscaled product, which could overflow.  The singular
+    vectors of all jobs come from one call per side.  Real products from
+    a real sweep are cast to complex here, once.
     """
     if not jobs:
         return []
-    U = np.concatenate([job[4] for job in jobs]).astype(complex, copy=False)
-    S = np.concatenate([job[5] for job in jobs]).astype(complex, copy=False)
-    u_all = sv_left_vectors(U)
-    s_all = _perp_rows(sv_right_vectors(S))
-    plans = [_override_plan(batch.zeros[w], js, bu, bs) for w, js, bu, bs, _, _ in jobs]
-    at = [batch.offsets[w] - batch.seqs[w].j_lo for w, *_ in jobs]
-    P = _span_products(
-        batch.values,
-        batch.slab,
-        0,
-        np.concatenate([plan[2] + off for plan, off in zip(plans, at)]),
-        np.concatenate([plan[3] for plan in plans]),
+    plans = [_override_plan(batch.zeros[w], js, bu, bs) for w, js, bu, bs, _ in jobs]
+    at = [(batch.offsets[w], batch.seqs[w].j_lo) for w, *_ in jobs]
+    prods = _window_products(batch, [
+        (off, js - lo, bu, bs, start) for (_, js, bu, bs, start), (off, lo) in zip(jobs, at)
+    ] + [
+        (off, starts - lo, None, lengths, None)
+        for (_, _, starts, lengths), (off, lo) in zip(plans, at)
+    ])
+    prods, overrides = prods[: len(jobs)], prods[len(jobs) :]
+    u_all = sv_left_vectors(np.concatenate([U for U, _ in prods]).astype(complex, copy=False))
+    s_all = _perp_rows(
+        sv_right_vectors(np.concatenate([S for _, S in prods]).astype(complex, copy=False))
     )
-    out, a, c = [], 0, 0
-    for (_, js, *_), (s_rows, u_rows, starts, _) in zip(jobs, plans):
+    out, a = [], 0
+    for (_, js, *_), (s_rows, u_rows, _, _), (U, S), (_, P) in zip(jobs, plans, prods, overrides):
         u, s = u_all[a : a + len(js)], s_all[a : a + len(js)]
-        a, c = a + len(js), c + len(starts)
+        a += len(js)
         try:
-            _override_directions(s_rows, u_rows, P[c - len(starts) : c], u, s)
+            _override_directions(s_rows, u_rows, P.astype(complex, copy=False), u, s)
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
                 raise InternalInconsistency("non-finite direction estimate")
-            out.append((unit_rows(u), unit_rows(s)))
+            out.append((U, S, (unit_rows(u), unit_rows(s))))
         except Exception as exc:  # it ends this window alone
-            out.append(exc)
+            out.append((U, S, exc))
     return out
-
-
-def _site_directions(seq, js, bu, bs, U, S):
-    """_directions for one window's sites js (absolute indices)."""
-    return _one(_directions(_Batch([seq]), [(0, js, bu, bs, U, S)]))
 
 
 def _core_fields(batch, jobs):
@@ -552,8 +526,9 @@ def _core_fields(batch, jobs):
 
     prev is such a triple for a smaller burn on the same window: its
     products are sliced to the core(burn) sites and continued, so no
-    factor step is computed twice.  U and S stay in the dtype of the
-    sweep, so resuming casts nothing.  All jobs share one sweep.
+    field factor step is computed twice (the singular-override rows of
+    _directions start afresh).  U and S stay in the dtype of the sweep,
+    so resuming casts nothing.  All jobs share one sweep.
     """
     specs = []
     for w, burn, prev in jobs:
@@ -565,13 +540,10 @@ def _core_fields(batch, jobs):
             b0, U0, S0 = prev
             rows = slice(burn - b0, burn - b0 + len(js))
             start = (U0[rows], S0[rows], b0)
-        specs.append((w, burn, js, full, (batch.offsets[w], js - lo, full, full, start)))
-    prods = _window_products(batch, [spec[-1] for spec in specs])
-    dirs = _directions(
-        batch, [(w, js, full, full, U, S) for (w, _, js, full, _), (U, S) in zip(specs, prods)]
-    )
+        specs.append((w, js, full, full, start))
     out = []
-    for (w, burn, js, full, _), (U, S), d in zip(specs, prods, dirs):
+    dirs = _directions(batch, specs)
+    for (_, burn, _), (_, js, full, _, _), (U, S, d) in zip(jobs, specs, dirs):
         if isinstance(d, Exception):
             out.append(d)
             continue
@@ -581,11 +553,6 @@ def _core_fields(batch, jobs):
         )
         out.append((fld, (burn, U, S)))
     return out
-
-
-def _core_field(seq, burn, prev=None):
-    """_core_fields for one window."""
-    return _one(_core_fields(_Batch([seq]), [(0, burn, prev)]))
 
 
 def _extend_fields(batch, jobs):
@@ -609,14 +576,9 @@ def _extend_fields(batch, jobs):
             new[core.j_first - lo - 1 : core.j_last - lo] = False
         specs.append((w, burn, core, lo, js, bu, bs, new))
     todo = [spec for spec in specs if np.any(spec[-1])]
-    prods = _window_products(batch, [
-        (batch.offsets[w], js[new] - lo, bu[new], bs[new], None)
-        for w, _, _, lo, js, bu, bs, new in todo
-    ])
-    dirs = dict(zip((spec[0] for spec in todo), _directions(batch, [
-        (w, js[new], bu[new], bs[new], U, S)
-        for (w, _, _, _, js, bu, bs, new), (U, S) in zip(todo, prods)
-    ])))
+    dirs = {spec[0]: d for spec, (_, _, d) in zip(todo, _directions(batch, [
+        (w, js[new], bu[new], bs[new], None) for w, _, _, _, js, bu, bs, new in todo
+    ]))}
     out = []
     for w, burn, core, lo, js, bu, bs, new in specs:
         d = dirs.get(w)
@@ -726,7 +688,8 @@ def verify_invariance(seq, fld, threshold):
 
     A factor that annihilates u counts as a maximal violation; one that
     annihilates s is vacuously invariant (the image line degenerated).
-    Returns (passed, residual).
+    Returns (passed, residual).  Norms that overflow would make every
+    image look dead, so they raise InternalInconsistency instead.
     """
     sites = fld.sites()
     if len(sites) < 2:
@@ -737,6 +700,8 @@ def verify_invariance(seq, fld, threshold):
     Ws = np.einsum("nij,nj->ni", B, fld.s[:-1])
     nu = np.linalg.norm(Wu, axis=-1)
     ns = np.linalg.norm(Ws, axis=-1)
+    if not np.isfinite(scale.max() + nu.max() + ns.max()):
+        raise InternalInconsistency("factor norms overflow in the invariance check")
     dead_u = nu <= 1e-14 * scale
     dead_s = ns <= 1e-14 * scale
     ru = np.where(dead_u, 2.0, chordal_rows(Wu, fld.u[1:]))
@@ -902,7 +867,7 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
                 rows.append((i, n_blk, np.arange(fld.j_first, last + 1)))
         if not rows:
             continue
-        P, logs = _block_products(
+        P, exps = _block_products(
             batch.slab,
             np.concatenate([batch.offsets[jobs[i][0]] - batch.seqs[jobs[i][0]].j_lo + js
                             for i, _, js in rows]),
@@ -922,9 +887,9 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
             D, Dinv = frames[i]
             k = js - jobs[i][1].j_first
             Lam = _mul(_mul(Dinv[k + n_blk], P[seg]), D[k])
-            with np.errstate(divide="ignore"):
-                gam_log = np.log(np.abs(Lam[:, 0, 0])) + logs[seg]
-            gamma = float(np.exp(np.min(gam_log)))
+            # the least |Lam[:, 0, 0]| of the unscaled products, scaled back
+            # exactly (numpy's SIMD log and exp are not correctly rounded)
+            gamma = float(np.min(np.ldexp(np.abs(Lam[:, 0, 0]), exps[seg])))
             cond = float(np.max(op_norm(Dinv[k + n_blk]) * op_norm(D[k])))
             clearances = np.min(disk_image_margins(Lam, a_grid, ap_grid), axis=-1)
             best = None
@@ -1174,8 +1139,8 @@ def certify_many(seqs, **kw):
     (_burn_ladder) climb in lockstep, each window's next core field
     resuming its previous one, and so do the extended fields, the
     singular overrides, the floor curves and the cone search.  A row's
-    bits do not depend on its neighbours in a stack, and a window's rows
-    are renormalized on that window's own steps alone (_row_sweep), so
+    bits do not depend on its neighbours in a stack, and its exact
+    renormalization on its own steps (_row_sweep) does not either, so
     every certificate is that of the window certified alone, bit for bit.
     The checks themselves run window by window.  Each certificate's
     core_field owns its arrays, so keeping one pins no batch.
@@ -1327,16 +1292,22 @@ def _certify_batch(
     def judge(w):
         seq, (b, gap, _, core) = seqs[w], resolved[w]
         res_eff, inv_ok, inv_res, dom, sep_ok, delta_ext, delta_core = checks[w]
-        curve = [
-            (n, v, floor_rel * seq.sup_bound**n) for n, v in enumerate(floors[w], 1)
-        ]
+
+        def threshold(n):
+            # floor_rel * sup_bound**n, inf where the power overflows
+            try:
+                return floor_rel * seq.sup_bound**n
+            except OverflowError:
+                return math.inf
+
+        curve = [(n, v, threshold(n)) for n, v in enumerate(floors[w], 1)]
         floor_val = floor_thr = None
         floor_ok = None
         if dom.N >= 1:
             floor_val = (
                 floors[w][dom.N - 1] if dom.N <= len(floors[w]) else norm_floor(seq, dom.N)
             )
-            floor_thr = floor_rel * seq.sup_bound**dom.N
+            floor_thr = threshold(dom.N)
             floor_ok = floor_val > floor_thr
         for name, value in (
             ("invariance residual", inv_res),

@@ -4,16 +4,12 @@ Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
 floors.  Every ordered product in the package runs through sweep(),
 which multiplies a stack of 2x2 products by one factor stack per step,
-optionally renormalizing every row, or only the live leading rows,
-after each step; span_products() gives cocycle_product for many
-(start, length) pairs at once.
+optionally renormalizing the rows each step multiplies; span_products()
+gives cocycle_product for many (start, length) pairs at once.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
 A MatSequence stores complex128 factors.  Sweeps over a window whose
-factors are all real run in float64 (_sweep_values), and products
-longer than EXTENDED_CUTOFF factors accumulate in clongdouble (80-bit
-extended on x86) before rounding back to complex128, so slowly growing
-or decaying singular values stay trustworthy.
+factors are all real run in float64 (_sweep_values).
 
 float64 and complex128 products go through one kernel, _mul, which
 makes no BLAS call: it works on plane-major stacks, where entry (i, k)
@@ -21,6 +17,14 @@ of every 2x2 is one contiguous array, and writes each entry in one of
 two fixed forms, a*e + b*g for float64 and a split-accumulator form on
 the real and imaginary planes for complex128.  Their bits are those of
 a non-FMA BLAS, whichever kernel the BLAS library picks at run time.
+
+Renormalization is exact: _renorm scales each row by the power of two
+that puts its largest real or imaginary part into [1, 2), as LAPACK's
+xLASCL scales.  The kernel's fixed forms commute with a power of two, so
+a renormalized row is its unnormalized product times a power of two,
+whichever steps scaled it, and a second pass changes nothing.  Long
+products run renormalized and are scaled back with ldexp, which is
+exact, so no product needs a wider dtype.
 """
 
 from __future__ import annotations
@@ -31,11 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EXTENDED_CUTOFF = 32
 SINGULAR_RTOL = 1e-13
 
 __all__ = [
-    "EXTENDED_CUTOFF",
     "SINGULAR_RTOL",
     "SingularFactor",
     "MatSequence",
@@ -196,7 +198,12 @@ class MatSequence:
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         self.values = v
-        top = float(np.max(op_norm(v)))
+        # the norms of the exactly scaled factors, scaled back: the squares
+        # in singular_values overflow only where the norm itself does
+        scaled, s = _renorm(v)
+        top = float(np.max(np.ldexp(op_norm(scaled), -s)))
+        if not math.isfinite(top):
+            raise ValueError(f"the largest factor norm {top} is not finite in float64")
         if self.sup_bound is None:
             self.sup_bound = top
         elif not math.isfinite(self.sup_bound):
@@ -282,14 +289,10 @@ def _mul(A, B, out=None):
     a complex one as numpy's promotion gives it, with +0.0 imaginary
     parts.  Plane-major operands (_plane_major) are read without a copy,
     and a new result is plane-major; out may be one of the operands.
-    clongdouble stacks keep numpy's matmul, which runs its own loop in
-    extended precision.
     """
     if A.dtype != B.dtype:
         dtype = np.result_type(A, B)
         A, B = A.astype(dtype), B.astype(dtype)
-    if A.dtype.char == "G":  # clongdouble
-        return np.matmul(A, B, out=out)
     a, b = A.transpose(1, 2, 0), B.transpose(1, 2, 0)
     parts = A.dtype.kind == "c"
     if parts:
@@ -313,33 +316,56 @@ def _mul(A, B, out=None):
 
 
 def _row_max(P):
-    """Largest entry modulus of each 2x2 in a stack (NaN propagates).
+    """Largest |re| or |im| over the entries of each 2x2 in a stack (NaN
+    propagates).
 
-    One max-reduce over the four entry planes, which reshape without a
-    copy when P is plane-major.
+    One max-reduce over the entry planes, which reshape without a copy
+    when P is plane-major; a complex stack is read as float64, its real
+    and imaginary parts side by side, and the two are reduced in pairs.
+    Unlike a complex modulus, no step rounds, so the result does not
+    depend on the SIMD loop numpy picks for the CPU.
     """
-    return np.maximum.reduce(np.abs(P).transpose(1, 2, 0).reshape(4, len(P)))
+    X = P.transpose(1, 2, 0)
+    if X.dtype.kind != "c":
+        return np.maximum.reduce(np.abs(X).reshape(4, -1))
+    if X.strides[-1] != X.itemsize:  # not plane-major
+        X = X.copy()
+    r = np.maximum.reduce(np.abs(X.view(np.float64)).reshape(4, -1))
+    return np.maximum(r[0::2], r[1::2])
 
 
-def _renorm(P, m=None, out=None):
-    """Scale each 2x2 of a stack to unit max entry (zero rows stay zero).
+def _ldexp(P, s, out=None):
+    """P[i] * 2**s[i] for each 2x2 of a stack, exactly (ldexp on the real
+    and the imaginary parts) unless it overflows or underflows."""
+    s = s[:, None, None]
+    if P.dtype.kind != "c":
+        return np.ldexp(P, s, out=out)
+    if out is None:
+        out = np.empty_like(P)
+    np.ldexp(P.real, s, out=out.real)
+    np.ldexp(P.imag, s, out=out.imag)
+    return out
 
-    m holds the row maxima (_row_max(P)) when the caller has them; its
-    zero and NaN entries are set to 1.0 in place.  out=P scales P in
-    place, as sweep does.  numpy divides a complex stack by a real scale
-    m as (x + 0 * y) * (1 / m), Smith's formula with a zero imaginary
-    part, so a real stack is scaled by P * (1 / m): the real part of the
-    complex result by value, and bit for bit where y is -0.0 (where y is
-    +0.0, a -0.0 entry stays -0.0 here).  P / m rounds differently.  The
-    scaling is not idempotent: a second pass moves some rows by an ulp.
+
+def _renorm(P, out=None):
+    """Scale each 2x2 of a stack by a power of two, exactly.
+
+    Row i is multiplied by 2**s[i] with s[i] = 1 - e, e the frexp
+    exponent of the row's largest |re| or |im| (_row_max), so that part
+    lands in [1, 2): the scaling of LAPACK's xLASCL.  Rows already there
+    and rows holding an inf or NaN keep the scale 1 (s = 0), and a zero
+    row keeps its bits (its s is 1).  Returns the scaled stack and s
+    (int32); out=P scales P in place, as sweep does.  Scaling by a power
+    of two does not round, so _renorm is idempotent, and since _mul's
+    fixed forms commute with it, a row scaled after every step of a
+    sweep equals the same row scaled once at the end, bit for bit.
     """
-    if m is None:
-        m = _row_max(P)
-    if not np.minimum.reduce(m) > 0.0:
-        m[~(m > 0.0)] = 1.0
-    if P.dtype.kind == "c":
-        return np.divide(P, m[:, None, None], out=out)
-    return np.multiply(P, (1.0 / m)[:, None, None], out=out)
+    m = _row_max(P)
+    _, s = np.frexp(m)
+    np.subtract(1, s, out=s)
+    if not np.maximum.reduce(m, initial=0.0) < np.inf:  # an inf or NaN part
+        s[~(m < np.inf)] = 0
+    return _ldexp(P, s, out), s
 
 
 def sweep(P, steps, left=True, renorm=False, logs=False):
@@ -347,132 +373,110 @@ def sweep(P, steps, left=True, renorm=False, logs=False):
 
     Each F in steps multiplies the first k = len(F) rows of P, from the
     left (F @ P[:k]) or the right (P[:k] @ F), through _mul.  With
-    renorm, every row is then scaled to unit max entry (_renorm, in
-    place), multiplied or not; logs adds up the log of each row's removed
-    scale and returns (P, logs), the true product being P * exp(logs).
-    A step may instead be a triple (F, rows, live): F multiplies the rows
-    indexed by rows (None: the first len(F)), and only the first live
-    rows are renormalized (see _sweep_steps).  P itself is never written
-    into.  _mul gives a row of a stack the bits it gives that row alone,
-    so each row comes out as a loop over it alone would make it.  The
-    products come out plane-major; plane-major factor stacks (slices of
-    _sweep_values, or _take) are read as they are, others through
+    renorm, those k rows are then scaled by a power of two (_renorm, in
+    place); logs returns (P, logs), logs holding the log of each row's
+    removed scales, so that the true product is P * exp(logs): the
+    removed binary exponents are summed as integers and multiplied by
+    ln 2 once, and a row whose largest part ends at 0, inf or NaN gets
+    the log of that part (-inf for a zero row).  P itself is never
+    written into.  _mul gives a row of a stack the bits it gives that
+    row alone, and the scaling is exact, so each row is its unnormalized
+    product times a power of two, as a loop over it alone would make it.
+    The products come out plane-major; plane-major factor stacks (slices
+    of _sweep_values, or _take) are read as they are, others through
     strided views.
     """
-    total = np.zeros(len(P)) if logs else None
+    total = np.zeros(len(P), dtype=np.int64) if logs else None
     for P in _sweep_steps(P, steps, left, renorm, total):
         pass
-    return (P, total) if logs else P
+    if not logs:
+        return P
+    out = total * math.log(2.0)
+    m = _row_max(P)
+    odd = ~((m > 0.0) & (m < np.inf))
+    if odd.any():
+        with np.errstate(divide="ignore"):
+            out[odd] = np.log(m[odd])
+    return P, out
 
 
 def _sweep_steps(P, steps, left, renorm, total):
     """The loop of sweep, yielding the stack after every step; total,
-    when not None, accumulates the logs.  A later step may write into a
-    stack already yielded, so a caller copies the rows it keeps.
-
-    A step (F, rows, live) renormalizes only the live leading rows, so
-    rows that stack several windows keep each window's own passes:
-    _renorm is not idempotent, and a row must be scaled on exactly the
-    steps of its own window, those on which any row of that window
-    multiplies (_row_sweep in certifier orders the rows so that such
-    rows lead).  Its multiplied rows are the first len(F) when rows is
-    None, otherwise an index array into the live rows, gathered and
-    written back.
-    """
+    when not None, accumulates each row's removed binary exponents
+    (int64), so that ldexp of a row by its total is the unnormalized
+    product.  A later step may write into a stack already yielded, so a
+    caller copies the rows it keeps.  Each step renormalizes exactly the
+    rows it multiplies."""
     P0, n = P, len(P)
     for F in steps:
-        rows, live = None, n
-        if isinstance(F, tuple):
-            F, rows, live = F
-        if rows is None and len(F) == n:
+        k = len(F)
+        if k == n:
             P = _mul(F, P) if left else _mul(P, F)
         else:
             if P is P0:
                 P = _plane_major(P, copy=True)
-            if rows is None:
-                k = len(F)
-                A, B = (F, P[:k]) if left else (P[:k], F)
-                _mul(A, B, out=P[:k])
-            else:
-                Q = _take(P, rows)
-                Q = _mul(F, Q) if left else _mul(Q, F)
-                P.transpose(1, 2, 0)[..., rows] = Q.transpose(1, 2, 0)
-        if renorm and live:
-            R = P if live == n else P[:live]
-            m = _row_max(R)
+            A, B = (F, P[:k]) if left else (P[:k], F)
+            _mul(A, B, out=P[:k])
+        if renorm and k:
+            _, s = _renorm(P[:k], out=P[:k])
             if total is not None:
-                with np.errstate(divide="ignore"):
-                    total[:live] += np.log(m)
-            _renorm(R, m, out=R)
+                total[:k] -= s
         yield P
 
 
 def span_products(seq, starts, lengths):
-    """cocycle_product(seq, j, n) for each pair of starts and lengths, bit
-    for bit, as one (len, 2, 2) complex stack.
+    """cocycle_product(seq, j, n) for each pair of starts and lengths, as
+    one (len, 2, 2) complex stack.
 
-    starts and lengths broadcast to one dimension.  Rows longer than
-    EXTENDED_CUTOFF factors run in clongdouble, the others in the dtype of
-    _sweep_values (on a real window, float64 gives the real parts of the
-    complex128 products bit for bit, and their imaginary parts are +0.0),
-    each from the identity as cocycle_product runs it.
-    """
-    return _span_products(seq.values, _sweep_values(seq), seq.j_lo, starts, lengths)
-
-
-def _span_products(values, vals, j_lo, starts, lengths):
-    """span_products over factors given as arrays: values, complex128,
-    and vals, the same factors in the sweep dtype, both indexed from
-    j_lo.  Several windows laid end to end may share one call, each
-    product lying inside its own window.
+    starts and lengths broadcast to one dimension.  The products run
+    renormalized in the dtype of _sweep_values and are scaled back with
+    ldexp, which is exact: each is the product a loop of _mul from the
+    identity makes, bit for bit, wherever that loop neither overflows nor
+    underflows, and finite wherever the product is.  On a real window,
+    float64 gives the real parts of the complex128 products bit for bit,
+    and their imaginary parts are +0.0.
 
     Rows that share a start share one chain and are read off it as it
     reaches their lengths.  The chains run longest first, so those still
     multiplying form a prefix, and each step's factors are a slice of one
-    gather made up front (a gather per step made the single-chain calls
-    of certify's singular overrides half again as slow).
+    gather made up front.
     """
     js, ns = (np.ravel(a).tolist() for a in np.broadcast_arrays(starts, lengths))
     out = np.tile(np.eye(2, dtype=complex), (len(js), 1, 1))
-    window = (j_lo, j_lo + len(values) - 1)
-    for extended in (True, False):
-        rows = [i for i, n in enumerate(ns) if n > 0 and (n > EXTENDED_CUTOFF) == extended]
-        if not rows:
-            continue
-        rows.sort(key=ns.__getitem__)  # shortest first
-        top = {js[i]: ns[i] for i in rows}  # each start's longest row comes last
-        heads = sorted(top, key=top.get, reverse=True)  # the chains, longest first
-        j0 = min(heads)
-        span = max(j + n for j, n in top.items()) - j0
-        _check_span(window, j0, span)
-        i0 = j0 - j_lo
-        if extended:
-            part = values[i0 : i0 + span].astype(np.clongdouble)
-        else:
-            part = vals[i0 : i0 + span]
-        t = np.arange(top[heads[0]])[:, None]
-        live = t < np.array([top[j] for j in heads])  # (step, chain), a prefix per step
-        G = _take(part, (np.array(heads) - j0 + t)[live])
-        ends = np.cumsum(live.sum(axis=1)).tolist()
-        steps = (G[a:b] for a, b in zip([0] + ends, ends))
-        chain = {j: c for c, j in enumerate(heads)}
-        lens, at = [ns[i] for i in rows], [chain[js[i]] for i in rows]
-        kept = np.empty((len(rows), 2, 2), dtype=part.dtype)
-        k = 0
-        P = np.tile(np.eye(2, dtype=part.dtype), (len(heads), 1, 1))
-        for s, P in enumerate(_sweep_steps(P, steps, True, False, None), 1):
-            while k < len(rows) and lens[k] == s:
-                kept[k] = P[at[k]]
-                k += 1
-        out[rows] = kept
+    rows = sorted((i for i, n in enumerate(ns) if n > 0), key=ns.__getitem__)  # shortest first
+    if not rows:
+        return out
+    top = {js[i]: ns[i] for i in rows}  # each start's longest row comes last
+    heads = sorted(top, key=top.get, reverse=True)  # the chains, longest first
+    j0 = min(heads)
+    span = max(j + n for j, n in top.items()) - j0
+    _check_span(seq.window, j0, span)
+    part = _sweep_values(seq)[j0 - seq.j_lo : j0 - seq.j_lo + span]
+    t = np.arange(top[heads[0]])[:, None]
+    live = t < np.array([top[j] for j in heads])  # (step, chain), a prefix per step
+    G = _take(part, (np.array(heads) - j0 + t)[live])
+    ends = np.cumsum(live.sum(axis=1)).tolist()
+    steps = (G[a:b] for a, b in zip([0] + ends, ends))
+    chain = {j: c for c, j in enumerate(heads)}
+    lens, at = [ns[i] for i in rows], [chain[js[i]] for i in rows]
+    kept = np.empty((len(rows), 2, 2), dtype=part.dtype)
+    exps = np.empty(len(rows), dtype=np.int64)
+    total = np.zeros(len(heads), dtype=np.int64)
+    k = 0
+    P = np.tile(np.eye(2, dtype=part.dtype), (len(heads), 1, 1))
+    for s, P in enumerate(_sweep_steps(P, steps, True, True, total), 1):
+        while k < len(rows) and lens[k] == s:
+            kept[k], exps[k] = P[at[k]], total[at[k]]
+            k += 1
+    out[rows] = _ldexp(kept, exps, out=kept)
     return out
 
 
 def cocycle_product(seq, j, n):
     """Ordered product of the factors at j, j+1, ..., j+n-1 (later on the left).
 
-    n = 0 returns the identity.  Products with more than EXTENDED_CUTOFF
-    factors run in extended precision.
+    n = 0 returns the identity.  The product runs renormalized and is
+    scaled back exactly (span_products).
     """
     if n < 0:
         raise ValueError("n must be nonnegative; use backward_product for inverses")
@@ -484,27 +488,22 @@ def backward_product(seq, j, n):
 
     Equals the inverse of cocycle_product(seq, j - n, n); every factor in
     [j - n, j - 1] must be invertible at the shared tolerance, otherwise
-    SingularFactor names the offending index.
+    SingularFactor names the offending index.  The product of the
+    inverses runs renormalized and is scaled back exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_span(seq.window, j - n, n)
-    dtype = np.clongdouble if n > EXTENDED_CUTOFF else complex
-    inverses = (inv2(seq.at(k), index=k).astype(dtype, copy=False)[None] for k in range(j - n, j))
-    return sweep(np.eye(2, dtype=dtype)[None], inverses, left=False)[0].astype(complex)
+    inverses = (inv2(seq.at(k), index=k)[None] for k in range(j - n, j))
+    total = np.zeros(1, dtype=np.int64)
+    for P in _sweep_steps(np.eye(2, dtype=complex)[None], inverses, False, True, total):
+        pass
+    return _ldexp(P, total)[0]
 
 
 def norm_floor(seq, n):
     """min over admissible j of the operator norm of the length-n product."""
-    if not 1 <= n <= len(seq):
-        raise ValueError(f"n must lie in [1, {len(seq)}]")
-    if n <= EXTENDED_CUTOFF:
-        return norm_floor_curve(seq, n)[-1]
-    m = len(seq) - n + 1
-    vals = seq.values.astype(np.clongdouble)
-    prod = sweep(vals[:m], (vals[k : k + m] for k in range(1, n)))
-    s1, _ = singular_values(prod.astype(np.complex128))
-    return float(np.min(s1))
+    return norm_floor_curve(seq, n)[-1]
 
 
 def norm_floor_curve(seq, n_max):
@@ -514,10 +513,8 @@ def norm_floor_curve(seq, n_max):
     in float64 when every factor is real (_sweep_values): singular
     values read only magnitudes, so both dtypes give the same floors.
     """
-    if not 1 <= n_max <= min(len(seq), EXTENDED_CUTOFF):
-        raise ValueError(
-            f"n_max must lie in [1, {min(len(seq), EXTENDED_CUTOFF)}]"
-        )
+    if not 1 <= n_max <= len(seq):
+        raise ValueError(f"block length must lie in [1, {len(seq)}]")
     return _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
 
 

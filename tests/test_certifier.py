@@ -7,6 +7,10 @@ four conditions by construction.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -359,14 +363,21 @@ def test_failed_certificate_roundtrips():
 
 
 def _renorm_oracle(P):
-    m = np.max(np.abs(P).reshape(len(P), 4), axis=1)
-    return P / np.where(m > 0.0, m, 1.0)[:, None, None]
+    """Each complex 2x2 scaled by 2**(1 - e), e the frexp exponent of its
+    largest |re| or |im|; a row with a NaN part as it is."""
+    m = np.max(np.abs(np.stack([P.real, P.imag])), axis=(0, 2, 3))
+    s = np.where(np.isfinite(m), 1 - np.frexp(m)[1], 0)[:, None, None]
+    out = np.empty_like(P)
+    out.real, out.imag = np.ldexp(P.real, s), np.ldexp(P.imag, s)
+    return out
 
 
 def masked_field_products(vals, js, bu, bs, lo):
     """Reference per-site products: every site from the identity, through
-    a masked loop over clipped factor indices.  certifier._field_products
-    must match it bit for bit, resumed or sliced."""
+    a masked loop over clipped factor indices, every row renormalized
+    after every step, whether it multiplied or not (the scaling is exact,
+    so a second pass changes nothing).  window_products must match it
+    bit for bit, resumed or sliced."""
     n = len(js)
     U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
     S = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
@@ -384,6 +395,30 @@ def masked_field_products(vals, js, bu, bs, lo):
             S = np.where(asel[:, None, None], ref_matmul(vals[idx], S), S)
             S = _renorm_oracle(S)
     return U, S
+
+
+def window_products(vals, js, bu, bs, lo, start=None):
+    """certifier._window_products for one window whose factor vals[0]
+    sits at lo, at sites js (absolute indices), as a one-window _Batch.
+    A product that runs past the window repeats the end factor there, as
+    the clipped indices of masked_field_products do."""
+    below = max(0, lo - int(np.min(js - bu)))
+    above = max(0, int(np.max(js + bs)) - lo - len(vals))
+    vals = np.concatenate((np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0)))
+    lo -= below
+    batch = certifier._Batch([MatSequence(lo, vals)], [vals])
+    return certifier._window_products(batch, [(0, js - lo, bu, bs, start)])[0]
+
+
+def site_directions(seq, js, bu, bs, vals=None):
+    """certifier._directions for one window's sites js (absolute indices),
+    sweeping vals (by default the window's _sweep_values): the products
+    U, S and the rows (u, s), or the exception that ends the window."""
+    batch = certifier._Batch([seq], None if vals is None else [vals])
+    U, S, d = certifier._directions(batch, [(0, js, bu, bs, None)])[0]
+    if isinstance(d, Exception):
+        raise d
+    return U, S, d
 
 
 @settings(max_examples=100, deadline=None)
@@ -407,7 +442,7 @@ def test_field_products_match_the_masked_sweep(n, seed, offset, m, bu0, bs0, uni
         bu, bs = np.full(m, bu0), np.full(m, bs0)
     else:
         bu, bs = rng.integers(1, bu0 + 1, m), rng.integers(1, bs0 + 1, m)
-    U, S = certifier._field_products(vals, js, bu, bs, lo)
+    U, S = window_products(vals, js, bu, bs, lo)
     U_ref, S_ref = masked_field_products(vals, js, bu, bs, lo)
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
 
@@ -461,14 +496,14 @@ def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
     ladder = sorted(
         data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=6))
     )
-    last = None
+    batch, last = certifier._Batch([seq]), None
     for b in ladder:
-        fld, last = certifier._core_field(seq, b, last)
+        fld, last = certifier._one(certifier._core_fields(batch, [(0, b, last)]))
         js = np.arange(lo + b, hi + 2 - b)
         full = np.full(len(js), b)
         U, S = masked_field_products(seq.values, js, full, full, lo)
         assert np.array_equal(last[1], U) and np.array_equal(last[2], S)
-        u, s = certifier._site_directions(seq, js, full, full, U, S)
+        _, _, (u, s) = site_directions(seq, js, full, full)
         assert fld.j_first == js[0]
         assert np.array_equal(fld.u, u) and np.array_equal(fld.s, s)
 
@@ -494,8 +529,9 @@ def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singula
     js = np.arange(lo + 1, hi + 1)
     bu = np.minimum(burn, js - lo)
     bs = np.minimum(burn, hi + 1 - js)
-    U, S = masked_field_products(seq.values, js, bu, bs, lo)
-    u, s = certifier._site_directions(seq, js, bu, bs, U, S)
+    U_ref, S_ref = masked_field_products(seq.values, js, bu, bs, lo)
+    U, S, (u, s) = site_directions(seq, js, bu, bs)
+    assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
     assert ext.j_first == lo + 1
     assert np.array_equal(ext.u, u) and np.array_equal(ext.s, s)
     assert np.array_equal(ext.burn_u, bu) and np.array_equal(ext.burn_s, bs)
@@ -545,12 +581,14 @@ def test_real_sweep_equals_the_complex_sweep(n, seed, kind, burn, extend):
         bu = bs = np.full(len(js), burn)
     vals = certifier._sweep_values(seq)
     assert vals.dtype == np.float64
-    U, S = certifier._field_products(vals, js, bu, bs, lo)
+    U, S = window_products(vals, js, bu, bs, lo)
     U_ref, S_ref = masked_field_products(seq.values, js, bu, bs, lo)
     assert U.dtype == np.float64
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
-    u, s = certifier._site_directions(seq, js, bu, bs, U, S)
-    u_ref, s_ref = certifier._site_directions(seq, js, bu, bs, U_ref, S_ref)
+    # and the directions, singular overrides included, are those of the
+    # complex sweep bit for bit
+    _, _, (u, s) = site_directions(seq, js, bu, bs)
+    _, _, (u_ref, s_ref) = site_directions(seq, js, bu, bs, seq.values)
     assert u.tobytes() == u_ref.tobytes() and s.tobytes() == s_ref.tobytes()
 
 
@@ -587,6 +625,49 @@ def test_complex_windows_sweep_in_complex(free_op):
     assert certifier._sweep_values(cocycle_map(free_op, 3.0 + 1e-9j)).dtype == complex
 
 
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1
+    from numpy.core import _multiarray_umath as _umath
+
+# numpy's run-time SIMD targets from AVX2 (X86_V3) up, all of which have FMA
+SIMD_TARGETS = [
+    t for t in getattr(_umath, "__cpu_dispatch__", [])
+    if t in ("X86_V3", "X86_V4") or t.startswith("AVX512")
+]
+
+BLOCK_PRODUCTS_BYTES = """
+import sys
+import numpy as np
+from domsplit import certifier
+rng = np.random.default_rng(97)
+vals = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
+vals *= rng.uniform(0.1, 10.0, (300, 1, 1))
+P, exps = certifier._block_products(vals, np.arange(260), 40)
+out = P.tobytes() + exps.tobytes()
+"""
+
+
+@pytest.mark.skipif(
+    not SIMD_TARGETS or not getattr(_umath, "__cpu_features__", {}).get("FMA3"),
+    reason="numpy dispatches no FMA target on this CPU",
+)
+def test_complex_window_bits_do_not_depend_on_simd_dispatch():
+    # the renormalization reads |re| and |im|, not the complex modulus,
+    # whose SIMD hypot rounds differently with and without FMA; with
+    # numpy's AVX2 and AVX-512 loops disabled the bits stay the same
+    here = {}
+    exec(BLOCK_PRODUCTS_BYTES, here)
+    src = os.path.dirname(os.path.dirname(certifier.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_TARGETS))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run(
+        [sys.executable, "-c", BLOCK_PRODUCTS_BYTES + "sys.stdout.buffer.write(out)\n"],
+        env=env, capture_output=True, check=True,
+    )
+    assert run.stdout == here["out"]
+
+
 def test_real_renorm_is_the_complex_division():
     rng = np.random.default_rng(11)
     P = rng.standard_normal((4000, 2, 2)) * np.exp(rng.uniform(-700.0, 700.0, (4000, 2, 2)))
@@ -595,16 +676,23 @@ def test_real_renorm_is_the_complex_division():
     P[::17] = 0.0
     P[5::19] = -0.0
     P[7::23, 0] = -0.0  # zero rows under a nonzero one
-    out = mat2._renorm(P)
+    out, s = mat2._renorm(P)
     assert out.dtype == np.float64
-    # the real part of the complex division, zeros' signs included when
-    # the imaginary parts are -0.0 as cocycle_map makes them
+    # the removed scale is the power of two 2**(e - 1) at or below the
+    # largest part
+    m = mat2._row_max(P)
+    scale = np.where(m > 0.0, 2.0 ** (np.frexp(m)[1] - 1), 1.0)
+    assert np.array_equal(np.ldexp(1.0, -s)[m > 0.0], scale[m > 0.0])
+    # the real part of the complex division by that scale, which rounds
+    # only where a part falls below the normal range, zeros' signs
+    # included when the imaginary parts are -0.0 as cocycle_map makes them
     Pc = P.astype(complex)
     Pc.imag = -0.0
-    ref = np.ascontiguousarray(mat2._renorm(Pc).real)
+    ref = np.ascontiguousarray((Pc / scale[:, None, None]).real)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert mat2._renorm(Pc)[0].real.tobytes() == out.tobytes()
     # and by value when they are +0.0
-    assert np.array_equal(out, mat2._renorm(P.astype(complex)).real)
+    assert np.array_equal(out, (P.astype(complex) / scale[:, None, None]).real)
 
 
 @pytest.mark.parametrize("which", ["free", "random", "example_one"])
@@ -631,6 +719,8 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
 
     def counting_products(slab, jobs):
         for _, sites, bu, bs, start in jobs:
+            if bu is None:  # the singular-override products riding along
+                continue
             t0 = 0 if start is None else start[2]
             calls.append((len(sites), t0, int(bu.max()), int(bs.max())))
         return orig_products(slab, jobs)
@@ -665,6 +755,19 @@ def test_nan_norm_floor_raises_instead_of_failing():
         seq = MatSequence(0, np.repeat((1e150 * np.diag([3.0, 0.5]))[None], 200, axis=0))
         with pytest.raises(InternalInconsistency, match="norm floor at N=1 is nan"):
             certify(seq)
+
+
+def test_override_products_stay_finite_far_from_the_spectrum(free_op):
+    # the zero extension makes the first factor singular, and at E = 1e8
+    # the products from it grow like 1e8**n; renormalized, they stay
+    # finite, and the free chain certifies there as at any |E| > 2
+    with np.errstate(all="ignore"):
+        cert = certify_operator(free_op, 1e8)
+    assert cert.verdict == "verified" and cert.N == 1
+    # at E = 1e160 the squared factor entries overflow; the invariance
+    # check then raises instead of failing every site as dead
+    with np.errstate(all="ignore"), pytest.raises(InternalInconsistency, match="overflow"):
+        certify_operator(free_op, 1e160)
 
 
 def test_infinite_domination_margin_is_legal():
@@ -706,9 +809,9 @@ def per_site_directions(seq, js, bu, bs, U, S):
     return unit_rows(u), unit_rows(s)
 
 
-def _directions_outcome(fn, seq, js, bu, bs, U, S):
+def _directions_outcome(fn, *args):
     try:
-        u, s = fn(seq, js, bu, bs, U, S)
+        u, s = fn(*args)
     except (DegenerateCocycle, InternalInconsistency) as exc:
         return type(exc), str(exc)
     return u.tobytes(), s.tobytes()
@@ -750,7 +853,7 @@ def test_batched_overrides_are_bitwise_the_per_site_loop(
     if len(js) == 0:
         return
     U, S = masked_field_products(seq.values, js, bu, bs, lo)
-    got = _directions_outcome(certifier._site_directions, seq, js, bu, bs, U, S)
+    got = _directions_outcome(lambda: site_directions(seq, js, bu, bs)[2])
     assert got == _directions_outcome(per_site_directions, seq, js, bu, bs, U, S)
 
 
@@ -788,10 +891,10 @@ def test_prefix_sweep_is_bitwise_the_masked_sweep(
     start = None
     if resume:
         t0 = int(rng.integers(0, min(bu.max(), bs.max()) + 1))
-        start = certifier._field_products(
+        start = window_products(
             vals, js, np.minimum(bu, t0), np.minimum(bs, t0), lo
         ) + (t0,)
-    U, S = certifier._field_products(vals, js, bu, bs, lo, start)
+    U, S = window_products(vals, js, bu, bs, lo, start)
     U_ref, S_ref = masked_field_products(vals, js, bu, bs, lo)
     assert U.dtype == vals.dtype
     if complex_vals:
@@ -800,37 +903,55 @@ def test_prefix_sweep_is_bitwise_the_masked_sweep(
         assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
 
 
-def test_renorm_is_not_idempotent():
-    # 49 * (1 / 49) rounds to 1 - 2**-53, so a second pass rescales the row
-    P = np.array([[[49.0, 3.0], [-5.0, 7.0]]])
-    once = mat2._renorm(P)
-    assert once[0, 0, 0] == 1.0 - 2.0**-53
-    twice = mat2._renorm(once)
-    assert twice[0, 0, 0] == 1.0
-    assert not np.array_equal(once, twice)
-    # so a row that finishes first is renormalized again while others multiply
-    U, _ = certifier._field_products(
-        np.repeat(P, 3, axis=0), np.array([1, 2]), np.array([1, 2]), np.array([0, 0]), 0
-    )
-    assert U[0].tobytes() == twice[0].tobytes()
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    T=st.integers(1, 8),
+    complex_vals=st.booleans(),
+    prefix=st.booleans(),
+)
+@example(seed=0, n=3, T=2, complex_vals=False, prefix=True)
+def test_renorm_is_idempotent_and_exact(seed, n, T, complex_vals, prefix):
+    # a second pass changes nothing, and a row scaled after every step is
+    # the same row scaled once at the end, bit for bit: so a row's bits do
+    # not depend on the steps on which the rows beside it multiply
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((T, n, 2, 2)) * 2.0 ** rng.integers(-40, 41, (T, n, 1, 1))
+    if complex_vals:
+        F = F + 1j * rng.standard_normal((T, n, 2, 2)) * 2.0 ** rng.integers(-40, 41, (T, n, 1, 1))
+    F[rng.random((T, n)) < 0.05] = 0.0  # some rows die
+    if prefix:  # rows finish at different steps
+        F = [f[: int(k)] for f, k in zip(F, np.sort(rng.integers(1, n + 1, T))[::-1])]
+    P = np.tile(np.eye(2, dtype=F[0].dtype), (n, 1, 1))
+    scaled, logs = mat2.sweep(P, F, renorm=True, logs=True)
+    raw = mat2.sweep(P, F)
+    once, s = mat2._renorm(raw)
+    assert scaled.tobytes() == once.tobytes()
+    twice, s2 = mat2._renorm(once)
+    live = np.any(raw != 0.0, axis=(1, 2))
+    assert twice.tobytes() == once.tobytes() and not s2[live].any()
+    assert logs[live].tobytes() == (-s[live].astype(np.int64) * math.log(2.0)).tobytes()
+    assert np.all(logs[~live] == -np.inf)
 
 
 def test_renorm_keeps_zero_and_nan_rows_at_scale_one():
     P = np.array([
         [[0.0, -0.0], [0.0, 0.0]],
         [[np.nan, 2.0], [3.0, -4.0]],
+        [[np.inf, 2.0], [3.0, -4.0]],
         [[1.0, 2.0], [4.0, -8.0]],
+        [[1.5, -1.0], [0.25, 1.0]],
     ])
     m = mat2._row_max(P)
-    assert m[0] == 0.0 and np.isnan(m[1]) and m[2] == 8.0
-    out = mat2._renorm(P, m)
-    assert list(m) == [1.0, 1.0, 8.0]  # the guard works on m in place
-    assert out[0].tobytes() == P[0].tobytes()
-    assert out[1].tobytes() == P[1].tobytes()
-    assert np.array_equal(out[2], P[2] / 8.0)
-    assert mat2._renorm(P).tobytes() == out.tobytes()
+    assert m[0] == 0.0 and np.isnan(m[1]) and m[2] == np.inf and m[3] == 8.0 and m[4] == 1.5
+    out, s = mat2._renorm(P)
+    assert s[1:].tolist() == [0, 0, -3, 0]  # the zero row's s changes nothing
+    for i in (0, 1, 2, 4):  # zero, NaN, inf, and already in [1, 2)
+        assert out[i].tobytes() == P[i].tobytes()
+    assert np.array_equal(out[3], P[3] / 8.0)
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(mat2._renorm(P.astype(complex)), out, equal_nan=True)
+        assert np.array_equal(mat2._renorm(P.astype(complex))[0], out, equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -849,17 +970,17 @@ def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, len
         assert floors == mat2.norm_floor_curve(seq, n_max)
     length = min(length, n)
     starts = np.arange(0, n - length + 1)
-    P, logs = certifier._block_products(certifier._sweep_values(seq), starts, length)
-    Pc, logs_c = certifier._block_products(seq.values, starts, length)
+    P, exps = certifier._block_products(certifier._sweep_values(seq), starts, length)
+    Pc, exps_c = certifier._block_products(seq.values, starts, length)
     assert P.dtype == np.float64
-    assert np.array_equal(P, Pc) and logs.tobytes() == logs_c.tobytes()
+    assert np.array_equal(P, Pc) and exps.tobytes() == exps_c.tobytes()
 
 
 def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
                   ratios=(0.5, 0.25, 0.75)):
     """cone_certificate with one disk_image_margins call per pair and
-    complex block products, kept verbatim as the oracle of the batched
-    search."""
+    complex block products, kept as the oracle of the batched search;
+    gamma is scaled back one product at a time."""
     lo, hi = seq.window
     D, Dinv = certifier._frame_matrices(fld)
     best = None
@@ -870,11 +991,10 @@ def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
             continue
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
-        P, logs = certifier._block_products(seq.values, js - lo, n_blk)
+        P, exps = certifier._block_products(seq.values, js - lo, n_blk)
         Lam = ref_matmul(ref_matmul(Dinv[k + n_blk], P), D[k])
-        with np.errstate(divide="ignore"):
-            gam_log = np.log(np.abs(Lam[:, 0, 0])) + logs
-        gamma = float(np.exp(np.min(gam_log)))
+        # the least |Lam[:, 0, 0]| of the unscaled products, one at a time
+        gamma = min(map(math.ldexp, np.abs(Lam[:, 0, 0]).tolist(), exps.tolist()))
         cond = float(np.max(mat2.op_norm(Dinv[k + n_blk]) * mat2.op_norm(D[k])))
         for a in alphas:
             for r in ratios:
@@ -1050,7 +1170,7 @@ def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
     seq = MatSequence(0, np.repeat(np.array([[[3.0, -1.0], [1.0, 0.0]]]), 200, axis=0))
     counts = {}
     where = []
-    orig_steps, orig_blocks = mat2._sweep_steps, certifier._block_products
+    orig_steps, orig_blocks = certifier._sweep_steps, certifier._block_products
 
     def counting_steps(*args):
         for P in orig_steps(*args):
@@ -1073,7 +1193,7 @@ def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
 
         monkeypatch.setattr(certifier, name, run)
 
-    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
+    monkeypatch.setattr(certifier, "_sweep_steps", counting_steps)
     monkeypatch.setattr(certifier, "_block_products", counting_blocks)
     inside("_core_fields")
     inside("_ratio_estimates")
@@ -1087,15 +1207,18 @@ def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
 
 
 def _core_sweep_rows(seqs, monkeypatch):
-    """For each window of seqs, (burn, rows passed to mat2._sweep_steps)
-    for each core field product sweep of certify on it."""
+    """For each window of seqs, (burn, field rows passed to
+    certifier._sweep_steps) for each core field product sweep of certify
+    on it; the rows of the singular-override products in the same sweep
+    are not counted."""
     seen, burns = [], []
-    orig_steps = mat2._sweep_steps
+    orig_steps = certifier._sweep_steps
     orig_core, orig_products = certifier._core_fields, certifier._window_products
 
     def counting_steps(P, *args):
         if burns and burns[-1] is not None:
-            seen.append((burns[-1], len(P)))
+            burn, chains = burns[-1]
+            seen.append((burn, len(P) - chains))
         return orig_steps(P, *args)
 
     def core(batch, jobs):
@@ -1106,15 +1229,17 @@ def _core_sweep_rows(seqs, monkeypatch):
             burns.pop()
 
     def products(batch, jobs):
-        # the core field sweep itself, not the singular override chains
-        (_, _, bu, _, _), = jobs
-        burns.append(int(bu.max()) if burns else None)
+        # the core field sweep, one field job, and the jobs of the
+        # singular-override products (s side alone, bu None)
+        (_, _, bu, _, _), *chains = jobs
+        assert all(job[2] is None for job in chains)
+        burns.append((int(bu.max()), sum(len(job[1]) for job in chains)) if burns else None)
         try:
             return orig_products(batch, jobs)
         finally:
             burns.pop()
 
-    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
+    monkeypatch.setattr(certifier, "_sweep_steps", counting_steps)
     monkeypatch.setattr(certifier, "_core_fields", core)
     monkeypatch.setattr(certifier, "_window_products", products)
     out = []
@@ -1162,10 +1287,8 @@ def test_a_signed_zero_breaks_a_repeat():
 )
 def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factors):
     # rows on both halves of a slab, a few steps long, from one of two
-    # starts and renormalized for up to two steps past their last factor:
-    # a row that copies another must match every one of these, since the
-    # same factors from another start, or renormalized once more (_renorm
-    # is not idempotent), give other bits
+    # starts: a row that copies another must match every one of these,
+    # since the same factors from another start give other bits
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 50))
     vals = rng.standard_normal((n, 2, 2))
@@ -1176,9 +1299,8 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     base = rng.permutation(2 * n)[: int(rng.integers(n, 2 * n + 1))]
     steps = rng.choice(rng.choice([0, 1, 2, 5, 9], 2), len(base))
     steps = np.minimum(steps, 2 * n - base)
-    group_steps = steps + rng.choice([0, 0, 0, 0, 1, 2], len(base))
     starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
     P = starts[(rng.random(len(base)) < 0.2).astype(int)]
-    got = certifier._row_sweep(P, batch.slab, base, steps, group_steps, True, batch.repeats)
-    alone = certifier._row_sweep(P, batch.slab, base, steps, group_steps, True)
+    got = certifier._row_sweep(P, batch.slab, base, steps, True, batch.repeats)
+    alone = certifier._row_sweep(P, batch.slab, base, steps, True)
     assert got[0].tobytes() == alone[0].tobytes() and got[1].tobytes() == alone[1].tobytes()
