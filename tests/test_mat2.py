@@ -181,6 +181,20 @@ def test_cocycle_product_bounds():
         cocycle_product(seq, 0, -1)
 
 
+def test_products_survive_an_overflowing_running_product():
+    # the running product reaches 1e400 after two factors and comes back
+    # to about 1 after four; renormalized and scaled back with ldexp, every
+    # product whose value is representable comes out finite
+    vals = np.array([1e200, 1e200, 1e-200, 1e-200] * 10)[:, None, None] * np.eye(2)
+    seq = MatSequence(0, vals.astype(complex))
+    for j, n in ((0, 4), (1, 2), (0, 40), (2, 36)):
+        assert np.allclose(cocycle_product(seq, j, n), np.eye(2), rtol=1e-12, atol=0.0)
+    with np.errstate(over="ignore"):
+        got = span_products(seq, [0, 1, 0], [2, 3, 4])
+    assert np.all(np.isinf(got[0].diagonal()))  # 1e400 itself is no float64
+    assert np.allclose(got[1:], [1e-200 * np.eye(2), np.eye(2)], rtol=1e-12, atol=0.0)
+
+
 def test_backward_product_inverts_the_span_below():
     rng = np.random.default_rng(18)
     seq = random_matseq(rng, n=20, j_lo=3)
