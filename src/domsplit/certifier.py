@@ -62,7 +62,6 @@ from .mat2 import (
     MatSequence,
     _floor_curves,
     _mul,
-    _sweep_steps,
     _sweep_values,
     _take,
     det2,
@@ -70,6 +69,7 @@ from .mat2 import (
     op_norm,
     singular_values,
     span_products,
+    sweep,
     sv_left_vectors,
     sv_right_vectors,
 )
@@ -323,15 +323,12 @@ def _row_sweep(P, slab, base, steps, exps=False, repeats=None):
             F = F[0] if m == 1 else np.concatenate(F, axis=-1)
             yield F.transpose(2, 0, 1)
 
-    total = np.zeros(len(P), dtype=np.int64) if exps else None
-    for P in _sweep_steps(P, factors(), True, True, total):
-        pass
-    if order is not None:
-        back = np.empty_like(order)
-        back[order] = np.arange(len(order))
-        P = _take(P, back)
-        total = total[back] if exps else None
-    return (P, total) if exps else P
+    out = sweep(P, factors(), renorm=True, exps=exps)
+    if order is None:
+        return out
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return (_take(out[0], back), out[1][back]) if exps else _take(out, back)
 
 
 def _block_products(vals, starts, lengths, repeats=None):

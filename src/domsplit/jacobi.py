@@ -649,10 +649,10 @@ def floquet_bands(op, period=None, grid=None, refine_tol=1e-10):
             return F.transpose(2, 0, 1)
 
         P = np.tile(np.eye(2), (len(E), 1, 1))
-        P, logs = sweep(P, map(step, range(q)), renorm=True, logs=True)
+        P, e = sweep(P, map(step, range(q)), renorm=True, exps=True)
         tr = P[:, 0, 0] + P[:, 1, 1]
         mag = np.where(np.abs(tr) > 0, np.abs(tr), 1e-300)
-        return np.log(mag) + logs  # log |discriminant|
+        return np.log(mag) + e * math.log(2.0)  # log |discriminant|
 
     G = float(np.max(np.abs(beta)) + 2.0 * np.max(alpha)) + 0.1
     npts = int(grid) if grid else max(4001, 16 * q + 1)

@@ -2,10 +2,12 @@
 
 Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
-floors.  Every ordered product in the package runs through sweep(),
-which multiplies a stack of 2x2 products by one factor stack per step,
-optionally renormalizing the rows each step multiplies; span_products()
-gives cocycle_product for many (start, length) pairs at once.
+floors.  Every ordered product in the package runs through one loop,
+_sweep_steps, which multiplies a stack of 2x2 products by one factor
+stack per step, optionally renormalizing the rows each step multiplies:
+sweep() runs it to the end, and the norm floors read each step's
+products as it goes.  span_products() gives cocycle_product for many
+(start, length) pairs at once.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
 A MatSequence stores complex128 factors.  Sweeps over a window whose
@@ -368,36 +370,25 @@ def _renorm(P, out=None):
     return _ldexp(P, s, out), s
 
 
-def sweep(P, steps, left=True, renorm=False, logs=False):
+def sweep(P, steps, left=True, renorm=False, exps=False):
     """Multiply a stack of 2x2 products P by one factor stack per step.
 
     Each F in steps multiplies the first k = len(F) rows of P, from the
     left (F @ P[:k]) or the right (P[:k] @ F), through _mul.  With
     renorm, those k rows are then scaled by a power of two (_renorm, in
-    place); logs returns (P, logs), logs holding the log of each row's
-    removed scales, so that the true product is P * exp(logs): the
-    removed binary exponents are summed as integers and multiplied by
-    ln 2 once, and a row whose largest part ends at 0, inf or NaN gets
-    the log of that part (-inf for a zero row).  P itself is never
-    written into.  _mul gives a row of a stack the bits it gives that
-    row alone, and the scaling is exact, so each row is its unnormalized
-    product times a power of two, as a loop over it alone would make it.
-    The products come out plane-major; plane-major factor stacks (slices
-    of _sweep_values, or _take) are read as they are, others through
-    strided views.
+    place); exps returns (P, e), e holding each row's removed binary
+    exponents summed as int64, so that the unnormalized product is ldexp
+    of the row by e.  P itself is never written into.  _mul gives a row
+    of a stack the bits it gives that row alone, and the scaling is
+    exact, so each row is its unnormalized product times a power of two,
+    as a loop over it alone would make it.  The products come out
+    plane-major; plane-major factor stacks (slices of _sweep_values, or
+    _take) are read as they are, others through strided views.
     """
-    total = np.zeros(len(P), dtype=np.int64) if logs else None
+    total = np.zeros(len(P), dtype=np.int64) if exps else None
     for P in _sweep_steps(P, steps, left, renorm, total):
         pass
-    if not logs:
-        return P
-    out = total * math.log(2.0)
-    m = _row_max(P)
-    odd = ~((m > 0.0) & (m < np.inf))
-    if odd.any():
-        with np.errstate(divide="ignore"):
-            out[odd] = np.log(m[odd])
-    return P, out
+    return (P, total) if exps else P
 
 
 def _sweep_steps(P, steps, left, renorm, total):
@@ -436,39 +427,29 @@ def span_products(seq, starts, lengths):
     float64 gives the real parts of the complex128 products bit for bit,
     and their imaginary parts are +0.0.
 
-    Rows that share a start share one chain and are read off it as it
-    reaches their lengths.  The chains run longest first, so those still
-    multiplying form a prefix, and each step's factors are a slice of one
-    gather made up front.
+    The rows run longest first, so those still multiplying form a
+    prefix, and each step's factors are a slice of one gather made up
+    front.
     """
-    js, ns = (np.ravel(a).tolist() for a in np.broadcast_arrays(starts, lengths))
+    js, ns = (np.ravel(a) for a in np.broadcast_arrays(starts, lengths))
     out = np.tile(np.eye(2, dtype=complex), (len(js), 1, 1))
-    rows = sorted((i for i, n in enumerate(ns) if n > 0), key=ns.__getitem__)  # shortest first
-    if not rows:
+    rows = np.flatnonzero(ns > 0)
+    if not len(rows):
         return out
-    top = {js[i]: ns[i] for i in rows}  # each start's longest row comes last
-    heads = sorted(top, key=top.get, reverse=True)  # the chains, longest first
-    j0 = min(heads)
-    span = max(j + n for j, n in top.items()) - j0
+    rows = rows[np.argsort(-ns[rows], kind="stable")]
+    js, ns = js[rows], ns[rows]
+    j0 = int(js.min())
+    span = int((js + ns).max()) - j0
     _check_span(seq.window, j0, span)
     part = _sweep_values(seq)[j0 - seq.j_lo : j0 - seq.j_lo + span]
-    t = np.arange(top[heads[0]])[:, None]
-    live = t < np.array([top[j] for j in heads])  # (step, chain), a prefix per step
-    G = _take(part, (np.array(heads) - j0 + t)[live])
+    t = np.arange(ns[0])[:, None]
+    live = t < ns  # (step, row), a prefix per step
+    G = _take(part, (js - j0 + t)[live])
     ends = np.cumsum(live.sum(axis=1)).tolist()
     steps = (G[a:b] for a, b in zip([0] + ends, ends))
-    chain = {j: c for c, j in enumerate(heads)}
-    lens, at = [ns[i] for i in rows], [chain[js[i]] for i in rows]
-    kept = np.empty((len(rows), 2, 2), dtype=part.dtype)
-    exps = np.empty(len(rows), dtype=np.int64)
-    total = np.zeros(len(heads), dtype=np.int64)
-    k = 0
-    P = np.tile(np.eye(2, dtype=part.dtype), (len(heads), 1, 1))
-    for s, P in enumerate(_sweep_steps(P, steps, True, True, total), 1):
-        while k < len(rows) and lens[k] == s:
-            kept[k], exps[k] = P[at[k]], total[at[k]]
-            k += 1
-    out[rows] = _ldexp(kept, exps, out=kept)
+    P = np.tile(np.eye(2, dtype=part.dtype), (len(rows), 1, 1))
+    P, e = sweep(P, steps, renorm=True, exps=True)
+    out[rows] = _ldexp(P, e)
     return out
 
 
@@ -495,10 +476,8 @@ def backward_product(seq, j, n):
         raise ValueError("n must be >= 1")
     _check_span(seq.window, j - n, n)
     inverses = (inv2(seq.at(k), index=k)[None] for k in range(j - n, j))
-    total = np.zeros(1, dtype=np.int64)
-    for P in _sweep_steps(np.eye(2, dtype=complex)[None], inverses, False, True, total):
-        pass
-    return _ldexp(P, total)[0]
+    P, e = sweep(np.eye(2, dtype=complex)[None], inverses, left=False, renorm=True, exps=True)
+    return _ldexp(P, e)[0]
 
 
 def norm_floor(seq, n):

@@ -69,11 +69,8 @@ def ref_matmul(A, B):
         im = (ar0*bi0 + ar1*bi1) + (ai0*br0 + ai1*br1),
     every sum starting from +0.0 as a BLAS accumulator does.  A real
     operand is promoted to complex as numpy promotes it.  The bitwise
-    oracles multiply through this; clongdouble keeps numpy's matmul, as
-    the kernel does."""
+    oracles multiply through this."""
     dtype = np.result_type(A, B)
-    if dtype == np.clongdouble:
-        return A @ B
     A, B = np.asarray(A, dtype), np.asarray(B, dtype)
     out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype)
     for i in range(2):

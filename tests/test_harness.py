@@ -24,6 +24,7 @@ from domsplit.harness import (
     perturbation_experiment,
     trial_rng,
 )
+from domsplit.certifier import InternalInconsistency
 from domsplit.mat2 import op_norm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_free_chain.csv"
@@ -260,9 +261,10 @@ def test_scan_spectrum_error_propagates(free_op, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_chunk_error_propagates(free_op, jobs):
-    # the transfer matrices at E = inf are not finite, and the window the
-    # chunk builds from them refuses them; the scan raises that error
-    # whether or not its chunk runs first
-    Es = [3.0, 2.5, math.inf, -3.0, 3.5]
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="values must be finite"):
+    # at E = 1e160 the squared factor norms of the invariance check
+    # overflow, and certify raises InternalInconsistency; that error is
+    # not a DegenerateCocycle row, and the scan raises it whether or not
+    # its chunk runs first
+    Es = [3.0, 2.5, 1e160, -3.0, 3.5]
+    with np.errstate(over="ignore"), pytest.raises(InternalInconsistency, match="overflow"):
         johnson_scan(free_op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)

@@ -307,16 +307,18 @@ def test_floquet_period2_frozen_edges(period2_op):
         assert abs(hi - ehi) < 1e-8
 
 
-def _division_sweep(P, steps, renorm, logs):
+def _division_sweep(P, steps, renorm, exps):
     """floquet_bands' discriminant sweep with each row divided by its
-    scale (P /= m) where mat2.sweep multiplies it by 1 / m."""
+    largest entry modulus m (P /= m), where mat2.sweep scales it by a
+    power of two; the removed scales come back as log2 of their product,
+    a fractional exponent."""
     P, total = P.copy(), np.zeros(len(P))
     for F in steps:
         P = F @ P
         m = np.max(np.abs(P), axis=(1, 2))
         m = np.where(m > 0, m, 1.0)
         P /= m[:, None, None]
-        total += np.log(m)
+        total += np.log2(m)
     return P, total
 
 

@@ -279,9 +279,8 @@ def renorm_row_oracle(r):
 
 def sweep_rows_oracle(P, steps, left, renorm):
     """sweep as a loop over each row by itself, one 2x2 at a time: a row
-    is renormalized after each step that multiplies it, and its log is
-    the count of removed binary exponents times ln 2, or the log of its
-    largest part when that ends at 0, inf or NaN."""
+    is renormalized after each step that multiplies it, and its exponent
+    is the sum of the binary exponents removed from it."""
     rows = [P[i] for i in range(len(P))]
     exps = [0] * len(P)
     for F in steps:
@@ -290,13 +289,7 @@ def sweep_rows_oracle(P, steps, left, renorm):
             if renorm:
                 rows[i], s = renorm_row_oracle(rows[i])
                 exps[i] -= s
-    logs = np.array(exps) * math.log(2.0)
-    for i, r in enumerate(rows):
-        m = float(np.max(np.abs([r.real, r.imag])))
-        if not 0.0 < m < math.inf:
-            with np.errstate(divide="ignore"):
-                logs[i] = np.log(m)
-    return np.array(rows), logs
+    return np.array(rows), np.array(exps, dtype=np.int64)
 
 
 def _prefix_steps(rng, n, dtype):
@@ -330,16 +323,19 @@ def test_sweep_rows_are_the_per_row_loops(dtype, left, renorm):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_sweep_logs_carry_the_removed_scale(dtype):
+    # the exponents are the base-2 logs of the scales each row shed
     rng = np.random.default_rng(32)
     P = np.tile(np.eye(2, dtype=dtype), (30, 1, 1))
     steps = _prefix_steps(rng, 30, dtype)
-    got, logs = sweep(P, steps, renorm=True, logs=True)
-    ref, ref_logs = sweep_rows_oracle(P, steps, True, True)
-    assert got.tobytes() == ref.tobytes() and logs.tobytes() == ref_logs.tobytes()
+    got, exps = sweep(P, steps, renorm=True, exps=True)
+    ref, ref_exps = sweep_rows_oracle(P, steps, True, True)
+    assert got.tobytes() == ref.tobytes() and exps.tobytes() == ref_exps.tobytes()
+    # nothing here overflows or underflows, so scaling back is exact
     raw = sweep(P, steps)
-    live = np.isfinite(logs)
-    assert np.allclose(got[live] * np.exp(logs[live])[:, None, None], raw[live], rtol=1e-12)
-    assert np.all(raw[~live] == 0.0)
+    back = np.ldexp(got.real, exps[:, None, None])
+    if np.iscomplexobj(got):
+        back = back + 1j * np.ldexp(got.imag, exps[:, None, None])
+    assert back.tobytes() == raw.tobytes()
 
 
 def _special_stack(rng, n, dtype):
@@ -388,11 +384,11 @@ def test_kernel_and_sweep_are_bitwise_the_reference(
         P = layout(_special_stack(rng, n, dtype))
         lengths = np.sort(rng.integers(1, n + 1, int(rng.integers(1, 10))))[::-1]
         steps = [layout(_special_stack(rng, int(k), dtype)) for k in lengths]
-        got, logs = sweep(P, steps, left=left, renorm=renorm, logs=True)
-        want, want_logs = sweep_rows_oracle(P, steps, left, renorm)
+        got, exps = sweep(P, steps, left=left, renorm=renorm, exps=True)
+        want, want_exps = sweep_rows_oracle(P, steps, left, renorm)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-    assert logs.tobytes() == want_logs.tobytes()
+    assert exps.tobytes() == want_exps.tobytes()
 
 
 @pytest.mark.parametrize("renorm", [False, True])
