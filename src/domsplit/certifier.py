@@ -21,12 +21,14 @@ certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
 form a batch, and every product stage of the batch (the growth-ratio
 blocks, the burn ladders, climbed in lockstep, the extended fields, the
 floor curves and the cone blocks) runs as one mat2 sweep over the rows
-of all its live windows; the products of the singular overrides are
-rows of the field sweeps.  Every row is renormalized after each of its
-own steps by an exact power of two (mat2._renorm), so a row is its
-unnormalized product times a power of two whichever rows share its
-sweep, and every certificate is bit for bit that of its window alone.
-The checks run window by window.
+of all its live windows.  A field row stops at the first exactly
+singular factor it meets: the product through it has rank one and pins
+the direction exactly, the range of a u product and the kernel of an s
+product (_cut_burns, _directions).  Every row is renormalized after
+each of its own steps by an exact power of two (mat2._renorm), so a row
+is its unnormalized product times a power of two whichever rows share
+its sweep, and every certificate is bit for bit that of its window
+alone.  The checks run window by window.
 
 A row's bits depend on nothing but its start row and its factors, so
 two rows that agree bitwise on both are one computation, and _row_sweep
@@ -61,6 +63,7 @@ from .jacobi import (
 from .mat2 import (
     MatSequence,
     _floor_curves,
+    _larger_columns,
     _mul,
     _sweep_values,
     _take,
@@ -355,23 +358,23 @@ def _window_products(batch, jobs):
     batch is a _Batch of the windows, and each job (off, sites, bu, bs,
     start) asks for one window's products: off is the window's offset in
     the slab, sites are window indices (0 for its first factor), and
-    bu/bs the burns, which may differ by site (bu None: the s side
-    alone).  The u side is right-multiplied into the past and the s side
+    bu/bs the burns, which may differ by site (_cut_burns cuts them).
+    The u side is right-multiplied into the past and the s side
     left-multiplied into the future, each row renormalized after each of
     its steps.  Both run as left products: U @ F is the transpose of
     F^T @ U^T, whose entries sum the same products in the same order,
     and a transpose of a plane-major stack is a view (two planes swap).
-    start=(U, S, t0) holds products that are already t0 factors long at
-    the same sites, and only steps t0 on are computed.  Each row's
-    arithmetic is its own, so resuming reproduces the products of one
-    longer sweep bit for bit, and a batch those of one window alone.
+    start=(U, S, t0) holds the products of the same sites at burns
+    min(t0, bu) and min(t0, bs), so a row resumes there and only its
+    steps from there on are computed.  Each row's arithmetic is its own,
+    so resuming reproduces the products of one longer sweep bit for bit,
+    and a batch those of one window alone.
 
-    Returns (U, S) per job in the dtype of the slab, U None where bu is.
-    Callers pass the real parts (_sweep_values) when every factor is
-    real: the kernel's float64 form, a*e + b*g, gives the real part of
-    its complex128 split-accumulator form, and _renorm scales both
-    alike, so the real sweep equals the complex sweep by value at a
-    fraction of its cost.
+    Returns (U, S) per job in the dtype of the slab.  Callers pass the
+    real parts (_sweep_values) when every factor is real: the kernel's
+    float64 form, a*e + b*g, gives the real part of its complex128
+    split-accumulator form, and _renorm scales both alike, so the real
+    sweep equals the complex sweep by value at a fraction of its cost.
     """
     if not jobs:
         return []
@@ -379,31 +382,24 @@ def _window_products(batch, jobs):
     N = len(slab) // 2
     parts, base, steps = [], [], []
     for off, sites, bu, bs, start in jobs:
-        n = len(sites)
         if start is None:
-            U = S = np.tile(np.eye(2, dtype=slab.dtype), (n, 1, 1))
+            U = S = np.tile(np.eye(2, dtype=slab.dtype), (len(sites), 1, 1))
             t0 = 0
         else:
             U, S, t0 = start
-        if bu is not None:
-            # u rows in reverse site order, so that their bases count up
-            parts.append(U[::-1].transpose(0, 2, 1))
-            base.append((2 * N - off - sites + t0)[::-1])
-            steps.append(np.maximum(bu - t0, 0)[::-1])
-        parts.append(S)
-        base.append(off + sites + t0)
-        steps.append(np.maximum(bs - t0, 0))
+        tu, ts = np.minimum(bu, t0), np.minimum(bs, t0)
+        # u rows in reverse site order, so that their bases count up
+        parts += [U[::-1].transpose(0, 2, 1), S]
+        base += [(2 * N - off - sites + tu)[::-1], off + sites + ts]
+        steps += [(bu - tu)[::-1], bs - ts]
     P = _row_sweep(
         np.concatenate(parts), slab, *map(np.concatenate, (base, steps)), repeats=batch.repeats
     )
     out, a = [], 0
-    for _, sites, bu, *_ in jobs:
+    for _, sites, *_ in jobs:
         n = len(sites)
-        U = None
-        if bu is not None:
-            U, a = P[a : a + n][::-1].transpose(0, 2, 1), a + n
-        out.append((U, P[a : a + n]))
-        a += n
+        out.append((P[a : a + n][::-1].transpose(0, 2, 1), P[a + n : a + 2 * n]))
+        a += 2 * n
     return out
 
 
@@ -414,59 +410,36 @@ def _perp_rows(v):
     return out
 
 
-def _kernel_direction(P):
-    # exact null direction of a rank-1 product, from its larger row
-    r0, r1 = P[0], P[1]
-    row = r0 if abs(r0[0]) + abs(r0[1]) >= abs(r1[0]) + abs(r1[1]) else r1
-    n = math.hypot(abs(row[0]), abs(row[1]))
-    if n == 0.0:
-        raise DegenerateCocycle("zero product pins no contracting direction")
-    return np.array([-row[1], row[0]]) / n
+def _cut_burns(zpos, js, bu, bs):
+    """The burns of sites js cut at the first exactly singular factor
+    each side meets, the singular factors sitting at the sorted sites
+    zpos: (bu, bs, stop_u, stop_s), stop_u and stop_s marking the sites
+    whose u and s rows stopped.
 
-
-def _range_direction(P):
-    c0, c1 = P[:, 0], P[:, 1]
-    col = c0 if abs(c0[0]) + abs(c0[1]) >= abs(c1[0]) + abs(c1[1]) else c1
-    n = math.hypot(abs(col[0]), abs(col[1]))
-    if n == 0.0:
-        raise DegenerateCocycle("zero product pins no expanding direction")
-    return col / n
-
-
-def _override_plan(zpos, js, bu, bs):
-    """Where exactly singular factors pin directions, for sites js with
-    burns bu/bs and singular factors at the sorted sites zpos.
-
-    A factor with exactly zero determinant inside a site's burn range
-    pins the direction there: the contracting one is the kernel of the
-    shortest forward product through the first such factor, the
-    expanding one is the range of the product from the nearest such
-    factor in the past.  Returns the rows of both kinds, s_rows and
-    u_rows, and the starts and lengths of their products, s_rows' first.
+    A u row reads the factors j - 1, j - 2, ..., j - bu and stops at the
+    nearest singular factor k >= j - bu, after j - k steps; an s row
+    reads j, j + 1, ..., j + bs - 1 and stops at the first singular
+    factor k <= j + bs - 1, after k + 1 - j steps.  A product through a
+    singular factor has rank at most one, and so does every longer one
+    through it: the shorter product pins the same direction, the range
+    of U and the kernel of S.
     """
-    if len(zpos) == 0:
-        none = np.zeros(0, dtype=int)
-        return none, none, none, none
-    nxt = np.searchsorted(zpos, js, side="left")
-    k_s = zpos[np.minimum(nxt, len(zpos) - 1)]
-    s_rows = np.nonzero((nxt < len(zpos)) & (k_s <= js + bs - 1))[0]
-    k_u = zpos[np.maximum(nxt - 1, 0)]
-    u_rows = np.nonzero((nxt > 0) & (k_u >= js - bu))[0]
-    starts = np.concatenate((js[s_rows], k_u[u_rows]))
-    lengths = np.concatenate((k_s[s_rows] + 1 - js[s_rows], js[u_rows] - k_u[u_rows]))
-    return s_rows, u_rows, starts, lengths
+    far = np.iinfo(np.int64).max // 4
+    z = np.concatenate(([-far], zpos, [far]))
+    nxt = np.searchsorted(z, js)  # z[nxt] is the first singular factor at or after j
+    stop_u = z[nxt - 1] >= js - bu
+    stop_s = z[nxt] <= js + bs - 1
+    return (
+        np.where(stop_u, js - z[nxt - 1], bu), np.where(stop_s, z[nxt] + 1 - js, bs),
+        stop_u, stop_s,
+    )
 
 
-def _override_directions(s_rows, u_rows, P, u_vecs, s_vecs):
-    """Replace estimates with the exact directions of an _override_plan's
-    products P, site by site in site order."""
-    kernels = dict(zip(s_rows.tolist(), P[: len(s_rows)]))
-    ranges = dict(zip(u_rows.tolist(), P[len(s_rows) :]))
-    for i in sorted(kernels.keys() | ranges.keys()):
-        if i in kernels:
-            s_vecs[i] = _kernel_direction(kernels[i])
-        if i in ranges:
-            u_vecs[i] = _range_direction(ranges[i])
+def _unit_columns(P):
+    """The larger column of each rank-1 2x2 of P (mat2._larger_columns)
+    over its norm, and whether the matrix is zero."""
+    col, n = _larger_columns(P)
+    return col / np.where(n > 0.0, n, 1.0)[:, None], n == 0.0
 
 
 def _directions(batch, jobs):
@@ -476,43 +449,45 @@ def _directions(batch, jobs):
     (U, S, d), d being (u, s), arrays of its own, or the exception that
     ends window w.
 
-    Each site's rows depend only on its own products and burns, so any
-    subset of sites, in any batch, reproduces the rows a larger call
-    computes for them.  All products come from one _window_products
-    sweep, those of the singular overrides (_override_plan) too: n
-    factors from site k are the s-side product of site k at burn n.
-    These stay renormalized, as _kernel_direction and _range_direction
-    divide by a norm that scales with the product: the directions are
-    those of the unscaled product, which could overflow.  The singular
-    vectors of all jobs come from one call per side.  Real products from
-    a real sweep are cast to complex here, once.
+    The products are those of the burns cut at the window's exactly
+    singular factors (_cut_burns), from one _window_products sweep, and
+    they resume at the cut burns too.  A row that stopped at a singular
+    factor pins its direction exactly: u is the range of U, s the kernel
+    of S, both read off the larger column (of S's transpose) by
+    mat2._larger_columns.  Every other row takes the singular vectors of
+    its product, from one call per side for all jobs.  Each site's rows
+    depend only on its own products and burns, so any subset of sites,
+    in any batch, reproduces the rows a larger call computes for them.
+    Real products from a real sweep are cast to complex here, once.
     """
     if not jobs:
         return []
-    plans = [_override_plan(batch.zeros[w], js, bu, bs) for w, js, bu, bs, _ in jobs]
-    at = [(batch.offsets[w], batch.seqs[w].j_lo) for w, *_ in jobs]
+    cuts = [_cut_burns(batch.zeros[w], js, bu, bs) for w, js, bu, bs, _ in jobs]
     prods = _window_products(batch, [
-        (off, js - lo, bu, bs, start) for (_, js, bu, bs, start), (off, lo) in zip(jobs, at)
-    ] + [
-        (off, starts - lo, None, lengths, None)
-        for (_, _, starts, lengths), (off, lo) in zip(plans, at)
+        (batch.offsets[w], js - batch.seqs[w].j_lo, cu, cs, start)
+        for (w, js, _, _, start), (cu, cs, _, _) in zip(jobs, cuts)
     ])
-    prods, overrides = prods[: len(jobs)], prods[len(jobs) :]
-    u_all = sv_left_vectors(np.concatenate([U for U, _ in prods]).astype(complex, copy=False))
-    s_all = _perp_rows(
-        sv_right_vectors(np.concatenate([S for _, S in prods]).astype(complex, copy=False))
-    )
+    U_all = np.concatenate([U for U, _ in prods]).astype(complex, copy=False)
+    S_all = np.concatenate([S for _, S in prods]).astype(complex, copy=False)
+    stop_u, stop_s = (np.concatenate([c[i] for c in cuts]) for i in (2, 3))
+    u_all = sv_left_vectors(U_all)
+    s_all = _perp_rows(sv_right_vectors(S_all))
+    dead_u, dead_s = np.zeros_like(stop_u), np.zeros_like(stop_s)
+    u_all[stop_u], dead_u[stop_u] = _unit_columns(U_all[stop_u])
+    row, dead_s[stop_s] = _unit_columns(S_all[stop_s].transpose(0, 2, 1))
+    s_all[stop_s] = np.stack([-row[:, 1], row[:, 0]], axis=-1)
     out, a = [], 0
-    for (_, js, *_), (s_rows, u_rows, _, _), (U, S), (_, P) in zip(jobs, plans, prods, overrides):
-        u, s = u_all[a : a + len(js)], s_all[a : a + len(js)]
+    for (_, js, *_), (U, S) in zip(jobs, prods):
+        rows = slice(a, a + len(js))
         a += len(js)
-        try:
-            _override_directions(s_rows, u_rows, P.astype(complex, copy=False), u, s)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
-                raise InternalInconsistency("non-finite direction estimate")
+        u, s, dead = u_all[rows], s_all[rows], dead_u[rows] | dead_s[rows]
+        if dead.any():  # the first such site, its s side first
+            side = "contracting" if dead_s[rows][np.argmax(dead)] else "expanding"
+            out.append((U, S, DegenerateCocycle(f"zero product pins no {side} direction")))
+        elif not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
+            out.append((U, S, InternalInconsistency("non-finite direction estimate")))
+        else:
             out.append((U, S, (unit_rows(u), unit_rows(s))))
-        except Exception as exc:  # it ends this window alone
-            out.append((U, S, exc))
     return out
 
 
@@ -523,9 +498,9 @@ def _core_fields(batch, jobs):
 
     prev is such a triple for a smaller burn on the same window: its
     products are sliced to the core(burn) sites and continued, so no
-    field factor step is computed twice (the singular-override rows of
-    _directions start afresh).  U and S stay in the dtype of the sweep,
-    so resuming casts nothing.  All jobs share one sweep.
+    factor step is computed twice, those of rows that stopped at a
+    singular factor included (_directions).  U and S stay in the dtype
+    of the sweep, so resuming casts nothing.  All jobs share one sweep.
     """
     specs = []
     for w, burn, prev in jobs:
@@ -1134,11 +1109,11 @@ def certify_many(seqs, **kw):
     BATCH_ROWS product rows (see there): every product stage runs as
     one mat2 sweep over the batch's live windows.  The burn ladders
     (_burn_ladder) climb in lockstep, each window's next core field
-    resuming its previous one, and so do the extended fields, the
-    singular overrides, the floor curves and the cone search.  A row's
-    bits do not depend on its neighbours in a stack, and its exact
-    renormalization on its own steps (_row_sweep) does not either, so
-    every certificate is that of the window certified alone, bit for bit.
+    resuming its previous one, and so do the extended fields, the floor
+    curves and the cone search.  A row's bits do not depend on its
+    neighbours in a stack, and its exact renormalization on its own
+    steps (_row_sweep) does not either, so every certificate is that of
+    the window certified alone, bit for bit.
     The checks themselves run window by window.  Each certificate's
     core_field owns its arrays, so keeping one pins no batch.
     """

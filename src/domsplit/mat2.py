@@ -164,6 +164,22 @@ def sv_direction_vectors(m):
     return sv_left_vectors(m), sv_right_vectors(m)
 
 
+# math.hypot elementwise: its bits are the same on every CPU, unlike those
+# of numpy's hypot and complex modulus, whose SIMD loops depend on it
+_hypot4 = np.frompyfunc(math.hypot, 4, 1)
+
+
+def _larger_columns(m):
+    """The larger column of each 2x2 of an (n, 2, 2) stack by 2-norm (the
+    first on a tie), and that norm (_hypot4 of the real and imaginary
+    parts).  For a rank-1 matrix it spans the range; a zero matrix gives
+    a zero column of norm 0."""
+    re, im = m.real, m.imag
+    n = _hypot4(re[:, 0], im[:, 0], re[:, 1], im[:, 1]).astype(float)  # (n, 2)
+    first = n[:, 0] >= n[:, 1]
+    return np.where(first[:, None], m[:, :, 0], m[:, :, 1]), np.where(first, n[:, 0], n[:, 1])
+
+
 def is_singular(m, rtol=SINGULAR_RTOL):
     """Singularity test at the shared tolerance |det| < rtol * max(1, norm^2)."""
     m = np.asarray(m)

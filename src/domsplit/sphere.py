@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mat2 import is_singular, singular_values, sv_direction_vectors
+from .mat2 import _larger_columns, is_singular, singular_values, sv_direction_vectors
 
 INF = complex(math.inf, 0.0)
 
@@ -208,18 +208,24 @@ class GenCircle:
         return (np.conj(self.normal) * (complex(z) - self.anchor)).real > 0.0
 
 
+def _rank1_points(m):
+    """(z, finite) for an (n, 2, 2) stack read as rank 1: z = c[1] / c[0]
+    for the larger column c (mat2._larger_columns), or 0 where the range
+    is vertical (|c[0]| <= 1e-14 |c|) or the matrix zero (finite False)."""
+    col, n = _larger_columns(m)
+    finite = np.abs(col[:, 0]) > 1e-14 * n
+    return np.where(finite, col[:, 1] / np.where(finite, col[:, 0], 1.0), 0.0), finite
+
+
 def _rank1_image(m):
     # All of D_alpha collapses to the range direction.
-    m = np.asarray(m, dtype=complex)
-    c0 = m[:, 0]
-    c1 = m[:, 1]
-    col = c0 if np.linalg.norm(c0) >= np.linalg.norm(c1) else c1
-    n = np.linalg.norm(col)
-    if n == 0.0:
+    if not np.any(m):
         raise ValueError("zero matrix has no disk image")
-    if abs(col[0]) <= 1e-14 * n:
+    # a one-row stack, so the arithmetic is that of disk_image_margins
+    z, finite = _rank1_points(m[None])
+    if not finite[0]:
         return GenCircle("exterior", center=0j, radius=math.inf)
-    return GenCircle("disk", center=complex(col[1] / col[0]), radius=0.0)
+    return GenCircle("disk", center=complex(z[0]), radius=0.0)
 
 
 def mobius_disk_image(m, alpha):
@@ -308,16 +314,10 @@ def disk_image_margins(mats, alpha, alpha_prime):
     disk = (~sing) & (~half) & (A > 0.0)
     out = np.where(disk, alpha_prime - (np.abs(center) + r), -np.inf)
 
-    # Rank-1 stacks: the point image of the larger column, if not vertical.
+    # Rank-1 stacks: the point image of the range, if not vertical.
     if np.any(sing):
-        a, b = m[..., 0, 0], m[..., 0, 1]
-        c, d = m[..., 1, 0], m[..., 1, 1]
-        n0 = np.abs(a) ** 2 + np.abs(c) ** 2
-        n1 = np.abs(b) ** 2 + np.abs(d) ** 2
-        top = np.where(n0 >= n1, a, b)
-        bot = np.where(n0 >= n1, c, d)
-        ok = sing & (np.abs(top) > 1e-14 * np.sqrt(np.maximum(n0, n1)))
-        pt = np.where(ok, bot / np.where(ok, top, 1.0), 0.0)
+        pt, ok = np.zeros(sing.shape, dtype=complex), np.zeros_like(sing)
+        pt[sing], ok[sing] = _rank1_points(m[sing])
         out = np.where(ok, alpha_prime - np.abs(pt), out)
     return out
 

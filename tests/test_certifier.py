@@ -397,6 +397,26 @@ def masked_field_products(vals, js, bu, bs, lo):
     return U, S
 
 
+def cut_burns(seq, js, bu, bs):
+    """The burns of sites js cut at the first exactly singular factor each
+    side meets, site by site, with the masks of the sides that stopped:
+    the oracle of certifier._cut_burns.  A u row reads the factors
+    j - 1, j - 2, ..., j - bu, an s row j, j + 1, ..., j + bs - 1."""
+    zeros = set((np.flatnonzero(mat2.det2(seq.values) == 0.0) + seq.j_lo).tolist())
+    cu, cs = np.array(bu), np.array(bs)
+    stop_u, stop_s = np.zeros(len(js), bool), np.zeros(len(js), bool)
+    for i, j in enumerate(js.tolist()):
+        for t in range(int(bu[i])):
+            if j - 1 - t in zeros:
+                cu[i], stop_u[i] = t + 1, True
+                break
+        for t in range(int(bs[i])):
+            if j + t in zeros:
+                cs[i], stop_s[i] = t + 1, True
+                break
+    return cu, cs, stop_u, stop_s
+
+
 def window_products(vals, js, bu, bs, lo, start=None):
     """certifier._window_products for one window whose factor vals[0]
     sits at lo, at sites js (absolute indices), as a one-window _Batch.
@@ -501,7 +521,9 @@ def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
         fld, last = certifier._one(certifier._core_fields(batch, [(0, b, last)]))
         js = np.arange(lo + b, hi + 2 - b)
         full = np.full(len(js), b)
-        U, S = masked_field_products(seq.values, js, full, full, lo)
+        # the products stop at the first singular factor on either side
+        cu, cs, _, _ = cut_burns(seq, js, full, full)
+        U, S = masked_field_products(seq.values, js, cu, cs, lo)
         assert np.array_equal(last[1], U) and np.array_equal(last[2], S)
         _, _, (u, s) = site_directions(seq, js, full, full)
         assert fld.j_first == js[0]
@@ -529,7 +551,8 @@ def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singula
     js = np.arange(lo + 1, hi + 1)
     bu = np.minimum(burn, js - lo)
     bs = np.minimum(burn, hi + 1 - js)
-    U_ref, S_ref = masked_field_products(seq.values, js, bu, bs, lo)
+    cu, cs, _, _ = cut_burns(seq, js, bu, bs)
+    U_ref, S_ref = masked_field_products(seq.values, js, cu, cs, lo)
     U, S, (u, s) = site_directions(seq, js, bu, bs)
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
     assert ext.j_first == lo + 1
@@ -585,8 +608,8 @@ def test_real_sweep_equals_the_complex_sweep(n, seed, kind, burn, extend):
     U_ref, S_ref = masked_field_products(seq.values, js, bu, bs, lo)
     assert U.dtype == np.float64
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
-    # and the directions, singular overrides included, are those of the
-    # complex sweep bit for bit
+    # and the directions, those pinned at singular factors included, are
+    # those of the complex sweep bit for bit
     _, _, (u, s) = site_directions(seq, js, bu, bs)
     _, _, (u_ref, s_ref) = site_directions(seq, js, bu, bs, seq.values)
     assert u.tobytes() == u_ref.tobytes() and s.tobytes() == s_ref.tobytes()
@@ -714,21 +737,27 @@ def test_floor_curve_equals_norm_floor(free_seq, which):
 
 
 def test_certify_builds_each_field_once(free_op, monkeypatch):
-    calls, floors = [], []
-    orig_products = certifier._window_products
+    calls, floors, steps = [], [], [0]
+    orig_products, orig_steps = certifier._window_products, mat2._sweep_steps
 
-    def counting_products(slab, jobs):
-        for _, sites, bu, bs, start in jobs:
-            if bu is None:  # the singular-override products riding along
-                continue
-            t0 = 0 if start is None else start[2]
-            calls.append((len(sites), t0, int(bu.max()), int(bs.max())))
-        return orig_products(slab, jobs)
+    def counting_steps(*args):
+        for P in orig_steps(*args):
+            steps[0] += 1
+            yield P
+
+    def counting_products(batch, jobs):
+        ((_, sites, bu, bs, start),) = jobs  # one window, one job
+        t0 = 0 if start is None else start[2]
+        before = steps[0]
+        out = orig_products(batch, jobs)
+        calls.append((len(sites), t0, int(bu.max()), int(bs.max()), steps[0] - before))
+        return out
 
     def counting_floor(seq, n):
         floors.append(n)
         return mat2.norm_floor(seq, n)
 
+    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
     monkeypatch.setattr(certifier, "_window_products", counting_products)
     monkeypatch.setattr(certifier, "norm_floor", counting_floor)
     cert = certify_operator(free_op, 3.0)
@@ -736,13 +765,16 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
     *core, ends = calls
     # each burn on the ladder resumes the previous one's products, so the
     # factor steps on either side add up to the chosen burn
-    burns = [bu for _, _, bu, _ in core]
-    assert [t0 for _, t0, _, _ in core] == [0] + burns[:-1]
-    assert all(bu == bs for _, _, bu, bs in core)
-    assert sum(bu - t0 for _, t0, bu, _ in core) == cert.burn
-    assert [rows for rows, _, _, _ in core] == [len(free_op) + 1 - 2 * b for b in burns]
+    burns = [bu for _, _, bu, _, _ in core]
+    assert [t0 for _, t0, _, _, _ in core] == [0] + burns[:-1]
+    assert all(bu == bs for _, _, bu, bs, _ in core)
+    assert sum(bu - t0 for _, t0, bu, _, _ in core) == cert.burn
+    assert [rows for rows, *_ in core] == [len(free_op) + 1 - 2 * b for b in burns]
+    # and so does every row that stopped at the singular first factor:
+    # each rung sweeps exactly its burn - t0 steps
+    assert all(n == bu - t0 for _, t0, bu, _, n in core)
     # then only the 2 (burn - 1) end sites of the extended field, from scratch
-    assert ends == (2 * (cert.burn - 1), 0, cert.burn, cert.burn)
+    assert ends == (2 * (cert.burn - 1), 0, cert.burn, cert.burn, cert.burn)
     assert floors == []
 
 
@@ -777,33 +809,40 @@ def test_infinite_domination_margin_is_legal():
     assert dom.ok and dom.margin == np.inf
 
 
-def per_site_overrides(seq, js, bu, bs, u_vecs, s_vecs):
-    """The singular overrides as one cocycle_product per site and side,
-    kept verbatim as the oracle of the batched version."""
-    dets = mat2.det2(seq.values)
-    zpos = np.nonzero(dets == 0.0)[0] + seq.j_lo
-    if len(zpos) == 0:
-        return
-    nxt = np.searchsorted(zpos, js, side="left")
-    prv = nxt - 1
+def range_direction(P, side="expanding"):
+    """The larger column of one 2x2 over its 2-norm (math.hypot of the
+    real and imaginary parts, the first column on a tie): the scalar
+    oracle of the batched rank-1 rule."""
+    norms = [math.hypot(P[0, k].real, P[0, k].imag, P[1, k].real, P[1, k].imag) for k in (0, 1)]
+    k = 0 if norms[0] >= norms[1] else 1
+    if norms[k] == 0.0:
+        raise DegenerateCocycle(f"zero product pins no {side} direction")
+    return P[:, k] / norms[k]
+
+
+def kernel_direction(P):
+    r = range_direction(P.T, "contracting")
+    return np.array([-r[1], r[0]])
+
+
+def per_site_overrides(seq, js, bu, bs, U, u_vecs, s_vecs):
+    """The singular overrides site by site, s side first: the kernel of
+    one cocycle_product per site through its first singular factor, and
+    the range of U, the products of the cut burns (cut_burns)."""
+    _, cs, stop_u, stop_s = cut_burns(seq, js, bu, bs)
     for i in range(len(js)):
-        if nxt[i] < len(zpos):
-            k = int(zpos[nxt[i]])
-            if k <= js[i] + bs[i] - 1:
-                P = mat2.cocycle_product(seq, int(js[i]), k - int(js[i]) + 1)
-                s_vecs[i] = certifier._kernel_direction(P)
-        if prv[i] >= 0:
-            k = int(zpos[prv[i]])
-            if k >= js[i] - bu[i]:
-                m = int(js[i]) - k
-                P = mat2.cocycle_product(seq, k, m)
-                u_vecs[i] = certifier._range_direction(P)
+        if stop_s[i]:
+            s_vecs[i] = kernel_direction(mat2.cocycle_product(seq, int(js[i]), int(cs[i])))
+        if stop_u[i]:
+            u_vecs[i] = range_direction(U[i].astype(complex))
 
 
-def per_site_directions(seq, js, bu, bs, U, S):
+def per_site_directions(seq, js, bu, bs):
+    cu, cs, _, _ = cut_burns(seq, js, bu, bs)
+    U, S = masked_field_products(seq.values, js, cu, cs, seq.j_lo)
     u = mat2.sv_left_vectors(U.astype(complex))
     s = certifier._perp_rows(mat2.sv_right_vectors(S.astype(complex)))
-    per_site_overrides(seq, js, bu, bs, u, s)
+    per_site_overrides(seq, js, bu, bs, U, u, s)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
         raise InternalInconsistency("non-finite direction estimate")
     return unit_rows(u), unit_rows(s)
@@ -852,9 +891,31 @@ def test_batched_overrides_are_bitwise_the_per_site_loop(
         bu = bs = np.full(len(js), burn)
     if len(js) == 0:
         return
-    U, S = masked_field_products(seq.values, js, bu, bs, lo)
     got = _directions_outcome(lambda: site_directions(seq, js, bu, bs)[2])
-    assert got == _directions_outcome(per_site_directions, seq, js, bu, bs, U, S)
+    assert got == _directions_outcome(per_site_directions, seq, js, bu, bs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    n_sing=st.integers(0, 6),
+    burn=st.integers(1, 40),
+)
+def test_cut_burns_are_the_per_site_loop(n, seed, n_sing, burn):
+    # singular factors anywhere, sites and burns at random, rows that
+    # reach past the window included
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, 2, 2))
+    for k in rng.integers(0, n, n_sing):
+        vals[k, int(rng.integers(2)), :] = 0.0
+    seq = MatSequence(int(rng.integers(-50, 50)), vals)
+    lo, hi = seq.window
+    js = np.sort(rng.integers(lo - 3, hi + 4, int(rng.integers(1, 2 * n + 2))))
+    bu, bs = rng.integers(1, burn + 1, len(js)), rng.integers(1, burn + 1, len(js))
+    zpos = np.flatnonzero(mat2.det2(seq.values) == 0.0) + lo
+    for got, want in zip(certifier._cut_burns(zpos, js, bu, bs), cut_burns(seq, js, bu, bs)):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1206,18 +1267,15 @@ def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
 
 
 def _core_sweep_rows(seqs, monkeypatch):
-    """For each window of seqs, (burn, field rows passed to
-    mat2._sweep_steps) for each core field product sweep of certify
-    on it; the rows of the singular-override products in the same sweep
-    are not counted."""
+    """For each window of seqs, (burn, rows passed to mat2._sweep_steps)
+    for each core field product sweep of certify on it."""
     seen, burns = [], []
     orig_steps = mat2._sweep_steps
     orig_core, orig_products = certifier._core_fields, certifier._window_products
 
     def counting_steps(P, *args):
         if burns and burns[-1] is not None:
-            burn, chains = burns[-1]
-            seen.append((burn, len(P) - chains))
+            seen.append((burns[-1], len(P)))
         return orig_steps(P, *args)
 
     def core(batch, jobs):
@@ -1228,11 +1286,8 @@ def _core_sweep_rows(seqs, monkeypatch):
             burns.pop()
 
     def products(batch, jobs):
-        # the core field sweep, one field job, and the jobs of the
-        # singular-override products (s side alone, bu None)
-        (_, _, bu, _, _), *chains = jobs
-        assert all(job[2] is None for job in chains)
-        burns.append((int(bu.max()), sum(len(job[1]) for job in chains)) if burns else None)
+        ((_, _, bu, _, _),) = jobs  # the core field sweep of one window
+        burns.append(int(bu.max()) if burns else None)
         try:
             return orig_products(batch, jobs)
         finally:

@@ -28,6 +28,7 @@ from domsplit.certifier import InternalInconsistency
 from domsplit.mat2 import op_norm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_free_chain.csv"
+GOLDEN_DEAD = Path(__file__).parent / "data" / "golden_dead_coupling.csv"
 SCAN_SIZES = (100, 150, 199)
 
 
@@ -251,6 +252,20 @@ def test_golden_scan_fixture_parallel(free_op, tmp_path):
     rep.to_csv(out)
     assert out.read_bytes() == GOLDEN.read_bytes()
     assert list(rep.rows[0])[:3] == ["E_re", "E_im", "delta_spec"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_dead_coupling_fixture(jobs, tmp_path):
+    # a zero coupling inside the window makes two interior factors exactly
+    # singular, so field rows stop there on both sides, not only at the
+    # window's ends as in the free chain
+    a = np.ones(200)
+    a[90] = 0.0
+    op = JacobiOperator(j_lo=-100, a=a, b=0.3 * np.cos(np.arange(200)))
+    rep = johnson_scan(op, np.linspace(-3, 3.5, 27), jobs=jobs, spectrum_sizes=SCAN_SIZES)
+    out = tmp_path / "fresh.csv"
+    rep.to_csv(out)
+    assert out.read_bytes() == GOLDEN_DEAD.read_bytes()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

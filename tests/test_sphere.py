@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domsplit.sphere import (
     INF,
@@ -223,18 +225,55 @@ def test_contained_in_disk_margins():
     assert not ok and margin == -math.inf
 
 
-def test_disk_image_margins_batched_equals_scalar():
-    rng = np.random.default_rng(31)
-    mats = np.stack([rand_mat(rng) for _ in range(40)])
-    mats[7] = np.array([[1.0, 2.0], [3.0, 6.0]])  # rank 1
-    alpha, ap = 1.0, 0.8
+def _margin_stack(rng, kinds):
+    """One 2x2 per kind: "generic", an exact rank-1 matrix ("rank1": the
+    second column a power of two times the first, or "row": one row
+    zero), a rank-1 matrix with a vertical range ("vertical"), one with
+    columns of equal norm ("equal": the second column minus the first),
+    or the zero matrix ("zero")."""
+    out = []
+    for kind in kinds:
+        m = rand_mat(rng, float(np.exp(rng.uniform(-3.0, 3.0))))
+        if kind == "rank1":
+            m[:, 1] = m[:, 0] * 2.0 ** int(rng.integers(-3, 4))
+        elif kind == "row":
+            m[int(rng.integers(2))] = 0.0
+        elif kind == "vertical":
+            m[0] = 0.0
+        elif kind == "equal":
+            m[:, 1] = -m[:, 0]
+        elif kind == "zero":
+            m[:] = 0.0
+        out.append(m)
+    return np.stack(out)
+
+
+KINDS = ["generic", "rank1", "row", "vertical", "equal", "zero"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=12),
+    alpha=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    ratio=st.sampled_from([0.25, 0.5, 0.75]),
+)
+def test_disk_image_margins_batched_equals_scalar(seed, kinds, alpha, ratio):
+    # each margin is bit for bit that of the scalar image of its matrix;
+    # the zero matrix has no image and gets -inf
+    mats = _margin_stack(np.random.default_rng(seed), kinds)
+    ap = alpha * ratio
     got = disk_image_margins(mats, alpha, ap)
-    for k in range(40):
+    for k, kind in enumerate(kinds):
+        if kind == "zero":
+            with pytest.raises(ValueError, match="zero matrix"):
+                mobius_disk_image(mats[k], alpha)
+            assert got[k] == -math.inf
+            continue
         _, ref = contained_in_disk(mobius_disk_image(mats[k], alpha), ap)
-        if math.isinf(ref):
-            assert math.isinf(got[k])
-        else:
-            assert got[k] == ref
+        assert np.float64(ref).tobytes() == got[k].tobytes()
+        if kind == "vertical":
+            assert ref == -math.inf
 
 
 def test_schwarz_pick_rho_frozen_values():
