@@ -18,26 +18,28 @@ an explicit perturbation radius.
 
 certify_many() runs that pipeline over many windows at once, and
 certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
-form a batch, and every product stage of the batch (the growth-ratio
-blocks, the burn ladders, climbed in lockstep, the extended fields, the
-floor curves and the cone blocks) runs as one mat2 sweep over the rows
-of all its live windows.  A field row stops at the first exactly
-singular factor it meets: the product through it has rank one and pins
-the direction exactly, the range of a u product and the kernel of an s
-product (_cut_burns, _directions).  Every row is renormalized after
-each of its own steps by an exact power of two (mat2._renorm), so a row
-is its unnormalized product times a power of two whichever rows share
-its sweep, and every certificate is bit for bit that of its window
-alone.  The checks run window by window.
+form a batch, whose factors lie end to end in one slab (_slab), and
+every product stage of the batch (the growth-ratio blocks, the burn
+ladders, climbed in lockstep, the extended fields, the floor curves and
+the cone blocks) is one mat2._row_sweep over the rows of all its live
+windows; the certifier runs no product loop of its own.  A field row
+stops at the first exactly singular factor it meets: the product
+through it has rank one and pins the direction exactly, the range of a
+u product and the kernel of an s product (_cut_burns, _directions).
+Every row is renormalized after each of its own steps by an exact power
+of two (mat2._renorm), so a row is its unnormalized product times a
+power of two whichever rows share its sweep, and every certificate is
+bit for bit that of its window alone.  The checks run window by window.
 
 A row's bits depend on nothing but its start row and its factors, so
-two rows that agree bitwise on both are one computation, and _row_sweep
-sweeps one row of each such class.  In a window whose factors repeat
-with a shift q (a periodic orbit, or the free chain's constant
+two rows that agree bitwise on both are one computation, and the row
+sweep sweeps one row of each such class.  In a window whose factors
+repeat with a shift q (a periodic orbit, or the free chain's constant
 interior), the row that starts at site j + q copies the one at j
-wherever the factors it reads repeat bit for bit (_repeat_map).  The
-start row and the step count belong to the key because the same
-factors from another start, or one factor more, give other bits;
+wherever the factors it reads repeat bit for bit; _repeat_map finds
+those repeats once per batch, and every stage's sweep shares rows by
+them.  The start row and the step count belong to the key because the
+same factors from another start, or one factor more, give other bits;
 factors and starts are compared as bit patterns, not as floats.  A
 window without repeats runs the same code, each row its own class.
 
@@ -62,17 +64,18 @@ from .jacobi import (
 )
 from .mat2 import (
     MatSequence,
+    _bits,
+    _block_products,
     _floor_curves,
     _larger_columns,
     _mul,
+    _row_sweep,
     _sweep_values,
-    _take,
     det2,
     norm_floor,
     op_norm,
     singular_values,
     span_products,
-    sweep,
     sv_left_vectors,
     sv_right_vectors,
 )
@@ -101,6 +104,8 @@ __all__ = [
 DELTA_MIN = 1e-4
 RES_MAX = 1e-6
 FLOOR_REL = 1e-8
+N_MAX = 64
+FACTOR = 2.0
 MARGINAL_MARGIN = 0.05
 
 
@@ -160,17 +165,6 @@ def _slab(vals):
     """
     F = np.concatenate([v.transpose(1, 2, 0) for v in vals], axis=-1)
     return np.concatenate((F, F.transpose(1, 0, 2)[..., ::-1]), axis=-1).transpose(2, 0, 1)
-
-
-def _bits(X):
-    """The bit patterns of a stack's entries as int64 planes, one column
-    per row (the real and imaginary planes of a complex stack apart).
-    Equal columns are bitwise equal matrices, so +0.0 and -0.0 differ and
-    a NaN equals only its own pattern."""
-    planes = np.ascontiguousarray(X.transpose(1, 2, 0)).reshape(4, len(X))
-    if planes.dtype.kind == "c":
-        planes = np.concatenate((planes.real, planes.imag))
-    return planes.view(np.int64)
 
 
 def _repeat_map(slab, lengths):
@@ -233,124 +227,6 @@ def _one(outcomes):
     return outcomes[0]
 
 
-def _row_classes(P, base, steps, repeats):
-    """For each row of a _row_sweep, the row whose products it copies,
-    or None when every row is its own.
-
-    Row i copies row j when base[j] = base[i] - q (repeats, _repeat_map),
-    their steps are equal, their start rows bitwise equal, and no
-    factor of [base[i], base[i] + steps[i]) breaks the repeat: then both
-    rows run the same arithmetic on the same bits.  Row j may copy an
-    earlier row in turn; each row points to the first of its chain.
-    """
-    if repeats is None:
-        return None
-    q, gaps = repeats
-    R, L = len(base), len(q)
-    inside = np.flatnonzero((base >= 0) & (base < L))
-    b = base[inside]
-    end = np.minimum(b + steps[inside], L)
-    fit = (q[b] > 0) & (b >= q[b]) & (gaps[end] == gaps[b])
-    rows, target = inside[fit], b[fit] - q[b[fit]]
-    at = np.full(L, -1)
-    at[b] = inside
-    j = at[target]
-    rows, j = rows[j >= 0], j[j >= 0]
-    ok = steps[j] == steps[rows]
-    bits = _bits(P)
-    ok &= (bits[:, j] == bits[:, rows]).all(axis=0)
-    if not ok.any():
-        return None
-    copy = np.arange(R)
-    copy[rows[ok]] = j[ok]
-    while True:  # point every row at the head of its chain
-        nxt = copy[copy]
-        if np.array_equal(nxt, copy):
-            return copy
-        copy = nxt
-
-
-def _row_sweep(P, slab, base, steps, exps=False, repeats=None):
-    """Left-multiply row i of P by slab[base[i] + t] at t = 0, 1, ...,
-    steps[i] - 1, renormalizing it after each of these steps, as one mat2
-    sweep.
-
-    Rows are sorted by steps, longest first, so the rows each step
-    multiplies are a prefix.  The renormalization is exact (_renorm),
-    so a row's bits do not depend on the rows that share its sweep.  The
-    products (and with exps the binary exponents e of the removed scales,
-    the unnormalized product being ldexp of the row by e) come back in
-    the row order of P.
-
-    A row's bits depend on its start row and its factors alone (_mul and
-    _renorm work row by row), so rows that agree bitwise on both are one
-    computation.  With the slab's repeats (_repeat_map), one row of each
-    such class is swept and the others copy it (_row_classes): in a
-    periodic window, the row at base b reads the factors of the row at
-    b - q.  Factors and starts are compared as bit patterns, the inputs
-    the arithmetic reads; a float == would take -0.0 for +0.0 and part a
-    NaN from itself.
-    """
-    copy = _row_classes(P, base, steps, repeats)
-    if copy is not None:
-        heads = np.flatnonzero(copy == np.arange(len(copy)))
-        out = _row_sweep(_take(P, heads), slab, base[heads], steps[heads], exps)
-        at = np.searchsorted(heads, copy)
-        return (_take(out[0], at), out[1][at]) if exps else _take(out, at)
-    order = None
-    if np.any(steps[1:] > steps[:-1]):
-        order = np.argsort(-steps, kind="stable")
-        P = _take(P, order)
-        steps, base = steps[order], base[order]
-    T = int(steps.max(initial=0))
-    n_mul = (len(steps) - np.cumsum(np.bincount(steps, minlength=T))[:T]).tolist()
-    # where the bases stop counting up by one, and how many such runs each
-    # step's multiplied prefix spans: one or two runs are sliced from the
-    # slab, which copies less than a gather (a single window's core field
-    # is two runs, its u rows in reverse site order and its s rows)
-    heads = np.flatnonzero(np.diff(base, prepend=base[:1] - 2) != 1)
-    runs = np.searchsorted(heads, n_mul).tolist()
-    heads, firsts = heads.tolist(), base[heads].tolist()
-    planes = slab.transpose(1, 2, 0)
-
-    def factors():
-        spans = {}  # (first base, run length) per multiplied prefix
-        for t, k, m in zip(range(T), n_mul, runs):
-            if m > 2:
-                yield _take(slab, base[:k] + t)
-                continue
-            if k not in spans:
-                cuts = heads[:m] + [k]
-                spans[k] = [(firsts[j], cuts[j + 1] - cuts[j]) for j in range(m)]
-            F = [planes[..., f + t : f + t + n] for f, n in spans[k]]
-            F = F[0] if m == 1 else np.concatenate(F, axis=-1)
-            yield F.transpose(2, 0, 1)
-
-    out = sweep(P, factors(), renorm=True, exps=exps)
-    if order is None:
-        return out
-    back = np.empty_like(order)
-    back[order] = np.arange(len(order))
-    return (_take(out[0], back), out[1][back]) if exps else _take(out, back)
-
-
-def _block_products(vals, starts, lengths, repeats=None):
-    """Normalized ordered products of lengths[i] factors from each start.
-
-    Row i holds vals[starts[i]+lengths[i]-1] @ ... @ vals[starts[i]]
-    scaled by a power of two (lengths broadcast against starts), and the
-    binary exponents e of the removed scales are returned with them, so
-    the true product is ldexp of row i by e[i].  The blocks of windows
-    laid end to end in one _slab come from one sweep (_row_sweep).  The
-    products come out in the dtype of vals:
-    float64 for real factors (_sweep_values), equal by value to the
-    complex run, as the two forms of the kernel make them.
-    """
-    starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
-    P = np.tile(np.eye(2, dtype=vals.dtype), (len(starts), 1, 1))
-    return _row_sweep(P, vals, starts, lengths, True, repeats)
-
-
 def _window_products(batch, jobs):
     """Per-site window products behind the direction fields, for many
     windows in one sweep.
@@ -392,9 +268,8 @@ def _window_products(batch, jobs):
         parts += [U[::-1].transpose(0, 2, 1), S]
         base += [(2 * N - off - sites + tu)[::-1], off + sites + ts]
         steps += [(bu - tu)[::-1], bs - ts]
-    P = _row_sweep(
-        np.concatenate(parts), slab, *map(np.concatenate, (base, steps)), repeats=batch.repeats
-    )
+    base, steps = np.concatenate(base), np.concatenate(steps)
+    P, _ = _row_sweep(np.concatenate(parts), slab, base, steps, batch.repeats)
     out, a = [], 0
     for _, sites, *_ in jobs:
         n = len(sites)
@@ -691,7 +566,7 @@ class DominationCheck:
     detail: str = ""
 
 
-def verify_domination(seq, fld, n_max=64, factor=2.0):
+def verify_domination(seq, fld, n_max=N_MAX, factor=FACTOR):
     """Smallest block length N whose images of u beat those of s everywhere.
 
     The test at length N runs over every field site with N factors
@@ -1088,7 +963,7 @@ def certify(seq, **kw):
     return certify_many([seq], **kw)[0]
 
 
-def certify_many(seqs, **kw):
+def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=True):
     """certify() on every window of seqs, as one batched pipeline.
 
     Returns one DSCertificate per window, in order.  The verdict is
@@ -1102,8 +977,10 @@ def certify_many(seqs, **kw):
     error in window order, as a loop of certify calls would; the others'
     results are unaffected by it.
 
-    Keywords: delta_min, res_max, floor_rel, n_max, burn (a burn-in hint
-    for every window), factor, marginal_margin and want_cone.
+    burn is a burn-in hint for every window, marginal_margin the
+    domination margin below which a verdict is "marginal", and
+    want_cone=False skips the cone search.  The thresholds are the
+    module's constants: DELTA_MIN, RES_MAX, FLOOR_REL, N_MAX and FACTOR.
 
     Windows of one sweep dtype (_sweep_values) run as batches of at most
     BATCH_ROWS product rows (see there): every product stage runs as
@@ -1117,31 +994,17 @@ def certify_many(seqs, **kw):
     The checks themselves run window by window.  Each certificate's
     core_field owns its arrays, so keeping one pins no batch.
     """
-    out = _certify_each(seqs, **kw)
+    out = _certify_each(seqs, burn=burn, marginal_margin=marginal_margin, want_cone=want_cone)
     for res in out:
         if isinstance(res, Exception):
             raise res
     return out
 
 
-def _certify_each(
-    seqs,
-    *,
-    delta_min=DELTA_MIN,
-    res_max=RES_MAX,
-    floor_rel=FLOOR_REL,
-    n_max=64,
-    burn=None,
-    factor=2.0,
-    marginal_margin=MARGINAL_MARGIN,
-    want_cone=True,
-):
+def _certify_each(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=True):
     """certify_many's results, each window's outcome in its own slot: its
     DSCertificate, or the exception certify would raise on it."""
-    opts = dict(
-        delta_min=delta_min, res_max=res_max, floor_rel=floor_rel, n_max=n_max,
-        burn=burn, factor=factor, marginal_margin=marginal_margin, want_cone=want_cone,
-    )
+    opts = dict(burn=burn, marginal_margin=marginal_margin, want_cone=want_cone)
     seqs = list(seqs)
     out = [None] * len(seqs)
     groups = {}
@@ -1177,9 +1040,7 @@ def _batches(members):
         yield part
 
 
-def _certify_batch(
-    batch, *, delta_min, res_max, floor_rel, n_max, burn, factor, marginal_margin, want_cone
-):
+def _certify_batch(batch, *, burn, marginal_margin, want_cone):
     """The pipeline of certify_many over one _Batch: a DSCertificate or
     an exception per window."""
     seqs = batch.seqs
@@ -1246,18 +1107,20 @@ def _certify_batch(
 
     def check(w):
         seq, (_, gap, _, core) = seqs[w], resolved[w]
-        res_eff = max(res_max, 8.0 * gap)
+        res_eff = max(RES_MAX, 8.0 * gap)
         inv_ok, inv_res = verify_invariance(seq, core, res_eff)
-        dom = verify_domination(seq, core, n_max=n_max, factor=factor)
-        sep_ok, delta_ext = verify_separation(exts[w], delta_min)
-        _, delta_core = verify_separation(core, delta_min)
+        dom = verify_domination(seq, core)
+        sep_ok, delta_ext = verify_separation(exts[w])
+        _, delta_core = verify_separation(core)
         checks[w] = (res_eff, inv_ok, inv_res, dom, sep_ok, delta_ext, delta_core)
 
     ws = each(check, ws)
     floors = {}
     if ws:
         lengths = [len(seqs[w]) for w in ws]
-        curves = _floor_curves(batch.slab, batch.offsets[ws], lengths, [min(20, n) for n in lengths])
+        curves = _floor_curves(
+            batch.slab, batch.offsets[ws], lengths, [min(20, n) for n in lengths], batch.repeats
+        )
         floors = dict(zip(ws, curves))
     certs = {}
 
@@ -1266,9 +1129,9 @@ def _certify_batch(
         res_eff, inv_ok, inv_res, dom, sep_ok, delta_ext, delta_core = checks[w]
 
         def threshold(n):
-            # floor_rel * sup_bound**n, inf where the power overflows
+            # FLOOR_REL * sup_bound**n, inf where the power overflows
             try:
-                return floor_rel * seq.sup_bound**n
+                return FLOOR_REL * seq.sup_bound**n
             except OverflowError:
                 return math.inf
 
@@ -1299,7 +1162,7 @@ def _certify_batch(
         details = {
             1: f"invariance residual {inv_res:.3e} above {res_eff:.3e}",
             2: dom.detail,
-            3: f"field separation {delta_ext:.3e} at or below {delta_min:.3e}",
+            3: f"field separation {delta_ext:.3e} at or below {DELTA_MIN:.3e}",
             4: (
                 f"norm floor {floor_val:.3e} at N={dom.N} below "
                 f"{floor_thr:.3e}"

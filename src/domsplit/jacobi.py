@@ -327,7 +327,8 @@ def _hausdorff_1d(x, y):
 class SpectrumApprox:
     """Eigenvalue ladder of growing truncations plus a merged interval cover.
 
-    resolution is the measured cross-size instability (Hausdorff
+    sizes are the truncation sizes used, merged all their eigenvalues in
+    one sorted array.  resolution is the measured cross-size instability (Hausdorff
     distance between consecutive ladder clouds); segments join merged
     eigenvalues closer than the merge gap.  Boundary artifacts are not
     filtered, they are visible as cross-size disagreement and inflate
@@ -335,11 +336,9 @@ class SpectrumApprox:
     """
 
     sizes: list
-    per_size: dict
     merged: np.ndarray
     segments: list
     resolution: float
-    intervals: list
 
 
 def _ring_eigenvalues(op, j1, j2):
@@ -400,7 +399,7 @@ def spectrum(op, sizes=(200, 400, 800)):
         use = sorted(snapped)
     if not use:
         raise ValueError("no usable truncation sizes")
-    per_size, intervals = {}, []
+    per_size = {}
     for s in use:
         start = op.j_lo + (n - s) // 2
         if q and s % q == 0 and s >= 2:
@@ -409,7 +408,6 @@ def spectrum(op, sizes=(200, 400, 800)):
         else:
             j1, j2 = _snap_to_zeros(op, start - 1, start - 1 + s)
             per_size[s] = truncation(op, j1, j2).eigenvalues()
-        intervals.append((j1, j2))
     merged = np.sort(np.concatenate([per_size[s] for s in use]))
     if len(use) >= 2:
         h = max(
@@ -431,14 +429,7 @@ def spectrum(op, sizes=(200, 400, 800)):
             segments.append((float(lo), float(hi)))
             lo = hi = x
     segments.append((float(lo), float(hi)))
-    return SpectrumApprox(
-        sizes=use,
-        per_size=per_size,
-        merged=merged,
-        segments=segments,
-        resolution=h,
-        intervals=intervals,
-    )
+    return SpectrumApprox(sizes=use, merged=merged, segments=segments, resolution=h)
 
 
 def dist_to_spectrum(sp, E):
@@ -649,7 +640,7 @@ def floquet_bands(op, period=None, grid=None, refine_tol=1e-10):
             return F.transpose(2, 0, 1)
 
         P = np.tile(np.eye(2), (len(E), 1, 1))
-        P, e = sweep(P, map(step, range(q)), renorm=True, exps=True)
+        P, e = sweep(P, map(step, range(q)))
         tr = P[:, 0, 0] + P[:, 1, 1]
         mag = np.where(np.abs(tr) > 0, np.abs(tr), 1e-300)
         return np.log(mag) + e * math.log(2.0)  # log |discriminant|

@@ -2,12 +2,18 @@
 
 Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
-floors.  Every ordered product in the package runs through one loop,
-_sweep_steps, which multiplies a stack of 2x2 products by one factor
-stack per step, optionally renormalizing the rows each step multiplies:
-sweep() runs it to the end, and the norm floors read each step's
-products as it goes.  span_products() gives cocycle_product for many
-(start, length) pairs at once.
+floors.
+
+Every ordered product in the package runs through one loop,
+_sweep_steps: it left-multiplies a stack of 2x2 products by one factor
+stack per step and renormalizes the rows that step multiplied.  sweep()
+runs it over given factor stacks (a right product runs as the transpose
+of the left product of the transposes).  _row_sweep runs it over rows
+that read a slab of factors from their own bases for their own step
+counts, sweeping one row per class of bitwise identical rows; block
+products (_block_products, span_products, cocycle_product), the norm
+floors (_floor_curves) and the certifier's field products are such row
+sweeps.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
 A MatSequence stores complex128 factors.  Sweeps over a window whose
@@ -24,14 +30,13 @@ Renormalization is exact: _renorm scales each row by the power of two
 that puts its largest real or imaginary part into [1, 2), as LAPACK's
 xLASCL scales.  The kernel's fixed forms commute with a power of two, so
 a renormalized row is its unnormalized product times a power of two,
-whichever steps scaled it, and a second pass changes nothing.  Long
-products run renormalized and are scaled back with ldexp, which is
-exact, so no product needs a wider dtype.
+whichever steps scaled it, and a second pass changes nothing.  Every
+sweep returns each row's removed binary exponents, and products and
+norms are scaled back with ldexp, which is exact, so no product needs a
+wider dtype and none overflows before its value does.
 """
-
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -386,49 +391,151 @@ def _renorm(P, out=None):
     return _ldexp(P, s, out), s
 
 
-def sweep(P, steps, left=True, renorm=False, exps=False):
-    """Multiply a stack of 2x2 products P by one factor stack per step.
+def sweep(P, steps):
+    """Left-multiply a stack of 2x2 products P by one factor stack per
+    step, renormalizing exactly; returns (P, e).
 
-    Each F in steps multiplies the first k = len(F) rows of P, from the
-    left (F @ P[:k]) or the right (P[:k] @ F), through _mul.  With
-    renorm, those k rows are then scaled by a power of two (_renorm, in
-    place); exps returns (P, e), e holding each row's removed binary
-    exponents summed as int64, so that the unnormalized product is ldexp
-    of the row by e.  P itself is never written into.  _mul gives a row
-    of a stack the bits it gives that row alone, and the scaling is
-    exact, so each row is its unnormalized product times a power of two,
-    as a loop over it alone would make it.  The products come out
-    plane-major; plane-major factor stacks (slices of _sweep_values, or
-    _take) are read as they are, others through strided views.
+    Each F in steps multiplies the first k = len(F) rows of P from the
+    left (F @ P[:k]) through _mul, and those k rows are then scaled by a
+    power of two (_renorm).  e holds each row's removed binary exponents
+    summed as int64, so the unnormalized product is ldexp of the row by
+    e.  P itself is never written into.  _mul gives a row of a stack the
+    bits it gives that row alone, and the scaling is exact, so each row
+    is its unnormalized product times a power of two, as a loop over it
+    alone would make it.  A right product P @ F runs as the transpose of
+    the left product of the transposes, whose entries sum the same
+    products in the same order.  The products come out plane-major;
+    plane-major factor stacks (slices of _sweep_values, or _take) are
+    read as they are, others through strided views.
     """
-    total = np.zeros(len(P), dtype=np.int64) if exps else None
-    for P in _sweep_steps(P, steps, left, renorm, total):
+    e = np.zeros(len(P), dtype=np.int64)
+    for P in _sweep_steps(P, steps, e):
         pass
-    return (P, total) if exps else P
+    return P, e
 
 
-def _sweep_steps(P, steps, left, renorm, total):
-    """The loop of sweep, yielding the stack after every step; total,
-    when not None, accumulates each row's removed binary exponents
-    (int64), so that ldexp of a row by its total is the unnormalized
-    product.  A later step may write into a stack already yielded, so a
-    caller copies the rows it keeps.  Each step renormalizes exactly the
-    rows it multiplies."""
+def _sweep_steps(P, steps, e):
+    """The loop of sweep, yielding the stack after every step; e
+    accumulates each row's removed binary exponents.  A later step may
+    write into a stack already yielded, so a caller copies the rows it
+    keeps."""
     P0, n = P, len(P)
     for F in steps:
         k = len(F)
         if k == n:
-            P = _mul(F, P) if left else _mul(P, F)
-        else:
+            P = _mul(F, P)
+        elif k:
             if P is P0:
                 P = _plane_major(P, copy=True)
-            A, B = (F, P[:k]) if left else (P[:k], F)
-            _mul(A, B, out=P[:k])
-        if renorm and k:
+            _mul(F, P[:k], out=P[:k])
+        if k:
             _, s = _renorm(P[:k], out=P[:k])
-            if total is not None:
-                total[:k] -= s
+            e[:k] -= s
         yield P
+
+
+def _bits(X):
+    """The bit patterns of a stack's entries as int64 planes, one column
+    per row (the real and imaginary planes of a complex stack apart).
+    Equal columns are bitwise equal matrices, so +0.0 and -0.0 differ and
+    a NaN equals only its own pattern."""
+    planes = np.ascontiguousarray(X.transpose(1, 2, 0)).reshape(4, len(X))
+    if planes.dtype.kind == "c":
+        planes = np.concatenate((planes.real, planes.imag))
+    return planes.view(np.int64)
+
+
+def _row_classes(P, base, steps, repeats):
+    """For each row of a _row_sweep, the row whose products it copies,
+    or None when every row is its own.
+
+    repeats is (q, gaps) for the slab the rows read: the factors over
+    [b, b + n) are those over [b - q[b], b - q[b] + n) bit for bit
+    whenever q[b] > 0, b >= q[b] and gaps[b + n] == gaps[b]
+    (certifier._repeat_map).  Row i copies row j when base[j] = base[i]
+    - q, their steps are equal, their start rows bitwise equal, and no
+    factor of [base[i], base[i] + steps[i]) breaks the repeat: then both
+    rows run the same arithmetic on the same bits.  Row j may copy an
+    earlier row in turn; each row points to the first of its chain.
+    """
+    if repeats is None:
+        return None
+    q, gaps = repeats
+    R, L = len(base), len(q)
+    inside = np.flatnonzero((base >= 0) & (base < L))
+    b = base[inside]
+    end = np.minimum(b + steps[inside], L)
+    fit = (q[b] > 0) & (b >= q[b]) & (gaps[end] == gaps[b])
+    rows, target = inside[fit], b[fit] - q[b[fit]]
+    at = np.full(L, -1)
+    at[b] = inside
+    j = at[target]
+    rows, j = rows[j >= 0], j[j >= 0]
+    ok = steps[j] == steps[rows]
+    bits = _bits(P)
+    ok &= (bits[:, j] == bits[:, rows]).all(axis=0)
+    if not ok.any():
+        return None
+    copy = np.arange(R)
+    copy[rows[ok]] = j[ok]
+    while True:  # point every row at the head of its chain
+        nxt = copy[copy]
+        if np.array_equal(nxt, copy):
+            return copy
+        copy = nxt
+
+
+def _row_sweep(P, slab, base, steps, repeats=None, visit=None):
+    """Left-multiply row i of P by slab[base[i] + t] at t = 0, 1, ...,
+    steps[i] - 1, renormalizing it exactly after each of these steps, as
+    one sweep; returns (P, e) in the row order of P, e as in sweep.
+
+    A row's bits depend on its start row and its factors alone (_mul and
+    _renorm work row by row), so rows that agree bitwise on both are one
+    computation.  With the slab's repeats, one row of each such class is
+    swept and the others copy it (_row_classes): in a periodic window,
+    the row at base b reads the factors of the row at b - q.  Factors and
+    starts are compared as bit patterns, the inputs the arithmetic reads;
+    a float == would take -0.0 for +0.0 and part a NaN from itself.
+
+    The swept rows run longest first, so the rows each step multiplies
+    are a prefix, and each step gathers its factors with one _take.
+    visit(rows, Q, e), when given, sees every step: rows are the indices
+    in P of the rows it multiplied, one per class, and Q and e their
+    products and exponents so far, which the next step overwrites.
+    """
+    copy = _row_classes(P, base, steps, repeats)
+    heads = np.arange(len(P)) if copy is None else np.flatnonzero(copy == np.arange(len(P)))
+    order = heads[np.argsort(-steps[heads], kind="stable")]
+    b = base[order]
+    T = int(steps.max(initial=0))
+    n_mul = (len(order) - np.cumsum(np.bincount(steps[order], minlength=T))[:T]).tolist()
+    Q, e = _take(P, order), np.zeros(len(order), dtype=np.int64)
+    factors = (_take(slab, b[:k] + t) for t, k in enumerate(n_mul))
+    for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
+        if visit is not None:
+            visit(order[:k], Q[:k], e[:k])
+    at = np.empty(len(P), dtype=np.intp)
+    at[order] = np.arange(len(order))
+    if copy is not None:
+        at = at[copy]
+    return _take(Q, at), e[at]
+
+
+def _block_products(vals, starts, lengths, repeats=None):
+    """Normalized ordered products of lengths[i] factors from each start.
+
+    Row i holds vals[starts[i]+lengths[i]-1] @ ... @ vals[starts[i]]
+    scaled by a power of two (lengths broadcast against starts), and the
+    binary exponents e of the removed scales are returned with them, so
+    the true product is ldexp of row i by e[i].  The blocks of windows
+    laid end to end in one slab come from one sweep (_row_sweep), in the
+    dtype of vals: float64 for real factors (_sweep_values), equal by
+    value to the complex run, as the two forms of the kernel make them.
+    """
+    starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
+    P = np.tile(np.eye(2, dtype=vals.dtype), (len(starts), 1, 1))
+    return _row_sweep(P, vals, starts, lengths, repeats)
 
 
 def span_products(seq, starts, lengths):
@@ -436,37 +543,20 @@ def span_products(seq, starts, lengths):
     one (len, 2, 2) complex stack.
 
     starts and lengths broadcast to one dimension.  The products run
-    renormalized in the dtype of _sweep_values and are scaled back with
-    ldexp, which is exact: each is the product a loop of _mul from the
-    identity makes, bit for bit, wherever that loop neither overflows nor
-    underflows, and finite wherever the product is.  On a real window,
-    float64 gives the real parts of the complex128 products bit for bit,
-    and their imaginary parts are +0.0.
-
-    The rows run longest first, so those still multiplying form a
-    prefix, and each step's factors are a slice of one gather made up
-    front.
+    renormalized in the dtype of _sweep_values (_block_products) and are
+    scaled back with ldexp, which is exact: each is the product a loop of
+    _mul from the identity makes, bit for bit, wherever that loop neither
+    overflows nor underflows, and finite wherever the product is.  On a
+    real window, float64 gives the real parts of the complex128 products
+    bit for bit, and their imaginary parts are +0.0.
     """
     js, ns = (np.ravel(a) for a in np.broadcast_arrays(starts, lengths))
-    out = np.tile(np.eye(2, dtype=complex), (len(js), 1, 1))
-    rows = np.flatnonzero(ns > 0)
-    if not len(rows):
-        return out
-    rows = rows[np.argsort(-ns[rows], kind="stable")]
-    js, ns = js[rows], ns[rows]
-    j0 = int(js.min())
-    span = int((js + ns).max()) - j0
-    _check_span(seq.window, j0, span)
-    part = _sweep_values(seq)[j0 - seq.j_lo : j0 - seq.j_lo + span]
-    t = np.arange(ns[0])[:, None]
-    live = t < ns  # (step, row), a prefix per step
-    G = _take(part, (js - j0 + t)[live])
-    ends = np.cumsum(live.sum(axis=1)).tolist()
-    steps = (G[a:b] for a, b in zip([0] + ends, ends))
-    P = np.tile(np.eye(2, dtype=part.dtype), (len(rows), 1, 1))
-    P, e = sweep(P, steps, renorm=True, exps=True)
-    out[rows] = _ldexp(P, e)
-    return out
+    live = ns > 0
+    if live.any():
+        j0 = int(js[live].min())
+        _check_span(seq.window, j0, int((js + ns)[live].max()) - j0)
+    P, e = _block_products(_sweep_values(seq), js - seq.j_lo, ns)
+    return _ldexp(P, e).astype(complex, copy=False)
 
 
 def cocycle_product(seq, j, n):
@@ -485,15 +575,16 @@ def backward_product(seq, j, n):
 
     Equals the inverse of cocycle_product(seq, j - n, n); every factor in
     [j - n, j - 1] must be invertible at the shared tolerance, otherwise
-    SingularFactor names the offending index.  The product of the
-    inverses runs renormalized and is scaled back exactly.
+    SingularFactor names the offending index.  The right product of the
+    inverses runs as the transposed left product of their transposes
+    (sweep), renormalized, and is scaled back exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_span(seq.window, j - n, n)
-    inverses = (inv2(seq.at(k), index=k)[None] for k in range(j - n, j))
-    P, e = sweep(np.eye(2, dtype=complex)[None], inverses, left=False, renorm=True, exps=True)
-    return _ldexp(P, e)[0]
+    inverses = (inv2(seq.at(k), index=k).T[None] for k in range(j - n, j))
+    P, e = sweep(np.eye(2, dtype=complex)[None], inverses)
+    return _ldexp(P, e)[0].T
 
 
 def norm_floor(seq, n):
@@ -504,38 +595,45 @@ def norm_floor(seq, n):
 def norm_floor_curve(seq, n_max):
     """[norm_floor(seq, n) for n = 1..n_max] in one incremental pass.
 
-    Each step left-multiplies the running products by the next factor,
-    in float64 when every factor is real (_sweep_values): singular
-    values read only magnitudes, so both dtypes give the same floors.
+    The products run in float64 when every factor is real
+    (_sweep_values): singular values read only magnitudes, so both
+    dtypes give the same floors.
     """
     if not 1 <= n_max <= len(seq):
         raise ValueError(f"block length must lie in [1, {len(seq)}]")
     return _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
 
 
-def _floor_curves(vals, offsets, lengths, n_maxes):
-    """norm_floor_curve for windows laid end to end in one stack vals,
-    window w being vals[offsets[w] : offsets[w] + lengths[w]], each to its
-    own n_max, as one sweep.
+def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
+    """norm_floor_curve for windows laid end to end in one slab, window w
+    being slab[offsets[w] : offsets[w] + lengths[w]], each to its own
+    n_max, as one _row_sweep (sharing rows by repeats as it does).
 
-    Row i of a window starts at its factor i, and step n multiplies
-    factor i + n in from the left, clipped to the window's last factor:
-    rows that run past the end only pad the stack, and the floor at n is
-    the least top singular value over the rows that did not.  No row is
-    renormalized, so each row has the bits a window of its own gives it.
+    Row i of a window starts at its factor i and runs until its product
+    holds n_max factors or reaches the window's end; the floor at n is
+    the least top singular value over the window's rows after step n.
+    The rows are renormalized, so the singular values are read off the
+    scaled rows and scaled back with ldexp: a floor that exceeds the
+    float64 range reads inf, and none becomes NaN.  A row that copies
+    another has its bits, so the rows swept give every floor.
     """
     offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-    heads = np.cumsum(lengths) - lengths  # each window's first row
-    local = np.arange(int(lengths.sum())) - np.repeat(heads, lengths)
-    first = np.repeat(offsets, lengths) + local
-    last = np.repeat(offsets + lengths - 1, lengths)
-    room = np.repeat(lengths, lengths) - local  # factors from the row's start on
-    steps = (_take(vals, np.minimum(first + n, last)) for n in range(1, max(n_maxes)))
-    curves = [[] for _ in n_maxes]
-    P = _take(vals, first)
-    for n, P in enumerate(itertools.chain([P], _sweep_steps(P, steps, True, False, None))):
-        s1 = np.where(room > n, singular_values(P)[0], np.inf)
-        for curve, floor, top in zip(curves, np.minimum.reduceat(s1, heads).tolist(), n_maxes):
-            if n < top:
+    n_maxes = np.asarray(n_maxes)
+    win = np.repeat(np.arange(len(lengths)), lengths)
+    local = np.arange(len(win)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    base = offsets[win] + local
+    steps = np.minimum(n_maxes[win], lengths[win] - local)
+    curves = [[] for _ in lengths]
+
+    def visit(rows, Q, e):
+        with np.errstate(over="ignore"):
+            s1 = np.ldexp(singular_values(Q)[0], e)
+        floors = np.full(len(lengths), np.inf)
+        np.minimum.at(floors, win[rows], s1)
+        for curve, top, floor in zip(curves, n_maxes.tolist(), floors.tolist()):
+            if len(curve) < top:
                 curve.append(floor)
+
+    P = np.tile(np.eye(2, dtype=slab.dtype), (len(win), 1, 1))
+    _row_sweep(P, slab, base, steps, repeats, visit)
     return curves

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -662,11 +663,11 @@ SIMD_TARGETS = [
 BLOCK_PRODUCTS_BYTES = """
 import sys
 import numpy as np
-from domsplit import certifier
+from domsplit import mat2
 rng = np.random.default_rng(97)
 vals = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
 vals *= rng.uniform(0.1, 10.0, (300, 1, 1))
-P, exps = certifier._block_products(vals, np.arange(260), 40)
+P, exps = mat2._block_products(vals, np.arange(260), 40)
 out = P.tobytes() + exps.tobytes()
 """
 
@@ -781,12 +782,37 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
 # ----------------------------------------- bit-exact cuts after the ladder
 
 
-def test_nan_norm_floor_raises_instead_of_failing():
-    # the squared entries overflow, so every singular value is nan
-    with np.errstate(all="ignore"):
-        seq = MatSequence(0, np.repeat((1e150 * np.diag([3.0, 0.5]))[None], 200, axis=0))
-        with pytest.raises(InternalInconsistency, match="norm floor at N=1 is nan"):
-            certify(seq)
+def test_nan_norm_floor_raises_instead_of_failing(free_op, monkeypatch):
+    # a NaN floor at N reaches no threshold comparison; the free chain at
+    # E = 3 certifies at N = 1, so its floor curve gets a NaN there
+    orig = certifier._floor_curves
+
+    def nan_at_one(*args):
+        curves = orig(*args)
+        for curve in curves:
+            curve[0] = math.nan
+        return curves
+
+    monkeypatch.setattr(certifier, "_floor_curves", nan_at_one)
+    with pytest.raises(InternalInconsistency, match="norm floor at N=1 is nan"):
+        certify_operator(free_op, 3.0)
+
+
+@pytest.mark.parametrize("c", [1e50, 1e100, 1e150])
+def test_scaled_window_certifies_as_the_unscaled_one(c):
+    # the floor-curve products are renormalized and scaled back with
+    # ldexp, so a large scale neither overflows them nor makes a floor
+    # NaN; the verdict, N and epsilon follow the scale
+    def cert_at(scale):
+        seq = MatSequence(0, np.repeat((scale * np.diag([3.0, 0.5]))[None], 200, axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return certify(seq)
+
+    one, cert = cert_at(1.0), cert_at(c)
+    assert cert.verdict == one.verdict == "verified"
+    assert cert.N == one.N == 1
+    assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-15, abs=0.0)
 
 
 def test_override_products_stay_finite_far_from_the_spectrum(free_op):
@@ -985,8 +1011,10 @@ def test_renorm_is_idempotent_and_exact(seed, n, T, complex_vals, prefix):
     if prefix:  # rows finish at different steps
         F = [f[: int(k)] for f, k in zip(F, np.sort(rng.integers(1, n + 1, T))[::-1])]
     P = np.tile(np.eye(2, dtype=F[0].dtype), (n, 1, 1))
-    scaled, e = mat2.sweep(P, F, renorm=True, exps=True)
-    raw = mat2.sweep(P, F)
+    scaled, e = mat2.sweep(P, F)
+    raw = P.copy()  # the plain product loop, unnormalized
+    for f in F:
+        raw[: len(f)] = mat2._mul(f, raw[: len(f)])
     once, s = mat2._renorm(raw)
     assert scaled.tobytes() == once.tobytes()
     twice, s2 = mat2._renorm(once)
@@ -1030,8 +1058,8 @@ def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, len
         assert floors == mat2.norm_floor_curve(seq, n_max)
     length = min(length, n)
     starts = np.arange(0, n - length + 1)
-    P, exps = certifier._block_products(certifier._sweep_values(seq), starts, length)
-    Pc, exps_c = certifier._block_products(seq.values, starts, length)
+    P, exps = mat2._block_products(mat2._sweep_values(seq), starts, length)
+    Pc, exps_c = mat2._block_products(seq.values, starts, length)
     assert P.dtype == np.float64
     assert np.array_equal(P, Pc) and exps.tobytes() == exps_c.tobytes()
 
@@ -1051,7 +1079,7 @@ def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
             continue
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
-        P, exps = certifier._block_products(seq.values, js - lo, n_blk)
+        P, exps = mat2._block_products(seq.values, js - lo, n_blk)
         Lam = ref_matmul(ref_matmul(Dinv[k + n_blk], P), D[k])
         # the least |Lam[:, 0, 0]| of the unscaled products, one at a time
         gamma = min(map(math.ldexp, np.abs(Lam[:, 0, 0]).tolist(), exps.tolist()))
@@ -1123,10 +1151,9 @@ def _batch_window(rng, kind, n, factors="random"):
         vals = np.repeat(np.diag([2.0, 0.5])[None], max(n, 12), axis=0).astype(complex)
         vals[len(vals) // 2] = 0.0
         return MatSequence(int(rng.integers(-9, 9)), vals)
-    if kind == "nan":
-        # the squared entries overflow, so the norm floor is nan
-        with np.errstate(all="ignore"):
-            return MatSequence(0, np.repeat((1e150 * np.diag([3.0, 0.5]))[None], 200, axis=0))
+    if kind == "overflow":
+        # the squared factor norms overflow in the invariance check
+        return MatSequence(0, np.repeat((1e160 * np.diag([3.0, 0.5]))[None], 200, axis=0))
     if kind in ("real_jacobi", "complex_jacobi"):
         a = (0.5 + rng.random(n)) * rng.choice([-1.0, 1.0], n)
         if kind == "complex_jacobi":
@@ -1171,13 +1198,13 @@ def _alone(seq, kw):
         min_size=2,
         max_size=6,
     ),
-    bad=st.sampled_from([None, "degenerate", "nan"]),
+    bad=st.sampled_from([None, "degenerate", "overflow"]),
     burn=st.sampled_from([None, None, 1, 7, 30]),
     factors=FACTORS,
 )
 @example(seed=3, kinds=["real_jacobi", "complex_jacobi"], bad="degenerate", burn=None,
          factors="random")
-@example(seed=4, kinds=["real_raw", "complex_raw", "real_jacobi"], bad="nan", burn=7,
+@example(seed=4, kinds=["real_raw", "complex_raw", "real_jacobi"], bad="overflow", burn=7,
          factors="signed_zero")
 def test_certify_many_is_certify_window_by_window(seed, kinds, bad, burn, factors):
     # mixed dtypes and lengths, exactly singular factors, burn hints,
@@ -1355,6 +1382,6 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     steps = np.minimum(steps, 2 * n - base)
     starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
     P = starts[(rng.random(len(base)) < 0.2).astype(int)]
-    got = certifier._row_sweep(P, batch.slab, base, steps, True, batch.repeats)
-    alone = certifier._row_sweep(P, batch.slab, base, steps, True)
+    got = mat2._row_sweep(P, batch.slab, base, steps, batch.repeats)
+    alone = mat2._row_sweep(P, batch.slab, base, steps)
     assert got[0].tobytes() == alone[0].tobytes() and got[1].tobytes() == alone[1].tobytes()

@@ -307,7 +307,7 @@ def test_floquet_period2_frozen_edges(period2_op):
         assert abs(hi - ehi) < 1e-8
 
 
-def _division_sweep(P, steps, renorm, exps):
+def _division_sweep(P, steps):
     """floquet_bands' discriminant sweep with each row divided by its
     largest entry modulus m (P /= m), where mat2.sweep scales it by a
     power of two; the removed scales come back as log2 of their product,

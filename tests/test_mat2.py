@@ -12,6 +12,7 @@ from domsplit import MatSequence, cocycle_map, cocycle_product, norm_floor, op_n
 from domsplit.mat2 import (
     SingularFactor,
     _herm_top_eigvec,
+    _ldexp,
     _mul,
     _plane_major,
     backward_product,
@@ -309,16 +310,40 @@ def _prefix_steps(rng, n, dtype):
 @pytest.mark.parametrize("left", [True, False])
 @pytest.mark.parametrize("renorm", [False, True])
 def test_sweep_rows_are_the_per_row_loops(dtype, left, renorm):
+    # sweep is the renormalized left product; a right product is its
+    # transpose over the transposed factors (as backward_product runs
+    # it), and the unnormalized product is ldexp of each row by its
+    # exponents, exactly, since nothing here overflows or underflows
     rng = np.random.default_rng(31)
     for _ in range(20):
         n = int(rng.integers(1, 40))
         P = rng.standard_normal((n, 2, 2)).astype(dtype)
         P = P[rng.permutation(n)]  # shuffled rows
         steps = _prefix_steps(rng, n, dtype)
-        got = sweep(P, iter(steps), left=left, renorm=renorm)
-        ref, _ = sweep_rows_oracle(P, steps, left, renorm)
+        if left:
+            got, exps = sweep(P, iter(steps))
+        else:
+            got, exps = sweep(P.transpose(0, 2, 1), (F.transpose(0, 2, 1) for F in steps))
+            got = got.transpose(0, 2, 1)
+        ref, ref_exps = sweep_rows_oracle(P, steps, left, renorm)
+        if renorm:
+            assert exps.tobytes() == ref_exps.tobytes()
+        else:
+            got = _ldexp(got, exps)
         assert got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
+
+
+def test_backward_product_is_bitwise_the_right_product_loop():
+    # the transposed left product of the transposed inverses gives the
+    # bits of the right product loop over the inverses
+    rng = np.random.default_rng(35)
+    seq = random_matseq(rng, n=40, j_lo=-7)
+    for j, n in ((0, 1), (5, 12), (33, 40)):
+        inverses = [inv2(seq.at(k))[None] for k in range(j - n, j)]
+        P, e = sweep_rows_oracle(np.eye(2, dtype=complex)[None], inverses, False, True)
+        ref = np.ldexp(P.real, e[:, None, None]) + 1j * np.ldexp(P.imag, e[:, None, None])
+        assert backward_product(seq, j, n).tobytes() == ref[0].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -327,11 +352,11 @@ def test_sweep_logs_carry_the_removed_scale(dtype):
     rng = np.random.default_rng(32)
     P = np.tile(np.eye(2, dtype=dtype), (30, 1, 1))
     steps = _prefix_steps(rng, 30, dtype)
-    got, exps = sweep(P, steps, renorm=True, exps=True)
+    got, exps = sweep(P, steps)
     ref, ref_exps = sweep_rows_oracle(P, steps, True, True)
     assert got.tobytes() == ref.tobytes() and exps.tobytes() == ref_exps.tobytes()
     # nothing here overflows or underflows, so scaling back is exact
-    raw = sweep(P, steps)
+    raw, _ = sweep_rows_oracle(P, steps, True, False)
     back = np.ldexp(got.real, exps[:, None, None])
     if np.iscomplexobj(got):
         back = back + 1j * np.ldexp(got.imag, exps[:, None, None])
@@ -361,12 +386,8 @@ def _special_stack(rng, n, dtype):
          (np.float64, np.complex128), (np.complex128, np.float64)]
     ),
     plane_major=st.booleans(),
-    left=st.booleans(),
-    renorm=st.booleans(),
 )
-def test_kernel_and_sweep_are_bitwise_the_reference(
-    seed, n, dtypes, plane_major, left, renorm
-):
+def test_kernel_and_sweep_are_bitwise_the_reference(seed, n, dtypes, plane_major):
     # the bits of a row do not depend on its stack's layout, on the other
     # rows, or on whether the kernel writes into one of its operands
     rng = np.random.default_rng(seed)
@@ -384,25 +405,26 @@ def test_kernel_and_sweep_are_bitwise_the_reference(
         P = layout(_special_stack(rng, n, dtype))
         lengths = np.sort(rng.integers(1, n + 1, int(rng.integers(1, 10))))[::-1]
         steps = [layout(_special_stack(rng, int(k), dtype)) for k in lengths]
-        got, exps = sweep(P, steps, left=left, renorm=renorm, exps=True)
-        want, want_exps = sweep_rows_oracle(P, steps, left, renorm)
+        got, exps = sweep(P, steps)
+        want, want_exps = sweep_rows_oracle(P, steps, True, True)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert exps.tobytes() == want_exps.tobytes()
 
 
-@pytest.mark.parametrize("renorm", [False, True])
-def test_sweep_does_not_write_into_its_input(renorm):
+@pytest.mark.parametrize("first_full", [False, True])
+def test_sweep_does_not_write_into_its_input(first_full):
     rng = np.random.default_rng(33)
     U = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
     keep = U.copy()
     # a resumed ladder passes a view of the previous rung's products, and
-    # a first step over part of the rows must not land in it
-    steps = [rng.standard_normal((k, 2, 2)) for k in (10, 16, 16, 3)]
-    out = sweep(U[2:-2], steps, left=False, renorm=renorm)
+    # a first step over all or part of the rows must not land in it
+    lengths = (16, 10, 16, 3) if first_full else (10, 16, 16, 3)
+    steps = [rng.standard_normal((k, 2, 2)) for k in lengths]
+    out, _ = sweep(U[2:-2], steps)
     assert U.tobytes() == keep.tobytes()
     assert not np.shares_memory(out, U)
-    assert sweep(U, []) is U
+    assert sweep(U, [])[0] is U
 
 
 def cocycle_product_oracle(seq, j, n):
