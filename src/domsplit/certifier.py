@@ -20,16 +20,16 @@ certify_many() runs that pipeline over many windows at once, and
 certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
 form a batch, whose factors lie end to end in one slab (_slab), and
 every product stage of the batch (the growth-ratio blocks, the burn
-ladders, climbed in lockstep, the extended fields, the floor curves and
-the cone blocks) is one mat2._row_sweep over the rows of all its live
-windows; the certifier runs no product loop of its own.  A field row
-stops at the first exactly singular factor it meets: the product
-through it has rank one and pins the direction exactly, the range of a
-u product and the kernel of an s product (_cut_burns, _directions).
+ladders, climbed in lockstep, the extended fields, the domination frames,
+the floor curves and the cone blocks) is one mat2._row_sweep over the
+rows of all its live windows.  A field row stops at the first exactly
+singular factor it meets: the product through it has rank one and pins
+the direction exactly, the range of a u product and the kernel of an s
+product (_cut_burns, _directions).
 Every row is renormalized after each of its own steps by an exact power
 of two (mat2._renorm), so a row is its unnormalized product times a
 power of two whichever rows share its sweep, and every certificate is
-bit for bit that of its window alone.  The checks run window by window.
+bit for bit that of its window alone.  The other checks run per window.
 
 A row's bits depend on nothing but its start row and its factors, so
 two rows that agree bitwise on both are one computation, and the row
@@ -49,6 +49,7 @@ given finite data, not about any infinite extension.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -60,19 +61,18 @@ from .jacobi import (
     cocycle_map,
     dist_to_spectrum,
     greens_column,
-    spectrum,
 )
 from .mat2 import (
     MatSequence,
     _bits,
     _block_products,
+    _column_norms,
     _floor_curves,
     _larger_columns,
     _mul,
     _row_sweep,
     _sweep_values,
     det2,
-    norm_floor,
     op_norm,
     singular_values,
     span_products,
@@ -480,15 +480,8 @@ def greens_directions(op, E, spectrum_approx=None, margin=None, delta_min=DELTA_
     than twice longer, or is forced to the adjacent column when a zero
     coupling cuts the fallback off.
     """
-    sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
-    delta = dist_to_spectrum(sp, E)
-    if delta < delta_min:
-        raise IllConditioned(
-            f"energy within {delta:.3e} of the spectrum cover", delta=delta
-        )
-    probe = greens_column(
-        op, E, (op.j_lo + op.j_hi) // 2, margin=margin, spectrum_approx=sp
-    )
+    probe = greens_column(op, E, (op.j_lo + op.j_hi) // 2, margin=margin,
+                          spectrum_approx=spectrum_approx, delta_min=delta_min)
     m = probe.margin
     lo, hi = op.j_lo - m, op.j_hi + m
     cols = list(range(op.j_lo - 2, op.j_hi + 2))
@@ -569,58 +562,62 @@ class DominationCheck:
 def verify_domination(seq, fld, n_max=N_MAX, factor=FACTOR):
     """Smallest block length N whose images of u beat those of s everywhere.
 
-    The test at length N runs over every field site with N factors
-    still inside the window and asks for |B_N u| / |B_N s| strictly
-    above `factor`; norms are tracked in log scale, so a contracting
-    image hitting exact zero counts as an infinite ratio while a dead u
-    image fails the site outright.  A NaN ratio ends the search with a
-    NaN margin, which certify refuses.
+    The test at length N (_dominations, of one window) runs over every
+    field site with N factors still inside the window and asks for
+    |B_N u| / |B_N s| strictly above `factor`; a contracting image
+    hitting exact zero counts as an infinite ratio while a dead u image
+    fails the site outright.  A NaN ratio ends the search with a NaN
+    margin, which certify refuses.
     """
-    vals, lo, hi = seq.values, seq.j_lo, seq.j_hi
-    sites = fld.sites()
-    U, S = fld.u.copy(), fld.s.copy()
-    logU = np.zeros(len(sites))
-    logS = np.zeros(len(sites))
-    log_factor = math.log(factor)
-    best_margin, best_n, tried = -math.inf, 0, 0
-    for N in range(1, n_max + 1):
-        fidx = sites + N - 1 - lo
-        active = fidx <= hi - lo
-        if not np.any(active):
-            break
-        tried = N
-        idx = np.clip(fidx, 0, hi - lo)
-        W = np.einsum("nij,nj->ni", vals[idx], U)
-        nz = np.linalg.norm(W, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logU = np.where(active, logU + np.log(nz), logU)
-        U = np.where(active[:, None], W / np.where(nz > 0, nz, 1.0)[:, None], U)
-        W = np.einsum("nij,nj->ni", vals[idx], S)
-        nz = np.linalg.norm(W, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logS = np.where(active, logS + np.log(nz), logS)
-        S = np.where(active[:, None], W / np.where(nz > 0, nz, 1.0)[:, None], S)
-        with np.errstate(invalid="ignore"):
-            logratio = np.where(np.isneginf(logU), -math.inf, logU - logS)
-        worst = float(np.min(logratio[active]))
-        if math.isnan(worst):
-            return DominationCheck(
-                ok=False, N=N, margin=math.nan, tried=N,
-                detail=f"nan growth ratio at block length {N}",
-            )
-        with np.errstate(over="ignore"):
-            margin = math.exp(worst) - factor if worst < 700 else math.inf
-        if margin > best_margin:
-            best_margin, best_n = margin, N
-        if worst > log_factor:
-            return DominationCheck(ok=True, N=N, margin=margin, tried=N)
-    return DominationCheck(
-        ok=False,
-        N=best_n,
-        margin=best_margin,
-        tried=tried,
-        detail=f"no block length up to {tried} dominates by factor {factor}",
-    )
+    return _dominations(_Batch([seq]), [(0, fld)], n_max, factor)[0]
+
+
+def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
+    """verify_domination for each job (w, fld) of a batch, each window
+    at most once, as one mat2._row_sweep.
+
+    The row of site j starts at the frame [u(j) s(j)] and reads the
+    factors j, j + 1, ... for min(n_max, sites left) steps.  After step
+    N its columns are B_N u and B_N s times one power of two, so the
+    quotient of their norms (mat2._column_norms) is the growth ratio.
+    A row that copies another (batch.repeats) has its bits.  The sweep
+    ends once no window is left searching.
+    """
+    if not jobs:
+        return []
+    base, steps = [], []
+    for w, fld in jobs:
+        seq, js = batch.seqs[w], fld.sites()
+        base.append(batch.offsets[w] - seq.j_lo + js)
+        steps.append(np.minimum(n_max, seq.j_hi + 1 - js))
+    win = np.repeat(np.arange(len(jobs)), [len(b) for b in base])
+    tried = [int(s.max()) for s in steps]  # for a window that runs to its end
+    out, best = [None] * len(jobs), [(-math.inf, 0)] * len(jobs)  # best (margin, N)
+    count = itertools.count(1)
+
+    def visit(rows, Q, e):
+        N = next(count)
+        keep = np.array([d is None for d in out])[win[rows]]
+        wins, worst = win[rows][keep], np.full(len(jobs), math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN frames give NaN
+            nu, ns = _column_norms(Q[keep]).T
+            np.minimum.at(worst, wins, np.where(nu == 0.0, 0.0, nu / ns))  # dead u 0, dead s inf
+        for k in np.unique(wins).tolist():
+            r = float(worst[k])
+            if math.isnan(r):
+                detail = f"nan growth ratio at block length {N}"
+                out[k] = DominationCheck(False, N, math.nan, N, detail)
+            elif r > factor:
+                out[k] = DominationCheck(True, N, r - factor, N)
+            elif r - factor > best[k][0]:
+                best[k] = (r - factor, N)
+        return None not in out
+
+    P = np.concatenate([np.stack([fld.u, fld.s], axis=-1) for _, fld in jobs])
+    _row_sweep(P, batch.slab, np.concatenate(base), np.concatenate(steps), batch.repeats, visit)
+    fail = "no block length up to {} dominates by factor {}"
+    return [d or DominationCheck(False, n, m, t, fail.format(t, factor))
+            for d, (m, n), t in zip(out, best, tried)]
 
 
 def verify_separation(fld, delta_min=DELTA_MIN):
@@ -735,8 +732,10 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
             k = js - jobs[i][1].j_first
             Lam = _mul(_mul(Dinv[k + n_blk], P[seg]), D[k])
             # the least |Lam[:, 0, 0]| of the unscaled products, scaled back
-            # exactly (numpy's SIMD log and exp are not correctly rounded)
-            gamma = float(np.min(np.ldexp(np.abs(Lam[:, 0, 0]), exps[seg])))
+            # exactly (numpy's SIMD log and exp are not correctly rounded);
+            # inf where it leaves float64, as a norm floor does
+            with np.errstate(over="ignore"):
+                gamma = float(np.min(np.ldexp(np.abs(Lam[:, 0, 0]), exps[seg])))
             cond = float(np.max(op_norm(Dinv[k + n_blk]) * op_norm(D[k])))
             clearances = np.min(disk_image_margins(Lam, a_grid, ap_grid), axis=-1)
             best = None
@@ -986,12 +985,12 @@ def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=
     BATCH_ROWS product rows (see there): every product stage runs as
     one mat2 sweep over the batch's live windows.  The burn ladders
     (_burn_ladder) climb in lockstep, each window's next core field
-    resuming its previous one, and so do the extended fields, the floor
-    curves and the cone search.  A row's bits do not depend on its
-    neighbours in a stack, and its exact renormalization on its own
-    steps (_row_sweep) does not either, so every certificate is that of
-    the window certified alone, bit for bit.
-    The checks themselves run window by window.  Each certificate's
+    resuming its previous one, and so do the extended fields, the
+    domination frames, the floor curves and the cone search.  A row's
+    bits do not depend on its neighbours in a stack, and its exact
+    renormalization on its own steps (_row_sweep) does not either, so
+    every certificate is that of the window certified alone, bit for
+    bit.  The other checks run window by window.  Each certificate's
     core_field owns its arrays, so keeping one pins no batch.
     """
     out = _certify_each(seqs, burn=burn, marginal_margin=marginal_margin, want_cone=want_cone)
@@ -1103,72 +1102,60 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
             exts[w] = ext
     ws = [w for w in ws if out[w] is None]
 
+    doms = dict(zip(ws, _dominations(batch, [(w, resolved[w][3]) for w in ws])))
     checks = {}
 
     def check(w):
         seq, (_, gap, _, core) = seqs[w], resolved[w]
         res_eff = max(RES_MAX, 8.0 * gap)
         inv_ok, inv_res = verify_invariance(seq, core, res_eff)
-        dom = verify_domination(seq, core)
         sep_ok, delta_ext = verify_separation(exts[w])
         _, delta_core = verify_separation(core)
-        checks[w] = (res_eff, inv_ok, inv_res, dom, sep_ok, delta_ext, delta_core)
+        checks[w] = (res_eff, inv_ok, inv_res, doms[w], sep_ok, delta_ext, delta_core)
 
     ws = each(check, ws)
-    floors = {}
-    if ws:
-        lengths = [len(seqs[w]) for w in ws]
-        curves = _floor_curves(
-            batch.slab, batch.offsets[ws], lengths, [min(20, n) for n in lengths], batch.repeats
-        )
-        floors = dict(zip(ws, curves))
+    # each window's floors to max(20, N): condition 4 reads N's
+    lens = [len(seqs[w]) for w in ws]
+    tops = [min(n, max(20, doms[w].N)) for w, n in zip(ws, lens)]
+    floors = dict(zip(ws, _floor_curves(batch.slab, batch.offsets[ws], lens, tops, batch.repeats)))
     certs = {}
 
     def judge(w):
         seq, (b, gap, _, core) = seqs[w], resolved[w]
         res_eff, inv_ok, inv_res, dom, sep_ok, delta_ext, delta_core = checks[w]
-
-        def threshold(n):
-            # FLOOR_REL * sup_bound**n, inf where the power overflows
-            try:
-                return FLOOR_REL * seq.sup_bound**n
-            except OverflowError:
-                return math.inf
-
-        curve = [(n, v, threshold(n)) for n, v in enumerate(floors[w], 1)]
-        floor_val = floor_thr = None
-        floor_ok = None
-        if dom.N >= 1:
-            floor_val = (
-                floors[w][dom.N - 1] if dom.N <= len(floors[w]) else norm_floor(seq, dom.N)
-            )
-            floor_thr = threshold(dom.N)
-            floor_ok = floor_val > floor_thr
+        f, x = floors[w]
+        ns = range(1, len(f) + 1)
+        with np.errstate(over="ignore"):  # a floor or threshold beyond float64 reads inf
+            values = np.ldexp(f, x).tolist()
+            thresholds = [float(FLOOR_REL * np.float64(seq.sup_bound) ** n) for n in ns]
+            # f * 2**x > FLOOR_REL * sup_bound**n, sup_bound = m * 2**k, as
+            # f * 2**(x - k n) > FLOOR_REL * m**n, whose left side overflows
+            # or underflows only where the outcome is plain
+            m, k = math.frexp(seq.sup_bound)
+            scaled = np.ldexp(f, x - k * np.array(ns)).tolist()
+        above = [v > FLOOR_REL * m**n for n, v in zip(ns, scaled)]
+        curve = list(zip(ns, values, thresholds))[:20]
+        floor_val, floor_thr = values[dom.N - 1], thresholds[dom.N - 1]
         for name, value in (
             ("invariance residual", inv_res),
             ("domination margin", dom.margin),
             ("extended field separation", delta_ext),
             (f"norm floor at N={dom.N}", floor_val),
         ):
-            if value is not None and math.isnan(value):
+            if math.isnan(value):
                 raise InternalInconsistency(f"{name} is nan")
         notes = {
             "floor_curve": curve,
-            "floor_curve_ok": all(v > t for _, v, t in curve),
+            "floor_curve_ok": all(above[:20]),
             "n_core_sites": len(core),
         }
-        conditions = {1: bool(inv_ok), 2: bool(dom.ok), 3: bool(sep_ok), 4: floor_ok}
+        conditions = {1: bool(inv_ok), 2: bool(dom.ok), 3: bool(sep_ok), 4: above[dom.N - 1]}
         failed = next((k for k in (1, 2, 3, 4) if conditions[k] is False), None)
         details = {
             1: f"invariance residual {inv_res:.3e} above {res_eff:.3e}",
             2: dom.detail,
             3: f"field separation {delta_ext:.3e} at or below {DELTA_MIN:.3e}",
-            4: (
-                f"norm floor {floor_val:.3e} at N={dom.N} below "
-                f"{floor_thr:.3e}"
-                if floor_val is not None
-                else "norm floor unavailable"
-            ),
+            4: f"norm floor {floor_val:.3e} at N={dom.N} below {floor_thr:.3e}",
         }
         cert = DSCertificate(
             verdict="failed" if failed is not None else "verified",

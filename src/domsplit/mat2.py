@@ -12,8 +12,8 @@ of the left product of the transposes).  _row_sweep runs it over rows
 that read a slab of factors from their own bases for their own step
 counts, sweeping one row per class of bitwise identical rows; block
 products (_block_products, span_products, cocycle_product), the norm
-floors (_floor_curves) and the certifier's field products are such row
-sweeps.
+floors (_floor_curves) and the certifier's field products and
+domination frames are such row sweeps.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
 A MatSequence stores complex128 factors.  Sweeps over a window whose
@@ -174,13 +174,17 @@ def sv_direction_vectors(m):
 _hypot4 = np.frompyfunc(math.hypot, 4, 1)
 
 
+def _column_norms(m):
+    """Both columns' 2-norms (_hypot4) of each 2x2 of an (n, 2, 2) stack."""
+    re, im = m.real, m.imag
+    return _hypot4(re[:, 0], im[:, 0], re[:, 1], im[:, 1]).astype(float)
+
+
 def _larger_columns(m):
     """The larger column of each 2x2 of an (n, 2, 2) stack by 2-norm (the
-    first on a tie), and that norm (_hypot4 of the real and imaginary
-    parts).  For a rank-1 matrix it spans the range; a zero matrix gives
-    a zero column of norm 0."""
-    re, im = m.real, m.imag
-    n = _hypot4(re[:, 0], im[:, 0], re[:, 1], im[:, 1]).astype(float)  # (n, 2)
+    first on a tie), and that norm (_column_norms).  For a rank-1 matrix
+    it spans the range; a zero matrix gives a zero column of norm 0."""
+    n = _column_norms(m)
     first = n[:, 0] >= n[:, 1]
     return np.where(first[:, None], m[:, :, 0], m[:, :, 1]), np.where(first, n[:, 0], n[:, 1])
 
@@ -502,7 +506,9 @@ def _row_sweep(P, slab, base, steps, repeats=None, visit=None):
     are a prefix, and each step gathers its factors with one _take.
     visit(rows, Q, e), when given, sees every step: rows are the indices
     in P of the rows it multiplied, one per class, and Q and e their
-    products and exponents so far, which the next step overwrites.
+    products and exponents so far, which the next step overwrites.  A
+    true return from visit ends the sweep there, each row holding its
+    product so far.
     """
     copy = _row_classes(P, base, steps, repeats)
     heads = np.arange(len(P)) if copy is None else np.flatnonzero(copy == np.arange(len(P)))
@@ -513,8 +519,8 @@ def _row_sweep(P, slab, base, steps, repeats=None, visit=None):
     Q, e = _take(P, order), np.zeros(len(order), dtype=np.int64)
     factors = (_take(slab, b[:k] + t) for t, k in enumerate(n_mul))
     for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
-        if visit is not None:
-            visit(order[:k], Q[:k], e[:k])
+        if visit is not None and visit(order[:k], Q[:k], e[:k]):
+            break
     at = np.empty(len(P), dtype=np.intp)
     at[order] = np.arange(len(order))
     if copy is not None:
@@ -597,11 +603,14 @@ def norm_floor_curve(seq, n_max):
 
     The products run in float64 when every factor is real
     (_sweep_values): singular values read only magnitudes, so both
-    dtypes give the same floors.
+    dtypes give the same floors.  A floor beyond the float64 range reads
+    inf.
     """
     if not 1 <= n_max <= len(seq):
         raise ValueError(f"block length must lie in [1, {len(seq)}]")
-    return _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
+    f, x = _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
+    with np.errstate(over="ignore"):
+        return np.ldexp(f, x).tolist()
 
 
 def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
@@ -612,28 +621,32 @@ def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
     Row i of a window starts at its factor i and runs until its product
     holds n_max factors or reaches the window's end; the floor at n is
     the least top singular value over the window's rows after step n.
-    The rows are renormalized, so the singular values are read off the
-    scaled rows and scaled back with ldexp: a floor that exceeds the
-    float64 range reads inf, and none becomes NaN.  A row that copies
-    another has its bits, so the rows swept give every floor.
+    The rows are renormalized, so window w gets its floors as arrays
+    (f, x), the floor at n being f[n-1] * 2**x[n-1] exactly: x the least
+    exponent of the window's rows at n, f the least of their top singular
+    values scaled to it (each 0 or at least 1, so none underflows).  A
+    row that copies another has its bits, so the rows swept give every
+    floor.
     """
-    offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-    n_maxes = np.asarray(n_maxes)
+    offsets, lengths, n_maxes = (np.asarray(a, dtype=np.intp) for a in (offsets, lengths, n_maxes))
     win = np.repeat(np.arange(len(lengths)), lengths)
     local = np.arange(len(win)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     base = offsets[win] + local
     steps = np.minimum(n_maxes[win], lengths[win] - local)
-    curves = [[] for _ in lengths]
+    curves = [([], []) for _ in lengths]
 
     def visit(rows, Q, e):
+        x = np.full(len(lengths), np.iinfo(np.int64).max)
+        np.minimum.at(x, win[rows], e)
         with np.errstate(over="ignore"):
-            s1 = np.ldexp(singular_values(Q)[0], e)
-        floors = np.full(len(lengths), np.inf)
-        np.minimum.at(floors, win[rows], s1)
-        for curve, top, floor in zip(curves, n_maxes.tolist(), floors.tolist()):
-            if len(curve) < top:
-                curve.append(floor)
+            s1 = np.ldexp(singular_values(Q)[0], e - x[win[rows]])
+        f = np.full(len(lengths), np.inf)
+        np.minimum.at(f, win[rows], s1)
+        for (fs, xs), top, fw, xw in zip(curves, n_maxes.tolist(), f.tolist(), x.tolist()):
+            if len(fs) < top:
+                fs.append(fw)
+                xs.append(xw)
 
     P = np.tile(np.eye(2, dtype=slab.dtype), (len(win), 1, 1))
     _row_sweep(P, slab, base, steps, repeats, visit)
-    return curves
+    return [(np.array(fs), np.array(xs, dtype=np.int64)) for fs, xs in curves]

@@ -30,7 +30,7 @@ from domsplit import (
     periodic_operator,
     power_directions,
 )
-from domsplit import certifier, mat2
+from domsplit import certifier, jacobi, mat2
 from domsplit.certifier import (
     DegenerateCocycle,
     InternalInconsistency,
@@ -41,6 +41,7 @@ from domsplit.certifier import (
     verify_separation,
 )
 from domsplit.harness import perturb_sequence
+from domsplit.jacobi import IllConditioned
 from domsplit.mat2 import MatSequence, norm_floor
 from domsplit.sphere import (
     ProjPoint,
@@ -215,6 +216,27 @@ def test_singular_sites_pin_coordinate_axes(mod5_op):
 
 
 # --------------------------------------------- resolvent direction fields
+
+
+def test_greens_directions_inside_the_cover_raise_with_delta(free_op, monkeypatch):
+    # the probe column checks the distance to the cover, once
+    calls = []
+
+    def counting(sp, E):
+        calls.append(E)
+        return orig(sp, E)
+
+    orig = jacobi.dist_to_spectrum
+    monkeypatch.setattr(jacobi, "dist_to_spectrum", counting)
+    monkeypatch.setattr(certifier, "dist_to_spectrum", counting)
+    with pytest.raises(IllConditioned, match="of the spectrum cover") as info:
+        greens_directions(free_op, 0.5)
+    assert info.value.delta == 0.0 and len(calls) == 1
+    greens_directions(free_op, 3.0)
+    assert len(calls) == 2
+    with pytest.raises(IllConditioned) as info:
+        greens_directions(free_op, 2.0 + 1e-5j, delta_min=1e-3)
+    assert 0.0 < info.value.delta < 1e-3
 
 
 def test_greens_directions_match_power_directions():
@@ -663,12 +685,23 @@ SIMD_TARGETS = [
 BLOCK_PRODUCTS_BYTES = """
 import sys
 import numpy as np
-from domsplit import mat2
+from domsplit import certifier, mat2
 rng = np.random.default_rng(97)
 vals = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
 vals *= rng.uniform(0.1, 10.0, (300, 1, 1))
 P, exps = mat2._block_products(vals, np.arange(260), 40)
 out = P.tobytes() + exps.tobytes()
+# domination margins of one-site fields whose frames come straight from
+# rng (unit rows would read numpy's complex modulus), at block lengths
+# up to 64
+seq = mat2.MatSequence(0, vals)
+u, s = (rng.standard_normal((40, 1, 2)) + 1j * rng.standard_normal((40, 1, 2)) for _ in range(2))
+doms = [
+    certifier.verify_domination(seq, certifier.SplittingField(j, u[k], s[k], "power", 0, 0, 0),
+                                factor=f)
+    for k, (j, f) in enumerate(zip(range(0, 200, 5), np.linspace(0.5, 3.0, 40)))
+]
+out += np.array([d.margin for d in doms] + [d.N for d in doms]).tobytes()
 """
 
 
@@ -756,11 +789,14 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
 
     def counting_floor(seq, n):
         floors.append(n)
-        return mat2.norm_floor(seq, n)
+        return orig_floor(seq, n)
 
+    orig_floor = mat2.norm_floor_curve
     monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
     monkeypatch.setattr(certifier, "_window_products", counting_products)
-    monkeypatch.setattr(certifier, "norm_floor", counting_floor)
+    # the floors at every N come from the batch's one floor sweep
+    monkeypatch.setattr(mat2, "norm_floor_curve", counting_floor)
+    assert not hasattr(certifier, "norm_floor")
     cert = certify_operator(free_op, 3.0)
     assert cert.N == 1 and len(calls) >= 3
     *core, ends = calls
@@ -789,8 +825,8 @@ def test_nan_norm_floor_raises_instead_of_failing(free_op, monkeypatch):
 
     def nan_at_one(*args):
         curves = orig(*args)
-        for curve in curves:
-            curve[0] = math.nan
+        for floors, _ in curves:
+            floors[0] = math.nan
         return curves
 
     monkeypatch.setattr(certifier, "_floor_curves", nan_at_one)
@@ -798,21 +834,42 @@ def test_nan_norm_floor_raises_instead_of_failing(free_op, monkeypatch):
         certify_operator(free_op, 3.0)
 
 
-@pytest.mark.parametrize("c", [1e50, 1e100, 1e150])
-def test_scaled_window_certifies_as_the_unscaled_one(c):
+SCALED = [((3.0, 0.5), 200, c) for c in (1e50, 1e100, 1e150)] + [((1.2, 1.0), 200, 1e80)] + [
+    ((1.03, 1.0), 300, c) for c in (1e-80, 1e-20, 1e20, 1e80)
+]
+
+
+@pytest.mark.parametrize(
+    "diag, n, c", SCALED,
+    ids=[f"{c:.0e}" if d == (3.0, 0.5) else f"{d[0]}-{c:.0e}" for d, _, c in SCALED],
+)
+def test_scaled_window_certifies_as_the_unscaled_one(diag, n, c):
     # the floor-curve products are renormalized and scaled back with
-    # ldexp, so a large scale neither overflows them nor makes a floor
-    # NaN; the verdict, N and epsilon follow the scale
+    # ldexp, so a scale neither overflows them nor makes a floor NaN, and
+    # each floor is held against FLOOR_REL * sup_bound**n in binary
+    # exponents, so no floor or threshold beyond the float64 range (inf
+    # against inf, 0 against 0) decides it: the verdict, N and every
+    # floor decision are those at scale 1, and so is epsilon, times the
+    # scale, where the cone's gamma stays finite
     def cert_at(scale):
-        seq = MatSequence(0, np.repeat((scale * np.diag([3.0, 0.5]))[None], 200, axis=0))
+        seq = MatSequence(0, np.repeat((scale * np.diag(diag))[None], n, axis=0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return certify(seq)
 
     one, cert = cert_at(1.0), cert_at(c)
-    assert cert.verdict == one.verdict == "verified"
-    assert cert.N == one.N == 1
-    assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-15, abs=0.0)
+    assert (cert.verdict, cert.N) == (one.verdict, one.N)
+    assert cert.conditions == one.conditions
+    assert cert.notes["floor_curve_ok"] and one.notes["floor_curve_ok"]
+    if diag == (3.0, 0.5):
+        assert one.verdict == "verified" and one.N == 1
+        assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-15, abs=0.0)
+    elif diag == (1.2, 1.0):
+        assert one.verdict == "verified" and one.N == 4
+        assert math.isinf(cert.norm_floor_value) and math.isinf(cert.norm_floor_threshold)
+    else:
+        # 1.03**24 is the first power above 2
+        assert one.verdict == "marginal" and one.N == 24
 
 
 def test_override_products_stay_finite_far_from_the_spectrum(free_op):
@@ -833,6 +890,146 @@ def test_infinite_domination_margin_is_legal():
     vals = np.repeat(np.array([[[2.0, 0.0], [0.0, 0.0]]]), 30, axis=0)
     dom = verify_domination(MatSequence(0, vals), power_directions(MatSequence(0, vals), 4))
     assert dom.ok and dom.margin == np.inf
+
+
+def domination_oracle(seq, fld, n_max=64, factor=2.0):
+    """verify_domination site by site, as (ok, N, margin, tried): each
+    frame [u(j) s(j)] is multiplied by one factor per step with
+    mat2._mul, and the growth ratio is the quotient of its column norms,
+    each math.hypot of the real and imaginary parts; a dead u image
+    gives the ratio 0, a dead s image (with a live u) inf."""
+    lo, hi = seq.window
+    frames = [np.stack([u, s], axis=-1)[None] for u, s in zip(fld.u, fld.s)]
+    best, tried = (-math.inf, 0), 0
+    for N in range(1, n_max + 1):
+        active = [i for i, j in enumerate(fld.sites()) if j + N - 1 <= hi]
+        if not active:
+            break
+        tried, ratios = N, []
+        for i in active:
+            frames[i] = mat2._mul(seq.values[fld.j_first + i + N - 1 - lo][None], frames[i])
+            P = frames[i][0]
+            nu, ns = (math.hypot(P[0, k].real, P[0, k].imag, P[1, k].real, P[1, k].imag)
+                      for k in (0, 1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios.append(0.0 if nu == 0.0 else float(np.float64(nu) / ns))
+        worst = math.nan if any(map(math.isnan, ratios)) else min(ratios)
+        if math.isnan(worst):
+            return False, N, math.nan, N
+        if worst > factor:
+            return True, N, worst - factor, N
+        if worst - factor > best[0]:
+            best = (worst - factor, N)
+    return False, best[1], best[0], tried
+
+
+def _dom_key(dom):
+    return dom.ok, dom.N, repr(dom.margin), dom.tried
+
+
+def _oracle_key(seq, fld, *args):
+    return _dom_key(certifier.DominationCheck(*domination_oracle(seq, fld, *args)))
+
+
+def _frame_field(seq, u, s, j_first=None):
+    """A SplittingField over seq's sites from j_first on with the given
+    rows, unnormalized."""
+    j_first = seq.j_lo if j_first is None else j_first
+    zeros = np.zeros(len(u), dtype=int)
+    return certifier.SplittingField(j_first, np.asarray(u, complex), np.asarray(s, complex),
+                                    "power", 0, zeros, zeros)
+
+
+def _domination_cases(free_op):
+    """(seq, fld) pairs: the free chain at E = 3 (dominated at N = 1) and
+    at E = 0 (never dominated), random complex windows with and without
+    unnormalized frames, a dead u image and an annihilated s."""
+    cases = []
+    for E in (3.0, 0.0):
+        seq = cocycle_map(free_op, E)
+        cases.append((seq, power_directions(seq, 8)))
+    rng = np.random.default_rng(41)
+    for n in (20, 90, 150):
+        seq = cocycle_map(random_operator(rng, n=n, j_lo=int(rng.integers(-40, 40))),
+                          complex(rng.uniform(-3, 3), rng.uniform(0.1, 1.0)))
+        cases.append((seq, power_directions(seq, 4)))
+        raw = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        seq = MatSequence(int(rng.integers(-40, 40)), raw)
+        u, s = (rng.standard_normal((n - 5, 2)) + 1j * rng.standard_normal((n - 5, 2))
+                for _ in range(2))
+        cases.append((seq, _frame_field(seq, u, s, seq.j_lo + 2)))
+    e1, e2 = np.eye(2)
+    for d in ([0.0, 2.0], [2.0, 0.0]):  # u dies at once; s dies at once
+        seq = MatSequence(0, np.repeat(np.diag(d)[None], 40, axis=0).astype(complex))
+        cases.append((seq, _frame_field(seq, [e1] * 40, [e2] * 40)))
+    return cases
+
+
+def test_domination_is_the_per_site_frame_loop(free_op):
+    # verify_domination and one _dominations sweep over all the windows
+    # give the bits of the loop that multiplies each frame on its own
+    cases = _domination_cases(free_op)
+    want = [_oracle_key(seq, fld) for seq, fld in cases]
+    assert [_dom_key(verify_domination(seq, fld)) for seq, fld in cases] == want
+    batch = certifier._Batch([seq for seq, _ in cases])
+    doms = certifier._dominations(batch, [(w, fld) for w, (_, fld) in enumerate(cases)])
+    assert [_dom_key(d) for d in doms] == want
+    free3, free0, *_, dead_u, dead_s = doms
+    assert free3.ok and free3.N == 1
+    assert not free0.ok and free0.tried == 64
+    assert not dead_u.ok and dead_u.margin == -2.0
+    assert dead_s.ok and dead_s.N == 1 and dead_s.margin == math.inf
+    # other factors and bounds
+    seq, fld = cases[2]
+    for n_max, factor in ((1, 2.0), (5, 1.5), (64, 40.0)):
+        assert _dom_key(verify_domination(seq, fld, n_max, factor)) == _oracle_key(
+            seq, fld, n_max, factor
+        )
+
+
+@pytest.mark.parametrize("failing_first", [False, True])
+def test_domination_stop_waits_for_every_window(free_op, failing_first):
+    # a window dominated at N = 1 beside one whose ratio 1.01**N grows
+    # through all 64 steps without passing 2: the sweep ends only when no
+    # window is left searching, so the best margin is the one at N = 64
+    dominated = cocycle_map(free_op, 3.0)
+    failing = MatSequence(5, np.repeat(np.diag([1.01, 1.0])[None], 100, axis=0).astype(complex))
+    e1, e2 = np.eye(2)
+    cases = [(dominated, power_directions(dominated, 8)),
+             (failing, _frame_field(failing, [e1] * 100, [e2] * 100))][:: -1 if failing_first else 1]
+    doms = certifier._dominations(certifier._Batch([seq for seq, _ in cases]),
+                                  [(w, fld) for w, (_, fld) in enumerate(cases)])
+    assert [_dom_key(d) for d in doms] == [_oracle_key(seq, fld) for seq, fld in cases]
+    assert sorted((d.ok, d.N, d.tried) for d in doms) == [(False, 64, 64), (True, 1, 1)]
+
+
+def test_nan_frame_gives_a_nan_margin_and_certify_raises(free_op, monkeypatch):
+    seq = cocycle_map(free_op, 3.0)
+    fld = power_directions(seq, 8)
+    fld.u[5] = np.nan
+    assert _dom_key(verify_domination(seq, fld)) == _oracle_key(seq, fld) == (False, 1, "nan", 1)
+    orig = certifier._dominations
+
+    def nan_frames(batch, jobs):
+        jobs = [(w, certifier.SplittingField(**{**vars(fld), "u": fld.u.copy()}))
+                for w, fld in jobs]
+        for _, fld in jobs:
+            fld.u[5] = np.nan
+        return orig(batch, jobs)
+
+    monkeypatch.setattr(certifier, "_dominations", nan_frames)
+    with pytest.raises(InternalInconsistency, match="domination margin is nan"):
+        certify(seq)
+
+
+def test_floor_at_n_beyond_the_curve_comes_from_the_sweep():
+    # 1.03**24 is the first power above 2, so N = 24 lies beyond the 20
+    # floors of the curve note; the floor sweep runs to N for it
+    seq = MatSequence(0, np.repeat(np.diag([1.03, 1.0])[None], 300, axis=0).astype(complex))
+    cert = certify(seq)
+    assert cert.N == 24 and len(cert.notes["floor_curve"]) == 20
+    assert cert.norm_floor_value == norm_floor(seq, 24)
+    assert cert.domination_margin == pytest.approx(1.03**24 - 2.0, rel=1e-12)
 
 
 def range_direction(P, side="expanding"):
