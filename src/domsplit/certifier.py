@@ -33,15 +33,23 @@ bit for bit that of its window alone.  The other checks run per window.
 
 A row's bits depend on nothing but its start row and its factors, so
 two rows that agree bitwise on both are one computation, and the row
-sweep sweeps one row of each such class.  In a window whose factors
-repeat with a shift q (a periodic orbit, or the free chain's constant
-interior), the row that starts at site j + q copies the one at j
-wherever the factors it reads repeat bit for bit; _repeat_map finds
-those repeats once per batch, and every stage's sweep shares rows by
-them.  The start row and the step count belong to the key because the
-same factors from another start, or one factor more, give other bits;
-factors and starts are compared as bit patterns, not as floats.  A
-window without repeats runs the same code, each row its own class.
+sweep sweeps one row of each such class, its head.  In a window whose
+factors repeat with a shift q (a periodic orbit, or the free chain's
+constant interior), the row that starts at site j + q copies the one at
+j wherever the factors it reads repeat bit for bit; _repeat_map finds
+those repeats once per batch, comparing factor bits (the one place that
+compares bits), and every stage's sweep shares rows by them.  The start
+row's class and the step count belong to the key because the same
+factors from another start, or one factor more, give other bits.
+
+The classes travel from stage to stage as integer ids: a sweep returns
+its heads and the map from rows to heads, a ladder rung resumes the
+last rung's heads, and the domination frames and cone blocks start from
+the core field's classes.  Singular vectors and unit rows are taken of
+heads only, cone margins once per distinct (block, frame, frame)
+triple, and only the field rows that leave the pipeline are gathered to
+every site.  A window without repeats runs the same code, each row its
+own head.
 
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
@@ -72,6 +80,7 @@ from .mat2 import (
     _mul,
     _row_sweep,
     _sweep_values,
+    _take,
     det2,
     op_norm,
     singular_values,
@@ -240,42 +249,44 @@ def _window_products(batch, jobs):
     its steps.  Both run as left products: U @ F is the transpose of
     F^T @ U^T, whose entries sum the same products in the same order,
     and a transpose of a plane-major stack is a view (two planes swap).
-    start=(U, S, t0) holds the products of the same sites at burns
-    min(t0, bu) and min(t0, bs), so a row resumes there and only its
-    steps from there on are computed.  Each row's arithmetic is its own,
-    so resuming reproduces the products of one longer sweep bit for bit,
-    and a batch those of one window alone.
+    start=(H, idx, t0) resumes an earlier sweep of this kind: row idx[0]
+    of H holds the transposed U and row idx[1] the S of the same sites at
+    burns min(t0, bu) and min(t0, bs), so a row resumes there and only
+    its steps from there on are computed.  Each row's arithmetic is its
+    own, so resuming reproduces the products of one longer sweep bit for
+    bit, and a batch those of one window alone.
 
-    Returns (U, S) per job in the dtype of the slab.  Callers pass the
-    real parts (_sweep_values) when every factor is real: the kernel's
-    float64 form, a*e + b*g, gives the real part of its complex128
-    split-accumulator form, and _renorm scales both alike, so the real
-    sweep equals the complex sweep by value at a fraction of its cost.
+    Returns (H, idx) in the form start takes: H the sweep's class heads
+    (mat2._row_sweep), in the dtype of the slab, and idx the u and s head
+    of each site, the jobs' sites end to end, so the U of site i is
+    H[idx[0, i]].T and its S H[idx[1, i]].  Rows resumed from one head
+    share a start class, so a resumed rung shares rows as its first rung
+    did.  Callers pass the real parts (_sweep_values) when every factor
+    is real: the kernel's float64 form, a*e + b*g, gives the real part of
+    its complex128 split-accumulator form, and _renorm scales both alike,
+    so the real sweep equals the complex sweep by value at a fraction of
+    its cost.
     """
     if not jobs:
-        return []
+        return None, np.zeros((2, 0), dtype=np.intp)
     slab = batch.slab
     N = len(slab) // 2
-    parts, base, steps = [], [], []
+    eye = np.eye(2, dtype=slab.dtype)[None]  # the one start head of unresumed rows
+    stacks, offset = [], {}  # the start stacks, and the offset of each by id
+    u, s = [], []  # (start class, base, steps) of each job's u rows and s rows
     for off, sites, bu, bs, start in jobs:
-        if start is None:
-            U = S = np.tile(np.eye(2, dtype=slab.dtype), (len(sites), 1, 1))
-            t0 = 0
-        else:
-            U, S, t0 = start
+        H, idx, t0 = (eye, np.zeros((2, len(sites)), dtype=np.intp), 0) if start is None else start
+        if id(H) not in offset:
+            offset[id(H)] = sum(map(len, stacks))
+            stacks.append(H)
+        o = offset[id(H)]
         tu, ts = np.minimum(bu, t0), np.minimum(bs, t0)
-        # u rows in reverse site order, so that their bases count up
-        parts += [U[::-1].transpose(0, 2, 1), S]
-        base += [(2 * N - off - sites + tu)[::-1], off + sites + ts]
-        steps += [(bu - tu)[::-1], bs - ts]
-    base, steps = np.concatenate(base), np.concatenate(steps)
-    P, _ = _row_sweep(np.concatenate(parts), slab, base, steps, batch.repeats)
-    out, a = [], 0
-    for _, sites, *_ in jobs:
-        n = len(sites)
-        out.append((P[a : a + n][::-1].transpose(0, 2, 1), P[a + n : a + 2 * n]))
-        a += 2 * n
-    return out
+        u.append((o + idx[0], 2 * N - off - sites + tu, bu - tu))
+        s.append((o + idx[1], off + sites + ts, bs - ts))
+    P = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    cls, base, steps = (np.concatenate(x) for x in zip(*u, *s))
+    H, _, at = _row_sweep(P, cls, slab, base, steps, batch.repeats)
+    return H, at.reshape(2, -1)
 
 
 def _perp_rows(v):
@@ -318,11 +329,14 @@ def _unit_columns(P):
 
 
 def _directions(batch, jobs):
-    """Products and unit u and s rows for each job (w, js, bu, bs,
-    start): window w's sites js (absolute indices) with burns bu/bs,
-    whose products resume start as in _window_products.  Returns per job
-    (U, S, d), d being (u, s), arrays of its own, or the exception that
-    ends window w.
+    """Unit u and s rows for each job (w, js, bu, bs, start): window w's
+    sites js (absolute indices) with burns bu/bs, whose products resume
+    start as in _window_products.  Returns (H, out): H the heads of the
+    products' sweep, and per job (idx, d), idx the sites' heads in H as
+    start takes them and d the triple (u, s, cls) or the exception that
+    ends window w: u and s arrays of its own, and cls the sites' classes,
+    sites of one class having bitwise equal u and s rows (None in a batch
+    without repeats, where every site is its own class).
 
     The products are those of the burns cut at the window's exactly
     singular factors (_cut_burns), from one _window_products sweep, and
@@ -330,52 +344,81 @@ def _directions(batch, jobs):
     factor pins its direction exactly: u is the range of U, s the kernel
     of S, both read off the larger column (of S's transpose) by
     mat2._larger_columns.  Every other row takes the singular vectors of
-    its product, from one call per side for all jobs.  Each site's rows
-    depend only on its own products and burns, so any subset of sites,
-    in any batch, reproduces the rows a larger call computes for them.
-    Real products from a real sweep are cast to complex here, once.
+    its product.  Both are read once per distinct pair of a head and a
+    stop, from one call per side for all jobs, and gathered to the sites
+    once: each site's rows depend only on its own product and stop, so
+    any subset of sites, in any batch, reproduces the rows a larger call
+    computes for them.  Real heads are cast to complex here, once.
     """
     if not jobs:
-        return []
+        return None, []
     cuts = [_cut_burns(batch.zeros[w], js, bu, bs) for w, js, bu, bs, _ in jobs]
-    prods = _window_products(batch, [
+    H, idx = _window_products(batch, [
         (batch.offsets[w], js - batch.seqs[w].j_lo, cu, cs, start)
         for (w, js, _, _, start), (cu, cs, _, _) in zip(jobs, cuts)
     ])
-    U_all = np.concatenate([U for U, _ in prods]).astype(complex, copy=False)
-    S_all = np.concatenate([S for _, S in prods]).astype(complex, copy=False)
-    stop_u, stop_s = (np.concatenate([c[i] for c in cuts]) for i in (2, 3))
-    u_all = sv_left_vectors(U_all)
-    s_all = _perp_rows(sv_right_vectors(S_all))
+    # one row per side and distinct (head, stop), key // 2 its head
+    (ku, iu), (ks, is_) = (
+        _distinct(2 * i + np.concatenate([c[side] for c in cuts]), 2 * len(H))
+        for i, side in zip(idx, (2, 3))
+    )
+    U = np.ascontiguousarray(_take(H, ku // 2).transpose(0, 2, 1), dtype=complex)
+    S = np.ascontiguousarray(_take(H, ks // 2), dtype=complex)
+    stop_u, stop_s = ku % 2 == 1, ks % 2 == 1
+    u = sv_left_vectors(U)
+    s = _perp_rows(sv_right_vectors(S))
     dead_u, dead_s = np.zeros_like(stop_u), np.zeros_like(stop_s)
-    u_all[stop_u], dead_u[stop_u] = _unit_columns(U_all[stop_u])
-    row, dead_s[stop_s] = _unit_columns(S_all[stop_s].transpose(0, 2, 1))
-    s_all[stop_s] = np.stack([-row[:, 1], row[:, 0]], axis=-1)
+    u[stop_u], dead_u[stop_u] = _unit_columns(U[stop_u])
+    row, dead_s[stop_s] = _unit_columns(S[stop_s].transpose(0, 2, 1))
+    s[stop_s] = np.stack([-row[:, 1], row[:, 0]], axis=-1)
+    good_u = ~dead_u & np.isfinite(u).all(axis=1)
+    good_s = ~dead_s & np.isfinite(s).all(axis=1)
+    # the rows of a window that fails are never read; 1s keep unit_rows
+    # from a zero row
+    u[~good_u] = 1.0
+    s[~good_s] = 1.0
+    u, s = unit_rows(u), unit_rows(s)
+    dead, good = dead_u[iu] | dead_s[is_], good_u[iu] & good_s[is_]
+    cls = None if batch.repeats is None else iu * len(ks) + is_
     out, a = [], 0
-    for (_, js, *_), (U, S) in zip(jobs, prods):
-        rows = slice(a, a + len(js))
+    for _, js, *_ in jobs:
+        r = slice(a, a + len(js))
         a += len(js)
-        u, s, dead = u_all[rows], s_all[rows], dead_u[rows] | dead_s[rows]
-        if dead.any():  # the first such site, its s side first
-            side = "contracting" if dead_s[rows][np.argmax(dead)] else "expanding"
-            out.append((U, S, DegenerateCocycle(f"zero product pins no {side} direction")))
-        elif not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
-            out.append((U, S, InternalInconsistency("non-finite direction estimate")))
+        if dead[r].any():  # the first such site, its s side first
+            side = "contracting" if dead_s[is_[r][np.argmax(dead[r])]] else "expanding"
+            d = DegenerateCocycle(f"zero product pins no {side} direction")
+        elif not good[r].all():
+            d = InternalInconsistency("non-finite direction estimate")
         else:
-            out.append((U, S, (unit_rows(u), unit_rows(s))))
-    return out
+            d = (u[iu[r]], s[is_[r]], None if cls is None else cls[r])
+        out.append((idx[:, r], d))
+    return H, out
+
+
+def _distinct(keys, n):
+    """The distinct values of int keys in [0, n), ascending, and the index
+    of each key among them: np.unique with return_inverse, by a table
+    instead of a sort."""
+    seen = np.zeros(n, dtype=bool)
+    seen[keys] = True
+    first = np.flatnonzero(seen)
+    pos = np.empty(n, dtype=np.intp)
+    pos[first] = np.arange(len(first))
+    return first, pos[keys]
 
 
 def _core_fields(batch, jobs):
-    """Core field at burn for each job (w, burn, prev), with the raw
-    products behind it: (field, (burn, U, S)), or the exception that
-    ends window w.
+    """Core field at burn for each job (w, burn, prev), with its site
+    classes and what resumes it: (field, cls, (burn, H, idx)), or the
+    exception that ends window w.
 
     prev is such a triple for a smaller burn on the same window: its
-    products are sliced to the core(burn) sites and continued, so no
+    heads H continue as the start rows of the core(burn) sites, so no
     factor step is computed twice, those of rows that stopped at a
-    singular factor included (_directions).  U and S stay in the dtype
-    of the sweep, so resuming casts nothing.  All jobs share one sweep.
+    singular factor included (_directions).  H stays in the dtype of
+    the sweep, so resuming casts nothing.  Sites of one cls have bitwise
+    equal field rows, so the frames of the domination check and the
+    cone search share rows by it.  All jobs share one sweep.
     """
     specs = []
     for w, burn, prev in jobs:
@@ -384,13 +427,12 @@ def _core_fields(batch, jobs):
         full = np.full(len(js), burn)
         start = None
         if prev is not None:
-            b0, U0, S0 = prev
-            rows = slice(burn - b0, burn - b0 + len(js))
-            start = (U0[rows], S0[rows], b0)
+            b0, H0, idx0 = prev
+            start = (H0, idx0[:, burn - b0 : burn - b0 + len(js)], b0)
         specs.append((w, js, full, full, start))
     out = []
-    dirs = _directions(batch, specs)
-    for (_, burn, _), (_, js, full, _, _), (U, S, d) in zip(jobs, specs, dirs):
+    H, dirs = _directions(batch, specs)
+    for (_, burn, _), (_, js, full, _, _), (idx, d) in zip(jobs, specs, dirs):
         if isinstance(d, Exception):
             out.append(d)
             continue
@@ -398,7 +440,7 @@ def _core_fields(batch, jobs):
             j_first=int(js[0]), u=d[0], s=d[1], method="power", burn=burn,
             burn_u=full, burn_s=full,
         )
-        out.append((fld, (burn, U, S)))
+        out.append((fld, d[2], (burn, H, idx)))
     return out
 
 
@@ -423,9 +465,10 @@ def _extend_fields(batch, jobs):
             new[core.j_first - lo - 1 : core.j_last - lo] = False
         specs.append((w, burn, core, lo, js, bu, bs, new))
     todo = [spec for spec in specs if np.any(spec[-1])]
-    dirs = {spec[0]: d for spec, (_, _, d) in zip(todo, _directions(batch, [
+    _, dirs = _directions(batch, [
         (w, js[new], bu[new], bs[new], None) for w, _, _, _, js, bu, bs, new in todo
-    ]))}
+    ])
+    dirs = {spec[0]: d for spec, (_, d) in zip(todo, dirs)}
     out = []
     for w, burn, core, lo, js, bu, bs, new in specs:
         d = dirs.get(w)
@@ -437,7 +480,7 @@ def _extend_fields(batch, jobs):
         if core is not None:
             u[~new], s[~new] = core.u, core.s
         if d is not None:
-            u[new], s[new] = d
+            u[new], s[new] = d[:2]
         out.append(SplittingField(
             j_first=lo + 1, u=u, s=s, method="power", burn=burn, burn_u=bu, burn_s=bs
         ))
@@ -461,7 +504,7 @@ def power_directions(seq, burn, extend=False):
     batch = _Batch([seq])
     core = None
     if lo + burn <= hi + 1 - burn:
-        core, _ = _one(_core_fields(batch, [(0, burn, None)]))
+        core = _one(_core_fields(batch, [(0, burn, None)]))[0]
     if extend:
         return _one(_extend_fields(batch, [(0, burn, core)]))
     if core is None:
@@ -569,27 +612,43 @@ def verify_domination(seq, fld, n_max=N_MAX, factor=FACTOR):
     fails the site outright.  A NaN ratio ends the search with a NaN
     margin, which certify refuses.
     """
-    return _dominations(_Batch([seq]), [(0, fld)], n_max, factor)[0]
+    return _dominations(_Batch([seq]), [(0, fld, None)], n_max, factor)[0]
+
+
+def _site_classes(cls):
+    """Dense ids of a field's site classes (cls from _core_fields) and the
+    first site of each id, as _dominations and _cone_certificates take
+    them; None (every site its own class) stays None."""
+    if cls is None:
+        return None
+    _, first, ids = np.unique(cls, return_index=True, return_inverse=True)
+    return ids, first
 
 
 def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
-    """verify_domination for each job (w, fld) of a batch, each window
-    at most once, as one mat2._row_sweep.
+    """verify_domination for each job (w, fld, classes) of a batch, each
+    window at most once, as one mat2._row_sweep.
 
     The row of site j starts at the frame [u(j) s(j)] and reads the
     factors j, j + 1, ... for min(n_max, sites left) steps.  After step
     N its columns are B_N u and B_N s times one power of two, so the
     quotient of their norms (mat2._column_norms) is the growth ratio.
-    A row that copies another (batch.repeats) has its bits.  The sweep
-    ends once no window is left searching.
+    The frames of the sites of one field class (classes from
+    _site_classes; None for every site its own) are one start class, and
+    a row that copies another (batch.repeats) has its bits.  The sweep ends once no window
+    is left searching.
     """
     if not jobs:
         return []
-    base, steps = [], []
-    for w, fld in jobs:
+    base, steps, start, frames, o = [], [], [], [], 0
+    for w, fld, classes in jobs:
         seq, js = batch.seqs[w], fld.sites()
         base.append(batch.offsets[w] - seq.j_lo + js)
         steps.append(np.minimum(n_max, seq.j_hi + 1 - js))
+        ids, first = (np.arange(len(js)),) * 2 if classes is None else classes
+        frames.append(np.stack([fld.u[first], fld.s[first]], axis=-1))
+        start.append(o + ids)
+        o += len(first)
     win = np.repeat(np.arange(len(jobs)), [len(b) for b in base])
     tried = [int(s.max()) for s in steps]  # for a window that runs to its end
     out, best = [None] * len(jobs), [(-math.inf, 0)] * len(jobs)  # best (margin, N)
@@ -613,8 +672,8 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
                 best[k] = (r - factor, N)
         return None not in out
 
-    P = np.concatenate([np.stack([fld.u, fld.s], axis=-1) for _, fld in jobs])
-    _row_sweep(P, batch.slab, np.concatenate(base), np.concatenate(steps), batch.repeats, visit)
+    _row_sweep(np.concatenate(frames), np.concatenate(start), batch.slab, np.concatenate(base),
+               np.concatenate(steps), batch.repeats, visit)
     fail = "no block length up to {} dominates by factor {}"
     return [d or DominationCheck(False, n, m, t, fail.format(t, factor))
             for d, (m, n), t in zip(out, best, tried)]
@@ -681,37 +740,43 @@ def cone_certificate(seq, fld, N, alphas=ALPHAS, ratios=RATIOS):
     images once for all its ratios.  Returns None when no tried pair
     certifies.
     """
-    return _one(_cone_certificates(_Batch([seq]), [(0, fld, N)], alphas, ratios))
+    return _one(_cone_certificates(_Batch([seq]), [(0, fld, N, None)], alphas, ratios))
 
 
 def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
-    """cone_certificate for each job (w, fld, N) of a batch: the
+    """cone_certificate for each job (w, fld, N, classes) of a batch,
+    classes the field's site classes as _dominations takes them: the
     ConeCertificate or None, or the exception that ends window w.
 
     At each block length, the products of every job still searching come
     from one _block_products call; each job then scores its own rows.
+    A site's frame change and margins read its block's head and the
+    classes of the frames at the block's two ends, so they are computed
+    once per distinct triple of these: gamma, cond and the clearances
+    are minima and maxima over the sites, which the distinct triples
+    give as they are.
     """
     pairs = [(a, a * r) for a in alphas for r in ratios]
     a_grid = np.array(alphas)[:, None, None]
     ap_grid = a_grid * np.array(ratios)[:, None]
     out = [None] * len(jobs)
     frames = {}
-    for i, (_, fld, _) in enumerate(jobs):
+    for i, (_, fld, _, classes) in enumerate(jobs):
         try:
-            frames[i] = _frame_matrices(fld)
+            frames[i] = (*_frame_matrices(fld), None if classes is None else classes[0])
         except DegenerateCocycle as exc:
             out[i] = exc
     for mult in (1, 2, 4):
         rows = []
         for i in frames:
-            w, fld, N = jobs[i]
+            w, fld, N, _ = jobs[i]
             n_blk = N * mult
             last = min(fld.j_last - n_blk, batch.seqs[w].j_hi + 1 - n_blk)
             if last >= fld.j_first:
                 rows.append((i, n_blk, np.arange(fld.j_first, last + 1)))
         if not rows:
             continue
-        P, exps = _block_products(
+        P, exps, at = _block_products(
             batch.slab,
             np.concatenate([batch.offsets[jobs[i][0]] - batch.seqs[jobs[i][0]].j_lo + js
                             for i, _, js in rows]),
@@ -720,17 +785,22 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
         )
         end = 0
         for i, n_blk, js in rows:
-            seg = slice(end, end + len(js))
+            seg = at[end : end + len(js)]
             end += len(js)
-            if not np.all(np.isfinite(P[seg])):
+            # each window's frame change and margins on its own: the
+            # complex stacks of a whole batch would be its largest arrays
+            D, Dinv, ids = frames[i]
+            k = js - jobs[i][1].j_first
+            # without classes every site's frames are its own: triples differ
+            if ids is not None:
+                first = _first_rows(seg, ids[k + n_blk], ids[k])
+                seg, k = seg[first], k[first]
+            Pk = _take(P, seg)
+            if not np.all(np.isfinite(Pk)):
                 out[i] = InternalInconsistency("non-finite block product")
                 del frames[i]
                 continue
-            # each window's frame change and margins on its own: the
-            # complex stacks of a whole batch would be its largest arrays
-            D, Dinv = frames[i]
-            k = js - jobs[i][1].j_first
-            Lam = _mul(_mul(Dinv[k + n_blk], P[seg]), D[k])
+            Lam = _mul(_mul(Dinv[k + n_blk], Pk), D[k])
             # the least |Lam[:, 0, 0]| of the unscaled products, scaled back
             # exactly (numpy's SIMD log and exp are not correctly rounded);
             # inf where it leaves float64, as a norm floor does
@@ -757,6 +827,14 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
                 out[i] = best
                 del frames[i]
     return out
+
+
+def _first_rows(*keys):
+    """The first row of each distinct tuple of the int arrays keys, in
+    row order."""
+    order = np.lexsort(keys[::-1])  # stable: equal tuples keep row order
+    t = np.stack(keys)[:, order]
+    return np.sort(order[np.r_[True, (t[:, 1:] != t[:, :-1]).any(axis=0)]])
 
 
 def stability_radius(cone, sup_bound, n_steps=None):
@@ -800,7 +878,7 @@ def _ratio_estimates(batch, ws):
         m = min(16, winlen)
         starts = np.unique(np.linspace(0, winlen - m, min(5, winlen - m + 1), dtype=int))
         plans.append((m, batch.offsets[w] + starts))
-    P, _ = _block_products(
+    P, _, at = _block_products(
         batch.slab,
         np.concatenate([starts for _, starts in plans]),
         np.concatenate([np.full(len(starts), m) for m, starts in plans]),
@@ -808,7 +886,7 @@ def _ratio_estimates(batch, ws):
     )
     s1, s2 = singular_values(P)
     with np.errstate(divide="ignore"):
-        ratios = np.where(s2 > 0.0, s1 / np.where(s2 > 0.0, s2, 1.0), np.inf)
+        ratios = np.where(s2 > 0.0, s1 / np.where(s2 > 0.0, s2, 1.0), np.inf)[at]
     out, a = [], 0
     for m, starts in plans:
         r = ratios[a : a + len(starts)]
@@ -944,12 +1022,16 @@ def _plain(x):
     return x
 
 
-# Product rows one batch may hold, in float64 rows (two per site).  On a
-# 2-core AVX-512 Xeon with a 1 MB L2 cache, a renormalized float64 sweep
-# step costs about 11 ns a row from 6,000 to 10,000 rows and 20 ns at
-# 12,000, where its stacks fall out of the cache; a complex128 step costs
-# about 70 ns a row from 1,500 to 3,500 rows and 85 ns at 4,000, so a
-# complex row counts three.
+# Product rows one batch may hold expanded, in float64 rows (two per
+# site).  The value was set from the cost of a sweep step per row before
+# rows were shared: on a 2-core AVX-512 Xeon with a 1 MB L2 cache, a
+# renormalized float64 step cost about 11 ns a row from 6,000 to 10,000
+# rows and 20 ns at 12,000, where its stacks fall out of the cache; a
+# complex128 step about 70 ns a row from 1,500 to 3,500 rows and 85 ns at
+# 4,000, so a complex row counts three.  The sweeps and the per-row reads
+# now touch class heads only (a window without repeats has every row as
+# its head), so the constant bounds the per-site rows a batch lists and
+# gathers: the row keys of _row_classes and the site arrays.
 BATCH_ROWS = 10_000
 
 
@@ -1065,7 +1147,7 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
     ratios = _ratio_estimates(batch, ws) if burn is None and ws else [None] * len(ws)
     ladders = {w: _burn_ladder(seqs[w].window, burn, r) for w, r in zip(ws, ratios)}
     want = {w: next(ladder) for w, ladder in ladders.items()}
-    last, resolved = {}, {}
+    last, resolved, classes = {}, {}, {}
     while want:
         jobs = [(w, b, last.get(w)) for w, b in want.items()]
         for (w, _, _), res in zip(jobs, _core_fields(batch, jobs)):
@@ -1074,7 +1156,7 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
                 del want[w]
                 last.pop(w, None)
                 continue
-            fld, last[w] = res
+            fld, classes[w, fld.burn], last[w] = res
             try:
                 want[w] = ladders[w].send(fld)
             except StopIteration as stop:
@@ -1102,7 +1184,9 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
             exts[w] = ext
     ws = [w for w in ws if out[w] is None]
 
-    doms = dict(zip(ws, _dominations(batch, [(w, resolved[w][3]) for w in ws])))
+    # the classes of each core field's sites, which its frames share
+    frames = {w: _site_classes(classes[w, resolved[w][3].burn]) for w in ws}
+    doms = dict(zip(ws, _dominations(batch, [(w, resolved[w][3], frames[w]) for w in ws])))
     checks = {}
 
     def check(w):
@@ -1182,8 +1266,8 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
 
     ws = each(judge, ws)
     if want_cone:
-        jobs = [(w, resolved[w][3], certs[w].N) for w in ws]
-        for (w, _, _), cone in zip(jobs, _cone_certificates(batch, jobs)):
+        jobs = [(w, resolved[w][3], certs[w].N, frames[w]) for w in ws]
+        for (w, *_), cone in zip(jobs, _cone_certificates(batch, jobs)):
             if isinstance(cone, Exception):
                 out[w] = cone
                 continue

@@ -10,10 +10,12 @@ stack per step and renormalizes the rows that step multiplied.  sweep()
 runs it over given factor stacks (a right product runs as the transpose
 of the left product of the transposes).  _row_sweep runs it over rows
 that read a slab of factors from their own bases for their own step
-counts, sweeping one row per class of bitwise identical rows; block
-products (_block_products, span_products, cocycle_product), the norm
-floors (_floor_curves) and the certifier's field products and
-domination frames are such row sweeps.
+counts, sweeping one row per class of bitwise identical rows and
+returning those heads with the map from rows to heads, so a caller
+reads each distinct product once and gathers per row only what it
+hands on; block products (_block_products, span_products,
+cocycle_product), the norm floors (_floor_curves) and the certifier's
+field products and domination frames are such row sweeps.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
 A MatSequence stores complex128 factors.  Sweeps over a window whose
@@ -449,24 +451,34 @@ def _bits(X):
     return planes.view(np.int64)
 
 
-def _row_classes(P, base, steps, repeats):
+def _row_classes(start, base, steps, repeats):
     """For each row of a _row_sweep, the row whose products it copies,
     or None when every row is its own.
 
-    repeats is (q, gaps) for the slab the rows read: the factors over
-    [b, b + n) are those over [b - q[b], b - q[b] + n) bit for bit
-    whenever q[b] > 0, b >= q[b] and gaps[b + n] == gaps[b]
+    start holds each row's start class: rows of one class start from
+    bitwise equal rows.  repeats is (q, gaps) for the slab the rows read:
+    the factors over [b, b + n) are those over [b - q[b], b - q[b] + n)
+    bit for bit whenever q[b] > 0, b >= q[b] and gaps[b + n] == gaps[b]
     (certifier._repeat_map).  Row i copies row j when base[j] = base[i]
-    - q, their steps are equal, their start rows bitwise equal, and no
-    factor of [base[i], base[i] + steps[i]) breaks the repeat: then both
-    rows run the same arithmetic on the same bits.  Row j may copy an
-    earlier row in turn; each row points to the first of its chain.
+    - q, their start classes and steps are equal, and no factor of
+    [base[i], base[i] + steps[i]) breaks the repeat: then both rows run
+    the same arithmetic on the same bits.  Row j may copy an earlier row
+    in turn; each row points to the first of its chain.  A row of no
+    steps reads no factor, whatever its base: it copies the first row of
+    no steps in its start class.  No bits are compared here: the
+    factors' were compared once, by the repeat map, and the starts'
+    classes come from the stage that made them.
     """
     if repeats is None:
         return None
     q, gaps = repeats
     R, L = len(base), len(q)
-    inside = np.flatnonzero((base >= 0) & (base < L))
+    copy = np.arange(R)
+    idle = np.flatnonzero(steps == 0)
+    if len(idle):
+        _, first, inv = np.unique(start[idle], return_index=True, return_inverse=True)
+        copy[idle] = idle[first][inv]
+    inside = np.flatnonzero((base >= 0) & (base < L) & (steps > 0))
     b = base[inside]
     end = np.minimum(b + steps[inside], L)
     fit = (q[b] > 0) & (b >= q[b]) & (gaps[end] == gaps[b])
@@ -475,13 +487,10 @@ def _row_classes(P, base, steps, repeats):
     at[b] = inside
     j = at[target]
     rows, j = rows[j >= 0], j[j >= 0]
-    ok = steps[j] == steps[rows]
-    bits = _bits(P)
-    ok &= (bits[:, j] == bits[:, rows]).all(axis=0)
-    if not ok.any():
-        return None
-    copy = np.arange(R)
+    ok = (steps[j] == steps[rows]) & (start[j] == start[rows])
     copy[rows[ok]] = j[ok]
+    if np.array_equal(copy, np.arange(R)):
+        return None
     while True:  # point every row at the head of its chain
         nxt = copy[copy]
         if np.array_equal(nxt, copy):
@@ -489,59 +498,62 @@ def _row_classes(P, base, steps, repeats):
         copy = nxt
 
 
-def _row_sweep(P, slab, base, steps, repeats=None, visit=None):
-    """Left-multiply row i of P by slab[base[i] + t] at t = 0, 1, ...,
-    steps[i] - 1, renormalizing it exactly after each of these steps, as
-    one sweep; returns (P, e) in the row order of P, e as in sweep.
+def _row_sweep(P, start, slab, base, steps, repeats=None, visit=None):
+    """Left-multiply row i, which starts at P[start[i]], by slab[base[i]
+    + t] at t = 0, 1, ..., steps[i] - 1, renormalizing it exactly after
+    each of these steps, as one sweep of the class heads; returns (Q, e,
+    at): row i's product is Q[at[i]] times 2**e[at[i]], e as in sweep.
 
     A row's bits depend on its start row and its factors alone (_mul and
-    _renorm work row by row), so rows that agree bitwise on both are one
+    _renorm work row by row), so rows that agree on both are one
     computation.  With the slab's repeats, one row of each such class is
-    swept and the others copy it (_row_classes): in a periodic window,
-    the row at base b reads the factors of the row at b - q.  Factors and
-    starts are compared as bit patterns, the inputs the arithmetic reads;
-    a float == would take -0.0 for +0.0 and part a NaN from itself.
+    swept, its head, and the others map to it (_row_classes): in a
+    periodic window, the row at base b reads the factors of the row at
+    b - q.  Rows that share a start class start from bitwise equal rows,
+    and identity starts are one class (P the identity, start all 0); a
+    stage that resumes the rows of an earlier sweep passes that sweep's
+    heads as P and its map as start, so no start row is compared.  The
+    heads stay a stack of their own: what a stage reads per row, it reads
+    per head and gathers through at once at the end.
 
-    The swept rows run longest first, so the rows each step multiplies
-    are a prefix, and each step gathers its factors with one _take.
-    visit(rows, Q, e), when given, sees every step: rows are the indices
-    in P of the rows it multiplied, one per class, and Q and e their
-    products and exponents so far, which the next step overwrites.  A
-    true return from visit ends the sweep there, each row holding its
-    product so far.
+    The heads run longest first, so the rows each step multiplies are a
+    prefix, and each step gathers its factors with one _take.  visit(rows,
+    Q, e), when given, sees every step: rows are the indices of the rows
+    it multiplied, one per class, and Q and e their products and
+    exponents so far, which the next step overwrites.  A true return
+    from visit ends the sweep there, each row holding its product so far.
     """
-    copy = _row_classes(P, base, steps, repeats)
-    heads = np.arange(len(P)) if copy is None else np.flatnonzero(copy == np.arange(len(P)))
+    copy = _row_classes(start, base, steps, repeats)
+    heads = np.arange(len(base)) if copy is None else np.flatnonzero(copy == np.arange(len(base)))
     order = heads[np.argsort(-steps[heads], kind="stable")]
     b = base[order]
     T = int(steps.max(initial=0))
     n_mul = (len(order) - np.cumsum(np.bincount(steps[order], minlength=T))[:T]).tolist()
-    Q, e = _take(P, order), np.zeros(len(order), dtype=np.int64)
+    Q, e = _take(P, start[order]), np.zeros(len(order), dtype=np.int64)
     factors = (_take(slab, b[:k] + t) for t, k in enumerate(n_mul))
     for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
         if visit is not None and visit(order[:k], Q[:k], e[:k]):
             break
-    at = np.empty(len(P), dtype=np.intp)
+    at = np.empty(len(base), dtype=np.intp)
     at[order] = np.arange(len(order))
-    if copy is not None:
-        at = at[copy]
-    return _take(Q, at), e[at]
+    return Q, e, at if copy is None else at[copy]
 
 
 def _block_products(vals, starts, lengths, repeats=None):
-    """Normalized ordered products of lengths[i] factors from each start.
+    """Normalized ordered products of lengths[i] factors from each start,
+    as the heads of one _row_sweep from the identity: (Q, e, at).
 
-    Row i holds vals[starts[i]+lengths[i]-1] @ ... @ vals[starts[i]]
-    scaled by a power of two (lengths broadcast against starts), and the
-    binary exponents e of the removed scales are returned with them, so
-    the true product is ldexp of row i by e[i].  The blocks of windows
-    laid end to end in one slab come from one sweep (_row_sweep), in the
-    dtype of vals: float64 for real factors (_sweep_values), equal by
+    Row i's product vals[starts[i]+lengths[i]-1] @ ... @ vals[starts[i]]
+    is Q[at[i]] scaled by a power of two (lengths broadcast against
+    starts), and the binary exponents e of the removed scales come with
+    the heads, so the true product is ldexp of Q[at[i]] by e[at[i]].  The
+    blocks of windows laid end to end in one slab come from one sweep, in
+    the dtype of vals: float64 for real factors (_sweep_values), equal by
     value to the complex run, as the two forms of the kernel make them.
     """
     starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
-    P = np.tile(np.eye(2, dtype=vals.dtype), (len(starts), 1, 1))
-    return _row_sweep(P, vals, starts, lengths, repeats)
+    eye = np.eye(2, dtype=vals.dtype)[None]
+    return _row_sweep(eye, np.zeros(len(starts), dtype=np.intp), vals, starts, lengths, repeats)
 
 
 def span_products(seq, starts, lengths):
@@ -561,8 +573,8 @@ def span_products(seq, starts, lengths):
     if live.any():
         j0 = int(js[live].min())
         _check_span(seq.window, j0, int((js + ns)[live].max()) - j0)
-    P, e = _block_products(_sweep_values(seq), js - seq.j_lo, ns)
-    return _ldexp(P, e).astype(complex, copy=False)
+    Q, e, at = _block_products(_sweep_values(seq), js - seq.j_lo, ns)
+    return _ldexp(_take(Q, at), e[at]).astype(complex, copy=False)
 
 
 def cocycle_product(seq, j, n):
@@ -647,6 +659,6 @@ def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
                 fs.append(fw)
                 xs.append(xw)
 
-    P = np.tile(np.eye(2, dtype=slab.dtype), (len(win), 1, 1))
-    _row_sweep(P, slab, base, steps, repeats, visit)
+    eye = np.eye(2, dtype=slab.dtype)[None]
+    _row_sweep(eye, np.zeros(len(win), dtype=np.intp), slab, base, steps, repeats, visit)
     return [(np.array(fs), np.array(xs, dtype=np.int64)) for fs, xs in curves]

@@ -440,17 +440,30 @@ def cut_burns(seq, js, bu, bs):
     return cu, cs, stop_u, stop_s
 
 
-def window_products(vals, js, bu, bs, lo, start=None):
+def window_heads(vals, js, bu, bs, lo, start=None):
     """certifier._window_products for one window whose factor vals[0]
-    sits at lo, at sites js (absolute indices), as a one-window _Batch.
-    A product that runs past the window repeats the end factor there, as
-    the clipped indices of masked_field_products do."""
+    sits at lo, at sites js (absolute indices), as a one-window _Batch:
+    the heads H and the sites' map idx, which a later call resumes as
+    start=(H, idx, t0).  A product that runs past the window repeats the
+    end factor there, as the clipped indices of masked_field_products
+    do."""
     below = max(0, lo - int(np.min(js - bu)))
     above = max(0, int(np.max(js + bs)) - lo - len(vals))
     vals = np.concatenate((np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0)))
     lo -= below
     batch = certifier._Batch([MatSequence(lo, vals)], [vals])
-    return certifier._window_products(batch, [(0, js - lo, bu, bs, start)])[0]
+    return certifier._window_products(batch, [(0, js - lo, bu, bs, start)])
+
+
+def window_products(vals, js, bu, bs, lo, start=None):
+    """The per-site products U and S of window_heads."""
+    return heads_products(*window_heads(vals, js, bu, bs, lo, start))
+
+
+def heads_products(H, idx):
+    """The per-site products U and S that the heads H and their site map
+    idx of a field sweep stand for (certifier._window_products)."""
+    return H[idx[0]].transpose(0, 2, 1), H[idx[1]]
 
 
 def site_directions(seq, js, bu, bs, vals=None):
@@ -458,10 +471,10 @@ def site_directions(seq, js, bu, bs, vals=None):
     sweeping vals (by default the window's _sweep_values): the products
     U, S and the rows (u, s), or the exception that ends the window."""
     batch = certifier._Batch([seq], None if vals is None else [vals])
-    U, S, d = certifier._directions(batch, [(0, js, bu, bs, None)])[0]
+    H, ((idx, d),) = certifier._directions(batch, [(0, js, bu, bs, None)])
     if isinstance(d, Exception):
         raise d
-    return U, S, d
+    return (*heads_products(H, idx), d[:2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -541,13 +554,13 @@ def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
     )
     batch, last = certifier._Batch([seq]), None
     for b in ladder:
-        fld, last = certifier._one(certifier._core_fields(batch, [(0, b, last)]))
+        fld, _, last = certifier._one(certifier._core_fields(batch, [(0, b, last)]))
         js = np.arange(lo + b, hi + 2 - b)
         full = np.full(len(js), b)
         # the products stop at the first singular factor on either side
         cu, cs, _, _ = cut_burns(seq, js, full, full)
         U, S = masked_field_products(seq.values, js, cu, cs, lo)
-        assert np.array_equal(last[1], U) and np.array_equal(last[2], S)
+        assert np.array_equal(heads_products(*last[1:]), (U, S))
         _, _, (u, s) = site_directions(seq, js, full, full)
         assert fld.j_first == js[0]
         assert np.array_equal(fld.u, u) and np.array_equal(fld.s, s)
@@ -689,8 +702,8 @@ from domsplit import certifier, mat2
 rng = np.random.default_rng(97)
 vals = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
 vals *= rng.uniform(0.1, 10.0, (300, 1, 1))
-P, exps = mat2._block_products(vals, np.arange(260), 40)
-out = P.tobytes() + exps.tobytes()
+Q, exps, at = mat2._block_products(vals, np.arange(260), 40)
+out = Q[at].tobytes() + exps[at].tobytes()
 # domination margins of one-site fields whose frames come straight from
 # rng (unit rows would read numpy's complex modulus), at block lengths
 # up to 64
@@ -972,7 +985,8 @@ def test_domination_is_the_per_site_frame_loop(free_op):
     want = [_oracle_key(seq, fld) for seq, fld in cases]
     assert [_dom_key(verify_domination(seq, fld)) for seq, fld in cases] == want
     batch = certifier._Batch([seq for seq, _ in cases])
-    doms = certifier._dominations(batch, [(w, fld) for w, (_, fld) in enumerate(cases)])
+    jobs = [(w, fld, None) for w, (_, fld) in enumerate(cases)]  # every site its own class
+    doms = certifier._dominations(batch, jobs)
     assert [_dom_key(d) for d in doms] == want
     free3, free0, *_, dead_u, dead_s = doms
     assert free3.ok and free3.N == 1
@@ -998,7 +1012,7 @@ def test_domination_stop_waits_for_every_window(free_op, failing_first):
     cases = [(dominated, power_directions(dominated, 8)),
              (failing, _frame_field(failing, [e1] * 100, [e2] * 100))][:: -1 if failing_first else 1]
     doms = certifier._dominations(certifier._Batch([seq for seq, _ in cases]),
-                                  [(w, fld) for w, (_, fld) in enumerate(cases)])
+                                  [(w, fld, None) for w, (_, fld) in enumerate(cases)])
     assert [_dom_key(d) for d in doms] == [_oracle_key(seq, fld) for seq, fld in cases]
     assert sorted((d.ok, d.N, d.tried) for d in doms) == [(False, 64, 64), (True, 1, 1)]
 
@@ -1011,9 +1025,10 @@ def test_nan_frame_gives_a_nan_margin_and_certify_raises(free_op, monkeypatch):
     orig = certifier._dominations
 
     def nan_frames(batch, jobs):
-        jobs = [(w, certifier.SplittingField(**{**vars(fld), "u": fld.u.copy()}))
-                for w, fld in jobs]
-        for _, fld in jobs:
+        # without the field classes: the site's frame is its own
+        jobs = [(w, certifier.SplittingField(**{**vars(fld), "u": fld.u.copy()}), None)
+                for w, fld, _ in jobs]
+        for _, fld, _ in jobs:
             fld.u[5] = np.nan
         return orig(batch, jobs)
 
@@ -1175,7 +1190,7 @@ def test_prefix_sweep_is_bitwise_the_masked_sweep(
     start = None
     if resume:
         t0 = int(rng.integers(0, min(bu.max(), bs.max()) + 1))
-        start = window_products(
+        start = window_heads(
             vals, js, np.minimum(bu, t0), np.minimum(bs, t0), lo
         ) + (t0,)
     U, S = window_products(vals, js, bu, bs, lo, start)
@@ -1255,10 +1270,10 @@ def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, len
         assert floors == mat2.norm_floor_curve(seq, n_max)
     length = min(length, n)
     starts = np.arange(0, n - length + 1)
-    P, exps = mat2._block_products(mat2._sweep_values(seq), starts, length)
-    Pc, exps_c = mat2._block_products(seq.values, starts, length)
+    P, exps, at = mat2._block_products(mat2._sweep_values(seq), starts, length)
+    Pc, exps_c, at_c = mat2._block_products(seq.values, starts, length)
     assert P.dtype == np.float64
-    assert np.array_equal(P, Pc) and exps.tobytes() == exps_c.tobytes()
+    assert np.array_equal(P[at], Pc[at_c]) and exps[at].tobytes() == exps_c[at_c].tobytes()
 
 
 def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
@@ -1276,7 +1291,8 @@ def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
             continue
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
-        P, exps = mat2._block_products(seq.values, js - lo, n_blk)
+        Q, exps, at = mat2._block_products(seq.values, js - lo, n_blk)
+        P, exps = Q[at], exps[at]
         Lam = ref_matmul(ref_matmul(Dinv[k + n_blk], P), D[k])
         # the least |Lam[:, 0, 0]| of the unscaled products, one at a time
         gamma = min(map(math.ldexp, np.abs(Lam[:, 0, 0]).tolist(), exps.tolist()))
@@ -1578,7 +1594,105 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     steps = rng.choice(rng.choice([0, 1, 2, 5, 9], 2), len(base))
     steps = np.minimum(steps, 2 * n - base)
     starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
-    P = starts[(rng.random(len(base)) < 0.2).astype(int)]
-    got = mat2._row_sweep(P, batch.slab, base, steps, batch.repeats)
-    alone = mat2._row_sweep(P, batch.slab, base, steps)
-    assert got[0].tobytes() == alone[0].tobytes() and got[1].tobytes() == alone[1].tobytes()
+    cls = (rng.random(len(base)) < 0.2).astype(np.intp)
+    Q, e, at = mat2._row_sweep(starts, cls, batch.slab, base, steps, batch.repeats)
+    Q1, e1, at1 = mat2._row_sweep(starts, cls, batch.slab, base, steps)
+    assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
+    # every row is its own head without the repeats
+    assert len(Q1) == len(base)
+
+
+def _certify_many_outcome(seqs, kw):
+    """certify_many's certificates as JSON and core-field bytes, or the
+    error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            certs = certifier.certify_many(seqs, **kw)
+    except (DegenerateCocycle, InternalInconsistency, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(json.dumps(c.to_json()), *(x.tobytes() for x in _field_arrays(c))) for c in certs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    windows=st.lists(st.tuples(FACTORS, st.booleans(), st.booleans()), min_size=2, max_size=5),
+    burn=st.sampled_from([None, None, 3, 12]),
+)
+@example(seed=5, windows=[("periodic", False, True), ("signed_zero", True, False)], burn=None)
+def test_row_sharing_does_not_change_certificates(seed, windows, burn):
+    # windows of repeating factors (_repeating), real and complex, some
+    # with an exactly singular factor, in one batch: every stage reads
+    # its rows once per class, and gathers them to the sites at the end,
+    # so the certificates are those of the same batch without repeats,
+    # where every row is its own class
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for factors, complex_vals, singular in windows:
+        n = int(rng.integers(12, 120))
+        vals = rng.standard_normal((n, 2, 2)).astype(complex)
+        if complex_vals:
+            vals += 1j * rng.standard_normal((n, 2, 2))
+        vals = _repeating(rng, vals, factors)
+        if singular:
+            k = int(rng.integers(n))
+            vals[k, :, 1] = 2.0 * vals[k, :, 0]  # det exactly zero
+        seqs.append(MatSequence(int(rng.integers(-50, 50)), vals))
+    kw = {} if burn is None else {"burn": burn}
+    shared = _certify_many_outcome(seqs, kw)
+    with mock.patch.object(certifier, "_repeat_map", lambda slab, lengths: None):
+        assert _certify_many_outcome(seqs, kw) == shared
+
+
+def test_certify_reads_each_distinct_row_once(monkeypatch):
+    # the singular vectors and the cone margins are taken once per class
+    # head, not once per site, and factor bits are compared only by the
+    # repeat map
+    free = JacobiOperator(j_lo=-300, a=np.ones(600, dtype=complex), b=np.zeros(600))
+    mod5 = periodic_operator([0.0, 1.0, 1.0, 1.0, 1.0], [0.3, -0.2, 0.5, 0.0, 0.1], (-200, 199))
+    rows, bits_callers = {}, []
+
+    def count(key, fn, n):
+        def run(*args):
+            rows[key] = rows.get(key, 0) + n(args, out := fn(*args))
+            return out
+        return run
+
+    def field_heads(args, out):
+        rows["sites"] = rows.get("sites", 0) + sum(len(sites) for _, sites, *_ in args[1])
+        return len(out[0])
+
+    def bits(X):
+        bits_callers.append(sys._getframe(1).f_code.co_name)
+        return orig_bits(X)
+
+    orig_bits, orig_blocks = mat2._bits, certifier._block_products
+    for name in ("sv_left_vectors", "sv_right_vectors"):
+        sv = count("sv", getattr(certifier, name), lambda a, o: len(a[0]))
+        monkeypatch.setattr(certifier, name, sv)
+    monkeypatch.setattr(certifier, "disk_image_margins",
+                        count("disk", certifier.disk_image_margins, lambda a, o: len(a[0])))
+    monkeypatch.setattr(certifier, "_window_products",
+                        count("heads", certifier._window_products, field_heads))
+    monkeypatch.setattr(mat2, "_bits", bits)
+    monkeypatch.setattr(certifier, "_bits", bits)
+
+    def cone(batch, jobs, *args):
+        # the block heads of the cone search alone
+        monkeypatch.setattr(certifier, "_block_products",
+                            count("cone heads", orig_blocks, lambda a, o: len(o[0])))
+        try:
+            return orig_cone(batch, jobs, *args)
+        finally:
+            monkeypatch.setattr(certifier, "_block_products", orig_blocks)
+
+    orig_cone = certifier._cone_certificates
+    monkeypatch.setattr(certifier, "_cone_certificates", cone)
+    for op, E in ((free, 2.01), (mod5, 2.6)):
+        rows.clear()
+        cert = certify_operator(op, E)
+        assert cert.ok
+        assert rows["sv"] == rows["heads"] < rows["sites"] / 3
+        assert rows.get("disk", 0) == rows.get("cone heads", 0)
+    assert rows["disk"] == 5 and cert.cone.n_sites == 320  # mod5: one row per residue
+    assert bits_callers and set(bits_callers) == {"_repeat_map"}
