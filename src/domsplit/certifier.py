@@ -22,14 +22,19 @@ form a batch, whose factors lie end to end in one slab (_slab), and
 every product stage of the batch (the growth-ratio blocks, the burn
 ladders, climbed in lockstep, the extended fields, the domination frames,
 the floor curves and the cone blocks) is one mat2._row_sweep over the
-rows of all its live windows.  A field row stops at the first exactly
-singular factor it meets: the product through it has rank one and pins
-the direction exactly, the range of a u product and the kernel of an s
-product (_cut_burns, _directions).
-Every row is renormalized after each of its own steps by an exact power
-of two (mat2._renorm), so a row is its unnormalized product times a
-power of two whichever rows share its sweep, and every certificate is
-bit for bit that of its window alone.  The other checks run per window.
+rows of all its live windows.  The domination frames and the floor
+curves read every step and run one factor per step; every other stage
+runs in doubling order on the batch's tables (mat2._Tables), built once
+per batch, so a row of L factors takes one kernel call per set bit of
+L, and each rung of a burn ladder is computed afresh from the tables.
+A field row stops at the first exactly singular factor it meets: the
+product through it has rank one and pins the direction exactly, the
+range of a u product and the kernel of an s product (_cut_burns,
+_directions).  Every row and every table entry is renormalized after
+each of its own products by an exact power of two (mat2._renorm), so a
+row is its unnormalized product times a power of two whichever rows
+share its sweep, and every certificate is bit for bit that of its
+window alone.  The other checks run per window.
 
 A row's bits depend on nothing but its start row and its factors, so
 two rows that agree bitwise on both are one computation, and the row
@@ -43,12 +48,12 @@ row's class and the step count belong to the key because the same
 factors from another start, or one factor more, give other bits.
 
 The classes travel from stage to stage as integer ids: a sweep returns
-its heads and the map from rows to heads, a ladder rung resumes the
-last rung's heads, and the domination frames and cone blocks start from
-the core field's classes.  Singular vectors and unit rows are taken of
-heads only, cone margins once per distinct (block, frame, frame)
-triple, and only the field rows that leave the pipeline are gathered to
-every site.  A window without repeats runs the same code, each row its
+its heads and the map from rows to heads, and the separation, the
+domination frames and the cone blocks read the core field's site
+classes.  Singular vectors and unit rows are taken of heads only, the
+core separation once per site class, cone margins once per distinct
+(block, frame, frame) triple, and only the field rows that leave the
+pipeline are gathered to every site.  A window without repeats runs the same code, each row its
 own head.
 
 Only the window is ever inspected; a verdict is a statement about the
@@ -78,8 +83,10 @@ from .mat2 import (
     _floor_curves,
     _larger_columns,
     _mul,
+    _renorm,
     _row_sweep,
     _sweep_values,
+    _Tables,
     _take,
     det2,
     op_norm,
@@ -216,17 +223,21 @@ def _repeat_map(slab, lengths):
 class _Batch:
     """Windows of one sweep dtype, certified together.
 
-    slab (_slab) holds their sweep values end to end, window w from
-    offsets[w] on, and repeats its _repeat_map; zeros[w] lists the sites
-    of w's exactly singular factors.
+    tables (mat2._Tables) holds the doubling tables of their _slab, the
+    sweep values end to end, window w from offsets[w] on, built over the
+    slab's first half as the stages ask for them and freed with the
+    batch; repeats is the slab's _repeat_map.  zeros[w] lists the sites
+    of w's exactly singular factors, read off the renormalized factors,
+    whose determinants underflow only where an exact one would.
     """
 
     def __init__(self, seqs, vals=None):
         self.seqs = seqs
-        self.slab = _slab([_sweep_values(s) for s in seqs] if vals is None else vals)
-        self.repeats = _repeat_map(self.slab, [len(s) for s in seqs])
+        slab = _slab([_sweep_values(s) for s in seqs] if vals is None else vals)
+        self.tables = _Tables(slab, mirror=True)
+        self.repeats = _repeat_map(slab, [len(s) for s in seqs])
         self.offsets = np.cumsum([0] + [len(s) for s in seqs[:-1]])
-        self.zeros = [np.flatnonzero(det2(s.values) == 0.0) + s.j_lo for s in seqs]
+        self.zeros = [np.flatnonzero(det2(_renorm(s.values)[0]) == 0.0) + s.j_lo for s in seqs]
 
 
 def _one(outcomes):
@@ -240,52 +251,38 @@ def _window_products(batch, jobs):
     """Per-site window products behind the direction fields, for many
     windows in one sweep.
 
-    batch is a _Batch of the windows, and each job (off, sites, bu, bs,
-    start) asks for one window's products: off is the window's offset in
-    the slab, sites are window indices (0 for its first factor), and
-    bu/bs the burns, which may differ by site (_cut_burns cuts them).
-    The u side is right-multiplied into the past and the s side
-    left-multiplied into the future, each row renormalized after each of
-    its steps.  Both run as left products: U @ F is the transpose of
-    F^T @ U^T, whose entries sum the same products in the same order,
-    and a transpose of a plane-major stack is a view (two planes swap).
-    start=(H, idx, t0) resumes an earlier sweep of this kind: row idx[0]
-    of H holds the transposed U and row idx[1] the S of the same sites at
-    burns min(t0, bu) and min(t0, bs), so a row resumes there and only
-    its steps from there on are computed.  Each row's arithmetic is its
-    own, so resuming reproduces the products of one longer sweep bit for
-    bit, and a batch those of one window alone.
+    batch is a _Batch of the windows, and each job (off, sites, bu, bs)
+    asks for one window's products: off is the window's offset in the
+    slab, sites are window indices (0 for its first factor), and bu/bs
+    the burns, which may differ by site (_cut_burns cuts them).  The u
+    side is right-multiplied into the past and the s side left-multiplied
+    into the future.  Both run as left products in doubling order on the
+    batch's tables (mat2._row_sweep): U @ F is the transpose of F^T @
+    U^T, whose entries sum the same products in the same order, and a
+    transpose of a plane-major stack is a view (two planes swap).  A
+    row's bits depend only on its factors and its burn, so any rung of a
+    burn ladder, in any batch, reproduces the products of its window's
+    sites alone.
 
-    Returns (H, idx) in the form start takes: H the sweep's class heads
-    (mat2._row_sweep), in the dtype of the slab, and idx the u and s head
-    of each site, the jobs' sites end to end, so the U of site i is
-    H[idx[0, i]].T and its S H[idx[1, i]].  Rows resumed from one head
-    share a start class, so a resumed rung shares rows as its first rung
-    did.  Callers pass the real parts (_sweep_values) when every factor
-    is real: the kernel's float64 form, a*e + b*g, gives the real part of
+    Returns (H, idx): H the sweep's class heads, in the dtype of the
+    slab, and idx the u and s head of each site, the jobs' sites end to
+    end, so the U of site i is H[idx[0, i]].T and its S H[idx[1, i]].
+    Callers pass the real parts (_sweep_values) when every factor is
+    real: the kernel's float64 form, a*e + b*g, gives the real part of
     its complex128 split-accumulator form, and _renorm scales both alike,
     so the real sweep equals the complex sweep by value at a fraction of
     its cost.
     """
     if not jobs:
         return None, np.zeros((2, 0), dtype=np.intp)
-    slab = batch.slab
+    slab = batch.tables.slab
     N = len(slab) // 2
-    eye = np.eye(2, dtype=slab.dtype)[None]  # the one start head of unresumed rows
-    stacks, offset = [], {}  # the start stacks, and the offset of each by id
-    u, s = [], []  # (start class, base, steps) of each job's u rows and s rows
-    for off, sites, bu, bs, start in jobs:
-        H, idx, t0 = (eye, np.zeros((2, len(sites)), dtype=np.intp), 0) if start is None else start
-        if id(H) not in offset:
-            offset[id(H)] = sum(map(len, stacks))
-            stacks.append(H)
-        o = offset[id(H)]
-        tu, ts = np.minimum(bu, t0), np.minimum(bs, t0)
-        u.append((o + idx[0], 2 * N - off - sites + tu, bu - tu))
-        s.append((o + idx[1], off + sites + ts, bs - ts))
-    P = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    cls, base, steps = (np.concatenate(x) for x in zip(*u, *s))
-    H, _, at = _row_sweep(P, cls, slab, base, steps, batch.repeats)
+    u = [(2 * N - off - sites, bu) for off, sites, bu, _ in jobs]
+    s = [(off + sites, bs) for off, sites, _, bs in jobs]
+    base, steps = (np.concatenate(x) for x in zip(*u, *s))
+    eye = np.eye(2, dtype=slab.dtype)[None]
+    H, _, at = _row_sweep(eye, np.zeros(len(base), dtype=np.intp), batch.tables, base, steps,
+                          batch.repeats)
     return H, at.reshape(2, -1)
 
 
@@ -329,33 +326,31 @@ def _unit_columns(P):
 
 
 def _directions(batch, jobs):
-    """Unit u and s rows for each job (w, js, bu, bs, start): window w's
-    sites js (absolute indices) with burns bu/bs, whose products resume
-    start as in _window_products.  Returns (H, out): H the heads of the
-    products' sweep, and per job (idx, d), idx the sites' heads in H as
-    start takes them and d the triple (u, s, cls) or the exception that
-    ends window w: u and s arrays of its own, and cls the sites' classes,
-    sites of one class having bitwise equal u and s rows (None in a batch
-    without repeats, where every site is its own class).
+    """Unit u and s rows for each job (w, js, bu, bs): window w's sites
+    js (absolute indices) with burns bu/bs.  Returns per job the triple
+    (u, s, cls) or the exception that ends window w: u and s arrays of
+    its own, and cls the sites' classes, sites of one class having
+    bitwise equal u and s rows (None in a batch without repeats, where
+    every site is its own class).
 
     The products are those of the burns cut at the window's exactly
-    singular factors (_cut_burns), from one _window_products sweep, and
-    they resume at the cut burns too.  A row that stopped at a singular
-    factor pins its direction exactly: u is the range of U, s the kernel
-    of S, both read off the larger column (of S's transpose) by
-    mat2._larger_columns.  Every other row takes the singular vectors of
-    its product.  Both are read once per distinct pair of a head and a
-    stop, from one call per side for all jobs, and gathered to the sites
-    once: each site's rows depend only on its own product and stop, so
-    any subset of sites, in any batch, reproduces the rows a larger call
-    computes for them.  Real heads are cast to complex here, once.
+    singular factors (_cut_burns), from one _window_products sweep.  A
+    row that stopped at a singular factor pins its direction exactly: u
+    is the range of U, s the kernel of S, both read off the larger
+    column (of S's transpose) by mat2._larger_columns.  Every other row
+    takes the singular vectors of its product.  Both are read once per
+    distinct pair of a head and a stop, from one call per side for all
+    jobs, and gathered to the sites once: each site's rows depend only
+    on its own product and stop, so any subset of sites, in any batch,
+    reproduces the rows a larger call computes for them.  Real heads are
+    cast to complex here, once.
     """
     if not jobs:
-        return None, []
-    cuts = [_cut_burns(batch.zeros[w], js, bu, bs) for w, js, bu, bs, _ in jobs]
+        return []
+    cuts = [_cut_burns(batch.zeros[w], js, bu, bs) for w, js, bu, bs in jobs]
     H, idx = _window_products(batch, [
-        (batch.offsets[w], js - batch.seqs[w].j_lo, cu, cs, start)
-        for (w, js, _, _, start), (cu, cs, _, _) in zip(jobs, cuts)
+        (batch.offsets[w], js - batch.seqs[w].j_lo, cu, cs)
+        for (w, js, _, _), (cu, cs, _, _) in zip(jobs, cuts)
     ])
     # one row per side and distinct (head, stop), key // 2 its head
     (ku, iu), (ks, is_) = (
@@ -391,8 +386,8 @@ def _directions(batch, jobs):
             d = InternalInconsistency("non-finite direction estimate")
         else:
             d = (u[iu[r]], s[is_[r]], None if cls is None else cls[r])
-        out.append((idx[:, r], d))
-    return H, out
+        out.append(d)
+    return out
 
 
 def _distinct(keys, n):
@@ -408,31 +403,22 @@ def _distinct(keys, n):
 
 
 def _core_fields(batch, jobs):
-    """Core field at burn for each job (w, burn, prev), with its site
-    classes and what resumes it: (field, cls, (burn, H, idx)), or the
-    exception that ends window w.
+    """Core field at burn for each job (w, burn), with its site classes:
+    (field, cls), or the exception that ends window w.
 
-    prev is such a triple for a smaller burn on the same window: its
-    heads H continue as the start rows of the core(burn) sites, so no
-    factor step is computed twice, those of rows that stopped at a
-    singular factor included (_directions).  H stays in the dtype of
-    the sweep, so resuming casts nothing.  Sites of one cls have bitwise
-    equal field rows, so the frames of the domination check and the
-    cone search share rows by it.  All jobs share one sweep.
+    Sites of one cls have bitwise equal field rows, so the separation,
+    the frames of the domination check and the cone search share rows by
+    it.  All jobs share one sweep, and each burn is computed afresh from
+    the batch's tables, in at most bit_length(burn) kernel calls.
     """
     specs = []
-    for w, burn, prev in jobs:
+    for w, burn in jobs:
         lo, hi = batch.seqs[w].window
         js = np.arange(lo + burn, hi + 2 - burn)
-        full = np.full(len(js), burn)
-        start = None
-        if prev is not None:
-            b0, H0, idx0 = prev
-            start = (H0, idx0[:, burn - b0 : burn - b0 + len(js)], b0)
-        specs.append((w, js, full, full, start))
+        specs.append((w, js, np.full(len(js), burn)))
     out = []
-    H, dirs = _directions(batch, specs)
-    for (_, burn, _), (_, js, full, _, _), (idx, d) in zip(jobs, specs, dirs):
+    dirs = _directions(batch, [(w, js, full, full) for w, js, full in specs])
+    for (_, burn), (_, js, full), d in zip(jobs, specs, dirs):
         if isinstance(d, Exception):
             out.append(d)
             continue
@@ -440,7 +426,7 @@ def _core_fields(batch, jobs):
             j_first=int(js[0]), u=d[0], s=d[1], method="power", burn=burn,
             burn_u=full, burn_s=full,
         )
-        out.append((fld, d[2], (burn, H, idx)))
+        out.append((fld, d[2]))
     return out
 
 
@@ -465,10 +451,10 @@ def _extend_fields(batch, jobs):
             new[core.j_first - lo - 1 : core.j_last - lo] = False
         specs.append((w, burn, core, lo, js, bu, bs, new))
     todo = [spec for spec in specs if np.any(spec[-1])]
-    _, dirs = _directions(batch, [
-        (w, js[new], bu[new], bs[new], None) for w, _, _, _, js, bu, bs, new in todo
+    dirs = _directions(batch, [
+        (w, js[new], bu[new], bs[new]) for w, _, _, _, js, bu, bs, new in todo
     ])
-    dirs = {spec[0]: d for spec, (_, d) in zip(todo, dirs)}
+    dirs = {spec[0]: d for spec, d in zip(todo, dirs)}
     out = []
     for w, burn, core, lo, js, bu, bs, new in specs:
         d = dirs.get(w)
@@ -504,7 +490,7 @@ def power_directions(seq, burn, extend=False):
     batch = _Batch([seq])
     core = None
     if lo + burn <= hi + 1 - burn:
-        core = _one(_core_fields(batch, [(0, burn, None)]))[0]
+        core = _one(_core_fields(batch, [(0, burn)]))[0]
     if extend:
         return _one(_extend_fields(batch, [(0, burn, core)]))
     if core is None:
@@ -571,13 +557,16 @@ def verify_invariance(seq, fld, threshold):
 
     A factor that annihilates u counts as a maximal violation; one that
     annihilates s is vacuously invariant (the image line degenerated).
-    Returns (passed, residual).  Norms that overflow would make every
-    image look dead, so they raise InternalInconsistency instead.
+    Returns (passed, residual).  The factors are read scaled by exact
+    powers of two (mat2._renorm), which leaves every image line and
+    every quotient of norms as it is, so no overall scale of the window
+    over- or underflows the squares and makes images look dead; a norm
+    that is still not finite raises InternalInconsistency.
     """
     sites = fld.sites()
     if len(sites) < 2:
         raise ValueError("need at least two sites")
-    B = seq.values[sites[:-1] - seq.j_lo]
+    B, _ = _renorm(seq.values[sites[:-1] - seq.j_lo])
     scale = np.sqrt(np.sum(np.abs(B) ** 2, axis=(1, 2)))
     Wu = np.einsum("nij,nj->ni", B, fld.u[:-1])
     Ws = np.einsum("nij,nj->ni", B, fld.s[:-1])
@@ -672,7 +661,7 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
                 best[k] = (r - factor, N)
         return None not in out
 
-    _row_sweep(np.concatenate(frames), np.concatenate(start), batch.slab, np.concatenate(base),
+    _row_sweep(np.concatenate(frames), np.concatenate(start), batch.tables, np.concatenate(base),
                np.concatenate(steps), batch.repeats, visit)
     fail = "no block length up to {} dominates by factor {}"
     return [d or DominationCheck(False, n, m, t, fail.format(t, factor))
@@ -777,7 +766,7 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
         if not rows:
             continue
         P, exps, at = _block_products(
-            batch.slab,
+            batch.tables,
             np.concatenate([batch.offsets[jobs[i][0]] - batch.seqs[jobs[i][0]].j_lo + js
                             for i, _, js in rows]),
             np.concatenate([np.full(len(js), n_blk) for _, n_blk, js in rows]),
@@ -871,7 +860,8 @@ def _ratio_estimates(batch, ws):
     geometric mean over up to five blocks of min(16, len) factors, spread
     over the window, with the blocks of every window from one
     _block_products call.  A window gets inf when no block has a finite
-    ratio."""
+    ratio.  The logs and the exp are math's, per window, whose bits do
+    not depend on the SIMD loops numpy picks for the CPU."""
     plans = []
     for w in ws:
         winlen = len(batch.seqs[w])
@@ -879,7 +869,7 @@ def _ratio_estimates(batch, ws):
         starts = np.unique(np.linspace(0, winlen - m, min(5, winlen - m + 1), dtype=int))
         plans.append((m, batch.offsets[w] + starts))
     P, _, at = _block_products(
-        batch.slab,
+        batch.tables,
         np.concatenate([starts for _, starts in plans]),
         np.concatenate([np.full(len(starts), m) for m, starts in plans]),
         batch.repeats,
@@ -891,11 +881,11 @@ def _ratio_estimates(batch, ws):
     for m, starts in plans:
         r = ratios[a : a + len(starts)]
         a += len(starts)
-        r = r[np.isfinite(r)]
-        if len(r) == 0:
+        r = np.maximum(r[np.isfinite(r)], 1.0).tolist()
+        if not r:
             out.append(math.inf)
         else:
-            out.append(float(np.exp(np.mean(np.log(np.maximum(r, 1.0)))) ** (1.0 / m)))
+            out.append(math.exp(sum(map(math.log, r)) / len(r)) ** (1.0 / m))
     return out
 
 
@@ -909,9 +899,8 @@ def _burn_ladder(window, burn_hint, ratio):
     ladder starts from the growth ratio (_ratio_estimates).  The ladder
     is a generator, so that the windows of a batch climb theirs in
     lockstep: it yields each burn whose core field it needs, in order,
-    and is sent that field.  Each field is built once and shared by the
-    doublings that compare it, and since the ladder only grows, each new
-    burn resumes the products of the previous one (_core_fields).
+    and is sent that field (_core_fields).  Each field is built once and
+    shared by the doublings that compare it.
     """
     lo, hi = window
     b_cap = (hi - lo) // 2
@@ -1066,8 +1055,8 @@ def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=
     Windows of one sweep dtype (_sweep_values) run as batches of at most
     BATCH_ROWS product rows (see there): every product stage runs as
     one mat2 sweep over the batch's live windows.  The burn ladders
-    (_burn_ladder) climb in lockstep, each window's next core field
-    resuming its previous one, and so do the extended fields, the
+    (_burn_ladder) climb in lockstep, each rung's core fields computed
+    from the batch's doubling tables, and so do the extended fields, the
     domination frames, the floor curves and the cone search.  A row's
     bits do not depend on its neighbours in a stack, and its exact
     renormalization on its own steps (_row_sweep) does not either, so
@@ -1147,21 +1136,20 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
     ratios = _ratio_estimates(batch, ws) if burn is None and ws else [None] * len(ws)
     ladders = {w: _burn_ladder(seqs[w].window, burn, r) for w, r in zip(ws, ratios)}
     want = {w: next(ladder) for w, ladder in ladders.items()}
-    last, resolved, classes = {}, {}, {}
+    resolved, classes = {}, {}
     while want:
-        jobs = [(w, b, last.get(w)) for w, b in want.items()]
-        for (w, _, _), res in zip(jobs, _core_fields(batch, jobs)):
+        jobs = list(want.items())
+        for (w, _), res in zip(jobs, _core_fields(batch, jobs)):
             if isinstance(res, Exception):
                 out[w] = res
                 del want[w]
-                last.pop(w, None)
                 continue
-            fld, classes[w, fld.burn], last[w] = res
+            fld, classes[w, fld.burn] = res
             try:
                 want[w] = ladders[w].send(fld)
             except StopIteration as stop:
                 resolved[w] = stop.value
-                del want[w], last[w]
+                del want[w]
 
     for w, (b, gap, no_field, core) in resolved.items():
         if no_field is not None:
@@ -1190,18 +1178,24 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
     checks = {}
 
     def check(w):
-        seq, (_, gap, _, core) = seqs[w], resolved[w]
+        seq, (_, gap, _, core), ext = seqs[w], resolved[w], exts[w]
         res_eff = max(RES_MAX, 8.0 * gap)
         inv_ok, inv_res = verify_invariance(seq, core, res_eff)
-        sep_ok, delta_ext = verify_separation(exts[w])
-        _, delta_core = verify_separation(core)
+        # the separations as minima over the core's site classes and the
+        # extended field's end sites, whose core sites hold the core rows
+        first = slice(None) if frames[w] is None else frames[w][1]
+        delta_core = float(np.min(chordal_rows(core.u[first], core.s[first])))
+        i = np.arange(len(ext))
+        ends = i[(i < core.j_first - ext.j_first) | (i > core.j_last - ext.j_first)]
+        delta_ext = float(np.min(chordal_rows(ext.u[ends], ext.s[ends]), initial=delta_core))
+        sep_ok = delta_ext > DELTA_MIN
         checks[w] = (res_eff, inv_ok, inv_res, doms[w], sep_ok, delta_ext, delta_core)
 
     ws = each(check, ws)
     # each window's floors to max(20, N): condition 4 reads N's
     lens = [len(seqs[w]) for w in ws]
     tops = [min(n, max(20, doms[w].N)) for w, n in zip(ws, lens)]
-    floors = dict(zip(ws, _floor_curves(batch.slab, batch.offsets[ws], lens, tops, batch.repeats)))
+    floors = dict(zip(ws, _floor_curves(batch.tables, batch.offsets[ws], lens, tops, batch.repeats)))
     certs = {}
 
     def judge(w):

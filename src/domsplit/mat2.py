@@ -4,18 +4,23 @@ Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
 floors.
 
-Every ordered product in the package runs through one loop,
-_sweep_steps: it left-multiplies a stack of 2x2 products by one factor
-stack per step and renormalizes the rows that step multiplied.  sweep()
+Ordered products run in one of two orders, both through one kernel.
+_sweep_steps left-multiplies a stack of 2x2 products by one factor
+stack per step and renormalizes the rows that step multiplied; sweep()
 runs it over given factor stacks (a right product runs as the transpose
-of the left product of the transposes).  _row_sweep runs it over rows
-that read a slab of factors from their own bases for their own step
-counts, sweeping one row per class of bitwise identical rows and
-returning those heads with the map from rows to heads, so a caller
-reads each distinct product once and gathers per row only what it
-hands on; block products (_block_products, span_products,
-cocycle_product), the norm floors (_floor_curves) and the certifier's
-field products and domination frames are such row sweeps.
+of the left product of the transposes), and so do the row sweeps that
+must read every step: the norm floors (_floor_curves) and the
+certifier's domination frames.  Every other row sweep (_row_sweep with
+no visit) runs in doubling order on _Tables, exactly renormalized
+products of 2**k factors built once per slab: a row of L factors
+multiplies the entries at the set bits of L, so all rows of a sweep
+take at most bit_length(L) kernel calls, whatever their lengths.  Block
+products (_block_products, span_products, cocycle_product) and the
+certifier's field products are such sweeps.  A row sweep reads rows
+from their own bases for their own step counts, sweeping one row per
+class of bitwise identical rows and returning those heads with the map
+from rows to heads, so a caller reads each distinct product once and
+gathers per row only what it hands on.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
 A MatSequence stores complex128 factors.  Sweeps over a window whose
@@ -171,15 +176,24 @@ def sv_direction_vectors(m):
     return sv_left_vectors(m), sv_right_vectors(m)
 
 
-# math.hypot elementwise: its bits are the same on every CPU, unlike those
-# of numpy's hypot and complex modulus, whose SIMD loops depend on it
-_hypot4 = np.frompyfunc(math.hypot, 4, 1)
-
-
 def _column_norms(m):
-    """Both columns' 2-norms (_hypot4) of each 2x2 of an (n, 2, 2) stack."""
+    """Both columns' 2-norms of each 2x2 of an (n, 2, 2) stack.
+
+    Each column is scaled by the power of two that puts its largest |re|
+    or |im| into [0.5, 1), its norm taken as sqrt(re*re + im*im) summed
+    over its two entries, and scaled back with ldexp.  Scaling is exact,
+    and no square of the scaled column overflows or underflows where it
+    would count, so a norm over- or underflows only where its value does.
+    Products, sums and sqrt are correctly rounded, so the bits are the
+    same under every SIMD loop numpy may pick, unlike those of its hypot
+    and complex modulus.
+    """
     re, im = m.real, m.imag
-    return _hypot4(re[:, 0], im[:, 0], re[:, 1], im[:, 1]).astype(float)
+    top = np.maximum(np.abs(re), np.abs(im)).max(axis=1)  # per column
+    _, x = np.frexp(top)
+    re, im = np.ldexp(re, -x[:, None]), np.ldexp(im, -x[:, None])
+    sq = re * re + im * im
+    return np.ldexp(np.sqrt(sq[:, 0] + sq[:, 1]), x)
 
 
 def _larger_columns(m):
@@ -462,8 +476,9 @@ def _row_classes(start, base, steps, repeats):
     (certifier._repeat_map).  Row i copies row j when base[j] = base[i]
     - q, their start classes and steps are equal, and no factor of
     [base[i], base[i] + steps[i]) breaks the repeat: then both rows run
-    the same arithmetic on the same bits.  Row j may copy an earlier row
-    in turn; each row points to the first of its chain.  A row of no
+    the same arithmetic on the same bits, in either order (a table entry
+    a row reads spans its own factors alone).  Row j may copy an earlier
+    row in turn; each row points to the first of its chain.  A row of no
     steps reads no factor, whatever its base: it copies the first row of
     no steps in its start class.  No bits are compared here: the
     factors' were compared once, by the repeat map, and the starts'
@@ -498,90 +513,171 @@ def _row_classes(start, base, steps, repeats):
         copy = nxt
 
 
-def _row_sweep(P, start, slab, base, steps, repeats=None, visit=None):
-    """Left-multiply row i, which starts at P[start[i]], by slab[base[i]
-    + t] at t = 0, 1, ..., steps[i] - 1, renormalizing it exactly after
-    each of these steps, as one sweep of the class heads; returns (Q, e,
-    at): row i's product is Q[at[i]] times 2**e[at[i]], e as in sweep.
+class _Tables:
+    """Doubling tables over a slab of factors, built level by level as
+    they are first asked for and kept while the object lives.
+
+    level(k) is (T, E): T[j] the product slab[j + 2**k - 1] @ ... @
+    slab[j] times 2**-E[j], exactly renormalized (_renorm), and E int64.
+    Level 0 is _renorm of the slab, and level k + 1 multiplies two
+    entries of level k, T[j + 2**k] @ T[j], through _mul, renormalized:
+    one _mul over plain slices of the level below, which a plane-major
+    stack gives without a copy.  An entry's bits depend only on the
+    factors it spans, so factors that repeat bit for bit give bitwise
+    equal entries wherever they sit.
+
+    With mirror, the slab's second half is its first half transposed in
+    reverse order (certifier._slab), and the levels are built over the
+    first half alone.  The entry over slab[p : p + 2**k] in the second
+    half is then the transpose of the first-half entry at 2 n - p - 2**k,
+    n the half's length, bit for bit: _mul and _renorm commute with the
+    transpose, and a block splits into the same halves read from either
+    end.  take() reads entries at slab positions in either half.
+    """
+
+    def __init__(self, slab, mirror=False):
+        self.slab = slab
+        self.half = len(slab) // 2 if mirror else None
+        self.levels = []
+
+    def level(self, k):
+        while len(self.levels) <= k:
+            if self.levels:
+                T, E = self.levels[-1]
+                h = 1 << (len(self.levels) - 1)
+                P = _mul(T[h:], T[: len(T) - h])
+                _, s = _renorm(P, out=P)
+                E = E[h:] + E[: len(E) - h] - s
+            else:
+                P = _plane_major(self.slab[: self.half], copy=True)
+                _, s = _renorm(P, out=P)
+                E = -s.astype(np.int64)
+            self.levels.append((P, E))
+        return self.levels[k]
+
+    def take(self, k, j):
+        """The level-k entries over slab[j : j + 2**k] for each j, and
+        their E, as a plane-major stack (_take)."""
+        T, E = self.level(k)
+        if self.half is None:
+            return _take(T, j), E[j]
+        back = j >= self.half
+        i = np.where(back, 2 * self.half - (1 << k) - j, j)
+        F = _take(T, i)
+        F[back, 0, 1], F[back, 1, 0] = F[back, 1, 0], F[back, 0, 1]  # transposed
+        return F, E[i]
+
+
+def _row_sweep(P, start, tables, base, steps, repeats=None, visit=None):
+    """Left-multiply row i, which starts at P[start[i]], by the factors
+    slab[base[i]], ..., slab[base[i] + steps[i] - 1] of tables.slab (a
+    _Tables), later factors on the left, renormalizing exactly, for the
+    class heads of the rows; returns (Q, e, at): row i's product is
+    Q[at[i]] times 2**e[at[i]], e as in sweep.
 
     A row's bits depend on its start row and its factors alone (_mul and
     _renorm work row by row), so rows that agree on both are one
     computation.  With the slab's repeats, one row of each such class is
-    swept, its head, and the others map to it (_row_classes): in a
+    computed, its head, and the others map to it (_row_classes): in a
     periodic window, the row at base b reads the factors of the row at
     b - q.  Rows that share a start class start from bitwise equal rows,
-    and identity starts are one class (P the identity, start all 0); a
-    stage that resumes the rows of an earlier sweep passes that sweep's
-    heads as P and its map as start, so no start row is compared.  The
-    heads stay a stack of their own: what a stage reads per row, it reads
-    per head and gathers through at once at the end.
+    and identity starts are one class (P the identity, start all 0).
+    The heads stay a stack of their own: what a stage reads per row, it
+    reads per head and gathers through at once at the end.
 
-    The heads run longest first, so the rows each step multiplies are a
-    prefix, and each step gathers its factors with one _take.  visit(rows,
-    Q, e), when given, sees every step: rows are the indices of the rows
-    it multiplied, one per class, and Q and e their products and
-    exponents so far, which the next step overwrites.  A true return
-    from visit ends the sweep there, each row holding its product so far.
+    Without visit, a row runs in doubling order on the tables: a row of
+    L steps left-multiplies the table entry of each set bit 2**k of L,
+    in ascending order of k, each at its base plus the lower bits of L,
+    renormalizing after each.  So all rows together take one _mul per
+    bit of the longest, whatever their lengths, and a row's bits depend
+    only on its factors and its length.
+
+    With visit, the heads run one factor per step through _sweep_steps,
+    longest first, so the rows each step multiplies are a prefix and
+    each step gathers its factors with one _take.  visit(rows, Q, e)
+    sees every step: rows are the indices of the rows it multiplied, one
+    per class, and Q and e their products and exponents so far, which
+    the next step overwrites.  A true return from visit ends the sweep
+    there, each row holding its product so far.
     """
     copy = _row_classes(start, base, steps, repeats)
     heads = np.arange(len(base)) if copy is None else np.flatnonzero(copy == np.arange(len(base)))
-    order = heads[np.argsort(-steps[heads], kind="stable")]
-    b = base[order]
-    T = int(steps.max(initial=0))
-    n_mul = (len(order) - np.cumsum(np.bincount(steps[order], minlength=T))[:T]).tolist()
-    Q, e = _take(P, start[order]), np.zeros(len(order), dtype=np.int64)
-    factors = (_take(slab, b[:k] + t) for t, k in enumerate(n_mul))
-    for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
-        if visit is not None and visit(order[:k], Q[:k], e[:k]):
-            break
+    if visit is None:
+        order, b, n = heads, base[heads], steps[heads]
+        Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
+        for k in range(int(n.max(initial=0)).bit_length()):
+            rows = np.flatnonzero(n >> k & 1)
+            if len(rows):
+                F, E = tables.take(k, b[rows] + (n[rows] & ((1 << k) - 1)))
+                R = _mul(F, _take(Q, rows))
+                _, s = _renorm(R, out=R)
+                Q[rows] = R
+                e[rows] += E - s
+    else:
+        order = heads[np.argsort(-steps[heads], kind="stable")]
+        b = base[order]
+        T = int(steps.max(initial=0))
+        n_mul = (len(order) - np.cumsum(np.bincount(steps[order], minlength=T))[:T]).tolist()
+        Q, e = _take(P, start[order]), np.zeros(len(order), dtype=np.int64)
+        factors = (_take(tables.slab, b[:k] + t) for t, k in enumerate(n_mul))
+        for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
+            if visit(order[:k], Q[:k], e[:k]):
+                break
     at = np.empty(len(base), dtype=np.intp)
     at[order] = np.arange(len(order))
     return Q, e, at if copy is None else at[copy]
 
 
-def _block_products(vals, starts, lengths, repeats=None):
+def _block_products(tables, starts, lengths, repeats=None):
     """Normalized ordered products of lengths[i] factors from each start,
-    as the heads of one _row_sweep from the identity: (Q, e, at).
+    as the heads of one _row_sweep from the identity on tables (a
+    _Tables), in doubling order: (Q, e, at).
 
-    Row i's product vals[starts[i]+lengths[i]-1] @ ... @ vals[starts[i]]
+    Row i's product slab[starts[i]+lengths[i]-1] @ ... @ slab[starts[i]]
     is Q[at[i]] scaled by a power of two (lengths broadcast against
     starts), and the binary exponents e of the removed scales come with
     the heads, so the true product is ldexp of Q[at[i]] by e[at[i]].  The
     blocks of windows laid end to end in one slab come from one sweep, in
-    the dtype of vals: float64 for real factors (_sweep_values), equal by
-    value to the complex run, as the two forms of the kernel make them.
+    the dtype of the slab: float64 for real factors (_sweep_values), equal
+    by value to the complex run, as the two forms of the kernel make them.
     """
     starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
-    eye = np.eye(2, dtype=vals.dtype)[None]
-    return _row_sweep(eye, np.zeros(len(starts), dtype=np.intp), vals, starts, lengths, repeats)
+    eye = np.eye(2, dtype=tables.slab.dtype)[None]
+    return _row_sweep(eye, np.zeros(len(starts), dtype=np.intp), tables, starts, lengths, repeats)
 
 
 def span_products(seq, starts, lengths):
     """cocycle_product(seq, j, n) for each pair of starts and lengths, as
     one (len, 2, 2) complex stack.
 
-    starts and lengths broadcast to one dimension.  The products run
-    renormalized in the dtype of _sweep_values (_block_products) and are
-    scaled back with ldexp, which is exact: each is the product a loop of
-    _mul from the identity makes, bit for bit, wherever that loop neither
-    overflows nor underflows, and finite wherever the product is.  On a
-    real window, float64 gives the real parts of the complex128 products
-    bit for bit, and their imaginary parts are +0.0.
+    starts and lengths broadcast to one dimension.  The products run in
+    doubling order (_block_products) on tables over the span the rows
+    reach, in the dtype of _sweep_values: the product of n factors from
+    j is the product of the table entries at the set bits of n, lowest
+    bit first, each entry the balanced product of its 2**k factors.
+    Every step is renormalized exactly and the result scaled back with
+    ldexp, so a product is finite wherever its value is, and bitwise the
+    same doubling-order loop of _mul without renormalization wherever
+    that loop neither overflows nor underflows.  On a real window,
+    float64 gives the real parts of the complex128 products bit for bit,
+    and their imaginary parts are +0.0.
     """
     js, ns = (np.ravel(a) for a in np.broadcast_arrays(starts, lengths))
     live = ns > 0
+    j0 = j1 = seq.j_lo
     if live.any():
-        j0 = int(js[live].min())
-        _check_span(seq.window, j0, int((js + ns)[live].max()) - j0)
-    Q, e, at = _block_products(_sweep_values(seq), js - seq.j_lo, ns)
+        j0, j1 = int(js[live].min()), int((js + ns)[live].max())
+        _check_span(seq.window, j0, j1 - j0)
+    span = _sweep_values(seq)[j0 - seq.j_lo : j1 - seq.j_lo]
+    Q, e, at = _block_products(_Tables(span), js - j0, ns)
     return _ldexp(_take(Q, at), e[at]).astype(complex, copy=False)
 
 
 def cocycle_product(seq, j, n):
     """Ordered product of the factors at j, j+1, ..., j+n-1 (later on the left).
 
-    n = 0 returns the identity.  The product runs renormalized and is
-    scaled back exactly (span_products).
+    n = 0 returns the identity.  The product runs in doubling order,
+    renormalized, and is scaled back exactly (span_products).
     """
     if n < 0:
         raise ValueError("n must be nonnegative; use backward_product for inverses")
@@ -620,15 +716,16 @@ def norm_floor_curve(seq, n_max):
     """
     if not 1 <= n_max <= len(seq):
         raise ValueError(f"block length must lie in [1, {len(seq)}]")
-    f, x = _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
+    f, x = _floor_curves(_Tables(_sweep_values(seq)), [0], [len(seq)], [n_max])[0]
     with np.errstate(over="ignore"):
         return np.ldexp(f, x).tolist()
 
 
-def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
-    """norm_floor_curve for windows laid end to end in one slab, window w
-    being slab[offsets[w] : offsets[w] + lengths[w]], each to its own
-    n_max, as one _row_sweep (sharing rows by repeats as it does).
+def _floor_curves(tables, offsets, lengths, n_maxes, repeats=None):
+    """norm_floor_curve for windows laid end to end in the slab of tables
+    (a _Tables), window w being slab[offsets[w] : offsets[w] +
+    lengths[w]], each to its own n_max, as one _row_sweep that visits
+    every step (sharing rows by repeats as it does).
 
     Row i of a window starts at its factor i and runs until its product
     holds n_max factors or reaches the window's end; the floor at n is
@@ -659,6 +756,6 @@ def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
                 fs.append(fw)
                 xs.append(xw)
 
-    eye = np.eye(2, dtype=slab.dtype)[None]
-    _row_sweep(eye, np.zeros(len(win), dtype=np.intp), slab, base, steps, repeats, visit)
+    eye = np.eye(2, dtype=tables.slab.dtype)[None]
+    _row_sweep(eye, np.zeros(len(win), dtype=np.intp), tables, base, steps, repeats, visit)
     return [(np.array(fs), np.array(xs, dtype=np.int64)) for fs, xs in curves]

@@ -1,4 +1,6 @@
-"""Shared fixtures and the acceptance summary hook."""
+"""Shared fixtures, product oracles and the acceptance summary hook."""
+
+import math
 
 import numpy as np
 import pytest
@@ -86,6 +88,56 @@ def ref_matmul(A, B):
             out[..., i, k].real = rr - ii
             out[..., i, k].imag = ri + ir
     return out
+
+
+def renorm_row_oracle(r):
+    """One 2x2 scaled by 2**s, s = 1 - e with e the frexp exponent of its
+    largest |re| or |im|, and s; s = 0 when that part is inf or NaN."""
+    m = float(np.max(np.abs([r.real, r.imag])))  # NaN propagates
+    s = 1 - math.frexp(m)[1] if math.isfinite(m) else 0
+    if np.iscomplexobj(r):
+        return np.ldexp(r.real, s) + 1j * np.ldexp(r.imag, s), s
+    return np.ldexp(r, s), s
+
+
+def doubling_oracle(factors):
+    """mat2's doubling tables and table fold over one list of factors,
+    one 2x2 at a time through ref_matmul and renorm_row_oracle.
+
+    Returns row(p, n, start=None) -> (P, e): the product factors[p + n -
+    1] @ ... @ factors[p] @ start (start the identity by default) is P *
+    2**e.  Entry (k, t), the product of factors[t : t + 2**k], is the
+    renormalized factor for k = 0 and the renormalized product of entries
+    (k - 1, t + 2**(k - 1)) and (k - 1, t) above, with their exponents
+    summed; a row left-multiplies, for each set bit 2**k of n in
+    ascending order, the entry (k, p + the lower bits of n), renormalizing
+    after each.  Entries are computed once per call of doubling_oracle,
+    since each depends on nothing but its span of factors."""
+    memo = {}
+
+    def entry(k, t):
+        if (k, t) not in memo:
+            if k == 0:
+                T, s = renorm_row_oracle(np.asarray(factors[t]))
+                memo[k, t] = T, -s
+            else:
+                h = 1 << (k - 1)
+                (A, ea), (B, eb) = entry(k - 1, t + h), entry(k - 1, t)
+                T, s = renorm_row_oracle(ref_matmul(A, B))
+                memo[k, t] = T, ea + eb - s
+        return memo[k, t]
+
+    def row(p, n, start=None):
+        P = np.eye(2, dtype=np.asarray(factors[0]).dtype) if start is None else start
+        e = 0
+        for k in range(int(n).bit_length()):
+            if n >> k & 1:
+                T, E = entry(k, p + (n & ((1 << k) - 1)))
+                P, s = renorm_row_oracle(ref_matmul(T, P))
+                e += E - s
+        return P, e
+
+    return row
 
 
 def random_matseq(rng, n=40, j_lo=0, scale=1.0):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matseq, random_operator, ref_matmul
+from conftest import doubling_oracle, random_matseq, random_operator, ref_matmul
 
 from domsplit import (
     JacobiOperator,
@@ -385,39 +385,28 @@ def test_failed_certificate_roundtrips():
 # ------------------------------------------------------ one product sweep
 
 
-def _renorm_oracle(P):
-    """Each complex 2x2 scaled by 2**(1 - e), e the frexp exponent of its
-    largest |re| or |im|; a row with a NaN part as it is."""
-    m = np.max(np.abs(np.stack([P.real, P.imag])), axis=(0, 2, 3))
-    s = np.where(np.isfinite(m), 1 - np.frexp(m)[1], 0)[:, None, None]
-    out = np.empty_like(P)
-    out.real, out.imag = np.ldexp(P.real, s), np.ldexp(P.imag, s)
-    return out
+def _padded(vals, js, bu, bs, lo):
+    """vals with the end factors repeated as far as the rows of sites js
+    with burns bu (into the past) and bs (into the future) reach, and the
+    index of the padded vals' first factor."""
+    below = max(0, lo - int(np.min(js - bu)))
+    above = max(0, int(np.max(js + bs)) - lo - len(vals))
+    vals = np.concatenate((np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0)))
+    return vals, lo - below
 
 
-def masked_field_products(vals, js, bu, bs, lo):
-    """Reference per-site products: every site from the identity, through
-    a masked loop over clipped factor indices, every row renormalized
-    after every step, whether it multiplied or not (the scaling is exact,
-    so a second pass changes nothing).  window_products must match it
-    bit for bit, resumed or sliced."""
-    n = len(js)
-    U = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-    S = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-    top = int(max(bu.max(), bs.max()))
-    last = len(vals) - 1
-    for t in range(top):
-        au = t < bu
-        if np.any(au):
-            idx = np.clip(js - 1 - t - lo, 0, last)
-            U = np.where(au[:, None, None], ref_matmul(U, vals[idx]), U)
-            U = _renorm_oracle(U)
-        asel = t < bs
-        if np.any(asel):
-            idx = np.clip(js + t - lo, 0, last)
-            S = np.where(asel[:, None, None], ref_matmul(vals[idx], S), S)
-            S = _renorm_oracle(S)
-    return U, S
+def doubling_field_products(vals, js, bu, bs, lo):
+    """Reference per-site products, one site and one 2x2 at a time in
+    doubling order (doubling_oracle): S of site j the product of the bs
+    factors from j, U that of the bu factors below j, right-multiplied,
+    as the transpose of the left product of their transposes.  A product
+    that runs past the window repeats the end factor there."""
+    vals, lo = _padded(vals, js, bu, bs, lo)
+    forward = doubling_oracle(vals)
+    backward = doubling_oracle(vals[::-1].transpose(0, 2, 1))
+    U = [backward(len(vals) - (j - lo), b)[0].T for j, b in zip(js.tolist(), bu.tolist())]
+    S = [forward(j - lo, b)[0] for j, b in zip(js.tolist(), bs.tolist())]
+    return np.array(U), np.array(S)
 
 
 def cut_burns(seq, js, bu, bs):
@@ -440,24 +429,18 @@ def cut_burns(seq, js, bu, bs):
     return cu, cs, stop_u, stop_s
 
 
-def window_heads(vals, js, bu, bs, lo, start=None):
+def window_products(vals, js, bu, bs, lo, first=()):
     """certifier._window_products for one window whose factor vals[0]
     sits at lo, at sites js (absolute indices), as a one-window _Batch:
-    the heads H and the sites' map idx, which a later call resumes as
-    start=(H, idx, t0).  A product that runs past the window repeats the
-    end factor there, as the clipped indices of masked_field_products
-    do."""
-    below = max(0, lo - int(np.min(js - bu)))
-    above = max(0, int(np.max(js + bs)) - lo - len(vals))
-    vals = np.concatenate((np.repeat(vals[:1], below, 0), vals, np.repeat(vals[-1:], above, 0)))
-    lo -= below
+    the per-site products U and S.  The batch first runs the products of
+    each pair of shorter burns in first, which build part of its tables.
+    A product that runs past the window repeats the end factor there, as
+    doubling_field_products does."""
+    vals, lo = _padded(vals, js, bu, bs, lo)
     batch = certifier._Batch([MatSequence(lo, vals)], [vals])
-    return certifier._window_products(batch, [(0, js - lo, bu, bs, start)])
-
-
-def window_products(vals, js, bu, bs, lo, start=None):
-    """The per-site products U and S of window_heads."""
-    return heads_products(*window_heads(vals, js, bu, bs, lo, start))
+    for fu, fs in first:
+        certifier._window_products(batch, [(0, js - lo, fu, fs)])
+    return heads_products(*certifier._window_products(batch, [(0, js - lo, bu, bs)]))
 
 
 def heads_products(H, idx):
@@ -468,13 +451,13 @@ def heads_products(H, idx):
 
 def site_directions(seq, js, bu, bs, vals=None):
     """certifier._directions for one window's sites js (absolute indices),
-    sweeping vals (by default the window's _sweep_values): the products
-    U, S and the rows (u, s), or the exception that ends the window."""
+    sweeping vals (by default the window's _sweep_values): the rows (u,
+    s), or the exception that ends the window."""
     batch = certifier._Batch([seq], None if vals is None else [vals])
-    H, ((idx, d),) = certifier._directions(batch, [(0, js, bu, bs, None)])
+    ((d),) = certifier._directions(batch, [(0, js, bu, bs)])
     if isinstance(d, Exception):
         raise d
-    return (*heads_products(H, idx), d[:2])
+    return d[:2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -499,7 +482,7 @@ def test_field_products_match_the_masked_sweep(n, seed, offset, m, bu0, bs0, uni
     else:
         bu, bs = rng.integers(1, bu0 + 1, m), rng.integers(1, bs0 + 1, m)
     U, S = window_products(vals, js, bu, bs, lo)
-    U_ref, S_ref = masked_field_products(vals, js, bu, bs, lo)
+    U_ref, S_ref = doubling_field_products(vals, js, bu, bs, lo)
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
 
 
@@ -552,16 +535,21 @@ def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
     ladder = sorted(
         data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=6))
     )
-    batch, last = certifier._Batch([seq]), None
+    # the rungs of a ladder on one batch, whose tables the earlier rungs
+    # built: each is the field of its burn computed alone
+    batch = certifier._Batch([seq])
     for b in ladder:
-        fld, _, last = certifier._one(certifier._core_fields(batch, [(0, b, last)]))
+        fld, _ = certifier._one(certifier._core_fields(batch, [(0, b)]))
+        fresh = power_directions(seq, b)
+        assert (fld.j_first, fld.burn) == (fresh.j_first, b)
+        assert fld.u.tobytes() == fresh.u.tobytes() and fld.s.tobytes() == fresh.s.tobytes()
         js = np.arange(lo + b, hi + 2 - b)
         full = np.full(len(js), b)
         # the products stop at the first singular factor on either side
         cu, cs, _, _ = cut_burns(seq, js, full, full)
-        U, S = masked_field_products(seq.values, js, cu, cs, lo)
-        assert np.array_equal(heads_products(*last[1:]), (U, S))
-        _, _, (u, s) = site_directions(seq, js, full, full)
+        U, S = doubling_field_products(seq.values, js, cu, cs, lo)
+        assert np.array_equal(window_products(seq.values, js, cu, cs, lo), (U, S))
+        u, s = site_directions(seq, js, full, full)
         assert fld.j_first == js[0]
         assert np.array_equal(fld.u, u) and np.array_equal(fld.s, s)
 
@@ -588,8 +576,9 @@ def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singula
     bu = np.minimum(burn, js - lo)
     bs = np.minimum(burn, hi + 1 - js)
     cu, cs, _, _ = cut_burns(seq, js, bu, bs)
-    U_ref, S_ref = masked_field_products(seq.values, js, cu, cs, lo)
-    U, S, (u, s) = site_directions(seq, js, bu, bs)
+    U_ref, S_ref = doubling_field_products(seq.values, js, cu, cs, lo)
+    U, S = window_products(seq.values, js, cu, cs, lo)
+    u, s = site_directions(seq, js, bu, bs)
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
     assert ext.j_first == lo + 1
     assert np.array_equal(ext.u, u) and np.array_equal(ext.s, s)
@@ -641,13 +630,13 @@ def test_real_sweep_equals_the_complex_sweep(n, seed, kind, burn, extend):
     vals = certifier._sweep_values(seq)
     assert vals.dtype == np.float64
     U, S = window_products(vals, js, bu, bs, lo)
-    U_ref, S_ref = masked_field_products(seq.values, js, bu, bs, lo)
+    U_ref, S_ref = doubling_field_products(seq.values, js, bu, bs, lo)
     assert U.dtype == np.float64
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
     # and the directions, those pinned at singular factors included, are
     # those of the complex sweep bit for bit
-    _, _, (u, s) = site_directions(seq, js, bu, bs)
-    _, _, (u_ref, s_ref) = site_directions(seq, js, bu, bs, seq.values)
+    u, s = site_directions(seq, js, bu, bs)
+    u_ref, s_ref = site_directions(seq, js, bu, bs, seq.values)
     assert u.tobytes() == u_ref.tobytes() and s.tobytes() == s_ref.tobytes()
 
 
@@ -702,8 +691,19 @@ from domsplit import certifier, mat2
 rng = np.random.default_rng(97)
 vals = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
 vals *= rng.uniform(0.1, 10.0, (300, 1, 1))
-Q, exps, at = mat2._block_products(vals, np.arange(260), 40)
+tables = mat2._Tables(vals)
+Q, exps, at = mat2._block_products(tables, np.arange(260), 40)
 out = Q[at].tobytes() + exps[at].tobytes()
+# the doubling tables, blocks of every length up to 40 read off them, and
+# the field products of a batch of the window
+out += b"".join(T.tobytes() + E.tobytes() for T, E in map(tables.level, range(6)))
+Q, exps, at = mat2._block_products(tables, np.arange(260), np.arange(260) % 41)
+out += Q[at].tobytes() + exps[at].tobytes()
+H, idx = certifier._window_products(
+    certifier._Batch([mat2.MatSequence(0, vals)]),
+    [(0, np.arange(40, 260), np.arange(220) % 40 + 1, np.full(220, 40))],
+)
+out += H.tobytes() + idx.tobytes()
 # domination margins of one-site fields whose frames come straight from
 # rng (unit rows would read numpy's complex modulus), at block lengths
 # up to 64
@@ -783,21 +783,39 @@ def test_floor_curve_equals_norm_floor(free_seq, which):
         assert cert.norm_floor_value == norm_floor(seq, cert.N)
 
 
-def test_certify_builds_each_field_once(free_op, monkeypatch):
-    calls, floors, steps = [], [], [0]
-    orig_products, orig_steps = certifier._window_products, mat2._sweep_steps
+def count_table_work(monkeypatch):
+    """Patch mat2 to count table work: returns (tables, muls), tables the
+    _Tables the certifier makes (whose levels are the levels built) and
+    muls a one-item list counting the _mul calls of table folds (those
+    _row_sweep makes)."""
+    tables, muls = [], [0]
+    orig_mul, orig_tables = mat2._mul, mat2._Tables
 
-    def counting_steps(*args):
-        for P in orig_steps(*args):
-            steps[0] += 1
-            yield P
+    def counting_mul(*args, **kw):
+        if sys._getframe(1).f_code.co_name == "_row_sweep":
+            muls[0] += 1
+        return orig_mul(*args, **kw)
+
+    class Recorded(orig_tables):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            tables.append(self)
+
+    monkeypatch.setattr(mat2, "_mul", counting_mul)
+    monkeypatch.setattr(certifier, "_Tables", Recorded)
+    return tables, muls
+
+
+def test_certify_builds_each_field_once(free_op, monkeypatch):
+    calls, floors = [], []
+    tables, muls = count_table_work(monkeypatch)
+    orig_products = certifier._window_products
 
     def counting_products(batch, jobs):
-        ((_, sites, bu, bs, start),) = jobs  # one window, one job
-        t0 = 0 if start is None else start[2]
-        before = steps[0]
+        ((_, sites, bu, bs),) = jobs  # one window, one job
+        before = muls[0]
         out = orig_products(batch, jobs)
-        calls.append((len(sites), t0, int(bu.max()), int(bs.max()), steps[0] - before))
+        calls.append((len(sites), int(bu.max()), int(bs.max()), muls[0] - before))
         return out
 
     def counting_floor(seq, n):
@@ -805,7 +823,6 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
         return orig_floor(seq, n)
 
     orig_floor = mat2.norm_floor_curve
-    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
     monkeypatch.setattr(certifier, "_window_products", counting_products)
     # the floors at every N come from the batch's one floor sweep
     monkeypatch.setattr(mat2, "norm_floor_curve", counting_floor)
@@ -813,18 +830,20 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
     cert = certify_operator(free_op, 3.0)
     assert cert.N == 1 and len(calls) >= 3
     *core, ends = calls
-    # each burn on the ladder resumes the previous one's products, so the
-    # factor steps on either side add up to the chosen burn
-    burns = [bu for _, _, bu, _, _ in core]
-    assert [t0 for _, t0, _, _, _ in core] == [0] + burns[:-1]
-    assert all(bu == bs for _, _, bu, bs, _ in core)
-    assert sum(bu - t0 for _, t0, bu, _, _ in core) == cert.burn
+    # each burn on the ladder is computed once, afresh from the batch's
+    # tables: at most one table _mul per bit of the burn, the rows that
+    # stopped at the singular first factor included
+    burns = [bu for _, bu, _, _ in core]
+    assert len(set(burns)) == len(burns) and burns[-1] == cert.burn
+    assert all(bu == bs for _, bu, bs, _ in core)
     assert [rows for rows, *_ in core] == [len(free_op) + 1 - 2 * b for b in burns]
-    # and so does every row that stopped at the singular first factor:
-    # each rung sweeps exactly its burn - t0 steps
-    assert all(n == bu - t0 for _, t0, bu, _, n in core)
-    # then only the 2 (burn - 1) end sites of the extended field, from scratch
-    assert ends == (2 * (cert.burn - 1), 0, cert.burn, cert.burn, cert.burn)
+    assert all(0 < n <= bu.bit_length() for _, bu, _, n in core)
+    # then only the 2 (burn - 1) end sites of the extended field
+    assert ends[:3] == (2 * (cert.burn - 1), cert.burn, cert.burn)
+    assert 0 < ends[3] <= cert.burn.bit_length()
+    # one batch, whose tables hold at most one level per bit of the burn cap
+    b_cap = (len(free_op) - 1) // 2
+    assert len(tables) == 1 and 0 < len(tables[0].levels) <= b_cap.bit_length()
     assert floors == []
 
 
@@ -847,9 +866,9 @@ def test_nan_norm_floor_raises_instead_of_failing(free_op, monkeypatch):
         certify_operator(free_op, 3.0)
 
 
-SCALED = [((3.0, 0.5), 200, c) for c in (1e50, 1e100, 1e150)] + [((1.2, 1.0), 200, 1e80)] + [
-    ((1.03, 1.0), 300, c) for c in (1e-80, 1e-20, 1e20, 1e80)
-]
+SCALED = [((3.0, 0.5), 200, c) for c in (1e50, 1e100, 1e150, 1e-170, 1e-300, 1e300)] + [
+    ((1.2, 1.0), 200, 1e80)
+] + [((1.03, 1.0), 300, c) for c in (1e-80, 1e-20, 1e20, 1e80, 1e-300, 1e300)]
 
 
 @pytest.mark.parametrize(
@@ -885,6 +904,26 @@ def test_scaled_window_certifies_as_the_unscaled_one(diag, n, c):
         assert one.verdict == "marginal" and one.N == 24
 
 
+@pytest.mark.parametrize("c", [1e-170, 1e-300, 1e170, 1e300])
+def test_scaled_hyperbolic_window_has_no_singular_factor(c):
+    # the determinant of [[2.5, -1], [1, 0]] is 1, and times 1e-170 its
+    # det2 underflows to 0; read off the factors renormalized by powers
+    # of two it does not, so no factor counts as exactly singular, and
+    # the window certifies as at scale 1, epsilon scaled by c
+    def cert_at(scale):
+        seq = MatSequence(0, np.repeat((scale * np.array([[2.5, -1.0], [1.0, 0.0]]))[None], 200,
+                                       axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return seq, certify(seq)
+
+    (_, one), (seq, cert) = cert_at(1.0), cert_at(c)
+    assert certifier._Batch([seq]).zeros[0].size == 0
+    assert (cert.verdict, cert.N, cert.conditions) == (one.verdict, one.N, one.conditions)
+    assert one.verdict == "verified" and one.N == 1
+    assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-15, abs=0.0)
+
+
 def test_override_products_stay_finite_far_from_the_spectrum(free_op):
     # the zero extension makes the first factor singular, and at E = 1e8
     # the products from it grow like 1e8**n; renormalized, they stay
@@ -892,10 +931,13 @@ def test_override_products_stay_finite_far_from_the_spectrum(free_op):
     with np.errstate(all="ignore"):
         cert = certify_operator(free_op, 1e8)
     assert cert.verdict == "verified" and cert.N == 1
-    # at E = 1e160 the squared factor entries overflow; the invariance
-    # check then raises instead of failing every site as dead
-    with np.errstate(all="ignore"), pytest.raises(InternalInconsistency, match="overflow"):
-        certify_operator(free_op, 1e160)
+    # at E = 1e160 the squares of the factor entries would overflow; the
+    # invariance check reads the factors scaled by powers of two, so it
+    # passes there too, and no step warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = certify_operator(free_op, 1e160)
+    assert cert.verdict == "verified" and cert.N == 1 and cert.conditions[1]
 
 
 def test_infinite_domination_margin_is_legal():
@@ -905,12 +947,25 @@ def test_infinite_domination_margin_is_legal():
     assert dom.ok and dom.margin == np.inf
 
 
+def column_norm(P, k):
+    """The 2-norm of column k of one 2x2 in Python floats: its real and
+    imaginary parts scaled by 2**-x, x the frexp exponent of the largest
+    of their moduli, sqrt of the sum of their squares, entry by entry,
+    scaled back by 2**x (NaN where a part is NaN)."""
+    parts = [P[0, k].real, P[0, k].imag, P[1, k].real, P[1, k].imag]
+    if any(map(math.isnan, parts)):
+        return math.nan
+    x = math.frexp(max(map(abs, parts)))[1]
+    a, b, c, d = (math.ldexp(p, -x) for p in parts)
+    return math.ldexp(math.sqrt((a * a + b * b) + (c * c + d * d)), x)
+
+
 def domination_oracle(seq, fld, n_max=64, factor=2.0):
     """verify_domination site by site, as (ok, N, margin, tried): each
     frame [u(j) s(j)] is multiplied by one factor per step with
-    mat2._mul, and the growth ratio is the quotient of its column norms,
-    each math.hypot of the real and imaginary parts; a dead u image
-    gives the ratio 0, a dead s image (with a live u) inf."""
+    mat2._mul, and the growth ratio is the quotient of its column norms
+    (column_norm); a dead u image gives the ratio 0, a dead s image
+    (with a live u) inf."""
     lo, hi = seq.window
     frames = [np.stack([u, s], axis=-1)[None] for u, s in zip(fld.u, fld.s)]
     best, tried = (-math.inf, 0), 0
@@ -922,8 +977,7 @@ def domination_oracle(seq, fld, n_max=64, factor=2.0):
         for i in active:
             frames[i] = mat2._mul(seq.values[fld.j_first + i + N - 1 - lo][None], frames[i])
             P = frames[i][0]
-            nu, ns = (math.hypot(P[0, k].real, P[0, k].imag, P[1, k].real, P[1, k].imag)
-                      for k in (0, 1))
+            nu, ns = column_norm(P, 0), column_norm(P, 1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios.append(0.0 if nu == 0.0 else float(np.float64(nu) / ns))
         worst = math.nan if any(map(math.isnan, ratios)) else min(ratios)
@@ -1048,10 +1102,10 @@ def test_floor_at_n_beyond_the_curve_comes_from_the_sweep():
 
 
 def range_direction(P, side="expanding"):
-    """The larger column of one 2x2 over its 2-norm (math.hypot of the
-    real and imaginary parts, the first column on a tie): the scalar
-    oracle of the batched rank-1 rule."""
-    norms = [math.hypot(P[0, k].real, P[0, k].imag, P[1, k].real, P[1, k].imag) for k in (0, 1)]
+    """The larger column of one 2x2 over its 2-norm (column_norm, the
+    first column on a tie): the scalar oracle of the batched rank-1
+    rule."""
+    norms = [column_norm(P, 0), column_norm(P, 1)]
     k = 0 if norms[0] >= norms[1] else 1
     if norms[k] == 0.0:
         raise DegenerateCocycle(f"zero product pins no {side} direction")
@@ -1077,7 +1131,7 @@ def per_site_overrides(seq, js, bu, bs, U, u_vecs, s_vecs):
 
 def per_site_directions(seq, js, bu, bs):
     cu, cs, _, _ = cut_burns(seq, js, bu, bs)
-    U, S = masked_field_products(seq.values, js, cu, cs, seq.j_lo)
+    U, S = doubling_field_products(seq.values, js, cu, cs, seq.j_lo)
     u = mat2.sv_left_vectors(U.astype(complex))
     s = certifier._perp_rows(mat2.sv_right_vectors(S.astype(complex)))
     per_site_overrides(seq, js, bu, bs, U, u, s)
@@ -1129,7 +1183,7 @@ def test_batched_overrides_are_bitwise_the_per_site_loop(
         bu = bs = np.full(len(js), burn)
     if len(js) == 0:
         return
-    got = _directions_outcome(lambda: site_directions(seq, js, bu, bs)[2])
+    got = _directions_outcome(site_directions, seq, js, bu, bs)
     assert got == _directions_outcome(per_site_directions, seq, js, bu, bs)
 
 
@@ -1163,10 +1217,10 @@ def test_cut_burns_are_the_per_site_loop(n, seed, n_sing, burn):
     complex_vals=st.booleans(),
     pattern=st.sampled_from(["ends", "random", "steps", "gappy"]),
     burn=st.integers(1, 40),
-    resume=st.booleans(),
+    warm=st.booleans(),
 )
 def test_prefix_sweep_is_bitwise_the_masked_sweep(
-    n, seed, complex_vals, pattern, burn, resume
+    n, seed, complex_vals, pattern, burn, warm
 ):
     # rows finish at different steps, on both sides, in any site order
     rng = np.random.default_rng(seed)
@@ -1187,14 +1241,14 @@ def test_prefix_sweep_is_bitwise_the_masked_sweep(
         else:
             bu = np.repeat(rng.integers(1, burn + 1, 3), n)[:n]
             bs = bu[::-1].copy()
-    start = None
-    if resume:
+    # a batch whose tables a sweep of shorter burns built in part gives
+    # the same products
+    first = []
+    if warm:
         t0 = int(rng.integers(0, min(bu.max(), bs.max()) + 1))
-        start = window_heads(
-            vals, js, np.minimum(bu, t0), np.minimum(bs, t0), lo
-        ) + (t0,)
-    U, S = window_products(vals, js, bu, bs, lo, start)
-    U_ref, S_ref = masked_field_products(vals, js, bu, bs, lo)
+        first.append((np.minimum(bu, t0), np.minimum(bs, t0)))
+    U, S = window_products(vals, js, bu, bs, lo, first)
+    U_ref, S_ref = doubling_field_products(vals, js, bu, bs, lo)
     assert U.dtype == vals.dtype
     if complex_vals:
         assert U.tobytes() == U_ref.tobytes() and S.tobytes() == S_ref.tobytes()
@@ -1270,8 +1324,8 @@ def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, len
         assert floors == mat2.norm_floor_curve(seq, n_max)
     length = min(length, n)
     starts = np.arange(0, n - length + 1)
-    P, exps, at = mat2._block_products(mat2._sweep_values(seq), starts, length)
-    Pc, exps_c, at_c = mat2._block_products(seq.values, starts, length)
+    P, exps, at = mat2._block_products(mat2._Tables(mat2._sweep_values(seq)), starts, length)
+    Pc, exps_c, at_c = mat2._block_products(mat2._Tables(seq.values), starts, length)
     assert P.dtype == np.float64
     assert np.array_equal(P[at], Pc[at_c]) and exps[at].tobytes() == exps_c[at_c].tobytes()
 
@@ -1291,7 +1345,7 @@ def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
             continue
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
-        Q, exps, at = mat2._block_products(seq.values, js - lo, n_blk)
+        Q, exps, at = mat2._block_products(mat2._Tables(seq.values), js - lo, n_blk)
         P, exps = Q[at], exps[at]
         Lam = ref_matmul(ref_matmul(Dinv[k + n_blk], P), D[k])
         # the least |Lam[:, 0, 0]| of the unscaled products, one at a time
@@ -1365,7 +1419,8 @@ def _batch_window(rng, kind, n, factors="random"):
         vals[len(vals) // 2] = 0.0
         return MatSequence(int(rng.integers(-9, 9)), vals)
     if kind == "overflow":
-        # the squared factor norms overflow in the invariance check
+        # the squared factor entries would overflow in the invariance
+        # check, which reads the factors scaled by powers of two
         return MatSequence(0, np.repeat((1e160 * np.diag([3.0, 0.5]))[None], 200, axis=0))
     if kind in ("real_jacobi", "complex_jacobi"):
         a = (0.5 + rng.random(n)) * rng.choice([-1.0, 1.0], n)
@@ -1464,99 +1519,100 @@ def test_batched_core_fields_own_their_arrays(free_op, mod5_op):
 
 
 def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
-    # K windows with equal burns make as many ladder sweep steps as one
-    # window does, and one _block_products call for all growth ratios; a
-    # silent fallback to a loop over windows would multiply both by K
+    # K windows with equal burns make as many table _mul calls per rung as
+    # one window does, at most one per bit of the rung's burn, on one
+    # batch's tables, and one _block_products call for all growth ratios;
+    # a silent fallback to a loop over windows would multiply both by K
     seq = MatSequence(0, np.repeat(np.array([[[3.0, -1.0], [1.0, 0.0]]]), 200, axis=0))
-    counts = {}
-    where = []
-    orig_steps, orig_blocks = mat2._sweep_steps, certifier._block_products
+    tables, muls = count_table_work(monkeypatch)
+    rungs, blocks = [], [0]
+    orig_core, orig_ratios, orig_blocks = (
+        certifier._core_fields, certifier._ratio_estimates, certifier._block_products
+    )
 
-    def counting_steps(*args):
-        for P in orig_steps(*args):
-            counts[tuple(where)] = counts.get(tuple(where), 0) + 1
-            yield P
+    def core(batch, jobs):
+        before = muls[0]
+        out = orig_core(batch, jobs)
+        rungs.append((sorted({b for _, b in jobs}), len(jobs), muls[0] - before))
+        return out
+
+    def ratios(batch, ws):
+        monkeypatch.setattr(certifier, "_block_products", counting_blocks)
+        try:
+            return orig_ratios(batch, ws)
+        finally:
+            monkeypatch.setattr(certifier, "_block_products", orig_blocks)
 
     def counting_blocks(*args):
-        counts["blocks", tuple(where)] = counts.get(("blocks", tuple(where)), 0) + 1
+        blocks[0] += 1
         return orig_blocks(*args)
 
-    def inside(name):
-        orig = getattr(certifier, name)
-
-        def run(*args):
-            where.append(name)
-            try:
-                return orig(*args)
-            finally:
-                where.pop()
-
-        monkeypatch.setattr(certifier, name, run)
-
-    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
-    monkeypatch.setattr(certifier, "_block_products", counting_blocks)
-    inside("_core_fields")
-    inside("_ratio_estimates")
+    monkeypatch.setattr(certifier, "_core_fields", core)
+    monkeypatch.setattr(certifier, "_ratio_estimates", ratios)
     one = certify(seq)
-    alone = dict(counts)
-    counts.clear()
+    alone, rungs[:] = rungs[:], []
     many = certifier.certify_many([seq] * 5)
     assert all(json.dumps(c.to_json()) == json.dumps(one.to_json()) for c in many)
-    assert one.burn >= 40 and counts[("_core_fields",)] == alone[("_core_fields",)] == one.burn
-    assert counts["blocks", ("_ratio_estimates",)] == alone["blocks", ("_ratio_estimates",)] == 1
+    assert one.burn >= 40 and alone[-1][0] == [one.burn]
+    assert all(len(b) == 1 and 0 < n <= b[0].bit_length() for b, _, n in alone)
+    assert [(b, n) for b, _, n in rungs] == [(b, n) for b, _, n in alone]
+    assert all(k == 5 for _, k, _ in rungs)
+    assert len(tables) == 2 and all(0 < len(t.levels) <= (199 // 2).bit_length() for t in tables)
+    assert blocks[0] == 2
 
 
 def _core_sweep_rows(seqs, monkeypatch):
-    """For each window of seqs, (burn, rows passed to mat2._sweep_steps)
-    for each core field product sweep of certify on it."""
-    seen, burns = [], []
-    orig_steps = mat2._sweep_steps
+    """For each window of seqs, the table levels certify on it builds and
+    (burn, class heads, table _mul calls) for each of its core field
+    product sweeps."""
+    seen, inside = [], []
+    tables, muls = count_table_work(monkeypatch)
     orig_core, orig_products = certifier._core_fields, certifier._window_products
 
-    def counting_steps(P, *args):
-        if burns and burns[-1] is not None:
-            seen.append((burns[-1], len(P)))
-        return orig_steps(P, *args)
-
     def core(batch, jobs):
-        burns.append(None)
+        inside.append(True)
         try:
             return orig_core(batch, jobs)
         finally:
-            burns.pop()
+            inside.pop()
 
     def products(batch, jobs):
-        ((_, _, bu, _, _),) = jobs  # the core field sweep of one window
-        burns.append(int(bu.max()) if burns else None)
-        try:
-            return orig_products(batch, jobs)
-        finally:
-            burns.pop()
+        ((_, _, bu, _),) = jobs  # the sweep of one window
+        before = muls[0]
+        H, idx = orig_products(batch, jobs)
+        if inside:
+            seen.append((int(bu.max()), len(H), muls[0] - before))
+        return H, idx
 
-    monkeypatch.setattr(mat2, "_sweep_steps", counting_steps)
     monkeypatch.setattr(certifier, "_core_fields", core)
     monkeypatch.setattr(certifier, "_window_products", products)
     out = []
     for seq in seqs:
         certify(seq)
-        out.append(seen[:])
+        (t,) = tables
+        out.append((len(t.levels), seen[:]))
         seen.clear()
+        tables.clear()
     return out
 
 
 def test_periodic_windows_share_their_core_rows(monkeypatch):
     free = JacobiOperator(j_lo=-300, a=np.ones(600, dtype=complex), b=np.zeros(600))
     op = random_operator(np.random.default_rng(7), n=120)
-    periodic, plain = _core_sweep_rows(
+    (levels_p, periodic), (levels, plain) = _core_sweep_rows(
         [cocycle_map(free, 3.0), cocycle_map(op, 0.4 + 0.3j)], monkeypatch
     )
     # every interior factor of the free chain is the same, so each side of
     # a core field sweeps a few rows and copies the rest
-    assert len(periodic) >= 2 and all(rows <= 2 * 4 for _, rows in periodic)
+    assert len(periodic) >= 2 and all(rows <= 2 * 4 for _, rows, _ in periodic)
     # factors that do not repeat are swept row by row, both sides of
     # every core site
     assert len(plain) >= 2
-    assert all(rows == 2 * (len(op) + 1 - 2 * burn) for burn, rows in plain)
+    assert all(rows == 2 * (len(op) + 1 - 2 * burn) for burn, rows, _ in plain)
+    # either way a rung takes at most one table _mul per bit of its burn,
+    # and a window's tables at most one level per bit of its burn cap
+    assert all(0 < n <= burn.bit_length() for burn, _, n in periodic + plain)
+    assert 0 < levels_p <= (599 // 2).bit_length() and 0 < levels <= (119 // 2).bit_length()
 
 
 def test_a_signed_zero_breaks_a_repeat():
@@ -1595,11 +1651,20 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     steps = np.minimum(steps, 2 * n - base)
     starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
     cls = (rng.random(len(base)) < 0.2).astype(np.intp)
-    Q, e, at = mat2._row_sweep(starts, cls, batch.slab, base, steps, batch.repeats)
-    Q1, e1, at1 = mat2._row_sweep(starts, cls, batch.slab, base, steps)
+    # tables over the whole slab, which rows across its two halves read
+    plain = mat2._Tables(batch.tables.slab)
+    Q, e, at = mat2._row_sweep(starts, cls, plain, base, steps, batch.repeats)
+    Q1, e1, at1 = mat2._row_sweep(starts, cls, plain, base, steps)
     assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
     # every row is its own head without the repeats
     assert len(Q1) == len(base)
+    # the batch's tables, built over the first half, give the same rows
+    # inside either half, where the certifier's rows lie
+    inside = (base >= n) | (base + steps <= n)
+    Q2, e2, at2 = mat2._row_sweep(starts, cls[inside], batch.tables, base[inside], steps[inside],
+                                  batch.repeats)
+    assert Q2[at2].tobytes() == Q1[at1[inside]].tobytes()
+    assert e2[at2].tobytes() == e1[at1[inside]].tobytes()
 
 
 def _certify_many_outcome(seqs, kw):

@@ -24,6 +24,7 @@ from domsplit.harness import (
     perturbation_experiment,
     trial_rng,
 )
+from domsplit import certifier
 from domsplit.certifier import InternalInconsistency
 from domsplit.mat2 import op_norm
 
@@ -275,11 +276,19 @@ def test_scan_spectrum_error_propagates(free_op, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_chunk_error_propagates(free_op, jobs):
-    # at E = 1e160 the squared factor norms of the invariance check
-    # overflow, and certify raises InternalInconsistency; that error is
-    # not a DegenerateCocycle row, and the scan raises it whether or not
-    # its chunk runs first
-    Es = [3.0, 2.5, 1e160, -3.0, 3.5]
-    with np.errstate(over="ignore"), pytest.raises(InternalInconsistency, match="overflow"):
+def test_scan_chunk_error_propagates(free_op, jobs, monkeypatch):
+    # a NaN invariance residual at E = 7 (the free chain's factors hold E
+    # at (0, 0)) makes certify raise InternalInconsistency there; that
+    # error is not a DegenerateCocycle row, and the scan raises it whether
+    # or not its chunk runs first.  The pool's workers are forked from
+    # this process, patched stage included.
+    orig = certifier.verify_invariance
+
+    def nan_at_seven(seq, fld, threshold):
+        ok, res = orig(seq, fld, threshold)
+        return (False, math.nan) if seq.values[0, 0, 0].real == 7.0 else (ok, res)
+
+    monkeypatch.setattr(certifier, "verify_invariance", nan_at_seven)
+    Es = [3.0, 2.5, 7.0, -3.0, 3.5]
+    with pytest.raises(InternalInconsistency, match="invariance residual is nan"):
         johnson_scan(free_op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)

@@ -15,6 +15,7 @@ from domsplit.mat2 import (
     _ldexp,
     _mul,
     _plane_major,
+    _Tables,
     backward_product,
     det2,
     inv2,
@@ -28,7 +29,7 @@ from domsplit.mat2 import (
     sweep,
 )
 
-from conftest import random_matseq, ref_matmul
+from conftest import doubling_oracle, random_matseq, ref_matmul, renorm_row_oracle
 
 
 def test_matsequence_indexing():
@@ -268,16 +269,6 @@ def test_sup_bound_is_finite_where_the_squares_overflow():
 # ------------------------------------------------------------ product sweep
 
 
-def renorm_row_oracle(r):
-    """One 2x2 scaled by 2**s, s = 1 - e with e the frexp exponent of its
-    largest |re| or |im|, and s; s = 0 when that part is inf or NaN."""
-    m = float(np.max(np.abs([r.real, r.imag])))  # NaN propagates
-    s = 1 - math.frexp(m)[1] if math.isfinite(m) else 0
-    if np.iscomplexobj(r):
-        return np.ldexp(r.real, s) + 1j * np.ldexp(r.imag, s), s
-    return np.ldexp(r, s), s
-
-
 def sweep_rows_oracle(P, steps, left, renorm):
     """sweep as a loop over each row by itself, one 2x2 at a time: a row
     is renormalized after each step that multiplies it, and its exponent
@@ -417,8 +408,8 @@ def test_sweep_does_not_write_into_its_input(first_full):
     rng = np.random.default_rng(33)
     U = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
     keep = U.copy()
-    # a resumed ladder passes a view of the previous rung's products, and
-    # a first step over all or part of the rows must not land in it
+    # a caller may pass a view of products it keeps, and a first step
+    # over all or part of the rows must not land in it
     lengths = (16, 10, 16, 3) if first_full else (10, 16, 16, 3)
     steps = [rng.standard_normal((k, 2, 2)) for k in lengths]
     out, _ = sweep(U[2:-2], steps)
@@ -428,17 +419,13 @@ def test_sweep_does_not_write_into_its_input(first_full):
 
 
 def cocycle_product_oracle(seq, j, n):
-    """The plain product loop from the identity, unnormalized: on factors
-    of unit scale nothing overflows, so the renormalized products scaled
-    back must give its bits."""
-    if n == 0:
-        return np.eye(2, dtype=complex)
-    i = seq.index_of(j)
-    block = seq.values[i:i + n]
-    acc = np.eye(2, dtype=complex)
-    for f in block:
-        acc = ref_matmul(f, acc)
-    return acc
+    """The product of the n factors from j in doubling order, one 2x2 at
+    a time (doubling_oracle), scaled back with ldexp: on factors of unit
+    scale nothing overflows, so span_products must give its bits."""
+    P, e = doubling_oracle(seq.values)(seq.index_of(j) if n else 0, n)
+    out = np.empty((2, 2), dtype=complex)
+    out.real, out.imag = np.ldexp(P.real, e), np.ldexp(P.imag, e)
+    return out
 
 
 @pytest.mark.parametrize("real", [False, True])
@@ -464,3 +451,27 @@ def test_span_products_are_bitwise_the_per_pair_products(real):
             assert cocycle_product(seq, j, n).tobytes() == ref.tobytes()
     with pytest.raises(IndexError):
         span_products(seq, starts, lengths + 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_mirrored_tables_read_the_transposed_first_half(dtype):
+    # a slab whose second half is its first half transposed in reverse
+    # order, as the certifier lays out its windows: tables built over the
+    # first half give, in the second, the entries of tables built over
+    # the whole slab, bit for bit, at every level and position
+    rng = np.random.default_rng(36)
+    F = rng.standard_normal((37, 2, 2)) * 2.0 ** rng.integers(-30, 31, (37, 1, 1))
+    if np.dtype(dtype).kind == "c":
+        F = F + 1j * rng.standard_normal((37, 2, 2))
+    F[5] = 0.0
+    F[9, 0, 1] = -0.0
+    slab = _plane_major(np.concatenate((F, F[::-1].transpose(0, 2, 1))).astype(dtype))
+    whole, mirrored = _Tables(slab), _Tables(slab, mirror=True)
+    for k in range(6):
+        j = np.arange(37, 75 - (1 << k))
+        (T, E), (Tm, Em) = whole.take(k, j), mirrored.take(k, j)
+        assert T.tobytes() == Tm.tobytes() and E.tobytes() == Em.tobytes()
+        j = np.arange(0, 38 - (1 << k))
+        (T, E), (Tm, Em) = whole.take(k, j), mirrored.take(k, j)
+        assert T.tobytes() == Tm.tobytes() and E.tobytes() == Em.tobytes()
+    assert len(mirrored.levels[0][0]) == 37
