@@ -21,12 +21,13 @@ certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
 form a batch, whose factors lie end to end in one slab (_slab), and
 every product stage of the batch (the growth-ratio blocks, the burn
 ladders, climbed in lockstep, the extended fields, the domination frames,
-the floor curves and the cone blocks) is one mat2._row_sweep over the
+the floor curves and the cone blocks) is one mat2 row sweep over the
 rows of all its live windows.  The domination frames and the floor
-curves read every step and run one factor per step; every other stage
-runs in doubling order on the batch's tables (mat2._Tables), built once
-per batch, so a row of L factors takes one kernel call per set bit of
-L, and each rung of a burn ladder is computed afresh from the tables.
+curves read every step and run one factor per step (mat2._visit_sweep);
+every other stage runs in doubling order on the batch's tables
+(mat2._row_sweep on mat2._Tables), built once per batch, so a row of L
+factors takes one kernel call per set bit of L, and each rung of a burn
+ladder is computed afresh from the tables.
 A field row stops at the first exactly singular factor it meets: the
 product through it has rank one and pins the direction exactly, the
 range of a u product and the kernel of an s product (_cut_burns,
@@ -48,13 +49,12 @@ row's class and the step count belong to the key because the same
 factors from another start, or one factor more, give other bits.
 
 The classes travel from stage to stage as integer ids: a sweep returns
-its heads and the map from rows to heads, and the separation, the
-domination frames and the cone blocks read the core field's site
-classes.  Singular vectors and unit rows are taken of heads only, the
-core separation once per site class, cone margins once per distinct
-(block, frame, frame) triple, and only the field rows that leave the
-pipeline are gathered to every site.  A window without repeats runs the same code, each row its
-own head.
+its heads and the map from rows to heads, and the domination frames
+and the cone blocks read the core field's site classes.  Singular
+vectors and unit rows are taken of heads only, cone margins once per
+distinct (block, frame, frame) triple, and only the field rows that
+leave the pipeline are gathered to every site.  A window without
+repeats runs the same code, each row its own head.
 
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
@@ -88,6 +88,7 @@ from .mat2 import (
     _sweep_values,
     _Tables,
     _take,
+    _visit_sweep,
     det2,
     op_norm,
     singular_values,
@@ -171,16 +172,9 @@ class SplittingField:
 
 
 def _slab(vals):
-    """The sweep values of windows laid end to end, then the transposes
-    of all of them in reverse order, as one plane-major stack.
-
-    A u-side product is right-multiplied into the past; it runs as the
-    left product of its transpose with the transposed factors, and in the
-    reversed half those factors sit at increasing indices, so every row
-    of a field sweep reads slab[base + t] at its step t.
-    """
-    F = np.concatenate([v.transpose(1, 2, 0) for v in vals], axis=-1)
-    return np.concatenate((F, F.transpose(1, 0, 2)[..., ::-1]), axis=-1).transpose(2, 0, 1)
+    """The sweep values of windows laid end to end, as one plane-major
+    stack."""
+    return np.concatenate([v.transpose(1, 2, 0) for v in vals], axis=-1).transpose(2, 0, 1)
 
 
 def _repeat_map(slab, lengths):
@@ -191,11 +185,11 @@ def _repeat_map(slab, lengths):
     smallest d at which at least half of its factors are bitwise the
     factor d earlier, tried among the shifts from its middle factor to
     the later repeats of it (0 when there are none; the choice decides
-    only how much _row_sweep shares).  gaps counts, up to each position,
-    the positions p whose factor is not bitwise the one q[p] earlier in
-    the same window half (every position of a window with q = 0), so the
-    factors over [b, b + n) are those over [b - q[b], b - q[b] + n) bit
-    for bit whenever gaps[b + n] == gaps[b] and n > 0.
+    only how much a row sweep shares).  gaps counts, up to each
+    position, the positions p whose factor is not bitwise the one q[p]
+    earlier in the same window (every position of a window with q = 0),
+    so the factors over [b, b + n) are those over [b - q[b], b - q[b] +
+    n) bit for bit whenever gaps[b + n] == gaps[b] and n > 0.
     """
     bits = _bits(slab)
     offsets = np.cumsum([0] + list(lengths[:-1]))
@@ -210,34 +204,34 @@ def _repeat_map(slab, lengths):
         shifts.append(q)
     if not any(shifts):
         return None
-    # the second half holds the windows in reverse order, each reversed
     q = np.repeat(shifts, lengths)
-    q = np.concatenate((q, q[::-1]))
-    half = np.repeat(np.arange(2 * len(lengths)), np.concatenate((lengths, lengths[::-1])))
+    win = np.repeat(np.arange(len(lengths)), lengths)
     p = np.arange(len(q))
     prev = np.maximum(p - q, 0)
-    same = (q > 0) & (p >= q) & (half[prev] == half) & (bits[:, prev] == bits).all(axis=0)
+    same = (q > 0) & (p >= q) & (win[prev] == win) & (bits[:, prev] == bits).all(axis=0)
     return q, np.concatenate(([0], np.cumsum(~same)))
 
 
 class _Batch:
     """Windows of one sweep dtype, certified together.
 
-    tables (mat2._Tables) holds the doubling tables of their _slab, the
-    sweep values end to end, window w from offsets[w] on, built over the
-    slab's first half as the stages ask for them and freed with the
-    batch; repeats is the slab's _repeat_map.  zeros[w] lists the sites
-    of w's exactly singular factors, read off the renormalized factors,
+    slab (_slab) holds their sweep values end to end, window w from
+    offsets[w] on, tables (mat2._Tables) its doubling tables, built as
+    the stages ask for them and freed with the batch, and repeats its
+    _repeat_map.  zeros[w] lists the sites of w's exactly singular
+    factors, read off the renormalized factors (the tables' level 0),
     whose determinants underflow only where an exact one would.
     """
 
     def __init__(self, seqs, vals=None):
         self.seqs = seqs
-        slab = _slab([_sweep_values(s) for s in seqs] if vals is None else vals)
-        self.tables = _Tables(slab, mirror=True)
-        self.repeats = _repeat_map(slab, [len(s) for s in seqs])
+        self.slab = _slab([_sweep_values(s) for s in seqs] if vals is None else vals)
+        self.tables = _Tables(self.slab)
+        self.repeats = _repeat_map(self.slab, [len(s) for s in seqs])
         self.offsets = np.cumsum([0] + [len(s) for s in seqs[:-1]])
-        self.zeros = [np.flatnonzero(det2(_renorm(s.values)[0]) == 0.0) + s.j_lo for s in seqs]
+        T, _ = self.tables.level(0)
+        self.zeros = [np.flatnonzero(det2(T[o : o + len(s)]) == 0.0) + s.j_lo
+                      for o, s in zip(self.offsets.tolist(), seqs)]
 
 
 def _one(outcomes):
@@ -257,9 +251,9 @@ def _window_products(batch, jobs):
     the burns, which may differ by site (_cut_burns cuts them).  The u
     side is right-multiplied into the past and the s side left-multiplied
     into the future.  Both run as left products in doubling order on the
-    batch's tables (mat2._row_sweep): U @ F is the transpose of F^T @
-    U^T, whose entries sum the same products in the same order, and a
-    transpose of a plane-major stack is a view (two planes swap).  A
+    batch's tables (mat2._row_sweep), the u side as back rows, which read
+    the factors below the site transposed: U @ F is the transpose of F^T
+    @ U^T, whose entries sum the same products in the same order.  A
     row's bits depend only on its factors and its burn, so any rung of a
     burn ladder, in any batch, reproduces the products of its window's
     sites alone.
@@ -275,14 +269,13 @@ def _window_products(batch, jobs):
     """
     if not jobs:
         return None, np.zeros((2, 0), dtype=np.intp)
-    slab = batch.tables.slab
-    N = len(slab) // 2
-    u = [(2 * N - off - sites, bu) for off, sites, bu, _ in jobs]
-    s = [(off + sites, bs) for off, sites, _, bs in jobs]
-    base, steps = (np.concatenate(x) for x in zip(*u, *s))
-    eye = np.eye(2, dtype=slab.dtype)[None]
+    sites = np.concatenate([off + sites for off, sites, _, _ in jobs])
+    base = np.concatenate((sites, sites))
+    steps = np.concatenate([bu for _, _, bu, _ in jobs] + [bs for _, _, _, bs in jobs])
+    back = np.arange(len(base)) < len(sites)
+    eye = np.eye(2, dtype=batch.slab.dtype)[None]
     H, _, at = _row_sweep(eye, np.zeros(len(base), dtype=np.intp), batch.tables, base, steps,
-                          batch.repeats)
+                          batch.repeats, back)
     return H, at.reshape(2, -1)
 
 
@@ -406,10 +399,10 @@ def _core_fields(batch, jobs):
     """Core field at burn for each job (w, burn), with its site classes:
     (field, cls), or the exception that ends window w.
 
-    Sites of one cls have bitwise equal field rows, so the separation,
-    the frames of the domination check and the cone search share rows by
-    it.  All jobs share one sweep, and each burn is computed afresh from
-    the batch's tables, in at most bit_length(burn) kernel calls.
+    Sites of one cls have bitwise equal field rows, so the frames of the
+    domination check and the cone search share rows by it.  All jobs
+    share one sweep, and each burn is computed afresh from the batch's
+    tables, in at most bit_length(burn) kernel calls.
     """
     specs = []
     for w, burn in jobs:
@@ -616,7 +609,7 @@ def _site_classes(cls):
 
 def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
     """verify_domination for each job (w, fld, classes) of a batch, each
-    window at most once, as one mat2._row_sweep.
+    window at most once, as one mat2._visit_sweep.
 
     The row of site j starts at the frame [u(j) s(j)] and reads the
     factors j, j + 1, ... for min(n_max, sites left) steps.  After step
@@ -661,8 +654,8 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
                 best[k] = (r - factor, N)
         return None not in out
 
-    _row_sweep(np.concatenate(frames), np.concatenate(start), batch.tables, np.concatenate(base),
-               np.concatenate(steps), batch.repeats, visit)
+    _visit_sweep(np.concatenate(frames), np.concatenate(start), batch.slab, np.concatenate(base),
+                 np.concatenate(steps), batch.repeats, visit)
     fail = "no block length up to {} dominates by factor {}"
     return [d or DominationCheck(False, n, m, t, fail.format(t, factor))
             for d, (m, n), t in zip(out, best, tried)]
@@ -1178,24 +1171,18 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
     checks = {}
 
     def check(w):
-        seq, (_, gap, _, core), ext = seqs[w], resolved[w], exts[w]
+        seq, (_, gap, _, core) = seqs[w], resolved[w]
         res_eff = max(RES_MAX, 8.0 * gap)
         inv_ok, inv_res = verify_invariance(seq, core, res_eff)
-        # the separations as minima over the core's site classes and the
-        # extended field's end sites, whose core sites hold the core rows
-        first = slice(None) if frames[w] is None else frames[w][1]
-        delta_core = float(np.min(chordal_rows(core.u[first], core.s[first])))
-        i = np.arange(len(ext))
-        ends = i[(i < core.j_first - ext.j_first) | (i > core.j_last - ext.j_first)]
-        delta_ext = float(np.min(chordal_rows(ext.u[ends], ext.s[ends]), initial=delta_core))
-        sep_ok = delta_ext > DELTA_MIN
+        sep_ok, delta_ext = verify_separation(exts[w])
+        _, delta_core = verify_separation(core)
         checks[w] = (res_eff, inv_ok, inv_res, doms[w], sep_ok, delta_ext, delta_core)
 
     ws = each(check, ws)
     # each window's floors to max(20, N): condition 4 reads N's
     lens = [len(seqs[w]) for w in ws]
     tops = [min(n, max(20, doms[w].N)) for w, n in zip(ws, lens)]
-    floors = dict(zip(ws, _floor_curves(batch.tables, batch.offsets[ws], lens, tops, batch.repeats)))
+    floors = dict(zip(ws, _floor_curves(batch.slab, batch.offsets[ws], lens, tops, batch.repeats)))
     certs = {}
 
     def judge(w):

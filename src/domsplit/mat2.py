@@ -9,14 +9,15 @@ _sweep_steps left-multiplies a stack of 2x2 products by one factor
 stack per step and renormalizes the rows that step multiplied; sweep()
 runs it over given factor stacks (a right product runs as the transpose
 of the left product of the transposes), and so do the row sweeps that
-must read every step: the norm floors (_floor_curves) and the
-certifier's domination frames.  Every other row sweep (_row_sweep with
-no visit) runs in doubling order on _Tables, exactly renormalized
+must read every step (_visit_sweep): the norm floors (_floor_curves)
+and the certifier's domination frames.  Every other row sweep
+(_row_sweep) runs in doubling order on _Tables, exactly renormalized
 products of 2**k factors built once per slab: a row of L factors
 multiplies the entries at the set bits of L, so all rows of a sweep
 take at most bit_length(L) kernel calls, whatever their lengths.  Block
 products (_block_products, span_products, cocycle_product) and the
-certifier's field products are such sweeps.  A row sweep reads rows
+certifier's field products are such sweeps; a right product into the
+past reads the same tables, transposed.  A row sweep reads rows
 from their own bases for their own step counts, sweeping one row per
 class of bitwise identical rows and returning those heads with the map
 from rows to heads, so a caller reads each distinct product once and
@@ -465,24 +466,26 @@ def _bits(X):
     return planes.view(np.int64)
 
 
-def _row_classes(start, base, steps, repeats):
-    """For each row of a _row_sweep, the row whose products it copies,
-    or None when every row is its own.
+def _row_classes(start, base, steps, repeats, back=None):
+    """For each row of a row sweep, the row whose products it copies, or
+    None when every row is its own.
 
     start holds each row's start class: rows of one class start from
-    bitwise equal rows.  repeats is (q, gaps) for the slab the rows read:
-    the factors over [b, b + n) are those over [b - q[b], b - q[b] + n)
-    bit for bit whenever q[b] > 0, b >= q[b] and gaps[b + n] == gaps[b]
-    (certifier._repeat_map).  Row i copies row j when base[j] = base[i]
-    - q, their start classes and steps are equal, and no factor of
-    [base[i], base[i] + steps[i]) breaks the repeat: then both rows run
-    the same arithmetic on the same bits, in either order (a table entry
-    a row reads spans its own factors alone).  Row j may copy an earlier
-    row in turn; each row points to the first of its chain.  A row of no
-    steps reads no factor, whatever its base: it copies the first row of
-    no steps in its start class.  No bits are compared here: the
-    factors' were compared once, by the repeat map, and the starts'
-    classes come from the stage that made them.
+    bitwise equal rows.  A row reads the factors [base, base + steps),
+    or [base - steps, base) where back is true (_row_sweep).  repeats is
+    (q, gaps) for the slab the rows read: the factors over [b, b + n) are
+    those over [b - q[b], b - q[b] + n) bit for bit whenever q[b] > 0,
+    b >= q[b] and gaps[b + n] == gaps[b] (certifier._repeat_map).  Row i
+    copies row j when j reads in the same direction the factors q below
+    those of i, their start classes and steps are equal, and no factor
+    i reads breaks the repeat: then both rows run the same arithmetic on
+    the same bits, in either order (a table entry a row reads spans its
+    own factors alone).  Row j may copy an earlier row in turn; each row
+    points to the first of its chain.  A row of no steps reads no
+    factor, whatever its base: it copies the first row of no steps in its
+    start class.  No bits are compared here: the factors' were compared
+    once, by the repeat map, and the starts' classes come from the stage
+    that made them.
     """
     if repeats is None:
         return None
@@ -493,14 +496,16 @@ def _row_classes(start, base, steps, repeats):
     if len(idle):
         _, first, inv = np.unique(start[idle], return_index=True, return_inverse=True)
         copy[idle] = idle[first][inv]
-    inside = np.flatnonzero((base >= 0) & (base < L) & (steps > 0))
-    b = base[inside]
+    side = np.zeros(R, dtype=np.intp) if back is None else back * (L + 1)  # a table per direction
+    lo = base - steps * (side > 0)  # the first factor each row reads
+    inside = np.flatnonzero((lo >= 0) & (lo < L) & (steps > 0))
+    b = lo[inside]
     end = np.minimum(b + steps[inside], L)
     fit = (q[b] > 0) & (b >= q[b]) & (gaps[end] == gaps[b])
-    rows, target = inside[fit], b[fit] - q[b[fit]]
-    at = np.full(L, -1)
-    at[b] = inside
-    j = at[target]
+    rows = inside[fit]
+    at = np.full(2 * (L + 1), -1)
+    at[base[inside] + side[inside]] = inside
+    j = at[base[rows] - q[b[fit]] + side[rows]]
     rows, j = rows[j >= 0], j[j >= 0]
     ok = (steps[j] == steps[rows]) & (start[j] == start[rows])
     copy[rows[ok]] = j[ok]
@@ -511,6 +516,21 @@ def _row_classes(start, base, steps, repeats):
         if np.array_equal(nxt, copy):
             return copy
         copy = nxt
+
+
+def _heads(start, base, steps, repeats, back=None):
+    """(copy, heads): the rows' _row_classes and the rows that head a
+    class, in ascending order."""
+    copy = _row_classes(start, base, steps, repeats, back)
+    rows = np.arange(len(base))
+    return copy, (rows if copy is None else np.flatnonzero(copy == rows))
+
+
+def _head_map(order, copy):
+    """The map from rows to heads of a sweep whose heads ran in order."""
+    at = np.empty(len(order) if copy is None else len(copy), dtype=np.intp)
+    at[order] = np.arange(len(order))
+    return at if copy is None else at[copy]
 
 
 class _Tables:
@@ -525,19 +545,10 @@ class _Tables:
     stack gives without a copy.  An entry's bits depend only on the
     factors it spans, so factors that repeat bit for bit give bitwise
     equal entries wherever they sit.
-
-    With mirror, the slab's second half is its first half transposed in
-    reverse order (certifier._slab), and the levels are built over the
-    first half alone.  The entry over slab[p : p + 2**k] in the second
-    half is then the transpose of the first-half entry at 2 n - p - 2**k,
-    n the half's length, bit for bit: _mul and _renorm commute with the
-    transpose, and a block splits into the same halves read from either
-    end.  take() reads entries at slab positions in either half.
     """
 
-    def __init__(self, slab, mirror=False):
+    def __init__(self, slab):
         self.slab = slab
-        self.half = len(slab) // 2 if mirror else None
         self.levels = []
 
     def level(self, k):
@@ -549,34 +560,33 @@ class _Tables:
                 _, s = _renorm(P, out=P)
                 E = E[h:] + E[: len(E) - h] - s
             else:
-                P = _plane_major(self.slab[: self.half], copy=True)
+                P = _plane_major(self.slab, copy=True)
                 _, s = _renorm(P, out=P)
                 E = -s.astype(np.int64)
             self.levels.append((P, E))
         return self.levels[k]
 
-    def take(self, k, j):
-        """The level-k entries over slab[j : j + 2**k] for each j, and
-        their E, as a plane-major stack (_take)."""
-        T, E = self.level(k)
-        if self.half is None:
-            return _take(T, j), E[j]
-        back = j >= self.half
-        i = np.where(back, 2 * self.half - (1 << k) - j, j)
-        F = _take(T, i)
-        F[back, 0, 1], F[back, 1, 0] = F[back, 1, 0], F[back, 0, 1]  # transposed
-        return F, E[i]
 
-
-def _row_sweep(P, start, tables, base, steps, repeats=None, visit=None):
+def _row_sweep(P, start, tables, base, steps, repeats=None, back=None):
     """Left-multiply row i, which starts at P[start[i]], by the factors
     slab[base[i]], ..., slab[base[i] + steps[i] - 1] of tables.slab (a
     _Tables), later factors on the left, renormalizing exactly, for the
     class heads of the rows; returns (Q, e, at): row i's product is
-    Q[at[i]] times 2**e[at[i]], e as in sweep.
+    Q[at[i]] times 2**e[at[i]], e as in sweep.  A row with back[i] reads
+    the factors below its base instead, transposed and in reverse:
+    slab[base[i] - 1].T first, slab[base[i] - steps[i]].T last, so that
+    it holds the transpose of a right product into the past.
 
-    A row's bits depend on its start row and its factors alone (_mul and
-    _renorm work row by row), so rows that agree on both are one
+    A row runs in doubling order on the tables: a row of L steps
+    left-multiplies the table entry of each set bit 2**k of L, in
+    ascending order of k, each at its base plus the lower bits of L (a
+    back row: the transposed entry ending at its base less those bits),
+    renormalizing after each.  So all rows together take one _mul per
+    bit of the longest, whatever their lengths, and a row's bits depend
+    only on its start row, its factors and its length: _mul and _renorm
+    work row by row and commute with the transpose.
+
+    Rows that agree on their start and their factors are one
     computation.  With the slab's repeats, one row of each such class is
     computed, its head, and the others map to it (_row_classes): in a
     periodic window, the row at base b reads the factors of the row at
@@ -584,48 +594,51 @@ def _row_sweep(P, start, tables, base, steps, repeats=None, visit=None):
     and identity starts are one class (P the identity, start all 0).
     The heads stay a stack of their own: what a stage reads per row, it
     reads per head and gathers through at once at the end.
-
-    Without visit, a row runs in doubling order on the tables: a row of
-    L steps left-multiplies the table entry of each set bit 2**k of L,
-    in ascending order of k, each at its base plus the lower bits of L,
-    renormalizing after each.  So all rows together take one _mul per
-    bit of the longest, whatever their lengths, and a row's bits depend
-    only on its factors and its length.
-
-    With visit, the heads run one factor per step through _sweep_steps,
-    longest first, so the rows each step multiplies are a prefix and
-    each step gathers its factors with one _take.  visit(rows, Q, e)
-    sees every step: rows are the indices of the rows it multiplied, one
-    per class, and Q and e their products and exponents so far, which
-    the next step overwrites.  A true return from visit ends the sweep
-    there, each row holding its product so far.
     """
-    copy = _row_classes(start, base, steps, repeats)
-    heads = np.arange(len(base)) if copy is None else np.flatnonzero(copy == np.arange(len(base)))
-    if visit is None:
-        order, b, n = heads, base[heads], steps[heads]
-        Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
-        for k in range(int(n.max(initial=0)).bit_length()):
-            rows = np.flatnonzero(n >> k & 1)
-            if len(rows):
-                F, E = tables.take(k, b[rows] + (n[rows] & ((1 << k) - 1)))
-                R = _mul(F, _take(Q, rows))
-                _, s = _renorm(R, out=R)
-                Q[rows] = R
-                e[rows] += E - s
-    else:
-        order = heads[np.argsort(-steps[heads], kind="stable")]
-        b = base[order]
-        T = int(steps.max(initial=0))
-        n_mul = (len(order) - np.cumsum(np.bincount(steps[order], minlength=T))[:T]).tolist()
-        Q, e = _take(P, start[order]), np.zeros(len(order), dtype=np.int64)
-        factors = (_take(tables.slab, b[:k] + t) for t, k in enumerate(n_mul))
-        for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
-            if visit(order[:k], Q[:k], e[:k]):
-                break
-    at = np.empty(len(base), dtype=np.intp)
-    at[order] = np.arange(len(order))
-    return Q, e, at if copy is None else at[copy]
+    copy, heads = _heads(start, base, steps, repeats, back)
+    b, n = base[heads], steps[heads]
+    rev = np.zeros(len(heads), dtype=bool) if back is None else back[heads]
+    Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
+    for k in range(int(n.max(initial=0)).bit_length()):
+        rows = np.flatnonzero(n >> k & 1)
+        if not len(rows):
+            continue
+        t = rev[rows]
+        j = b[rows] + (n[rows] & ((1 << k) - 1))
+        j[t] = b[rows][t] - (n[rows][t] & ((2 << k) - 1))
+        T, E = tables.level(k)
+        F = _take(T, j)
+        F[t, 0, 1], F[t, 1, 0] = F[t, 1, 0], F[t, 0, 1]  # transposed
+        R = _mul(F, _take(Q, rows))
+        _, s = _renorm(R, out=R)
+        Q[rows] = R
+        e[rows] += E[j] - s
+    return Q, e, _head_map(heads, copy)
+
+
+def _visit_sweep(P, start, slab, base, steps, repeats, visit):
+    """_row_sweep (without back rows) one factor per step, straight off
+    the slab, for the stages that read every step.
+
+    The heads run through _sweep_steps longest first, so the rows each
+    step multiplies are a prefix and each step gathers its factors with
+    one _take.  visit(rows, Q, e) sees every step: rows are the indices
+    of the rows it multiplied, one per class, and Q and e their products
+    and exponents so far, which the next step overwrites.  A true return
+    from visit ends the sweep there, each row holding its product so far.
+    Returns (Q, e, at) as _row_sweep does.
+    """
+    copy, heads = _heads(start, base, steps, repeats)
+    order = heads[np.argsort(-steps[heads], kind="stable")]
+    b = base[order]
+    T = int(steps.max(initial=0))
+    n_mul = (len(order) - np.cumsum(np.bincount(steps[order], minlength=T))[:T]).tolist()
+    Q, e = _take(P, start[order]), np.zeros(len(order), dtype=np.int64)
+    factors = (_take(slab, b[:k] + t) for t, k in enumerate(n_mul))
+    for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
+        if visit(order[:k], Q[:k], e[:k]):
+            break
+    return Q, e, _head_map(order, copy)
 
 
 def _block_products(tables, starts, lengths, repeats=None):
@@ -716,16 +729,15 @@ def norm_floor_curve(seq, n_max):
     """
     if not 1 <= n_max <= len(seq):
         raise ValueError(f"block length must lie in [1, {len(seq)}]")
-    f, x = _floor_curves(_Tables(_sweep_values(seq)), [0], [len(seq)], [n_max])[0]
+    f, x = _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
     with np.errstate(over="ignore"):
         return np.ldexp(f, x).tolist()
 
 
-def _floor_curves(tables, offsets, lengths, n_maxes, repeats=None):
-    """norm_floor_curve for windows laid end to end in the slab of tables
-    (a _Tables), window w being slab[offsets[w] : offsets[w] +
-    lengths[w]], each to its own n_max, as one _row_sweep that visits
-    every step (sharing rows by repeats as it does).
+def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
+    """norm_floor_curve for windows laid end to end in one slab, window w
+    being slab[offsets[w] : offsets[w] + lengths[w]], each to its own
+    n_max, as one _visit_sweep (sharing rows by repeats as it does).
 
     Row i of a window starts at its factor i and runs until its product
     holds n_max factors or reaches the window's end; the floor at n is
@@ -756,6 +768,6 @@ def _floor_curves(tables, offsets, lengths, n_maxes, repeats=None):
                 fs.append(fw)
                 xs.append(xw)
 
-    eye = np.eye(2, dtype=tables.slab.dtype)[None]
-    _row_sweep(eye, np.zeros(len(win), dtype=np.intp), tables, base, steps, repeats, visit)
+    eye = np.eye(2, dtype=slab.dtype)[None]
+    _visit_sweep(eye, np.zeros(len(win), dtype=np.intp), slab, base, steps, repeats, visit)
     return [(np.array(fs), np.array(xs, dtype=np.int64)) for fs, xs in curves]

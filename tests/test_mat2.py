@@ -15,6 +15,7 @@ from domsplit.mat2 import (
     _ldexp,
     _mul,
     _plane_major,
+    _row_sweep,
     _Tables,
     backward_product,
     det2,
@@ -454,24 +455,29 @@ def test_span_products_are_bitwise_the_per_pair_products(real):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_mirrored_tables_read_the_transposed_first_half(dtype):
-    # a slab whose second half is its first half transposed in reverse
-    # order, as the certifier lays out its windows: tables built over the
-    # first half give, in the second, the entries of tables built over
-    # the whole slab, bit for bit, at every level and position
+def test_back_rows_are_the_forward_rows_of_the_reversed_transposes(dtype):
+    # a back row reads the factors below its base, transposed, from the
+    # base down, as the certifier's u side does: bit for bit the forward
+    # row over the slab reversed and transposed, at every base and
+    # length, from either start, alone or in one sweep with forward rows
     rng = np.random.default_rng(36)
     F = rng.standard_normal((37, 2, 2)) * 2.0 ** rng.integers(-30, 31, (37, 1, 1))
     if np.dtype(dtype).kind == "c":
         F = F + 1j * rng.standard_normal((37, 2, 2))
     F[5] = 0.0
     F[9, 0, 1] = -0.0
-    slab = _plane_major(np.concatenate((F, F[::-1].transpose(0, 2, 1))).astype(dtype))
-    whole, mirrored = _Tables(slab), _Tables(slab, mirror=True)
-    for k in range(6):
-        j = np.arange(37, 75 - (1 << k))
-        (T, E), (Tm, Em) = whole.take(k, j), mirrored.take(k, j)
-        assert T.tobytes() == Tm.tobytes() and E.tobytes() == Em.tobytes()
-        j = np.arange(0, 38 - (1 << k))
-        (T, E), (Tm, Em) = whole.take(k, j), mirrored.take(k, j)
-        assert T.tobytes() == Tm.tobytes() and E.tobytes() == Em.tobytes()
-    assert len(mirrored.levels[0][0]) == 37
+    F = F.astype(dtype)
+    G = F[::-1].transpose(0, 2, 1)
+    base, steps = np.array([(p, n) for p in range(38) for n in range(p + 1)]).T
+    starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(dtype)
+    cls = rng.integers(0, 2, len(base))
+    tables = _Tables(_plane_major(F))
+    Q, e, at = _row_sweep(starts, cls, _Tables(_plane_major(G)), 37 - base, steps)
+    Qb, eb, atb = _row_sweep(starts, cls, tables, base, steps, back=np.ones(len(base), bool))
+    assert Qb[atb].tobytes() == Q[at].tobytes() and eb[atb].tobytes() == e[at].tobytes()
+    Qf, ef, atf = _row_sweep(starts, cls, tables, 37 - base, steps)
+    both = np.concatenate((base, 37 - base)), np.concatenate((steps, steps))
+    back = np.arange(2 * len(base)) < len(base)
+    Q2, e2, at2 = _row_sweep(starts, np.concatenate((cls, cls)), tables, *both, back=back)
+    assert Q2[at2].tobytes() == Q[at].tobytes() + Qf[atf].tobytes()
+    assert e2[at2].tobytes() == e[at].tobytes() + ef[atf].tobytes()
