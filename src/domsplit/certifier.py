@@ -18,43 +18,33 @@ an explicit perturbation radius.
 
 certify_many() runs that pipeline over many windows at once, and
 certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
-form a batch, whose factors lie end to end in one slab (_slab), and
-every product stage of the batch (the growth-ratio blocks, the burn
-ladders, climbed in lockstep, the extended fields, the domination frames,
-the floor curves and the cone blocks) is one mat2 row sweep over the
-rows of all its live windows.  The domination frames and the floor
-curves read every step and run one factor per step (mat2._visit_sweep);
-every other stage runs in doubling order on the batch's tables
-(mat2._row_sweep on mat2._Tables), built once per batch, so a row of L
-factors takes one kernel call per set bit of L, and each rung of a burn
-ladder is computed afresh from the tables.
-A field row stops at the first exactly singular factor it meets: the
-product through it has rank one and pins the direction exactly, the
-range of a u product and the kernel of an s product (_cut_burns,
-_directions).  Every row and every table entry is renormalized after
-each of its own products by an exact power of two (mat2._renorm), so a
-row is its unnormalized product times a power of two whichever rows
-share its sweep, and every certificate is bit for bit that of its
-window alone.  The other checks run per window.
+(mat2._sweep_values) form a batch, whose factors lie end to end in one
+slab (_slab); every later number stays in that dtype and follows mat2's
+arithmetic rule, so no certificate depends on the SIMD loops numpy
+picks.  Every product stage of a batch (the growth-ratio blocks, the
+burn ladders, climbed in lockstep, the extended fields, the domination
+frames, the floor curves and the cone blocks) is one mat2 row sweep over
+the rows of all its live windows: the domination frames and the floor
+curves one factor per step (mat2._visit_sweep), the others in doubling
+order on the batch's tables (mat2._row_sweep on mat2._Tables), so each
+rung of a burn ladder is computed afresh from the tables.  A field row
+stops at the first exactly singular factor it meets, whose product pins
+the direction exactly: the range of a u product, the kernel of an s
+product (_cut_burns, _directions).  Every row is renormalized by exact
+powers of two (mat2._renorm), so every certificate is bit for bit that
+of its window alone.  The other checks run per window.
 
 A row's bits depend on nothing but its start row and its factors, so
-two rows that agree bitwise on both are one computation, and the row
-sweep sweeps one row of each such class, its head.  In a window whose
-factors repeat with a shift q (a periodic orbit, or the free chain's
-constant interior), the row that starts at site j + q copies the one at
-j wherever the factors it reads repeat bit for bit; _repeat_map finds
-those repeats once per batch, comparing factor bits (the one place that
-compares bits), and every stage's sweep shares rows by them.  The start
-row's class and the step count belong to the key because the same
-factors from another start, or one factor more, give other bits.
-
-The classes travel from stage to stage as integer ids: a sweep returns
-its heads and the map from rows to heads, and the domination frames
-and the cone blocks read the core field's site classes.  Singular
-vectors and unit rows are taken of heads only, cone margins once per
-distinct (block, frame, frame) triple, and only the field rows that
-leave the pipeline are gathered to every site.  A window without
-repeats runs the same code, each row its own head.
+rows that agree bitwise on both are one computation, and a row sweep
+sweeps one row of each such class, its head.  Where a window's factors
+repeat with a shift q (a periodic orbit, the free chain's interior),
+the row at site j + q copies the one at j; _repeat_map finds those
+repeats once per batch, the one place that compares factor bits.  The
+classes travel from stage to stage as integer ids: singular vectors and
+unit rows are taken of heads only, cone margins once per distinct
+(block, frame, frame) triple, and only the rows that leave the pipeline
+are gathered to every site.  A window without repeats runs the same
+code, each row its own head.
 
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
@@ -77,13 +67,18 @@ from .jacobi import (
 )
 from .mat2 import (
     MatSequence,
+    _abs,
+    _abs2,
     _bits,
     _block_products,
+    _cmul,
     _column_norms,
     _floor_curves,
     _larger_columns,
+    _max_abs,
     _mul,
     _renorm,
+    _row_norms,
     _row_sweep,
     _sweep_values,
     _Tables,
@@ -138,8 +133,10 @@ class InternalInconsistency(RuntimeError):
 class SplittingField:
     """Candidate direction pair per site, as unit rows.
 
-    burn_u/burn_s record how many factors backed each site's estimate;
-    greens-based fields use 0 there.
+    Power fields hold their rows in the window's sweep dtype
+    (mat2._sweep_values), float64 for a real window, and greens fields
+    in complex128.  burn_u/burn_s record how many factors backed each
+    site's estimate; greens-based fields use 0 there.
     """
 
     j_first: int
@@ -261,11 +258,6 @@ def _window_products(batch, jobs):
     Returns (H, idx): H the sweep's class heads, in the dtype of the
     slab, and idx the u and s head of each site, the jobs' sites end to
     end, so the U of site i is H[idx[0, i]].T and its S H[idx[1, i]].
-    Callers pass the real parts (_sweep_values) when every factor is
-    real: the kernel's float64 form, a*e + b*g, gives the real part of
-    its complex128 split-accumulator form, and _renorm scales both alike,
-    so the real sweep equals the complex sweep by value at a fraction of
-    its cost.
     """
     if not jobs:
         return None, np.zeros((2, 0), dtype=np.intp)
@@ -315,7 +307,7 @@ def _unit_columns(P):
     """The larger column of each rank-1 2x2 of P (mat2._larger_columns)
     over its norm, and whether the matrix is zero."""
     col, n = _larger_columns(P)
-    return col / np.where(n > 0.0, n, 1.0)[:, None], n == 0.0
+    return _cmul(col, (1.0 / np.where(n > 0.0, n, 1.0))[:, None]), n == 0.0
 
 
 def _directions(batch, jobs):
@@ -333,10 +325,9 @@ def _directions(batch, jobs):
     column (of S's transpose) by mat2._larger_columns.  Every other row
     takes the singular vectors of its product.  Both are read once per
     distinct pair of a head and a stop, from one call per side for all
-    jobs, and gathered to the sites once: each site's rows depend only
-    on its own product and stop, so any subset of sites, in any batch,
-    reproduces the rows a larger call computes for them.  Real heads are
-    cast to complex here, once.
+    jobs, in the dtype of the heads, and gathered to the sites once: each
+    site's rows depend only on its own product and stop, so any subset of
+    sites, in any batch, reproduces the rows a larger call computes.
     """
     if not jobs:
         return []
@@ -350,8 +341,8 @@ def _directions(batch, jobs):
         _distinct(2 * i + np.concatenate([c[side] for c in cuts]), 2 * len(H))
         for i, side in zip(idx, (2, 3))
     )
-    U = np.ascontiguousarray(_take(H, ku // 2).transpose(0, 2, 1), dtype=complex)
-    S = np.ascontiguousarray(_take(H, ks // 2), dtype=complex)
+    U = _take(H, ku // 2).transpose(0, 2, 1)
+    S = _take(H, ks // 2)
     stop_u, stop_s = ku % 2 == 1, ks % 2 == 1
     u = sv_left_vectors(U)
     s = _perp_rows(sv_right_vectors(S))
@@ -454,7 +445,7 @@ def _extend_fields(batch, jobs):
         if isinstance(d, Exception):
             out.append(d)
             continue
-        u = np.empty((len(js), 2), dtype=complex)
+        u = np.empty((len(js), 2), dtype=batch.slab.dtype)
         s = np.empty_like(u)
         if core is not None:
             u[~new], s[~new] = core.u, core.s
@@ -508,7 +499,7 @@ def greens_directions(op, E, spectrum_approx=None, margin=None, delta_min=DELTA_
     lo, hi = op.j_lo - m, op.j_hi + m
     cols = list(range(op.j_lo - 2, op.j_hi + 2))
     G, res = _solve_columns(op, E, lo, hi, cols)
-    if not res < 1e-10 * max(float(np.max(np.abs(G))), 1e-300):
+    if not res < 1e-10 * max(_max_abs(G), 1e-300):
         raise IllConditioned(f"banded solve residual {res:.3e} too large")
     jj = np.arange(len(op))
     row = jj + m  # row index of site j; columns are offset by j_lo - 2
@@ -519,19 +510,15 @@ def greens_directions(op, E, spectrum_approx=None, margin=None, delta_min=DELTA_
     sP, sF = pair(jj + 1), pair(jj)         # columns j-1 and j-2
     uP, uF = pair(jj + 2), pair(jj + 3)     # columns j and j+1
     zt = op.zero_tol
-    force_s = np.abs(op.a_range(op.j_lo - 2, op.j_hi - 2)) <= zt
-    force_u = np.abs(op.a_range(op.j_lo, op.j_hi)) <= zt
+    force_s = _abs(op.a_range(op.j_lo - 2, op.j_hi - 2)) <= zt
+    force_u = _abs(op.a_range(op.j_lo, op.j_hi)) <= zt
 
     def pick(primary, fallback, force):
-        np_, nf = (
-            np.linalg.norm(primary, axis=-1),
-            np.linalg.norm(fallback, axis=-1),
-        )
+        np_, nf = _row_norms(primary), _row_norms(fallback)
         use_fb = (~force) & (nf > 2.0 * np_)
-        out = np.where(use_fb[:, None], fallback, primary)
-        if np.any(np.linalg.norm(out, axis=-1) == 0.0):
+        if np.any(np.where(use_fb, nf, np_) == 0.0):
             raise DegenerateCocycle("resolvent columns pin no direction")
-        return unit_rows(out)
+        return unit_rows(np.where(use_fb[:, None], fallback, primary))
 
     n = len(op)
     return SplittingField(
@@ -559,19 +546,16 @@ def verify_invariance(seq, fld, threshold):
     sites = fld.sites()
     if len(sites) < 2:
         raise ValueError("need at least two sites")
-    B, _ = _renorm(seq.values[sites[:-1] - seq.j_lo])
-    scale = np.sqrt(np.sum(np.abs(B) ** 2, axis=(1, 2)))
-    Wu = np.einsum("nij,nj->ni", B, fld.u[:-1])
-    Ws = np.einsum("nij,nj->ni", B, fld.s[:-1])
-    nu = np.linalg.norm(Wu, axis=-1)
-    ns = np.linalg.norm(Ws, axis=-1)
+    B, _ = _renorm(_sweep_values(seq)[sites[:-1] - seq.j_lo])
+    W = _mul(B, np.stack([fld.u[:-1], fld.s[:-1]], axis=-1)).transpose(2, 0, 1)  # B u, B s
+    scale = np.sqrt(np.sum(_abs2(B), axis=(1, 2)))
+    nu, ns = _row_norms(W)
     if not np.isfinite(scale.max() + nu.max() + ns.max()):
         raise InternalInconsistency("factor norms overflow in the invariance check")
     dead_u = nu <= 1e-14 * scale
     dead_s = ns <= 1e-14 * scale
-    ru = np.where(dead_u, 2.0, chordal_rows(Wu, fld.u[1:]))
-    rs = np.where(dead_s, 0.0, chordal_rows(Ws, fld.s[1:]))
-    residual = float(max(np.max(ru), np.max(rs)))
+    ru, rs = chordal_rows(W, np.stack((fld.u[1:], fld.s[1:])))
+    residual = float(max(np.max(np.where(dead_u, 2.0, ru)), np.max(np.where(dead_s, 0.0, rs))))
     return residual <= threshold, residual
 
 
@@ -695,24 +679,20 @@ class ConeCertificate:
 
 
 def _frame_matrices(fld):
+    (u0, u1), (s0, s1) = fld.u.T, fld.s.T
     D = np.stack([fld.u, fld.s], axis=-1)
     dets = det2(D)
     if np.any(dets == 0.0):
         raise DegenerateCocycle("coincident fields give no frame")
-    Dinv = np.empty_like(D)
-    Dinv[:, 0, 0] = D[:, 1, 1]
-    Dinv[:, 0, 1] = -D[:, 0, 1]
-    Dinv[:, 1, 0] = -D[:, 1, 0]
-    Dinv[:, 1, 1] = D[:, 0, 0]
-    Dinv /= dets[:, None, None]
-    return D, Dinv
+    adj = np.stack([s1, -s0, -u1, u0], axis=-1).reshape(-1, 2, 2)
+    return D, _cmul(adj, (1.0 / dets)[:, None, None])
 
 
 ALPHAS = (1.0, 0.75, 1.25, 0.5, 1.5, 2.0)
 RATIOS = (0.5, 0.25, 0.75)
 
 
-def cone_certificate(seq, fld, N, alphas=ALPHAS, ratios=RATIOS):
+def cone_certificate(seq, fld, N):
     """Search a small (alpha, alpha_prime) grid for an invariant cone.
 
     Block lengths N, 2N, 4N are tried in turn; among admissible pairs
@@ -722,10 +702,10 @@ def cone_certificate(seq, fld, N, alphas=ALPHAS, ratios=RATIOS):
     images once for all its ratios.  Returns None when no tried pair
     certifies.
     """
-    return _one(_cone_certificates(_Batch([seq]), [(0, fld, N, None)], alphas, ratios))
+    return _one(_cone_certificates(_Batch([seq]), [(0, fld, N, None)]))
 
 
-def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
+def _cone_certificates(batch, jobs):
     """cone_certificate for each job (w, fld, N, classes) of a batch,
     classes the field's site classes as _dominations takes them: the
     ConeCertificate or None, or the exception that ends window w.
@@ -738,9 +718,9 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
     are minima and maxima over the sites, which the distinct triples
     give as they are.
     """
-    pairs = [(a, a * r) for a in alphas for r in ratios]
-    a_grid = np.array(alphas)[:, None, None]
-    ap_grid = a_grid * np.array(ratios)[:, None]
+    pairs = [(a, a * r) for a in ALPHAS for r in RATIOS]
+    a_grid = np.array(ALPHAS)[:, None, None]
+    ap_grid = a_grid * np.array(RATIOS)[:, None]
     out = [None] * len(jobs)
     frames = {}
     for i, (_, fld, _, classes) in enumerate(jobs):
@@ -770,7 +750,7 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
             seg = at[end : end + len(js)]
             end += len(js)
             # each window's frame change and margins on its own: the
-            # complex stacks of a whole batch would be its largest arrays
+            # margin stacks of a whole batch would be its largest arrays
             D, Dinv, ids = frames[i]
             k = js - jobs[i][1].j_first
             # without classes every site's frames are its own: triples differ
@@ -787,7 +767,7 @@ def _cone_certificates(batch, jobs, alphas=ALPHAS, ratios=RATIOS):
             # exactly (numpy's SIMD log and exp are not correctly rounded);
             # inf where it leaves float64, as a norm floor does
             with np.errstate(over="ignore"):
-                gamma = float(np.min(np.ldexp(np.abs(Lam[:, 0, 0]), exps[seg])))
+                gamma = float(np.min(np.ldexp(_abs(Lam[:, 0, 0]), exps[seg])))
             cond = float(np.max(op_norm(Dinv[k + n_blk]) * op_norm(D[k])))
             clearances = np.min(disk_image_margins(Lam, a_grid, ap_grid), axis=-1)
             best = None
@@ -841,11 +821,10 @@ def stability_radius(cone, sup_bound, n_steps=None):
 
 def _field_gap(f1, f2):
     """Largest chordal movement of either field from f1 to f2 (f2 inside f1)."""
-    off = f2.j_first - f1.j_first
-    n = len(f2)
-    gu = chordal_rows(f1.u[off : off + n], f2.u)
-    gs = chordal_rows(f1.s[off : off + n], f2.s)
-    return float(max(np.max(gu), np.max(gs)))
+    off, n = f2.j_first - f1.j_first, len(f2)
+    g = chordal_rows(np.concatenate((f1.u[off : off + n], f1.s[off : off + n])),
+                     np.concatenate((f2.u, f2.s)))
+    return float(np.max(g))
 
 
 def _ratio_estimates(batch, ws):
@@ -1045,17 +1024,12 @@ def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=
     want_cone=False skips the cone search.  The thresholds are the
     module's constants: DELTA_MIN, RES_MAX, FLOOR_REL, N_MAX and FACTOR.
 
-    Windows of one sweep dtype (_sweep_values) run as batches of at most
-    BATCH_ROWS product rows (see there): every product stage runs as
-    one mat2 sweep over the batch's live windows.  The burn ladders
-    (_burn_ladder) climb in lockstep, each rung's core fields computed
-    from the batch's doubling tables, and so do the extended fields, the
-    domination frames, the floor curves and the cone search.  A row's
-    bits do not depend on its neighbours in a stack, and its exact
-    renormalization on its own steps (_row_sweep) does not either, so
-    every certificate is that of the window certified alone, bit for
-    bit.  The other checks run window by window.  Each certificate's
-    core_field owns its arrays, so keeping one pins no batch.
+    Windows of one sweep dtype run as batches of at most BATCH_ROWS
+    product rows (see there), each product stage as one sweep over the
+    batch's live windows (see the module docstring), and every
+    certificate is that of the window certified alone, bit for bit.
+    Each certificate's core_field owns its arrays, so keeping one pins
+    no batch.
     """
     out = _certify_each(seqs, burn=burn, marginal_margin=marginal_margin, want_cone=want_cone)
     for res in out:

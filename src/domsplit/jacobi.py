@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .mat2 import MatSequence, sweep
+from .mat2 import MatSequence, _abs, _cmul, _max_abs, sweep
+
+REFINE_TOL = 1e-10  # the width floquet_bands bisects band edges to
 
 __all__ = [
     "IllConditioned",
@@ -466,24 +468,29 @@ class GreensData:
 
 
 def _solve_columns(op, E, lo, hi, cols):
-    """Solve (J - E) g = delta_col on [lo, hi] for each col; returns matrix."""
+    """Solve (J - E) g = delta_col on [lo, hi] for each col: (g, the
+    largest modulus of the residual)."""
     nR = hi - lo + 1
     a_up = op.a_range(lo, hi - 1)
     ab = np.zeros((3, nR), dtype=complex)
     ab[0, 1:] = a_up
     ab[1, :] = op.b_range(lo, hi) - E
     ab[2, :-1] = np.conj(a_up)
+    ones = np.asarray(cols) - lo  # the row of each column's 1
     rhs = np.zeros((nR, len(cols)), dtype=complex)
-    for k, c in enumerate(cols):
-        rhs[c - lo, k] = 1.0
+    rhs[ones, np.arange(len(cols))] = 1.0
     g = solve_banded((1, 1), ab, rhs)
-    # residual of the tridiagonal action, all columns at once
-    r = ab[1][:, None] * g
-    r[1:] += np.conj(a_up)[:, None] * g[:-1]
-    r[:-1] += a_up[:, None] * g[1:]
-    r -= rhs
-    res = float(np.max(np.abs(r)))
-    return g, res
+    # residual of the tridiagonal action, in blocks of 32 columns (rows of
+    # g.T, as g comes in Fortran order), whose temporaries stay in cache
+    res, gt = [], g.T
+    for a in range(0, len(cols), 32):
+        s = slice(a, a + 32)
+        r = _cmul(ab[1], gt[s])
+        r[:, 1:] += _cmul(ab[2, :-1], gt[s, :-1])
+        r[:, :-1] += _cmul(ab[0, 1:], gt[s, 1:])
+        r[np.arange(len(r)), ones[s]] -= 1.0
+        res.append(_max_abs(r))
+    return g, float(np.max(res))
 
 
 def _fit_gamma(dist, logmag):
@@ -524,25 +531,24 @@ def greens_column(op, E, j, margin=None, spectrum_approx=None, delta_min=1e-4):
         lo, hi = op.j_lo - m, op.j_hi + m
         g, res = _solve_columns(op, E, lo, hi, [j])
         g = g[:, 0]
-        gmax = float(np.max(np.abs(g)))
+        ag = _abs(g)
+        gmax = float(np.max(ag))
         if not res < 1e-10 * max(gmax, 1e-300):
             raise IllConditioned(
                 f"banded solve residual {res:.3e} too large", delta=delta
             )
         dist = np.abs(np.arange(lo, hi + 1) - j)
-        keep = np.abs(g) >= 1e-13 * gmax
+        keep = ag >= 1e-13 * gmax
         far = keep & (dist >= 3)
-        if np.count_nonzero(far) >= 4:
-            gamma = _fit_gamma(dist[far], np.log(np.abs(g[far])))
-        else:
-            gamma = _fit_gamma(dist[keep & (dist >= 1)], np.log(np.abs(g[keep & (dist >= 1)])))
+        fit = far if np.count_nonzero(far) >= 4 else keep & (dist >= 1)
+        gamma = _fit_gamma(dist[fit], np.log(ag[fit]))
         # cap the rate so (2/delta) * exp(-gamma * dist) dominates every
         # solved value, making the reported envelope a certificate rather
         # than a regression line
-        signal = (dist >= 1) & (np.abs(g) > 0.0)
+        signal = (dist >= 1) & (ag > 0.0)
         if np.isfinite(gamma) and np.any(signal):
             cap = float(np.min(
-                (math.log(2.0 / delta) - np.log(np.abs(g[signal]))) / dist[signal]
+                (math.log(2.0 / delta) - np.log(ag[signal])) / dist[signal]
             ))
             gamma = min(gamma, cap)
         # an exactly zero coupling between j and each end of the solve
@@ -612,13 +618,13 @@ def greens_row_residual(op, E, j, margin=None, spectrum_approx=None):
     return abs(lhs - 1.0)
 
 
-def floquet_bands(op, period=None, grid=None, refine_tol=1e-10):
+def floquet_bands(op, period=None, grid=None):
     """Spectral bands of the periodic extension, via the discriminant.
 
     Requires nonvanishing couplings over one period.  The discriminant
     is the trace of the one-period transfer product in the modulus
     gauge; bands are the energies where its magnitude is at most 2.
-    Band edges are refined by bisection to refine_tol.
+    Band edges are refined by bisection to REFINE_TOL.
     """
     q = period or op.period
     if not q or q < 1:
@@ -653,7 +659,7 @@ def floquet_bands(op, period=None, grid=None, refine_tol=1e-10):
     flips = np.nonzero(inside[:-1] != inside[1:])[0]
     lo_arr, hi_arr = Es[flips].copy(), Es[flips + 1].copy()
     lo_in = inside[flips]
-    while np.any(hi_arr - lo_arr > refine_tol):
+    while np.any(hi_arr - lo_arr > REFINE_TOL):
         mid = 0.5 * (lo_arr + hi_arr)
         mid_in = log_disc(mid) <= math.log(2.0)
         take_lo = mid_in == lo_in

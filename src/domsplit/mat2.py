@@ -4,44 +4,39 @@ Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
 floors.
 
-Ordered products run in one of two orders, both through one kernel.
-_sweep_steps left-multiplies a stack of 2x2 products by one factor
-stack per step and renormalizes the rows that step multiplied; sweep()
-runs it over given factor stacks (a right product runs as the transpose
-of the left product of the transposes), and so do the row sweeps that
-must read every step (_visit_sweep): the norm floors (_floor_curves)
-and the certifier's domination frames.  Every other row sweep
-(_row_sweep) runs in doubling order on _Tables, exactly renormalized
-products of 2**k factors built once per slab: a row of L factors
-multiplies the entries at the set bits of L, so all rows of a sweep
-take at most bit_length(L) kernel calls, whatever their lengths.  Block
-products (_block_products, span_products, cocycle_product) and the
-certifier's field products are such sweeps; a right product into the
-past reads the same tables, transposed.  A row sweep reads rows
-from their own bases for their own step counts, sweeping one row per
-class of bitwise identical rows and returning those heads with the map
-from rows to heads, so a caller reads each distinct product once and
-gathers per row only what it hands on.
+Products run in one of two orders through one kernel.  _sweep_steps
+left-multiplies a stack of products by one factor stack per step;
+sweep() runs it, and so do the row sweeps that must read every step
+(_visit_sweep: the norm floors and the certifier's domination frames).
+Every other row sweep (_row_sweep) runs in doubling order on _Tables,
+exactly renormalized products of 2**k factors built once per slab, so a
+row of L factors takes one kernel call per set bit of L; a right product
+into the past reads the same tables transposed.  A row sweep sweeps one
+row per class of bitwise identical rows and returns those heads with
+the map from rows to heads, so a caller reads each distinct product once.
+
+The kernel, _mul, makes no BLAS call: on plane-major stacks (entry (i,
+k) of every 2x2 one contiguous array) it writes each entry as a*e + b*g
+for float64 and in a split-accumulator form on the real and imaginary
+planes for complex128, the bits of a non-FMA BLAS under any BLAS kernel.
+_renorm scales each row exactly by the power of two that puts its
+largest real or imaginary part into [1, 2), as LAPACK's xLASCL does.
+The kernel commutes with it, so a renormalized row is its unnormalized
+product times a power of two; every sweep returns the removed binary
+exponents, scaled back with ldexp, so no product overflows before its
+value does.
 
 Matrix arguments are (2, 2) ndarrays or stacks of shape (..., 2, 2).
-A MatSequence stores complex128 factors.  Sweeps over a window whose
-factors are all real run in float64 (_sweep_values).
-
-float64 and complex128 products go through one kernel, _mul, which
-makes no BLAS call: it works on plane-major stacks, where entry (i, k)
-of every 2x2 is one contiguous array, and writes each entry in one of
-two fixed forms, a*e + b*g for float64 and a split-accumulator form on
-the real and imaginary planes for complex128.  Their bits are those of
-a non-FMA BLAS, whichever kernel the BLAS library picks at run time.
-
-Renormalization is exact: _renorm scales each row by the power of two
-that puts its largest real or imaginary part into [1, 2), as LAPACK's
-xLASCL scales.  The kernel's fixed forms commute with a power of two, so
-a renormalized row is its unnormalized product times a power of two,
-whichever steps scaled it, and a second pass changes nothing.  Every
-sweep returns each row's removed binary exponents, and products and
-norms are scaled back with ldexp, which is exact, so no product needs a
-wider dtype and none overflows before its value does.
+A MatSequence stores complex128 factors; a window whose factors are all
+real runs in float64 (_sweep_values) from its products to every number
+read off them.  Outside the products there is one arithmetic rule: a
+squared modulus is _abs2 (re*re + im*im, z*z for real z), a modulus its
+sqrt (_abs, by _scaled_norm where the square leaves the normal range), a
+complex product _cmul (the split form), a vector over a scalar the
+vector times the reciprocal, a 2x2 product _mul.  These float64 steps
+round correctly under every SIMD loop numpy may pick, unlike its complex
+multiply, modulus and norms (FMA from AVX2 up), and on zero imaginary
+parts give the float64 values: real windows match their complex runs.
 """
 from __future__ import annotations
 
@@ -84,10 +79,74 @@ class SingularFactor(ValueError):
         )
 
 
+def _abs2(z):
+    """|z|**2 as re*re + im*im, or z*z for real z."""
+    if z.dtype.kind != "c":
+        return z * z
+    return z.real * z.real + z.imag * z.imag
+
+
+def _scaled_norm(re, im):
+    """sqrt of the sum of re*re + im*im over the last axis, re and im
+    scaled exactly by the power of two that puts their largest |re| or
+    |im| into [0.5, 1), the root scaled back: it over- or underflows only
+    where its value does."""
+    _, x = np.frexp(np.maximum(np.abs(re), np.abs(im)).max(axis=-1))
+    re, im = np.ldexp(re, -x[..., None]), np.ldexp(im, -x[..., None])
+    return np.ldexp(np.sqrt(np.sum(re * re + im * im, axis=-1)), x)
+
+
+def _abs(z):
+    """|z|: np.abs for real z; for complex z sqrt(_abs2(z)), or where that
+    square may leave the normal range and z is not 0, _scaled_norm.  A
+    zero imaginary part gives np.abs of the real part either way."""
+    if z.dtype.kind != "c":
+        return np.abs(z)
+    with np.errstate(over="ignore", under="ignore"):
+        a = np.asarray(np.sqrt(_abs2(z)))
+        if not (a.min(initial=np.inf) > 2.0**-500 and a.max(initial=0.0) < 2.0**500):
+            far = ~((a > 2.0**-500) & (a < 2.0**500)) & (z != 0.0)
+            if far.any():
+                a[far] = _scaled_norm(z.real[far][:, None], z.imag[far][:, None])
+    return a
+
+
+def _max_abs(z):
+    """float(np.max(_abs(z))): the root of the largest _abs2 where it lies
+    in (2**-500, 2**500), as sqrt is monotone and correctly rounded."""
+    with np.errstate(over="ignore"):
+        top = math.sqrt(float(np.max(_abs2(z))))
+    return top if 2.0**-500 < top < 2.0**500 else float(np.max(_abs(z)))
+
+
+def _cmul(x, y):
+    """x * y elementwise, complex in the split form
+    (xr*yr - xi*yi) + (xr*yi + xi*yr)i; a real factor scales both parts
+    of a complex one, and two real factors multiply as they are."""
+    if x.dtype.kind != "c":
+        x, y = y, x
+    if x.dtype.kind != "c":
+        return x * y
+    out = np.empty(np.broadcast(x, y).shape, x.dtype)
+    np.multiply(x.real, y.real, out=out.real)
+    np.multiply(x.imag, y.real, out=out.imag)
+    if y.dtype.kind == "c":
+        out.real -= x.imag * y.imag
+        out.imag += x.real * y.imag
+    return out
+
+
+def _row_norms(v):
+    """2-norms of the rows of a (..., 2) vector stack, as
+    sqrt(_abs2(v0) + _abs2(v1))."""
+    q = _abs2(v)
+    return np.sqrt(q[..., 0] + q[..., 1])
+
+
 def det2(m):
     """Determinant of a (stack of) 2x2 matrices."""
     m = np.asarray(m)
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return _cmul(m[..., 0, 0], m[..., 1, 1]) - _cmul(m[..., 0, 1], m[..., 1, 0])
 
 
 def singular_values(m):
@@ -98,9 +157,9 @@ def singular_values(m):
     cancellation in the direct root when the two values are far apart.
     """
     m = np.asarray(m)
-    t = np.abs(m[..., 0, 0]) ** 2 + np.abs(m[..., 0, 1]) ** 2 \
-        + np.abs(m[..., 1, 0]) ** 2 + np.abs(m[..., 1, 1]) ** 2
-    d = np.abs(det2(m))
+    q = _abs2(m)
+    t = q[..., 0, 0] + q[..., 0, 1] + q[..., 1, 0] + q[..., 1, 1]
+    d = _abs(det2(m))
     disc = np.maximum(t * t - 4.0 * d * d, 0.0)
     s1 = np.sqrt(0.5 * (t + np.sqrt(disc)))
     safe = np.where(s1 > 0.0, s1, 1.0)
@@ -113,55 +172,42 @@ def op_norm(m):
     return singular_values(m)[0]
 
 
-def _herm_top_eigvec(g11, g12, g22, lam):
-    # Eigenvector of [[g11, g12], [conj(g12), g22]] for eigenvalue lam.
-    # Two algebraic candidates; keep the larger one for stability.
-    g11 = np.asarray(g11, dtype=float)
-    g22 = np.asarray(g22, dtype=float)
-    g12 = np.asarray(g12, dtype=complex)
-    lam = np.asarray(lam, dtype=float)
-    v1 = np.stack([g12, lam - g11], axis=-1)
-    v2 = np.stack([lam - g22, np.conj(g12)], axis=-1)
-    n1 = np.linalg.norm(v1, axis=-1)
-    n2 = np.linalg.norm(v2, axis=-1)
-    pick2 = n2 > n1
-    v = np.where(pick2[..., None], v2, v1)
-    n = np.where(pick2, n2, n1)
-    # Degenerate (scalar) spectrum: no preferred direction, return e1.
+def _top_vectors(m, right):
+    """Top left singular directions of a stack m as unit vectors, or with
+    right the top right ones: the left ones of the conjugate transpose.
+    The left one is the eigenvector of G = m m* for s1**2, the larger of
+    the candidates (g12, s1**2 - g11) and (s1**2 - g22, conj(g12)), or
+    the first axis where both vanish (a conformal matrix)."""
+    m = np.asarray(m)
+    s1, _ = singular_values(m)
+    lam = s1 * s1
+    if right:
+        m = m.conj().swapaxes(-1, -2)
+    q = _abs2(m)
+    p = _cmul(m[..., 0, :], m[..., 1, :].conj())
+    V = np.empty(m.shape, np.result_type(m, 1.0))  # the candidates, as rows
+    V[..., 0, 0] = g12 = p[..., 0] + p[..., 1]
+    V[..., 0, 1] = lam - (q[..., 0, 0] + q[..., 0, 1])
+    V[..., 1, 0] = lam - (q[..., 1, 0] + q[..., 1, 1])
+    V[..., 1, 1] = g12.conj()
+    N = _row_norms(V)
+    pick2 = N[..., 1] > N[..., 0]
+    v = np.where(pick2[..., None], V[..., 1, :], V[..., 0, :])
+    n = np.where(pick2, N[..., 1], N[..., 0])
     flat = n <= 1e-300
-    e1 = np.zeros(v.shape, dtype=complex)
-    e1[..., 0] = 1.0
-    v = np.where(flat[..., None], e1, v)
-    n = np.where(flat, 1.0, n)
-    return v / n[..., None]
+    v[flat] = (1.0, 0.0)
+    n[flat] = 1.0
+    return _cmul(v, (1.0 / n)[..., None])
 
 
 def sv_left_vectors(m):
     """Top left (output, range-side) singular direction as unit vectors."""
-    m = np.asarray(m)
-    a, b = m[..., 0, 0], m[..., 0, 1]
-    c, d = m[..., 1, 0], m[..., 1, 1]
-    s1, _ = singular_values(m)
-    return _herm_top_eigvec(
-        (np.abs(a) ** 2 + np.abs(b) ** 2).real,
-        a * np.conj(c) + b * np.conj(d),
-        (np.abs(c) ** 2 + np.abs(d) ** 2).real,
-        s1 * s1,
-    )
+    return _top_vectors(m, False)
 
 
 def sv_right_vectors(m):
     """Top right (input) singular direction as unit vectors."""
-    m = np.asarray(m)
-    a, b = m[..., 0, 0], m[..., 0, 1]
-    c, d = m[..., 1, 0], m[..., 1, 1]
-    s1, _ = singular_values(m)
-    return _herm_top_eigvec(
-        (np.abs(a) ** 2 + np.abs(c) ** 2).real,
-        np.conj(a) * b + np.conj(c) * d,
-        (np.abs(b) ** 2 + np.abs(d) ** 2).real,
-        s1 * s1,
-    )
+    return _top_vectors(m, True)
 
 
 def sv_direction_vectors(m):
@@ -171,30 +217,15 @@ def sv_direction_vectors(m):
     left vector is the range direction and the right vector spans the
     orthogonal complement of the kernel, both exact when a full row or
     column of m vanishes.  Degenerate (conformal) matrices fall back to
-    the first coordinate axis.  Callers that need one side only call
-    sv_left_vectors or sv_right_vectors, which give the same bits.
+    the first coordinate axis.
     """
     return sv_left_vectors(m), sv_right_vectors(m)
 
 
 def _column_norms(m):
-    """Both columns' 2-norms of each 2x2 of an (n, 2, 2) stack.
-
-    Each column is scaled by the power of two that puts its largest |re|
-    or |im| into [0.5, 1), its norm taken as sqrt(re*re + im*im) summed
-    over its two entries, and scaled back with ldexp.  Scaling is exact,
-    and no square of the scaled column overflows or underflows where it
-    would count, so a norm over- or underflows only where its value does.
-    Products, sums and sqrt are correctly rounded, so the bits are the
-    same under every SIMD loop numpy may pick, unlike those of its hypot
-    and complex modulus.
-    """
-    re, im = m.real, m.imag
-    top = np.maximum(np.abs(re), np.abs(im)).max(axis=1)  # per column
-    _, x = np.frexp(top)
-    re, im = np.ldexp(re, -x[:, None]), np.ldexp(im, -x[:, None])
-    sq = re * re + im * im
-    return np.ldexp(np.sqrt(sq[:, 0] + sq[:, 1]), x)
+    """Both columns' 2-norms of each 2x2 of an (n, 2, 2) stack (_scaled_norm)."""
+    m = m.swapaxes(1, 2)
+    return _scaled_norm(m.real, m.imag)
 
 
 def _larger_columns(m):
@@ -210,7 +241,7 @@ def is_singular(m, rtol=SINGULAR_RTOL):
     """Singularity test at the shared tolerance |det| < rtol * max(1, norm^2)."""
     m = np.asarray(m)
     s1, _ = singular_values(m)
-    return np.abs(det2(m)) < rtol * np.maximum(1.0, s1 * s1)
+    return _abs(det2(m)) < rtol * np.maximum(1.0, s1 * s1)
 
 
 def inv2(m, index=None, rtol=SINGULAR_RTOL):
@@ -244,7 +275,7 @@ class MatSequence:
         self.values = v
         # the norms of the exactly scaled factors, scaled back: the squares
         # in singular_values overflow only where the norm itself does
-        scaled, s = _renorm(v)
+        scaled, s = _renorm(_sweep_values(self))
         top = float(np.max(np.ldexp(op_norm(scaled), -s)))
         if not math.isfinite(top):
             raise ValueError(f"the largest factor norm {top} is not finite in float64")
@@ -292,14 +323,12 @@ def _check_span(window, j, n):
 
 
 def _sweep_values(seq):
-    """The window's factors in the dtype of a product sweep, as a
-    plane-major stack (_plane_major): float64 when no factor has a
-    nonzero imaginary part (real energies with real couplings), complex128
-    otherwise.  On factors whose imaginary parts are zeros, the float64
-    form of _mul gives the real part of the complex128 form bit for bit,
-    and +0.0 imaginary parts: no sum of either form ends at -0.0.  So a
-    real sweep equals the complex sweep by value, at a fraction of its
-    cost."""
+    """The window's factors in its dtype, as a plane-major stack
+    (_plane_major): float64 when no factor has a nonzero imaginary part
+    (real energies with real couplings), complex128 otherwise.  This is
+    the one dtype decision; on zero imaginary parts, the float64 form of
+    _mul gives the real part of the complex128 form bit for bit, and
+    +0.0 imaginary parts: no sum of either form ends at -0.0."""
     v = seq.values
     return _plane_major(v if np.any(v.imag != 0.0) else v.real)
 
@@ -651,8 +680,7 @@ def _block_products(tables, starts, lengths, repeats=None):
     starts), and the binary exponents e of the removed scales come with
     the heads, so the true product is ldexp of Q[at[i]] by e[at[i]].  The
     blocks of windows laid end to end in one slab come from one sweep, in
-    the dtype of the slab: float64 for real factors (_sweep_values), equal
-    by value to the complex run, as the two forms of the kernel make them.
+    the dtype of the slab.
     """
     starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
     eye = np.eye(2, dtype=tables.slab.dtype)[None]
@@ -722,10 +750,8 @@ def norm_floor(seq, n):
 def norm_floor_curve(seq, n_max):
     """[norm_floor(seq, n) for n = 1..n_max] in one incremental pass.
 
-    The products run in float64 when every factor is real
-    (_sweep_values): singular values read only magnitudes, so both
-    dtypes give the same floors.  A floor beyond the float64 range reads
-    inf.
+    The products run in the window's sweep dtype (_sweep_values); a
+    floor beyond the float64 range reads inf.
     """
     if not 1 <= n_max <= len(seq):
         raise ValueError(f"block length must lie in [1, {len(seq)}]")

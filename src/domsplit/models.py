@@ -170,11 +170,6 @@ def periodic_operator(a_cycle, b_cycle, window):
     )
 
 
-def _circle_dist(x, y):
-    d = abs(float(x) - float(y)) % 1.0
-    return min(d, 1.0 - d)
-
-
 def pair_lipschitz(pair, samples=4096):
     """Sampled rate bound: how fast the operator moves per unit of angle.
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mat2 import _larger_columns, is_singular, singular_values, sv_direction_vectors
+from .mat2 import _abs, _abs2, _cmul, _larger_columns, _row_norms
+from .mat2 import is_singular, singular_values, sv_direction_vectors
 
 INF = complex(math.inf, 0.0)
 
@@ -122,22 +123,19 @@ def chordal_rows(a, b):
 
     Rows need not be normalized; zero rows give nan.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    det = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    na = np.sqrt(np.abs(a[..., 0]) ** 2 + np.abs(a[..., 1]) ** 2)
-    nb = np.sqrt(np.abs(b[..., 0]) ** 2 + np.abs(b[..., 1]) ** 2)
+    a, b = np.asarray(a), np.asarray(b)
+    det = _cmul(a[..., 0], b[..., 1]) - _cmul(a[..., 1], b[..., 0])
     with np.errstate(invalid="ignore", divide="ignore"):
-        return 2.0 * np.abs(det) / (na * nb)
+        return 2.0 * _abs(det) / (_row_norms(a) * _row_norms(b))
 
 
 def unit_rows(v):
     """Rows scaled to unit length; zero rows raise."""
-    v = np.asarray(v, dtype=complex)
-    n = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
+    v = np.asarray(v)
+    n = _row_norms(v)
     if np.any(n == 0.0):
         raise ValueError("zero vector has no direction")
-    return v / n[..., None]
+    return _cmul(v, (1.0 / n)[..., None])
 
 
 def act(m, p):
@@ -213,8 +211,8 @@ def _rank1_points(m):
     for the larger column c (mat2._larger_columns), or 0 where the range
     is vertical (|c[0]| <= 1e-14 |c|) or the matrix zero (finite False)."""
     col, n = _larger_columns(m)
-    finite = np.abs(col[:, 0]) > 1e-14 * n
-    return np.where(finite, col[:, 1] / np.where(finite, col[:, 0], 1.0), 0.0), finite
+    finite = _abs(col[:, 0]) > 1e-14 * n
+    return np.where(finite, _cmul(col[:, 1], 1.0 / np.where(finite, col[:, 0], 1.0)), 0.0), finite
 
 
 def _rank1_image(m):
@@ -269,14 +267,14 @@ def _apollonius(m, alpha):
     """
     a, b = m[..., 0, 0], m[..., 0, 1]
     c, d = m[..., 1, 0], m[..., 1, 1]
-    A = np.abs(a) ** 2 - alpha ** 2 * np.abs(b) ** 2
-    B = np.conj(c) * a - alpha ** 2 * np.conj(d) * b
-    C = np.abs(c) ** 2 - alpha ** 2 * np.abs(d) ** 2
-    scale = np.abs(a) ** 2 + alpha ** 2 * np.abs(b) ** 2
-    half = np.abs(A) <= 1e-12 * scale
+    al2 = np.asarray(alpha) ** 2
+    A = _abs2(a) - al2 * _abs2(b)
+    B = _cmul(c.conj(), a) - _cmul(_cmul(al2, d.conj()), b)
+    C = _abs2(c) - al2 * _abs2(d)
+    half = np.abs(A) <= 1e-12 * (_abs2(a) + al2 * _abs2(b))
     Asafe = np.where(half, 1.0, A)
-    center = np.conj(B) / Asafe
-    radius = np.sqrt(np.maximum(np.abs(center) ** 2 - C / Asafe, 0.0))
+    center = _cmul(B.conj(), 1.0 / Asafe) + 0.0  # zero parts read +0.0, as in a sum
+    radius = np.sqrt(np.maximum(_abs2(center) - C / Asafe, 0.0))
     return A, B, C, half, center, radius
 
 
@@ -292,7 +290,7 @@ def contained_in_disk(g, alpha_prime):
         raise ValueError("alpha_prime must be positive")
     if g.kind != "disk":
         return False, -math.inf
-    margin = alpha_prime - (float(np.abs(g.center)) + g.radius)
+    margin = alpha_prime - (float(_abs(np.asarray(g.center))) + g.radius)
     return margin > 0.0, margin
 
 
@@ -308,17 +306,17 @@ def disk_image_margins(mats, alpha, alpha_prime):
     alpha_prime of shape (k, r, 1) give (k, r, n) margins, and the disk
     images are found once per alpha.
     """
-    m = np.asarray(mats, dtype=complex)
+    m = np.asarray(mats)
     sing = is_singular(m)
     A, _, _, half, center, r = _apollonius(m, alpha)
     disk = (~sing) & (~half) & (A > 0.0)
-    out = np.where(disk, alpha_prime - (np.abs(center) + r), -np.inf)
+    out = np.where(disk, alpha_prime - (_abs(center) + r), -np.inf)
 
     # Rank-1 stacks: the point image of the range, if not vertical.
     if np.any(sing):
-        pt, ok = np.zeros(sing.shape, dtype=complex), np.zeros_like(sing)
+        pt, ok = np.zeros(sing.shape, dtype=np.result_type(m, 1.0)), np.zeros_like(sing)
         pt[sing], ok[sing] = _rank1_points(m[sing])
-        out = np.where(ok, alpha_prime - np.abs(pt), out)
+        out = np.where(ok, alpha_prime - _abs(pt), out)
     return out
 
 

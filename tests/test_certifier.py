@@ -634,10 +634,19 @@ def test_real_sweep_equals_the_complex_sweep(n, seed, kind, burn, extend):
     assert U.dtype == np.float64
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
     # and the directions, those pinned at singular factors included, are
-    # those of the complex sweep bit for bit
+    # float64 rows, the real parts of the complex sweep's bit for bit
     u, s = site_directions(seq, js, bu, bs)
     u_ref, s_ref = site_directions(seq, js, bu, bs, seq.values)
-    assert u.tobytes() == u_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+    assert u.dtype == s.dtype == np.float64 and u_ref.dtype == complex
+    assert_real_part_bits(u, u_ref)
+    assert_real_part_bits(s, s_ref)
+
+
+def assert_real_part_bits(x, z):
+    """x holds the bits of the real parts of z, whose imaginary parts are
+    all zero."""
+    assert not z.imag.any()
+    assert x.tobytes() == np.ascontiguousarray(z.real).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -665,8 +674,9 @@ def test_certify_is_the_same_without_the_real_sweep(seq, monkeypatch):
     monkeypatch.setattr(mat2, "_sweep_values", lambda seq: seq.values)
     cplx = certify(seq)
     assert json.dumps(real.to_json()) == json.dumps(cplx.to_json())
-    assert real.core_field.u.tobytes() == cplx.core_field.u.tobytes()
-    assert real.core_field.s.tobytes() == cplx.core_field.s.tobytes()
+    assert real.core_field.u.dtype == np.float64 and cplx.core_field.u.dtype == complex
+    assert_real_part_bits(real.core_field.u, cplx.core_field.u)
+    assert_real_part_bits(real.core_field.s, cplx.core_field.s)
 
 
 def test_complex_windows_sweep_in_complex(free_op):
@@ -715,6 +725,20 @@ doms = [
     for k, (j, f) in enumerate(zip(range(0, 200, 5), np.linspace(0.5, 3.0, 40)))
 ]
 out += np.array([d.margin for d in doms] + [d.N for d in doms]).tobytes()
+# certificates of complex Jacobi windows at x + 0.3i, JSON and core
+# fields, and the resolvent fields of one (inputs drawn without numpy's
+# SIMD exp and cos)
+import json
+from domsplit import JacobiOperator, certify_operator
+for k in range(3):
+    a = rng.uniform(0.5, 1.5, 150) + 1j * rng.uniform(-1.0, 1.0, 150)
+    op = JacobiOperator(j_lo=-75, a=a, b=rng.uniform(-1.0, 1.0, 150))
+    E = complex(rng.uniform(-3.0, 3.0), 0.3)
+    cert = certify_operator(op, E)
+    out += json.dumps(cert.to_json()).encode()
+    out += cert.core_field.u.tobytes() + cert.core_field.s.tobytes()
+fld = certifier.greens_directions(op, E)
+out += fld.u.tobytes() + fld.s.tobytes()
 """
 
 
@@ -723,9 +747,10 @@ out += np.array([d.margin for d in doms] + [d.N for d in doms]).tobytes()
     reason="numpy dispatches no FMA target on this CPU",
 )
 def test_complex_window_bits_do_not_depend_on_simd_dispatch():
-    # the renormalization reads |re| and |im|, not the complex modulus,
-    # whose SIMD hypot rounds differently with and without FMA; with
-    # numpy's AVX2 and AVX-512 loops disabled the bits stay the same
+    # the renormalization reads |re| and |im|, and every later stage
+    # follows mat2's arithmetic rule, not numpy's complex multiply and
+    # modulus, whose SIMD loops round differently with and without FMA;
+    # with numpy's AVX2 and AVX-512 loops disabled the bits stay the same
     here = {}
     exec(BLOCK_PRODUCTS_BYTES, here)
     src = os.path.dirname(os.path.dirname(certifier.__file__))
@@ -1109,7 +1134,13 @@ def range_direction(P, side="expanding"):
     k = 0 if norms[0] >= norms[1] else 1
     if norms[k] == 0.0:
         raise DegenerateCocycle(f"zero product pins no {side} direction")
-    return P[:, k] / norms[k]
+    # times the reciprocal, part by part
+    col, r = P[:, k], 1.0 / norms[k]
+    if not np.iscomplexobj(col):
+        return col * r
+    out = np.empty_like(col)
+    out.real, out.imag = col.real * r, col.imag * r
+    return out
 
 
 def kernel_direction(P):
@@ -1122,18 +1153,20 @@ def per_site_overrides(seq, js, bu, bs, U, u_vecs, s_vecs):
     one cocycle_product per site through its first singular factor, and
     the range of U, the products of the cut burns (cut_burns)."""
     _, cs, stop_u, stop_s = cut_burns(seq, js, bu, bs)
+    real = mat2._sweep_values(seq).dtype == np.float64
     for i in range(len(js)):
         if stop_s[i]:
-            s_vecs[i] = kernel_direction(mat2.cocycle_product(seq, int(js[i]), int(cs[i])))
+            P = mat2.cocycle_product(seq, int(js[i]), int(cs[i]))
+            s_vecs[i] = kernel_direction(P.real if real else P)
         if stop_u[i]:
-            u_vecs[i] = range_direction(U[i].astype(complex))
+            u_vecs[i] = range_direction(U[i])
 
 
 def per_site_directions(seq, js, bu, bs):
     cu, cs, _, _ = cut_burns(seq, js, bu, bs)
-    U, S = doubling_field_products(seq.values, js, cu, cs, seq.j_lo)
-    u = mat2.sv_left_vectors(U.astype(complex))
-    s = certifier._perp_rows(mat2.sv_right_vectors(S.astype(complex)))
+    U, S = doubling_field_products(mat2._sweep_values(seq), js, cu, cs, seq.j_lo)
+    u = mat2.sv_left_vectors(U)
+    s = certifier._perp_rows(mat2.sv_right_vectors(S))
     per_site_overrides(seq, js, bu, bs, U, u, s)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s))):
         raise InternalInconsistency("non-finite direction estimate")
@@ -1330,11 +1363,26 @@ def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, len
     assert np.array_equal(P[at], Pc[at_c]) and exps[at].tobytes() == exps_c[at_c].tobytes()
 
 
+def modulus(z):
+    """|z| in Python floats, as mat2._abs takes it: abs of a real z; for a
+    complex z, sqrt(re*re + im*im), or where that leaves (2**-500,
+    2**500), the same of its parts scaled by 2**-x, x the frexp exponent
+    of the larger, scaled back by 2**x."""
+    if not isinstance(z, complex):
+        return abs(z)
+    m = math.sqrt(z.real * z.real + z.imag * z.imag)
+    if 2.0**-500 < m < 2.0**500:
+        return m
+    x = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    a, b = math.ldexp(z.real, -x), math.ldexp(z.imag, -x)
+    return math.ldexp(math.sqrt(a * a + b * b), x)
+
+
 def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
                   ratios=(0.5, 0.25, 0.75)):
-    """cone_certificate with one disk_image_margins call per pair and
-    complex block products, kept as the oracle of the batched search;
-    gamma is scaled back one product at a time."""
+    """cone_certificate with one disk_image_margins call per pair, kept
+    as the oracle of the batched search; gamma is scaled back one product
+    at a time, each modulus taken in Python floats (modulus)."""
     lo, hi = seq.window
     D, Dinv = certifier._frame_matrices(fld)
     best = None
@@ -1345,11 +1393,11 @@ def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
             continue
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
-        Q, exps, at = mat2._block_products(mat2._Tables(seq.values), js - lo, n_blk)
+        Q, exps, at = mat2._block_products(mat2._Tables(mat2._sweep_values(seq)), js - lo, n_blk)
         P, exps = Q[at], exps[at]
         Lam = ref_matmul(ref_matmul(Dinv[k + n_blk], P), D[k])
         # the least |Lam[:, 0, 0]| of the unscaled products, one at a time
-        gamma = min(map(math.ldexp, np.abs(Lam[:, 0, 0]).tolist(), exps.tolist()))
+        gamma = min(map(math.ldexp, map(modulus, Lam[:, 0, 0].tolist()), exps.tolist()))
         cond = float(np.max(mat2.op_norm(Dinv[k + n_blk]) * mat2.op_norm(D[k])))
         for a in alphas:
             for r in ratios:

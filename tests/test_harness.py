@@ -30,6 +30,7 @@ from domsplit.mat2 import op_norm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_free_chain.csv"
 GOLDEN_DEAD = Path(__file__).parent / "data" / "golden_dead_coupling.csv"
+GOLDEN_DEAD_COMPLEX = Path(__file__).parent / "data" / "golden_dead_coupling_complex.csv"
 SCAN_SIZES = (100, 150, 199)
 
 
@@ -255,18 +256,36 @@ def test_golden_scan_fixture_parallel(free_op, tmp_path):
     assert list(rep.rows[0])[:3] == ["E_re", "E_im", "delta_spec"]
 
 
+def dead_coupling_op():
+    a = np.ones(200)
+    a[90] = 0.0
+    return JacobiOperator(j_lo=-100, a=a, b=0.3 * np.cos(np.arange(200)))
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_golden_dead_coupling_fixture(jobs, tmp_path):
     # a zero coupling inside the window makes two interior factors exactly
     # singular, so field rows stop there on both sides, not only at the
     # window's ends as in the free chain
-    a = np.ones(200)
-    a[90] = 0.0
-    op = JacobiOperator(j_lo=-100, a=a, b=0.3 * np.cos(np.arange(200)))
-    rep = johnson_scan(op, np.linspace(-3, 3.5, 27), jobs=jobs, spectrum_sizes=SCAN_SIZES)
+    rep = johnson_scan(
+        dead_coupling_op(), np.linspace(-3, 3.5, 27), jobs=jobs, spectrum_sizes=SCAN_SIZES
+    )
     out = tmp_path / "fresh.csv"
     rep.to_csv(out)
     assert out.read_bytes() == GOLDEN_DEAD.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_dead_coupling_complex_fixture(jobs, tmp_path):
+    # the same operator off the real axis: complex factors, fields and
+    # cone frames, whose numbers follow mat2's arithmetic rule and so do
+    # not depend on the SIMD loops numpy picks
+    rep = johnson_scan(
+        dead_coupling_op(), np.linspace(-3, 3, 25) + 0.3j, jobs=jobs, spectrum_sizes=SCAN_SIZES
+    )
+    out = tmp_path / "fresh.csv"
+    rep.to_csv(out)
+    assert out.read_bytes() == GOLDEN_DEAD_COMPLEX.read_bytes()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from domsplit import MatSequence, cocycle_map, cocycle_product, norm_floor, op_norm
 from domsplit.mat2 import (
     SingularFactor,
-    _herm_top_eigvec,
+    _abs,
     _ldexp,
+    _max_abs,
     _mul,
     _plane_major,
     _row_sweep,
@@ -99,25 +100,53 @@ def test_sv_direction_vectors_align_with_svd():
             assert np.linalg.norm(mine) == pytest.approx(1.0, rel=1e-12)
 
 
+def _complex(re, im):
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _top_eigvec_oracle(g11, g12, g22, lam):
+    # eigenvector of [[g11, g12], [conj(g12), g22]] for its eigenvalue lam,
+    # from the larger of two candidates, on real and imaginary parts:
+    # squares re*re + im*im, and the division by the norm a multiplication
+    # by its reciprocal
+    v1 = np.stack([g12, (lam - g11) + 0j], axis=-1)
+    v2 = np.stack([(lam - g22) + 0j, np.conj(g12)], axis=-1)
+    n1, n2 = (np.sqrt(sum(x.real * x.real + x.imag * x.imag for x in (v[..., 0], v[..., 1])))
+              for v in (v1, v2))
+    pick2 = n2 > n1
+    v = np.where(pick2[..., None], v2, v1)
+    n = np.where(pick2, n2, n1)
+    flat = n <= 1e-300
+    v = np.where(flat[..., None], np.array([1.0, 0.0], dtype=complex), v)
+    r = 1.0 / np.where(flat, 1.0, n)
+    return _complex(v.real * r[..., None], v.imag * r[..., None])
+
+
 def sv_direction_vectors_oracle(m):
-    """Both singular directions from one singular_values call, kept
-    verbatim as the oracle of the two halves."""
-    m = np.asarray(m)
+    """Both singular directions of a complex stack from one
+    singular_values call, every square and product written out on real
+    and imaginary parts: the oracle of the two halves."""
+    m = np.asarray(m, dtype=complex)
     a, b = m[..., 0, 0], m[..., 0, 1]
     c, d = m[..., 1, 0], m[..., 1, 1]
     s1, _ = singular_values(m)
     lam = s1 * s1
-    left = _herm_top_eigvec(
-        (np.abs(a) ** 2 + np.abs(b) ** 2).real,
-        a * np.conj(c) + b * np.conj(d),
-        (np.abs(c) ** 2 + np.abs(d) ** 2).real,
-        lam,
+
+    def sq(z):
+        return z.real * z.real + z.imag * z.imag
+
+    def dot(x, y, conj_x):  # x * conj(y), or conj(x) * y
+        re = x.real * y.real + x.imag * y.imag
+        return _complex(re, x.real * y.imag - x.imag * y.real if conj_x
+                        else x.imag * y.real - x.real * y.imag)
+
+    left = _top_eigvec_oracle(
+        sq(a) + sq(b), dot(a, c, False) + dot(b, d, False), sq(c) + sq(d), lam
     )
-    right = _herm_top_eigvec(
-        (np.abs(a) ** 2 + np.abs(c) ** 2).real,
-        np.conj(a) * b + np.conj(c) * d,
-        (np.abs(b) ** 2 + np.abs(d) ** 2).real,
-        lam,
+    right = _top_eigvec_oracle(
+        sq(a) + sq(c), dot(a, b, True) + dot(c, d, True), sq(b) + sq(d), lam
     )
     return left, right
 
@@ -136,6 +165,34 @@ def test_sv_halves_are_bitwise_the_joint_call():
     assert sv_right_vectors(m).tobytes() == right.tobytes()
     both = sv_direction_vectors(m)
     assert both[0].tobytes() == left.tobytes() and both[1].tobytes() == right.tobytes()
+    # a float64 stack gives the values of its complex128 form, in float64
+    real = m[::5].real
+    for got, ref in zip(sv_direction_vectors(real), (left[::5], right[::5])):
+        assert got.dtype == np.float64 and np.array_equal(got, ref)
+
+
+def test_modulus_has_the_range_of_hypot():
+    # squares of moduli beyond 2**+-511 leave float64; _abs then scales,
+    # so no modulus under- or overflows before its value does
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    z *= np.ldexp(1.0, rng.integers(-1070, 1020, 4000))
+    z[::9] = z[::9].real
+    a = _abs(z)
+    assert np.array_equal(a[::9], np.abs(z[::9].real))
+    ref = np.hypot(z.real, z.imag)
+    assert np.all(np.abs(a - ref) <= 2 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("lo, hi", [(-20, 20), (-1070, -600), (600, 1020), (-1070, 1020)])
+def test_max_modulus_is_the_largest_modulus(lo, hi):
+    # _max_abs roots the largest square, the largest root bit for bit
+    # where that root is normal, and takes _abs's maximum elsewhere
+    rng = np.random.default_rng(32)
+    z = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    z *= np.ldexp(1.0, rng.integers(lo, hi, 500))
+    assert _max_abs(z) == float(np.max(_abs(z)))
+    assert _max_abs(z.real) == float(np.max(np.abs(z.real)))
 
 
 def test_is_singular_flags():
