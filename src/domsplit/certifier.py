@@ -38,13 +38,14 @@ A row's bits depend on nothing but its start row and its factors, so
 rows that agree bitwise on both are one computation, and a row sweep
 sweeps one row of each such class, its head.  Where a window's factors
 repeat with a shift q (a periodic orbit, the free chain's interior),
-the row at site j + q copies the one at j; _repeat_map finds those
-repeats once per batch, the one place that compares factor bits.  The
-classes travel from stage to stage as integer ids: singular vectors and
-unit rows are taken of heads only, cone margins once per distinct
-(block, frame, frame) triple, and only the rows that leave the pipeline
-are gathered to every site.  A window without repeats runs the same
-code, each row its own head.
+the row at site j + q copies the one at j, and as every row is read
+forward from its first factor, the u row of site j is the s row of site
+j - burn; _repeat_map finds those repeats once per batch, the one place
+that compares factor bits.  The classes travel from stage to stage as
+integer ids: singular vectors and unit rows are taken of heads only,
+cone margins once per distinct (block, frame, frame) triple, and only
+the rows that leave the pipeline are gathered to every site.  A window
+without repeats runs the same code, each row its own head.
 
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -245,29 +246,29 @@ def _window_products(batch, jobs):
     batch is a _Batch of the windows, and each job (off, sites, bu, bs)
     asks for one window's products: off is the window's offset in the
     slab, sites are window indices (0 for its first factor), and bu/bs
-    the burns, which may differ by site (_cut_burns cuts them).  The u
-    side is right-multiplied into the past and the s side left-multiplied
-    into the future.  Both run as left products in doubling order on the
-    batch's tables (mat2._row_sweep), the u side as back rows, which read
-    the factors below the site transposed: U @ F is the transpose of F^T
-    @ U^T, whose entries sum the same products in the same order.  A
-    row's bits depend only on its factors and its burn, so any rung of a
-    burn ladder, in any batch, reproduces the products of its window's
-    sites alone.
+    the burns, which may differ by site (_cut_burns cuts them).  The U
+    of site j is the product of the bu factors before j, A(j-1) ...
+    A(j-bu), and its S that of the bs factors from j on, A(j+bs-1) ...
+    A(j): both are rows read forward from their first factor, in
+    doubling order on the batch's tables (mat2._row_sweep), so the U of
+    site j is the S of site j - bu when the burns agree.  A row's bits
+    depend only on its factors and its burn, so any rung of a burn
+    ladder, in any batch, reproduces the products of its window's sites
+    alone.
 
     Returns (H, idx): H the sweep's class heads, in the dtype of the
     slab, and idx the u and s head of each site, the jobs' sites end to
-    end, so the U of site i is H[idx[0, i]].T and its S H[idx[1, i]].
+    end, so the U of site i is H[idx[0, i]] and its S H[idx[1, i]].
     """
     if not jobs:
         return None, np.zeros((2, 0), dtype=np.intp)
     sites = np.concatenate([off + sites for off, sites, _, _ in jobs])
-    base = np.concatenate((sites, sites))
-    steps = np.concatenate([bu for _, _, bu, _ in jobs] + [bs for _, _, _, bs in jobs])
-    back = np.arange(len(base)) < len(sites)
+    bu = np.concatenate([bu for _, _, bu, _ in jobs])
+    base = np.concatenate((sites - bu, sites))
+    steps = np.concatenate([bu] + [bs for _, _, _, bs in jobs])
     eye = np.eye(2, dtype=batch.slab.dtype)[None]
     H, _, at = _row_sweep(eye, np.zeros(len(base), dtype=np.intp), batch.tables, base, steps,
-                          batch.repeats, back)
+                          batch.repeats)
     return H, at.reshape(2, -1)
 
 
@@ -341,8 +342,7 @@ def _directions(batch, jobs):
         _distinct(2 * i + np.concatenate([c[side] for c in cuts]), 2 * len(H))
         for i, side in zip(idx, (2, 3))
     )
-    U = _take(H, ku // 2).transpose(0, 2, 1)
-    S = _take(H, ks // 2)
+    U, S = _take(H, ku // 2), _take(H, ks // 2)
     stop_u, stop_s = ku % 2 == 1, ks % 2 == 1
     u = sv_left_vectors(U)
     s = _perp_rows(sv_right_vectors(S))
@@ -702,13 +702,14 @@ def cone_certificate(seq, fld, N):
     images once for all its ratios.  Returns None when no tried pair
     certifies.
     """
-    return _one(_cone_certificates(_Batch([seq]), [(0, fld, N, None)]))
+    return _one(_cone_certificates(_Batch([seq]), [(0, fld, N, None)]))[0]
 
 
 def _cone_certificates(batch, jobs):
     """cone_certificate for each job (w, fld, N, classes) of a batch,
-    classes the field's site classes as _dominations takes them: the
-    ConeCertificate or None, or the exception that ends window w.
+    classes the field's site classes as _dominations takes them, with
+    its stability_radius: (cone, epsilon), None for either where no pair
+    certifies, or the exception that ends window w.
 
     At each block length, the products of every job still searching come
     from one _block_products call; each job then scores its own rows.
@@ -716,12 +717,13 @@ def _cone_certificates(batch, jobs):
     classes of the frames at the block's two ends, so they are computed
     once per distinct triple of these: gamma, cond and the clearances
     are minima and maxima over the sites, which the distinct triples
-    give as they are.
+    give as they are.  The pick and epsilon read gamma / sup_bound**N in
+    binary exponents (stability_radius), free of the window's scale.
     """
     pairs = [(a, a * r) for a in ALPHAS for r in RATIOS]
     a_grid = np.array(ALPHAS)[:, None, None]
     ap_grid = a_grid * np.array(RATIOS)[:, None]
-    out = [None] * len(jobs)
+    out = [(None, None)] * len(jobs)
     frames = {}
     for i, (_, fld, _, classes) in enumerate(jobs):
         try:
@@ -764,10 +766,12 @@ def _cone_certificates(batch, jobs):
                 continue
             Lam = _mul(_mul(Dinv[k + n_blk], Pk), D[k])
             # the least |Lam[:, 0, 0]| of the unscaled products, scaled back
-            # exactly (numpy's SIMD log and exp are not correctly rounded);
-            # inf where it leaves float64, as a norm floor does
-            with np.errstate(over="ignore"):
-                gamma = float(np.min(np.ldexp(_abs(Lam[:, 0, 0]), exps[seg])))
+            # exactly, as g * 2**(k_M n_blk): gamma is inf or 0 where it
+            # leaves float64, as a norm floor is, g is not
+            m, k_M = math.frexp(batch.seqs[jobs[i][0]].sup_bound)
+            with np.errstate(over="ignore", under="ignore"):
+                g = float(np.min(np.ldexp(_abs(Lam[:, 0, 0]), exps[seg] - k_M * n_blk)))
+                gamma = float(np.ldexp(g, k_M * n_blk))
             cond = float(np.max(op_norm(Dinv[k + n_blk]) * op_norm(D[k])))
             clearances = np.min(disk_image_margins(Lam, a_grid, ap_grid), axis=-1)
             best = None
@@ -779,14 +783,15 @@ def _cone_certificates(batch, jobs):
                     alpha=al,
                     alpha_prime=ap,
                     clearance=clearance,
-                    gamma=gamma,
+                    gamma=g,
                     cond=cond,
                     n_sites=len(js),
                 )
                 if best is None or cand.budget() > best.budget():
                     best = cand
             if best is not None:
-                out[i] = best
+                eps = stability_radius(best, m)  # < m / 2: gamma <= cond m**N
+                out[i] = replace(best, gamma=gamma), eps and math.ldexp(eps, k_M)
                 del frames[i]
     return out
 
@@ -803,7 +808,9 @@ def stability_radius(cone, sup_bound, n_steps=None):
     """Largest per-factor perturbation size the cone data absorbs.
 
     Solves cond * ((M + eps)^N - M^N) = budget for eps, where M bounds
-    the factor norms; evaluated in log form to survive tiny budgets.
+    the factor norms; evaluated in log form to survive tiny budgets, with
+    M = m * 2**k and T = budget / cond, T / M**N as T * 2**(-k N) / m**N,
+    so M**N need not lie in float64.
     """
     if cone is None:
         return None
@@ -812,8 +819,9 @@ def stability_radius(cone, sup_bound, n_steps=None):
     M = float(sup_bound)
     if not (T > 0.0 and math.isfinite(T) and M > 0.0):
         return None
+    m, k = math.frexp(M)
     try:
-        eps = M * math.expm1(math.log1p(T / M**N) / N)
+        eps = M * math.expm1(math.log1p(math.ldexp(T, -k * N) / m**N) / N)
     except OverflowError:
         return None
     return eps if eps > 0.0 and math.isfinite(eps) else None
@@ -1222,12 +1230,11 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
     ws = each(judge, ws)
     if want_cone:
         jobs = [(w, resolved[w][3], certs[w].N, frames[w]) for w in ws]
-        for (w, *_), cone in zip(jobs, _cone_certificates(batch, jobs)):
-            if isinstance(cone, Exception):
-                out[w] = cone
+        for (w, *_), res in zip(jobs, _cone_certificates(batch, jobs)):
+            if isinstance(res, Exception):
+                out[w] = res
                 continue
-            certs[w].cone = cone
-            certs[w].epsilon = stability_radius(cone, seqs[w].sup_bound)
+            certs[w].cone, certs[w].epsilon = res
     for w in ws:
         if out[w] is None:
             if 0.0 < checks[w][3].margin < marginal_margin:

@@ -10,10 +10,10 @@ sweep() runs it, and so do the row sweeps that must read every step
 (_visit_sweep: the norm floors and the certifier's domination frames).
 Every other row sweep (_row_sweep) runs in doubling order on _Tables,
 exactly renormalized products of 2**k factors built once per slab, so a
-row of L factors takes one kernel call per set bit of L; a right product
-into the past reads the same tables transposed.  A row sweep sweeps one
-row per class of bitwise identical rows and returns those heads with
-the map from rows to heads, so a caller reads each distinct product once.
+row of L factors takes one kernel call per set bit of L.  Every row is
+a left product read forward from its base.  A row sweep sweeps one row
+per class of bitwise identical rows and returns those heads with the
+map from rows to heads, so a caller reads each distinct product once.
 
 The kernel, _mul, makes no BLAS call: on plane-major stacks (entry (i,
 k) of every 2x2 one contiguous array) it writes each entry as a*e + b*g
@@ -156,6 +156,11 @@ def singular_values(m):
     determinant of m* m; s2 is recovered as |det| / s1, which avoids the
     cancellation in the direct root when the two values are far apart.
     """
+    return _singular_values(m)[:2]
+
+
+def _singular_values(m):
+    """(s1, s2, |det m|) of singular_values, which reads the determinant."""
     m = np.asarray(m)
     q = _abs2(m)
     t = q[..., 0, 0] + q[..., 0, 1] + q[..., 1, 0] + q[..., 1, 1]
@@ -164,7 +169,7 @@ def singular_values(m):
     s1 = np.sqrt(0.5 * (t + np.sqrt(disc)))
     safe = np.where(s1 > 0.0, s1, 1.0)
     s2 = np.where(s1 > 0.0, d / safe, 0.0)
-    return s1, s2
+    return s1, s2, d
 
 
 def op_norm(m):
@@ -239,9 +244,8 @@ def _larger_columns(m):
 
 def is_singular(m, rtol=SINGULAR_RTOL):
     """Singularity test at the shared tolerance |det| < rtol * max(1, norm^2)."""
-    m = np.asarray(m)
-    s1, _ = singular_values(m)
-    return _abs(det2(m)) < rtol * np.maximum(1.0, s1 * s1)
+    s1, _, d = _singular_values(m)
+    return d < rtol * np.maximum(1.0, s1 * s1)
 
 
 def inv2(m, index=None, rtol=SINGULAR_RTOL):
@@ -276,7 +280,8 @@ class MatSequence:
         # the norms of the exactly scaled factors, scaled back: the squares
         # in singular_values overflow only where the norm itself does
         scaled, s = _renorm(_sweep_values(self))
-        top = float(np.max(np.ldexp(op_norm(scaled), -s)))
+        with np.errstate(over="ignore"):  # an inf norm is refused below
+            top = float(np.max(np.ldexp(op_norm(scaled), -s)))
         if not math.isfinite(top):
             raise ValueError(f"the largest factor norm {top} is not finite in float64")
         if self.sup_bound is None:
@@ -495,49 +500,43 @@ def _bits(X):
     return planes.view(np.int64)
 
 
-def _row_classes(start, base, steps, repeats, back=None):
+def _row_classes(start, base, steps, repeats):
     """For each row of a row sweep, the row whose products it copies, or
     None when every row is its own.
 
     start holds each row's start class: rows of one class start from
-    bitwise equal rows.  A row reads the factors [base, base + steps),
-    or [base - steps, base) where back is true (_row_sweep).  repeats is
-    (q, gaps) for the slab the rows read: the factors over [b, b + n) are
-    those over [b - q[b], b - q[b] + n) bit for bit whenever q[b] > 0,
-    b >= q[b] and gaps[b + n] == gaps[b] (certifier._repeat_map).  Row i
-    copies row j when j reads in the same direction the factors q below
-    those of i, their start classes and steps are equal, and no factor
-    i reads breaks the repeat: then both rows run the same arithmetic on
-    the same bits, in either order (a table entry a row reads spans its
-    own factors alone).  Row j may copy an earlier row in turn; each row
-    points to the first of its chain.  A row of no steps reads no
-    factor, whatever its base: it copies the first row of no steps in its
-    start class.  No bits are compared here: the factors' were compared
-    once, by the repeat map, and the starts' classes come from the stage
-    that made them.
+    bitwise equal rows.  A row reads the factors [base, base + steps)
+    (_row_sweep).  repeats is (q, gaps) for the slab the rows read: the
+    factors over [b, b + n) are those over [b - q[b], b - q[b] + n) bit
+    for bit whenever q[b] > 0, b >= q[b] and gaps[b + n] == gaps[b]
+    (certifier._repeat_map).  A row is keyed by its base, steps and
+    start class, a row of no steps by its start class alone (it reads no
+    factor).  Row i copies the first row of the key q below its own where
+    no factor i reads breaks the repeat, and else the first row of its
+    own key: both rows run the same arithmetic on the same bits, in
+    either order (a table entry a row reads spans its own factors alone).
+    The row copied may copy another in turn; each row points to the
+    first of its chain.  No bits are compared here: the factors' were
+    compared once, by the repeat map, and the starts' classes come from
+    the stage that made them.
     """
     if repeats is None:
         return None
     q, gaps = repeats
-    R, L = len(base), len(q)
-    copy = np.arange(R)
-    idle = np.flatnonzero(steps == 0)
-    if len(idle):
-        _, first, inv = np.unique(start[idle], return_index=True, return_inverse=True)
-        copy[idle] = idle[first][inv]
-    side = np.zeros(R, dtype=np.intp) if back is None else back * (L + 1)  # a table per direction
-    lo = base - steps * (side > 0)  # the first factor each row reads
-    inside = np.flatnonzero((lo >= 0) & (lo < L) & (steps > 0))
-    b = lo[inside]
-    end = np.minimum(b + steps[inside], L)
-    fit = (q[b] > 0) & (b >= q[b]) & (gaps[end] == gaps[b])
-    rows = inside[fit]
-    at = np.full(2 * (L + 1), -1)
-    at[base[inside] + side[inside]] = inside
-    j = at[base[rows] - q[b[fit]] + side[rows]]
-    rows, j = rows[j >= 0], j[j >= 0]
-    ok = (steps[j] == steps[rows]) & (start[j] == start[rows])
-    copy[rows[ok]] = j[ok]
+    R = len(base)
+    b = np.where(steps > 0, base, 0)
+    S, C = int(steps.max(initial=0)) + 1, int(start.max(initial=0)) + 1
+    key = (b * S + steps) * C + start
+    fit = (steps > 0) & (q[b] > 0) & (b >= q[b]) & (gaps[b + steps] == gaps[b])
+    # the keys, then the keys each row may copy, sorted stably: a run of
+    # equal keys starts at its first row, if it has one
+    both = np.concatenate((key, key - np.where(fit, q[b] * S * C, 0)))
+    order = np.argsort(both, kind="stable")
+    new = np.ones(2 * R, dtype=bool)
+    new[1:] = both[order[1:]] != both[order[:-1]]
+    first = np.empty(2 * R, dtype=np.intp)
+    first[order] = order[np.flatnonzero(new)][np.cumsum(new) - 1]
+    copy = np.where(first[R:] < R, first[R:], first[:R])
     if np.array_equal(copy, np.arange(R)):
         return None
     while True:  # point every row at the head of its chain
@@ -547,10 +546,10 @@ def _row_classes(start, base, steps, repeats, back=None):
         copy = nxt
 
 
-def _heads(start, base, steps, repeats, back=None):
+def _heads(start, base, steps, repeats):
     """(copy, heads): the rows' _row_classes and the rows that head a
     class, in ascending order."""
-    copy = _row_classes(start, base, steps, repeats, back)
+    copy = _row_classes(start, base, steps, repeats)
     rows = np.arange(len(base))
     return copy, (rows if copy is None else np.flatnonzero(copy == rows))
 
@@ -596,24 +595,20 @@ class _Tables:
         return self.levels[k]
 
 
-def _row_sweep(P, start, tables, base, steps, repeats=None, back=None):
+def _row_sweep(P, start, tables, base, steps, repeats=None):
     """Left-multiply row i, which starts at P[start[i]], by the factors
     slab[base[i]], ..., slab[base[i] + steps[i] - 1] of tables.slab (a
     _Tables), later factors on the left, renormalizing exactly, for the
     class heads of the rows; returns (Q, e, at): row i's product is
-    Q[at[i]] times 2**e[at[i]], e as in sweep.  A row with back[i] reads
-    the factors below its base instead, transposed and in reverse:
-    slab[base[i] - 1].T first, slab[base[i] - steps[i]].T last, so that
-    it holds the transpose of a right product into the past.
+    Q[at[i]] times 2**e[at[i]], e as in sweep.
 
     A row runs in doubling order on the tables: a row of L steps
     left-multiplies the table entry of each set bit 2**k of L, in
-    ascending order of k, each at its base plus the lower bits of L (a
-    back row: the transposed entry ending at its base less those bits),
+    ascending order of k, each at its base plus the lower bits of L,
     renormalizing after each.  So all rows together take one _mul per
     bit of the longest, whatever their lengths, and a row's bits depend
     only on its start row, its factors and its length: _mul and _renorm
-    work row by row and commute with the transpose.
+    work row by row.
 
     Rows that agree on their start and their factors are one
     computation.  With the slab's repeats, one row of each such class is
@@ -624,21 +619,16 @@ def _row_sweep(P, start, tables, base, steps, repeats=None, back=None):
     The heads stay a stack of their own: what a stage reads per row, it
     reads per head and gathers through at once at the end.
     """
-    copy, heads = _heads(start, base, steps, repeats, back)
+    copy, heads = _heads(start, base, steps, repeats)
     b, n = base[heads], steps[heads]
-    rev = np.zeros(len(heads), dtype=bool) if back is None else back[heads]
     Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
     for k in range(int(n.max(initial=0)).bit_length()):
         rows = np.flatnonzero(n >> k & 1)
         if not len(rows):
             continue
-        t = rev[rows]
         j = b[rows] + (n[rows] & ((1 << k) - 1))
-        j[t] = b[rows][t] - (n[rows][t] & ((2 << k) - 1))
         T, E = tables.level(k)
-        F = _take(T, j)
-        F[t, 0, 1], F[t, 1, 0] = F[t, 1, 0], F[t, 0, 1]  # transposed
-        R = _mul(F, _take(Q, rows))
+        R = _mul(_take(T, j), _take(Q, rows))
         _, s = _renorm(R, out=R)
         Q[rows] = R
         e[rows] += E[j] - s
@@ -646,8 +636,8 @@ def _row_sweep(P, start, tables, base, steps, repeats=None, back=None):
 
 
 def _visit_sweep(P, start, slab, base, steps, repeats, visit):
-    """_row_sweep (without back rows) one factor per step, straight off
-    the slab, for the stages that read every step.
+    """_row_sweep one factor per step, straight off the slab, for the
+    stages that read every step.
 
     The heads run through _sweep_steps longest first, so the rows each
     step multiplies are a prefix and each step gathers its factors with

@@ -268,10 +268,11 @@ def _apollonius(m, alpha):
     a, b = m[..., 0, 0], m[..., 0, 1]
     c, d = m[..., 1, 0], m[..., 1, 1]
     al2 = np.asarray(alpha) ** 2
-    A = _abs2(a) - al2 * _abs2(b)
+    pa, pb = _abs2(a), al2 * _abs2(b)
+    A = pa - pb
     B = _cmul(c.conj(), a) - _cmul(_cmul(al2, d.conj()), b)
     C = _abs2(c) - al2 * _abs2(d)
-    half = np.abs(A) <= 1e-12 * (_abs2(a) + al2 * _abs2(b))
+    half = np.abs(A) <= 1e-12 * (pa + pb)
     Asafe = np.where(half, 1.0, A)
     center = _cmul(B.conj(), 1.0 / Asafe) + 0.0  # zero parts read +0.0, as in a sum
     radius = np.sqrt(np.maximum(_abs2(center) - C / Asafe, 0.0))

@@ -398,13 +398,12 @@ def _padded(vals, js, bu, bs, lo):
 def doubling_field_products(vals, js, bu, bs, lo):
     """Reference per-site products, one site and one 2x2 at a time in
     doubling order (doubling_oracle): S of site j the product of the bs
-    factors from j, U that of the bu factors below j, right-multiplied,
-    as the transpose of the left product of their transposes.  A product
-    that runs past the window repeats the end factor there."""
+    factors from j, U that of the bu factors below j, both read forward
+    from their first factor.  A product that runs past the window
+    repeats the end factor there."""
     vals, lo = _padded(vals, js, bu, bs, lo)
     forward = doubling_oracle(vals)
-    backward = doubling_oracle(vals[::-1].transpose(0, 2, 1))
-    U = [backward(len(vals) - (j - lo), b)[0].T for j, b in zip(js.tolist(), bu.tolist())]
+    U = [forward(j - lo - b, b)[0] for j, b in zip(js.tolist(), bu.tolist())]
     S = [forward(j - lo, b)[0] for j, b in zip(js.tolist(), bs.tolist())]
     return np.array(U), np.array(S)
 
@@ -446,7 +445,7 @@ def window_products(vals, js, bu, bs, lo, first=()):
 def heads_products(H, idx):
     """The per-site products U and S that the heads H and their site map
     idx of a field sweep stand for (certifier._window_products)."""
-    return H[idx[0]].transpose(0, 2, 1), H[idx[1]]
+    return H[idx[0]], H[idx[1]]
 
 
 def site_directions(seq, js, bu, bs, vals=None):
@@ -892,7 +891,7 @@ def test_nan_norm_floor_raises_instead_of_failing(free_op, monkeypatch):
 
 
 SCALED = [((3.0, 0.5), 200, c) for c in (1e50, 1e100, 1e150, 1e-170, 1e-300, 1e300)] + [
-    ((1.2, 1.0), 200, 1e80)
+    ((1.2, 1.0), 200, c) for c in (1e80, 1e-100, 1e150)
 ] + [((1.03, 1.0), 300, c) for c in (1e-80, 1e-20, 1e20, 1e80, 1e-300, 1e300)]
 
 
@@ -907,7 +906,8 @@ def test_scaled_window_certifies_as_the_unscaled_one(diag, n, c):
     # exponents, so no floor or threshold beyond the float64 range (inf
     # against inf, 0 against 0) decides it: the verdict, N and every
     # floor decision are those at scale 1, and so is epsilon, times the
-    # scale, where the cone's gamma stays finite
+    # scale: the cone's pick and epsilon read gamma / sup_bound**N in
+    # binary exponents, though c**4 * gamma leaves float64 for diag(1.2, 1)
     def cert_at(scale):
         seq = MatSequence(0, np.repeat((scale * np.diag(diag))[None], n, axis=0))
         with warnings.catch_warnings():
@@ -923,7 +923,10 @@ def test_scaled_window_certifies_as_the_unscaled_one(diag, n, c):
         assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-15, abs=0.0)
     elif diag == (1.2, 1.0):
         assert one.verdict == "verified" and one.N == 4
-        assert math.isinf(cert.norm_floor_value) and math.isinf(cert.norm_floor_threshold)
+        beyond = (math.inf, math.inf) if c > 1.0 else (0.0, 0.0)
+        assert (cert.norm_floor_value, cert.norm_floor_threshold) == beyond
+        assert (cert.cone.alpha, cert.cone.alpha_prime) == (one.cone.alpha, one.cone.alpha_prime)
+        assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-12, abs=0.0)
     else:
         # 1.03**24 is the first power above 2
         assert one.verdict == "marginal" and one.N == 24
@@ -1683,10 +1686,10 @@ def test_a_signed_zero_breaks_a_repeat():
     factors=FACTORS,
 )
 def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factors):
-    # rows reading up (forward) or down (back) from their bases, a few
-    # steps long, from one of two starts: a row that copies another must
-    # match every one of these, since the same factors from another start
-    # or in the other direction give other bits
+    # rows a few steps long, from one of two starts, several at one base
+    # with equal or unequal steps and starts: a row that copies another
+    # must match every one of these, since the same factors from another
+    # start or over another length give other bits
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 50))
     vals = rng.standard_normal((n, 2, 2))
@@ -1694,14 +1697,13 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
         vals = vals + 1j * rng.standard_normal((n, 2, 2))
     vals = _repeating(rng, vals, factors)
     batch = certifier._Batch([MatSequence(0, vals)], [vals])
-    rows = rng.permutation(2 * (n + 1))[: int(rng.integers(n, 2 * n + 1))]
-    base, back = rows % (n + 1), rows > n  # each (base, direction) once
+    base = rng.integers(0, n + 1, int(rng.integers(n + 2, 2 * n + 3)))  # some base twice
     steps = rng.choice(rng.choice([0, 1, 2, 5, 9], 2), len(base))
-    steps = np.minimum(steps, np.where(back, base, n - base))
+    steps = np.minimum(steps, n - base)
     starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
     cls = (rng.random(len(base)) < 0.2).astype(np.intp)
-    Q, e, at = mat2._row_sweep(starts, cls, batch.tables, base, steps, batch.repeats, back)
-    Q1, e1, at1 = mat2._row_sweep(starts, cls, batch.tables, base, steps, None, back)
+    Q, e, at = mat2._row_sweep(starts, cls, batch.tables, base, steps, batch.repeats)
+    Q1, e1, at1 = mat2._row_sweep(starts, cls, batch.tables, base, steps)
     assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
     # every row is its own head without the repeats
     assert len(Q1) == len(base)
@@ -1750,12 +1752,12 @@ def test_row_sharing_does_not_change_certificates(seed, windows, burn):
 
 
 def test_certify_reads_each_distinct_row_once(monkeypatch):
-    # the singular vectors and the cone margins are taken once per class
-    # head, not once per site, and factor bits are compared only by the
-    # repeat map
+    # the singular vectors are taken once per distinct (head, stop) pair
+    # of each side and the cone margins once per class head, not once per
+    # site, and factor bits are compared only by the repeat map
     free = JacobiOperator(j_lo=-300, a=np.ones(600, dtype=complex), b=np.zeros(600))
     mod5 = periodic_operator([0.0, 1.0, 1.0, 1.0, 1.0], [0.3, -0.2, 0.5, 0.0, 0.1], (-200, 199))
-    rows, bits_callers = {}, []
+    rows, bits_callers, stops = {}, [], []
 
     def count(key, fn, n):
         def run(*args):
@@ -1763,22 +1765,33 @@ def test_certify_reads_each_distinct_row_once(monkeypatch):
             return out
         return run
 
-    def field_heads(args, out):
+    def cut_burns(*args):
+        out = orig_cut(*args)
+        stops.append(out[2:])
+        return out
+
+    def field_rows(args, out):
+        # the distinct (head, stop) pairs of each side, the stops those of
+        # the _cut_burns calls for this sweep's jobs
         rows["sites"] = rows.get("sites", 0) + sum(len(sites) for _, sites, *_ in args[1])
-        return len(out[0])
+        side_stops = [np.concatenate(x) for x in zip(*stops)]
+        stops.clear()
+        return sum(len(set(zip(i.tolist(), t.tolist()))) for i, t in zip(out[1], side_stops))
 
     def bits(X):
         bits_callers.append(sys._getframe(1).f_code.co_name)
         return orig_bits(X)
 
     orig_bits, orig_blocks = mat2._bits, certifier._block_products
+    orig_cut, orig_window = certifier._cut_burns, certifier._window_products
     for name in ("sv_left_vectors", "sv_right_vectors"):
         sv = count("sv", getattr(certifier, name), lambda a, o: len(a[0]))
         monkeypatch.setattr(certifier, name, sv)
     monkeypatch.setattr(certifier, "disk_image_margins",
                         count("disk", certifier.disk_image_margins, lambda a, o: len(a[0])))
+    monkeypatch.setattr(certifier, "_cut_burns", cut_burns)
     monkeypatch.setattr(certifier, "_window_products",
-                        count("heads", certifier._window_products, field_heads))
+                        count("pairs", certifier._window_products, field_rows))
     monkeypatch.setattr(mat2, "_bits", bits)
     monkeypatch.setattr(certifier, "_bits", bits)
 
@@ -1797,7 +1810,14 @@ def test_certify_reads_each_distinct_row_once(monkeypatch):
         rows.clear()
         cert = certify_operator(op, E)
         assert cert.ok
-        assert rows["sv"] == rows["heads"] < rows["sites"] / 3
+        assert rows["sv"] == rows["pairs"] < rows["sites"] / 3
         assert rows.get("disk", 0) == rows.get("cone heads", 0)
     assert rows["disk"] == 5 and cert.cone.n_sites == 320  # mod5: one row per residue
     assert bits_callers and set(bits_callers) == {"_repeat_map"}
+    # every row reads forward, so the u row of site j is the s row of site
+    # j - burn: on the repeating window they share a head
+    seq, b = cocycle_map(mod5, 2.6), cert.burn
+    js = np.arange(b, len(seq) + 1 - b)
+    full = np.full(len(js), b)
+    _, (u, s) = orig_window(certifier._Batch([seq]), [(0, js, full, full)])
+    assert len(js) > b and np.array_equal(u[b:], s[:-b])

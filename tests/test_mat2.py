@@ -16,8 +16,6 @@ from domsplit.mat2 import (
     _max_abs,
     _mul,
     _plane_major,
-    _row_sweep,
-    _Tables,
     backward_product,
     det2,
     inv2,
@@ -509,32 +507,3 @@ def test_span_products_are_bitwise_the_per_pair_products(real):
             assert cocycle_product(seq, j, n).tobytes() == ref.tobytes()
     with pytest.raises(IndexError):
         span_products(seq, starts, lengths + 1)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_back_rows_are_the_forward_rows_of_the_reversed_transposes(dtype):
-    # a back row reads the factors below its base, transposed, from the
-    # base down, as the certifier's u side does: bit for bit the forward
-    # row over the slab reversed and transposed, at every base and
-    # length, from either start, alone or in one sweep with forward rows
-    rng = np.random.default_rng(36)
-    F = rng.standard_normal((37, 2, 2)) * 2.0 ** rng.integers(-30, 31, (37, 1, 1))
-    if np.dtype(dtype).kind == "c":
-        F = F + 1j * rng.standard_normal((37, 2, 2))
-    F[5] = 0.0
-    F[9, 0, 1] = -0.0
-    F = F.astype(dtype)
-    G = F[::-1].transpose(0, 2, 1)
-    base, steps = np.array([(p, n) for p in range(38) for n in range(p + 1)]).T
-    starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(dtype)
-    cls = rng.integers(0, 2, len(base))
-    tables = _Tables(_plane_major(F))
-    Q, e, at = _row_sweep(starts, cls, _Tables(_plane_major(G)), 37 - base, steps)
-    Qb, eb, atb = _row_sweep(starts, cls, tables, base, steps, back=np.ones(len(base), bool))
-    assert Qb[atb].tobytes() == Q[at].tobytes() and eb[atb].tobytes() == e[at].tobytes()
-    Qf, ef, atf = _row_sweep(starts, cls, tables, 37 - base, steps)
-    both = np.concatenate((base, 37 - base)), np.concatenate((steps, steps))
-    back = np.arange(2 * len(base)) < len(base)
-    Q2, e2, at2 = _row_sweep(starts, np.concatenate((cls, cls)), tables, *both, back=back)
-    assert Q2[at2].tobytes() == Q[at].tobytes() + Qf[atf].tobytes()
-    assert e2[at2].tobytes() == e[at].tobytes() + ef[atf].tobytes()
