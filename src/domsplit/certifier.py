@@ -36,16 +36,17 @@ of its window alone.  The other checks run per window.
 
 A row's bits depend on nothing but its start row and its factors, so
 rows that agree bitwise on both are one computation, and a row sweep
-sweeps one row of each such class, its head.  Where a window's factors
-repeat with a shift q (a periodic orbit, the free chain's interior),
-the row at site j + q copies the one at j, and as every row is read
-forward from its first factor, the u row of site j is the s row of site
-j - burn; _repeat_map finds those repeats once per batch, the one place
-that compares factor bits.  The classes travel from stage to stage as
-integer ids: singular vectors and unit rows are taken of heads only,
-cone margins once per distinct (block, frame, frame) triple, and only
-the rows that leave the pipeline are gathered to every site.  A window
-without repeats runs the same code, each row its own head.
+sweeps one row of each such class, its head (mat2._row_classes).  Rows
+of one base, steps and start are one class in every window: as every
+row is read forward from its first factor, the u row of site j is the s
+row of site j - burn.  Where a window's factors repeat with a shift q (a
+periodic orbit, the free chain's interior), a row also joins the row q
+sites back over the same factors; _repeat_map finds those repeats once
+per batch, the one place that compares factor bits.  The classes travel
+from stage to stage as integer ids, every one found by mat2._classes:
+singular vectors and unit rows are taken of heads only, cone margins
+once per distinct (block, frame, frame) triple, and only the rows that
+leave the pipeline are gathered to every site.
 
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
@@ -55,7 +56,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -72,6 +75,7 @@ from .mat2 import (
     _abs2,
     _bits,
     _block_products,
+    _classes,
     _cmul,
     _column_norms,
     _floor_curves,
@@ -177,17 +181,17 @@ def _slab(vals):
 
 def _repeat_map(slab, lengths):
     """The exact repeats of a _slab of windows of the given lengths, as
-    (q, gaps) for _row_sweep, or None when no window repeats.
+    (q, last) for _row_sweep, or None when no window repeats.
 
     q[p] is the shift of the window that slab position p belongs to: the
     smallest d at which at least half of its factors are bitwise the
     factor d earlier, tried among the shifts from its middle factor to
     the later repeats of it (0 when there are none; the choice decides
-    only how much a row sweep shares).  gaps counts, up to each
-    position, the positions p whose factor is not bitwise the one q[p]
-    earlier in the same window (every position of a window with q = 0),
-    so the factors over [b, b + n) are those over [b - q[b], b - q[b] +
-    n) bit for bit whenever gaps[b + n] == gaps[b] and n > 0.
+    only how much a row sweep shares).  A break is a position whose
+    factor is not bitwise the one q[p] earlier in the same window (every
+    position of a window with q = 0), and last[p] the last break at or
+    before p, so the factors over [b, b + n) are those over [b - q[b], b
+    - q[b] + n) bit for bit whenever last[b + n - 1] < b and n > 0.
     """
     bits = _bits(slab)
     offsets = np.cumsum([0] + list(lengths[:-1]))
@@ -207,7 +211,7 @@ def _repeat_map(slab, lengths):
     p = np.arange(len(q))
     prev = np.maximum(p - q, 0)
     same = (q > 0) & (p >= q) & (win[prev] == win) & (bits[:, prev] == bits).all(axis=0)
-    return q, np.concatenate(([0], np.cumsum(~same)))
+    return q, np.maximum.accumulate(np.where(same, -1, p))
 
 
 class _Batch:
@@ -217,8 +221,9 @@ class _Batch:
     offsets[w] on, tables (mat2._Tables) its doubling tables, built as
     the stages ask for them and freed with the batch, and repeats its
     _repeat_map.  zeros[w] lists the sites of w's exactly singular
-    factors, read off the renormalized factors (the tables' level 0),
-    whose determinants underflow only where an exact one would.
+    factors: the candidates have det2 0 on the renormalized factors (the
+    tables' level 0), which underflows only where an exact determinant
+    would, and each is confirmed exactly (_exact_zero_det).
     """
 
     def __init__(self, seqs, vals=None):
@@ -228,8 +233,19 @@ class _Batch:
         self.repeats = _repeat_map(self.slab, [len(s) for s in seqs])
         self.offsets = np.cumsum([0] + [len(s) for s in seqs[:-1]])
         T, _ = self.tables.level(0)
-        self.zeros = [np.flatnonzero(det2(T[o : o + len(s)]) == 0.0) + s.j_lo
+        zeros = np.flatnonzero(det2(T) == 0.0)
+        zeros = zeros[[_exact_zero_det(self.slab[p]) for p in zeros.tolist()]]
+        self.zeros = [zeros[(o <= zeros) & (zeros < o + len(s))] - o + s.j_lo
                       for o, s in zip(self.offsets.tolist(), seqs)]
+
+
+def _exact_zero_det(m):
+    """Whether det m is exactly 0, real and imaginary parts, summed in
+    fractions.Fraction (terms with a zero factor left out)."""
+    (a, b), (c, d) = (map(complex, r) for r in m)
+    re = ((a.real, d.real), (-a.imag, d.imag), (-b.real, c.real), (b.imag, c.imag))
+    im = ((a.real, d.imag), (a.imag, d.real), (-b.real, c.imag), (-b.imag, c.real))
+    return all(sum(Fraction(x) * Fraction(y) for x, y in part if x and y) == 0 for part in (re, im))
 
 
 def _one(outcomes):
@@ -314,10 +330,9 @@ def _unit_columns(P):
 def _directions(batch, jobs):
     """Unit u and s rows for each job (w, js, bu, bs): window w's sites
     js (absolute indices) with burns bu/bs.  Returns per job the triple
-    (u, s, cls) or the exception that ends window w: u and s arrays of
-    its own, and cls the sites' classes, sites of one class having
-    bitwise equal u and s rows (None in a batch without repeats, where
-    every site is its own class).
+    (u, s, ids) or the exception that ends window w: u and s arrays of
+    its own, and ids the pair of the sites' u and s row ids, sites of
+    equal ids having bitwise equal rows on that side.
 
     The products are those of the burns cut at the window's exactly
     singular factors (_cut_burns), from one _window_products sweep.  A
@@ -337,13 +352,14 @@ def _directions(batch, jobs):
         (batch.offsets[w], js - batch.seqs[w].j_lo, cu, cs)
         for (w, js, _, _), (cu, cs, _, _) in zip(jobs, cuts)
     ])
-    # one row per side and distinct (head, stop), key // 2 its head
-    (ku, iu), (ks, is_) = (
-        _distinct(2 * i + np.concatenate([c[side] for c in cuts]), 2 * len(H))
-        for i, side in zip(idx, (2, 3))
-    )
-    U, S = _take(H, ku // 2), _take(H, ks // 2)
-    stop_u, stop_s = ku % 2 == 1, ks % 2 == 1
+    # one row per side and distinct (head, stop)
+    sides = []
+    for i, side in zip(idx, (2, 3)):
+        stop = np.concatenate([c[side] for c in cuts])
+        first, at = _classes(i, stop)
+        sides.append((i[first], stop[first], at))
+    (hu, stop_u, iu), (hs, stop_s, is_) = sides
+    U, S = _take(H, hu), _take(H, hs)
     u = sv_left_vectors(U)
     s = _perp_rows(sv_right_vectors(S))
     dead_u, dead_s = np.zeros_like(stop_u), np.zeros_like(stop_s)
@@ -358,7 +374,6 @@ def _directions(batch, jobs):
     s[~good_s] = 1.0
     u, s = unit_rows(u), unit_rows(s)
     dead, good = dead_u[iu] | dead_s[is_], good_u[iu] & good_s[is_]
-    cls = None if batch.repeats is None else iu * len(ks) + is_
     out, a = [], 0
     for _, js, *_ in jobs:
         r = slice(a, a + len(js))
@@ -369,31 +384,19 @@ def _directions(batch, jobs):
         elif not good[r].all():
             d = InternalInconsistency("non-finite direction estimate")
         else:
-            d = (u[iu[r]], s[is_[r]], None if cls is None else cls[r])
+            d = (u[iu[r]], s[is_[r]], (iu[r], is_[r]))
         out.append(d)
     return out
 
 
-def _distinct(keys, n):
-    """The distinct values of int keys in [0, n), ascending, and the index
-    of each key among them: np.unique with return_inverse, by a table
-    instead of a sort."""
-    seen = np.zeros(n, dtype=bool)
-    seen[keys] = True
-    first = np.flatnonzero(seen)
-    pos = np.empty(n, dtype=np.intp)
-    pos[first] = np.arange(len(first))
-    return first, pos[keys]
-
-
 def _core_fields(batch, jobs):
-    """Core field at burn for each job (w, burn), with its site classes:
-    (field, cls), or the exception that ends window w.
+    """Core field at burn for each job (w, burn), with its sites' u and s
+    row ids (_directions), or the exception that ends window w.
 
-    Sites of one cls have bitwise equal field rows, so the frames of the
-    domination check and the cone search share rows by it.  All jobs
-    share one sweep, and each burn is computed afresh from the batch's
-    tables, in at most bit_length(burn) kernel calls.
+    Sites of equal ids have bitwise equal field rows, so the frames of
+    the domination check and the cone search share rows by their classes
+    (mat2._classes).  All jobs share one sweep, and each burn is computed
+    afresh from the batch's tables, in at most bit_length(burn) kernel calls.
     """
     specs = []
     for w, burn in jobs:
@@ -581,16 +584,6 @@ def verify_domination(seq, fld, n_max=N_MAX, factor=FACTOR):
     return _dominations(_Batch([seq]), [(0, fld, None)], n_max, factor)[0]
 
 
-def _site_classes(cls):
-    """Dense ids of a field's site classes (cls from _core_fields) and the
-    first site of each id, as _dominations and _cone_certificates take
-    them; None (every site its own class) stays None."""
-    if cls is None:
-        return None
-    _, first, ids = np.unique(cls, return_index=True, return_inverse=True)
-    return ids, first
-
-
 def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
     """verify_domination for each job (w, fld, classes) of a batch, each
     window at most once, as one mat2._visit_sweep.
@@ -599,10 +592,10 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
     factors j, j + 1, ... for min(n_max, sites left) steps.  After step
     N its columns are B_N u and B_N s times one power of two, so the
     quotient of their norms (mat2._column_norms) is the growth ratio.
-    The frames of the sites of one field class (classes from
-    _site_classes; None for every site its own) are one start class, and
-    a row that copies another (batch.repeats) has its bits.  The sweep ends once no window
-    is left searching.
+    The frames of the sites of one field class (classes, (first, ids) of
+    mat2._classes; None for every site its own) are one start class, and
+    rows of one class (mat2._row_classes) have one row's bits.  The sweep
+    ends once no window is left searching.
     """
     if not jobs:
         return []
@@ -611,7 +604,7 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
         seq, js = batch.seqs[w], fld.sites()
         base.append(batch.offsets[w] - seq.j_lo + js)
         steps.append(np.minimum(n_max, seq.j_hi + 1 - js))
-        ids, first = (np.arange(len(js)),) * 2 if classes is None else classes
+        first, ids = (np.arange(len(js)),) * 2 if classes is None else classes
         frames.append(np.stack([fld.u[first], fld.s[first]], axis=-1))
         start.append(o + ids)
         o += len(first)
@@ -727,7 +720,7 @@ def _cone_certificates(batch, jobs):
     frames = {}
     for i, (_, fld, _, classes) in enumerate(jobs):
         try:
-            frames[i] = (*_frame_matrices(fld), None if classes is None else classes[0])
+            frames[i] = (*_frame_matrices(fld), np.arange(len(fld)) if classes is None else classes[1])
         except DegenerateCocycle as exc:
             out[i] = exc
     for mult in (1, 2, 4):
@@ -755,10 +748,8 @@ def _cone_certificates(batch, jobs):
             # margin stacks of a whole batch would be its largest arrays
             D, Dinv, ids = frames[i]
             k = js - jobs[i][1].j_first
-            # without classes every site's frames are its own: triples differ
-            if ids is not None:
-                first = _first_rows(seg, ids[k + n_blk], ids[k])
-                seg, k = seg[first], k[first]
+            first, _ = _classes(seg, ids[k + n_blk], ids[k])
+            seg, k = seg[first], k[first]
             Pk = _take(P, seg)
             if not np.all(np.isfinite(Pk)):
                 out[i] = InternalInconsistency("non-finite block product")
@@ -796,21 +787,14 @@ def _cone_certificates(batch, jobs):
     return out
 
 
-def _first_rows(*keys):
-    """The first row of each distinct tuple of the int arrays keys, in
-    row order."""
-    order = np.lexsort(keys[::-1])  # stable: equal tuples keep row order
-    t = np.stack(keys)[:, order]
-    return np.sort(order[np.r_[True, (t[:, 1:] != t[:, :-1]).any(axis=0)]])
-
-
 def stability_radius(cone, sup_bound, n_steps=None):
     """Largest per-factor perturbation size the cone data absorbs.
 
     Solves cond * ((M + eps)^N - M^N) = budget for eps, where M bounds
     the factor norms; evaluated in log form to survive tiny budgets, with
-    M = m * 2**k and T = budget / cond, T / M**N as T * 2**(-k N) / m**N,
-    so M**N need not lie in float64.
+    T = budget / cond = t * 2**y, M = m * 2**k and m**N = f * 2**z (as
+    2**(N log2 m) below the normal range), T / M**N as (t / f) * 2**(y -
+    z - k N), so neither M**N nor the quotient need lie in float64.
     """
     if cone is None:
         return None
@@ -819,9 +803,13 @@ def stability_radius(cone, sup_bound, n_steps=None):
     M = float(sup_bound)
     if not (T > 0.0 and math.isfinite(T) and M > 0.0):
         return None
-    m, k = math.frexp(M)
+    (t, y), (m, k) = math.frexp(T), math.frexp(M)
+    lg = N * math.log2(m)
+    f, z = math.frexp(m**N) if m**N >= sys.float_info.min else (2.0 ** (lg % 1 - 1), math.floor(lg) + 1)
+    x = y - z - k * N  # (t / f) * 2**x < 2**1024 for x < 1023, and log1p is log above
+    lx = math.log1p(math.ldexp(t / f, x)) if x < 1023 else math.log(t / f) + x * math.log(2.0)
     try:
-        eps = M * math.expm1(math.log1p(math.ldexp(T, -k * N) / m**N) / N)
+        eps = M * math.expm1(lx / N)
     except OverflowError:
         return None
     return eps if eps > 0.0 and math.isfinite(eps) else None
@@ -998,9 +986,9 @@ def _plain(x):
 # rows and 20 ns at 12,000, where its stacks fall out of the cache; a
 # complex128 step about 70 ns a row from 1,500 to 3,500 rows and 85 ns at
 # 4,000, so a complex row counts three.  The sweeps and the per-row reads
-# now touch class heads only (a window without repeats has every row as
-# its head), so the constant bounds the per-site rows a batch lists and
-# gathers: the row keys of _row_classes and the site arrays.
+# now touch class heads only (a window without repeats has nearly every
+# row as its head), so the constant bounds the per-site rows a batch
+# lists and gathers: the row keys of _row_classes and the site arrays.
 BATCH_ROWS = 10_000
 
 
@@ -1148,7 +1136,7 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
     ws = [w for w in ws if out[w] is None]
 
     # the classes of each core field's sites, which its frames share
-    frames = {w: _site_classes(classes[w, resolved[w][3].burn]) for w in ws}
+    frames = {w: _classes(*classes[w, resolved[w][3].burn]) for w in ws}
     doms = dict(zip(ws, _dominations(batch, [(w, resolved[w][3], frames[w]) for w in ws])))
     checks = {}
 

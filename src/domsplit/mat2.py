@@ -12,8 +12,10 @@ Every other row sweep (_row_sweep) runs in doubling order on _Tables,
 exactly renormalized products of 2**k factors built once per slab, so a
 row of L factors takes one kernel call per set bit of L.  Every row is
 a left product read forward from its base.  A row sweep sweeps one row
-per class of bitwise identical rows and returns those heads with the
-map from rows to heads, so a caller reads each distinct product once.
+per class of bitwise identical rows (_row_classes) and returns those
+heads with the map from rows to heads, so a caller reads each distinct
+product once; every class, here and in the certifier, is one keyed
+unique (_classes).
 
 The kernel, _mul, makes no BLAS call: on plane-major stacks (entry (i,
 k) of every 2x2 one contiguous array) it writes each entry as a*e + b*g
@@ -500,65 +502,46 @@ def _bits(X):
     return planes.view(np.int64)
 
 
+def _classes(*keys):
+    """(first, at) for the classes of equal tuples of nonnegative int keys
+    (an array each), ascending by tuple: first the first row of each
+    class, at each row's class.  The keys combine into one int64 key in
+    mixed radix, each radix its key's largest value + 1; OverflowError
+    where the tuples do not fit in int64."""
+    radix = [int(k.max(initial=0)) + 1 for k in keys]
+    if math.prod(radix) > 2**63:
+        raise OverflowError(f"class keys of radices {radix} leave int64")
+    key = np.zeros(len(keys[0]), dtype=np.int64)
+    for k, r in zip(keys, radix):
+        key = key * r + k
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    return first, at
+
+
 def _row_classes(start, base, steps, repeats):
-    """For each row of a row sweep, the row whose products it copies, or
-    None when every row is its own.
+    """Classes of the rows of a row sweep (_row_sweep) that run the same
+    arithmetic on the same bits, as _classes: (first, at), the heads
+    first longest first.
 
-    start holds each row's start class: rows of one class start from
-    bitwise equal rows.  A row reads the factors [base, base + steps)
-    (_row_sweep).  repeats is (q, gaps) for the slab the rows read: the
-    factors over [b, b + n) are those over [b - q[b], b - q[b] + n) bit
-    for bit whenever q[b] > 0, b >= q[b] and gaps[b + n] == gaps[b]
-    (certifier._repeat_map).  A row is keyed by its base, steps and
-    start class, a row of no steps by its start class alone (it reads no
-    factor).  Row i copies the first row of the key q below its own where
-    no factor i reads breaks the repeat, and else the first row of its
-    own key: both rows run the same arithmetic on the same bits, in
-    either order (a table entry a row reads spans its own factors alone).
-    The row copied may copy another in turn; each row points to the
-    first of its chain.  No bits are compared here: the factors' were
-    compared once, by the repeat map, and the starts' classes come from
-    the stage that made them.
+    Row i starts in start class start[i] (rows of one class start from
+    bitwise equal rows) and reads the factors [base, base + steps).  It
+    is keyed by (steps, canonical base, start), a row of no steps by its
+    start alone (base 0).  With repeats = (q, last) of the slab
+    (certifier._repeat_map: factor p is factor p - q[p] bit for bit
+    unless p is a break, last[p] the last break at or before p), a row of
+    n steps at b reads the factors of the row at b - k q, q = q[b], for
+    every k with no break in [b - (k - 1) q, b + n): its canonical base
+    is b - q ceil((b - last[b + n - 1]) / q), or b where q = 0.  No bits
+    are compared here: the repeat map compared the factors', and the
+    starts' classes come from the stage that made them.
     """
-    if repeats is None:
-        return None
-    q, gaps = repeats
-    R = len(base)
     b = np.where(steps > 0, base, 0)
-    S, C = int(steps.max(initial=0)) + 1, int(start.max(initial=0)) + 1
-    key = (b * S + steps) * C + start
-    fit = (steps > 0) & (q[b] > 0) & (b >= q[b]) & (gaps[b + steps] == gaps[b])
-    # the keys, then the keys each row may copy, sorted stably: a run of
-    # equal keys starts at its first row, if it has one
-    both = np.concatenate((key, key - np.where(fit, q[b] * S * C, 0)))
-    order = np.argsort(both, kind="stable")
-    new = np.ones(2 * R, dtype=bool)
-    new[1:] = both[order[1:]] != both[order[:-1]]
-    first = np.empty(2 * R, dtype=np.intp)
-    first[order] = order[np.flatnonzero(new)][np.cumsum(new) - 1]
-    copy = np.where(first[R:] < R, first[R:], first[:R])
-    if np.array_equal(copy, np.arange(R)):
-        return None
-    while True:  # point every row at the head of its chain
-        nxt = copy[copy]
-        if np.array_equal(nxt, copy):
-            return copy
-        copy = nxt
-
-
-def _heads(start, base, steps, repeats):
-    """(copy, heads): the rows' _row_classes and the rows that head a
-    class, in ascending order."""
-    copy = _row_classes(start, base, steps, repeats)
-    rows = np.arange(len(base))
-    return copy, (rows if copy is None else np.flatnonzero(copy == rows))
-
-
-def _head_map(order, copy):
-    """The map from rows to heads of a sweep whose heads ran in order."""
-    at = np.empty(len(order) if copy is None else len(copy), dtype=np.intp)
-    at[order] = np.arange(len(order))
-    return at if copy is None else at[copy]
+    if repeats is not None:
+        q, last = repeats
+        qb = q[b]
+        back = np.maximum(b - last[b + steps - 1], 0)
+        b = b - qb * -(-back // np.maximum(qb, 1))  # ceil
+    return _classes(steps.max(initial=0) - steps, b, start)
 
 
 class _Tables:
@@ -611,15 +594,15 @@ def _row_sweep(P, start, tables, base, steps, repeats=None):
     work row by row.
 
     Rows that agree on their start and their factors are one
-    computation.  With the slab's repeats, one row of each such class is
-    computed, its head, and the others map to it (_row_classes): in a
+    computation: one row of each class (_row_classes) is computed, its
+    head, and the others map to it: rows of one base, steps and start
+    class, and with the slab's repeats rows over repeating factors (in a
     periodic window, the row at base b reads the factors of the row at
-    b - q.  Rows that share a start class start from bitwise equal rows,
-    and identity starts are one class (P the identity, start all 0).
+    b - q).  Identity starts are one class (P the identity, start all 0).
     The heads stay a stack of their own: what a stage reads per row, it
     reads per head and gathers through at once at the end.
     """
-    copy, heads = _heads(start, base, steps, repeats)
+    heads, at = _row_classes(start, base, steps, repeats)
     b, n = base[heads], steps[heads]
     Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
     for k in range(int(n.max(initial=0)).bit_length()):
@@ -632,32 +615,31 @@ def _row_sweep(P, start, tables, base, steps, repeats=None):
         _, s = _renorm(R, out=R)
         Q[rows] = R
         e[rows] += E[j] - s
-    return Q, e, _head_map(heads, copy)
+    return Q, e, at
 
 
 def _visit_sweep(P, start, slab, base, steps, repeats, visit):
     """_row_sweep one factor per step, straight off the slab, for the
     stages that read every step.
 
-    The heads run through _sweep_steps longest first, so the rows each
-    step multiplies are a prefix and each step gathers its factors with
-    one _take.  visit(rows, Q, e) sees every step: rows are the indices
-    of the rows it multiplied, one per class, and Q and e their products
-    and exponents so far, which the next step overwrites.  A true return
-    from visit ends the sweep there, each row holding its product so far.
-    Returns (Q, e, at) as _row_sweep does.
+    The heads, longest first (_row_classes), run through _sweep_steps, so
+    the rows each step multiplies are a prefix and each step gathers its
+    factors with one _take.  visit(rows, Q, e) sees every step: rows are
+    the indices of the rows it multiplied, one per class, and Q and e
+    their products and exponents so far, which the next step overwrites.
+    A true return from visit ends the sweep there, each row holding its
+    product so far.  Returns (Q, e, at) as _row_sweep does.
     """
-    copy, heads = _heads(start, base, steps, repeats)
-    order = heads[np.argsort(-steps[heads], kind="stable")]
-    b = base[order]
-    T = int(steps.max(initial=0))
-    n_mul = (len(order) - np.cumsum(np.bincount(steps[order], minlength=T))[:T]).tolist()
-    Q, e = _take(P, start[order]), np.zeros(len(order), dtype=np.int64)
+    heads, at = _row_classes(start, base, steps, repeats)
+    b, n = base[heads], steps[heads]
+    T = int(n.max(initial=0))
+    n_mul = (len(heads) - np.cumsum(np.bincount(n, minlength=T))[:T]).tolist()
+    Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
     factors = (_take(slab, b[:k] + t) for t, k in enumerate(n_mul))
     for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
-        if visit(order[:k], Q[:k], e[:k]):
+        if visit(heads[:k], Q[:k], e[:k]):
             break
-    return Q, e, _head_map(order, copy)
+    return Q, e, at
 
 
 def _block_products(tables, starts, lengths, repeats=None):
@@ -753,7 +735,7 @@ def norm_floor_curve(seq, n_max):
 def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
     """norm_floor_curve for windows laid end to end in one slab, window w
     being slab[offsets[w] : offsets[w] + lengths[w]], each to its own
-    n_max, as one _visit_sweep (sharing rows by repeats as it does).
+    n_max, as one _visit_sweep (sharing rows by class as it does).
 
     Row i of a window starts at its factor i and runs until its product
     holds n_max factors or reaches the window's end; the floor at n is
@@ -761,9 +743,9 @@ def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
     The rows are renormalized, so window w gets its floors as arrays
     (f, x), the floor at n being f[n-1] * 2**x[n-1] exactly: x the least
     exponent of the window's rows at n, f the least of their top singular
-    values scaled to it (each 0 or at least 1, so none underflows).  A
-    row that copies another has its bits, so the rows swept give every
-    floor.
+    values scaled to it (each 0 or at least 1, so none underflows).  The
+    rows of a class have their head's bits, so the heads swept give
+    every floor.
     """
     offsets, lengths, n_maxes = (np.asarray(a, dtype=np.intp) for a in (offsets, lengths, n_maxes))
     win = np.repeat(np.arange(len(lengths)), lengths)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -141,6 +142,21 @@ def test_stability_radius_solves_budget_equation(free_op):
     lhs = (M + eps) ** cone.N - M ** cone.N
     assert abs(lhs - T) < 1e-12 * max(1.0, T)
     assert stability_radius(None, M) is None
+
+
+@pytest.mark.parametrize("n_steps", [50, 1500, 2000])
+def test_stability_radius_survives_an_underflowing_power(n_steps):
+    # 0.6**n_steps leaves float64 from about 1,390 steps on; the radius
+    # does not, and matches the budget equation solved in mpmath
+    import mpmath
+
+    seq = MatSequence(0, np.repeat(np.diag([3.0, 0.5])[None], 200, axis=0))
+    cone = certify(seq).cone
+    eps = stability_radius(cone, 0.6, n_steps=n_steps)
+    with mpmath.workdps(60):
+        M, T = mpmath.mpf(0.6), mpmath.mpf(cone.budget() / cone.cond)
+        ref = M * ((1 + T / M**n_steps) ** (mpmath.mpf(1) / n_steps) - 1)
+    assert eps == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 # --------------------------------------------------------- counterexamples
@@ -412,8 +428,9 @@ def cut_burns(seq, js, bu, bs):
     """The burns of sites js cut at the first exactly singular factor each
     side meets, site by site, with the masks of the sides that stopped:
     the oracle of certifier._cut_burns.  A u row reads the factors
-    j - 1, j - 2, ..., j - bu, an s row j, j + 1, ..., j + bs - 1."""
-    zeros = set((np.flatnonzero(mat2.det2(seq.values) == 0.0) + seq.j_lo).tolist())
+    j - 1, j - 2, ..., j - bu, an s row j, j + 1, ..., j + bs - 1.  A
+    factor is singular when its determinant is exactly 0, in rationals."""
+    zeros = {j for j, m in zip(range(seq.j_lo, seq.j_hi + 1), seq.values) if exact_det(m) == (0, 0)}
     cu, cs = np.array(bu), np.array(bs)
     stop_u, stop_s = np.zeros(len(js), bool), np.zeros(len(js), bool)
     for i, j in enumerate(js.tolist()):
@@ -426,6 +443,18 @@ def cut_burns(seq, js, bu, bs):
                 cs[i], stop_s[i] = t + 1, True
                 break
     return cu, cs, stop_u, stop_s
+
+
+def exact_det(m):
+    """The determinant of a 2x2 of floats or complex numbers, exactly, as
+    a pair of Fractions (real and imaginary parts)."""
+    (a, b), (c, d) = ([(Fraction(z.real), Fraction(z.imag)) for z in map(complex, r)] for r in m)
+
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    (p, q), (r, t) = times(a, d), times(b, c)
+    return p - r, q - t
 
 
 def window_products(vals, js, bu, bs, lo, first=()):
@@ -950,6 +979,22 @@ def test_scaled_hyperbolic_window_has_no_singular_factor(c):
     assert (cert.verdict, cert.N, cert.conditions) == (one.verdict, one.N, one.conditions)
     assert one.verdict == "verified" and one.N == 1
     assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("complex_vals", [False, True])
+def test_exact_zero_test_confirms_each_rounded_zero(complex_vals):
+    # det2 of [[1+2^-30, 1+2^-29], [1, 1+2^-30]] rounds to 0, but its
+    # determinant is 2^-60: not singular.  [[3, 6], [1, 2]] is.
+    near = np.array([[1 + 2.0**-30, 1 + 2.0**-29], [1.0, 1 + 2.0**-30]])
+    flat = np.array([[3.0, 6.0], [1.0, 2.0]])
+    vals = np.tile(np.array([[2.0, 1.0], [1.0, 1.0]]), (30, 1, 1))
+    vals[7], vals[19] = near, flat
+    if complex_vals:
+        vals = vals * (1 - 1j)
+    assert mat2.det2(vals[7]) == 0.0 and exact_det(vals[7]) != (0, 0)
+    assert mat2.det2(vals[19]) == 0.0 and exact_det(vals[19]) == (0, 0)
+    seqs = [MatSequence(-4, vals), MatSequence(5, vals[::-1].copy())]
+    assert [z.tolist() for z in certifier._Batch(seqs).zeros] == [[15], [15]]
 
 
 def test_override_products_stay_finite_far_from_the_spectrum(free_op):
@@ -1657,9 +1702,12 @@ def test_periodic_windows_share_their_core_rows(monkeypatch):
     # a core field sweeps a few rows and copies the rest
     assert len(periodic) >= 2 and all(rows <= 2 * 4 for _, rows, _ in periodic)
     # factors that do not repeat are swept row by row, both sides of
-    # every core site
+    # every core site, but the u row of site j is the s row of site
+    # j - burn
     assert len(plain) >= 2
-    assert all(rows == 2 * (len(op) + 1 - 2 * burn) for burn, rows, _ in plain)
+    cores = [(burn, rows, len(op) + 1 - 2 * burn) for burn, rows, _ in plain]
+    assert all(rows == 2 * n - max(0, n - burn) for burn, rows, n in cores)
+    assert any(n > burn for burn, _, n in cores)
     # either way a rung takes at most one table _mul per bit of its burn,
     # and a window's tables at most one level per bit of its burn cap
     assert all(0 < n <= burn.bit_length() for burn, _, n in periodic + plain)
@@ -1671,10 +1719,11 @@ def test_a_signed_zero_breaks_a_repeat():
     # factor 17 differs from factor 16 and factor 18 from factor 17
     vals = np.tile(np.array([[2.0, 0.0], [1.0, 0.5]]), (40, 1, 1))
     vals[17, 0, 1] = -0.0
-    q, gaps = certifier._repeat_map(certifier._slab([vals]), [40])
+    q, last = certifier._repeat_map(certifier._slab([vals]), [40])
     assert set(q.tolist()) == {1}
-    assert np.flatnonzero(np.diff(gaps)).tolist() == [0, 17, 18]
-    # a window without repeats has no map, and its rows are their own
+    assert np.flatnonzero(last == np.arange(40)).tolist() == [0, 17, 18]
+    assert last.tolist() == [0] * 17 + [17] + [18] * 22
+    # a window without repeats has no map
     rng = np.random.default_rng(3)
     assert certifier._repeat_map(certifier._slab([rng.standard_normal((40, 2, 2))]), [40]) is None
 
@@ -1705,8 +1754,64 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     Q, e, at = mat2._row_sweep(starts, cls, batch.tables, base, steps, batch.repeats)
     Q1, e1, at1 = mat2._row_sweep(starts, cls, batch.tables, base, steps)
     assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
-    # every row is its own head without the repeats
-    assert len(Q1) == len(base)
+    # without the repeats, rows share a head where their base (none
+    # without steps), steps and start agree
+    keys = set(zip(np.where(steps > 0, base, -1).tolist(), steps.tolist(), cls.tolist()))
+    assert len(Q1) == len(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    windows=st.lists(st.tuples(FACTORS, st.booleans()), min_size=1, max_size=3),
+)
+@example(seed=2, windows=[("signed_zero", False), ("periodic", True)])
+def test_row_classes_hold_equal_factor_spans(seed, windows):
+    # windows of repeating factors (_repeating), signed zeros included,
+    # laid end to end in one slab as a batch lays them, and rows a few
+    # steps long within each window, from one of two start classes
+    rng = np.random.default_rng(seed)
+    vals, base, steps = [], [], []
+    for factors, complex_vals in windows:
+        n = int(rng.integers(4, 60))
+        v = rng.standard_normal((n, 2, 2))
+        if complex_vals:
+            v = v + 1j * rng.standard_normal((n, 2, 2))
+        vals.append(_repeating(rng, v, factors))
+        b = rng.integers(0, n + 1, int(rng.integers(n + 2, 3 * n)))
+        base.append(sum(len(x) for x in vals[:-1]) + b)
+        steps.append(np.minimum(rng.choice([0, 1, 2, 3, 5, 9, 17], len(b)), n - b))
+    dtype = np.result_type(*vals)
+    slab = certifier._slab([mat2._plane_major(v.astype(dtype)) for v in vals])
+    repeats = certifier._repeat_map(slab, [len(v) for v in vals])
+    base, steps = np.concatenate(base), np.concatenate(steps)
+    start = (rng.random(len(base)) < 0.3).astype(np.intp)
+    heads, at = mat2._row_classes(start, base, steps, repeats)
+    assert np.array_equal(at[heads], np.arange(len(heads)))
+    # rows that share a head read bitwise equal factors from one start
+    bits = mat2._bits(slab)
+    h = heads[at]
+    assert np.array_equal(start, start[h]) and np.array_equal(steps, steps[h])
+    for i, j in zip(range(len(base)), h.tolist()):
+        span = bits[:, base[i] : base[i] + steps[i]]
+        assert np.array_equal(span, bits[:, base[j] : base[j] + steps[j]])
+    # rows of one base (none without steps), steps and start always share
+    keys = np.stack([np.where(steps > 0, base, -1), steps, start])
+    _, first, inv = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+    assert np.array_equal(at, at[first][inv.ravel()])
+    # the heads come longest first
+    assert np.all(np.diff(steps[heads]) <= 0)
+    # in a fully periodic window of shift q (q = 0 where it is too short
+    # to repeat half its factors), the rows of one steps and start have
+    # at most q heads
+    offsets = np.cumsum([0] + [len(v) for v in vals])
+    for w, (factors, _) in enumerate(windows):
+        inside = (offsets[w] <= base) & (base < offsets[w + 1]) & (steps > 0)
+        q = 0 if repeats is None else int(repeats[0][offsets[w]])
+        if factors == "periodic" and q:
+            for key in set(zip(steps[inside].tolist(), start[inside].tolist())):
+                rows = inside & (steps == key[0]) & (start == key[1])
+                assert len(np.unique(at[rows])) <= q
 
 
 def _certify_many_outcome(seqs, kw):

@@ -12,6 +12,7 @@ from domsplit import MatSequence, cocycle_map, cocycle_product, norm_floor, op_n
 from domsplit.mat2 import (
     SingularFactor,
     _abs,
+    _classes,
     _ldexp,
     _max_abs,
     _mul,
@@ -507,3 +508,15 @@ def test_span_products_are_bitwise_the_per_pair_products(real):
             assert cocycle_product(seq, j, n).tobytes() == ref.tobytes()
     with pytest.raises(IndexError):
         span_products(seq, starts, lengths + 1)
+
+
+def test_classes_key_tuples_in_mixed_radix_within_int64():
+    # the classes of equal (a, b) tuples, ascending by tuple, each with
+    # its first row
+    a, b = np.array([2**31, 0, 2**31, 0, 7]), np.array([2**31, 5, 2**31, 0, 0])
+    first, at = _classes(a, b)
+    assert first.tolist() == [3, 1, 4, 0] and at.tolist() == [3, 1, 3, 0, 2]
+    # radices (2**31 + 1)**2 fit in int64; a third key of radix 4 would
+    # wrap, and is refused instead of merging unequal tuples
+    with pytest.raises(OverflowError):
+        _classes(a, b, np.array([3, 0, 0, 0, 0]))
