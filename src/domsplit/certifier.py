@@ -22,12 +22,17 @@ certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
 slab (_slab); every later number stays in that dtype and follows mat2's
 arithmetic rule, so no certificate depends on the SIMD loops numpy
 picks.  Every product stage of a batch (the growth-ratio blocks, the
-burn ladders, climbed in lockstep, the extended fields, the domination
-frames, the floor curves and the cone blocks) is one mat2 row sweep over
-the rows of all its live windows: the domination frames and the floor
-curves one factor per step (mat2._visit_sweep), the others in doubling
-order on the batch's tables (mat2._row_sweep on mat2._Tables), so each
-rung of a burn ladder is computed afresh from the tables.  A field row
+burn ladders, climbed in lockstep, the end sites of the extended field,
+the domination frames, the floor curves and the cone blocks) is one
+mat2 row sweep over the rows of all its live windows: the domination
+frames and the floor curves one factor per step (mat2._visit_sweep),
+the frames from their start rows, the others from the identity in
+doubling order on the batch's tables (mat2._row_sweep on mat2._Tables),
+so each rung of a burn ladder is computed afresh from the tables.
+Condition 3 reads the extended field's separation as the minimum of
+the core field's and that of the end sites, the sites within one burn
+of either end, whose burns are cut short there; every other site of the
+extended field is a core site with the core field's rows.  A field row
 stops at the first exactly singular factor it meets, whose product pins
 the direction exactly: the range of a u product, the kernel of an s
 product (_cut_burns, _directions).  Every row is renormalized by exact
@@ -63,6 +68,7 @@ from fractions import Fraction
 import numpy as np
 
 from .jacobi import (
+    DELTA_MIN,
     IllConditioned,
     _solve_columns,
     cocycle_map,
@@ -74,7 +80,6 @@ from .mat2 import (
     _abs,
     _abs2,
     _bits,
-    _block_products,
     _classes,
     _cmul,
     _column_norms,
@@ -118,7 +123,6 @@ __all__ = [
     "subsample_equivalence_check",
 ]
 
-DELTA_MIN = 1e-4
 RES_MAX = 1e-6
 FLOOR_REL = 1e-8
 N_MAX = 64
@@ -255,39 +259,6 @@ def _one(outcomes):
     return outcomes[0]
 
 
-def _window_products(batch, jobs):
-    """Per-site window products behind the direction fields, for many
-    windows in one sweep.
-
-    batch is a _Batch of the windows, and each job (off, sites, bu, bs)
-    asks for one window's products: off is the window's offset in the
-    slab, sites are window indices (0 for its first factor), and bu/bs
-    the burns, which may differ by site (_cut_burns cuts them).  The U
-    of site j is the product of the bu factors before j, A(j-1) ...
-    A(j-bu), and its S that of the bs factors from j on, A(j+bs-1) ...
-    A(j): both are rows read forward from their first factor, in
-    doubling order on the batch's tables (mat2._row_sweep), so the U of
-    site j is the S of site j - bu when the burns agree.  A row's bits
-    depend only on its factors and its burn, so any rung of a burn
-    ladder, in any batch, reproduces the products of its window's sites
-    alone.
-
-    Returns (H, idx): H the sweep's class heads, in the dtype of the
-    slab, and idx the u and s head of each site, the jobs' sites end to
-    end, so the U of site i is H[idx[0, i]] and its S H[idx[1, i]].
-    """
-    if not jobs:
-        return None, np.zeros((2, 0), dtype=np.intp)
-    sites = np.concatenate([off + sites for off, sites, _, _ in jobs])
-    bu = np.concatenate([bu for _, _, bu, _ in jobs])
-    base = np.concatenate((sites - bu, sites))
-    steps = np.concatenate([bu] + [bs for _, _, _, bs in jobs])
-    eye = np.eye(2, dtype=batch.slab.dtype)[None]
-    H, _, at = _row_sweep(eye, np.zeros(len(base), dtype=np.intp), batch.tables, base, steps,
-                          batch.repeats)
-    return H, at.reshape(2, -1)
-
-
 def _perp_rows(v):
     out = np.empty_like(v)
     out[..., 0] = -np.conj(v[..., 1])
@@ -335,23 +306,33 @@ def _directions(batch, jobs):
     equal ids having bitwise equal rows on that side.
 
     The products are those of the burns cut at the window's exactly
-    singular factors (_cut_burns), from one _window_products sweep.  A
-    row that stopped at a singular factor pins its direction exactly: u
-    is the range of U, s the kernel of S, both read off the larger
-    column (of S's transpose) by mat2._larger_columns.  Every other row
-    takes the singular vectors of its product.  Both are read once per
-    distinct pair of a head and a stop, from one call per side for all
-    jobs, in the dtype of the heads, and gathered to the sites once: each
-    site's rows depend only on its own product and stop, so any subset of
-    sites, in any batch, reproduces the rows a larger call computes.
+    singular factors (_cut_burns), for all jobs from one row sweep in
+    doubling order on the batch's tables (mat2._row_sweep).  The U of
+    site j is the product of the bu factors before j, A(j-1) ...
+    A(j-bu), and its S that of the bs factors from j on, A(j+bs-1) ...
+    A(j): both are rows read forward from their first factor, so the U
+    of site j is the S of site j - bu when the burns agree.  A row's bits
+    depend only on its factors and its burn, so any rung of a burn
+    ladder, in any batch, reproduces the products of its window's sites
+    alone.  A row that stopped at a singular factor pins its direction
+    exactly: u is the range of U, s the kernel of S, both read off the
+    larger column (of S's transpose) by mat2._larger_columns.  Every
+    other row takes the singular vectors of its product.  Both are read
+    once per distinct pair of a head and a stop, from one call per side
+    for all jobs, in the dtype of the heads, and gathered to the sites
+    once: each site's rows depend only on its own product and stop, so
+    any subset of sites, in any batch, reproduces the rows a larger call
+    computes.
     """
     if not jobs:
         return []
     cuts = [_cut_burns(batch.zeros[w], js, bu, bs) for w, js, bu, bs in jobs]
-    H, idx = _window_products(batch, [
-        (batch.offsets[w], js - batch.seqs[w].j_lo, cu, cs)
-        for (w, js, _, _), (cu, cs, _, _) in zip(jobs, cuts)
-    ])
+    # slab positions of the sites; the U rows first, then the S rows
+    sites = np.concatenate([batch.offsets[w] - batch.seqs[w].j_lo + js for w, js, _, _ in jobs])
+    bu = np.concatenate([c[0] for c in cuts])
+    H, _, at = _row_sweep(batch.tables, np.concatenate((sites - bu, sites)),
+                          np.concatenate([bu] + [c[1] for c in cuts]), batch.repeats)
+    idx = at.reshape(2, -1)
     # one row per side and distinct (head, stop)
     sides = []
     for i, side in zip(idx, (2, 3)):
@@ -417,49 +398,6 @@ def _core_fields(batch, jobs):
     return out
 
 
-def _extend_fields(batch, jobs):
-    """The extended field of power_directions for each job (w, burn,
-    core), spliced around the core field, or the exception that ends
-    window w.
-
-    Core sites carry the full burn on both sides in either mode, so
-    their rows are copied from the core field (None when the window is
-    too short for one); only the sites within one burn of either end
-    need new products, and those of all jobs share one sweep.
-    """
-    specs = []
-    for w, burn, core in jobs:
-        lo, hi = batch.seqs[w].window
-        js = np.arange(lo + 1, hi + 1)
-        bu = np.minimum(burn, js - lo)
-        bs = np.minimum(burn, hi + 1 - js)
-        new = np.ones(len(js), dtype=bool)
-        if core is not None:
-            new[core.j_first - lo - 1 : core.j_last - lo] = False
-        specs.append((w, burn, core, lo, js, bu, bs, new))
-    todo = [spec for spec in specs if np.any(spec[-1])]
-    dirs = _directions(batch, [
-        (w, js[new], bu[new], bs[new]) for w, _, _, _, js, bu, bs, new in todo
-    ])
-    dirs = {spec[0]: d for spec, d in zip(todo, dirs)}
-    out = []
-    for w, burn, core, lo, js, bu, bs, new in specs:
-        d = dirs.get(w)
-        if isinstance(d, Exception):
-            out.append(d)
-            continue
-        u = np.empty((len(js), 2), dtype=batch.slab.dtype)
-        s = np.empty_like(u)
-        if core is not None:
-            u[~new], s[~new] = core.u, core.s
-        if d is not None:
-            u[new], s[new] = d[:2]
-        out.append(SplittingField(
-            j_first=lo + 1, u=u, s=s, method="power", burn=burn, burn_u=bu, burn_s=bs
-        ))
-    return out
-
-
 def power_directions(seq, burn, extend=False):
     """Direction fields from singular vectors of burn-long products.
 
@@ -468,24 +406,23 @@ def power_directions(seq, burn, extend=False):
     the product over the burn factors from j on.  The core mode keeps
     only sites with the full burn available on both sides; extend=True
     covers [j_lo+1, j_hi] instead, shrinking the burn near the ends to
-    whatever room is left.
+    whatever room is left.  Either mode is one _directions call over its
+    sites, with burns min(burn, j - lo) and min(burn, hi + 1 - j).
     """
     lo, hi = seq.window
     burn = int(burn)
     if burn < 1:
         raise ValueError("burn must be >= 1")
-    batch = _Batch([seq])
-    core = None
-    if lo + burn <= hi + 1 - burn:
-        core = _one(_core_fields(batch, [(0, burn)]))[0]
-    if extend:
-        return _one(_extend_fields(batch, [(0, burn, core)]))
-    if core is None:
+    j_first = lo + 1 if extend else lo + burn
+    js = np.arange(j_first, hi + 1 if extend else hi + 2 - burn)
+    if not (extend or len(js)):
         raise ValueError(f"window too short for burn {burn}")
-    return core
+    bu, bs = np.minimum(burn, js - lo), np.minimum(burn, hi + 1 - js)
+    u, s, _ = _one(_directions(_Batch([seq]), [(0, js, bu, bs)]))
+    return SplittingField(j_first=j_first, u=u, s=s, method="power", burn=burn, burn_u=bu, burn_s=bs)
 
 
-def greens_directions(op, E, spectrum_approx=None, margin=None, delta_min=DELTA_MIN):
+def greens_directions(op, E, spectrum_approx=None, margin=None):
     """Direction fields for a Jacobi cocycle read off resolvent columns.
 
     The pair (g(j), g(j-1)) of a column supported to the left of j
@@ -497,7 +434,7 @@ def greens_directions(op, E, spectrum_approx=None, margin=None, delta_min=DELTA_
     coupling cuts the fallback off.
     """
     probe = greens_column(op, E, (op.j_lo + op.j_hi) // 2, margin=margin,
-                          spectrum_approx=spectrum_approx, delta_min=delta_min)
+                          spectrum_approx=spectrum_approx)
     m = probe.margin
     lo, hi = op.j_lo - m, op.j_hi + m
     cols = list(range(op.j_lo - 2, op.j_hi + 2))
@@ -705,7 +642,7 @@ def _cone_certificates(batch, jobs):
     certifies, or the exception that ends window w.
 
     At each block length, the products of every job still searching come
-    from one _block_products call; each job then scores its own rows.
+    from one _row_sweep call; each job then scores its own rows.
     A site's frame change and margins read its block's head and the
     classes of the frames at the block's two ends, so they are computed
     once per distinct triple of these: gamma, cond and the clearances
@@ -733,7 +670,7 @@ def _cone_certificates(batch, jobs):
                 rows.append((i, n_blk, np.arange(fld.j_first, last + 1)))
         if not rows:
             continue
-        P, exps, at = _block_products(
+        P, exps, at = _row_sweep(
             batch.tables,
             np.concatenate([batch.offsets[jobs[i][0]] - batch.seqs[jobs[i][0]].j_lo + js
                             for i, _, js in rows]),
@@ -826,17 +763,17 @@ def _field_gap(f1, f2):
 def _ratio_estimates(batch, ws):
     """Per-factor growth ratio s1/s2 of each window w in ws: the
     geometric mean over up to five blocks of min(16, len) factors, spread
-    over the window, with the blocks of every window from one
-    _block_products call.  A window gets inf when no block has a finite
-    ratio.  The logs and the exp are math's, per window, whose bits do
-    not depend on the SIMD loops numpy picks for the CPU."""
+    over the window, with the blocks of every window from one _row_sweep
+    call.  A window gets inf when no block has a finite ratio.  The logs
+    and the exp are math's, per window, whose bits do not depend on the
+    SIMD loops numpy picks for the CPU."""
     plans = []
     for w in ws:
         winlen = len(batch.seqs[w])
         m = min(16, winlen)
         starts = np.unique(np.linspace(0, winlen - m, min(5, winlen - m + 1), dtype=int))
         plans.append((m, batch.offsets[w] + starts))
-    P, _, at = _block_products(
+    P, _, at = _row_sweep(
         batch.tables,
         np.concatenate([starts for _, starts in plans]),
         np.concatenate([np.full(len(starts), m) for m, starts in plans]),
@@ -1001,7 +938,7 @@ def certify(seq, **kw):
     return certify_many([seq], **kw)[0]
 
 
-def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=True):
+def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
     """certify() on every window of seqs, as one batched pipeline.
 
     Returns one DSCertificate per window, in order.  The verdict is
@@ -1015,10 +952,10 @@ def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=
     error in window order, as a loop of certify calls would; the others'
     results are unaffected by it.
 
-    burn is a burn-in hint for every window, marginal_margin the
-    domination margin below which a verdict is "marginal", and
-    want_cone=False skips the cone search.  The thresholds are the
-    module's constants: DELTA_MIN, RES_MAX, FLOOR_REL, N_MAX and FACTOR.
+    burn is a burn-in hint for every window, and marginal_margin the
+    domination margin below which a verdict is "marginal".  The
+    thresholds are the module's constants: DELTA_MIN, RES_MAX,
+    FLOOR_REL, N_MAX and FACTOR.
 
     Windows of one sweep dtype run as batches of at most BATCH_ROWS
     product rows (see there), each product stage as one sweep over the
@@ -1027,17 +964,17 @@ def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=
     Each certificate's core_field owns its arrays, so keeping one pins
     no batch.
     """
-    out = _certify_each(seqs, burn=burn, marginal_margin=marginal_margin, want_cone=want_cone)
+    out = _certify_each(seqs, burn=burn, marginal_margin=marginal_margin)
     for res in out:
         if isinstance(res, Exception):
             raise res
     return out
 
 
-def _certify_each(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN, want_cone=True):
+def _certify_each(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
     """certify_many's results, each window's outcome in its own slot: its
     DSCertificate, or the exception certify would raise on it."""
-    opts = dict(burn=burn, marginal_margin=marginal_margin, want_cone=want_cone)
+    opts = dict(burn=burn, marginal_margin=marginal_margin)
     seqs = list(seqs)
     out = [None] * len(seqs)
     groups = {}
@@ -1073,7 +1010,7 @@ def _batches(members):
         yield part
 
 
-def _certify_batch(batch, *, burn, marginal_margin, want_cone):
+def _certify_batch(batch, *, burn, marginal_margin):
     """The pipeline of certify_many over one _Batch: a DSCertificate or
     an exception per window."""
     seqs = batch.seqs
@@ -1127,12 +1064,22 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
                 core_field=core,
             )
     ws = sorted(w for w in resolved if out[w] is None)
-    exts = {}
-    for w, ext in zip(ws, _extend_fields(batch, [(w, resolved[w][0], resolved[w][3]) for w in ws])):
-        if isinstance(ext, Exception):
-            out[w] = ext
+    # condition 3 reads the extended field over [lo + 1, hi], whose sites
+    # within one burn of either end (the end sites) take shorter burns;
+    # every other site is a core site, whose rows are the core field's
+    ends = []
+    for w in ws:
+        (lo, hi), b = seqs[w].window, resolved[w][0]
+        js = np.arange(lo + 1, hi + 1)
+        bu, bs = np.minimum(b, js - lo), np.minimum(b, hi + 1 - js)
+        end = np.minimum(bu, bs) < b
+        ends.append((w, js[end], bu[end], bs[end]))
+    end_seps = {}
+    for (w, *_), d in zip(ends, _directions(batch, ends)):
+        if isinstance(d, Exception):
+            out[w] = d
         else:
-            exts[w] = ext
+            end_seps[w] = np.min(chordal_rows(d[0], d[1]), initial=np.inf)
     ws = [w for w in ws if out[w] is None]
 
     # the classes of each core field's sites, which its frames share
@@ -1144,8 +1091,10 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
         seq, (_, gap, _, core) = seqs[w], resolved[w]
         res_eff = max(RES_MAX, 8.0 * gap)
         inv_ok, inv_res = verify_invariance(seq, core, res_eff)
-        sep_ok, delta_ext = verify_separation(exts[w])
         _, delta_core = verify_separation(core)
+        # np.minimum, which keeps a NaN of either side for the NaN check
+        delta_ext = float(np.minimum(delta_core, end_seps[w]))
+        sep_ok = delta_ext > DELTA_MIN
         checks[w] = (res_eff, inv_ok, inv_res, doms[w], sep_ok, delta_ext, delta_core)
 
     ws = each(check, ws)
@@ -1216,13 +1165,12 @@ def _certify_batch(batch, *, burn, marginal_margin, want_cone):
         certs[w] = cert
 
     ws = each(judge, ws)
-    if want_cone:
-        jobs = [(w, resolved[w][3], certs[w].N, frames[w]) for w in ws]
-        for (w, *_), res in zip(jobs, _cone_certificates(batch, jobs)):
-            if isinstance(res, Exception):
-                out[w] = res
-                continue
-            certs[w].cone, certs[w].epsilon = res
+    jobs = [(w, resolved[w][3], certs[w].N, frames[w]) for w in ws]
+    for (w, *_), res in zip(jobs, _cone_certificates(batch, jobs)):
+        if isinstance(res, Exception):
+            out[w] = res
+            continue
+        certs[w].cone, certs[w].epsilon = res
     for w in ws:
         if out[w] is None:
             if 0.0 < checks[w][3].margin < marginal_margin:

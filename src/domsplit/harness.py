@@ -160,8 +160,9 @@ def johnson_scan(
     spectrum cover.  Disagreements are excused as marginal when the
     band-edge distance is within twice the grid step (or twice the
     cover resolution, whichever is larger), when the domination margin
-    is under marginal_margin, or when the verdict is itself marginal.
-    jobs > 1 distributes energies across processes; the operator is sent
+    is under marginal_margin, or when the verdict is itself marginal,
+    which certify decides with the same marginal_margin (certify_kw
+    passes the other keywords on).  jobs > 1 distributes energies across processes; the operator is sent
     to them by pickle, and the spectrum cover is the pool's first task,
     so that it runs in a worker while the others certify (scipy's
     eigenvalue call holds the GIL, and in this process it would stall
@@ -171,6 +172,7 @@ def johnson_scan(
     certify_many batch.
     """
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
+    certify_kw["marginal_margin"] = marginal_margin
     re_parts = np.unique([e.real for e in Es])
     h_grid = float(np.min(np.diff(re_parts))) if len(re_parts) > 1 else 0.0
     if jobs <= 1:

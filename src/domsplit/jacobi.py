@@ -33,6 +33,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from .mat2 import MatSequence, _abs, _cmul, _max_abs, sweep
 
 REFINE_TOL = 1e-10  # the width floquet_bands bisects band edges to
+DELTA_MIN = 1e-4  # the least distance to the spectrum cover, and between u and s
 
 __all__ = [
     "IllConditioned",
@@ -500,10 +501,10 @@ def _fit_gamma(dist, logmag):
     return float(-slope)
 
 
-def greens_column(op, E, j, margin=None, spectrum_approx=None, delta_min=1e-4):
+def greens_column(op, E, j, margin=None, spectrum_approx=None):
     """Resolvent column at site j on the window padded by margin sites.
 
-    The energy must sit at distance >= delta_min from the spectrum
+    The energy must sit at distance >= DELTA_MIN from the spectrum
     cover.  The decay rate gamma_fit comes from a log-linear fit of
     |g| against the distance to j (transient sites closer than 3 and
     values at the noise floor are excluded), capped so that
@@ -517,7 +518,7 @@ def greens_column(op, E, j, margin=None, spectrum_approx=None, delta_min=1e-4):
     """
     sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
     delta = dist_to_spectrum(sp, E)
-    if delta < delta_min:
+    if delta < DELTA_MIN:
         raise IllConditioned(
             f"energy within {delta:.3e} of the spectrum cover", delta=delta
         )

@@ -8,14 +8,16 @@ Products run in one of two orders through one kernel.  _sweep_steps
 left-multiplies a stack of products by one factor stack per step;
 sweep() runs it, and so do the row sweeps that must read every step
 (_visit_sweep: the norm floors and the certifier's domination frames).
-Every other row sweep (_row_sweep) runs in doubling order on _Tables,
-exactly renormalized products of 2**k factors built once per slab, so a
-row of L factors takes one kernel call per set bit of L.  Every row is
-a left product read forward from its base.  A row sweep sweeps one row
-per class of bitwise identical rows (_row_classes) and returns those
-heads with the map from rows to heads, so a caller reads each distinct
-product once; every class, here and in the certifier, is one keyed
-unique (_classes).
+Every other row sweep (_row_sweep: span_products and the certifier's
+field, cone and growth-ratio products) starts at the identity and runs
+in doubling order on _Tables, exactly renormalized products of 2**k
+factors built once per slab, so a row of L factors takes one kernel
+call per set bit of L; only the visited rows start at given start rows
+(the domination frames).  Every row is a left product read forward from
+its base.  A row sweep sweeps one row per class of bitwise identical
+rows (_row_classes) and returns those heads with the map from rows to
+heads, so a caller reads each distinct product once; every class, here
+and in the certifier, is one keyed unique (_classes).
 
 The kernel, _mul, makes no BLAS call: on plane-major stacks (entry (i,
 k) of every 2x2 one contiguous array) it writes each entry as a*e + b*g
@@ -244,17 +246,18 @@ def _larger_columns(m):
     return np.where(first[:, None], m[:, :, 0], m[:, :, 1]), np.where(first, n[:, 0], n[:, 1])
 
 
-def is_singular(m, rtol=SINGULAR_RTOL):
-    """Singularity test at the shared tolerance |det| < rtol * max(1, norm^2)."""
+def is_singular(m):
+    """Singularity test at the shared tolerance |det| < SINGULAR_RTOL *
+    max(1, norm^2)."""
     s1, _, d = _singular_values(m)
-    return d < rtol * np.maximum(1.0, s1 * s1)
+    return d < SINGULAR_RTOL * np.maximum(1.0, s1 * s1)
 
 
-def inv2(m, index=None, rtol=SINGULAR_RTOL):
+def inv2(m, index=None):
     """Closed-form inverse; raises SingularFactor when below tolerance."""
     m = np.asarray(m)
     d = det2(m)
-    if is_singular(m, rtol):
+    if is_singular(m):
         raise SingularFactor(index if index is not None else -1, complex(d))
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
 
@@ -524,7 +527,8 @@ def _row_classes(start, base, steps, repeats):
     first longest first.
 
     Row i starts in start class start[i] (rows of one class start from
-    bitwise equal rows) and reads the factors [base, base + steps).  It
+    bitwise equal rows; all 0 for the identity starts of _row_sweep) and
+    reads the factors [base, base + steps).  It
     is keyed by (steps, canonical base, start), a row of no steps by its
     start alone (base 0).  With repeats = (q, last) of the slab
     (certifier._repeat_map: factor p is factor p - q[p] bit for bit
@@ -578,33 +582,34 @@ class _Tables:
         return self.levels[k]
 
 
-def _row_sweep(P, start, tables, base, steps, repeats=None):
-    """Left-multiply row i, which starts at P[start[i]], by the factors
+def _row_sweep(tables, base, steps, repeats=None):
+    """Left-multiply row i, which starts at the identity, by the factors
     slab[base[i]], ..., slab[base[i] + steps[i] - 1] of tables.slab (a
     _Tables), later factors on the left, renormalizing exactly, for the
     class heads of the rows; returns (Q, e, at): row i's product is
-    Q[at[i]] times 2**e[at[i]], e as in sweep.
+    Q[at[i]] times 2**e[at[i]], e as in sweep, in the dtype of the slab.
 
     A row runs in doubling order on the tables: a row of L steps
     left-multiplies the table entry of each set bit 2**k of L, in
     ascending order of k, each at its base plus the lower bits of L,
     renormalizing after each.  So all rows together take one _mul per
     bit of the longest, whatever their lengths, and a row's bits depend
-    only on its start row, its factors and its length: _mul and _renorm
-    work row by row.
+    only on its factors and its length: _mul and _renorm work row by
+    row.  The rows of windows laid end to end in one slab come from one
+    sweep.
 
-    Rows that agree on their start and their factors are one
-    computation: one row of each class (_row_classes) is computed, its
-    head, and the others map to it: rows of one base, steps and start
-    class, and with the slab's repeats rows over repeating factors (in a
-    periodic window, the row at base b reads the factors of the row at
-    b - q).  Identity starts are one class (P the identity, start all 0).
-    The heads stay a stack of their own: what a stage reads per row, it
-    reads per head and gathers through at once at the end.
+    Rows that agree on their factors are one computation: one row of
+    each class (_row_classes) is computed, its head, and the others map
+    to it: rows of one base and steps, and with the slab's repeats rows
+    over repeating factors (in a periodic window, the row at base b
+    reads the factors of the row at b - q).  The heads stay a stack of
+    their own: what a stage reads per row, it reads per head and gathers
+    through at once at the end.
     """
-    heads, at = _row_classes(start, base, steps, repeats)
+    heads, at = _row_classes(np.zeros_like(steps), base, steps, repeats)
     b, n = base[heads], steps[heads]
-    Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
+    eye = np.eye(2, dtype=tables.slab.dtype)[None]
+    Q, e = _take(eye, np.zeros(len(heads), dtype=np.intp)), np.zeros(len(heads), dtype=np.int64)
     for k in range(int(n.max(initial=0)).bit_length()):
         rows = np.flatnonzero(n >> k & 1)
         if not len(rows):
@@ -620,7 +625,9 @@ def _row_sweep(P, start, tables, base, steps, repeats=None):
 
 def _visit_sweep(P, start, slab, base, steps, repeats, visit):
     """_row_sweep one factor per step, straight off the slab, for the
-    stages that read every step.
+    stages that read every step, row i starting at P[start[i]] (rows of
+    one start class start from bitwise equal rows; P the identity and
+    start all 0 for plain products).
 
     The heads, longest first (_row_classes), run through _sweep_steps, so
     the rows each step multiplies are a prefix and each step gathers its
@@ -628,7 +635,8 @@ def _visit_sweep(P, start, slab, base, steps, repeats, visit):
     the indices of the rows it multiplied, one per class, and Q and e
     their products and exponents so far, which the next step overwrites.
     A true return from visit ends the sweep there, each row holding its
-    product so far.  Returns (Q, e, at) as _row_sweep does.
+    product so far.  Returns (Q, e, at) as _row_sweep does, each class
+    keyed by its start class too.
     """
     heads, at = _row_classes(start, base, steps, repeats)
     b, n = base[heads], steps[heads]
@@ -642,29 +650,12 @@ def _visit_sweep(P, start, slab, base, steps, repeats, visit):
     return Q, e, at
 
 
-def _block_products(tables, starts, lengths, repeats=None):
-    """Normalized ordered products of lengths[i] factors from each start,
-    as the heads of one _row_sweep from the identity on tables (a
-    _Tables), in doubling order: (Q, e, at).
-
-    Row i's product slab[starts[i]+lengths[i]-1] @ ... @ slab[starts[i]]
-    is Q[at[i]] scaled by a power of two (lengths broadcast against
-    starts), and the binary exponents e of the removed scales come with
-    the heads, so the true product is ldexp of Q[at[i]] by e[at[i]].  The
-    blocks of windows laid end to end in one slab come from one sweep, in
-    the dtype of the slab.
-    """
-    starts, lengths = np.broadcast_arrays(np.asarray(starts), np.asarray(lengths))
-    eye = np.eye(2, dtype=tables.slab.dtype)[None]
-    return _row_sweep(eye, np.zeros(len(starts), dtype=np.intp), tables, starts, lengths, repeats)
-
-
 def span_products(seq, starts, lengths):
     """cocycle_product(seq, j, n) for each pair of starts and lengths, as
     one (len, 2, 2) complex stack.
 
     starts and lengths broadcast to one dimension.  The products run in
-    doubling order (_block_products) on tables over the span the rows
+    doubling order (_row_sweep) on tables over the span the rows
     reach, in the dtype of _sweep_values: the product of n factors from
     j is the product of the table entries at the set bits of n, lowest
     bit first, each entry the balanced product of its 2**k factors.
@@ -682,7 +673,7 @@ def span_products(seq, starts, lengths):
         j0, j1 = int(js[live].min()), int((js + ns)[live].max())
         _check_span(seq.window, j0, j1 - j0)
     span = _sweep_values(seq)[j0 - seq.j_lo : j1 - seq.j_lo]
-    Q, e, at = _block_products(_Tables(span), js - j0, ns)
+    Q, e, at = _row_sweep(_Tables(span), js - j0, ns)
     return _ldexp(_take(Q, at), e[at]).astype(complex, copy=False)
 
 

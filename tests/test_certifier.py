@@ -251,8 +251,8 @@ def test_greens_directions_inside_the_cover_raise_with_delta(free_op, monkeypatc
     greens_directions(free_op, 3.0)
     assert len(calls) == 2
     with pytest.raises(IllConditioned) as info:
-        greens_directions(free_op, 2.0 + 1e-5j, delta_min=1e-3)
-    assert 0.0 < info.value.delta < 1e-3
+        greens_directions(free_op, 1.0 + 1e-5j)
+    assert 0.0 < info.value.delta < certifier.DELTA_MIN
 
 
 def test_greens_directions_match_power_directions():
@@ -458,22 +458,40 @@ def exact_det(m):
 
 
 def window_products(vals, js, bu, bs, lo, first=()):
-    """certifier._window_products for one window whose factor vals[0]
-    sits at lo, at sites js (absolute indices), as a one-window _Batch:
-    the per-site products U and S.  The batch first runs the products of
-    each pair of shorter burns in first, which build part of its tables.
-    A product that runs past the window repeats the end factor there, as
+    """The per-site products U and S behind certifier._directions for one
+    window whose factor vals[0] sits at lo, at sites js (absolute
+    indices), as a one-window _Batch (field_sweep).  The burns are cut
+    at the window's exactly singular factors, which leaves burns cut
+    already as they are.  The batch first runs the directions of each
+    pair of shorter burns in first, which build part of its tables.  A
+    product that runs past the window repeats the end factor there, as
     doubling_field_products does."""
     vals, lo = _padded(vals, js, bu, bs, lo)
     batch = certifier._Batch([MatSequence(lo, vals)], [vals])
     for fu, fs in first:
-        certifier._window_products(batch, [(0, js - lo, fu, fs)])
-    return heads_products(*certifier._window_products(batch, [(0, js - lo, bu, bs)]))
+        certifier._directions(batch, [(0, js, fu, fs)])
+    return heads_products(*field_sweep(batch, [(0, js, bu, bs)]))
+
+
+def field_sweep(batch, jobs):
+    """The one row sweep of certifier._directions on jobs, as (H, idx): H
+    its class heads, and idx the u and s head of each site, the jobs'
+    sites end to end."""
+    seen = []
+
+    def recording(*args):
+        seen.append(mat2._row_sweep(*args))
+        return seen[-1]
+
+    with mock.patch.object(certifier, "_row_sweep", recording):
+        certifier._directions(batch, jobs)
+    ((H, _, at),) = seen
+    return H, at.reshape(2, -1)
 
 
 def heads_products(H, idx):
     """The per-site products U and S that the heads H and their site map
-    idx of a field sweep stand for (certifier._window_products)."""
+    idx of a field sweep stand for (field_sweep)."""
     return H[idx[0]], H[idx[1]]
 
 
@@ -590,7 +608,9 @@ def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
     singular=st.booleans(),
     factors=FACTORS,
 )
-def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singular, factors):
+def test_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singular, factors):
+    # the extended field is one _directions call over [lo + 1, hi], the
+    # burns cut short near the ends
     rng = np.random.default_rng(seed)
     seq = random_matseq(rng, n=n, j_lo=int(rng.integers(-50, 50)))
     seq = MatSequence(seq.j_lo, _repeating(rng, seq.values, factors))
@@ -611,6 +631,59 @@ def test_spliced_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singula
     assert ext.j_first == lo + 1
     assert np.array_equal(ext.u, u) and np.array_equal(ext.s, s)
     assert np.array_equal(ext.burn_u, bu) and np.array_equal(ext.burn_s, bs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(6, 80),
+    seed=st.integers(0, 2**32 - 1),
+    complex_vals=st.booleans(),
+    factors=FACTORS,
+    burn=st.one_of(st.just(1), st.integers(2, 40), st.none()),
+)
+@example(n=12, seed=0, complex_vals=False, factors="random", burn=1)
+def test_delta_sep_is_the_extended_field_separation(n, seed, complex_vals, factors, burn):
+    # certify reads condition 3 off the core field and the end sites
+    # alone; that is the separation of the whole extended field at the
+    # certificate's burn, bit for bit, on windows with exactly singular
+    # factors too, and at burn 1, where the core covers every site
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, 2, 2)).astype(complex)
+    if complex_vals:
+        vals += 1j * rng.standard_normal((n, 2, 2))
+    vals = _repeating(rng, vals, factors)
+    for k in rng.choice(n, int(rng.integers(1, 5)), replace=False).tolist():
+        vals[k, :, 1] = 2.0 * vals[k, :, 0]  # det exactly zero
+    seq = MatSequence(int(rng.integers(-50, 50)), vals)
+    (cert,) = certifier._certify_each([seq], burn=burn)
+    if isinstance(cert, Exception) or cert.delta_sep is None:
+        return
+    ok, delta = verify_separation(power_directions(seq, cert.burn, extend=True))
+    assert np.float64(cert.delta_sep).tobytes() == np.float64(delta).tobytes()
+    assert cert.conditions[3] is ok
+    assert cert.delta_sep <= cert.delta_sep_core
+    if cert.burn == 1:
+        assert cert.delta_sep == cert.delta_sep_core
+
+
+def test_nan_end_site_separation_raises(free_seq, monkeypatch):
+    # one NaN among the end sites' distances reaches the NaN check through
+    # the minimum with the core's separation
+    orig = certifier.chordal_rows
+    ends = []
+
+    def nan_at_the_ends(x, y):
+        out = orig(x, y)
+        if sys._getframe(1).f_code.co_name == "_certify_batch":
+            ends.append(len(out))
+            out = out.copy()
+            out[len(out) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(certifier, "chordal_rows", nan_at_the_ends)
+    with pytest.raises(InternalInconsistency, match="extended field separation is nan"):
+        certify(free_seq)
+    assert len(ends) == 1 and ends[0] > 1
 
 
 # ------------------------------------------------------ real product sweep
@@ -657,8 +730,18 @@ def test_real_sweep_equals_the_complex_sweep(n, seed, kind, burn, extend):
         bu = bs = np.full(len(js), burn)
     vals = certifier._sweep_values(seq)
     assert vals.dtype == np.float64
-    U, S = window_products(vals, js, bu, bs, lo)
+    # the rows laid out as _directions lays them, uncut, through the
+    # singular factors, and the products _directions sweeps, which stop
+    # at them
+    m = len(js)
+    Q, _, at = mat2._row_sweep(mat2._Tables(vals), np.concatenate((js - lo - bu, js - lo)),
+                               np.concatenate((bu, bs)))
     U_ref, S_ref = doubling_field_products(seq.values, js, bu, bs, lo)
+    assert Q.dtype == np.float64
+    assert np.array_equal(Q[at[:m]], U_ref) and np.array_equal(Q[at[m:]], S_ref)
+    cu, cs, _, _ = cut_burns(seq, js, bu, bs)
+    U, S = window_products(vals, js, cu, cs, lo)
+    U_ref, S_ref = doubling_field_products(seq.values, js, cu, cs, lo)
     assert U.dtype == np.float64
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
     # and the directions, those pinned at singular factors included, are
@@ -730,18 +813,19 @@ rng = np.random.default_rng(97)
 vals = rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2))
 vals *= rng.uniform(0.1, 10.0, (300, 1, 1))
 tables = mat2._Tables(vals)
-Q, exps, at = mat2._block_products(tables, np.arange(260), 40)
+Q, exps, at = mat2._row_sweep(tables, np.arange(260), np.full(260, 40))
 out = Q[at].tobytes() + exps[at].tobytes()
 # the doubling tables, blocks of every length up to 40 read off them, and
-# the field products of a batch of the window
+# the field rows of a batch of the window, read off its products
 out += b"".join(T.tobytes() + E.tobytes() for T, E in map(tables.level, range(6)))
-Q, exps, at = mat2._block_products(tables, np.arange(260), np.arange(260) % 41)
+Q, exps, at = mat2._row_sweep(tables, np.arange(260), np.arange(260) % 41)
 out += Q[at].tobytes() + exps[at].tobytes()
-H, idx = certifier._window_products(
-    certifier._Batch([mat2.MatSequence(0, vals)]),
-    [(0, np.arange(40, 260), np.arange(220) % 40 + 1, np.full(220, 40))],
-)
-out += H.tobytes() + idx.tobytes()
+batch = certifier._Batch([mat2.MatSequence(0, vals)])
+js, bu, bs = np.arange(40, 260), np.arange(220) % 40 + 1, np.full(220, 40)
+H, _, at = mat2._row_sweep(batch.tables, np.concatenate((js - bu, js)), np.concatenate((bu, bs)),
+                           batch.repeats)
+((u, s, ids),) = certifier._directions(batch, [(0, js, bu, bs)])
+out += H.tobytes() + at.tobytes() + u.tobytes() + s.tobytes() + np.array(ids).tobytes()
 # domination margins of one-site fields whose frames come straight from
 # rng (unit rows would read numpy's complex modulus), at block lengths
 # up to 64
@@ -862,13 +946,14 @@ def count_table_work(monkeypatch):
 def test_certify_builds_each_field_once(free_op, monkeypatch):
     calls, floors = [], []
     tables, muls = count_table_work(monkeypatch)
-    orig_products = certifier._window_products
+    orig_sweep = certifier._row_sweep
 
-    def counting_products(batch, jobs):
-        ((_, sites, bu, bs),) = jobs  # one window, one job
+    def counting_sweep(tables, base, steps, repeats=None):
         before = muls[0]
-        out = orig_products(batch, jobs)
-        calls.append((len(sites), int(bu.max()), int(bs.max()), muls[0] - before))
+        out = orig_sweep(tables, base, steps, repeats)
+        if sys._getframe(1).f_code.co_name == "_directions":  # one window's field rows
+            n = len(steps) // 2  # the u rows, then the s rows
+            calls.append((n, int(steps[:n].max()), int(steps[n:].max()), muls[0] - before))
         return out
 
     def counting_floor(seq, n):
@@ -876,7 +961,7 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
         return orig_floor(seq, n)
 
     orig_floor = mat2.norm_floor_curve
-    monkeypatch.setattr(certifier, "_window_products", counting_products)
+    monkeypatch.setattr(certifier, "_row_sweep", counting_sweep)
     # the floors at every N come from the batch's one floor sweep
     monkeypatch.setattr(mat2, "norm_floor_curve", counting_floor)
     assert not hasattr(certifier, "norm_floor")
@@ -1405,8 +1490,9 @@ def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, len
         assert floors == mat2.norm_floor_curve(seq, n_max)
     length = min(length, n)
     starts = np.arange(0, n - length + 1)
-    P, exps, at = mat2._block_products(mat2._Tables(mat2._sweep_values(seq)), starts, length)
-    Pc, exps_c, at_c = mat2._block_products(mat2._Tables(seq.values), starts, length)
+    lengths = np.full(len(starts), length)
+    P, exps, at = mat2._row_sweep(mat2._Tables(mat2._sweep_values(seq)), starts, lengths)
+    Pc, exps_c, at_c = mat2._row_sweep(mat2._Tables(seq.values), starts, lengths)
     assert P.dtype == np.float64
     assert np.array_equal(P[at], Pc[at_c]) and exps[at].tobytes() == exps_c[at_c].tobytes()
 
@@ -1441,7 +1527,8 @@ def cone_per_pair(seq, fld, N, alphas=(1.0, 0.75, 1.25, 0.5, 1.5, 2.0),
             continue
         js = np.arange(fld.j_first, last + 1)
         k = js - fld.j_first
-        Q, exps, at = mat2._block_products(mat2._Tables(mat2._sweep_values(seq)), js - lo, n_blk)
+        Q, exps, at = mat2._row_sweep(mat2._Tables(mat2._sweep_values(seq)), js - lo,
+                                      np.full(len(js), n_blk))
         P, exps = Q[at], exps[at]
         Lam = ref_matmul(ref_matmul(Dinv[k + n_blk], P), D[k])
         # the least |Lam[:, 0, 0]| of the unscaled products, one at a time
@@ -1494,7 +1581,7 @@ def test_cone_certificate_picks_the_per_pair_winner(which, free_op, mod5_op):
             random_operator(rng, n=150, complex_a=False, j_lo=0), 2.9
         ),
     }[which]()
-    cert = certify(seq, want_cone=False)
+    cert = certify(seq)
     assert cert.ok
     for N in (cert.N, cert.N + 1, 3 * cert.N):
         got = certifier.cone_certificate(seq, cert.core_field, N)
@@ -1617,13 +1704,13 @@ def test_batched_core_fields_own_their_arrays(free_op, mod5_op):
 def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
     # K windows with equal burns make as many table _mul calls per rung as
     # one window does, at most one per bit of the rung's burn, on one
-    # batch's tables, and one _block_products call for all growth ratios;
-    # a silent fallback to a loop over windows would multiply both by K
+    # batch's tables, and one _row_sweep call for all growth ratios; a
+    # silent fallback to a loop over windows would multiply both by K
     seq = MatSequence(0, np.repeat(np.array([[[3.0, -1.0], [1.0, 0.0]]]), 200, axis=0))
     tables, muls = count_table_work(monkeypatch)
     rungs, blocks = [], [0]
     orig_core, orig_ratios, orig_blocks = (
-        certifier._core_fields, certifier._ratio_estimates, certifier._block_products
+        certifier._core_fields, certifier._ratio_estimates, certifier._row_sweep
     )
 
     def core(batch, jobs):
@@ -1633,11 +1720,11 @@ def test_a_batch_climbs_its_ladders_in_lockstep(monkeypatch):
         return out
 
     def ratios(batch, ws):
-        monkeypatch.setattr(certifier, "_block_products", counting_blocks)
+        monkeypatch.setattr(certifier, "_row_sweep", counting_blocks)
         try:
             return orig_ratios(batch, ws)
         finally:
-            monkeypatch.setattr(certifier, "_block_products", orig_blocks)
+            monkeypatch.setattr(certifier, "_row_sweep", orig_blocks)
 
     def counting_blocks(*args):
         blocks[0] += 1
@@ -1663,7 +1750,7 @@ def _core_sweep_rows(seqs, monkeypatch):
     product sweeps."""
     seen, inside = [], []
     tables, muls = count_table_work(monkeypatch)
-    orig_core, orig_products = certifier._core_fields, certifier._window_products
+    orig_core, orig_sweep = certifier._core_fields, certifier._row_sweep
 
     def core(batch, jobs):
         inside.append(True)
@@ -1672,16 +1759,16 @@ def _core_sweep_rows(seqs, monkeypatch):
         finally:
             inside.pop()
 
-    def products(batch, jobs):
-        ((_, _, bu, _),) = jobs  # the sweep of one window
+    def sweep(tables, base, steps, repeats=None):
+        # the field sweep of one window: its u rows, then its s rows
         before = muls[0]
-        H, idx = orig_products(batch, jobs)
+        H, e, at = orig_sweep(tables, base, steps, repeats)
         if inside:
-            seen.append((int(bu.max()), len(H), muls[0] - before))
-        return H, idx
+            seen.append((int(steps[: len(steps) // 2].max()), len(H), muls[0] - before))
+        return H, e, at
 
     monkeypatch.setattr(certifier, "_core_fields", core)
-    monkeypatch.setattr(certifier, "_window_products", products)
+    monkeypatch.setattr(certifier, "_row_sweep", sweep)
     out = []
     for seq in seqs:
         certify(seq)
@@ -1751,13 +1838,22 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     steps = np.minimum(steps, n - base)
     starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
     cls = (rng.random(len(base)) < 0.2).astype(np.intp)
-    Q, e, at = mat2._row_sweep(starts, cls, batch.tables, base, steps, batch.repeats)
-    Q1, e1, at1 = mat2._row_sweep(starts, cls, batch.tables, base, steps)
-    assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
-    # without the repeats, rows share a head where their base (none
-    # without steps), steps and start agree
-    keys = set(zip(np.where(steps > 0, base, -1).tolist(), steps.tolist(), cls.tolist()))
-    assert len(Q1) == len(keys)
+    # the rows from both starts one factor per step (_visit_sweep, the
+    # sweep with start rows), and from the identity in doubling order
+    # (_row_sweep), each with and without the repeats
+    sweeps = [
+        (lambda r: mat2._visit_sweep(starts, cls, batch.slab, base, steps, r, lambda *a: None),
+         cls),
+        (lambda r: mat2._row_sweep(batch.tables, base, steps, r), np.zeros_like(cls)),
+    ]
+    for sweep, start in sweeps:
+        Q, e, at = sweep(batch.repeats)
+        Q1, e1, at1 = sweep(None)
+        assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
+        # without the repeats, rows share a head where their base (none
+        # without steps), steps and start agree
+        keys = set(zip(np.where(steps > 0, base, -1).tolist(), steps.tolist(), start.tolist()))
+        assert len(Q1) == len(keys)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1876,41 +1972,39 @@ def test_certify_reads_each_distinct_row_once(monkeypatch):
         return out
 
     def field_rows(args, out):
-        # the distinct (head, stop) pairs of each side, the stops those of
-        # the _cut_burns calls for this sweep's jobs
-        rows["sites"] = rows.get("sites", 0) + sum(len(sites) for _, sites, *_ in args[1])
+        # the distinct (head, stop) pairs of each side of a field sweep
+        # (its u rows, then its s rows), the stops those of the
+        # _cut_burns calls for this sweep's jobs
+        rows["sites"] = rows.get("sites", 0) + len(args[2]) // 2
         side_stops = [np.concatenate(x) for x in zip(*stops)]
         stops.clear()
-        return sum(len(set(zip(i.tolist(), t.tolist()))) for i, t in zip(out[1], side_stops))
+        return sum(len(set(zip(i.tolist(), t.tolist())))
+                   for i, t in zip(out[2].reshape(2, -1), side_stops))
+
+    def sweep(*args):
+        # the field sweeps, and the block heads of the cone search alone
+        out = orig_sweep(*args)
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_directions":
+            rows["pairs"] = rows.get("pairs", 0) + field_rows(args, out)
+        elif caller == "_cone_certificates":
+            rows["cone heads"] = rows.get("cone heads", 0) + len(out[0])
+        return out
 
     def bits(X):
         bits_callers.append(sys._getframe(1).f_code.co_name)
         return orig_bits(X)
 
-    orig_bits, orig_blocks = mat2._bits, certifier._block_products
-    orig_cut, orig_window = certifier._cut_burns, certifier._window_products
+    orig_bits, orig_sweep, orig_cut = mat2._bits, certifier._row_sweep, certifier._cut_burns
     for name in ("sv_left_vectors", "sv_right_vectors"):
         sv = count("sv", getattr(certifier, name), lambda a, o: len(a[0]))
         monkeypatch.setattr(certifier, name, sv)
     monkeypatch.setattr(certifier, "disk_image_margins",
                         count("disk", certifier.disk_image_margins, lambda a, o: len(a[0])))
     monkeypatch.setattr(certifier, "_cut_burns", cut_burns)
-    monkeypatch.setattr(certifier, "_window_products",
-                        count("pairs", certifier._window_products, field_rows))
+    monkeypatch.setattr(certifier, "_row_sweep", sweep)
     monkeypatch.setattr(mat2, "_bits", bits)
     monkeypatch.setattr(certifier, "_bits", bits)
-
-    def cone(batch, jobs, *args):
-        # the block heads of the cone search alone
-        monkeypatch.setattr(certifier, "_block_products",
-                            count("cone heads", orig_blocks, lambda a, o: len(o[0])))
-        try:
-            return orig_cone(batch, jobs, *args)
-        finally:
-            monkeypatch.setattr(certifier, "_block_products", orig_blocks)
-
-    orig_cone = certifier._cone_certificates
-    monkeypatch.setattr(certifier, "_cone_certificates", cone)
     for op, E in ((free, 2.01), (mod5, 2.6)):
         rows.clear()
         cert = certify_operator(op, E)
@@ -1919,10 +2013,15 @@ def test_certify_reads_each_distinct_row_once(monkeypatch):
         assert rows.get("disk", 0) == rows.get("cone heads", 0)
     assert rows["disk"] == 5 and cert.cone.n_sites == 320  # mod5: one row per residue
     assert bits_callers and set(bits_callers) == {"_repeat_map"}
-    # every row reads forward, so the u row of site j is the s row of site
-    # j - burn: on the repeating window they share a head
+    # every row reads forward, so the u row of site j (b factors from
+    # j - b) is the s row of site j - b (b factors from j - b): laid out
+    # as _directions lays them, uncut, they share a head on the repeating
+    # window
     seq, b = cocycle_map(mod5, 2.6), cert.burn
     js = np.arange(b, len(seq) + 1 - b)
     full = np.full(len(js), b)
-    _, (u, s) = orig_window(certifier._Batch([seq]), [(0, js, full, full)])
+    batch = certifier._Batch([seq])
+    _, _, at = orig_sweep(batch.tables, np.concatenate((js - b, js)), np.concatenate((full, full)),
+                          batch.repeats)
+    u, s = at.reshape(2, -1)
     assert len(js) > b and np.array_equal(u[b:], s[:-b])

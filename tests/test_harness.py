@@ -288,6 +288,37 @@ def test_golden_dead_coupling_complex_fixture(jobs, tmp_path):
     assert out.read_bytes() == GOLDEN_DEAD_COMPLEX.read_bytes()
 
 
+@pytest.mark.parametrize("which", ["free", "dead", "dead_complex"])
+def test_delta_sep_is_the_extended_field_separation_on_the_golden_grids(free_op, which):
+    # certify reads condition 3 off the core field and the end sites, whose
+    # rows sit at other positions of other stacks than in the whole
+    # extended field; the separation is that field's, bit for bit
+    op, Es = {
+        "free": (free_op, np.linspace(-4, 4, 41)),
+        "dead": (dead_coupling_op(), np.linspace(-3, 3.5, 27)),
+        "dead_complex": (dead_coupling_op(), np.linspace(-3, 3, 25) + 0.3j),
+    }[which]
+    seqs = [cocycle_map(op, E) for E in Es]
+    checked = 0
+    for seq, cert in zip(seqs, certifier._certify_each(seqs)):
+        if isinstance(cert, Exception) or cert.delta_sep is None:
+            continue
+        _, delta = certifier.verify_separation(
+            certifier.power_directions(seq, cert.burn, extend=True)
+        )
+        assert np.float64(cert.delta_sep).tobytes() == np.float64(delta).tobytes()
+        checked += 1
+    assert checked >= 10
+
+
+def test_scan_passes_its_marginal_margin_to_certify(free_op):
+    # the free chain at E = 3 dominates with margin 4.85: thin against 10
+    (row,) = johnson_scan(free_op, [3.0], spectrum_sizes=SCAN_SIZES, marginal_margin=10.0).rows
+    assert row["ds_status"] == "marginal" and 4.0 < row["domination_margin"] < 10.0
+    (row,) = johnson_scan(free_op, [3.0], spectrum_sizes=SCAN_SIZES).rows
+    assert row["ds_status"] == "verified"
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_spectrum_error_propagates(free_op, jobs):
     with pytest.raises(ValueError, match="truncation sizes"):
