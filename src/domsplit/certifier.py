@@ -23,12 +23,13 @@ slab (_slab); every later number stays in that dtype and follows mat2's
 arithmetic rule, so no certificate depends on the SIMD loops numpy
 picks.  Every product stage of a batch (the growth-ratio blocks, the
 burn ladders, climbed in lockstep, the end sites of the extended field,
-the domination frames, the floor curves and the cone blocks) is one
+the domination frames, the norm floors at N and the cone blocks) is one
 mat2 row sweep over the rows of all its live windows: the domination
-frames and the floor curves one factor per step (mat2._visit_sweep),
-the frames from their start rows, the others from the identity in
-doubling order on the batch's tables (mat2._row_sweep on mat2._Tables),
-so each rung of a burn ladder is computed afresh from the tables.
+frames one factor per step from their start rows (mat2._visit_sweep),
+the others from the identity in doubling order on the batch's tables
+(mat2._row_sweep on mat2._Tables), so each rung of a burn ladder is
+computed afresh from the tables and the floors at N take at most
+bit_length(N) kernel calls (mat2._floors).
 Condition 3 reads the extended field's separation as the minimum of
 the core field's and that of the end sites, the sites within one burn
 of either end, whose burns are cut short there; every other site of the
@@ -83,7 +84,7 @@ from .mat2 import (
     _classes,
     _cmul,
     _column_norms,
-    _floor_curves,
+    _floors,
     _larger_columns,
     _max_abs,
     _mul,
@@ -576,7 +577,9 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
 
 
 def verify_separation(fld, delta_min=DELTA_MIN):
-    """(passed, min chordal distance between the fields)."""
+    """(passed, min chordal distance between the fields) of a nonempty field."""
+    if not len(fld):
+        raise ValueError("empty field: no site to separate")
     delta = float(np.min(fld.separation()))
     return delta > delta_min, delta
 
@@ -1098,48 +1101,39 @@ def _certify_batch(batch, *, burn, marginal_margin):
         checks[w] = (res_eff, inv_ok, inv_res, doms[w], sep_ok, delta_ext, delta_core)
 
     ws = each(check, ws)
-    # each window's floors to max(20, N): condition 4 reads N's
-    lens = [len(seqs[w]) for w in ws]
-    tops = [min(n, max(20, doms[w].N)) for w, n in zip(ws, lens)]
-    floors = dict(zip(ws, _floor_curves(batch.slab, batch.offsets[ws], lens, tops, batch.repeats)))
+    # each window's norm floor at its N, for condition 4
+    f, x = _floors(batch.tables, batch.offsets[ws], [len(seqs[w]) for w in ws],
+                   [doms[w].N for w in ws], batch.repeats)
+    floors = dict(zip(ws, zip(f.tolist(), x.tolist())))
     certs = {}
 
     def judge(w):
         seq, (b, gap, _, core) = seqs[w], resolved[w]
         res_eff, inv_ok, inv_res, dom, sep_ok, delta_ext, delta_core = checks[w]
-        f, x = floors[w]
-        ns = range(1, len(f) + 1)
+        (f, x), N = floors[w], dom.N
+        m, k = math.frexp(seq.sup_bound)
         with np.errstate(over="ignore"):  # a floor or threshold beyond float64 reads inf
-            values = np.ldexp(f, x).tolist()
-            thresholds = [float(FLOOR_REL * np.float64(seq.sup_bound) ** n) for n in ns]
-            # f * 2**x > FLOOR_REL * sup_bound**n, sup_bound = m * 2**k, as
-            # f * 2**(x - k n) > FLOOR_REL * m**n, whose left side overflows
+            floor_val = float(np.ldexp(f, x))
+            floor_thr = float(FLOOR_REL * np.float64(seq.sup_bound) ** N)
+            # f * 2**x > FLOOR_REL * sup_bound**N, sup_bound = m * 2**k, as
+            # f * 2**(x - k N) > FLOOR_REL * m**N, whose left side overflows
             # or underflows only where the outcome is plain
-            m, k = math.frexp(seq.sup_bound)
-            scaled = np.ldexp(f, x - k * np.array(ns)).tolist()
-        above = [v > FLOOR_REL * m**n for n, v in zip(ns, scaled)]
-        curve = list(zip(ns, values, thresholds))[:20]
-        floor_val, floor_thr = values[dom.N - 1], thresholds[dom.N - 1]
+            above = float(np.ldexp(f, x - k * N)) > FLOOR_REL * m**N
         for name, value in (
             ("invariance residual", inv_res),
             ("domination margin", dom.margin),
             ("extended field separation", delta_ext),
-            (f"norm floor at N={dom.N}", floor_val),
+            (f"norm floor at N={N}", floor_val),
         ):
             if math.isnan(value):
                 raise InternalInconsistency(f"{name} is nan")
-        notes = {
-            "floor_curve": curve,
-            "floor_curve_ok": all(above[:20]),
-            "n_core_sites": len(core),
-        }
-        conditions = {1: bool(inv_ok), 2: bool(dom.ok), 3: bool(sep_ok), 4: above[dom.N - 1]}
+        conditions = {1: bool(inv_ok), 2: bool(dom.ok), 3: bool(sep_ok), 4: above}
         failed = next((k for k in (1, 2, 3, 4) if conditions[k] is False), None)
         details = {
             1: f"invariance residual {inv_res:.3e} above {res_eff:.3e}",
             2: dom.detail,
             3: f"field separation {delta_ext:.3e} at or below {DELTA_MIN:.3e}",
-            4: f"norm floor {floor_val:.3e} at N={dom.N} below {floor_thr:.3e}",
+            4: f"norm floor {floor_val:.3e} at N={N} below {floor_thr:.3e}",
         }
         cert = DSCertificate(
             verdict="failed" if failed is not None else "verified",
@@ -1157,7 +1151,7 @@ def _certify_batch(batch, *, burn, marginal_margin):
             delta_sep_core=delta_core,
             norm_floor_value=floor_val,
             norm_floor_threshold=floor_thr,
-            notes=notes,
+            notes={"n_core_sites": len(core)},
             core_field=core,
         )
         if failed is not None:

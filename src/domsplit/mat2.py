@@ -6,18 +6,18 @@ floors.
 
 Products run in one of two orders through one kernel.  _sweep_steps
 left-multiplies a stack of products by one factor stack per step;
-sweep() runs it, and so do the row sweeps that must read every step
-(_visit_sweep: the norm floors and the certifier's domination frames).
-Every other row sweep (_row_sweep: span_products and the certifier's
-field, cone and growth-ratio products) starts at the identity and runs
-in doubling order on _Tables, exactly renormalized products of 2**k
-factors built once per slab, so a row of L factors takes one kernel
-call per set bit of L; only the visited rows start at given start rows
-(the domination frames).  Every row is a left product read forward from
-its base.  A row sweep sweeps one row per class of bitwise identical
-rows (_row_classes) and returns those heads with the map from rows to
-heads, so a caller reads each distinct product once; every class, here
-and in the certifier, is one keyed unique (_classes).
+sweep() runs it, and so does the one row sweep that reads every step,
+from start rows of its own (_visit_sweep: the certifier's domination
+frames).  Every other row sweep (_row_sweep: span_products, the norm
+floors and the certifier's field, cone and growth-ratio products)
+starts at the identity and runs in doubling order on _Tables, exactly
+renormalized products of 2**k factors built once per slab, so a row of
+L factors takes one kernel call per set bit of L.  Every row is a left
+product read forward from its base.  A row sweep sweeps one row per
+class of bitwise identical rows (_row_classes) and returns those heads
+with the map from rows to heads, so a caller reads each distinct
+product once; every class, here and in the certifier, is one keyed
+unique (_classes).
 
 The kernel, _mul, makes no BLAS call: on plane-major stacks (entry (i,
 k) of every 2x2 one contiguous array) it writes each entry as a*e + b*g
@@ -68,7 +68,6 @@ __all__ = [
     "cocycle_product",
     "backward_product",
     "norm_floor",
-    "norm_floor_curve",
 ]
 
 
@@ -625,9 +624,9 @@ def _row_sweep(tables, base, steps, repeats=None):
 
 def _visit_sweep(P, start, slab, base, steps, repeats, visit):
     """_row_sweep one factor per step, straight off the slab, for the
-    stages that read every step, row i starting at P[start[i]] (rows of
-    one start class start from bitwise equal rows; P the identity and
-    start all 0 for plain products).
+    stage that reads every step (the certifier's domination frames), row
+    i starting at P[start[i]] (rows of one start class start from bitwise
+    equal rows).
 
     The heads, longest first (_row_classes), run through _sweep_steps, so
     the rows each step multiplies are a prefix and each step gathers its
@@ -706,57 +705,30 @@ def backward_product(seq, j, n):
 
 
 def norm_floor(seq, n):
-    """min over admissible j of the operator norm of the length-n product."""
-    return norm_floor_curve(seq, n)[-1]
-
-
-def norm_floor_curve(seq, n_max):
-    """[norm_floor(seq, n) for n = 1..n_max] in one incremental pass.
-
-    The products run in the window's sweep dtype (_sweep_values); a
-    floor beyond the float64 range reads inf.
-    """
-    if not 1 <= n_max <= len(seq):
+    """min over admissible j of the operator norm of the length-n product,
+    one _floors fold in the window's sweep dtype; inf beyond float64."""
+    if not 1 <= n <= len(seq):
         raise ValueError(f"block length must lie in [1, {len(seq)}]")
-    f, x = _floor_curves(_sweep_values(seq), [0], [len(seq)], [n_max])[0]
+    f, x = _floors(_Tables(_sweep_values(seq)), [0], [len(seq)], [n])
     with np.errstate(over="ignore"):
-        return np.ldexp(f, x).tolist()
+        return float(np.ldexp(f[0], x[0]))
 
 
-def _floor_curves(slab, offsets, lengths, n_maxes, repeats=None):
-    """norm_floor_curve for windows laid end to end in one slab, window w
-    being slab[offsets[w] : offsets[w] + lengths[w]], each to its own
-    n_max, as one _visit_sweep (sharing rows by class as it does).
-
-    Row i of a window starts at its factor i and runs until its product
-    holds n_max factors or reaches the window's end; the floor at n is
-    the least top singular value over the window's rows after step n.
-    The rows are renormalized, so window w gets its floors as arrays
-    (f, x), the floor at n being f[n-1] * 2**x[n-1] exactly: x the least
-    exponent of the window's rows at n, f the least of their top singular
-    values scaled to it (each 0 or at least 1, so none underflows).  The
-    rows of a class have their head's bits, so the heads swept give
-    every floor.
-    """
-    offsets, lengths, n_maxes = (np.asarray(a, dtype=np.intp) for a in (offsets, lengths, n_maxes))
-    win = np.repeat(np.arange(len(lengths)), lengths)
-    local = np.arange(len(win)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    base = offsets[win] + local
-    steps = np.minimum(n_maxes[win], lengths[win] - local)
-    curves = [([], []) for _ in lengths]
-
-    def visit(rows, Q, e):
-        x = np.full(len(lengths), np.iinfo(np.int64).max)
-        np.minimum.at(x, win[rows], e)
-        with np.errstate(over="ignore"):
-            s1 = np.ldexp(singular_values(Q)[0], e - x[win[rows]])
-        f = np.full(len(lengths), np.inf)
-        np.minimum.at(f, win[rows], s1)
-        for (fs, xs), top, fw, xw in zip(curves, n_maxes.tolist(), f.tolist(), x.tolist()):
-            if len(fs) < top:
-                fs.append(fw)
-                xs.append(xw)
-
-    eye = np.eye(2, dtype=slab.dtype)[None]
-    _visit_sweep(eye, np.zeros(len(win), dtype=np.intp), slab, base, steps, repeats, visit)
-    return [(np.array(fs), np.array(xs, dtype=np.int64)) for fs, xs in curves]
+def _floors(tables, offsets, lengths, ns, repeats=None):
+    """The norm floors of windows laid end to end in tables.slab, window w
+    being slab[offsets[w] : offsets[w] + lengths[w]], at block lengths
+    ns[w] <= lengths[w], from one _row_sweep of a row of ns[w] factors at
+    every factor of w with ns[w] factors left: arrays (f, x), w's floor
+    f[w] * 2**x[w] exactly, x[w] the least exponent of its rows and f[w]
+    the least top singular value of their heads scaled to it (each 0 or
+    at least 1, so none underflows)."""
+    offsets, lengths, ns = (np.asarray(a, dtype=np.intp) for a in (offsets, lengths, ns))
+    rows = lengths - ns + 1
+    first = np.cumsum(rows) - rows
+    win = np.repeat(np.arange(len(rows)), rows)
+    Q, e, at = _row_sweep(tables, offsets[win] + np.arange(len(win)) - first[win], ns[win], repeats)
+    e = e[at]
+    x = np.minimum.reduceat(e, first)
+    with np.errstate(over="ignore"):
+        s1 = np.ldexp(singular_values(Q)[0][at], e - x[win])
+    return np.minimum.reduceat(s1, first), x

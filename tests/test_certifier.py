@@ -43,7 +43,7 @@ from domsplit.certifier import (
 )
 from domsplit.harness import perturb_sequence
 from domsplit.jacobi import IllConditioned
-from domsplit.mat2 import MatSequence, norm_floor
+from domsplit.mat2 import MatSequence, norm_floor, op_norm, span_products
 from domsplit.sphere import (
     ProjPoint,
     act,
@@ -314,6 +314,18 @@ def test_verify_separation_threshold():
     assert not ok2
 
 
+def test_verify_separation_refuses_an_empty_field():
+    # a one-factor window leaves no site in [lo + 1, hi] for the extended
+    # field; the check names the empty field, as verify_invariance names
+    # a field of fewer than two sites
+    fld = power_directions(MatSequence(0, np.eye(2)[None]), 1, extend=True)
+    assert len(fld) == 0
+    with pytest.raises(ValueError, match="empty field"):
+        verify_separation(fld)
+    with pytest.raises(ValueError, match="at least two sites"):
+        verify_invariance(MatSequence(0, np.eye(2)[None]), fld, certifier.RES_MAX)
+
+
 def test_verify_domination_factor():
     seq = cocycle_map(
         JacobiOperator(j_lo=0, a=np.ones(60, complex), b=np.zeros(60)), 3.0
@@ -372,9 +384,7 @@ def test_certificate_json_keys_follow_the_fields(free_op):
     assert doc["cone"]["gamma"] == cert.cone.gamma
     assert doc["conditions"] == {"1": True, "2": True, "3": True, "4": True}
     # the notes do not repeat fields
-    assert sorted(doc["notes"]) == [
-        "energy", "floor_curve", "floor_curve_ok", "n_core_sites"
-    ]
+    assert sorted(doc["notes"]) == ["energy", "n_core_sites"]
     failed = certify(example_two()).to_json()
     assert list(failed) == list(doc) and failed["cone"] is None
 
@@ -904,6 +914,8 @@ def test_real_renorm_is_the_complex_division():
 
 @pytest.mark.parametrize("which", ["free", "random", "example_one"])
 def test_floor_curve_equals_norm_floor(free_seq, which):
+    # the floors at n = 1..20 are the least norms of the n-factor products
+    # (span_products), and the certificate's floor is norm_floor at its N
     seq = {
         "free": free_seq,
         "random": cocycle_map(
@@ -911,13 +923,12 @@ def test_floor_curve_equals_norm_floor(free_seq, which):
         ),
         "example_one": example_one(),
     }[which]
+    for n in range(1, 21):
+        js = np.arange(seq.j_lo, seq.j_hi + 2 - n)
+        assert norm_floor(seq, n) == float(np.min(op_norm(span_products(seq, js, n))))
     cert = certify(seq)
-    curve = cert.notes["floor_curve"]
-    assert [n for n, _, _ in curve] == list(range(1, 21))
-    for n, v, _ in curve:
-        assert v == norm_floor(seq, n)
-    if cert.N is not None:
-        assert cert.norm_floor_value == norm_floor(seq, cert.N)
+    assert cert.N is not None
+    assert cert.norm_floor_value == norm_floor(seq, cert.N)
 
 
 def count_table_work(monkeypatch):
@@ -944,26 +955,28 @@ def count_table_work(monkeypatch):
 
 
 def test_certify_builds_each_field_once(free_op, monkeypatch):
-    calls, floors = [], []
+    calls, floors, visits = [], [], []
     tables, muls = count_table_work(monkeypatch)
-    orig_sweep = certifier._row_sweep
+    orig_sweep, orig_visit = certifier._row_sweep, certifier._visit_sweep
 
     def counting_sweep(tables, base, steps, repeats=None):
         before = muls[0]
         out = orig_sweep(tables, base, steps, repeats)
-        if sys._getframe(1).f_code.co_name == "_directions":  # one window's field rows
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_directions":  # one window's field rows
             n = len(steps) // 2  # the u rows, then the s rows
             calls.append((n, int(steps[:n].max()), int(steps[n:].max()), muls[0] - before))
+        elif caller == "_floors":
+            floors.append((int(steps.max()), muls[0] - before))
         return out
 
-    def counting_floor(seq, n):
-        floors.append(n)
-        return orig_floor(seq, n)
+    def counting_visit(*args):
+        visits.append(sys._getframe(1).f_code.co_name)
+        return orig_visit(*args)
 
-    orig_floor = mat2.norm_floor_curve
     monkeypatch.setattr(certifier, "_row_sweep", counting_sweep)
-    # the floors at every N come from the batch's one floor sweep
-    monkeypatch.setattr(mat2, "norm_floor_curve", counting_floor)
+    monkeypatch.setattr(mat2, "_row_sweep", counting_sweep)
+    monkeypatch.setattr(certifier, "_visit_sweep", counting_visit)
     assert not hasattr(certifier, "norm_floor")
     cert = certify_operator(free_op, 3.0)
     assert cert.N == 1 and len(calls) >= 3
@@ -979,10 +992,14 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
     # then only the 2 (burn - 1) end sites of the extended field
     assert ends[:3] == (2 * (cert.burn - 1), cert.burn, cert.burn)
     assert 0 < ends[3] <= cert.burn.bit_length()
+    # the floor at N is one fold of N-factor rows, at most one table _mul
+    # per bit of N, and only the domination frames read every step
+    assert len(floors) == 1 and floors[0][0] == cert.N
+    assert 0 < floors[0][1] <= cert.N.bit_length()
+    assert visits == ["_dominations"]
     # one batch, whose tables hold at most one level per bit of the burn cap
     b_cap = (len(free_op) - 1) // 2
     assert len(tables) == 1 and 0 < len(tables[0].levels) <= b_cap.bit_length()
-    assert floors == []
 
 
 # ----------------------------------------- bit-exact cuts after the ladder
@@ -990,16 +1007,15 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
 
 def test_nan_norm_floor_raises_instead_of_failing(free_op, monkeypatch):
     # a NaN floor at N reaches no threshold comparison; the free chain at
-    # E = 3 certifies at N = 1, so its floor curve gets a NaN there
-    orig = certifier._floor_curves
+    # E = 3 certifies at N = 1, so its floor at N = 1 is made a NaN
+    orig = certifier._floors
 
-    def nan_at_one(*args):
-        curves = orig(*args)
-        for floors, _ in curves:
-            floors[0] = math.nan
-        return curves
+    def nan_floor(*args):
+        f, x = orig(*args)
+        f[0] = math.nan
+        return f, x
 
-    monkeypatch.setattr(certifier, "_floor_curves", nan_at_one)
+    monkeypatch.setattr(certifier, "_floors", nan_floor)
     with pytest.raises(InternalInconsistency, match="norm floor at N=1 is nan"):
         certify_operator(free_op, 3.0)
 
@@ -1014,12 +1030,12 @@ SCALED = [((3.0, 0.5), 200, c) for c in (1e50, 1e100, 1e150, 1e-170, 1e-300, 1e3
     ids=[f"{c:.0e}" if d == (3.0, 0.5) else f"{d[0]}-{c:.0e}" for d, _, c in SCALED],
 )
 def test_scaled_window_certifies_as_the_unscaled_one(diag, n, c):
-    # the floor-curve products are renormalized and scaled back with
-    # ldexp, so a scale neither overflows them nor makes a floor NaN, and
-    # each floor is held against FLOOR_REL * sup_bound**n in binary
-    # exponents, so no floor or threshold beyond the float64 range (inf
-    # against inf, 0 against 0) decides it: the verdict, N and every
-    # floor decision are those at scale 1, and so is epsilon, times the
+    # the floor products are renormalized and scaled back with ldexp, so
+    # a scale neither overflows them nor makes a floor NaN, and the floor
+    # at N is held against FLOOR_REL * sup_bound**N in binary exponents,
+    # so no floor or threshold beyond the float64 range (inf against inf,
+    # 0 against 0) decides it: the verdict, N and the floor decision are
+    # those at scale 1, and so is epsilon, times the
     # scale: the cone's pick and epsilon read gamma / sup_bound**N in
     # binary exponents, though c**4 * gamma leaves float64 for diag(1.2, 1)
     def cert_at(scale):
@@ -1031,7 +1047,6 @@ def test_scaled_window_certifies_as_the_unscaled_one(diag, n, c):
     one, cert = cert_at(1.0), cert_at(c)
     assert (cert.verdict, cert.N) == (one.verdict, one.N)
     assert cert.conditions == one.conditions
-    assert cert.notes["floor_curve_ok"] and one.notes["floor_curve_ok"]
     if diag == (3.0, 0.5):
         assert one.verdict == "verified" and one.N == 1
         assert cert.epsilon == pytest.approx(c * one.epsilon, rel=1e-15, abs=0.0)
@@ -1249,12 +1264,23 @@ def test_nan_frame_gives_a_nan_margin_and_certify_raises(free_op, monkeypatch):
         certify(seq)
 
 
-def test_floor_at_n_beyond_the_curve_comes_from_the_sweep():
-    # 1.03**24 is the first power above 2, so N = 24 lies beyond the 20
-    # floors of the curve note; the floor sweep runs to N for it
+def test_floor_at_n_24_is_norm_floor(monkeypatch):
+    # 1.03**24 is the first power above 2, so N = 24: the floor there is
+    # one fold of 24-factor rows, one table _mul per set bit of 24
     seq = MatSequence(0, np.repeat(np.diag([1.03, 1.0])[None], 300, axis=0).astype(complex))
+    _, muls = count_table_work(monkeypatch)
+    orig = mat2._floors
+    floor_muls = []
+
+    def counting_floors(*args):
+        before = muls[0]
+        out = orig(*args)
+        floor_muls.append(muls[0] - before)
+        return out
+
+    monkeypatch.setattr(certifier, "_floors", counting_floors)
     cert = certify(seq)
-    assert cert.N == 24 and len(cert.notes["floor_curve"]) == 20
+    assert cert.N == 24 and floor_muls == [2]
     assert cert.norm_floor_value == norm_floor(seq, 24)
     assert cert.domination_margin == pytest.approx(1.03**24 - 2.0, rel=1e-12)
 
@@ -1484,10 +1510,10 @@ def test_renorm_keeps_zero_and_nan_rows_at_scale_one():
 def test_real_floor_and_block_products_equal_the_complex_runs(n, seed, kind, length):
     rng = np.random.default_rng(seed)
     seq = _real_window(rng, kind, n)
-    n_max = min(n, 20)
-    floors = mat2.norm_floor_curve(seq, n_max)
+    ns = range(1, min(n, 20) + 1)
+    floors = [norm_floor(seq, k) for k in ns]
     with mock.patch.object(mat2, "_sweep_values", lambda seq: seq.values):
-        assert floors == mat2.norm_floor_curve(seq, n_max)
+        assert floors == [norm_floor(seq, k) for k in ns]
     length = min(length, n)
     starts = np.arange(0, n - length + 1)
     lengths = np.full(len(starts), length)

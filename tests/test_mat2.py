@@ -21,7 +21,6 @@ from domsplit.mat2 import (
     det2,
     inv2,
     is_singular,
-    norm_floor_curve,
     singular_values,
     span_products,
     sv_direction_vectors,
@@ -30,7 +29,7 @@ from domsplit.mat2 import (
     sweep,
 )
 
-from conftest import doubling_oracle, random_matseq, ref_matmul, renorm_row_oracle
+from conftest import doubling_oracle, random_matseq, random_operator, ref_matmul, renorm_row_oracle
 
 
 def test_matsequence_indexing():
@@ -273,17 +272,27 @@ def test_norm_floor_matches_bruteforce():
         assert norm_floor(seq, n) == pytest.approx(ref, rel=1e-10)
 
 
-def test_norm_floor_is_the_curve_and_real_windows_match():
+def test_norm_floor_is_the_span_products_minimum():
+    # the floor is one doubling-order fold of its n-factor rows, whose
+    # top singular values are taken on the renormalized heads and scaled
+    # back exactly: bit for bit the least norm of the same products
+    # scaled back first, on real, complex and Jacobi windows
     rng = np.random.default_rng(22)
     seq = random_matseq(rng, n=50, j_lo=0)
-    real = MatSequence(0, seq.values.real.copy())
-    for s in (seq, real):
-        curve = norm_floor_curve(s, 32)
-        assert [norm_floor(s, n) for n in range(1, 33)] == curve
-    # a real window gives the floors of the same window stored as complex
-    # with +0.0 imaginary parts, which the complex product loop runs
-    with mock.patch("domsplit.mat2._sweep_values", lambda s: s.values):
-        assert norm_floor_curve(real, 32) == curve
+    real = MatSequence(3, seq.values.real.copy())
+    jacobi_real = cocycle_map(random_operator(rng, n=40, complex_a=False), 0.7)
+    jacobi_complex = cocycle_map(random_operator(rng, n=40), 0.3 + 0.8j)
+    for s in (seq, real, jacobi_real, jacobi_complex):
+        floors = []
+        for n in range(1, len(s) + 1):
+            js = np.arange(s.j_lo, s.j_hi + 2 - n)
+            floors.append(norm_floor(s, n))
+            assert floors[-1] == float(np.min(op_norm(span_products(s, js, n))))
+        if s is not seq and s is not jacobi_complex:
+            # a real window gives the floors of the same window stored as
+            # complex with +0.0 imaginary parts, which the complex fold runs
+            with mock.patch("domsplit.mat2._sweep_values", lambda s: s.values):
+                assert [norm_floor(s, n) for n in range(1, len(s) + 1)] == floors
 
 
 def test_norm_floor_zero_on_dead_factor():
