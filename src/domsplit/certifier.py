@@ -23,13 +23,14 @@ slab (_slab); every later number stays in that dtype and follows mat2's
 arithmetic rule, so no certificate depends on the SIMD loops numpy
 picks.  Every product stage of a batch (the growth-ratio blocks, the
 burn ladders, climbed in lockstep, the end sites of the extended field,
-the domination frames, the norm floors at N and the cone blocks) is one
-mat2 row sweep over the rows of all its live windows: the domination
-frames one factor per step from their start rows (mat2._visit_sweep),
-the others from the identity in doubling order on the batch's tables
-(mat2._row_sweep on mat2._Tables), so each rung of a burn ladder is
-computed afresh from the tables and the floors at N take at most
-bit_length(N) kernel calls (mat2._floors).
+the domination frames, the norm floors at N and the cone blocks) runs
+over the rows of all its live windows at once, on one of mat2's two
+product paths.  The domination frames, the one stage that reads every
+step, step one factor at a time from their start rows in a loop of
+their own (_dominations); the others run from the identity in doubling
+order on the batch's tables (mat2._row_sweep on mat2._Tables), so each
+rung of a burn ladder is computed afresh from the tables and the floors
+at N take at most bit_length(N) kernel calls (mat2._floors).
 Condition 3 reads the extended field's separation as the minimum of
 the core field's and that of the end sites, the sites within one burn
 of either end, whose burns are cut short there; every other site of the
@@ -60,7 +61,6 @@ given finite data, not about any infinite extension.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -89,12 +89,12 @@ from .mat2 import (
     _max_abs,
     _mul,
     _renorm,
+    _row_classes,
     _row_norms,
     _row_sweep,
     _sweep_values,
     _Tables,
     _take,
-    _visit_sweep,
     det2,
     op_norm,
     singular_values,
@@ -524,7 +524,7 @@ def verify_domination(seq, fld, n_max=N_MAX, factor=FACTOR):
 
 def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
     """verify_domination for each job (w, fld, classes) of a batch, each
-    window at most once, as one mat2._visit_sweep.
+    window at most once, in one step loop over all their frames.
 
     The row of site j starts at the frame [u(j) s(j)] and reads the
     factors j, j + 1, ... for min(n_max, sites left) steps.  After step
@@ -532,8 +532,11 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
     quotient of their norms (mat2._column_norms) is the growth ratio.
     The frames of the sites of one field class (classes, (first, ids) of
     mat2._classes; None for every site its own) are one start class, and
-    rows of one class (mat2._row_classes) have one row's bits.  The sweep
-    ends once no window is left searching.
+    rows of one class (mat2._row_classes) have one row's bits, so one
+    head per class steps.  The heads run longest first, so the heads
+    that take step N are a prefix Q[:k]: each step is one _mul of their
+    factors into Q[:k] and one exact _renorm.  The loop ends once no
+    window is left searching.
     """
     if not jobs:
         return []
@@ -548,29 +551,32 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
         o += len(first)
     win = np.repeat(np.arange(len(jobs)), [len(b) for b in base])
     tried = [int(s.max()) for s in steps]  # for a window that runs to its end
+    base, steps, start = (np.concatenate(a) for a in (base, steps, start))
+    heads, _ = _row_classes(start, base, steps, batch.repeats)
+    b, n, win = base[heads], steps[heads], win[heads]
+    X = np.concatenate(frames)
+    Q = _take(X.astype(np.result_type(X, batch.slab)), start[heads])
     out, best = [None] * len(jobs), [(-math.inf, 0)] * len(jobs)  # best (margin, N)
-    count = itertools.count(1)
-
-    def visit(rows, Q, e):
-        N = next(count)
-        keep = np.array([d is None for d in out])[win[rows]]
-        wins, worst = win[rows][keep], np.full(len(jobs), math.inf)
+    for N in range(1, int(n[0]) + 1):
+        k = int(np.count_nonzero(n >= N))
+        _mul(_take(batch.slab, b[:k] + N - 1), Q[:k], out=Q[:k])
+        _renorm(Q[:k], out=Q[:k])
+        keep = np.array([d is None for d in out])[win[:k]]
+        wins, worst = win[:k][keep], np.full(len(jobs), math.inf)
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN frames give NaN
-            nu, ns = _column_norms(Q[keep]).T
+            nu, ns = _column_norms(Q[:k][keep]).T
             np.minimum.at(worst, wins, np.where(nu == 0.0, 0.0, nu / ns))  # dead u 0, dead s inf
-        for k in np.unique(wins).tolist():
-            r = float(worst[k])
+        for w in np.unique(wins).tolist():
+            r = float(worst[w])
             if math.isnan(r):
                 detail = f"nan growth ratio at block length {N}"
-                out[k] = DominationCheck(False, N, math.nan, N, detail)
+                out[w] = DominationCheck(False, N, math.nan, N, detail)
             elif r > factor:
-                out[k] = DominationCheck(True, N, r - factor, N)
-            elif r - factor > best[k][0]:
-                best[k] = (r - factor, N)
-        return None not in out
-
-    _visit_sweep(np.concatenate(frames), np.concatenate(start), batch.slab, np.concatenate(base),
-                 np.concatenate(steps), batch.repeats, visit)
+                out[w] = DominationCheck(True, N, r - factor, N)
+            elif r - factor > best[w][0]:
+                best[w] = (r - factor, N)
+        if None not in out:
+            break
     fail = "no block length up to {} dominates by factor {}"
     return [d or DominationCheck(False, n, m, t, fail.format(t, factor))
             for d, (m, n), t in zip(out, best, tried)]
@@ -1088,19 +1094,6 @@ def _certify_batch(batch, *, burn, marginal_margin):
     # the classes of each core field's sites, which its frames share
     frames = {w: _classes(*classes[w, resolved[w][3].burn]) for w in ws}
     doms = dict(zip(ws, _dominations(batch, [(w, resolved[w][3], frames[w]) for w in ws])))
-    checks = {}
-
-    def check(w):
-        seq, (_, gap, _, core) = seqs[w], resolved[w]
-        res_eff = max(RES_MAX, 8.0 * gap)
-        inv_ok, inv_res = verify_invariance(seq, core, res_eff)
-        _, delta_core = verify_separation(core)
-        # np.minimum, which keeps a NaN of either side for the NaN check
-        delta_ext = float(np.minimum(delta_core, end_seps[w]))
-        sep_ok = delta_ext > DELTA_MIN
-        checks[w] = (res_eff, inv_ok, inv_res, doms[w], sep_ok, delta_ext, delta_core)
-
-    ws = each(check, ws)
     # each window's norm floor at its N, for condition 4
     f, x = _floors(batch.tables, batch.offsets[ws], [len(seqs[w]) for w in ws],
                    [doms[w].N for w in ws], batch.repeats)
@@ -1108,8 +1101,13 @@ def _certify_batch(batch, *, burn, marginal_margin):
     certs = {}
 
     def judge(w):
-        seq, (b, gap, _, core) = seqs[w], resolved[w]
-        res_eff, inv_ok, inv_res, dom, sep_ok, delta_ext, delta_core = checks[w]
+        seq, (b, gap, _, core), dom = seqs[w], resolved[w], doms[w]
+        res_eff = max(RES_MAX, 8.0 * gap)
+        inv_ok, inv_res = verify_invariance(seq, core, res_eff)
+        _, delta_core = verify_separation(core)
+        # np.minimum, which keeps a NaN of either side for the NaN check
+        delta_ext = float(np.minimum(delta_core, end_seps[w]))
+        sep_ok = delta_ext > DELTA_MIN
         (f, x), N = floors[w], dom.N
         m, k = math.frexp(seq.sup_bound)
         with np.errstate(over="ignore"):  # a floor or threshold beyond float64 reads inf
@@ -1167,7 +1165,7 @@ def _certify_batch(batch, *, burn, marginal_margin):
         certs[w].cone, certs[w].epsilon = res
     for w in ws:
         if out[w] is None:
-            if 0.0 < checks[w][3].margin < marginal_margin:
+            if 0.0 < doms[w].margin < marginal_margin:
                 certs[w].verdict = "marginal"
             out[w] = certs[w]
     return out

@@ -124,17 +124,17 @@ def _scan_energies(args):
         im = np.linspace(i0, i1, int(nim))
         return (re[None, :] + 1j * im[:, None]).ravel()
     if not args.grid:
-        raise SystemExit("scan needs --grid LO,HI,N or --complex")
+        raise ValueError("scan needs --grid LO,HI,N or --complex")
     lo, hi, n = args.grid
     return np.linspace(float(lo), float(hi), int(n))
 
 
 def _cmd_scan(args):
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv needs --out")
     op = load_operator(args.config)
     report = johnson_scan(op, _scan_energies(args), jobs=args.jobs)
     if args.format == "csv":
-        if not args.out:
-            raise SystemExit("--format csv needs --out")
         report.to_csv(args.out)
     else:
         report.to_json(args.out) if args.out else _write(report.to_json(), args)
@@ -219,11 +219,11 @@ def build_parser():
     def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="operator JSON file")
-        p.add_argument("--out", help="write the JSON/CSV result here")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", help="write the result here")
 
     p = sub.add_parser("spectrum", help="truncation eigenvalue ladder and cover")
     common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--sizes", type=_int_list, default=[200, 400, 800])
     p.set_defaults(fn=_cmd_spectrum)
 
@@ -242,6 +242,7 @@ def build_parser():
 
     p = sub.add_parser("scan", help="prediction-vs-certificate sweep over energies")
     common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--grid", type=lambda s: s.split(","), default=None,
                    help="LO,HI,N real energy grid")
     p.add_argument("--complex", default=None,

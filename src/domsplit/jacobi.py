@@ -423,15 +423,10 @@ def spectrum(op, sizes=(200, 400, 800)):
         h = 0.0
     h = max(h, 1e-12)
     gap = max(4.0 * h, 1e-9)
-    segments = []
-    lo = hi = merged[0]
-    for x in merged[1:]:
-        if x - hi <= gap:
-            hi = x
-        else:
-            segments.append((float(lo), float(hi)))
-            lo = hi = x
-    segments.append((float(lo), float(hi)))
+    # a segment ends where the next eigenvalue lies more than gap above it
+    cut = np.flatnonzero(np.diff(merged) > gap)
+    los, his = merged[np.r_[0, cut + 1]].tolist(), merged[np.r_[cut, -1]].tolist()
+    segments = list(zip(los, his))
     return SpectrumApprox(sizes=use, merged=merged, segments=segments, resolution=h)
 
 

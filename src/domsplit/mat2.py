@@ -4,20 +4,20 @@ Ordered cocycle products over an integer window, closed-form singular
 value machinery, inverse products with singularity reporting, and norm
 floors.
 
-Products run in one of two orders through one kernel.  _sweep_steps
-left-multiplies a stack of products by one factor stack per step;
-sweep() runs it, and so does the one row sweep that reads every step,
-from start rows of its own (_visit_sweep: the certifier's domination
-frames).  Every other row sweep (_row_sweep: span_products, the norm
-floors and the certifier's field, cone and growth-ratio products)
-starts at the identity and runs in doubling order on _Tables, exactly
-renormalized products of 2**k factors built once per slab, so a row of
-L factors takes one kernel call per set bit of L.  Every row is a left
-product read forward from its base.  A row sweep sweeps one row per
-class of bitwise identical rows (_row_classes) and returns those heads
-with the map from rows to heads, so a caller reads each distinct
-product once; every class, here and in the certifier, is one keyed
-unique (_classes).
+Products run on one of two paths through one kernel.  A row sweep
+(_row_sweep: span_products, the norm floors and the certifier's field,
+cone and growth-ratio products) starts at the identity and runs in
+doubling order on _Tables, exactly renormalized products of 2**k
+factors built once per slab, so a row of L factors takes one kernel
+call per set bit of L.  Every row is a left product read forward from
+its base.  A row sweep sweeps one row per class of bitwise identical
+rows (_row_classes) and returns those heads with the map from rows to
+heads, so a caller reads each distinct product once; every class, here
+and in the certifier, is one keyed unique (_classes).  sweep() is the
+plain step loop: it left-multiplies a whole stack by one factor stack
+per step (backward_product, jacobi.floquet_bands).  The one stage that
+reads every step, the certifier's domination frames, steps its class
+heads in a loop of its own (certifier._dominations) on the same kernel.
 
 The kernel, _mul, makes no BLAS call: on plane-major stacks (entry (i,
 k) of every 2x2 one contiguous array) it writes each entry as a*e + b*g
@@ -454,9 +454,9 @@ def sweep(P, steps):
     """Left-multiply a stack of 2x2 products P by one factor stack per
     step, renormalizing exactly; returns (P, e).
 
-    Each F in steps multiplies the first k = len(F) rows of P from the
-    left (F @ P[:k]) through _mul, and those k rows are then scaled by a
-    power of two (_renorm).  e holds each row's removed binary exponents
+    Each F in steps multiplies P from the left, row by row (F @ P),
+    through _mul, and each row is then scaled by a power of two
+    (_renorm).  e holds each row's removed binary exponents
     summed as int64, so the unnormalized product is ldexp of the row by
     e.  P itself is never written into.  _mul gives a row of a stack the
     bits it gives that row alone, and the scaling is exact, so each row
@@ -464,33 +464,14 @@ def sweep(P, steps):
     alone would make it.  A right product P @ F runs as the transpose of
     the left product of the transposes, whose entries sum the same
     products in the same order.  The products come out plane-major;
-    plane-major factor stacks (slices of _sweep_values, or _take) are
-    read as they are, others through strided views.
+    plane-major factor stacks are read as they are, others through
+    strided views.
     """
     e = np.zeros(len(P), dtype=np.int64)
-    for P in _sweep_steps(P, steps, e):
-        pass
-    return P, e
-
-
-def _sweep_steps(P, steps, e):
-    """The loop of sweep, yielding the stack after every step; e
-    accumulates each row's removed binary exponents.  A later step may
-    write into a stack already yielded, so a caller copies the rows it
-    keeps."""
-    P0, n = P, len(P)
     for F in steps:
-        k = len(F)
-        if k == n:
-            P = _mul(F, P)
-        elif k:
-            if P is P0:
-                P = _plane_major(P, copy=True)
-            _mul(F, P[:k], out=P[:k])
-        if k:
-            _, s = _renorm(P[:k], out=P[:k])
-            e[:k] -= s
-        yield P
+        P = _mul(F, P)
+        e -= _renorm(P, out=P)[1]
+    return P, e
 
 
 def _bits(X):
@@ -619,33 +600,6 @@ def _row_sweep(tables, base, steps, repeats=None):
         _, s = _renorm(R, out=R)
         Q[rows] = R
         e[rows] += E[j] - s
-    return Q, e, at
-
-
-def _visit_sweep(P, start, slab, base, steps, repeats, visit):
-    """_row_sweep one factor per step, straight off the slab, for the
-    stage that reads every step (the certifier's domination frames), row
-    i starting at P[start[i]] (rows of one start class start from bitwise
-    equal rows).
-
-    The heads, longest first (_row_classes), run through _sweep_steps, so
-    the rows each step multiplies are a prefix and each step gathers its
-    factors with one _take.  visit(rows, Q, e) sees every step: rows are
-    the indices of the rows it multiplied, one per class, and Q and e
-    their products and exponents so far, which the next step overwrites.
-    A true return from visit ends the sweep there, each row holding its
-    product so far.  Returns (Q, e, at) as _row_sweep does, each class
-    keyed by its start class too.
-    """
-    heads, at = _row_classes(start, base, steps, repeats)
-    b, n = base[heads], steps[heads]
-    T = int(n.max(initial=0))
-    n_mul = (len(heads) - np.cumsum(np.bincount(n, minlength=T))[:T]).tolist()
-    Q, e = _take(P, start[heads]), np.zeros(len(heads), dtype=np.int64)
-    factors = (_take(slab, b[:k] + t) for t, k in enumerate(n_mul))
-    for k, Q in zip(n_mul, _sweep_steps(Q, factors, e)):
-        if visit(heads[:k], Q[:k], e[:k]):
-            break
     return Q, e, at
 
 

@@ -575,7 +575,7 @@ FACTORS = st.sampled_from(["random", "periodic", "defect", "signed_zero"])
     factors=FACTORS,
     data=st.data(),
 )
-def test_resumed_burn_ladder_is_bitwise_the_masked_sweep(
+def test_burn_ladder_rungs_are_bitwise_the_fields_alone(
     n, seed, complex_vals, singular, factors, data
 ):
     rng = np.random.default_rng(seed)
@@ -913,7 +913,7 @@ def test_real_renorm_is_the_complex_division():
 
 
 @pytest.mark.parametrize("which", ["free", "random", "example_one"])
-def test_floor_curve_equals_norm_floor(free_seq, which):
+def test_norm_floors_are_the_least_span_product_norms(free_seq, which):
     # the floors at n = 1..20 are the least norms of the n-factor products
     # (span_products), and the certificate's floor is norm_floor at its N
     seq = {
@@ -955,9 +955,9 @@ def count_table_work(monkeypatch):
 
 
 def test_certify_builds_each_field_once(free_op, monkeypatch):
-    calls, floors, visits = [], [], []
+    calls, floors, own_muls = [], [], []
     tables, muls = count_table_work(monkeypatch)
-    orig_sweep, orig_visit = certifier._row_sweep, certifier._visit_sweep
+    orig_sweep, orig_mul = certifier._row_sweep, certifier._mul
 
     def counting_sweep(tables, base, steps, repeats=None):
         before = muls[0]
@@ -970,13 +970,13 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
             floors.append((int(steps.max()), muls[0] - before))
         return out
 
-    def counting_visit(*args):
-        visits.append(sys._getframe(1).f_code.co_name)
-        return orig_visit(*args)
+    def counting_mul(*args, **kw):  # the certifier's own kernel calls
+        own_muls.append(sys._getframe(1).f_code.co_name)
+        return orig_mul(*args, **kw)
 
     monkeypatch.setattr(certifier, "_row_sweep", counting_sweep)
     monkeypatch.setattr(mat2, "_row_sweep", counting_sweep)
-    monkeypatch.setattr(certifier, "_visit_sweep", counting_visit)
+    monkeypatch.setattr(certifier, "_mul", counting_mul)
     assert not hasattr(certifier, "norm_floor")
     cert = certify_operator(free_op, 3.0)
     assert cert.N == 1 and len(calls) >= 3
@@ -993,10 +993,13 @@ def test_certify_builds_each_field_once(free_op, monkeypatch):
     assert ends[:3] == (2 * (cert.burn - 1), cert.burn, cert.burn)
     assert 0 < ends[3] <= cert.burn.bit_length()
     # the floor at N is one fold of N-factor rows, at most one table _mul
-    # per bit of N, and only the domination frames read every step
+    # per bit of N, and only the domination frames step one factor at a
+    # time: one _mul per block length up to N, beside the one _mul of the
+    # invariance check and those of the cone blocks
     assert len(floors) == 1 and floors[0][0] == cert.N
     assert 0 < floors[0][1] <= cert.N.bit_length()
-    assert visits == ["_dominations"]
+    assert own_muls.count("_dominations") == cert.N and own_muls.count("verify_invariance") == 1
+    assert set(own_muls) <= {"_dominations", "verify_invariance", "_cone_certificates"}
     # one batch, whose tables hold at most one level per bit of the burn cap
     b_cap = (len(free_op) - 1) // 2
     assert len(tables) == 1 and 0 < len(tables[0].levels) <= b_cap.bit_length()
@@ -1097,7 +1100,7 @@ def test_exact_zero_test_confirms_each_rounded_zero(complex_vals):
     assert [z.tolist() for z in certifier._Batch(seqs).zeros] == [[15], [15]]
 
 
-def test_override_products_stay_finite_far_from_the_spectrum(free_op):
+def test_field_products_stay_finite_far_from_the_spectrum(free_op):
     # the zero extension makes the first factor singular, and at E = 1e8
     # the products from it grow like 1e8**n; renormalized, they stay
     # finite, and the free chain certifies there as at any |E| > 2
@@ -1350,7 +1353,7 @@ def _directions_outcome(fn, *args):
     burn=st.integers(1, 50),
     extend=st.booleans(),
 )
-def test_batched_overrides_are_bitwise_the_per_site_loop(
+def test_cut_field_rows_are_bitwise_the_per_site_loop(
     n, seed, complex_vals, ends, inside, burn, extend
 ):
     rng = np.random.default_rng(seed)
@@ -1411,7 +1414,7 @@ def test_cut_burns_are_the_per_site_loop(n, seed, n_sing, burn):
     burn=st.integers(1, 40),
     warm=st.booleans(),
 )
-def test_prefix_sweep_is_bitwise_the_masked_sweep(
+def test_field_products_are_bitwise_the_doubling_loop(
     n, seed, complex_vals, pattern, burn, warm
 ):
     # rows finish at different steps, on both sides, in any site order
@@ -1421,7 +1424,7 @@ def test_prefix_sweep_is_bitwise_the_masked_sweep(
         vals = vals + 1j * rng.standard_normal((n, 2, 2))
     lo = int(rng.integers(-50, 50))
     if pattern == "gappy":
-        # non-contiguous sites with one burn still take the prefix sweep
+        # non-contiguous sites with one burn
         js = np.sort(rng.choice(np.arange(lo - 2, lo + n + 3), size=min(n, 5), replace=False))
         bu = bs = np.full(len(js), burn)
     else:
@@ -1454,25 +1457,22 @@ def test_prefix_sweep_is_bitwise_the_masked_sweep(
     n=st.integers(1, 30),
     T=st.integers(1, 8),
     complex_vals=st.booleans(),
-    prefix=st.booleans(),
 )
-@example(seed=0, n=3, T=2, complex_vals=False, prefix=True)
-def test_renorm_is_idempotent_and_exact(seed, n, T, complex_vals, prefix):
+@example(seed=0, n=3, T=2, complex_vals=False)
+def test_renorm_is_idempotent_and_exact(seed, n, T, complex_vals):
     # a second pass changes nothing, and a row scaled after every step is
     # the same row scaled once at the end, bit for bit: so a row's bits do
-    # not depend on the steps on which the rows beside it multiply
+    # not depend on the scales of the rows beside it
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((T, n, 2, 2)) * 2.0 ** rng.integers(-40, 41, (T, n, 1, 1))
     if complex_vals:
         F = F + 1j * rng.standard_normal((T, n, 2, 2)) * 2.0 ** rng.integers(-40, 41, (T, n, 1, 1))
     F[rng.random((T, n)) < 0.05] = 0.0  # some rows die
-    if prefix:  # rows finish at different steps
-        F = [f[: int(k)] for f, k in zip(F, np.sort(rng.integers(1, n + 1, T))[::-1])]
-    P = np.tile(np.eye(2, dtype=F[0].dtype), (n, 1, 1))
+    P = np.tile(np.eye(2, dtype=F.dtype), (n, 1, 1))
     scaled, e = mat2.sweep(P, F)
-    raw = P.copy()  # the plain product loop, unnormalized
+    raw = P  # the plain product loop, unnormalized
     for f in F:
-        raw[: len(f)] = mat2._mul(f, raw[: len(f)])
+        raw = mat2._mul(f, raw)
     once, s = mat2._renorm(raw)
     assert scaled.tobytes() == once.tobytes()
     twice, s2 = mat2._renorm(once)
@@ -1848,8 +1848,8 @@ def test_a_signed_zero_breaks_a_repeat():
     factors=FACTORS,
 )
 def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factors):
-    # rows a few steps long, from one of two starts, several at one base
-    # with equal or unequal steps and starts: a row that copies another
+    # rows a few steps long, several at one base with equal or unequal
+    # steps, and frames from one of two starts: a row that copies another
     # must match every one of these, since the same factors from another
     # start or over another length give other bits
     rng = np.random.default_rng(seed)
@@ -1862,24 +1862,28 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     base = rng.integers(0, n + 1, int(rng.integers(n + 2, 2 * n + 3)))  # some base twice
     steps = rng.choice(rng.choice([0, 1, 2, 5, 9], 2), len(base))
     steps = np.minimum(steps, n - base)
-    starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]]).astype(vals.dtype)
-    cls = (rng.random(len(base)) < 0.2).astype(np.intp)
-    # the rows from both starts one factor per step (_visit_sweep, the
-    # sweep with start rows), and from the identity in doubling order
-    # (_row_sweep), each with and without the repeats
-    sweeps = [
-        (lambda r: mat2._visit_sweep(starts, cls, batch.slab, base, steps, r, lambda *a: None),
-         cls),
-        (lambda r: mat2._row_sweep(batch.tables, base, steps, r), np.zeros_like(cls)),
-    ]
-    for sweep, start in sweeps:
-        Q, e, at = sweep(batch.repeats)
-        Q1, e1, at1 = sweep(None)
-        assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
-        # without the repeats, rows share a head where their base (none
-        # without steps), steps and start agree
-        keys = set(zip(np.where(steps > 0, base, -1).tolist(), steps.tolist(), start.tolist()))
-        assert len(Q1) == len(keys)
+    # the rows from the identity in doubling order (_row_sweep), with and
+    # without the repeats
+    Q, e, at = mat2._row_sweep(batch.tables, base, steps, batch.repeats)
+    Q1, e1, at1 = mat2._row_sweep(batch.tables, base, steps)
+    assert Q[at].tobytes() == Q1[at1].tobytes() and e[at].tobytes() == e1[at1].tobytes()
+    # without the repeats, rows share a head where their base (none
+    # without steps) and steps agree
+    assert len(Q1) == len(set(zip(np.where(steps > 0, base, -1).tolist(), steps.tolist())))
+    # the domination frames from one of two starts, one field class
+    # each, stepped one factor at a time: the checks with and without
+    # the repeats are those of the per-site frame loop
+    seq = MatSequence(0, vals)
+    starts = np.stack([np.eye(2), [[49.0, 3.0], [-5.0, 7.0]]])
+    cls = (rng.random(n) < 0.5).astype(np.intp)
+    fld = _frame_field(seq, starts[cls, :, 0], starts[cls, :, 1])
+    n_max, factor = int(rng.choice([1, 2, 5, 9, 64])), float(rng.choice([1.5, 2.0, 40.0]))
+    jobs = [(0, fld, mat2._classes(cls))]
+    (shared,) = certifier._dominations(batch, jobs, n_max, factor)
+    batch.repeats = None
+    (alone,) = certifier._dominations(batch, jobs, n_max, factor)
+    assert (_dom_key(shared), shared.detail) == (_dom_key(alone), alone.detail)
+    assert _dom_key(shared) == _oracle_key(seq, fld, n_max, factor)
 
 
 @settings(max_examples=60, deadline=None)

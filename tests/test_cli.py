@@ -151,15 +151,25 @@ def test_scan_complex_rectangle(free_config, capsys):
     assert all(r["E_im"] != 0.0 for r in doc["rows"])
 
 
-def test_scan_needs_a_grid(free_config):
-    with pytest.raises(SystemExit):
-        main(["scan", "--config", free_config])
+def test_scan_needs_a_grid(free_config, capsys):
+    assert main(["scan", "--config", free_config]) == 3
+    assert "scan needs --grid" in capsys.readouterr().err
 
 
-def test_scan_csv_needs_out(free_config):
-    with pytest.raises(SystemExit):
-        main(["scan", "--config", free_config, "--grid", "3,4,2",
-              "--format", "csv"])
+def test_scan_csv_needs_out(free_config, capsys):
+    code = main(["scan", "--config", free_config, "--grid", "3,4,2",
+                 "--format", "csv"])
+    assert code == 3
+    assert "--format csv needs --out" in capsys.readouterr().err
+
+
+def test_certify_refuses_format(free_config, capsys):
+    # certify writes JSON only, so it offers no --format to ignore;
+    # argparse refuses the option
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", free_config, "--energy", "3.0", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- perturb

@@ -209,6 +209,17 @@ def test_spectrum_segments_sorted_disjoint(mod5_op):
         assert h1 < l2
     for lo, hi in segs:
         assert lo <= hi
+    # they are the merge loop over the sorted eigenvalues: a segment ends
+    # where the next eigenvalue lies more than the gap above it
+    gap, x = max(4.0 * sp.resolution, 1e-9), sp.merged
+    want, lo = [], x[0]
+    for a, b in zip(x, x[1:]):
+        if b - a > gap:
+            want.append((float(lo), float(a)))
+            lo = b
+    want.append((float(lo), float(x[-1])))
+    assert len(want) > 1 and segs == want
+    assert all(type(v) is float for seg in segs for v in seg)
 
 
 def test_periodic_spectrum_matches_floquet(period2_op):
