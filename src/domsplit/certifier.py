@@ -21,13 +21,15 @@ certify(seq) is certify_many([seq])[0].  Windows of one sweep dtype
 (mat2._sweep_values) form a batch, whose factors lie end to end in one
 slab (_slab); every later number stays in that dtype and follows mat2's
 arithmetic rule, so no certificate depends on the SIMD loops numpy
-picks.  Every product stage of a batch (the growth-ratio blocks, the
-burn ladders, climbed in lockstep, the end sites of the extended field,
-the domination frames, the norm floors at N and the cone blocks) runs
-over the rows of all its live windows at once, on one of mat2's two
-product paths.  The domination frames, the one stage that reads every
-step, step one factor at a time from their start rows in a loop of
-their own (_dominations); the others run from the identity in doubling
+picks.  The growth ratios that start the burn ladders read their
+16-factor blocks straight off the batch's level-4 table
+(_ratio_estimates).  Every product stage of a batch (the burn ladders,
+climbed in lockstep, the end sites of the extended field, the
+domination frames, the norm floors at N and the cone blocks) runs over
+the rows of all its live windows at once, on one of mat2's two product
+paths.  The domination frames, the one stage that reads every step,
+step one factor at a time from their start rows in a loop of their own
+(_dominations); the others run from the identity in doubling
 order on the batch's tables (mat2._row_sweep on mat2._Tables), so each
 rung of a burn ladder is computed afresh from the tables and the floors
 at N take at most bit_length(N) kernel calls (mat2._floors).
@@ -225,10 +227,10 @@ class _Batch:
     slab (_slab) holds their sweep values end to end, window w from
     offsets[w] on, tables (mat2._Tables) its doubling tables, built as
     the stages ask for them and freed with the batch, and repeats its
-    _repeat_map.  zeros[w] lists the sites of w's exactly singular
-    factors: the candidates have det2 0 on the renormalized factors (the
-    tables' level 0), which underflows only where an exact determinant
-    would, and each is confirmed exactly (_exact_zero_det).
+    _repeat_map.  zeros holds the slab positions of the exactly singular
+    factors, sorted: the candidates have det2 0 on the renormalized
+    factors (the tables' level 0), which underflows only where an exact
+    determinant would, and each is confirmed exactly (_exact_zero_det).
     """
 
     def __init__(self, seqs, vals=None):
@@ -239,9 +241,7 @@ class _Batch:
         self.offsets = np.cumsum([0] + [len(s) for s in seqs[:-1]])
         T, _ = self.tables.level(0)
         zeros = np.flatnonzero(det2(T) == 0.0)
-        zeros = zeros[[_exact_zero_det(self.slab[p]) for p in zeros.tolist()]]
-        self.zeros = [zeros[(o <= zeros) & (zeros < o + len(s))] - o + s.j_lo
-                      for o, s in zip(self.offsets.tolist(), seqs)]
+        self.zeros = zeros[[_exact_zero_det(self.slab[p]) for p in zeros.tolist()]]
 
 
 def _exact_zero_det(m):
@@ -269,9 +269,9 @@ def _perp_rows(v):
 
 def _cut_burns(zpos, js, bu, bs):
     """The burns of sites js cut at the first exactly singular factor
-    each side meets, the singular factors sitting at the sorted sites
-    zpos: (bu, bs, stop_u, stop_s), stop_u and stop_s marking the sites
-    whose u and s rows stopped.
+    each side meets, the singular factors sitting at the sorted indices
+    zpos on the line of js: (bu, bs, stop_u, stop_s), stop_u and stop_s
+    marking the sites whose u and s rows stopped.
 
     A u row reads the factors j - 1, j - 2, ..., j - bu and stops at the
     nearest singular factor k >= j - bu, after j - k steps; an s row
@@ -306,8 +306,10 @@ def _directions(batch, jobs):
     its own, and ids the pair of the sites' u and s row ids, sites of
     equal ids having bitwise equal rows on that side.
 
-    The products are those of the burns cut at the window's exactly
-    singular factors (_cut_burns), for all jobs from one row sweep in
+    The products are those of the burns cut at the exactly singular
+    factors (_cut_burns, one call on slab positions for all jobs: no row
+    leaves its window, bu <= j - lo and bs <= hi + 1 - j, so no cut
+    reaches another window's factor), for all jobs from one row sweep in
     doubling order on the batch's tables (mat2._row_sweep).  The U of
     site j is the product of the bu factors before j, A(j-1) ...
     A(j-bu), and its S that of the bs factors from j on, A(j+bs-1) ...
@@ -327,17 +329,15 @@ def _directions(batch, jobs):
     """
     if not jobs:
         return []
-    cuts = [_cut_burns(batch.zeros[w], js, bu, bs) for w, js, bu, bs in jobs]
     # slab positions of the sites; the U rows first, then the S rows
     sites = np.concatenate([batch.offsets[w] - batch.seqs[w].j_lo + js for w, js, _, _ in jobs])
-    bu = np.concatenate([c[0] for c in cuts])
+    _, _, bu, bs = zip(*jobs)
+    bu, bs, *stops = _cut_burns(batch.zeros, sites, np.concatenate(bu), np.concatenate(bs))
     H, _, at = _row_sweep(batch.tables, np.concatenate((sites - bu, sites)),
-                          np.concatenate([bu] + [c[1] for c in cuts]), batch.repeats)
-    idx = at.reshape(2, -1)
+                          np.concatenate((bu, bs)), batch.repeats)
     # one row per side and distinct (head, stop)
     sides = []
-    for i, side in zip(idx, (2, 3)):
-        stop = np.concatenate([c[side] for c in cuts])
+    for i, stop in zip(at.reshape(2, -1), stops):
         first, at = _classes(i, stop)
         sides.append((i[first], stop[first], at))
     (hu, stop_u, iu), (hs, stop_s, is_) = sides
@@ -368,34 +368,6 @@ def _directions(batch, jobs):
         else:
             d = (u[iu[r]], s[is_[r]], (iu[r], is_[r]))
         out.append(d)
-    return out
-
-
-def _core_fields(batch, jobs):
-    """Core field at burn for each job (w, burn), with its sites' u and s
-    row ids (_directions), or the exception that ends window w.
-
-    Sites of equal ids have bitwise equal field rows, so the frames of
-    the domination check and the cone search share rows by their classes
-    (mat2._classes).  All jobs share one sweep, and each burn is computed
-    afresh from the batch's tables, in at most bit_length(burn) kernel calls.
-    """
-    specs = []
-    for w, burn in jobs:
-        lo, hi = batch.seqs[w].window
-        js = np.arange(lo + burn, hi + 2 - burn)
-        specs.append((w, js, np.full(len(js), burn)))
-    out = []
-    dirs = _directions(batch, [(w, js, full, full) for w, js, full in specs])
-    for (_, burn), (_, js, full), d in zip(jobs, specs, dirs):
-        if isinstance(d, Exception):
-            out.append(d)
-            continue
-        fld = SplittingField(
-            j_first=int(js[0]), u=d[0], s=d[1], method="power", burn=burn,
-            burn_u=full, burn_s=full,
-        )
-        out.append((fld, d[2]))
     return out
 
 
@@ -771,35 +743,31 @@ def _field_gap(f1, f2):
 
 def _ratio_estimates(batch, ws):
     """Per-factor growth ratio s1/s2 of each window w in ws: the
-    geometric mean over up to five blocks of min(16, len) factors, spread
-    over the window, with the blocks of every window from one _row_sweep
-    call.  A window gets inf when no block has a finite ratio.  The logs
-    and the exp are math's, per window, whose bits do not depend on the
-    SIMD loops numpy picks for the CPU."""
-    plans = []
+    geometric mean over up to five blocks of 16 factors, spread over the
+    window.  A block's product is one entry of the batch's level-4 table
+    (mat2._Tables), whose singular values are those of the block's row
+    sweep bit for bit.  A window gets inf when no block has a finite
+    ratio, and so does one of fewer than 16 factors, which has no block:
+    its burn cap (len - 1) // 2 is at most 7, below the ladder's least
+    start of 40, so no ratio moves its burn (_burn_ladder).  The logs and
+    the exp are math's, per window, whose bits do not depend on the SIMD
+    loops numpy picks for the CPU."""
+    pos = []  # the slab positions of each window's blocks
     for w in ws:
-        winlen = len(batch.seqs[w])
-        m = min(16, winlen)
-        starts = np.unique(np.linspace(0, winlen - m, min(5, winlen - m + 1), dtype=int))
-        plans.append((m, batch.offsets[w] + starts))
-    P, _, at = _row_sweep(
-        batch.tables,
-        np.concatenate([starts for _, starts in plans]),
-        np.concatenate([np.full(len(starts), m) for m, starts in plans]),
-        batch.repeats,
-    )
-    s1, s2 = singular_values(P)
-    with np.errstate(divide="ignore"):
-        ratios = np.where(s2 > 0.0, s1 / np.where(s2 > 0.0, s2, 1.0), np.inf)[at]
-    out, a = [], 0
-    for m, starts in plans:
-        r = ratios[a : a + len(starts)]
-        a += len(starts)
+        n = len(batch.seqs[w])
+        starts = np.linspace(0, n - 16, max(0, min(5, n - 15)), dtype=int)
+        pos.append(batch.offsets[w] + np.unique(starts))
+    ratios = [np.empty(0)] * len(ws)
+    if any(map(len, pos)):  # no level-4 table below 16 factors
+        T, _ = batch.tables.level(4)
+        s1, s2 = singular_values(_take(T, np.concatenate(pos)))
+        with np.errstate(divide="ignore"):
+            r = np.where(s2 > 0.0, s1 / np.where(s2 > 0.0, s2, 1.0), np.inf)
+        ratios = np.split(r, np.cumsum(list(map(len, pos)))[:-1])
+    out = []
+    for r in ratios:
         r = np.maximum(r[np.isfinite(r)], 1.0).tolist()
-        if not r:
-            out.append(math.inf)
-        else:
-            out.append(math.exp(sum(map(math.log, r)) / len(r)) ** (1.0 / m))
+        out.append(math.exp(sum(map(math.log, r)) / len(r)) ** (1.0 / 16) if r else math.inf)
     return out
 
 
@@ -813,8 +781,9 @@ def _burn_ladder(window, burn_hint, ratio):
     ladder starts from the growth ratio (_ratio_estimates).  The ladder
     is a generator, so that the windows of a batch climb theirs in
     lockstep: it yields each burn whose core field it needs, in order,
-    and is sent that field (_core_fields).  Each field is built once and
-    shared by the doublings that compare it.
+    and is sent that field, whose rows _certify_batch asks _directions
+    for.  Each field is built once and shared by the doublings that
+    compare it.
     """
     lo, hi = window
     b_cap = (hi - lo) // 2
@@ -991,6 +960,8 @@ def _certify_each(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
         try:
             if not isinstance(seq, MatSequence):
                 seq = MatSequence(0, np.asarray(seq, dtype=complex))
+            if len(seq) < 5:  # (hi - lo) // 2 < 2: a burn cap below 2
+                raise ValueError("window too short to resolve direction fields")
         except (TypeError, ValueError) as exc:
             out[i] = exc
             continue
@@ -1024,36 +995,29 @@ def _certify_batch(batch, *, burn, marginal_margin):
     an exception per window."""
     seqs = batch.seqs
     out = [None] * len(seqs)
-
-    def each(fn, ws):
-        # fn(w) for the windows of ws still open; what fn raises ends w
-        # alone, and certify_many raises it in window order
-        for w in ws:
-            if out[w] is None:
-                try:
-                    fn(w)
-                except Exception as exc:
-                    out[w] = exc
-        return [w for w in ws if out[w] is None]
-
-    def long_enough(w):
-        lo, hi = seqs[w].window
-        if (hi - lo) // 2 < 2:
-            raise ValueError("window too short to resolve direction fields")
-
-    ws = each(long_enough, range(len(seqs)))
-    ratios = _ratio_estimates(batch, ws) if burn is None and ws else [None] * len(ws)
+    ws = range(len(seqs))
+    ratios = _ratio_estimates(batch, ws) if burn is None else [None] * len(ws)
     ladders = {w: _burn_ladder(seqs[w].window, burn, r) for w, r in zip(ws, ratios)}
     want = {w: next(ladder) for w, ladder in ladders.items()}
     resolved, classes = {}, {}
     while want:
-        jobs = list(want.items())
-        for (w, _), res in zip(jobs, _core_fields(batch, jobs)):
-            if isinstance(res, Exception):
-                out[w] = res
+        # each window's core field at the burn its ladder asks for: every
+        # site with the full burn on both sides
+        jobs = []
+        for w, b in want.items():
+            lo, hi = seqs[w].window
+            js = np.arange(lo + b, hi + 2 - b)
+            full = np.full(len(js), b)
+            jobs.append((w, js, full, full))
+        for (w, js, full, _), d in zip(jobs, _directions(batch, jobs)):
+            if isinstance(d, Exception):
+                out[w] = d
                 del want[w]
                 continue
-            fld, classes[w, fld.burn] = res
+            b = want[w]
+            u, s, classes[w, b] = d
+            fld = SplittingField(j_first=int(js[0]), u=u, s=s, method="power", burn=b,
+                                 burn_u=full, burn_s=full)
             try:
                 want[w] = ladders[w].send(fld)
             except StopIteration as stop:
@@ -1098,7 +1062,6 @@ def _certify_batch(batch, *, burn, marginal_margin):
     f, x = _floors(batch.tables, batch.offsets[ws], [len(seqs[w]) for w in ws],
                    [doms[w].N for w in ws], batch.repeats)
     floors = dict(zip(ws, zip(f.tolist(), x.tolist())))
-    certs = {}
 
     def judge(w):
         seq, (b, gap, _, core), dom = seqs[w], resolved[w], doms[w]
@@ -1133,7 +1096,7 @@ def _certify_batch(batch, *, burn, marginal_margin):
             3: f"field separation {delta_ext:.3e} at or below {DELTA_MIN:.3e}",
             4: f"norm floor {floor_val:.3e} at N={N} below {floor_thr:.3e}",
         }
-        cert = DSCertificate(
+        return DSCertificate(
             verdict="failed" if failed is not None else "verified",
             window=seq.window,
             burn=b,
@@ -1152,18 +1115,27 @@ def _certify_batch(batch, *, burn, marginal_margin):
             notes={"n_core_sites": len(core)},
             core_field=core,
         )
-        if failed is not None:
-            out[w] = cert
-        certs[w] = cert
 
-    ws = each(judge, ws)
-    jobs = [(w, resolved[w][3], certs[w].N, frames[w]) for w in ws]
+    # what judge raises ends w alone, and certify_many raises it in
+    # window order
+    certs = {}
+    for w in ws:
+        try:
+            cert = judge(w)
+        except Exception as exc:
+            out[w] = exc
+            continue
+        if cert.ok:
+            certs[w] = cert
+        else:
+            out[w] = cert
+    jobs = [(w, resolved[w][3], certs[w].N, frames[w]) for w in certs]
     for (w, *_), res in zip(jobs, _cone_certificates(batch, jobs)):
         if isinstance(res, Exception):
             out[w] = res
             continue
         certs[w].cone, certs[w].epsilon = res
-    for w in ws:
+    for w in certs:
         if out[w] is None:
             if 0.0 < doms[w].margin < marginal_margin:
                 certs[w].verdict = "marginal"

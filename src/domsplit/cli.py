@@ -5,7 +5,8 @@ Subcommands: spectrum, certify, green, scan, perturb, dyncheck.
 Exit codes: 0 means success and a clean outcome (a marginal certificate
 still counts); 2 means the command ran but the judgment came back
 negative (failed certificate, hard scan disagreement, lost perturbation
-trials, failed phase); 3 means the inputs were unusable.
+trials, failed phase); 3 means the inputs were unusable, a command line
+that does not parse included.
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ from .jacobi import (
 from .models import RationalRotation, dynamical_ds_check, make_family, orbit_spectrum_inclusion
 
 log = logging.getLogger("domsplit")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 3, not argparse's 2, which
+    here means a negative judgment; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _energy(text):
@@ -209,7 +219,7 @@ def _cmd_dyncheck(args):
 
 
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="domsplit",
         description="dominated splitting certificates for Jacobi cocycles",
     )

@@ -258,8 +258,11 @@ def perturbation_experiment(seq, size, trials=100, seed=0, **certify_kw):
     Each factor of each copy moves by exactly `size` in operator norm,
     the worst case the stability radius speaks about.  Failed trial
     indices are recorded with their broken condition.  The trials are
-    certified as one certify_many batch.
+    certified as one certify_many batch.  A negative number of trials
+    raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     pert = [perturb_sequence(seq, size, trial_rng(seed, t)) for t in range(int(trials))]
     n_ok = 0
     failed = []

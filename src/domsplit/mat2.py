@@ -5,9 +5,9 @@ value machinery, inverse products with singularity reporting, and norm
 floors.
 
 Products run on one of two paths through one kernel.  A row sweep
-(_row_sweep: span_products, the norm floors and the certifier's field,
-cone and growth-ratio products) starts at the identity and runs in
-doubling order on _Tables, exactly renormalized products of 2**k
+(_row_sweep: span_products, the norm floors and the certifier's field
+and cone products) starts at the identity and runs in doubling order on
+_Tables, exactly renormalized products of 2**k
 factors built once per slab, so a row of L factors takes one kernel
 call per set bit of L.  Every row is a left product read forward from
 its base.  A row sweep sweeps one row per class of bitwise identical

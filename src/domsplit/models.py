@@ -294,7 +294,8 @@ def dynamical_ds_check(
     needed (a uniform N over the grid), the worst margins, and a
     sampled continuity modulus: the largest chordal motion of the
     stable or unstable direction at the window center between
-    neighboring phases, wrapping around.
+    neighboring phases, wrapping around.  An empty phase grid raises
+    ValueError: no phase would make every check vacuously pass.
     """
     q = rotation.q
     if window is None:
@@ -303,6 +304,8 @@ def dynamical_ds_check(
         omegas = np.sort((rotation.omega0 + np.arange(n_phases) / n_phases) % 1.0)
     else:
         omegas = np.sort(np.asarray(omega_grid, dtype=float) % 1.0)
+    if not len(omegas):
+        raise ValueError("the phase grid is empty")
     steps = np.diff(np.concatenate([omegas, omegas[:1] + 1.0]))
     dirs = []
     j_mid = (int(window[0]) + int(window[1])) // 2

@@ -165,10 +165,10 @@ def test_scan_csv_needs_out(free_config, capsys):
 
 def test_certify_refuses_format(free_config, capsys):
     # certify writes JSON only, so it offers no --format to ignore;
-    # argparse refuses the option
+    # argparse refuses the option, with the exit code of unusable input
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--config", free_config, "--energy", "3.0", "--format", "csv"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
@@ -189,6 +189,13 @@ def test_perturb_uncertified_base(free_config, capsys):
                  "--trials", "3"])
     assert code == 2
     assert "does not certify" in capsys.readouterr().err
+
+
+def test_perturb_refuses_negative_trials(free_config, capsys):
+    code = main(["perturb", "--config", free_config, "--energy", "3.0",
+                 "--trials", "-1"])
+    assert code == 3
+    assert "trials must be >= 0" in capsys.readouterr().err
 
 
 def test_perturb_explicit_size(free_config, capsys):
@@ -234,6 +241,13 @@ def test_dyncheck_with_inclusion(capsys):
     assert inc["worst_excess"] < 0.3
 
 
+def test_dyncheck_refuses_an_empty_phase_grid(capsys):
+    code = main(["dyncheck", "--family", "constant", "--alpha", "1/3",
+                 "--energy", "3.0", "--phases", "0"])
+    assert code == 3
+    assert "phase grid is empty" in capsys.readouterr().err
+
+
 def test_dyncheck_unknown_family(capsys):
     code = main(["dyncheck", "--family", "nope", "--alpha", "1/2",
                  "--energy", "3.0"])
@@ -271,6 +285,24 @@ def test_inconsistent_config(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_bad_energy_syntax(free_config):
-    with pytest.raises(SystemExit):
+def test_bad_energy_syntax(free_config, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["certify", "--config", free_config, "--energy", "1,2,3"])
+    assert exc.value.code == 3
+    assert "energy must be RE or RE,IM" in capsys.readouterr().err
+
+
+def test_missing_energy(free_config, capsys):
+    # a usage error of a subcommand exits 3 too: subparsers share the class
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", free_config])
+    assert exc.value.code == 3
+    assert "the following arguments are required: --energy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: domsplit" in capsys.readouterr().out

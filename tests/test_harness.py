@@ -111,6 +111,14 @@ def test_perturbation_experiment_deterministic(free_seq):
     assert a.failed_trials == b.failed_trials
 
 
+def test_perturbation_experiment_refuses_negative_trials(free_seq):
+    # -1 trials would report "0/-1 perturbed windows certified"; none is
+    # a legal empty experiment
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        perturbation_experiment(free_seq, 0.5, trials=-1)
+    assert perturbation_experiment(free_seq, 0.5, trials=0).n_ok == 0
+
+
 # ------------------------------------------------------------------ scans
 
 
@@ -238,6 +246,7 @@ def test_scan_tallies_match_the_per_segment_edges(free_op, which):
     json.dumps(rep.to_json())
 
 
+@pytest.mark.golden
 def test_golden_scan_fixture(free_op, tmp_path):
     # committed reference output: any byte change is a behavior change
     rep = johnson_scan(free_op, np.linspace(-4, 4, 41), spectrum_sizes=SCAN_SIZES)
@@ -246,6 +255,7 @@ def test_golden_scan_fixture(free_op, tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+@pytest.mark.golden
 def test_golden_scan_fixture_parallel(free_op, tmp_path):
     rep = johnson_scan(
         free_op, np.linspace(-4, 4, 41), jobs=2, spectrum_sizes=SCAN_SIZES
@@ -262,6 +272,7 @@ def dead_coupling_op():
     return JacobiOperator(j_lo=-100, a=a, b=0.3 * np.cos(np.arange(200)))
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_golden_dead_coupling_fixture(jobs, tmp_path):
     # a zero coupling inside the window makes two interior factors exactly
@@ -275,6 +286,7 @@ def test_golden_dead_coupling_fixture(jobs, tmp_path):
     assert out.read_bytes() == GOLDEN_DEAD.read_bytes()
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_golden_dead_coupling_complex_fixture(jobs, tmp_path):
     # the same operator off the real axis: complex factors, fields and
@@ -288,6 +300,7 @@ def test_golden_dead_coupling_complex_fixture(jobs, tmp_path):
     assert out.read_bytes() == GOLDEN_DEAD_COMPLEX.read_bytes()
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("which", ["free", "dead", "dead_complex"])
 def test_delta_sep_is_the_extended_field_separation_on_the_golden_grids(free_op, which):
     # certify reads condition 3 off the core field and the end sites, whose

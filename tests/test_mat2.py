@@ -272,6 +272,7 @@ def test_norm_floor_matches_bruteforce():
         assert norm_floor(seq, n) == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.dispatch
 def test_norm_floor_is_the_span_products_minimum():
     # the floor is one doubling-order fold of its n-factor rows, whose
     # top singular values are taken on the renormalized heads and scaled

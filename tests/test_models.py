@@ -259,6 +259,13 @@ def test_dyncheck_explicit_grid():
     assert abs(rep.grid_step - 0.4) < 1e-15  # widest gap, 0.1 -> 0.5
 
 
+@pytest.mark.parametrize("grid", [dict(n_phases=0), dict(n_phases=-2), dict(omega_grid=[])])
+def test_dyncheck_refuses_an_empty_phase_grid(grid):
+    # no phase would pass every check vacuously, with NaN margins
+    with pytest.raises(ValueError, match="phase grid is empty"):
+        dynamical_ds_check(constant_pair(), RationalRotation(1, 3), 3.0, periods=10, **grid)
+
+
 @pytest.mark.parametrize(
     "coupling, energy, n_phases",
     [(0.5, 4.0, 12), (1.0, 2.5, 8)],  # all phases certify; some fail
