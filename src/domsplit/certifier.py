@@ -147,17 +147,12 @@ class SplittingField:
 
     Power fields hold their rows in the window's sweep dtype
     (mat2._sweep_values), float64 for a real window, and greens fields
-    in complex128.  burn_u/burn_s record how many factors backed each
-    site's estimate; greens-based fields use 0 there.
+    in complex128.
     """
 
     j_first: int
     u: np.ndarray
     s: np.ndarray
-    method: str
-    burn: int
-    burn_u: np.ndarray
-    burn_s: np.ndarray
 
     def __len__(self):
         return len(self.u)
@@ -392,10 +387,10 @@ def power_directions(seq, burn, extend=False):
         raise ValueError(f"window too short for burn {burn}")
     bu, bs = np.minimum(burn, js - lo), np.minimum(burn, hi + 1 - js)
     u, s, _ = _one(_directions(_Batch([seq]), [(0, js, bu, bs)]))
-    return SplittingField(j_first=j_first, u=u, s=s, method="power", burn=burn, burn_u=bu, burn_s=bs)
+    return SplittingField(j_first=j_first, u=u, s=s)
 
 
-def greens_directions(op, E, spectrum_approx=None, margin=None):
+def greens_directions(op, E):
     """Direction fields for a Jacobi cocycle read off resolvent columns.
 
     The pair (g(j), g(j-1)) of a column supported to the left of j
@@ -404,10 +399,11 @@ def greens_directions(op, E, spectrum_approx=None, margin=None):
     give the contracting one.  Each site prefers the adjacent column
     and falls back to the next one over only when that pair is more
     than twice longer, or is forced to the adjacent column when a zero
-    coupling cuts the fallback off.
+    coupling cuts the fallback off.  The padding is that of the
+    resolvent column at the window's middle site, grown automatically
+    (greens_column).
     """
-    probe = greens_column(op, E, (op.j_lo + op.j_hi) // 2, margin=margin,
-                          spectrum_approx=spectrum_approx)
+    probe = greens_column(op, E, (op.j_lo + op.j_hi) // 2)
     m = probe.margin
     lo, hi = op.j_lo - m, op.j_hi + m
     cols = list(range(op.j_lo - 2, op.j_hi + 2))
@@ -433,16 +429,7 @@ def greens_directions(op, E, spectrum_approx=None, margin=None):
             raise DegenerateCocycle("resolvent columns pin no direction")
         return unit_rows(np.where(use_fb[:, None], fallback, primary))
 
-    n = len(op)
-    return SplittingField(
-        j_first=op.j_lo,
-        u=pick(uP, uF, force_u),
-        s=pick(sP, sF, force_s),
-        method="greens",
-        burn=0,
-        burn_u=np.zeros(n, dtype=int),
-        burn_s=np.zeros(n, dtype=int),
-    )
+    return SplittingField(j_first=op.j_lo, u=pick(uP, uF, force_u), s=pick(sP, sF, force_s))
 
 
 def verify_invariance(seq, fld, threshold):
@@ -481,25 +468,25 @@ class DominationCheck:
     detail: str = ""
 
 
-def verify_domination(seq, fld, n_max=N_MAX, factor=FACTOR):
+def verify_domination(seq, fld):
     """Smallest block length N whose images of u beat those of s everywhere.
 
     The test at length N (_dominations, of one window) runs over every
     field site with N factors still inside the window and asks for
-    |B_N u| / |B_N s| strictly above `factor`; a contracting image
-    hitting exact zero counts as an infinite ratio while a dead u image
-    fails the site outright.  A NaN ratio ends the search with a NaN
-    margin, which certify refuses.
+    |B_N u| / |B_N s| strictly above FACTOR, for N up to N_MAX; a
+    contracting image hitting exact zero counts as an infinite ratio
+    while a dead u image fails the site outright.  A NaN ratio ends the
+    search with a NaN margin, which certify refuses.
     """
-    return _dominations(_Batch([seq]), [(0, fld, None)], n_max, factor)[0]
+    return _dominations(_Batch([seq]), [(0, fld, None)])[0]
 
 
-def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
+def _dominations(batch, jobs):
     """verify_domination for each job (w, fld, classes) of a batch, each
     window at most once, in one step loop over all their frames.
 
     The row of site j starts at the frame [u(j) s(j)] and reads the
-    factors j, j + 1, ... for min(n_max, sites left) steps.  After step
+    factors j, j + 1, ... for min(N_MAX, sites left) steps.  After step
     N its columns are B_N u and B_N s times one power of two, so the
     quotient of their norms (mat2._column_norms) is the growth ratio.
     The frames of the sites of one field class (classes, (first, ids) of
@@ -516,7 +503,7 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
     for w, fld, classes in jobs:
         seq, js = batch.seqs[w], fld.sites()
         base.append(batch.offsets[w] - seq.j_lo + js)
-        steps.append(np.minimum(n_max, seq.j_hi + 1 - js))
+        steps.append(np.minimum(N_MAX, seq.j_hi + 1 - js))
         first, ids = (np.arange(len(js)),) * 2 if classes is None else classes
         frames.append(np.stack([fld.u[first], fld.s[first]], axis=-1))
         start.append(o + ids)
@@ -543,23 +530,24 @@ def _dominations(batch, jobs, n_max=N_MAX, factor=FACTOR):
             if math.isnan(r):
                 detail = f"nan growth ratio at block length {N}"
                 out[w] = DominationCheck(False, N, math.nan, N, detail)
-            elif r > factor:
-                out[w] = DominationCheck(True, N, r - factor, N)
-            elif r - factor > best[w][0]:
-                best[w] = (r - factor, N)
+            elif r > FACTOR:
+                out[w] = DominationCheck(True, N, r - FACTOR, N)
+            elif r - FACTOR > best[w][0]:
+                best[w] = (r - FACTOR, N)
         if None not in out:
             break
     fail = "no block length up to {} dominates by factor {}"
-    return [d or DominationCheck(False, n, m, t, fail.format(t, factor))
+    return [d or DominationCheck(False, n, m, t, fail.format(t, FACTOR))
             for d, (m, n), t in zip(out, best, tried)]
 
 
-def verify_separation(fld, delta_min=DELTA_MIN):
-    """(passed, min chordal distance between the fields) of a nonempty field."""
+def verify_separation(fld):
+    """(passed, min chordal distance between the fields) of a nonempty
+    field; it passes above DELTA_MIN."""
     if not len(fld):
         raise ValueError("empty field: no site to separate")
     delta = float(np.min(fld.separation()))
-    return delta > delta_min, delta
+    return delta > DELTA_MIN, delta
 
 
 @dataclass
@@ -705,18 +693,19 @@ def _cone_certificates(batch, jobs):
     return out
 
 
-def stability_radius(cone, sup_bound, n_steps=None):
+def stability_radius(cone, sup_bound):
     """Largest per-factor perturbation size the cone data absorbs.
 
-    Solves cond * ((M + eps)^N - M^N) = budget for eps, where M bounds
-    the factor norms; evaluated in log form to survive tiny budgets, with
-    T = budget / cond = t * 2**y, M = m * 2**k and m**N = f * 2**z (as
-    2**(N log2 m) below the normal range), T / M**N as (t / f) * 2**(y -
-    z - k N), so neither M**N nor the quotient need lie in float64.
+    Solves cond * ((M + eps)^N - M^N) = budget for eps, where N is the
+    cone's block length and M bounds the factor norms; evaluated in log
+    form to survive tiny budgets, with T = budget / cond = t * 2**y,
+    M = m * 2**k and m**N = f * 2**z (as 2**(N log2 m) below the normal
+    range), T / M**N as (t / f) * 2**(y - z - k N), so neither M**N nor
+    the quotient need lie in float64.
     """
     if cone is None:
         return None
-    N = n_steps or cone.N
+    N = cone.N
     T = cone.budget() / cone.cond
     M = float(sup_bound)
     if not (T > 0.0 and math.isfinite(T) and M > 0.0):
@@ -796,7 +785,7 @@ def _burn_ladder(window, burn_hint, ratio):
         return _field_gap(fields[b1], fields[b2])
 
     if burn_hint is not None:
-        b = max(1, min(int(burn_hint), b_cap))
+        b = min(int(burn_hint), b_cap)
         g = yield from gap(max(b // 2, 1), b)
         return b, g, None, fields[b]
     if not math.isfinite(ratio) or ratio <= 1.0 + 1e-9:
@@ -907,16 +896,16 @@ def _plain(x):
 BATCH_ROWS = 10_000
 
 
-def certify(seq, **kw):
+def certify(seq, *, burn=None):
     """Run the full dominated-splitting pipeline on a matrix window.
 
-    Returns a DSCertificate; this is certify_many([seq], **kw)[0], whose
-    keywords and verdicts it shares.
+    Returns a DSCertificate; this is certify_many([seq], burn=burn)[0],
+    whose verdicts it shares.
     """
-    return certify_many([seq], **kw)[0]
+    return certify_many([seq], burn=burn)[0]
 
 
-def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
+def certify_many(seqs, *, burn=None):
     """certify() on every window of seqs, as one batched pipeline.
 
     Returns one DSCertificate per window, in order.  The verdict is
@@ -930,10 +919,11 @@ def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
     error in window order, as a loop of certify calls would; the others'
     results are unaffected by it.
 
-    burn is a burn-in hint for every window, and marginal_margin the
-    domination margin below which a verdict is "marginal".  The
-    thresholds are the module's constants: DELTA_MIN, RES_MAX,
-    FLOOR_REL, N_MAX and FACTOR.
+    burn is a burn-in hint for every window (None lets each window
+    choose its own); a hint below 1 raises ValueError before any window
+    runs.  The thresholds are the module's constants: DELTA_MIN,
+    RES_MAX, FLOOR_REL, N_MAX and FACTOR, and MARGINAL_MARGIN, the
+    domination margin below which a verdict is "marginal".
 
     Windows of one sweep dtype run as batches of at most BATCH_ROWS
     product rows (see there), each product stage as one sweep over the
@@ -942,17 +932,18 @@ def certify_many(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
     Each certificate's core_field owns its arrays, so keeping one pins
     no batch.
     """
-    out = _certify_each(seqs, burn=burn, marginal_margin=marginal_margin)
+    out = _certify_each(seqs, burn=burn)
     for res in out:
         if isinstance(res, Exception):
             raise res
     return out
 
 
-def _certify_each(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
+def _certify_each(seqs, *, burn=None):
     """certify_many's results, each window's outcome in its own slot: its
     DSCertificate, or the exception certify would raise on it."""
-    opts = dict(burn=burn, marginal_margin=marginal_margin)
+    if burn is not None and burn < 1:
+        raise ValueError(f"burn must be >= 1, got {burn}")
     seqs = list(seqs)
     out = [None] * len(seqs)
     groups = {}
@@ -970,7 +961,7 @@ def _certify_each(seqs, *, burn=None, marginal_margin=MARGINAL_MARGIN):
     for members in groups.values():
         for part in _batches(members):
             batch = _Batch([seq for _, seq, _ in part], [vals for _, _, vals in part])
-            for (i, _, _), res in zip(part, _certify_batch(batch, **opts)):
+            for (i, _, _), res in zip(part, _certify_batch(batch, burn)):
                 out[i] = res
     return out
 
@@ -990,7 +981,7 @@ def _batches(members):
         yield part
 
 
-def _certify_batch(batch, *, burn, marginal_margin):
+def _certify_batch(batch, burn):
     """The pipeline of certify_many over one _Batch: a DSCertificate or
     an exception per window."""
     seqs = batch.seqs
@@ -1009,15 +1000,14 @@ def _certify_batch(batch, *, burn, marginal_margin):
             js = np.arange(lo + b, hi + 2 - b)
             full = np.full(len(js), b)
             jobs.append((w, js, full, full))
-        for (w, js, full, _), d in zip(jobs, _directions(batch, jobs)):
+        for (w, js, _, _), d in zip(jobs, _directions(batch, jobs)):
             if isinstance(d, Exception):
                 out[w] = d
                 del want[w]
                 continue
             b = want[w]
             u, s, classes[w, b] = d
-            fld = SplittingField(j_first=int(js[0]), u=u, s=s, method="power", burn=b,
-                                 burn_u=full, burn_s=full)
+            fld = SplittingField(j_first=int(js[0]), u=u, s=s)
             try:
                 want[w] = ladders[w].send(fld)
             except StopIteration as stop:
@@ -1056,7 +1046,7 @@ def _certify_batch(batch, *, burn, marginal_margin):
     ws = [w for w in ws if out[w] is None]
 
     # the classes of each core field's sites, which its frames share
-    frames = {w: _classes(*classes[w, resolved[w][3].burn]) for w in ws}
+    frames = {w: _classes(*classes[w, resolved[w][0]]) for w in ws}
     doms = dict(zip(ws, _dominations(batch, [(w, resolved[w][3], frames[w]) for w in ws])))
     # each window's norm floor at its N, for condition 4
     f, x = _floors(batch.tables, batch.offsets[ws], [len(seqs[w]) for w in ws],
@@ -1137,26 +1127,26 @@ def _certify_batch(batch, *, burn, marginal_margin):
         certs[w].cone, certs[w].epsilon = res
     for w in certs:
         if out[w] is None:
-            if 0.0 < doms[w].margin < marginal_margin:
+            if 0.0 < doms[w].margin < MARGINAL_MARGIN:
                 certs[w].verdict = "marginal"
             out[w] = certs[w]
     return out
 
 
-def certify_operator(op, E, spectrum_approx=None, **kwargs):
+def certify_operator(op, E, spectrum_approx=None, *, burn=None):
     """certify() on the energy-E transfer cocycle of a Jacobi operator.
 
     When a spectrum approximation is supplied, the distance from E to
     its interval cover is recorded in the certificate notes.
     """
-    cert = certify(cocycle_map(op, E), **kwargs)
+    cert = certify(cocycle_map(op, E), burn=burn)
     cert.notes["energy"] = complex(E)
     if spectrum_approx is not None:
         cert.notes["delta_spec"] = dist_to_spectrum(spectrum_approx, E)
     return cert
 
 
-def subsample_equivalence_check(seq, N, **certify_kwargs):
+def subsample_equivalence_check(seq, N):
     """Certify a window and its N-step block resampling; verdicts must agree.
 
     The block sequence multiplies each group of N consecutive factors
@@ -1166,7 +1156,7 @@ def subsample_equivalence_check(seq, N, **certify_kwargs):
     """
     starts = np.arange(seq.j_lo, seq.j_hi + 2 - N, N)
     block = MatSequence(0, span_products(seq, starts, N))
-    base, block = certify_many([seq, block], **certify_kwargs)
+    base, block = certify_many([seq, block])
     return {
         "consistent": (base.verdict != "failed") == (block.verdict != "failed"),
         "base": base,

@@ -95,10 +95,8 @@ def _cmd_spectrum(args):
 def _cmd_certify(args):
     op = load_operator(args.config)
     sp = spectrum(op)
-    kw = {}
-    if args.burn:
-        kw["burn"] = args.burn
-    cert = certify_operator(op, args.energy, spectrum_approx=sp, **kw)
+    # --burn 0, the default, lets the certifier choose
+    cert = certify_operator(op, args.energy, spectrum_approx=sp, burn=args.burn or None)
     _write(cert.to_json(), args)
     print(cert.summary_line(), file=sys.stderr)
     return 0 if cert.verdict in ("verified", "marginal") else 2
@@ -147,7 +145,7 @@ def _cmd_scan(args):
     if args.format == "csv":
         report.to_csv(args.out)
     else:
-        report.to_json(args.out) if args.out else _write(report.to_json(), args)
+        _write(report.to_json(), args)
     print(report.summary(), file=sys.stderr)
     return 2 if report.hard_disagreements else 0
 
@@ -293,8 +291,6 @@ def main(argv=None):
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if getattr(args, "burn", None) == 0:
-        args.burn = None
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

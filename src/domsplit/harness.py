@@ -16,13 +16,12 @@ stability radius from inside.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certifier import DegenerateCocycle, _certify_each, certify_many
+from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, certify_many
 from .jacobi import cocycle_map, dist_to_spectrum, spectrum
 from .mat2 import MatSequence, op_norm
 
@@ -83,10 +82,10 @@ def _scan_row(E, cert):
     return row
 
 
-def _scan_chunk(op, energies, kw):
+def _scan_chunk(op, energies):
     # one certify_many batch per chunk; a degenerate energy gets its row
     # and leaves the others' certificates as they are
-    certs = _certify_each([cocycle_map(op, E) for E in energies], **kw)
+    certs = _certify_each([cocycle_map(op, E) for E in energies])
     return [_scan_row(E, cert) for E, cert in zip(energies, certs)]
 
 
@@ -128,8 +127,8 @@ class ScanReport:
             for row in self.rows:
                 w.writerow({k: ("" if row[k] is None else row[k]) for k in SCAN_COLUMNS})
 
-    def to_json(self, path=None):
-        doc = {
+    def to_json(self):
+        return {
             "resolution": self.resolution,
             "marginal_margin": self.marginal_margin,
             "summary": self.summary(),
@@ -138,53 +137,39 @@ class ScanReport:
             "marginal": self.marginal,
             "hard_disagreements": [[z.real, z.imag] for z in self.hard_disagreements],
         }
-        if path is None:
-            return doc
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
-        return doc
 
 
-def johnson_scan(
-    op,
-    energies,
-    jobs=1,
-    spectrum_sizes=(200, 400, 800),
-    marginal_margin=0.05,
-    **certify_kw,
-):
+def johnson_scan(op, energies, jobs=1, spectrum_sizes=(200, 400, 800)):
     """Compare spectral prediction and certificates over an energy grid.
 
     An energy predicts a splitting iff it lies strictly outside the
     spectrum cover.  Disagreements are excused as marginal when the
     band-edge distance is within twice the grid step (or twice the
     cover resolution, whichever is larger), when the domination margin
-    is under marginal_margin, or when the verdict is itself marginal,
-    which certify decides with the same marginal_margin (certify_kw
-    passes the other keywords on).  jobs > 1 distributes energies across processes; the operator is sent
-    to them by pickle, and the spectrum cover is the pool's first task,
-    so that it runs in a worker while the others certify (scipy's
-    eigenvalue call holds the GIL, and in this process it would stall
-    the pool's feeder thread).  The first task to raise ends the scan
+    is under certifier.MARGINAL_MARGIN, or when the verdict is itself
+    marginal, which certify decides with the same constant; the report
+    records its value.  jobs > 1 distributes energies across processes;
+    the operator is sent to them by pickle, and the spectrum cover is
+    the pool's first task, so that it runs in a worker while the others
+    certify (scipy's eigenvalue call holds the GIL, and in this process
+    it would stall the pool's feeder thread).  The first task to raise ends the scan
     with its error; the chunks not yet started are cancelled.  Each
     chunk of energies (the whole grid at jobs=1) is certified as one
     certify_many batch.
     """
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
-    certify_kw["marginal_margin"] = marginal_margin
     re_parts = np.unique([e.real for e in Es])
     h_grid = float(np.min(np.diff(re_parts))) if len(re_parts) > 1 else 0.0
     if jobs <= 1:
         sp = spectrum(op, sizes=spectrum_sizes)
-        rows = _scan_chunk(op, Es, certify_kw)
+        rows = _scan_chunk(op, Es)
     else:
         n_chunks = max(1, min(len(Es), jobs * 3))
         bounds = np.linspace(0, len(Es), n_chunks + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             cover = ex.submit(spectrum, op, sizes=spectrum_sizes)
             futures = [
-                ex.submit(_scan_chunk, op, Es[a:b], certify_kw)
+                ex.submit(_scan_chunk, op, Es[a:b])
                 for a, b in zip(bounds[:-1], bounds[1:])
                 if b > a
             ]
@@ -198,9 +183,7 @@ def johnson_scan(
             rows = [row for f in futures for row in f.result()]
     for row, E in zip(rows, Es):
         row["delta_spec"] = dist_to_spectrum(sp, E)
-    report = ScanReport(
-        rows=rows, resolution=sp.resolution, marginal_margin=marginal_margin
-    )
+    report = ScanReport(rows=rows, resolution=sp.resolution, marginal_margin=MARGINAL_MARGIN)
     band = max(2.0 * h_grid, 2.0 * sp.resolution)
     # distance from each energy to the nearest segment endpoint
     Ev = np.asarray(Es, dtype=complex)[:, None]
@@ -213,7 +196,7 @@ def johnson_scan(
         margin = row["domination_margin"]
         excused = (
             edge < band
-            or (margin is not None and margin < marginal_margin)
+            or (margin is not None and margin < MARGINAL_MARGIN)
             or row["ds_status"] in ("marginal", "degenerate")
         )
         report.agree.append(agree)
@@ -225,7 +208,9 @@ def johnson_scan(
 
 def perturb_sequence(seq, size, rng):
     """Add an independent random bump of exact operator norm `size` to
-    every factor."""
+    every factor.  A negative size raises ValueError."""
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     n = len(seq)
     g = (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
     g *= (float(size) / op_norm(g))[:, None, None]
@@ -252,21 +237,22 @@ class PerturbReport:
         }
 
 
-def perturbation_experiment(seq, size, trials=100, seed=0, **certify_kw):
+def perturbation_experiment(seq, size, trials=100, seed=0):
     """Re-certify `trials` independently perturbed copies of a window.
 
     Each factor of each copy moves by exactly `size` in operator norm,
     the worst case the stability radius speaks about.  Failed trial
     indices are recorded with their broken condition.  The trials are
-    certified as one certify_many batch.  A negative number of trials
-    raises ValueError.
+    certified as one certify_many batch, each window choosing its own
+    burn-in.  A negative number of trials raises ValueError, as
+    perturb_sequence does for a negative size.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     pert = [perturb_sequence(seq, size, trial_rng(seed, t)) for t in range(int(trials))]
     n_ok = 0
     failed = []
-    for t, cert in enumerate(certify_many(pert, **certify_kw)):
+    for t, cert in enumerate(certify_many(pert)):
         if cert.verdict != "failed":
             n_ok += 1
         else:

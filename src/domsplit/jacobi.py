@@ -596,16 +596,14 @@ def normalization_identity_check(g):
     return abs(lhs - 1.0)
 
 
-def greens_row_residual(op, E, j, margin=None, spectrum_approx=None):
+def greens_row_residual(op, E, j):
     """Residual of the transposed identity at site j, from three columns.
 
-    |conj(a(j)) g_{j+1}(j) + a(j-1) g_{j-1}(j) + (b(j) - E) g_j(j) - 1|.
+    |conj(a(j)) g_{j+1}(j) + a(j-1) g_{j-1}(j) + (b(j) - E) g_j(j) - 1|,
+    the columns padded automatically and sharing one spectrum cover.
     """
-    sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
-    cols = {
-        c: greens_column(op, E, c, margin=margin, spectrum_approx=sp)
-        for c in (j - 1, j, j + 1)
-    }
+    sp = spectrum(op)
+    cols = {c: greens_column(op, E, c, spectrum_approx=sp) for c in (j - 1, j, j + 1)}
     lhs = (
         np.conj(op.a_at(j)) * cols[j + 1].value_at(j)
         + op.a_at(j - 1) * cols[j - 1].value_at(j)
@@ -614,15 +612,17 @@ def greens_row_residual(op, E, j, margin=None, spectrum_approx=None):
     return abs(lhs - 1.0)
 
 
-def floquet_bands(op, period=None, grid=None):
+def floquet_bands(op):
     """Spectral bands of the periodic extension, via the discriminant.
 
-    Requires nonvanishing couplings over one period.  The discriminant
-    is the trace of the one-period transfer product in the modulus
-    gauge; bands are the energies where its magnitude is at most 2.
-    Band edges are refined by bisection to REFINE_TOL.
+    Requires a periodic operator (op.period) with nonvanishing couplings
+    over one period.  The discriminant is the trace of the one-period
+    transfer product in the modulus gauge; bands are the energies where
+    its magnitude is at most 2.  Band edges are located on a grid of
+    max(4001, 16 * period + 1) energies and refined by bisection to
+    REFINE_TOL.
     """
-    q = period or op.period
+    q = op.period
     if not q or q < 1:
         raise ValueError("period required")
     alpha = np.abs(op.a_range(op.j_lo, op.j_lo + q - 1))
@@ -648,8 +648,7 @@ def floquet_bands(op, period=None, grid=None):
         return np.log(mag) + e * math.log(2.0)  # log |discriminant|
 
     G = float(np.max(np.abs(beta)) + 2.0 * np.max(alpha)) + 0.1
-    npts = int(grid) if grid else max(4001, 16 * q + 1)
-    Es = np.linspace(-G, G, npts)
+    Es = np.linspace(-G, G, max(4001, 16 * q + 1))
     inside = log_disc(Es) <= math.log(2.0)
     # locate edges between neighboring grid points, then bisect them all
     flips = np.nonzero(inside[:-1] != inside[1:])[0]

@@ -170,17 +170,18 @@ def periodic_operator(a_cycle, b_cycle, window):
     )
 
 
-def pair_lipschitz(pair, samples=4096):
+def pair_lipschitz(pair):
     """Sampled rate bound: how fast the operator moves per unit of angle.
 
     A coefficient change of (da, db) moves the operator norm by at most
     2*|da| + |db|, so the returned constant times an angle distance
-    bounds the spectral displacement.
+    bounds the spectral displacement.  The coefficients are sampled at
+    4096 equal steps of the circle.
     """
-    t = np.linspace(0.0, 1.0, samples + 1)
+    t = np.linspace(0.0, 1.0, 4097)
     a = np.asarray(pair.a_fn(t), dtype=complex)
     b = np.asarray(pair.b_fn(t), dtype=float)
-    h = 1.0 / samples
+    h = 1.0 / 4096
     la = float(np.max(np.abs(np.diff(a)))) / h
     lb = float(np.max(np.abs(np.diff(b)))) / h
     return 2.0 * la + lb
@@ -273,33 +274,26 @@ class DynCheckReport:
     max_adjacent_jump: float
     grid_step: float
 
-    def continuity_ok(self, factor=10.0):
-        """The direction fields should move no faster than the grid."""
-        return self.max_adjacent_jump <= factor * self.grid_step
+    def continuity_ok(self):
+        """The direction fields should move no faster than the grid: at
+        most 10 grid steps between neighboring phases."""
+        return self.max_adjacent_jump <= 10.0 * self.grid_step
 
 
-def dynamical_ds_check(
-    pair,
-    rotation,
-    energy,
-    omega_grid=None,
-    window=None,
-    n_phases=24,
-    periods=2,
-    **certify_kw,
-):
+def dynamical_ds_check(pair, rotation, energy, omega_grid=None, n_phases=24, periods=2):
     """Certify one energy for every phase on a grid around the circle.
 
-    Reports whether every phase certifies, the largest block length
-    needed (a uniform N over the grid), the worst margins, and a
-    sampled continuity modulus: the largest chordal motion of the
-    stable or unstable direction at the window center between
-    neighboring phases, wrapping around.  An empty phase grid raises
-    ValueError: no phase would make every check vacuously pass.
+    Each phase's window is (0, periods * q - 1), q the rotation's
+    period, and the windows are certified as one certify_many batch,
+    each choosing its own burn-in.  Reports whether every phase
+    certifies, the largest block length needed (a uniform N over the
+    grid), the worst margins, and a sampled continuity modulus: the
+    largest chordal motion of the stable or unstable direction at the
+    window center between neighboring phases, wrapping around.  An
+    empty phase grid raises ValueError: no phase would make every check
+    vacuously pass.
     """
-    q = rotation.q
-    if window is None:
-        window = (0, periods * q - 1)
+    window = (0, periods * rotation.q - 1)
     if omega_grid is None:
         omegas = np.sort((rotation.omega0 + np.arange(n_phases) / n_phases) % 1.0)
     else:
@@ -308,9 +302,9 @@ def dynamical_ds_check(
         raise ValueError("the phase grid is empty")
     steps = np.diff(np.concatenate([omegas, omegas[:1] + 1.0]))
     dirs = []
-    j_mid = (int(window[0]) + int(window[1])) // 2
+    j_mid = window[1] // 2
     ops = [realize(pair, rotation.with_phase(float(w)), window) for w in omegas]
-    certs = certify_many([cocycle_map(op, energy) for op in ops], **certify_kw)
+    certs = certify_many([cocycle_map(op, energy) for op in ops])
     for cert in certs:
         cert.notes["energy"] = complex(energy)
         if cert.burn is not None and cert.verdict != "failed":

@@ -422,7 +422,7 @@ def test_09_quasiperiodic_family():
 
     rep = dynamical_ds_check(pair, rot, 2.3, n_phases=24, periods=2)
     ratio = rep.max_adjacent_jump / rep.grid_step if rep.grid_step else np.inf
-    dyn_ok = rep.all_ok and rep.continuity_ok(10.0)
+    dyn_ok = rep.all_ok and rep.continuity_ok()
 
     ok = inc_ok and dyn_ok
     record_acceptance(

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -152,7 +153,7 @@ def test_stability_radius_survives_an_underflowing_power(n_steps):
 
     seq = MatSequence(0, np.repeat(np.diag([3.0, 0.5])[None], 200, axis=0))
     cone = certify(seq).cone
-    eps = stability_radius(cone, 0.6, n_steps=n_steps)
+    eps = stability_radius(replace(cone, N=n_steps), 0.6)
     with mpmath.workdps(60):
         M, T = mpmath.mpf(0.6), mpmath.mpf(cone.budget() / cone.cond)
         ref = M * ((1 + T / M**n_steps) ** (mpmath.mpf(1) / n_steps) - 1)
@@ -208,8 +209,11 @@ def test_zero_factor_degenerates():
 
 
 def test_marginal_verdict(free_op):
-    cert = certify(cocycle_map(free_op, 3.0), marginal_margin=10.0)
+    # at E = 2.13 the free chain dominates at N = 1, but by a margin under
+    # MARGINAL_MARGIN
+    cert = certify(cocycle_map(free_op, 2.13))
     assert cert.verdict == "marginal"
+    assert cert.N == 1 and 0.0 < cert.domination_margin < certifier.MARGINAL_MARGIN
     assert cert.ok  # marginal still counts as certified
 
 
@@ -303,14 +307,15 @@ def test_subsample_equivalence(free_op):
 # ---------------------------------------------------- component verifiers
 
 
-def test_verify_separation_threshold():
+def test_verify_separation_threshold(monkeypatch):
     seq = cocycle_map(
         JacobiOperator(j_lo=0, a=np.ones(60, complex), b=np.zeros(60)), 3.0
     )
     fld = power_directions(seq, 8)
-    ok, delta = verify_separation(fld, 1e-4)
+    ok, delta = verify_separation(fld)
     assert ok and delta > 1.0
-    ok2, _ = verify_separation(fld, delta + 1.0)
+    monkeypatch.setattr(certifier, "DELTA_MIN", delta + 1.0)
+    ok2, _ = verify_separation(fld)
     assert not ok2
 
 
@@ -326,7 +331,7 @@ def test_verify_separation_refuses_an_empty_field():
         verify_invariance(MatSequence(0, np.eye(2)[None]), fld, certifier.RES_MAX)
 
 
-def test_verify_domination_factor():
+def test_verify_domination_factor(monkeypatch):
     seq = cocycle_map(
         JacobiOperator(j_lo=0, a=np.ones(60, complex), b=np.zeros(60)), 3.0
     )
@@ -335,7 +340,8 @@ def test_verify_domination_factor():
     assert dom.ok and dom.N == 1
     # demanding more growth than the eigenvalue ratio provides pushes N up
     ratio = PHI_BIG / (3.0 - PHI_BIG)
-    dom2 = verify_domination(seq, fld, factor=ratio * 1.5)
+    monkeypatch.setattr(certifier, "FACTOR", ratio * 1.5)
+    dom2 = verify_domination(seq, fld)
     assert dom2.ok and dom2.N == 2
 
 
@@ -600,7 +606,6 @@ def test_burn_ladder_rungs_are_bitwise_the_fields_alone(
         full = np.full(len(js), b)
         u, s, _ = certifier._one(certifier._directions(batch, [(0, js, full, full)]))
         fresh = power_directions(seq, b)
-        assert (js[0], fresh.burn) == (fresh.j_first, b)
         assert u.tobytes() == fresh.u.tobytes() and s.tobytes() == fresh.s.tobytes()
         # the products stop at the first singular factor on either side
         cu, cs, _, _ = cut_burns(seq, js, full, full)
@@ -641,7 +646,6 @@ def test_extended_field_is_bitwise_the_full_sweep(n, burn, seed, singular, facto
     assert np.array_equal(U, U_ref) and np.array_equal(S, S_ref)
     assert ext.j_first == lo + 1
     assert np.array_equal(ext.u, u) and np.array_equal(ext.s, s)
-    assert np.array_equal(ext.burn_u, bu) and np.array_equal(ext.burn_s, bs)
 
 
 @pytest.mark.dispatch
@@ -841,14 +845,14 @@ H, _, at = mat2._row_sweep(batch.tables, np.concatenate((js - bu, js)), np.conca
 out += H.tobytes() + at.tobytes() + u.tobytes() + s.tobytes() + np.array(ids).tobytes()
 # domination margins of one-site fields whose frames come straight from
 # rng (unit rows would read numpy's complex modulus), at block lengths
-# up to 64
+# up to 64, each against its own FACTOR
 seq = mat2.MatSequence(0, vals)
 u, s = (rng.standard_normal((40, 1, 2)) + 1j * rng.standard_normal((40, 1, 2)) for _ in range(2))
-doms = [
-    certifier.verify_domination(seq, certifier.SplittingField(j, u[k], s[k], "power", 0, 0, 0),
-                                factor=f)
-    for k, (j, f) in enumerate(zip(range(0, 200, 5), np.linspace(0.5, 3.0, 40)))
-]
+factor, doms = certifier.FACTOR, []
+for k, (j, f) in enumerate(zip(range(0, 200, 5), np.linspace(0.5, 3.0, 40))):
+    certifier.FACTOR = f
+    doms.append(certifier.verify_domination(seq, certifier.SplittingField(j, u[k], s[k])))
+certifier.FACTOR = factor
 out += np.array([d.margin for d in doms] + [d.N for d in doms]).tobytes()
 # certificates of complex Jacobi windows at x + 0.3i, JSON and core
 # fields, and the resolvent fields of one (inputs drawn without numpy's
@@ -1187,9 +1191,7 @@ def _frame_field(seq, u, s, j_first=None):
     """A SplittingField over seq's sites from j_first on with the given
     rows, unnormalized."""
     j_first = seq.j_lo if j_first is None else j_first
-    zeros = np.zeros(len(u), dtype=int)
-    return certifier.SplittingField(j_first, np.asarray(u, complex), np.asarray(s, complex),
-                                    "power", 0, zeros, zeros)
+    return certifier.SplittingField(j_first, np.asarray(u, complex), np.asarray(s, complex))
 
 
 def _domination_cases(free_op):
@@ -1218,7 +1220,7 @@ def _domination_cases(free_op):
 
 
 @pytest.mark.dispatch
-def test_domination_is_the_per_site_frame_loop(free_op):
+def test_domination_is_the_per_site_frame_loop(free_op, monkeypatch):
     # verify_domination and one _dominations sweep over all the windows
     # give the bits of the loop that multiplies each frame on its own,
     # though the sweep steps a shrinking prefix of its class heads and
@@ -1238,9 +1240,9 @@ def test_domination_is_the_per_site_frame_loop(free_op):
     # other factors and bounds
     seq, fld = cases[2]
     for n_max, factor in ((1, 2.0), (5, 1.5), (64, 40.0)):
-        assert _dom_key(verify_domination(seq, fld, n_max, factor)) == _oracle_key(
-            seq, fld, n_max, factor
-        )
+        monkeypatch.setattr(certifier, "N_MAX", n_max)
+        monkeypatch.setattr(certifier, "FACTOR", factor)
+        assert _dom_key(verify_domination(seq, fld)) == _oracle_key(seq, fld, n_max, factor)
 
 
 @pytest.mark.dispatch
@@ -1720,9 +1722,24 @@ def test_certify_many_is_certify_window_by_window(seed, kinds, bad, burn, factor
         assert [_outcome(c) for c in certs] == alone
 
 
+@pytest.mark.parametrize("burn", [0, -5, 0.5])
+def test_certify_many_refuses_a_burn_hint_below_1(free_op, burn):
+    # a hint below 1 is refused before any window runs, not clamped to 1,
+    # where the free chain at E = 3 fails condition 1; a malformed window
+    # beside it does not mask the refusal
+    seqs = [cocycle_map(free_op, 3.0), cocycle_map(free_op, 2.5)]
+    for call in (lambda: certifier.certify_many(seqs, burn=burn),
+                 lambda: certifier.certify_many([seqs[0], "not a window"], burn=burn),
+                 lambda: certify(seqs[0], burn=burn),
+                 lambda: certify_operator(free_op, 3.0, burn=burn)):
+        with pytest.raises(ValueError, match="burn must be >= 1"):
+            call()
+    assert certify(seqs[0], burn=1).burn == 1
+
+
 def _field_arrays(cert):
     f = cert.core_field
-    return [f.u, f.s, f.burn_u, f.burn_s]
+    return [f.u, f.s]
 
 
 def test_batched_core_fields_own_their_arrays(free_op, mod5_op):
@@ -2053,9 +2070,10 @@ def test_shared_rows_are_bitwise_the_rows_swept_alone(seed, complex_vals, factor
     fld = _frame_field(seq, starts[cls, :, 0], starts[cls, :, 1])
     n_max, factor = int(rng.choice([1, 2, 5, 9, 64])), float(rng.choice([1.5, 2.0, 40.0]))
     jobs = [(0, fld, mat2._classes(cls))]
-    (shared,) = certifier._dominations(batch, jobs, n_max, factor)
-    batch.repeats = None
-    (alone,) = certifier._dominations(batch, jobs, n_max, factor)
+    with mock.patch.object(certifier, "N_MAX", n_max), mock.patch.object(certifier, "FACTOR", factor):
+        (shared,) = certifier._dominations(batch, jobs)
+        batch.repeats = None
+        (alone,) = certifier._dominations(batch, jobs)
     assert (_dom_key(shared), shared.detail) == (_dom_key(alone), alone.detail)
     assert _dom_key(shared) == _oracle_key(seq, fld, n_max, factor)
 

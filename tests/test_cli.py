@@ -7,7 +7,8 @@ import pytest
 
 from domsplit import JacobiOperator, periodic_operator
 from domsplit.cli import main
-from domsplit.jacobi import save_operator
+from domsplit.harness import johnson_scan
+from domsplit.jacobi import load_operator, save_operator
 
 
 @pytest.fixture()
@@ -86,6 +87,22 @@ def test_certify_burn_override(free_config, capsys):
     assert doc["burn"] == 12
 
 
+def test_certify_refuses_a_burn_below_1(free_config, capsys):
+    # a negative hint is unusable input, not a request for burn 1
+    code = main(["certify", "--config", free_config, "--energy", "3.0", "--burn", "-5"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "burn must be >= 1" in err
+
+
+def test_certify_burn_0_lets_the_certifier_choose(free_config, capsys):
+    code = main(["certify", "--config", free_config, "--energy", "3.0", "--burn", "0"])
+    assert code == 0
+    chosen = json.loads(capsys.readouterr().out)
+    assert main(["certify", "--config", free_config, "--energy", "3.0"]) == 0
+    assert json.loads(capsys.readouterr().out) == chosen
+
+
 # ------------------------------------------------------------------ green
 
 
@@ -131,6 +148,15 @@ def test_scan_csv(free_config, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 10
     assert lines[0].startswith("E_re,E_im,delta_spec")
+
+
+def test_scan_json_file(free_config, tmp_path):
+    # the report's JSON form, written as every JSON output of the CLI is
+    out = tmp_path / "scan.json"
+    code = main(["scan", "--config", free_config, "--grid", "2.5,4,3", "--out", str(out)])
+    assert code == 0
+    report = johnson_scan(load_operator(free_config), np.linspace(2.5, 4.0, 3))
+    assert out.read_text() == json.dumps(report.to_json(), indent=1) + "\n"
 
 
 def test_scan_json_stdout(free_config, capsys):
@@ -204,6 +230,13 @@ def test_perturb_explicit_size(free_config, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["size"] == 0.001
+
+
+def test_perturb_refuses_a_negative_size(free_config, capsys):
+    code = main(["perturb", "--config", free_config, "--energy", "3.0",
+                 "--epsilon", "-0.1", "--trials", "3"])
+    assert code == 3
+    assert "size must be >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- dyncheck

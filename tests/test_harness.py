@@ -80,6 +80,14 @@ def test_perturb_zero_size(free_seq):
     assert np.array_equal(same.values, free_seq.values)
 
 
+def test_perturb_refuses_a_negative_size(free_seq):
+    # a bump of size -0.05 would have norm 0.05 while the report said -0.05
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        perturb_sequence(free_seq, -0.05, trial_rng(0, 0))
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        perturbation_experiment(free_seq, -0.05, trials=3)
+
+
 def test_perturbation_experiment_within_budget(free_op, free_seq):
     from domsplit import certify_operator
 
@@ -324,12 +332,16 @@ def test_delta_sep_is_the_extended_field_separation_on_the_golden_grids(free_op,
     assert checked >= 10
 
 
-def test_scan_passes_its_marginal_margin_to_certify(free_op):
-    # the free chain at E = 3 dominates with margin 4.85: thin against 10
-    (row,) = johnson_scan(free_op, [3.0], spectrum_sizes=SCAN_SIZES, marginal_margin=10.0).rows
-    assert row["ds_status"] == "marginal" and 4.0 < row["domination_margin"] < 10.0
-    (row,) = johnson_scan(free_op, [3.0], spectrum_sizes=SCAN_SIZES).rows
-    assert row["ds_status"] == "verified"
+def test_scan_rows_read_the_marginal_margin_of_certify(free_op):
+    # the free chain at E = 2.13 dominates at N = 1 with margin 0.0488,
+    # thin against MARGINAL_MARGIN; at E = 3 with margin 4.85
+    rep = johnson_scan(free_op, [2.13, 3.0], spectrum_sizes=SCAN_SIZES)
+    thin, wide = rep.rows
+    assert thin["ds_status"] == "marginal" and thin["N"] == 1
+    assert 0.0 < thin["domination_margin"] < certifier.MARGINAL_MARGIN == rep.marginal_margin
+    assert wide["ds_status"] == "verified" and 4.0 < wide["domination_margin"] < 10.0
+    # both lie outside the spectrum and certify, so both agree
+    assert rep.agree == [True, True] and rep.marginal == [False, False]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
