@@ -366,6 +366,14 @@ def _directions(batch, jobs):
     return out
 
 
+def _burn_hint(burn):
+    """burn as an int, or ValueError unless it is an integer >= 1 (a
+    Python or numpy integer; a bool is refused)."""
+    if isinstance(burn, bool) or not isinstance(burn, (int, np.integer)) or burn < 1:
+        raise ValueError(f"burn must be >= 1 and an integer, got {burn!r}")
+    return int(burn)
+
+
 def power_directions(seq, burn, extend=False):
     """Direction fields from singular vectors of burn-long products.
 
@@ -378,9 +386,7 @@ def power_directions(seq, burn, extend=False):
     sites, with burns min(burn, j - lo) and min(burn, hi + 1 - j).
     """
     lo, hi = seq.window
-    burn = int(burn)
-    if burn < 1:
-        raise ValueError("burn must be >= 1")
+    burn = _burn_hint(burn)
     j_first = lo + 1 if extend else lo + burn
     js = np.arange(j_first, hi + 1 if extend else hi + 2 - burn)
     if not (extend or len(js)):
@@ -920,10 +926,11 @@ def certify_many(seqs, *, burn=None):
     results are unaffected by it.
 
     burn is a burn-in hint for every window (None lets each window
-    choose its own); a hint below 1 raises ValueError before any window
-    runs.  The thresholds are the module's constants: DELTA_MIN,
-    RES_MAX, FLOOR_REL, N_MAX and FACTOR, and MARGINAL_MARGIN, the
-    domination margin below which a verdict is "marginal".
+    choose its own); a hint that is not an integer >= 1 raises
+    ValueError before any window runs.  The thresholds are the module's
+    constants: DELTA_MIN, RES_MAX, FLOOR_REL, N_MAX and FACTOR, and
+    MARGINAL_MARGIN, the domination margin below which a verdict is
+    "marginal".
 
     Windows of one sweep dtype run as batches of at most BATCH_ROWS
     product rows (see there), each product stage as one sweep over the
@@ -942,8 +949,8 @@ def certify_many(seqs, *, burn=None):
 def _certify_each(seqs, *, burn=None):
     """certify_many's results, each window's outcome in its own slot: its
     DSCertificate, or the exception certify would raise on it."""
-    if burn is not None and burn < 1:
-        raise ValueError(f"burn must be >= 1, got {burn}")
+    if burn is not None:
+        burn = _burn_hint(burn)
     seqs = list(seqs)
     out = [None] * len(seqs)
     groups = {}

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, certify_many
-from .jacobi import cocycle_map, dist_to_spectrum, spectrum
+from .jacobi import (
+    _cover,
+    _cover_plan,
+    _truncation_eigenvalues,
+    cocycle_map,
+    dist_to_spectrum,
+    spectrum,
+)
 from .mat2 import MatSequence, op_norm
 
 __all__ = [
@@ -149,13 +156,16 @@ def johnson_scan(op, energies, jobs=1, spectrum_sizes=(200, 400, 800)):
     is under certifier.MARGINAL_MARGIN, or when the verdict is itself
     marginal, which certify decides with the same constant; the report
     records its value.  jobs > 1 distributes energies across processes;
-    the operator is sent to them by pickle, and the spectrum cover is
-    the pool's first task, so that it runs in a worker while the others
-    certify (scipy's eigenvalue call holds the GIL, and in this process
-    it would stall the pool's feeder thread).  The first task to raise ends the scan
-    with its error; the chunks not yet started are cancelled.  Each
-    chunk of energies (the whole grid at jobs=1) is certified as one
-    certify_many batch.
+    the operator is sent to them by pickle.  The spectrum cover's
+    truncations are planned here, so a bad spectrum_sizes raises before
+    any pool starts, and solved in the pool, one task per truncation,
+    largest first and ahead of the certify chunks, so the largest one
+    bounds the cover's wall time (scipy's eigenvalue call holds the GIL,
+    and in this process it would stall the pool's feeder thread).  The
+    cover is assembled as spectrum() assembles it, bit for bit.  The
+    first task to raise ends the scan with its error; the tasks not yet
+    started are cancelled.  Each chunk of energies (the whole grid at
+    jobs=1) is certified as one certify_many batch.
     """
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
     re_parts = np.unique([e.real for e in Es])
@@ -164,25 +174,29 @@ def johnson_scan(op, energies, jobs=1, spectrum_sizes=(200, 400, 800)):
         sp = spectrum(op, sizes=spectrum_sizes)
         rows = _scan_chunk(op, Es)
     else:
+        plan = _cover_plan(op, spectrum_sizes)
         n_chunks = max(1, min(len(Es), jobs * 3))
         bounds = np.linspace(0, len(Es), n_chunks + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            cover = ex.submit(spectrum, op, sizes=spectrum_sizes)
+            eigs = {
+                entry: ex.submit(_truncation_eigenvalues, op, *entry[1:])
+                for entry in reversed(plan)
+            }
             futures = [
                 ex.submit(_scan_chunk, op, Es[a:b])
                 for a, b in zip(bounds[:-1], bounds[1:])
                 if b > a
             ]
             try:
-                for f in as_completed([cover, *futures]):
+                for f in as_completed([*eigs.values(), *futures]):
                     f.result()
             except BaseException:
                 ex.shutdown(cancel_futures=True)
                 raise
-            sp = cover.result()
+            sp = _cover(plan, [eigs[entry].result() for entry in plan])
             rows = [row for f in futures for row in f.result()]
-    for row, E in zip(rows, Es):
-        row["delta_spec"] = dist_to_spectrum(sp, E)
+    for row, d in zip(rows, dist_to_spectrum(sp, Es).tolist()):
+        row["delta_spec"] = d
     report = ScanReport(rows=rows, resolution=sp.resolution, marginal_margin=MARGINAL_MARGIN)
     band = max(2.0 * h_grid, 2.0 * sp.resolution)
     # distance from each energy to the nearest segment endpoint

@@ -380,15 +380,11 @@ def _snap_to_zeros(op, j1, j2):
     return j1s, j2s
 
 
-def spectrum(op, sizes=(200, 400, 800)):
-    """Eigenvalue ladder over centered truncations of the given sizes.
-
-    Sizes are clipped to the window and, for periodic operators with a
-    known period, rounded to whole periods so truncations of different
-    sizes sample the same band structure.  When the window contains
-    exact zero couplings the truncation endpoints snap inward to them,
-    so the cuts happen across already dead bonds and the blocks stay
-    whole.
+def _cover_plan(op, sizes):
+    """The truncations of spectrum(op, sizes) as [(size, j1, j2, ring)],
+    sizes ascending: each entry is one eigenvalue call on the sites
+    (j1, j2], closed into a Bloch ring when ring is True.  No usable
+    size raises ValueError.
     """
     n = len(op)
     use = sorted({min(int(s), n) for s in sizes if int(s) >= 1})
@@ -402,23 +398,29 @@ def spectrum(op, sizes=(200, 400, 800)):
         use = sorted(snapped)
     if not use:
         raise ValueError("no usable truncation sizes")
-    per_size = {}
+    plan = []
     for s in use:
         start = op.j_lo + (n - s) // 2
         if q and s % q == 0 and s >= 2:
-            j1, j2 = start - 1, start - 1 + s
-            per_size[s] = _ring_eigenvalues(op, j1, j2)
+            plan.append((s, start - 1, start - 1 + s, True))
         else:
-            j1, j2 = _snap_to_zeros(op, start - 1, start - 1 + s)
-            per_size[s] = truncation(op, j1, j2).eigenvalues()
-    merged = np.sort(np.concatenate([per_size[s] for s in use]))
-    if len(use) >= 2:
-        h = max(
-            _hausdorff_1d(per_size[use[k]], per_size[use[k + 1]])
-            for k in range(len(use) - 1)
-        )
+            plan.append((s, *_snap_to_zeros(op, start - 1, start - 1 + s), False))
+    return plan
+
+
+def _truncation_eigenvalues(op, j1, j2, ring):
+    """The sorted eigenvalues of one _cover_plan entry's truncation."""
+    return _ring_eigenvalues(op, j1, j2) if ring else truncation(op, j1, j2).eigenvalues()
+
+
+def _cover(plan, eigs):
+    """The SpectrumApprox of a _cover_plan and its truncations' eigenvalues,
+    in plan order."""
+    merged = np.sort(np.concatenate(eigs))
+    if len(eigs) >= 2:
+        h = max(_hausdorff_1d(x, y) for x, y in zip(eigs, eigs[1:]))
     elif len(merged) >= 2:
-        h = 0.5 * float(np.max(np.diff(per_size[use[0]])))
+        h = 0.5 * float(np.max(np.diff(eigs[0])))
     else:
         h = 0.0
     h = max(h, 1e-12)
@@ -427,7 +429,27 @@ def spectrum(op, sizes=(200, 400, 800)):
     cut = np.flatnonzero(np.diff(merged) > gap)
     los, his = merged[np.r_[0, cut + 1]].tolist(), merged[np.r_[cut, -1]].tolist()
     segments = list(zip(los, his))
-    return SpectrumApprox(sizes=use, merged=merged, segments=segments, resolution=h)
+    return SpectrumApprox(
+        sizes=[s for s, *_ in plan], merged=merged, segments=segments, resolution=h
+    )
+
+
+def spectrum(op, sizes=(200, 400, 800)):
+    """Eigenvalue ladder over centered truncations of the given sizes.
+
+    Sizes are clipped to the window and, for periodic operators with a
+    known period, rounded to whole periods so truncations of different
+    sizes sample the same band structure; those truncations are closed
+    into rings.  When the window contains exact zero couplings the other
+    truncation endpoints snap inward to them, so the cuts happen across
+    already dead bonds and the blocks stay whole.  The plan of
+    truncations (_cover_plan), one eigenvalue call per truncation
+    (_truncation_eigenvalues) and the merge (_cover) are separate steps,
+    so a pooled johnson_scan runs each truncation as its own task and
+    assembles the same cover bit for bit.
+    """
+    plan = _cover_plan(op, sizes)
+    return _cover(plan, [_truncation_eigenvalues(op, *entry[1:]) for entry in plan])
 
 
 def dist_to_spectrum(sp, E):

@@ -1737,6 +1737,20 @@ def test_certify_many_refuses_a_burn_hint_below_1(free_op, burn):
     assert certify(seqs[0], burn=1).burn == 1
 
 
+@pytest.mark.parametrize("burn", [2.5, True, np.float64(3.0)])
+def test_a_burn_hint_that_is_not_an_integer_is_refused(free_op, burn):
+    # 2.5 is not truncated to 2, nor True read as 1 (where the free chain
+    # at E = 3 fails condition 1); numpy integers are integers
+    seq = cocycle_map(free_op, 3.0)
+    for call in (lambda: certifier.certify_many([seq], burn=burn),
+                 lambda: certify(seq, burn=burn),
+                 lambda: power_directions(seq, burn)):
+        with pytest.raises(ValueError, match="burn must be >= 1 and an integer"):
+            call()
+    assert certify(seq, burn=np.int64(3)).burn == certify(seq, burn=3).burn == 3
+    assert power_directions(seq, np.int32(3)).j_first == power_directions(seq, 3).j_first
+
+
 def _field_arrays(cert):
     f = cert.core_field
     return [f.u, f.s]

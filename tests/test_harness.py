@@ -24,7 +24,7 @@ from domsplit.harness import (
     perturbation_experiment,
     trial_rng,
 )
-from domsplit import certifier
+from domsplit import certifier, harness, jacobi
 from domsplit.certifier import InternalInconsistency
 from domsplit.mat2 import op_norm
 
@@ -342,6 +342,58 @@ def test_scan_rows_read_the_marginal_margin_of_certify(free_op):
     assert wide["ds_status"] == "verified" and 4.0 < wide["domination_margin"] < 10.0
     # both lie outside the spectrum and certify, so both agree
     assert rep.agree == [True, True] and rep.marginal == [False, False]
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("which", ["free", "dead", "dead_pair", "periodic"])
+def test_pooled_scan_cover_is_the_spectrum(free_op, period2_op, which, monkeypatch):
+    # a jobs=2 scan solves each truncation of the cover plan in its own
+    # task and assembles them in this process: the cover is spectrum()'s,
+    # bit for bit, whether the plan is plain truncations, truncations
+    # across a dead coupling, truncations snapped onto two dead couplings
+    # or Bloch rings
+    if which == "dead_pair":
+        a = np.ones(200)
+        a[[40, 150]] = 0.0
+        op = JacobiOperator(j_lo=-100, a=a, b=0.3 * np.cos(np.arange(200)))
+    else:
+        op = {"free": free_op, "dead": dead_coupling_op(), "periodic": period2_op}[which]
+    plan = jacobi._cover_plan(op, SCAN_SIZES)
+    assert len(plan) == 3
+    assert any(j2 - j1 != s for s, j1, j2, _ in plan) == (which == "dead_pair")
+    assert all(ring for *_, ring in plan) == (which == "periodic")
+    built = []
+
+    def keep(plan, eigs):
+        built.append(jacobi._cover(plan, eigs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_cover", keep)
+    johnson_scan(op, np.linspace(-3, 3, 13), jobs=2, spectrum_sizes=SCAN_SIZES)
+    (got,) = built
+    want = spectrum(op, sizes=SCAN_SIZES)
+    assert got.sizes == want.sizes
+    assert got.merged.tobytes() == want.merged.tobytes()
+    assert got.segments == want.segments
+    assert got.resolution == want.resolution
+
+
+def _eigenvalues_failing_at_150(op, j1, j2, ring):
+    # module level, so the pool can pickle it by name
+    if j2 - j1 == 150:
+        raise RuntimeError("truncation of 150 sites failed")
+    return jacobi._truncation_eigenvalues(op, j1, j2, ring)
+
+
+def test_scan_truncation_error_propagates(free_op, monkeypatch):
+    # one truncation of the pooled cover raises: the scan raises that
+    # error and no other.  The pool's workers are forked from this
+    # process and unpickle the patched helper by name.
+    monkeypatch.setattr(harness, "_truncation_eigenvalues", _eigenvalues_failing_at_150)
+    with pytest.raises(RuntimeError) as info:
+        johnson_scan(free_op, [3.0, 2.5, -3.0, 3.5], jobs=2, spectrum_sizes=SCAN_SIZES)
+    assert type(info.value) is RuntimeError
+    assert str(info.value) == "truncation of 150 sites failed"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -291,7 +291,7 @@ def test_dist_to_spectrum_arrays(free_op):
     d = dist_to_spectrum(sp, Es)
     assert d.shape == (4,)
     for k, E in enumerate(Es):
-        assert abs(d[k] - dist_to_spectrum(sp, complex(E))) < 1e-15
+        assert d[k] == dist_to_spectrum(sp, complex(E))
     # off the left edge the distance grows linearly with the offset
     assert abs(d[3] - (dist_to_spectrum(sp, -2.0) + 2.0)) < 1e-12
 
