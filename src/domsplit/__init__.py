@@ -48,8 +48,6 @@ from .jacobi import (
 )
 from .mat2 import (
     MatSequence,
-    SingularFactor,
-    backward_product,
     cocycle_product,
     norm_floor,
     op_norm,
@@ -75,14 +73,12 @@ from .sphere import (
     ProjPoint,
     UndefinedAction,
     act,
-    chordal_affine,
     chordal_dist,
     image_diameter_bound,
     mobius,
     mobius_disk_image,
     schwarz_pick_rho,
     separation_constant,
-    svd2,
 )
 
 __version__ = "0.1.0"

@@ -26,13 +26,13 @@ picks.  The growth ratios that start the burn ladders read their
 (_ratio_estimates).  Every product stage of a batch (the burn ladders,
 climbed in lockstep, the end sites of the extended field, the
 domination frames, the norm floors at N and the cone blocks) runs over
-the rows of all its live windows at once, on one of mat2's two product
-paths.  The domination frames, the one stage that reads every step,
-step one factor at a time from their start rows in a loop of their own
-(_dominations); the others run from the identity in doubling
-order on the batch's tables (mat2._row_sweep on mat2._Tables), so each
-rung of a burn ladder is computed afresh from the tables and the floors
-at N take at most bit_length(N) kernel calls (mat2._floors).
+the rows of all its live windows at once.  The domination frames, the
+one stage that reads every step, step one factor at a time from their
+start rows in a loop of their own (_dominations); the others run on
+mat2's one product path, from the identity in doubling order on the
+batch's tables (mat2._row_sweep on mat2._Tables), so each rung of a
+burn ladder is computed afresh from the tables and the floors at N take
+at most bit_length(N) kernel calls (mat2._floors).
 Condition 3 reads the extended field's separation as the minimum of
 the core field's and that of the end sites, the sites within one burn
 of either end, whose burns are cut short there; every other site of the
@@ -54,8 +54,10 @@ sites back over the same factors; _repeat_map finds those repeats once
 per batch, the one place that compares factor bits.  The classes travel
 from stage to stage as integer ids, every one found by mat2._classes:
 singular vectors and unit rows are taken of heads only, cone margins
-once per distinct (block, frame, frame) triple, and only the rows that
-leave the pipeline are gathered to every site.
+once per distinct (block, frame, frame) triple.  Each _directions call
+still gathers its rows to every site (every rung of a burn ladder, and
+the end sites), and _field_gap, verify_invariance and verify_separation
+read every site.
 
 Only the window is ever inspected; a verdict is a statement about the
 given finite data, not about any infinite extension.
@@ -168,11 +170,16 @@ class SplittingField:
         """Chordal distance between u and s at every site."""
         return chordal_rows(self.u, self.s)
 
+    def _index(self, j):
+        if not self.j_first <= j <= self.j_last:
+            raise IndexError(f"site {j} outside field sites ({self.j_first}, {self.j_last})")
+        return j - self.j_first
+
     def u_at(self, j):
-        return ProjPoint(self.u[j - self.j_first])
+        return ProjPoint(self.u[self._index(j)])
 
     def s_at(self, j):
-        return ProjPoint(self.s[j - self.j_first])
+        return ProjPoint(self.s[self._index(j)])
 
 
 def _slab(vals):
@@ -366,12 +373,14 @@ def _directions(batch, jobs):
     return out
 
 
-def _burn_hint(burn):
-    """burn as an int, or ValueError unless it is an integer >= 1 (a
-    Python or numpy integer; a bool is refused)."""
-    if isinstance(burn, bool) or not isinstance(burn, (int, np.integer)) or burn < 1:
-        raise ValueError(f"burn must be >= 1 and an integer, got {burn!r}")
-    return int(burn)
+def _count(name, x, least=None):
+    """x as an int, or ValueError naming it unless it is an integer (a
+    Python or numpy integer; a bool is refused) and, with least, >= least."""
+    integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    if not integer or least is not None and x < least:
+        bound = "" if least is None else f">= {least} and "
+        raise ValueError(f"{name} must be {bound}an integer, got {x!r}")
+    return int(x)
 
 
 def power_directions(seq, burn, extend=False):
@@ -386,7 +395,7 @@ def power_directions(seq, burn, extend=False):
     sites, with burns min(burn, j - lo) and min(burn, hi + 1 - j).
     """
     lo, hi = seq.window
-    burn = _burn_hint(burn)
+    burn = _count("burn", burn, 1)
     j_first = lo + 1 if extend else lo + burn
     js = np.arange(j_first, hi + 1 if extend else hi + 2 - burn)
     if not (extend or len(js)):
@@ -890,16 +899,18 @@ def _plain(x):
 
 
 # Product rows one batch may hold expanded, in float64 rows (two per
-# site).  The value was set from the cost of a sweep step per row before
-# rows were shared: on a 2-core AVX-512 Xeon with a 1 MB L2 cache, a
-# renormalized float64 step cost about 11 ns a row from 6,000 to 10,000
-# rows and 20 ns at 12,000, where its stacks fall out of the cache; a
-# complex128 step about 70 ns a row from 1,500 to 3,500 rows and 85 ns at
-# 4,000, so a complex row counts three.  The sweeps and the per-row reads
-# now touch class heads only (a window without repeats has nearly every
-# row as its head), so the constant bounds the per-site rows a batch
-# lists and gathers: the row keys of _row_classes and the site arrays.
-BATCH_ROWS = 10_000
+# site; a complex row counts three).  The stages compute class heads
+# only, so the bound caps the per-site rows a batch lists and gathers
+# (the row keys of _row_classes and the site arrays).  Certify CPU falls
+# as it grows, to a knee near 50,000, while peak memory keeps growing;
+# process time, min of five fresh processes, interleaved, 2-core Xeon:
+#   rows                          10,000  25,000  50,000  100,000
+#   both scan grids, 41 serial       142     122     106      104 ms
+#   perturb round, 6 x 20 trials     389     341     314      311 ms
+#   free chain, 401 serial           469     404     381      373 ms
+#     its peak RSS                    94      98     107      122 MiB
+# With no bound that grid reached 228 MiB.
+BATCH_ROWS = 50_000
 
 
 def certify(seq, *, burn=None):
@@ -950,7 +961,7 @@ def _certify_each(seqs, *, burn=None):
     """certify_many's results, each window's outcome in its own slot: its
     DSCertificate, or the exception certify would raise on it."""
     if burn is not None:
-        burn = _burn_hint(burn)
+        burn = _count("burn", burn, 1)
     seqs = list(seqs)
     out = [None] * len(seqs)
     groups = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, certify_many
+from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, _count, certify_many
 from .jacobi import (
     _cover,
     _cover_plan,
@@ -258,12 +258,11 @@ def perturbation_experiment(seq, size, trials=100, seed=0):
     the worst case the stability radius speaks about.  Failed trial
     indices are recorded with their broken condition.  The trials are
     certified as one certify_many batch, each window choosing its own
-    burn-in.  A negative number of trials raises ValueError, as
-    perturb_sequence does for a negative size.
+    burn-in.  A number of trials that is not an integer >= 0 raises
+    ValueError, as perturb_sequence does for a negative size.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    pert = [perturb_sequence(seq, size, trial_rng(seed, t)) for t in range(int(trials))]
+    trials = _count("trials", trials, 0)
+    pert = [perturb_sequence(seq, size, trial_rng(seed, t)) for t in range(trials)]
     n_ok = 0
     failed = []
     for t, cert in enumerate(certify_many(pert)):
@@ -272,5 +271,5 @@ def perturbation_experiment(seq, size, trials=100, seed=0):
         else:
             failed.append((t, cert.failed_condition))
     return PerturbReport(
-        size=float(size), trials=int(trials), n_ok=n_ok, failed_trials=failed
+        size=float(size), trials=trials, n_ok=n_ok, failed_trials=failed
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .mat2 import MatSequence, _abs, _cmul, _max_abs, sweep
+from .mat2 import MatSequence, _abs, _cmul, _max_abs, _mul, _renorm
 
 REFINE_TOL = 1e-10  # the width floquet_bands bisects band edges to
 DELTA_MIN = 1e-4  # the least distance to the spectrum cover, and between u and s
@@ -533,18 +533,18 @@ def greens_column(op, E, j, margin=None, spectrum_approx=None):
     at all; with margin=None the padding grows automatically until one
     of these holds.
     """
-    sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
-    delta = dist_to_spectrum(sp, E)
-    if delta < DELTA_MIN:
-        raise IllConditioned(
-            f"energy within {delta:.3e} of the spectrum cover", delta=delta
-        )
     adaptive = margin is None
     m = 64 if adaptive else int(margin)
     if m < 1:
         raise ValueError("margin must be >= 1")
     if not op.j_lo <= j <= op.j_hi:
         raise ValueError(f"column {j} outside window {op.window}")
+    sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
+    delta = dist_to_spectrum(sp, E)
+    if delta < DELTA_MIN:
+        raise IllConditioned(
+            f"energy within {delta:.3e} of the spectrum cover", delta=delta
+        )
     for _ in range(4):
         lo, hi = op.j_lo - m, op.j_hi + m
         g, res = _solve_columns(op, E, lo, hi, [j])
@@ -656,15 +656,15 @@ def floquet_bands(op):
     def log_disc(E):
         E = np.atleast_1d(np.asarray(E, dtype=float))
 
-        def step(k):  # a plane-major factor stack, as mat2's kernel reads it
-            F = np.zeros((2, 2, len(E)))
+        F = np.zeros((2, 2, len(E)))  # the factors at one step, plane-major
+        F[1, 0] = 1.0
+        P = np.tile(np.eye(2), (len(E), 1, 1))
+        e = np.zeros(len(E))  # the binary exponents removed, summed exactly
+        for k in range(q):
             F[0, 0] = (E - beta[k]) / alpha[k]
             F[0, 1] = -alpha_prev[k] / alpha[k]
-            F[1, 0] = 1.0
-            return F.transpose(2, 0, 1)
-
-        P = np.tile(np.eye(2), (len(E), 1, 1))
-        P, e = sweep(P, map(step, range(q)))
+            P = _mul(F.transpose(2, 0, 1), P)
+            e -= _renorm(P, out=P)[1]
         tr = P[:, 0, 0] + P[:, 1, 1]
         mag = np.where(np.abs(tr) > 0, np.abs(tr), 1e-300)
         return np.log(mag) + e * math.log(2.0)  # log |discriminant|

@@ -1,23 +1,22 @@
 """2x2 matrices and finite matrix sequences.
 
 Ordered cocycle products over an integer window, closed-form singular
-value machinery, inverse products with singularity reporting, and norm
-floors.
+value machinery and norm floors.
 
-Products run on one of two paths through one kernel.  A row sweep
-(_row_sweep: span_products, the norm floors and the certifier's field
-and cone products) starts at the identity and runs in doubling order on
-_Tables, exactly renormalized products of 2**k
-factors built once per slab, so a row of L factors takes one kernel
-call per set bit of L.  Every row is a left product read forward from
-its base.  A row sweep sweeps one row per class of bitwise identical
-rows (_row_classes) and returns those heads with the map from rows to
-heads, so a caller reads each distinct product once; every class, here
-and in the certifier, is one keyed unique (_classes).  sweep() is the
-plain step loop: it left-multiplies a whole stack by one factor stack
-per step (backward_product, jacobi.floquet_bands).  The one stage that
-reads every step, the certifier's domination frames, steps its class
-heads in a loop of its own (certifier._dominations) on the same kernel.
+Products run on one path through one kernel.  A row sweep (_row_sweep:
+span_products, the norm floors and the certifier's field and cone
+products) starts at the identity and runs in doubling order on
+_Tables, exactly renormalized products of 2**k factors built once per
+slab, so a row of L factors takes one kernel call per set bit of L.
+Every row is a left product read forward from its base.  A row sweep
+sweeps one row per class of bitwise identical rows (_row_classes) and
+returns those heads with the map from rows to heads, so a caller reads
+each distinct product once; every class, here and in the certifier, is
+one keyed unique (_classes).  The stages that read every step, the
+certifier's domination frames (certifier._dominations) and the
+one-period products of jacobi.floquet_bands, step in loops of their
+own on the same kernel: _mul by one factor stack per step, then
+_renorm.
 
 The kernel, _mul, makes no BLAS call: on plane-major stacks (entry (i,
 k) of every 2x2 one contiguous array) it writes each entry as a*e + b*g
@@ -26,7 +25,7 @@ planes for complex128, the bits of a non-FMA BLAS under any BLAS kernel.
 _renorm scales each row exactly by the power of two that puts its
 largest real or imaginary part into [1, 2), as LAPACK's xLASCL does.
 The kernel commutes with it, so a renormalized row is its unnormalized
-product times a power of two; every sweep returns the removed binary
+product times a power of two; every product carries the removed binary
 exponents, scaled back with ldexp, so no product overflows before its
 value does.
 
@@ -53,7 +52,6 @@ SINGULAR_RTOL = 1e-13
 
 __all__ = [
     "SINGULAR_RTOL",
-    "SingularFactor",
     "MatSequence",
     "det2",
     "op_norm",
@@ -61,25 +59,11 @@ __all__ = [
     "sv_direction_vectors",
     "sv_left_vectors",
     "sv_right_vectors",
-    "inv2",
     "is_singular",
-    "sweep",
     "span_products",
     "cocycle_product",
-    "backward_product",
     "norm_floor",
 ]
-
-
-class SingularFactor(ValueError):
-    """Raised when a factor that must be inverted is numerically singular."""
-
-    def __init__(self, index, det):
-        self.index = index
-        self.det = det
-        super().__init__(
-            f"singular factor at index {index}, |det| = {abs(det):.3e}"
-        )
 
 
 def _abs2(z):
@@ -250,15 +234,6 @@ def is_singular(m):
     max(1, norm^2)."""
     s1, _, d = _singular_values(m)
     return d < SINGULAR_RTOL * np.maximum(1.0, s1 * s1)
-
-
-def inv2(m, index=None):
-    """Closed-form inverse; raises SingularFactor when below tolerance."""
-    m = np.asarray(m)
-    d = det2(m)
-    if is_singular(m):
-        raise SingularFactor(index if index is not None else -1, complex(d))
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
 
 
 @dataclass
@@ -437,10 +412,10 @@ def _renorm(P, out=None):
     lands in [1, 2): the scaling of LAPACK's xLASCL.  Rows already there
     and rows holding an inf or NaN keep the scale 1 (s = 0), and a zero
     row keeps its bits (its s is 1).  Returns the scaled stack and s
-    (int32); out=P scales P in place, as sweep does.  Scaling by a power
-    of two does not round, so _renorm is idempotent, and since _mul's
-    fixed forms commute with it, a row scaled after every step of a
-    sweep equals the same row scaled once at the end, bit for bit.
+    (int32); out=P scales P in place.  Scaling by a power of two does
+    not round, so _renorm is idempotent, and since _mul's fixed forms
+    commute with it, a row scaled after every step of a product equals
+    the same row scaled once at the end, bit for bit.
     """
     m = _row_max(P)
     _, s = np.frexp(m)
@@ -448,30 +423,6 @@ def _renorm(P, out=None):
     if not np.maximum.reduce(m, initial=0.0) < np.inf:  # an inf or NaN part
         s[~(m < np.inf)] = 0
     return _ldexp(P, s, out), s
-
-
-def sweep(P, steps):
-    """Left-multiply a stack of 2x2 products P by one factor stack per
-    step, renormalizing exactly; returns (P, e).
-
-    Each F in steps multiplies P from the left, row by row (F @ P),
-    through _mul, and each row is then scaled by a power of two
-    (_renorm).  e holds each row's removed binary exponents
-    summed as int64, so the unnormalized product is ldexp of the row by
-    e.  P itself is never written into.  _mul gives a row of a stack the
-    bits it gives that row alone, and the scaling is exact, so each row
-    is its unnormalized product times a power of two, as a loop over it
-    alone would make it.  A right product P @ F runs as the transpose of
-    the left product of the transposes, whose entries sum the same
-    products in the same order.  The products come out plane-major;
-    plane-major factor stacks are read as they are, others through
-    strided views.
-    """
-    e = np.zeros(len(P), dtype=np.int64)
-    for F in steps:
-        P = _mul(F, P)
-        e -= _renorm(P, out=P)[1]
-    return P, e
 
 
 def _bits(X):
@@ -567,7 +518,8 @@ def _row_sweep(tables, base, steps, repeats=None):
     slab[base[i]], ..., slab[base[i] + steps[i] - 1] of tables.slab (a
     _Tables), later factors on the left, renormalizing exactly, for the
     class heads of the rows; returns (Q, e, at): row i's product is
-    Q[at[i]] times 2**e[at[i]], e as in sweep, in the dtype of the slab.
+    Q[at[i]] times 2**e[at[i]], e (int64) the sum of the binary exponents
+    removed from the row, in the dtype of the slab.
 
     A row runs in doubling order on the tables: a row of L steps
     left-multiplies the table entry of each set bit 2**k of L, in
@@ -637,25 +589,8 @@ def cocycle_product(seq, j, n):
     renormalized, and is scaled back exactly (span_products).
     """
     if n < 0:
-        raise ValueError("n must be nonnegative; use backward_product for inverses")
+        raise ValueError("n must be nonnegative")
     return span_products(seq, j, n)[0]
-
-
-def backward_product(seq, j, n):
-    """Inverse of the length-n product ending just below j.
-
-    Equals the inverse of cocycle_product(seq, j - n, n); every factor in
-    [j - n, j - 1] must be invertible at the shared tolerance, otherwise
-    SingularFactor names the offending index.  The right product of the
-    inverses runs as the transposed left product of their transposes
-    (sweep), renormalized, and is scaled back exactly.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_span(seq.window, j - n, n)
-    inverses = (inv2(seq.at(k), index=k).T[None] for k in range(j - n, j))
-    P, e = sweep(np.eye(2, dtype=complex)[None], inverses)
-    return _ldexp(P, e)[0].T
 
 
 def norm_floor(seq, n):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import certify_many
+from .certifier import _count, certify_many
 from .jacobi import JacobiOperator, cocycle_map, dist_to_spectrum, spectrum
 from .sphere import chordal_rows
 
@@ -291,10 +291,11 @@ def dynamical_ds_check(pair, rotation, energy, omega_grid=None, n_phases=24, per
     largest chordal motion of the stable or unstable direction at the
     window center between neighboring phases, wrapping around.  An
     empty phase grid raises ValueError: no phase would make every check
-    vacuously pass.
+    vacuously pass, and so does an n_phases that is not an integer.
     """
     window = (0, periods * rotation.q - 1)
     if omega_grid is None:
+        n_phases = _count("n_phases", n_phases)
         omegas = np.sort((rotation.omega0 + np.arange(n_phases) / n_phases) % 1.0)
     else:
         omegas = np.sort(np.asarray(omega_grid, dtype=float) % 1.0)

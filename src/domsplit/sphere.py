@@ -15,13 +15,11 @@ which needs no case split on vanishing entries.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mat2 import _abs, _abs2, _cmul, _larger_columns, _row_norms
-from .mat2 import is_singular, singular_values, sv_direction_vectors
+from .mat2 import _abs, _abs2, _cmul, _larger_columns, _row_norms, is_singular
 
 INF = complex(math.inf, 0.0)
 
@@ -30,14 +28,11 @@ __all__ = [
     "UndefinedAction",
     "ProjPoint",
     "GenCircle",
-    "SVD2",
     "chordal_dist",
-    "chordal_affine",
     "chordal_rows",
     "unit_rows",
     "act",
     "mobius",
-    "svd2",
     "mobius_disk_image",
     "contained_in_disk",
     "schwarz_pick_rho",
@@ -105,19 +100,6 @@ def chordal_dist(p, q):
     return 2.0 * abs(p.v[0] * q.v[1] - p.v[1] * q.v[0])
 
 
-def chordal_affine(z, w):
-    """Chordal distance in affine coordinates, with infinity handled."""
-    zi, wi = _is_inf(z), _is_inf(w)
-    if zi and wi:
-        return 0.0
-    if zi:
-        return 2.0 / math.sqrt(1.0 + abs(w) ** 2)
-    if wi:
-        return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
-    z, w = complex(z), complex(w)
-    return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
-
-
 def chordal_rows(a, b):
     """Chordal distance between paired rows of two (..., 2) vector stacks.
 
@@ -156,20 +138,6 @@ def act(m, p):
 def mobius(m, z):
     """Induced action on affine coordinates, infinity in and out allowed."""
     return act(m, ProjPoint.from_affine(z)).to_affine()
-
-
-SVD2 = namedtuple("SVD2", "s1 s2 left right")
-
-
-def svd2(m):
-    """Closed-form SVD data: both singular values and the top directions.
-
-    left is the output (range-side) direction for s1, right the input
-    direction.  Exact for matrices with a vanishing row or column.
-    """
-    s1, s2 = singular_values(m)
-    left, right = sv_direction_vectors(m)
-    return SVD2(float(s1), float(s2), ProjPoint(left), ProjPoint(right))
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,21 @@ def test_fields_are_invariant(free_op):
         assert chordal_dist(act(seq.at(j), fld.s_at(j)), fld.s_at(j + 1)) < 1e-9
 
 
+def test_field_sites_outside_the_field_are_refused():
+    # a site below the field used to index from the other end: u_at(9) of
+    # a field that starts at site 10 gave the row of site 110
+    rng = np.random.default_rng(67)
+    seq = cocycle_map(random_operator(rng, n=120, j_lo=0), 3.5)
+    fld = power_directions(seq, 10)
+    assert (fld.j_first, fld.j_last) == (10, 110)
+    for at, rows in ((fld.u_at, fld.u), (fld.s_at, fld.s)):
+        for j in (fld.j_first - 1, fld.j_last + 1, -5):
+            with pytest.raises(IndexError, match=r"site .* outside field sites \(10, 110\)"):
+                at(j)
+        for j in (fld.j_first, fld.j_last):
+            assert np.array_equal(at(j).v, ProjPoint(rows[j - fld.j_first]).v)
+
+
 def test_stability_radius_solves_budget_equation(free_op):
     cert = certify_operator(free_op, 3.0)
     cone = cert.cone
@@ -1484,7 +1499,10 @@ def test_renorm_is_idempotent_and_exact(seed, n, T, complex_vals):
         F = F + 1j * rng.standard_normal((T, n, 2, 2)) * 2.0 ** rng.integers(-40, 41, (T, n, 1, 1))
     F[rng.random((T, n)) < 0.05] = 0.0  # some rows die
     P = np.tile(np.eye(2, dtype=F.dtype), (n, 1, 1))
-    scaled, e = mat2.sweep(P, F)
+    scaled, e = P, np.zeros(n, dtype=np.int64)  # the step loop, renormalized
+    for f in F:
+        scaled = mat2._mul(f, scaled)
+        e -= mat2._renorm(scaled, out=scaled)[1]
     raw = P  # the plain product loop, unnormalized
     for f in F:
         raw = mat2._mul(f, raw)
@@ -1720,6 +1738,33 @@ def test_certify_many_is_certify_window_by_window(seed, kinds, bad, burn, factor
     else:
         certs = certifier.certify_many(seqs, **kw)
         assert [_outcome(c) for c in certs] == alone
+
+
+def test_certify_many_splits_batches_at_the_row_bound(monkeypatch):
+    # windows of one dtype run as batches of at most BATCH_ROWS product
+    # rows (two per site, three times that for a complex window), a longer
+    # window alone: wherever the bound cuts, each certificate is that of
+    # its window certified alone
+    rng = np.random.default_rng(43)
+    kinds = ["real_jacobi", "real_raw", "complex_jacobi", "real_jacobi", "complex_raw",
+             "real_raw", "complex_jacobi", "real_jacobi"]
+    lengths = [50, 60, 30, 150, 45, 40, 20, 70]
+    seqs = [_batch_window(rng, kind, n) for kind, n in zip(kinds, lengths)]
+    alone = [_alone(seq, {}) for seq in seqs]
+    batches, batch = [], certifier._Batch
+
+    def recording_batch(seqs, vals):
+        batches.append([len(seq) for seq in seqs])
+        return batch(seqs, vals)
+
+    monkeypatch.setattr(certifier, "BATCH_ROWS", 240)
+    monkeypatch.setattr(certifier, "_Batch", recording_batch)
+    with np.errstate(all="ignore"):
+        slots = certifier._certify_each(seqs)
+    assert [_outcome(res) for res in slots] == alone
+    # real: 100 + 120 rows, then 300 alone, then 80 + 140; complex: 180,
+    # then 270 alone, then 120
+    assert batches == [[50, 60], [150], [40, 70], [30], [45], [20]]
 
 
 @pytest.mark.parametrize("burn", [0, -5, 0.5])

@@ -127,6 +127,17 @@ def test_perturbation_experiment_refuses_negative_trials(free_seq):
     assert perturbation_experiment(free_seq, 0.5, trials=0).n_ok == 0
 
 
+@pytest.mark.parametrize("trials", [2.7, 3.0, True])
+def test_perturbation_experiment_refuses_a_count_that_is_not_an_integer(free_seq, trials):
+    # 2.7 trials used to run 2 and report 2, and True to run 1; numpy
+    # integers are integers
+    with pytest.raises(ValueError, match="trials must be >= 0 and an integer"):
+        perturbation_experiment(free_seq, 0.5, trials=trials)
+    assert perturbation_experiment(free_seq, 0.5, trials=np.int64(2)).to_json() == (
+        perturbation_experiment(free_seq, 0.5, trials=2).to_json()
+    )
+
+
 # ------------------------------------------------------------------ scans
 
 

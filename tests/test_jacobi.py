@@ -318,21 +318,6 @@ def test_floquet_period2_frozen_edges(period2_op):
         assert abs(hi - ehi) < 1e-8
 
 
-def _division_sweep(P, steps):
-    """floquet_bands' discriminant sweep with each row divided by its
-    largest entry modulus m (P /= m), where mat2.sweep scales it by a
-    power of two; the removed scales come back as log2 of their product,
-    a fractional exponent."""
-    P, total = P.copy(), np.zeros(len(P))
-    for F in steps:
-        P = F @ P
-        m = np.max(np.abs(P), axis=(1, 2))
-        m = np.where(m > 0, m, 1.0)
-        P /= m[:, None, None]
-        total += np.log2(m)
-    return P, total
-
-
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 13, 21, 34, 55])
 def test_floquet_edges_do_not_depend_on_the_scaling(q, monkeypatch):
     # The two scalings round log |discriminant| differently in the last
@@ -341,8 +326,20 @@ def test_floquet_edges_do_not_depend_on_the_scaling(q, monkeypatch):
     rng = np.random.default_rng(q)
     op = periodic_operator(0.5 + rng.random(q), rng.uniform(-1.0, 1.0, q), (0, 2 * q - 1))
     bands = floquet_bands(op)
-    monkeypatch.setattr(jacobi, "sweep", _division_sweep)
+    calls = []
+
+    def division_renorm(P, out=None):
+        # each row divided by its largest entry modulus m, where
+        # mat2._renorm scales it by a power of two; the removed scale
+        # comes back as -log2(m), a fractional exponent
+        calls.append(len(P))
+        m = np.max(np.abs(P), axis=(1, 2))
+        m = np.where(m > 0, m, 1.0)
+        return np.divide(P, m[:, None, None], out=out), -np.log2(m)
+
+    monkeypatch.setattr(jacobi, "_renorm", division_renorm)
     assert floquet_bands(op) == bands
+    assert calls  # the loop scaled its rows through the patched step
 
 
 def test_floquet_requires_period():
@@ -409,6 +406,20 @@ def test_greens_decay_envelope():
 def test_greens_rejects_spectral_energy(free_op):
     with pytest.raises(ValueError):
         greens_column(free_op, 1.0, 0)  # inside the band
+
+
+@pytest.mark.parametrize("E", [3.0, 1.0])
+@pytest.mark.parametrize("args", [dict(j=0, margin=0), dict(j=10**6), dict(j=-101)])
+def test_greens_column_checks_its_inputs_before_the_cover(free_op, monkeypatch, E, args):
+    # a bad margin or column is refused before the spectrum cover is
+    # built, with the ValueError it names, also at an energy in the band
+    def no_cover(*_args, **_kwargs):
+        raise AssertionError("spectrum cover built for a refused call")
+
+    monkeypatch.setattr(jacobi, "spectrum", no_cover)
+    with pytest.raises(ValueError, match="margin must be >= 1|outside window") as info:
+        greens_column(free_op, E, **args)
+    assert type(info.value) is ValueError
 
 
 def test_greens_exact_column_accepted_at_fixed_margin():

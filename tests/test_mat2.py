@@ -10,23 +10,19 @@ from hypothesis import strategies as st
 
 from domsplit import MatSequence, cocycle_map, cocycle_product, norm_floor, op_norm
 from domsplit.mat2 import (
-    SingularFactor,
     _abs,
     _classes,
-    _ldexp,
     _max_abs,
     _mul,
     _plane_major,
-    backward_product,
+    _renorm,
     det2,
-    inv2,
     is_singular,
     singular_values,
     span_products,
     sv_direction_vectors,
     sv_left_vectors,
     sv_right_vectors,
-    sweep,
 )
 
 from conftest import doubling_oracle, random_matseq, random_operator, ref_matmul, renorm_row_oracle
@@ -200,14 +196,6 @@ def test_is_singular_flags():
     assert flags[0] and not flags[1]
 
 
-def test_inv2_matches_numpy_and_rejects_singular():
-    rng = np.random.default_rng(15)
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(inv2(m), np.linalg.inv(m), rtol=1e-12)
-    with pytest.raises(SingularFactor):
-        inv2(np.array([[1.0, 1.0], [1.0, 1.0]], complex))
-
-
 def brute_product(seq, j, n):
     out = np.eye(2, dtype=complex)
     for k in range(j, j + n):
@@ -251,14 +239,6 @@ def test_products_survive_an_overflowing_running_product():
         got = span_products(seq, [0, 1, 0], [2, 3, 4])
     assert np.all(np.isinf(got[0].diagonal()))  # 1e400 itself is no float64
     assert np.allclose(got[1:], [1e-200 * np.eye(2), np.eye(2)], rtol=1e-12, atol=0.0)
-
-
-def test_backward_product_inverts_the_span_below():
-    rng = np.random.default_rng(18)
-    seq = random_matseq(rng, n=20, j_lo=3)
-    got = backward_product(seq, 10, 6)
-    ref = np.linalg.inv(brute_product(seq, 4, 6))
-    assert np.allclose(got, ref, rtol=1e-9)
 
 
 def test_norm_floor_matches_bruteforce():
@@ -333,91 +313,21 @@ def test_sup_bound_is_finite_where_the_squares_overflow():
         MatSequence(0, np.full((3, 2, 2), 1e308))
 
 
-# ------------------------------------------------------------ product sweep
+# ------------------------------------------------------------- step loops
 
 
-def sweep_rows_oracle(P, steps, left, renorm):
-    """sweep as a loop over each row by itself, one 2x2 at a time: a row
-    is renormalized after each step, and its exponent is the sum of the
-    binary exponents removed from it."""
+def sweep_rows_oracle(P, steps):
+    """The step loop (_mul by one factor stack per step, then _renorm) as
+    a loop over each row by itself, one 2x2 at a time: a row is
+    left-multiplied and renormalized at each step, and its exponent is
+    the sum of the binary exponents removed from it."""
     rows = [P[i] for i in range(len(P))]
     exps = [0] * len(P)
     for F in steps:
         for i in range(len(F)):
-            rows[i] = ref_matmul(F[i], rows[i]) if left else ref_matmul(rows[i], F[i])
-            if renorm:
-                rows[i], s = renorm_row_oracle(rows[i])
-                exps[i] -= s
+            rows[i], s = renorm_row_oracle(ref_matmul(F[i], rows[i]))
+            exps[i] -= s
     return np.array(rows), np.array(exps, dtype=np.int64)
-
-
-def _steps(rng, n, dtype):
-    """A random number of factor stacks of n rows each, some rows zero."""
-    steps = []
-    for _ in range(int(rng.integers(1, 12))):
-        F = rng.standard_normal((n, 2, 2))
-        if np.dtype(dtype).kind == "c":
-            F = F + 1j * rng.standard_normal((n, 2, 2))
-        F[rng.random(n) < 0.1] = 0.0
-        steps.append(F.astype(dtype))
-    return steps
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("left", [True, False])
-@pytest.mark.parametrize("renorm", [False, True])
-def test_sweep_rows_are_the_per_row_loops(dtype, left, renorm):
-    # sweep is the renormalized left product; a right product is its
-    # transpose over the transposed factors (as backward_product runs
-    # it), and the unnormalized product is ldexp of each row by its
-    # exponents, exactly, since nothing here overflows or underflows
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        n = int(rng.integers(1, 40))
-        P = rng.standard_normal((n, 2, 2)).astype(dtype)
-        P = P[rng.permutation(n)]  # shuffled rows
-        steps = _steps(rng, n, dtype)
-        if left:
-            got, exps = sweep(P, iter(steps))
-        else:
-            got, exps = sweep(P.transpose(0, 2, 1), (F.transpose(0, 2, 1) for F in steps))
-            got = got.transpose(0, 2, 1)
-        ref, ref_exps = sweep_rows_oracle(P, steps, left, renorm)
-        if renorm:
-            assert exps.tobytes() == ref_exps.tobytes()
-        else:
-            got = _ldexp(got, exps)
-        assert got.dtype == ref.dtype
-        assert got.tobytes() == ref.tobytes()
-
-
-def test_backward_product_is_bitwise_the_right_product_loop():
-    # the transposed left product of the transposed inverses gives the
-    # bits of the right product loop over the inverses
-    rng = np.random.default_rng(35)
-    seq = random_matseq(rng, n=40, j_lo=-7)
-    for j, n in ((0, 1), (5, 12), (33, 40)):
-        inverses = [inv2(seq.at(k))[None] for k in range(j - n, j)]
-        P, e = sweep_rows_oracle(np.eye(2, dtype=complex)[None], inverses, False, True)
-        ref = np.ldexp(P.real, e[:, None, None]) + 1j * np.ldexp(P.imag, e[:, None, None])
-        assert backward_product(seq, j, n).tobytes() == ref[0].tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_sweep_logs_carry_the_removed_scale(dtype):
-    # the exponents are the base-2 logs of the scales each row shed
-    rng = np.random.default_rng(32)
-    P = np.tile(np.eye(2, dtype=dtype), (30, 1, 1))
-    steps = _steps(rng, 30, dtype)
-    got, exps = sweep(P, steps)
-    ref, ref_exps = sweep_rows_oracle(P, steps, True, True)
-    assert got.tobytes() == ref.tobytes() and exps.tobytes() == ref_exps.tobytes()
-    # nothing here overflows or underflows, so scaling back is exact
-    raw, _ = sweep_rows_oracle(P, steps, True, False)
-    back = np.ldexp(got.real, exps[:, None, None])
-    if np.iscomplexobj(got):
-        back = back + 1j * np.ldexp(got.imag, exps[:, None, None])
-    assert back.tobytes() == raw.tobytes()
 
 
 def _special_stack(rng, n, dtype):
@@ -457,30 +367,19 @@ def test_kernel_and_sweep_are_bitwise_the_reference(seed, n, dtypes, plane_major
             B2 = layout(B.copy())
             assert _mul(layout(A), B2, out=B2) is B2
             assert B2.tobytes() == ref.tobytes()
-        # a sweep of several steps over the whole stack
+        # a loop of several steps over the whole stack, as the domination
+        # frames and floquet_bands run it
         dtype = dtypes[1]
         P = layout(_special_stack(rng, n, dtype))
         steps = [layout(_special_stack(rng, n, dtype)) for _ in range(int(rng.integers(1, 10)))]
-        got, exps = sweep(P, steps)
-        want, want_exps = sweep_rows_oracle(P, steps, True, True)
+        got, exps = P, np.zeros(n, dtype=np.int64)
+        for F in steps:
+            got = _mul(F, got)
+            exps -= _renorm(got, out=got)[1]
+        want, want_exps = sweep_rows_oracle(P, steps)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert exps.tobytes() == want_exps.tobytes()
-
-
-@pytest.mark.parametrize("view", [False, True])
-def test_sweep_does_not_write_into_its_input(view):
-    rng = np.random.default_rng(33)
-    U = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
-    keep = U.copy()
-    # a caller may pass products it keeps, or a view of them, and no
-    # step may land in them
-    P = U[2:-2] if view else U
-    steps = [rng.standard_normal((len(P), 2, 2)) for _ in range(4)]
-    out, _ = sweep(P, steps)
-    assert U.tobytes() == keep.tobytes()
-    assert not np.shares_memory(out, U)
-    assert sweep(P, [])[0] is P
 
 
 def cocycle_product_oracle(seq, j, n):

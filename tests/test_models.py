@@ -266,6 +266,17 @@ def test_dyncheck_refuses_an_empty_phase_grid(grid):
         dynamical_ds_check(constant_pair(), RationalRotation(1, 3), 3.0, periods=10, **grid)
 
 
+@pytest.mark.parametrize("n_phases", [2.5, 3.0, True])
+def test_dyncheck_refuses_a_phase_count_that_is_not_an_integer(n_phases):
+    # 2.5 phases used to check the phases 0, 0.4 and 0.8, and True one
+    # phase; numpy integers are integers
+    rot = RationalRotation(1, 3)
+    with pytest.raises(ValueError, match="n_phases must be an integer"):
+        dynamical_ds_check(constant_pair(), rot, 3.0, n_phases=n_phases, periods=10)
+    rep = dynamical_ds_check(constant_pair(), rot, 3.0, n_phases=np.int64(3), periods=10)
+    assert np.array_equal(rep.omegas, [0.0, 1 / 3, 2 / 3])
+
+
 @pytest.mark.parametrize(
     "coupling, energy, n_phases",
     [(0.5, 4.0, 12), (1.0, 2.5, 8)],  # all phases certify; some fail

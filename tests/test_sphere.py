@@ -18,7 +18,6 @@ from domsplit.sphere import (
     ProjPoint,
     UndefinedAction,
     act,
-    chordal_affine,
     chordal_dist,
     chordal_rows,
     contained_in_disk,
@@ -28,7 +27,6 @@ from domsplit.sphere import (
     mobius_disk_image,
     schwarz_pick_rho,
     separation_constant,
-    svd2,
     unit_rows,
 )
 
@@ -70,18 +68,6 @@ def test_chordal_dist_basic_properties():
         # unitary invariance
         u, _ = np.linalg.qr(rand_mat(rng))
         assert chordal_dist(act(u, p), act(u, q)) == pytest.approx(d, abs=1e-12)
-
-
-def test_chordal_affine_matches_projective():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        w = complex(rng.standard_normal(), rng.standard_normal())
-        ref = chordal_dist(ProjPoint.from_affine(z), ProjPoint.from_affine(w))
-        assert chordal_affine(z, w) == pytest.approx(ref, abs=1e-13)
-    assert chordal_affine(INF, INF) == 0.0
-    assert chordal_affine(0.0, INF) == pytest.approx(2.0)
-    assert chordal_affine(INF, 1.0) == pytest.approx(math.sqrt(2.0))
 
 
 def test_chordal_rows_and_unit_rows():
@@ -128,18 +114,6 @@ def test_mobius_affine_formula():
     m = np.array([[1.0, 1.0], [3.0, 2.0]], complex)
     assert mobius(m, INF) == pytest.approx(2.0)  # d / b
     assert mobius(m, -1.0) is INF  # pole
-
-
-def test_svd2_matches_numpy():
-    rng = np.random.default_rng(27)
-    for _ in range(60):
-        m = rand_mat(rng)
-        out = svd2(m)
-        U, S, Vh = np.linalg.svd(m)
-        assert out.s1 == pytest.approx(S[0], rel=1e-12)
-        assert out.s2 == pytest.approx(S[1], rel=1e-10, abs=1e-13)
-        assert chordal_dist(out.left, ProjPoint(U[:, 0])) < 1e-9
-        assert chordal_dist(out.right, ProjPoint(Vh[0].conj())) < 1e-9
 
 
 def boundary_samples(m, alpha, n=2048):
@@ -295,11 +269,10 @@ def test_separation_constant_geometry():
     alpha, ap = 1.3, 0.6
     want = separation_constant(alpha, ap)
     th = 2.0 * np.pi * np.arange(400) / 400
-    worst = min(
-        chordal_affine(ap * np.exp(1j * t), alpha * np.exp(1j * s))
-        for t in th[::20]
-        for s in th
-    )
+    # the rows (1, z) and (1, w) span the points of affine coordinates z, w
+    z, w = np.broadcast_arrays(ap * np.exp(1j * th[::20])[:, None], alpha * np.exp(1j * th))
+    worst = float(chordal_rows(np.stack([np.ones_like(z), z], -1),
+                               np.stack([np.ones_like(w), w], -1)).min())
     assert worst == pytest.approx(want, rel=1e-3)
     assert worst >= want - 1e-12
 
