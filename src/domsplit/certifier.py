@@ -88,6 +88,7 @@ from .mat2 import (
     _classes,
     _cmul,
     _column_norms,
+    _count,
     _floors,
     _larger_columns,
     _max_abs,
@@ -373,16 +374,6 @@ def _directions(batch, jobs):
     return out
 
 
-def _count(name, x, least=None):
-    """x as an int, or ValueError naming it unless it is an integer (a
-    Python or numpy integer; a bool is refused) and, with least, >= least."""
-    integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-    if not integer or least is not None and x < least:
-        bound = "" if least is None else f">= {least} and "
-        raise ValueError(f"{name} must be {bound}an integer, got {x!r}")
-    return int(x)
-
-
 def power_directions(seq, burn, extend=False):
     """Direction fields from singular vectors of burn-long products.
 
@@ -413,10 +404,10 @@ def greens_directions(op, E):
     represents the expanding direction; columns supported to the right
     give the contracting one.  Each site prefers the adjacent column
     and falls back to the next one over only when that pair is more
-    than twice longer, or is forced to the adjacent column when a zero
-    coupling cuts the fallback off.  The padding is that of the
-    resolvent column at the window's middle site, grown automatically
-    (greens_column).
+    than twice longer, or is forced to the adjacent column when a
+    coupling of exactly 0.0 cuts the fallback off.  The padding is that
+    of the resolvent column at the window's middle site, grown
+    automatically (greens_column).
     """
     probe = greens_column(op, E, (op.j_lo + op.j_hi) // 2)
     m = probe.margin
@@ -433,9 +424,8 @@ def greens_directions(op, E):
 
     sP, sF = pair(jj + 1), pair(jj)         # columns j-1 and j-2
     uP, uF = pair(jj + 2), pair(jj + 3)     # columns j and j+1
-    zt = op.zero_tol
-    force_s = _abs(op.a_range(op.j_lo - 2, op.j_hi - 2)) <= zt
-    force_u = _abs(op.a_range(op.j_lo, op.j_hi)) <= zt
+    force_s = op.a_range(op.j_lo - 2, op.j_hi - 2) == 0.0
+    force_u = op.a_range(op.j_lo, op.j_hi) == 0.0
 
     def pick(primary, fallback, force):
         np_, nf = _row_norms(primary), _row_norms(fallback)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, _count, certify_many
+from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, certify_many
 from .jacobi import (
     _cover,
     _cover_plan,
@@ -30,7 +30,7 @@ from .jacobi import (
     dist_to_spectrum,
     spectrum,
 )
-from .mat2 import MatSequence, op_norm
+from .mat2 import MatSequence, _count, op_norm
 
 __all__ = [
     "SCAN_COLUMNS",
@@ -155,7 +155,8 @@ def johnson_scan(op, energies, jobs=1, spectrum_sizes=(200, 400, 800)):
     cover resolution, whichever is larger), when the domination margin
     is under certifier.MARGINAL_MARGIN, or when the verdict is itself
     marginal, which certify decides with the same constant; the report
-    records its value.  jobs > 1 distributes energies across processes;
+    records its value.  jobs must be an integer >= 1; jobs > 1
+    distributes energies across processes;
     the operator is sent to them by pickle.  The spectrum cover's
     truncations are planned here, so a bad spectrum_sizes raises before
     any pool starts, and solved in the pool, one task per truncation,
@@ -167,10 +168,11 @@ def johnson_scan(op, energies, jobs=1, spectrum_sizes=(200, 400, 800)):
     started are cancelled.  Each chunk of energies (the whole grid at
     jobs=1) is certified as one certify_many batch.
     """
+    jobs = _count("jobs", jobs, 1)
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
     re_parts = np.unique([e.real for e in Es])
     h_grid = float(np.min(np.diff(re_parts))) if len(re_parts) > 1 else 0.0
-    if jobs <= 1:
+    if jobs == 1:
         sp = spectrum(op, sizes=spectrum_sizes)
         rows = _scan_chunk(op, Es)
     else:

@@ -11,6 +11,10 @@ cocycles, characteristic polynomials, truncation spectra through an
 eigenvalue ladder, resolvent columns with exponential-decay fits, and
 band computation for periodic data.
 
+A coupling is zero iff it is exactly 0.0: every part of the package
+splits the chain by this one rule, and no tolerance or bound is an
+input, so load_operator returns the operator save_operator wrote.
+
 Eigenvalues of Hermitian truncations are computed after a diagonal
 phase gauge that replaces each coupling by its modulus; the gauge is
 unitary, so the spectrum is untouched and the real symmetric
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .mat2 import MatSequence, _abs, _cmul, _max_abs, _mul, _renorm
+from .mat2 import MatSequence, _abs, _cmul, _count, _max_abs, _mul, _renorm
 
 REFINE_TOL = 1e-10  # the width floquet_bands bisects band edges to
 DELTA_MIN = 1e-4  # the least distance to the spectrum cover, and between u and s
@@ -72,20 +76,16 @@ class IllConditioned(ValueError):
 class JacobiOperator:
     """Window of couplings and diagonal entries plus an extension policy.
 
-    zero_tol controls which couplings count as exact zeros when the
-    chain is split into decoupled blocks: 0.0 (the default for
-    model-built data) means literal zeros, while loaded data uses a
-    small multiple of the bound.  With the periodic extension, a given
-    period must divide the window length and the window data must repeat
-    with it.
+    A coupling is zero iff it is exactly 0.0; the chain splits into
+    decoupled blocks there, and nowhere else.  With the periodic
+    extension, a given period must divide the window length and the
+    window data must repeat with it.
     """
 
     j_lo: int
     a: np.ndarray
     b: np.ndarray
     extension: str = "zero"
-    bound: float | None = None
-    zero_tol: float = 0.0
     period: int | None = None
 
     def __post_init__(self):
@@ -105,12 +105,6 @@ class JacobiOperator:
             if np.any(a.reshape(-1, q) != a[:q]) or np.any(b.reshape(-1, q) != b[:q]):
                 raise ValueError(f"window data is not {q}-periodic")
         self.a, self.b = a, b
-        top = float(max(np.max(np.abs(a)), np.max(np.abs(b))))
-        if self.bound is None:
-            # strict upper bound for sup of the data
-            self.bound = max(top * (1.0 + 1e-9), 1e-12)
-        elif self.bound <= top:
-            raise ValueError(f"bound {self.bound} does not dominate the data")
 
     @property
     def j_hi(self):
@@ -154,15 +148,11 @@ class JacobiOperator:
     def b_at(self, j):
         return float(self.b_range(j, j)[0])
 
-    def is_zero_coupling(self, j):
-        return abs(self.a_at(j)) <= self.zero_tol
-
     def zero_sites(self, lo=None, hi=None):
-        """Window sites whose coupling counts as an exact zero."""
+        """Sites in [lo, hi] (the window by default) whose coupling is 0.0."""
         lo = self.j_lo if lo is None else lo
         hi = self.j_hi if hi is None else hi
-        av = np.abs(self.a_range(lo, hi))
-        return (np.nonzero(av <= self.zero_tol)[0] + lo).tolist()
+        return (np.nonzero(self.a_range(lo, hi) == 0.0)[0] + lo).tolist()
 
 
 def apply(op, psi, j):
@@ -256,7 +246,6 @@ class Truncation:
     j_first: int
     diag: np.ndarray
     offdiag: np.ndarray
-    zero_tol: float = 0.0
 
     def __len__(self):
         return len(self.diag)
@@ -271,13 +260,8 @@ class Truncation:
 
     def segments(self):
         """Maximal runs of sites not separated by a zero coupling."""
-        cuts = np.nonzero(np.abs(self.offdiag) <= self.zero_tol)[0]
-        out, start = [], 0
-        for c in cuts:
-            out.append((start, c + 1))
-            start = c + 1
-        out.append((start, len(self.diag)))
-        return out
+        ends = (np.flatnonzero(self.offdiag == 0.0) + 1).tolist() + [len(self.diag)]
+        return list(zip([0] + ends[:-1], ends))
 
     def eigenvalues(self):
         """All eigenvalues, via the modulus gauge and Sturm bisection.
@@ -310,7 +294,6 @@ def truncation(op, j1, j2):
         j_first=j1 + 1,
         diag=op.b_range(j1 + 1, j2).astype(float),
         offdiag=op.a_range(j1 + 1, j2 - 1),
-        zero_tol=op.zero_tol,
     )
 
 
@@ -387,7 +370,7 @@ def _cover_plan(op, sizes):
     size raises ValueError.
     """
     n = len(op)
-    use = sorted({min(int(s), n) for s in sizes if int(s) >= 1})
+    use = sorted({min(_count("truncation size", s, 1), n) for s in sizes})
     q = op.period if (op.extension == "periodic" and op.period) else None
     if q and q < n:
         snapped = {min(n, max(q, (s // q) * q)) for s in use}
@@ -437,10 +420,11 @@ def _cover(plan, eigs):
 def spectrum(op, sizes=(200, 400, 800)):
     """Eigenvalue ladder over centered truncations of the given sizes.
 
-    Sizes are clipped to the window and, for periodic operators with a
-    known period, rounded to whole periods so truncations of different
-    sizes sample the same band structure; those truncations are closed
-    into rings.  When the window contains exact zero couplings the other
+    Each size must be an integer >= 1 (a bool is refused).  Sizes are
+    clipped to the window and, for periodic operators with a known
+    period, rounded to whole periods so truncations of different sizes
+    sample the same band structure; those truncations are closed into
+    rings.  When the window contains exact zero couplings the other
     truncation endpoints snap inward to them, so the cuts happen across
     already dead bonds and the blocks stay whole.  The plan of
     truncations (_cover_plan), one eigenvalue call per truncation
@@ -531,12 +515,10 @@ def greens_column(op, E, j, margin=None, spectrum_approx=None):
     is below 1e-8, or when an exactly zero coupling lies between j and
     each end of the padded solve, which leaves the boundary no influence
     at all; with margin=None the padding grows automatically until one
-    of these holds.
+    of these holds.  A given margin must be an integer >= 1.
     """
     adaptive = margin is None
-    m = 64 if adaptive else int(margin)
-    if m < 1:
-        raise ValueError("margin must be >= 1")
+    m = 64 if adaptive else _count("margin", margin, 1)
     if not op.j_lo <= j <= op.j_hi:
         raise ValueError(f"column {j} outside window {op.window}")
     sp = spectrum_approx if spectrum_approx is not None else spectrum(op)
@@ -648,7 +630,7 @@ def floquet_bands(op):
     if not q or q < 1:
         raise ValueError("period required")
     alpha = np.abs(op.a_range(op.j_lo, op.j_lo + q - 1))
-    if np.any(alpha <= max(op.zero_tol, 0.0)):
+    if np.any(alpha == 0.0):
         raise ValueError("zero coupling inside the period; no transfer bands")
     beta = op.b_range(op.j_lo, op.j_lo + q - 1)
     alpha_prev = np.roll(alpha, 1)  # coupling entering site k, periodic wrap
@@ -711,10 +693,10 @@ def operator_to_json(op):
 
 
 def operator_from_json(d):
-    """Inverse of operator_to_json.
+    """Inverse of operator_to_json: the operator it wrote, value for value.
 
-    Data coming through this path counts as loaded, so zero detection
-    uses the tolerance 1e-13 times the bound instead of exact zeros.
+    Floats travel exactly, so a loaded operator has the saved one's
+    zero couplings and gives the same spectrum and certificates.
     """
     j_lo, j_hi = int(d["window"][0]), int(d["window"][1])
     a = np.array([complex(re, im) for re, im in d["a"]])
@@ -722,10 +704,8 @@ def operator_from_json(d):
     if len(a) != j_hi - j_lo + 1:
         raise ValueError("window length does not match coefficient arrays")
     period = d.get("period")
-    op = JacobiOperator(j_lo=j_lo, a=a, b=b, extension=d["extension"],
-                        period=None if period is None else int(period))
-    op.zero_tol = 1e-13 * op.bound
-    return op
+    return JacobiOperator(j_lo=j_lo, a=a, b=b, extension=d["extension"],
+                          period=None if period is None else int(period))
 
 
 def save_operator(op, path):

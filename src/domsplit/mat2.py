@@ -44,7 +44,7 @@ parts give the float64 values: real windows match their complex runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,16 @@ __all__ = [
     "cocycle_product",
     "norm_floor",
 ]
+
+
+def _count(name, x, least=None):
+    """x as an int, or ValueError naming it unless it is an integer (a
+    Python or numpy integer; a bool is refused) and, with least, >= least."""
+    integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    if not integer or least is not None and x < least:
+        bound = "" if least is None else f">= {least} and "
+        raise ValueError(f"{name} must be {bound}an integer, got {x!r}")
+    return int(x)
 
 
 def _abs2(z):
@@ -240,14 +250,13 @@ def is_singular(m):
 class MatSequence:
     """A finite window of 2x2 complex matrices standing in for a line of them.
 
-    values[i] is the matrix at integer index j_lo + i.  sup_bound is a
-    verified upper bound for the operator norms over the window; it is
-    computed from the data when not supplied.
+    values[i] is the matrix at integer index j_lo + i.  sup_bound, the
+    largest operator norm over the window, is read off the data.
     """
 
     j_lo: int
     values: np.ndarray
-    sup_bound: float | None = None
+    sup_bound: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -263,14 +272,7 @@ class MatSequence:
             top = float(np.max(np.ldexp(op_norm(scaled), -s)))
         if not math.isfinite(top):
             raise ValueError(f"the largest factor norm {top} is not finite in float64")
-        if self.sup_bound is None:
-            self.sup_bound = top
-        elif not math.isfinite(self.sup_bound):
-            raise ValueError(f"sup_bound must be finite, got {self.sup_bound}")
-        elif self.sup_bound < top:
-            raise ValueError(
-                f"sup_bound {self.sup_bound} is below the largest norm {top}"
-            )
+        self.sup_bound = top
 
     @property
     def j_hi(self):
@@ -293,10 +295,10 @@ class MatSequence:
         return self.values[self.index_of(j)]
 
     @staticmethod
-    def from_fn(fn, j_lo, j_hi, sup_bound=None):
+    def from_fn(fn, j_lo, j_hi):
         """Build a sequence by sampling fn(j) for j_lo <= j <= j_hi."""
         vals = np.array([np.asarray(fn(j), dtype=complex) for j in range(j_lo, j_hi + 1)])
-        return MatSequence(j_lo, vals, sup_bound)
+        return MatSequence(j_lo, vals)
 
 
 def _check_span(window, j, n):

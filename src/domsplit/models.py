@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certifier import _count, certify_many
+from .certifier import certify_many
 from .jacobi import JacobiOperator, cocycle_map, dist_to_spectrum, spectrum
+from .mat2 import _count
 from .sphere import chordal_rows
 
 __all__ = [
@@ -130,11 +131,6 @@ def realize(pair, rotation, window):
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
         raise ValueError("empty window")
-    n = hi - lo + 1
-    if n % rotation.q != 0:
-        raise ValueError(
-            f"window length {n} is not a multiple of the period {rotation.q}"
-        )
     t = rotation.thetas(lo, hi)
     a = np.asarray(pair.a_fn(t), dtype=complex)
     b = np.asarray(pair.b_fn(t), dtype=float)
@@ -157,9 +153,6 @@ def periodic_operator(a_cycle, b_cycle, window):
     if len(b_cycle) != q or q < 1:
         raise ValueError("cycles must share a positive length")
     lo, hi = int(window[0]), int(window[1])
-    n = hi - lo + 1
-    if n % q != 0:
-        raise ValueError(f"window length {n} is not a multiple of {q}")
     idx = np.arange(lo, hi + 1) % q
     return JacobiOperator(
         j_lo=lo,

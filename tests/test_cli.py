@@ -1,10 +1,15 @@
 """Command line entry points, exit codes, and output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import domsplit
 from domsplit import JacobiOperator, periodic_operator
 from domsplit.cli import main
 from domsplit.harness import johnson_scan
@@ -303,6 +308,29 @@ def test_malformed_config(tmp_path, capsys):
     bad.write_text("{not json")
     code = main(["spectrum", "--config", str(bad)])
     assert code == 3
+
+
+def test_scan_refuses_jobs_0(free_config, capsys):
+    # jobs 0 used to run the scan serially
+    code = main(["scan", "--config", free_config, "--grid", "2.5,4,3", "--jobs", "0"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "jobs must be >= 1" in err
+
+
+def test_module_entry_point_exits_3_on_a_malformed_config(tmp_path):
+    # python -m domsplit runs the same main() as the console script, and
+    # its exit code reaches the shell
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    src = str(Path(domsplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "domsplit", "certify", "--config", str(bad), "--energy", "3.0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "input error" in proc.stderr
 
 
 def test_inconsistent_config(tmp_path, capsys):

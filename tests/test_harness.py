@@ -26,6 +26,7 @@ from domsplit.harness import (
 )
 from domsplit import certifier, harness, jacobi
 from domsplit.certifier import InternalInconsistency
+from domsplit.jacobi import load_operator, save_operator
 from domsplit.mat2 import op_norm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_free_chain.csv"
@@ -411,6 +412,39 @@ def test_scan_truncation_error_propagates(free_op, monkeypatch):
 def test_scan_spectrum_error_propagates(free_op, jobs):
     with pytest.raises(ValueError, match="truncation sizes"):
         johnson_scan(free_op, [3.0], jobs=jobs, spectrum_sizes=())
+
+
+@pytest.mark.parametrize("jobs", [2.5, True, 0, -1])
+def test_scan_refuses_jobs_that_are_not_counts(free_op, monkeypatch, jobs):
+    # 2.5 used to fail in the pool with a bare TypeError, and True ran
+    # serially; now each is refused before the cover is planned
+    def no_cover(*_args, **_kwargs):
+        raise AssertionError("spectrum cover planned for a refused scan")
+
+    monkeypatch.setattr(harness, "spectrum", no_cover)
+    monkeypatch.setattr(harness, "_cover_plan", no_cover)
+    with pytest.raises(ValueError, match="jobs must be >= 1 and an integer"):
+        johnson_scan(free_op, [3.0], jobs=jobs, spectrum_sizes=SCAN_SIZES)
+
+
+def test_scan_takes_a_numpy_integer_jobs(free_op):
+    rep = johnson_scan(free_op, [3.0, 0.5], jobs=np.int64(1), spectrum_sizes=SCAN_SIZES)
+    want = johnson_scan(free_op, [3.0, 0.5], jobs=1, spectrum_sizes=SCAN_SIZES)
+    assert json.dumps(rep.to_json()) == json.dumps(want.to_json())
+
+
+def test_loaded_operator_scans_as_the_saved_one(tmp_path):
+    # a coupling of 1e-14 is no zero: not before the save and not after
+    # the load, so both scans read the same spectrum cover, byte for byte
+    a = np.ones(600, complex)
+    a[350] = 1e-14
+    op = JacobiOperator(j_lo=-300, a=a, b=np.zeros(600))
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    back = load_operator(path)
+    assert back.zero_sites() == op.zero_sites() == []
+    Es = np.linspace(-4, 4, 41)
+    assert json.dumps(johnson_scan(back, Es).to_json()) == json.dumps(johnson_scan(op, Es).to_json())
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

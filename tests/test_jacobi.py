@@ -5,9 +5,12 @@ or from dense-matrix oracles computed inline.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_operator
 
@@ -77,18 +80,12 @@ def test_mismatched_lengths_rejected():
         JacobiOperator(j_lo=0, a=np.ones(3), b=np.zeros(4))
 
 
-def test_bound_validation():
-    op = JacobiOperator(j_lo=0, a=np.ones(4), b=np.zeros(4))
-    assert op.bound > 1.0  # auto bound clears the data
-    with pytest.raises(ValueError):
-        JacobiOperator(j_lo=0, a=2.0 * np.ones(4), b=np.zeros(4), bound=1.0)
-
-
 def test_zero_sites():
-    op = JacobiOperator(j_lo=0, a=np.array([1.0, 0.0, 2.0, 0.0]), b=np.zeros(4))
-    assert op.is_zero_coupling(1)
-    assert not op.is_zero_coupling(0)
-    assert list(op.zero_sites(0, 3)) == [1, 3]
+    # a coupling is zero iff it is exactly 0.0: 1e-300 and -0.0 are told apart
+    op = JacobiOperator(j_lo=0, a=np.array([1.0, 0.0, 1e-300, -0.0]), b=np.zeros(4))
+    assert op.a_at(1) == 0.0 and op.a_at(2) != 0.0
+    assert op.zero_sites() == [1, 3]
+    assert op.zero_sites(-2, 5) == [-2, -1, 1, 3, 4, 5]  # the zero extension
 
 
 def test_apply_matches_dense():
@@ -182,8 +179,8 @@ def test_truncation_segments_split_at_zeros():
     a[3] = 0.0
     op = JacobiOperator(j_lo=0, a=a, b=np.linspace(0, 1, 9))
     tr = truncation(op, -1, 8)
-    segs = tr.segments()
-    assert len(segs) == 2
+    assert tr.segments() == [(0, 4), (4, 9)]
+    assert truncation(op, 3, 8).segments() == [(0, 5)]
     got = tr.eigenvalues()
     ref = np.sort(np.linalg.eigvalsh(tr.dense()))
     assert np.max(np.abs(np.sort(got) - ref)) < 1e-10
@@ -457,7 +454,7 @@ def test_operator_json_roundtrip(tmp_path):
     assert np.array_equal(back.a, op.a)
     assert np.array_equal(back.b, op.b)
     assert back.extension == op.extension
-    assert abs(back.bound - op.bound) < 1e-15
+    assert back.period == op.period
     # the file content is stable JSON
     doc = json.loads(path.read_text())
     assert doc["window"] == [-4, 7]
@@ -471,3 +468,78 @@ def test_periodic_roundtrip_keeps_period(tmp_path, period2_op):
     back = load_operator(path)
     assert back.period == 2
     assert floquet_bands(back) == floquet_bands(period2_op)
+
+
+# couplings drawn so that exact zeros (of both signs), values below the
+# 1e-13 scale of a former load tolerance and ordinary values all occur
+_TINY = [0.0, -0.0, 5e-324, 1e-300, 1e-14, -3e-14, 9e-14]
+_coupling_part = st.one_of(st.sampled_from(_TINY), st.floats(-2.0, 2.0, allow_nan=False))
+_couplings = st.builds(complex, _coupling_part, st.sampled_from([0.0, -0.0, 1e-14, 0.5]))
+_diagonals = st.one_of(st.sampled_from([0.0, -0.0, 1e-14]), st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def _operators(draw):
+    j_lo = draw(st.integers(-30, 30))
+    extension = draw(st.sampled_from(["zero", "constant", "periodic", "periodic with period"]))
+    if extension == "periodic with period":
+        q, r = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+        a = np.tile(draw(st.lists(_couplings, min_size=q, max_size=q)), r)
+        b = np.tile(draw(st.lists(_diagonals, min_size=q, max_size=q)), r)
+        return JacobiOperator(j_lo=j_lo, a=a, b=b, extension="periodic", period=q)
+    n = draw(st.integers(1, 40))
+    a = draw(st.lists(_couplings, min_size=n, max_size=n))
+    b = draw(st.lists(_diagonals, min_size=n, max_size=n))
+    return JacobiOperator(j_lo=j_lo, a=np.array(a), b=np.array(b), extension=extension)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operators())
+def test_json_roundtrip_returns_the_saved_operator(op):
+    # a coupling is zero iff it is exactly 0.0, and no tolerance is added
+    # on loading, so the loaded operator is the saved one field for field,
+    # bit for bit, and splits and solves the same way
+    back = operator_from_json(json.loads(json.dumps(operator_to_json(op))))
+    assert [f.name for f in fields(back)] == [f.name for f in fields(op)]
+    for f in fields(op):
+        x, y = getattr(op, f.name), getattr(back, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+    assert back.zero_sites() == op.zero_sites()
+    sp, sp_back = spectrum(op), spectrum(back)
+    assert sp_back.segments == sp.segments
+    assert sp_back.resolution == sp.resolution
+
+
+@pytest.mark.parametrize("margin", [2.5, True, 64.9, np.float64(64.0), 0])
+def test_greens_column_refuses_a_margin_that_is_not_a_count(free_op, monkeypatch, margin):
+    # 2.5 used to run at margin 2, True at margin 1 and 64.9 at margin 64
+    def no_cover(*_args, **_kwargs):
+        raise AssertionError("spectrum cover built for a refused call")
+
+    monkeypatch.setattr(jacobi, "spectrum", no_cover)
+    with pytest.raises(ValueError, match="margin must be >= 1 and an integer"):
+        greens_column(free_op, 3.0, 0, margin=margin)
+
+
+def test_greens_column_takes_a_numpy_integer_margin(free_op):
+    g = greens_column(free_op, 3.0, 0, margin=np.int64(64))
+    assert g.margin == 64
+    assert g.values.tobytes() == greens_column(free_op, 3.0, 0, margin=64).values.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(2.7, 150.9), (0.5, 100), (True, 100), (0, 100), (-5,)])
+def test_spectrum_refuses_sizes_that_are_not_counts(free_op, sizes):
+    # (2.7, 150.9) used to give the sizes [2, 150], and 0.5 was dropped
+    with pytest.raises(ValueError, match="truncation size must be >= 1 and an integer"):
+        spectrum(free_op, sizes=sizes)
+
+
+def test_spectrum_takes_numpy_integer_sizes(free_op):
+    sp = spectrum(free_op, sizes=np.array([100, 150]))
+    assert sp.sizes == [100, 150]
+    assert sp.merged.tobytes() == spectrum(free_op, sizes=(100, 150)).merged.tobytes()
+    with pytest.raises(ValueError, match="no usable truncation sizes"):
+        spectrum(free_op, sizes=())
