@@ -16,20 +16,15 @@ stability radius from inside.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import certifier
 from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, certify_many
-from .jacobi import (
-    _cover,
-    _cover_plan,
-    _truncation_eigenvalues,
-    cocycle_map,
-    dist_to_spectrum,
-    spectrum,
-)
+from .jacobi import _cover, _cover_plan, _truncation_eigenvalues, cocycle_map, dist_to_spectrum
 from .mat2 import MatSequence, _count, op_norm
 
 __all__ = [
@@ -155,48 +150,59 @@ def johnson_scan(op, energies, jobs=1, spectrum_sizes=(200, 400, 800)):
     cover resolution, whichever is larger), when the domination margin
     is under certifier.MARGINAL_MARGIN, or when the verdict is itself
     marginal, which certify decides with the same constant; the report
-    records its value.  jobs must be an integer >= 1; jobs > 1
-    distributes energies across processes;
-    the operator is sent to them by pickle.  The spectrum cover's
-    truncations are planned here, so a bad spectrum_sizes raises before
-    any pool starts, and solved in the pool, one task per truncation,
-    largest first and ahead of the certify chunks, so the largest one
-    bounds the cover's wall time (scipy's eigenvalue call holds the GIL,
-    and in this process it would stall the pool's feeder thread).  The
-    cover is assembled as spectrum() assembles it, bit for bit.  The
-    first task to raise ends the scan with its error; the tasks not yet
-    started are cancelled.  Each chunk of energies (the whole grid at
-    jobs=1) is certified as one certify_many batch.
+    records its value.
+
+    jobs, an integer >= 1, counts the scan's concurrent streams: this
+    thread and jobs - 1 helper threads.  The spectrum cover's
+    truncations are planned first, so a bad spectrum_sizes raises
+    before any work starts.  The helpers solve them largest first while
+    this thread certifies the grid as one certify_many batch; then this
+    thread solves each truncation no helper has started, and assembles
+    the cover as spectrum() does, bit for bit.  The eigenvalue call
+    releases the GIL, so the helpers run beside the certify; jobs=1 has
+    no helper and is strictly serial.  Only a grid of at least two full
+    certifier.BATCH_ROWS batches, its rows counted as certify_many
+    counts them, pays for worker processes: it is certified in
+    min(jobs, rows // BATCH_ROWS) of them, three chunks each, which are
+    forked before any helper thread starts and receive the operator by
+    pickle.  An error ends the scan with that error when this thread
+    meets it: its own certify's at once, a helper's or a worker's when
+    it collects that task.  The tasks not yet started are then
+    cancelled, and no helper thread outlives the call.
     """
     jobs = _count("jobs", jobs, 1)
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
     re_parts = np.unique([e.real for e in Es])
     h_grid = float(np.min(np.diff(re_parts))) if len(re_parts) > 1 else 0.0
-    if jobs == 1:
-        sp = spectrum(op, sizes=spectrum_sizes)
-        rows = _scan_chunk(op, Es)
-    else:
-        plan = _cover_plan(op, spectrum_sizes)
-        n_chunks = max(1, min(len(Es), jobs * 3))
-        bounds = np.linspace(0, len(Es), n_chunks + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            eigs = {
-                entry: ex.submit(_truncation_eigenvalues, op, *entry[1:])
-                for entry in reversed(plan)
-            }
-            futures = [
-                ex.submit(_scan_chunk, op, Es[a:b])
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            try:
-                for f in as_completed([*eigs.values(), *futures]):
-                    f.result()
-            except BaseException:
-                ex.shutdown(cancel_futures=True)
-                raise
-            sp = _cover(plan, [eigs[entry].result() for entry in plan])
-            rows = [row for f in futures for row in f.result()]
+    plan = _cover_plan(op, spectrum_sizes)
+    # product rows, as certifier._batches counts them: a window is complex
+    # when its energy or a coupling is
+    complex_a = bool(np.any(op.a.imag != 0.0))
+    n_rows = sum(2 * len(op) * (3 if complex_a or E.imag != 0.0 else 1) for E in Es)
+    procs = min(jobs, n_rows // certifier.BATCH_ROWS)
+    with ExitStack() as stack:
+        if procs >= 2:
+            pool = ProcessPoolExecutor(max_workers=procs)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            bounds = np.linspace(0, len(Es), min(len(Es), 3 * procs) + 1, dtype=int)
+            chunks = [pool.submit(_scan_chunk, op, Es[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        tasks = [None] * len(plan)
+        if jobs > 1:
+            helpers = ThreadPoolExecutor(max_workers=jobs - 1)
+            stack.callback(helpers.shutdown, cancel_futures=True)
+            for i in reversed(range(len(plan))):
+                tasks[i] = helpers.submit(_truncation_eigenvalues, op, *plan[i][1:])
+        if procs < 2:
+            rows = _scan_chunk(op, Es)
+        # a task cancels only while no helper has started it
+        sp = _cover(plan, [
+            _truncation_eigenvalues(op, *entry[1:]) if task is None or task.cancel() else task.result()
+            for entry, task in zip(plan, tasks)
+        ])
+        if procs >= 2:
+            for f in as_completed(chunks):
+                f.result()
+            rows = [row for f in chunks for row in f.result()]
     for row, d in zip(rows, dist_to_spectrum(sp, Es).tolist()):
         row["delta_spec"] = d
     report = ScanReport(rows=rows, resolution=sp.resolution, marginal_margin=MARGINAL_MARGIN)

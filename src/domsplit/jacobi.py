@@ -18,21 +18,25 @@ input, so load_operator returns the operator save_operator wrote.
 Eigenvalues of Hermitian truncations are computed after a diagonal
 phase gauge that replaces each coupling by its modulus; the gauge is
 unitary, so the spectrum is untouched and the real symmetric
-tridiagonal solver (Sturm bisection) applies.  Whole-period truncations
-of periodic operators are closed into rings instead; a ring of r
-periods of length q commutes with the shift by one period, so its
-spectrum is that of r Hermitian q x q Bloch blocks, whose wrap coupling
-carries the phase e^{2 pi i k / r}, solved in one batched call.
+tridiagonal solver (Sturm bisection, LAPACK dstebz) applies.  It is
+called through ctypes, which releases the GIL, so truncations solved on
+threads run side by side.  Whole-period truncations of periodic
+operators are closed into rings instead; a ring of r periods of length
+q commutes with the shift by one period, so its spectrum is that of r
+Hermitian q x q Bloch blocks, whose wrap coupling carries the phase
+e^{2 pi i k / r}, solved in one batched call.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg import cython_lapack, solve_banded
 
 from .mat2 import MatSequence, _abs, _cmul, _count, _max_abs, _mul, _renorm
 
@@ -267,7 +271,7 @@ class Truncation:
         """All eigenvalues, via the modulus gauge and Sturm bisection.
 
         The chain is split at exact-zero couplings first so each block
-        is solved on its own.
+        is solved on its own (_stebz).
         """
         eigs = []
         e_mag = np.abs(self.offdiag)
@@ -275,15 +279,60 @@ class Truncation:
             if t - s == 1:
                 eigs.append(np.array([self.diag[s]]))
             else:
-                eigs.append(
-                    eigh_tridiagonal(
-                        self.diag[s:t],
-                        e_mag[s:t - 1],
-                        eigvals_only=True,
-                        lapack_driver="stebz",
-                    )
-                )
+                eigs.append(_stebz(self.diag[s:t], e_mag[s:t - 1]))
         return np.sort(np.concatenate(eigs))
+
+
+def _dstebz():
+    # the routine scipy.linalg.cython_lapack exports, as a ctypes function;
+    # a foreign call through ctypes releases the GIL while it runs
+    capsule = cython_lapack.__pyx_capi__["dstebz"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    iv = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
+    dv = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
+    proto = ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, i, d, d, i, i, d, dv, dv, i, i, dv, iv, iv, dv, iv, i
+    )
+    return proto(pointer(capsule, name(capsule)))
+
+
+_DSTEBZ = _dstebz()
+
+
+def _stebz(d, e):
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by LAPACK dstebz: every
+    eigenvalue (RANGE "A"), in order (ORDER "E"), to the routine's own
+    tolerance (ABSTOL 0).  scipy's eigh_tridiagonal(d, e,
+    eigvals_only=True, lapack_driver="stebz") calls the same routine of
+    the same library with the same arguments, so the result is its bit
+    for bit; but that call holds the GIL and this one releases it.  A
+    nonzero INFO raises LinAlgError, as there.
+    """
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    e = np.ascontiguousarray(e, dtype=np.float64)
+    n = len(d)
+    if d.ndim != 1 or e.shape != (n - 1,):
+        raise ValueError("need a 1d diagonal and an off-diagonal one element shorter")
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    bound, index = ctypes.c_double(0.0), ctypes.c_int(1)  # VL, VU, IL, IU: unread for "A"
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(k * n, dtype=np.intc) for k in (1, 1, 3))
+    ref = ctypes.byref
+    _DSTEBZ(
+        b"A", b"E", ref(ctypes.c_int(n)), ref(bound), ref(bound), ref(index), ref(index),
+        ref(ctypes.c_double(0.0)), d, e, ref(m), ref(nsplit), w, iblock, isplit, work, iwork,
+        ref(info),
+    )
+    if info.value:
+        raise LinAlgError(f"dstebz did not converge (LAPACK info={info.value})")
+    return w[: m.value]
 
 
 def truncation(op, j1, j2):

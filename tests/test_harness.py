@@ -2,6 +2,9 @@
 
 import json
 import math
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -391,16 +394,14 @@ def test_pooled_scan_cover_is_the_spectrum(free_op, period2_op, which, monkeypat
 
 
 def _eigenvalues_failing_at_150(op, j1, j2, ring):
-    # module level, so the pool can pickle it by name
     if j2 - j1 == 150:
         raise RuntimeError("truncation of 150 sites failed")
     return jacobi._truncation_eigenvalues(op, j1, j2, ring)
 
 
 def test_scan_truncation_error_propagates(free_op, monkeypatch):
-    # one truncation of the pooled cover raises: the scan raises that
-    # error and no other.  The pool's workers are forked from this
-    # process and unpickle the patched helper by name.
+    # one truncation of a jobs=2 scan's cover raises: the scan raises
+    # that error and no other
     monkeypatch.setattr(harness, "_truncation_eigenvalues", _eigenvalues_failing_at_150)
     with pytest.raises(RuntimeError) as info:
         johnson_scan(free_op, [3.0, 2.5, -3.0, 3.5], jobs=2, spectrum_sizes=SCAN_SIZES)
@@ -421,7 +422,6 @@ def test_scan_refuses_jobs_that_are_not_counts(free_op, monkeypatch, jobs):
     def no_cover(*_args, **_kwargs):
         raise AssertionError("spectrum cover planned for a refused scan")
 
-    monkeypatch.setattr(harness, "spectrum", no_cover)
     monkeypatch.setattr(harness, "_cover_plan", no_cover)
     with pytest.raises(ValueError, match="jobs must be >= 1 and an integer"):
         johnson_scan(free_op, [3.0], jobs=jobs, spectrum_sizes=SCAN_SIZES)
@@ -452,8 +452,8 @@ def test_scan_chunk_error_propagates(free_op, jobs, monkeypatch):
     # a NaN invariance residual at E = 7 (the free chain's factors hold E
     # at (0, 0)) makes certify raise InternalInconsistency there; that
     # error is not a DegenerateCocycle row, and the scan raises it whether
-    # or not its chunk runs first.  The pool's workers are forked from
-    # this process, patched stage included.
+    # or not its chunk runs first.  Both grids certify in this process;
+    # test_pooled_scan_chunk_error_propagates runs the same one in a pool.
     orig = certifier.verify_invariance
 
     def nan_at_seven(seq, fld, threshold):
@@ -464,3 +464,143 @@ def test_scan_chunk_error_propagates(free_op, jobs, monkeypatch):
     Es = [3.0, 2.5, 7.0, -3.0, 3.5]
     with pytest.raises(InternalInconsistency, match="invariance residual is nan"):
         johnson_scan(free_op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)
+
+
+class _PoolSpy(ProcessPoolExecutor):
+    # a process pool that records the worker count of each one started
+    started = []
+
+    def __init__(self, max_workers):
+        _PoolSpy.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def _no_pool(*_args, **_kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_scan_of_one_batch_starts_no_process(jobs, monkeypatch):
+    # 41 energies of a 600-site window are 49,200 product rows, under two
+    # full batches: certify runs in this process, beside the cover's
+    # helper threads, and gives the serial rows
+    op = JacobiOperator(j_lo=-300, a=np.ones(600, complex), b=np.zeros(600))
+    Es = np.linspace(-4, 4, 41)
+    want = json.dumps(johnson_scan(op, Es, spectrum_sizes=SCAN_SIZES).to_json())
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    got = johnson_scan(op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)
+    assert json.dumps(got.to_json()) == want
+
+
+@pytest.mark.parametrize(
+    "batch_rows, jobs, workers",
+    # 13 real energies of 200 sites are 5,200 rows; a complex energy
+    # counts three times
+    [(2_600, 2, 2), (2_600, 4, 2), (1_300, 4, 4), (1_000, 3, 3), (2_601, 4, None)],
+)
+def test_scan_of_two_batches_certifies_in_the_pool(free_op, monkeypatch, batch_rows, jobs, workers):
+    Es = np.linspace(-3, 3, 13)
+    want = json.dumps(johnson_scan(free_op, Es, spectrum_sizes=SCAN_SIZES).to_json())
+    monkeypatch.setattr(certifier, "BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
+    _PoolSpy.started = []
+    got = johnson_scan(free_op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)
+    assert json.dumps(got.to_json()) == want
+    assert _PoolSpy.started == ([] if workers is None else [workers])
+
+
+def test_scan_counts_a_complex_energy_as_three_windows(free_op, monkeypatch):
+    # 3 real energies and 1 complex one are 6 x 400 = 2,400 rows
+    Es = [3.0, -3.0, 2.5, 2.5 + 0.5j]
+    want = json.dumps(johnson_scan(free_op, Es, spectrum_sizes=SCAN_SIZES).to_json())
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
+    for batch_rows, started in ((1_200, [2]), (1_201, [])):
+        monkeypatch.setattr(certifier, "BATCH_ROWS", batch_rows)
+        _PoolSpy.started = []
+        got = johnson_scan(free_op, Es, jobs=2, spectrum_sizes=SCAN_SIZES)
+        assert json.dumps(got.to_json()) == want
+        assert _PoolSpy.started == started
+
+
+@pytest.mark.golden
+def test_golden_scan_fixture_pooled(free_op, tmp_path, monkeypatch):
+    # the free-chain golden through a pool of two worker processes
+    monkeypatch.setattr(certifier, "BATCH_ROWS", 8_000)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
+    _PoolSpy.started = []
+    rep = johnson_scan(free_op, np.linspace(-4, 4, 41), jobs=2, spectrum_sizes=SCAN_SIZES)
+    assert _PoolSpy.started == [2]
+    out = tmp_path / "fresh.csv"
+    rep.to_csv(out)
+    assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_pooled_scan_chunk_error_propagates(free_op, monkeypatch):
+    # test_scan_chunk_error_propagates, with the grid certified in the pool
+    orig = certifier.verify_invariance
+
+    def nan_at_seven(seq, fld, threshold):
+        ok, res = orig(seq, fld, threshold)
+        return (False, math.nan) if seq.values[0, 0, 0].real == 7.0 else (ok, res)
+
+    monkeypatch.setattr(certifier, "verify_invariance", nan_at_seven)
+    monkeypatch.setattr(certifier, "BATCH_ROWS", 1_000)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
+    _PoolSpy.started = []
+    threads = threading.active_count()
+    with pytest.raises(InternalInconsistency, match="invariance residual is nan"):
+        johnson_scan(free_op, [3.0, 2.5, 7.0, -3.0, 3.5], jobs=2, spectrum_sizes=SCAN_SIZES)
+    assert _PoolSpy.started == [2]
+    assert threading.active_count() == threads
+
+
+def test_scan_certify_error_cancels_the_pending_cover(free_op, monkeypatch):
+    # this thread's certify raises while the one helper thread solves the
+    # largest truncation: the scan raises the certify error, the two
+    # smaller truncations, still pending, never run, and the helper has
+    # ended when the scan returns
+    ran, started = [], threading.Event()
+
+    def slow_eigenvalues(op, j1, j2, ring):
+        ran.append(j2 - j1)
+        started.set()
+        time.sleep(0.3)
+        return jacobi._truncation_eigenvalues(op, j1, j2, ring)
+
+    def failing_chunk(op, energies):
+        assert started.wait(10)
+        raise RuntimeError("certify failed")
+
+    monkeypatch.setattr(harness, "_truncation_eigenvalues", slow_eigenvalues)
+    monkeypatch.setattr(harness, "_scan_chunk", failing_chunk)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="certify failed"):
+        johnson_scan(free_op, [3.0, 2.5], jobs=2, spectrum_sizes=SCAN_SIZES)
+    assert ran == [199]
+    assert threading.active_count() == threads
+
+
+def test_scan_cover_thread_error_ends_the_scan(free_op, monkeypatch):
+    # the helper thread's first truncation, the largest, raises while this
+    # thread certifies: the scan raises that error once the certify is
+    # done, and no helper thread outlives it
+    failed = threading.Event()
+    orig_chunk = harness._scan_chunk
+
+    def failing_eigenvalues(op, j1, j2, ring):
+        if j2 - j1 == 199:
+            assert threading.current_thread() is not threading.main_thread()
+            failed.set()
+            raise FloatingPointError("truncation of 199 sites failed")
+        return jacobi._truncation_eigenvalues(op, j1, j2, ring)
+
+    def chunk_after_the_failure(op, energies):
+        assert failed.wait(10)
+        return orig_chunk(op, energies)
+
+    monkeypatch.setattr(harness, "_truncation_eigenvalues", failing_eigenvalues)
+    monkeypatch.setattr(harness, "_scan_chunk", chunk_after_the_failure)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="truncation of 199 sites failed"):
+        johnson_scan(free_op, [3.0, 2.5], jobs=2, spectrum_sizes=SCAN_SIZES)
+    assert threading.active_count() == threads

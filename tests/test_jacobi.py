@@ -5,12 +5,16 @@ or from dense-matrix oracles computed inline.
 """
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import random_operator
 
@@ -18,6 +22,7 @@ from domsplit import jacobi
 
 from domsplit import (
     JacobiOperator,
+    Truncation,
     cocycle_map,
     dist_to_spectrum,
     greens_column,
@@ -184,6 +189,99 @@ def test_truncation_segments_split_at_zeros():
     got = tr.eigenvalues()
     ref = np.sort(np.linalg.eigvalsh(tr.dense()))
     assert np.max(np.abs(np.sort(got) - ref)) < 1e-10
+
+
+# The bisection calls LAPACK dstebz through ctypes, which releases the
+# GIL.  scipy's eigh_tridiagonal(..., lapack_driver="stebz") calls the
+# same routine with the same arguments, and is its oracle byte for byte.
+
+
+def _scipy_stebz(d, e):
+    "scipy's eigenvalues of the tridiagonal, or None where scipy raises LinAlgError"
+    try:
+        return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="stebz")
+    except LinAlgError:
+        return None
+
+
+def _scipy_eigenvalues(tr):
+    "Truncation.eigenvalues as computed through scipy's wrapper"
+    e_mag = np.abs(tr.offdiag)
+    return np.sort(np.concatenate([
+        tr.diag[s:t] if t - s == 1 else _scipy_stebz(tr.diag[s:t], e_mag[s:t - 1])
+        for s, t in tr.segments()
+    ]))
+
+
+@st.composite
+def _tridiagonals(draw):
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "repeated", "constant"]))
+    if shape == "repeated":
+        # copies of one block split by exact zeros: every eigenvalue repeats
+        k = draw(st.integers(1, 9))
+        d = np.resize(rng.uniform(-2.0, 2.0, k), n)
+        e = np.resize(np.r_[rng.uniform(0.1, 2.0, k - 1), 0.0], n - 1)
+    elif shape == "constant":
+        d = np.full(n, rng.uniform(-2.0, 2.0))
+        e = np.full(n - 1, rng.uniform(0.1, 2.0))
+    else:
+        d, e = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 2.0, n - 1)
+    # tiny and huge couplings, on some sites or on all
+    scale = draw(st.sampled_from([1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e200]))
+    e[rng.random(n - 1) < draw(st.sampled_from([0.2, 1.0]))] *= scale
+    # exact-zero splits
+    e[rng.random(n - 1) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = 0.0
+    return d, e
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tridiagonals())
+def test_stebz_is_scipys_stebz_byte_for_byte(de):
+    d, e = de
+    want = _scipy_stebz(d, e)
+    if want is None:
+        with pytest.raises(LinAlgError, match="dstebz did not converge"):
+            jacobi._stebz(d, e)
+    else:
+        assert jacobi._stebz(d, e).tobytes() == want.tobytes()
+
+
+def test_stebz_raises_on_a_nonzero_info():
+    # couplings of 1e200 overflow dstebz's bounds (INFO = 1); scipy's
+    # wrapper raises LinAlgError there, and so do the truncation and the
+    # spectrum cover
+    d, e = np.zeros(3), np.full(2, 1e200)
+    with pytest.raises(LinAlgError):
+        eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="stebz")
+    with pytest.raises(LinAlgError, match=r"dstebz did not converge \(LAPACK info=1\)"):
+        jacobi._stebz(d, e)
+    with pytest.raises(LinAlgError, match="dstebz"):
+        Truncation(j_first=0, diag=d, offdiag=e.astype(complex)).eigenvalues()
+    op = JacobiOperator(j_lo=0, a=np.full(40, 1e200), b=np.zeros(40))
+    with pytest.raises(LinAlgError, match="dstebz"):
+        spectrum(op, sizes=(20, 40))
+
+
+def test_truncations_on_four_threads_are_scipys():
+    # four threads solve four different truncations at once, three times
+    # over: each result is scipy's, byte for byte
+    rng = np.random.default_rng(29)
+    a = (0.5 + rng.random(800)) * np.exp(2j * np.pi * rng.random(800))
+    a[[150, 151, 420]] = 0.0
+    op = JacobiOperator(j_lo=-400, a=a, b=rng.uniform(-1.0, 1.0, 800))
+    trs = [truncation(op, -400 + k, -400 + k + s) for k, s in ((0, 800), (50, 600), (100, 400), (7, 300))]
+    want = [_scipy_eigenvalues(tr).tobytes() for tr in trs]
+    start = threading.Barrier(4)
+
+    def solve(tr):
+        start.wait()
+        return [tr.eigenvalues().tobytes() for _ in range(3)]
+
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        got = list(ex.map(solve, trs))
+    assert got == [[w] * 3 for w in want]
 
 
 # -------------------------------------------------------------- spectra
