@@ -899,9 +899,7 @@ def _plain(x):
 #   perturb round, 6 x 20 trials     389     341     314      311 ms
 #   free chain, 401 serial           469     404     381      373 ms
 #     its peak RSS                    94      98     107      122 MiB
-# With no bound that grid reached 228 MiB.  It is also the least work a
-# worker process is started for: johnson_scan forks min(jobs, rows //
-# BATCH_ROWS) workers, and none for a grid under two full batches.
+# With no bound that grid reached 228 MiB.
 BATCH_ROWS = 50_000
 
 

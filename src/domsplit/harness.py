@@ -16,13 +16,12 @@ stability radius from inside.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import certifier
 from .certifier import MARGINAL_MARGIN, DegenerateCocycle, _certify_each, certify_many
 from .jacobi import _cover, _cover_plan, _truncation_eigenvalues, cocycle_map, dist_to_spectrum
 from .mat2 import MatSequence, _count, op_norm
@@ -82,13 +81,6 @@ def _scan_row(E, cert):
     row["m_N"] = cert.norm_floor_value
     row["epsilon"] = cert.epsilon
     return row
-
-
-def _scan_chunk(op, energies):
-    # one certify_many batch per chunk; a degenerate energy gets its row
-    # and leaves the others' certificates as they are
-    certs = _certify_each([cocycle_map(op, E) for E in energies])
-    return [_scan_row(E, cert) for E, cert in zip(energies, certs)]
 
 
 @dataclass
@@ -156,53 +148,37 @@ def johnson_scan(op, energies, jobs=1, spectrum_sizes=(200, 400, 800)):
     thread and jobs - 1 helper threads.  The spectrum cover's
     truncations are planned first, so a bad spectrum_sizes raises
     before any work starts.  The helpers solve them largest first while
-    this thread certifies the grid as one certify_many batch; then this
-    thread solves each truncation no helper has started, and assembles
-    the cover as spectrum() does, bit for bit.  The eigenvalue call
-    releases the GIL, so the helpers run beside the certify; jobs=1 has
-    no helper and is strictly serial.  Only a grid of at least two full
-    certifier.BATCH_ROWS batches, its rows counted as certify_many
-    counts them, pays for worker processes: it is certified in
-    min(jobs, rows // BATCH_ROWS) of them, three chunks each, which are
-    forked before any helper thread starts and receive the operator by
-    pickle.  An error ends the scan with that error when this thread
-    meets it: its own certify's at once, a helper's or a worker's when
-    it collects that task.  The tasks not yet started are then
-    cancelled, and no helper thread outlives the call.
+    this thread certifies the whole grid in one certify_many call, which
+    runs it as batches of at most certifier.BATCH_ROWS product rows; then
+    this thread solves each truncation no helper has started, and
+    assembles the cover as spectrum() does, bit for bit.  The eigenvalue
+    call releases the GIL, so the helpers run beside the certify; jobs=1
+    has no helper and is strictly serial.  A degenerate energy gets its
+    row and leaves the others' certificates as they are.  Any other
+    error ends the scan when this thread meets it: its own certify's at
+    once, a helper's when it collects that truncation.  The truncations
+    not yet started are then cancelled, and no helper thread outlives
+    the call.
     """
     jobs = _count("jobs", jobs, 1)
     Es = [complex(e) for e in np.atleast_1d(np.asarray(energies, dtype=complex))]
     re_parts = np.unique([e.real for e in Es])
     h_grid = float(np.min(np.diff(re_parts))) if len(re_parts) > 1 else 0.0
     plan = _cover_plan(op, spectrum_sizes)
-    # product rows, as certifier._batches counts them: a window is complex
-    # when its energy or a coupling is
-    complex_a = bool(np.any(op.a.imag != 0.0))
-    n_rows = sum(2 * len(op) * (3 if complex_a or E.imag != 0.0 else 1) for E in Es)
-    procs = min(jobs, n_rows // certifier.BATCH_ROWS)
+    tasks = [None] * len(plan)
     with ExitStack() as stack:
-        if procs >= 2:
-            pool = ProcessPoolExecutor(max_workers=procs)
-            stack.callback(pool.shutdown, cancel_futures=True)
-            bounds = np.linspace(0, len(Es), min(len(Es), 3 * procs) + 1, dtype=int)
-            chunks = [pool.submit(_scan_chunk, op, Es[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-        tasks = [None] * len(plan)
         if jobs > 1:
             helpers = ThreadPoolExecutor(max_workers=jobs - 1)
             stack.callback(helpers.shutdown, cancel_futures=True)
             for i in reversed(range(len(plan))):
                 tasks[i] = helpers.submit(_truncation_eigenvalues, op, *plan[i][1:])
-        if procs < 2:
-            rows = _scan_chunk(op, Es)
+        certs = _certify_each([cocycle_map(op, E) for E in Es])
+        rows = [_scan_row(E, cert) for E, cert in zip(Es, certs)]
         # a task cancels only while no helper has started it
         sp = _cover(plan, [
             _truncation_eigenvalues(op, *entry[1:]) if task is None or task.cancel() else task.result()
             for entry, task in zip(plan, tasks)
         ])
-        if procs >= 2:
-            for f in as_completed(chunks):
-                f.result()
-            rows = [row for f in chunks for row in f.result()]
     for row, d in zip(rows, dist_to_spectrum(sp, Es).tolist()):
         row["delta_spec"] = d
     report = ScanReport(rows=rows, resolution=sp.resolution, marginal_margin=MARGINAL_MARGIN)

@@ -81,9 +81,10 @@ class JacobiOperator:
     """Window of couplings and diagonal entries plus an extension policy.
 
     A coupling is zero iff it is exactly 0.0; the chain splits into
-    decoupled blocks there, and nowhere else.  With the periodic
-    extension, a given period must divide the window length and the
-    window data must repeat with it.
+    decoupled blocks there, and nowhere else.  j_lo and a given period
+    must be integers (a bool is refused), the period >= 1; with the
+    periodic extension, it must divide the window length and the window
+    data must repeat with it.
     """
 
     j_lo: int
@@ -101,10 +102,13 @@ class JacobiOperator:
             raise ValueError("coefficients must be finite")
         if self.extension not in ("periodic", "constant", "zero"):
             raise ValueError(f"unknown extension {self.extension!r}")
+        self.j_lo = _count("j_lo", self.j_lo)
+        if self.period is not None:
+            self.period = _count("period", self.period, 1)
         if self.extension == "periodic" and self.period is not None:
             # the ring spectrum solves one period per Bloch block
             q = self.period
-            if q < 1 or len(a) % q:
+            if len(a) % q:
                 raise ValueError(f"window length {len(a)} is not a multiple of the period {q}")
             if np.any(a.reshape(-1, q) != a[:q]) or np.any(b.reshape(-1, q) != b[:q]):
                 raise ValueError(f"window data is not {q}-periodic")
@@ -676,7 +680,7 @@ def floquet_bands(op):
     REFINE_TOL.
     """
     q = op.period
-    if not q or q < 1:
+    if q is None:
         raise ValueError("period required")
     alpha = np.abs(op.a_range(op.j_lo, op.j_lo + q - 1))
     if np.any(alpha == 0.0):
@@ -747,14 +751,14 @@ def operator_from_json(d):
     Floats travel exactly, so a loaded operator has the saved one's
     zero couplings and gives the same spectrum and certificates.
     """
-    j_lo, j_hi = int(d["window"][0]), int(d["window"][1])
+    lo, hi = d["window"]
+    j_lo, j_hi = _count("window start", lo), _count("window end", hi)
     a = np.array([complex(re, im) for re, im in d["a"]])
     b = np.array([float(x) for x in d["b"]])
     if len(a) != j_hi - j_lo + 1:
         raise ValueError("window length does not match coefficient arrays")
-    period = d.get("period")
     return JacobiOperator(j_lo=j_lo, a=a, b=b, extension=d["extension"],
-                          period=None if period is None else int(period))
+                          period=d.get("period"))
 
 
 def save_operator(op, path):

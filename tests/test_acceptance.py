@@ -97,7 +97,7 @@ def test_01_free_chain_scan():
     record_acceptance(
         "free-chain scan",
         ok,
-        f"{rep.summary()}; marginal at {sorted(marg)}; {elapsed:.1f}s with 4 workers",
+        f"{rep.summary()}; marginal at {sorted(marg)}; {elapsed:.1f}s at jobs=4",
     )
     assert hard == 0
     assert not off_edge, f"marginal energies {off_edge} are not at the band edges"

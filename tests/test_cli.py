@@ -92,6 +92,20 @@ def test_certify_burn_override(free_config, capsys):
     assert doc["burn"] == 12
 
 
+@pytest.mark.parametrize("key, value", [("period", 2.5), ("window", [-100.7, 99.2])])
+def test_config_with_a_count_that_is_not_an_integer_exits_3(free_config, capsys, key, value):
+    # the count used to be truncated: period 2.5 loaded as 2, and the
+    # window [-100.7, 99.2] as (-100, 99)
+    path = Path(free_config)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    code = main(["certify", "--config", free_config, "--energy", "3.0"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "an integer, got" in err
+
+
 def test_certify_refuses_a_burn_below_1(free_config, capsys):
     # a negative hint is unusable input, not a request for burn 1
     code = main(["certify", "--config", free_config, "--energy", "3.0", "--burn", "-5"])

@@ -2,9 +2,11 @@
 
 import json
 import math
+import multiprocessing.process
+import subprocess
+import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -452,8 +454,8 @@ def test_scan_chunk_error_propagates(free_op, jobs, monkeypatch):
     # a NaN invariance residual at E = 7 (the free chain's factors hold E
     # at (0, 0)) makes certify raise InternalInconsistency there; that
     # error is not a DegenerateCocycle row, and the scan raises it whether
-    # or not its chunk runs first.  Both grids certify in this process;
-    # test_pooled_scan_chunk_error_propagates runs the same one in a pool.
+    # or not the cover's helper thread runs beside the certify;
+    # test_batched_scan_error_propagates certifies the same grid in batches.
     orig = certifier.verify_invariance
 
     def nan_at_seven(seq, fld, threshold):
@@ -466,77 +468,80 @@ def test_scan_chunk_error_propagates(free_op, jobs, monkeypatch):
         johnson_scan(free_op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)
 
 
-class _PoolSpy(ProcessPoolExecutor):
-    # a process pool that records the worker count of each one started
-    started = []
-
-    def __init__(self, max_workers):
-        _PoolSpy.started.append(max_workers)
-        super().__init__(max_workers=max_workers)
+def _no_child_process(_process):
+    raise AssertionError("a child process was started")
 
 
-def _no_pool(*_args, **_kwargs):
-    raise AssertionError("a process pool was started")
+def test_import_loads_no_multiprocessing():
+    # in a fresh interpreter, importing the package this file tests
+    src = str(Path(harness.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import domsplit; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
+def _scan_in_this_thread(op, Es, jobs, monkeypatch):
+    # the scan's report, and the thread and window count of each certify
+    # batch, with starting a child process made an error
+    batches = []
+    orig = certifier._certify_batch
+
+    def certify_batch(batch, burn):
+        batches.append((threading.current_thread(), len(batch.seqs)))
+        return orig(batch, burn)
+
+    monkeypatch.setattr(certifier, "_certify_batch", certify_batch)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_child_process)
+    return johnson_scan(op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES), batches
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_scan_of_one_batch_starts_no_process(jobs, monkeypatch):
-    # 41 energies of a 600-site window are 49,200 product rows, under two
-    # full batches: certify runs in this process, beside the cover's
-    # helper threads, and gives the serial rows
+    # 41 energies of a 600-site window are 49,200 product rows, one batch:
+    # certify runs in this thread, beside the cover's helper threads, and
+    # gives the serial rows
     op = JacobiOperator(j_lo=-300, a=np.ones(600, complex), b=np.zeros(600))
     Es = np.linspace(-4, 4, 41)
     want = json.dumps(johnson_scan(op, Es, spectrum_sizes=SCAN_SIZES).to_json())
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
-    got = johnson_scan(op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)
+    got, batches = _scan_in_this_thread(op, Es, jobs, monkeypatch)
     assert json.dumps(got.to_json()) == want
+    assert batches == [(threading.current_thread(), 41)]
 
 
-@pytest.mark.parametrize(
-    "batch_rows, jobs, workers",
-    # 13 real energies of 200 sites are 5,200 rows; a complex energy
-    # counts three times
-    [(2_600, 2, 2), (2_600, 4, 2), (1_300, 4, 4), (1_000, 3, 3), (2_601, 4, None)],
-)
-def test_scan_of_two_batches_certifies_in_the_pool(free_op, monkeypatch, batch_rows, jobs, workers):
-    Es = np.linspace(-3, 3, 13)
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize("grid", ["real", "complex"])
+def test_scan_of_several_batches_starts_no_process(free_op, monkeypatch, grid, jobs):
+    # a real energy of 200 sites is 400 product rows, so 13 of them are
+    # seven batches of at most 1,000; a complex energy counts three times,
+    # 1,200 rows, and runs alone, so the mixed grid's four complex and
+    # nine real energies are nine batches.  This thread certifies them
+    # all and gives the serial rows.
+    Es = np.linspace(-3, 3, 13).astype(complex)
+    if grid == "complex":
+        Es[1::3] += 0.25j
     want = json.dumps(johnson_scan(free_op, Es, spectrum_sizes=SCAN_SIZES).to_json())
-    monkeypatch.setattr(certifier, "BATCH_ROWS", batch_rows)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
-    _PoolSpy.started = []
-    got = johnson_scan(free_op, Es, jobs=jobs, spectrum_sizes=SCAN_SIZES)
+    monkeypatch.setattr(certifier, "BATCH_ROWS", 1_000)
+    got, batches = _scan_in_this_thread(free_op, Es, jobs, monkeypatch)
     assert json.dumps(got.to_json()) == want
-    assert _PoolSpy.started == ([] if workers is None else [workers])
-
-
-def test_scan_counts_a_complex_energy_as_three_windows(free_op, monkeypatch):
-    # 3 real energies and 1 complex one are 6 x 400 = 2,400 rows
-    Es = [3.0, -3.0, 2.5, 2.5 + 0.5j]
-    want = json.dumps(johnson_scan(free_op, Es, spectrum_sizes=SCAN_SIZES).to_json())
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
-    for batch_rows, started in ((1_200, [2]), (1_201, [])):
-        monkeypatch.setattr(certifier, "BATCH_ROWS", batch_rows)
-        _PoolSpy.started = []
-        got = johnson_scan(free_op, Es, jobs=2, spectrum_sizes=SCAN_SIZES)
-        assert json.dumps(got.to_json()) == want
-        assert _PoolSpy.started == started
+    assert [thread for thread, _ in batches] == [threading.current_thread()] * (7 if grid == "real" else 9)
 
 
 @pytest.mark.golden
-def test_golden_scan_fixture_pooled(free_op, tmp_path, monkeypatch):
-    # the free-chain golden through a pool of two worker processes
+def test_golden_scan_fixture_batched(free_op, tmp_path, monkeypatch):
+    # the free-chain golden at jobs=2, certified as three batches of at
+    # most 8,000 product rows (20 energies of 200 sites each)
     monkeypatch.setattr(certifier, "BATCH_ROWS", 8_000)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
-    _PoolSpy.started = []
-    rep = johnson_scan(free_op, np.linspace(-4, 4, 41), jobs=2, spectrum_sizes=SCAN_SIZES)
-    assert _PoolSpy.started == [2]
+    rep, batches = _scan_in_this_thread(free_op, np.linspace(-4, 4, 41), 2, monkeypatch)
+    assert batches == [(threading.current_thread(), n) for n in (20, 20, 1)]
     out = tmp_path / "fresh.csv"
     rep.to_csv(out)
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
-def test_pooled_scan_chunk_error_propagates(free_op, monkeypatch):
-    # test_scan_chunk_error_propagates, with the grid certified in the pool
+def test_batched_scan_error_propagates(free_op, monkeypatch):
+    # test_scan_chunk_error_propagates, with the grid certified as
+    # batches of two energies: the error of the second batch ends the
+    # scan, and no helper thread outlives it
     orig = certifier.verify_invariance
 
     def nan_at_seven(seq, fld, threshold):
@@ -544,13 +549,10 @@ def test_pooled_scan_chunk_error_propagates(free_op, monkeypatch):
         return (False, math.nan) if seq.values[0, 0, 0].real == 7.0 else (ok, res)
 
     monkeypatch.setattr(certifier, "verify_invariance", nan_at_seven)
-    monkeypatch.setattr(certifier, "BATCH_ROWS", 1_000)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _PoolSpy)
-    _PoolSpy.started = []
+    monkeypatch.setattr(certifier, "BATCH_ROWS", 800)
     threads = threading.active_count()
     with pytest.raises(InternalInconsistency, match="invariance residual is nan"):
         johnson_scan(free_op, [3.0, 2.5, 7.0, -3.0, 3.5], jobs=2, spectrum_sizes=SCAN_SIZES)
-    assert _PoolSpy.started == [2]
     assert threading.active_count() == threads
 
 
@@ -567,12 +569,12 @@ def test_scan_certify_error_cancels_the_pending_cover(free_op, monkeypatch):
         time.sleep(0.3)
         return jacobi._truncation_eigenvalues(op, j1, j2, ring)
 
-    def failing_chunk(op, energies):
+    def failing_certify(seqs):
         assert started.wait(10)
         raise RuntimeError("certify failed")
 
     monkeypatch.setattr(harness, "_truncation_eigenvalues", slow_eigenvalues)
-    monkeypatch.setattr(harness, "_scan_chunk", failing_chunk)
+    monkeypatch.setattr(harness, "_certify_each", failing_certify)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="certify failed"):
         johnson_scan(free_op, [3.0, 2.5], jobs=2, spectrum_sizes=SCAN_SIZES)
@@ -585,7 +587,7 @@ def test_scan_cover_thread_error_ends_the_scan(free_op, monkeypatch):
     # thread certifies: the scan raises that error once the certify is
     # done, and no helper thread outlives it
     failed = threading.Event()
-    orig_chunk = harness._scan_chunk
+    orig_certify = harness._certify_each
 
     def failing_eigenvalues(op, j1, j2, ring):
         if j2 - j1 == 199:
@@ -594,12 +596,12 @@ def test_scan_cover_thread_error_ends_the_scan(free_op, monkeypatch):
             raise FloatingPointError("truncation of 199 sites failed")
         return jacobi._truncation_eigenvalues(op, j1, j2, ring)
 
-    def chunk_after_the_failure(op, energies):
+    def certify_after_the_failure(seqs):
         assert failed.wait(10)
-        return orig_chunk(op, energies)
+        return orig_certify(seqs)
 
     monkeypatch.setattr(harness, "_truncation_eigenvalues", failing_eigenvalues)
-    monkeypatch.setattr(harness, "_scan_chunk", chunk_after_the_failure)
+    monkeypatch.setattr(harness, "_certify_each", certify_after_the_failure)
     threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="truncation of 199 sites failed"):
         johnson_scan(free_op, [3.0, 2.5], jobs=2, spectrum_sizes=SCAN_SIZES)

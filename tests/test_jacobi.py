@@ -36,6 +36,7 @@ from domsplit.jacobi import (
     cocycle_via_charpoly,
     floquet_bands,
     greens_row_residual,
+    load_operator,
     normalization_identity_check,
     operator_from_json,
     operator_to_json,
@@ -378,6 +379,42 @@ def test_ring_needs_periodic_data():
     d["b"][3] = 0.25
     with pytest.raises(ValueError, match="2-periodic"):
         operator_from_json(d)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("j_lo", 2.5), ("j_lo", True), ("j_lo", "0"),
+    ("period", 2.5), ("period", True), ("period", "2"), ("period", 0),
+])
+def test_operator_refuses_counts_that_are_not_integers(field, value):
+    # period=2.5 used to raise a bare numpy TypeError from the reshape
+    kw = {"j_lo": 0, "extension": "periodic", "period": 2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be "):
+        JacobiOperator(a=np.ones(4), b=np.zeros(4), **kw)
+
+
+def test_operator_stores_numpy_counts_as_ints():
+    op = JacobiOperator(j_lo=np.int64(-2), a=np.ones(4), b=np.zeros(4),
+                        extension="periodic", period=np.int32(2))
+    assert type(op.j_lo) is int and type(op.period) is int
+    assert (op.j_lo, op.period) == (-2, 2)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("period", 2.5, "period must be"), ("period", "2", "period must be"),
+    ("period", True, "period must be"),
+    ("window", [-2.0, 1], "window start must be"), ("window", [-2.5, 1], "window start must be"),
+    ("window", [-2, 1.0], "window end must be"), ("window", [-2, "1"], "window end must be"),
+    ("window", [-2, 1, 7], "too many values"),
+])
+def test_load_refuses_counts_that_are_not_integers(tmp_path, key, value, match):
+    # a count that is no JSON integer is refused, not truncated: a window
+    # of [-2.5, 1] used to load as (-2, 1), and one of [-2, 1, 7] as (-2, 1)
+    d = operator_to_json(periodic_operator([1.0, 0.5], [0.0, 0.0], (-2, 1)))
+    d[key] = value
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=match):
+        load_operator(path)
 
 
 def test_dist_to_spectrum_arrays(free_op):
