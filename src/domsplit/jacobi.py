@@ -18,25 +18,35 @@ input, so load_operator returns the operator save_operator wrote.
 Eigenvalues of Hermitian truncations are computed after a diagonal
 phase gauge that replaces each coupling by its modulus; the gauge is
 unitary, so the spectrum is untouched and the real symmetric
-tridiagonal solver (Sturm bisection, LAPACK dstebz) applies.  It is
-called through ctypes, which releases the GIL, so truncations solved on
-threads run side by side.  Whole-period truncations of periodic
-operators are closed into rings instead; a ring of r periods of length
-q commutes with the shift by one period, so its spectrum is that of r
-Hermitian q x q Bloch blocks, whose wrap coupling carries the phase
-e^{2 pi i k / r}, solved in one batched call.
+tridiagonal solver (Sturm bisection, LAPACK dstebz) applies.  Whole-period
+truncations of periodic operators are closed into rings instead; a ring
+of r periods of length q commutes with the shift by one period, so its
+spectrum is that of r Hermitian q x q Bloch blocks, whose wrap coupling
+carries the phase e^{2 pi i k / r}, solved in one batched call.
+Resolvent columns solve the tridiagonal J - E by LAPACK zgtsv.
+
+Both LAPACK routines, dstebz and zgtsv, are bound through ctypes to the
+function pointers that scipy.linalg.cython_lapack exports (_lapack).
+That extension module is loaded by itself: importing this module does
+not import scipy.linalg, whose package init loads all of it.  A foreign
+call through ctypes releases the GIL, so truncations solved on threads
+run side by side.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg import cython_lapack, solve_banded
 
 from .mat2 import MatSequence, _abs, _cmul, _count, _max_abs, _mul, _renorm
 
@@ -287,37 +297,67 @@ class Truncation:
         return np.sort(np.concatenate(eigs))
 
 
-def _dstebz():
-    # the routine scipy.linalg.cython_lapack exports, as a ctypes function;
-    # a foreign call through ctypes releases the GIL while it runs
-    capsule = cython_lapack.__pyx_capi__["dstebz"]
+def _cython_lapack():
+    # scipy.linalg.cython_lapack, without running scipy.linalg's package
+    # init: the module already loaded, or the extension file loaded on its
+    # own and registered under its name, so a later import of scipy.linalg
+    # shares it (from sys.modules: the import system then sets no
+    # scipy.linalg.cython_lapack attribute, but "from scipy.linalg import
+    # cython_lapack" finds it)
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, "linalg") for p in scipy.__path__]
+    )
+    if spec is None:
+        raise ImportError(f"no {name} in the scipy at {scipy.__path__}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_CYTHON_LAPACK = _cython_lapack()
+
+
+def _lapack(routine, *argtypes):
+    """The LAPACK routine that scipy.linalg.cython_lapack exports, as a
+    ctypes function of the given argument types; a foreign call through
+    ctypes releases the GIL while it runs."""
+    capsule = _CYTHON_LAPACK.__pyx_capi__[routine]
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )
-    i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    iv = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
-    dv = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
-    proto = ctypes.CFUNCTYPE(
-        None, ctypes.c_char_p, ctypes.c_char_p, i, d, d, i, i, d, dv, dv, i, i, dv, iv, iv, dv, iv, i
-    )
-    return proto(pointer(capsule, name(capsule)))
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, name(capsule)))
 
 
-_DSTEBZ = _dstebz()
+_i, _d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_iv = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
+_dv = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_zv = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
+_zm = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
+# RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
+_DSTEBZ = _lapack(
+    "dstebz", ctypes.c_char_p, ctypes.c_char_p, _i, _d, _d, _i, _i, _d, _dv, _dv, _i, _i,
+    _dv, _iv, _iv, _dv, _iv, _i,
+)
+# N NRHS DL D DU B LDB INFO
+_ZGTSV = _lapack("zgtsv", _i, _i, _zv, _zv, _zv, _zm, _i, _i)
 
 
 def _stebz(d, e):
     """Ascending eigenvalues of the real symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e, by LAPACK dstebz: every
-    eigenvalue (RANGE "A"), in order (ORDER "E"), to the routine's own
-    tolerance (ABSTOL 0).  scipy's eigh_tridiagonal(d, e,
+    diagonal d and off-diagonal e, by LAPACK dstebz (bound by _lapack):
+    every eigenvalue (RANGE "A"), in order (ORDER "E"), to the routine's
+    own tolerance (ABSTOL 0).  scipy's eigh_tridiagonal(d, e,
     eigvals_only=True, lapack_driver="stebz") calls the same routine of
     the same library with the same arguments, so the result is its bit
     for bit; but that call holds the GIL and this one releases it.  A
-    nonzero INFO raises LinAlgError, as there.
+    nonzero INFO raises LinAlgError, as there.  solve_banded binds zgtsv
+    the same way.
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     e = np.ascontiguousarray(e, dtype=np.float64)
@@ -337,6 +377,32 @@ def _stebz(d, e):
     if info.value:
         raise LinAlgError(f"dstebz did not converge (LAPACK info={info.value})")
     return w[: m.value]
+
+
+def solve_banded(ab, rhs):
+    """The solution x of A x = rhs, for the n x n tridiagonal A stored as
+    scipy's (1, 1) banded ab (ab[0, 1:] above the diagonal, ab[1] on it,
+    ab[2, :-1] below it; n >= 2) and rhs of shape (n, k), by LAPACK zgtsv
+    (bound by _lapack).  Like scipy's solve_banded((1, 1), ab, rhs), which
+    calls the same routine on copies of the same rows, it returns x in
+    Fortran order, bit for bit the same; raises ValueError("array must not
+    contain infs or NaNs") on a non-finite input and LinAlgError("singular
+    matrix") where zgtsv meets a zero pivot (INFO > 0).
+    """
+    ab = np.asarray_chkfinite(ab, dtype=np.complex128)
+    x = np.array(np.asarray_chkfinite(rhs, dtype=np.complex128), order="F")
+    n = ab.shape[-1] if ab.ndim == 2 else 0
+    if n < 2 or len(ab) != 3 or x.ndim != 2 or len(x) != n:
+        raise ValueError("need ab of shape (3, n), n >= 2, and rhs of shape (n, k)")
+    dl, d, du = np.array(ab[2, :-1]), np.array(ab[1]), np.array(ab[0, 1:])
+    info = ctypes.c_int()
+    ref = ctypes.byref
+    # INFO < 0 flags a bad N, NRHS or LDB, which the checks above exclude
+    _ZGTSV(ref(ctypes.c_int(n)), ref(ctypes.c_int(x.shape[1])), dl, d, du, x,
+           ref(ctypes.c_int(n)), ref(info))
+    if info.value > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def truncation(op, j1, j2):
@@ -482,8 +548,8 @@ def spectrum(op, sizes=(200, 400, 800)):
     already dead bonds and the blocks stay whole.  The plan of
     truncations (_cover_plan), one eigenvalue call per truncation
     (_truncation_eigenvalues) and the merge (_cover) are separate steps,
-    so a pooled johnson_scan runs each truncation as its own task and
-    assembles the same cover bit for bit.
+    so johnson_scan solves the truncations on helper threads beside its
+    certify and assembles the same cover bit for bit.
     """
     plan = _cover_plan(op, sizes)
     return _cover(plan, [_truncation_eigenvalues(op, *entry[1:]) for entry in plan])
@@ -534,7 +600,7 @@ def _solve_columns(op, E, lo, hi, cols):
     ones = np.asarray(cols) - lo  # the row of each column's 1
     rhs = np.zeros((nR, len(cols)), dtype=complex)
     rhs[ones, np.arange(len(cols))] = 1.0
-    g = solve_banded((1, 1), ab, rhs)
+    g = solve_banded(ab, rhs)
     # residual of the tridiagonal action, in blocks of 32 columns (rows of
     # g.T, as g comes in Fortran order), whose temporaries stay in cache
     res, gt = [], g.T
@@ -745,16 +811,35 @@ def operator_to_json(op):
     return d
 
 
+def _json_real(field, k, x):
+    """x, read from entry k of the coefficient list field, as a float;
+    ValueError naming field[k] unless x is a number (a bool is refused)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{field}[{k}] must hold numbers, got {x!r}")
+    return float(x)
+
+
 def operator_from_json(d):
     """Inverse of operator_to_json: the operator it wrote, value for value.
 
     Floats travel exactly, so a loaded operator has the saved one's
-    zero couplings and gives the same spectrum and certificates.
+    zero couplings and gives the same spectrum and certificates.  A field
+    of another form raises ValueError naming it (and the entry at
+    fault), a missing field KeyError.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"an operator must be a JSON object, got {type(d).__name__}")
+    for key in ("window", "a", "b"):
+        if not isinstance(d[key], list):
+            raise ValueError(f"{key} must be a list, got {d[key]!r}")
     lo, hi = d["window"]
     j_lo, j_hi = _count("window start", lo), _count("window end", hi)
-    a = np.array([complex(re, im) for re, im in d["a"]])
-    b = np.array([float(x) for x in d["b"]])
+    a = []
+    for k, z in enumerate(d["a"]):
+        if not isinstance(z, list) or len(z) != 2:
+            raise ValueError(f"a[{k}] must be a pair [re, im], got {z!r}")
+        a.append(complex(_json_real("a", k, z[0]), _json_real("a", k, z[1])))
+    b = [_json_real("b", k, x) for k, x in enumerate(d["b"])]
     if len(a) != j_hi - j_lo + 1:
         raise ValueError("window length does not match coefficient arrays")
     return JacobiOperator(j_lo=j_lo, a=a, b=b, extension=d["extension"],

@@ -106,6 +106,22 @@ def test_config_with_a_count_that_is_not_an_integer_exits_3(free_config, capsys,
     assert out == "" and "an integer, got" in err
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("a", [None, 0.0], "a[0] must hold numbers, got None"),
+    ("b", "x", "b[0] must hold numbers, got 'x'"),
+])
+def test_config_with_a_malformed_coefficient_exits_3(free_config, capsys, key, value, match):
+    # a null coupling used to escape as TypeError: a traceback and exit 1
+    path = Path(free_config)
+    doc = json.loads(path.read_text())
+    doc[key][0] = value
+    path.write_text(json.dumps(doc))
+    code = main(["certify", "--config", free_config, "--energy", "3.0"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"input error: {match}" in err
+
+
 def test_certify_refuses_a_burn_below_1(free_config, capsys):
     # a negative hint is unusable input, not a request for burn 1
     code = main(["certify", "--config", free_config, "--energy", "3.0", "--burn", "-5"])

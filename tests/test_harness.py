@@ -473,11 +473,53 @@ def _no_child_process(_process):
 
 
 def test_import_loads_no_multiprocessing():
-    # in a fresh interpreter, importing the package this file tests
+    # in a fresh interpreter, importing the package this file tests loads
+    # neither multiprocessing nor scipy.linalg's package (jacobi loads
+    # only its cython_lapack extension)
     src = str(Path(harness.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import domsplit; "
-            "sys.exit('multiprocessing' in sys.modules)")
+            "sys.exit(sorted({'multiprocessing', 'scipy.linalg'} & set(sys.modules)) or None)")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+_IMPORT_ORDER = """
+import hashlib, json, sys
+sys.path.insert(0, {src!r})
+{first}
+import numpy as np
+import scipy.linalg
+from domsplit import jacobi, johnson_scan, load_operator
+from scipy.linalg import cython_lapack
+assert jacobi._CYTHON_LAPACK is cython_lapack is sys.modules["scipy.linalg.cython_lapack"]
+op = load_operator({path!r})
+scan = johnson_scan(op, np.linspace(-4, 4, 21), jobs=2, spectrum_sizes=(100, 150, 199))
+column = jacobi.greens_column(op, 3.0, 0).values
+print(json.dumps(scan.to_json()), hashlib.sha256(column.tobytes()).hexdigest())
+"""
+
+
+def test_scipy_linalg_imported_first_shares_its_lapack_module(free_op, tmp_path):
+    # imported before domsplit, scipy.linalg loads cython_lapack itself and
+    # jacobi binds LAPACK through that module; imported after, it shares
+    # the module jacobi loaded.  Either way a scan's JSON and a resolvent
+    # column are the same, byte for byte.
+    path = tmp_path / "op.json"
+    save_operator(free_op, path)
+    src = str(Path(harness.__file__).parents[1])
+    out = {}
+    orders = {
+        "scipy.linalg first": "import scipy.linalg, domsplit.jacobi\n"
+        "assert domsplit.jacobi._CYTHON_LAPACK is scipy.linalg.cython_lapack",
+        "domsplit first": "import domsplit\nassert 'scipy.linalg' not in sys.modules",
+    }
+    for order, first in orders.items():
+        code = _IMPORT_ORDER.format(src=src, first=first, path=str(path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out[order] = proc.stdout
+    assert out["scipy.linalg first"] == out["domsplit first"]
+    assert '"rows"' in out["domsplit first"]
 
 
 def _scan_in_this_thread(op, Es, jobs, monkeypatch):

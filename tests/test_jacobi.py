@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import solve_banded as scipy_solve_banded
 
 from conftest import random_operator
 
@@ -285,6 +286,63 @@ def test_truncations_on_four_threads_are_scipys():
     assert got == [[w] * 3 for w in want]
 
 
+# Resolvent columns solve by LAPACK zgtsv, bound the same way.  scipy's
+# solve_banded((1, 1), ...) calls the same routine on copies of the same
+# rows, and is its oracle byte for byte, errors included.
+
+
+def _scipy_solve_banded(ab, rhs):
+    "scipy's solution, or the class of the error it raises"
+    try:
+        return scipy_solve_banded((1, 1), ab, rhs)
+    except (LinAlgError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _banded_systems(draw):
+    n, k = draw(st.integers(2, 200)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def z(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    ab, rhs = z(3, n), z(n, k)
+    ab[0, 0] = ab[2, -1] = 0.0  # the corners outside the matrix
+    # exact-zero couplings, on both sides of the diagonal or on one
+    p = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    ab[0, 1:][rng.random(n - 1) < p] = 0.0
+    ab[2, :-1][rng.random(n - 1) < p] = 0.0
+    kind = draw(st.sampled_from(["regular", "singular", "nan", "inf"]))
+    if kind == "singular":
+        ab[:, rng.integers(n)] = 0.0  # a zero column of the matrix: no pivot is left for it
+    elif kind != "regular":
+        bad = np.nan if kind == "nan" else np.inf
+        target = ab if rng.random() < 0.5 else rhs
+        target[tuple(rng.integers(s) for s in target.shape)] = bad
+    return kind, ab, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_banded_systems())
+def test_solve_banded_is_scipys_solve_banded_byte_for_byte(system):
+    kind, ab, rhs = system
+    want = _scipy_solve_banded(ab, rhs)
+    if kind == "regular":
+        got = jacobi.solve_banded(ab, rhs)
+        assert got.flags.f_contiguous and got.shape == want.shape
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+    else:
+        error, match = {
+            "singular": (LinAlgError, "singular matrix"),
+            "nan": (ValueError, "array must not contain infs or NaNs"),
+            "inf": (ValueError, "array must not contain infs or NaNs"),
+        }[kind]
+        assert want is error
+        with pytest.raises(error, match=match):
+            jacobi.solve_banded(ab, rhs)
+
+
 # -------------------------------------------------------------- spectra
 
 
@@ -415,6 +473,38 @@ def test_load_refuses_counts_that_are_not_integers(tmp_path, key, value, match):
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match=match):
         load_operator(path)
+
+
+@pytest.mark.parametrize("key, k, value, match", [
+    ("a", 0, [None, 0.0], r"a\[0\] must hold numbers, got None"),
+    ("a", 2, [1.0, True], r"a\[2\] must hold numbers, got True"),
+    ("a", 3, 1.0, r"a\[3\] must be a pair \[re, im\], got 1.0"),
+    ("a", 1, [1.0, 0.0, 0.0], r"a\[1\] must be a pair"),
+    ("b", 1, "0.5", r"b\[1\] must hold numbers, got '0.5'"),
+    ("b", 3, [0.5], r"b\[3\] must hold numbers"),
+])
+def test_load_refuses_coefficients_that_are_not_numbers(key, k, value, match):
+    # a null coupling used to escape as TypeError from complex(), and the
+    # string "0.5" to load as the number 0.5
+    d = operator_to_json(periodic_operator([1.0, 0.5], [0.0, 0.0], (-2, 1)))
+    d[key][k] = value
+    with pytest.raises(ValueError, match=match):
+        operator_from_json(d)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("window", None, "window must be a list, got None"),
+    ("a", None, "a must be a list, got None"),
+    ("b", 0.0, "b must be a list, got 0.0"),
+])
+def test_load_refuses_fields_that_are_not_lists(key, value, match):
+    # each used to escape as TypeError, and so did a config that is no object
+    d = operator_to_json(periodic_operator([1.0, 0.5], [0.0, 0.0], (-2, 1)))
+    d[key] = value
+    with pytest.raises(ValueError, match=match):
+        operator_from_json(d)
+    with pytest.raises(ValueError, match="an operator must be a JSON object"):
+        operator_from_json([d])
 
 
 def test_dist_to_spectrum_arrays(free_op):
